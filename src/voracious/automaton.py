@@ -29,6 +29,10 @@ from .coxeter import (
 )
 from .walls import Wall, WallGeometry
 
+# Files of earlier formats may hold an automaton built from a truncated pivot
+# set, so only this format is read back.
+FORMAT = "voracious-automaton-2"
+
 
 def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
     """All small-root walls, by closure from the simple walls.
@@ -84,21 +88,41 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int) -> tuple[Wall, .
     return tuple(out)
 
 
-def pivots(geometry: WallGeometry, cap: int) -> tuple[tuple[GroupElement, ...], bool]:
-    """Elements with identity projection, up to length cap.
+def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
+    """All elements of positive length with identity projection.
 
-    Returns (pivots, saturated); saturated means a pivot occurred at the cap
-    while longer elements exist, so the list may be truncated.
+    Sorted by (length, shortlex word).  Pivots are closed under prefixes: if
+    p(g) = id and g' <= g in the prefix order, then p(g) <= g' <= g and
+    projection monotonicity (suite check 3) give p(g') <= p(g) = id.  So every
+    pivot of length n + 1 is a pivot of length n times an ascent, and a
+    breadth-first search that extends only pivots finds all of them.  The
+    search ends at the first length with no pivot: a pivot is its own
+    projection block, and block lengths are bounded by the constant C, so no
+    pivot is longer than C.  The elements examined count against the
+    system's max_ball_elements.
     """
     sys = geometry.system
-    out = [
-        g
-        for g in sys.ball(cap)
-        if g.length and geometry.voracious_projection(g) == sys.identity
-    ]
+    seen = {sys.identity}
+    layer = [sys.identity]
+    out: list[GroupElement] = []
+    while layer:
+        nxt = []
+        for g in layer:
+            for s in range(sys.rank):
+                h = sys.right_mul(g, s)
+                if h.length < g.length or h in seen:
+                    continue
+                seen.add(h)
+                if len(seen) > sys.max_ball_elements:
+                    raise ResourceLimitError(
+                        f"pivot search exceeded {sys.max_ball_elements} elements"
+                    )
+                if geometry.voracious_projection(h) == sys.identity:
+                    nxt.append(h)
+        out.extend(nxt)
+        layer = nxt
     out.sort(key=lambda g: (g.length, sys.shortlex_word(g)))
-    saturated = any(g.length == cap for g in out) and bool(sys.sphere(cap + 1))
-    return tuple(out), saturated
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -122,8 +146,6 @@ class VoraciousAutomaton:
         universe: tuple[Wall, ...],
         states: tuple[tuple[int, ...], ...],
         edges: tuple[Edge, ...],
-        pivot_cap: int,
-        pivot_saturated: bool,
     ):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
@@ -131,10 +153,9 @@ class VoraciousAutomaton:
         self.states = states
         self.start = 0
         self.edges = edges
-        self.pivot_cap = pivot_cap
-        self.pivot_saturated = pivot_saturated
         if states[0] != ():
             raise ValueError("state 0 must be the empty frontier")
+        self._universe_index = {w: i for i, w in enumerate(universe)}
         self._state_index = {st: i for i, st in enumerate(states)}
         self._by_source: list[tuple[tuple[Word, int], ...]] | None = None
 
@@ -176,22 +197,6 @@ class VoraciousAutomaton:
             return None
         return self._state_index.get(key)
 
-    @property
-    def _universe_index(self):
-        idx = getattr(self, "_uidx", None)
-        if idx is None:
-            idx = {w: i for i, w in enumerate(self.universe)}
-            self._uidx = idx
-        return idx
-
-    def state_space_size(self) -> int:
-        """Size of the declared state space, the full power set of the universe.
-
-        Only reachable subsets are materialized in `states`; the rest are
-        inert and carry no edges.
-        """
-        return 2 ** len(self.universe)
-
     def __eq__(self, other):
         if not isinstance(other, VoraciousAutomaton):
             return NotImplemented
@@ -213,7 +218,7 @@ class VoraciousAutomaton:
     def to_json_dict(self) -> dict:
         gens = self.generators
         return {
-            "format": "voracious-automaton",
+            "format": FORMAT,
             "generators": list(gens),
             "m": [list(row) for row in self.geometry.system.cox.orders],
             "cos_denominator": self.geometry.system.ctx.modulus,
@@ -231,8 +236,6 @@ class VoraciousAutomaton:
                 }
                 for e in self.edges
             ],
-            "pivot_cap": self.pivot_cap,
-            "pivot_saturated": self.pivot_saturated,
         }
 
     def to_json(self) -> str:
@@ -259,6 +262,11 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     """Rebuild an automaton over an existing geometry; group data must match."""
     from fractions import Fraction
 
+    if data.get("format") != FORMAT:
+        raise ValueError(
+            f"automaton file format {data.get('format')!r} is not {FORMAT!r}; "
+            "rebuild it"
+        )
     sys = geometry.system
     if list(sys.cox.generators) != data["generators"] or [
         list(r) for r in sys.cox.orders
@@ -285,24 +293,15 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
         )
         for e in data["edges"]
     )
-    return VoraciousAutomaton(
-        geometry,
-        universe,
-        states,
-        edges,
-        data["pivot_cap"],
-        data["pivot_saturated"],
-    )
+    return VoraciousAutomaton(geometry, universe, states, edges)
 
 
-def build_automaton(
-    geometry: WallGeometry, pivot_cap: int, small_roots_cap: int = 10_000
-) -> VoraciousAutomaton:
+def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     """Construct the automaton from scratch for one group."""
     sys = geometry.system
-    universe = small_roots(geometry, cap=small_roots_cap)
+    universe = small_roots(geometry)
     uindex = {w: i for i, w in enumerate(universe)}
-    pivot_list, saturated = pivots(geometry, pivot_cap)
+    pivot_list = pivots(geometry)
 
     inv_idx: list[frozenset[int]] = []
     target_key: list[tuple[int, ...]] = []
@@ -313,10 +312,7 @@ def build_automaton(
         for f in geometry.frontier_set(w):
             wall = geometry.translate_wall(sys.inverse(w), f)
             if wall not in uindex:
-                raise RuntimeError(
-                    "pulled-back frontier wall is not small; "
-                    "increase the small-root cap or report a bug"
-                )
+                raise RuntimeError("pulled-back frontier wall is not a small root")
             back.append(uindex[wall])
         target_key.append(tuple(sorted(back)))
 
@@ -365,6 +361,4 @@ def build_automaton(
         labels = tuple(sorted(sys.reduced_words(w)))
         edges.append(Edge(sindex[a], sindex[t], word, labels))
     edges.sort(key=lambda e: (e.source, len(e.pivot_word), e.pivot_word, e.target))
-    return VoraciousAutomaton(
-        geometry, universe, states, tuple(edges), pivot_cap, saturated
-    )
+    return VoraciousAutomaton(geometry, universe, states, tuple(edges))

@@ -55,19 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     command("small-roots", "print the small-root universe", word_arg=False)
 
     p = command("automaton", "build and export the language automaton", word_arg=False)
-    p.add_argument("--cap", type=int, default=8, help="pivot length cap (default 8)")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", help="output file (default: stdout)")
 
     p = command("accept", "run a word through the automaton")
     p.add_argument("--automaton", help="automaton JSON file (default: build fresh)")
-    p.add_argument("--cap", type=int, default=8, help="pivot cap when building")
 
     command("member", "test membership of a word in the language")
 
     p = command("verify", "run the verification suite", word_arg=False)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--cap", type=int, default=None, help="pivot cap override")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report JSON file (default: stdout)")
     return parser
@@ -140,16 +137,8 @@ def _cmd_small_roots(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
-    if args.cap < 1:
-        raise _CliError("--cap must be at least 1")
     _, geometry = _load(args)
-    aut = automaton_mod.build_automaton(geometry, pivot_cap=args.cap)
-    if aut.pivot_saturated:
-        print(
-            f"warning: pivot enumeration saturated at cap {args.cap}; "
-            "the automaton may be incomplete",
-            file=sys.stderr,
-        )
+    aut = automaton_mod.build_automaton(geometry)
     text = aut.to_json() if args.format == "json" else aut.to_dot()
     _emit(text, args.out)
     return 0
@@ -158,8 +147,6 @@ def _cmd_automaton(args) -> int:
 def _cmd_accept(args) -> int:
     import json
 
-    if args.cap < 1:
-        raise _CliError("--cap must be at least 1")
     system, geometry = _load(args)
     word = _parse_word(args.word, system)
     if args.automaton is not None:
@@ -167,7 +154,7 @@ def _cmd_accept(args) -> int:
             data = json.load(fh)
         aut = automaton_mod.from_json_dict(data, geometry)
     else:
-        aut = automaton_mod.build_automaton(geometry, pivot_cap=args.cap)
+        aut = automaton_mod.build_automaton(geometry)
     if aut.accepts(word):
         print("accept")
         return 0
@@ -189,7 +176,7 @@ def _cmd_verify(args) -> int:
     if args.radius < 0:
         raise _CliError("--radius must be nonnegative")
     _, geometry = _load(args)
-    config = VerifierConfig(radius=args.radius, pivot_cap=args.cap, seed=args.seed)
+    config = VerifierConfig(radius=args.radius, seed=args.seed)
     report = Verifier(geometry, config).run_suite()
     for check in report.checks:
         print(f"{check.name}: {check.status}", file=sys.stderr)

@@ -118,7 +118,7 @@ class WallGeometry:
         walls = set()
         prefix = sys.identity.matrix
         for s in word:
-            walls.add(self.wall_of_root(sys.apply_matrix(prefix, sys.simple_root(s))))
+            walls.add(self.wall_of_root(_column(prefix, s)))
             prefix = sys.matmul(prefix, sys.generator_matrix(s))
         if len(walls) != g.length:
             raise ArithmeticError("inversion walls of a reduced word must be distinct")
@@ -146,10 +146,6 @@ class WallGeometry:
             got = t >= 2 or t <= -2
             self._disjoint[pair] = got
         return got
-
-    def walls_intersect(self, a: Wall, b: Wall) -> bool:
-        """True iff the walls cross, i.e. the two reflections span a finite group."""
-        return not self.walls_disjoint(a, b)
 
     def incident_chamber(self, wall: Wall) -> GroupElement:
         """A canonical chamber having the wall among its own walls.
@@ -248,7 +244,7 @@ class WallGeometry:
             for s in seq:
                 if sys.root_sign(_column(x.inv, s)) >= 0:
                     continue
-                if self.translate_wall(p, self._gen_walls[s]) in frontier:
+                if self.wall_of_root(_column(p.matrix, s)) in frontier:
                     continue
                 p = sys.right_mul(p, s)
                 x = sys.left_mul(x, s)
@@ -273,7 +269,7 @@ class WallGeometry:
             for s in range(sys.rank):
                 if sys.root_sign(_column(x.inv, s)) >= 0:
                     continue
-                if self.translate_wall(p, self._gen_walls[s]) in frontier:
+                if self.wall_of_root(_column(p.matrix, s)) in frontier:
                     continue
                 p2 = sys.intern(sys.right_mul(p, s))
                 if p2 in seen:

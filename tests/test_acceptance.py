@@ -67,7 +67,7 @@ def test_criterion_1_finite_collapse():
         for g in ball:
             gi = system.intern(g)
             assert language.all_words_of(gi) == system.reduced_words(gi)
-        aut = build_automaton(geometry, pivot_cap=top)
+        aut = build_automaton(geometry)
         for n in range(top + 1):
             for w in itertools.product(range(system.rank), repeat=n):
                 reduced = system.element_of_word(w).length == len(w)
@@ -85,7 +85,7 @@ def test_criterion_1_finite_collapse():
 def test_criterion_2_dihedral_gold():
     t0 = time.perf_counter()
     system, geometry, language = _fresh("d_infinity")
-    aut = build_automaton(geometry, pivot_cap=4)
+    aut = build_automaton(geometry)
     w_t, w_s = geometry.wall_of_generator(1), geometry.wall_of_generator(0)
     assert aut.universe == (w_t, w_s)
     assert aut.states == ((), (0,), (1,))
@@ -124,10 +124,10 @@ def test_criterion_3_unique_max(stack):
 @criterion(4, "automaton agrees with the language")
 def test_criterion_4_regularity(stack):
     totals = []
-    for name in ("triangle_333", "triangle_334"):
+    for name, n_pivots in (("triangle_333", 15), ("triangle_334", 17)):
         check = _verifier(stack, name).check_automaton_agreement()
         assert check.status == "pass", check
-        assert not check.details["pivot_saturated"]
+        assert check.details["pivots"] == n_pivots
         assert check.details["words_checked"] == sum(3**n for n in range(7))
         totals.append(check.details["accepted"])
     return f"all words to length 6; accepted {totals[0]} and {totals[1]}"

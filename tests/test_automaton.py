@@ -4,6 +4,10 @@ import json
 import pytest
 
 from voracious import (
+    CoxeterMatrix,
+    CoxeterSystem,
+    ResourceLimitError,
+    WallGeometry,
     build_automaton,
     from_json_dict,
     pivots,
@@ -55,49 +59,86 @@ def test_finite_group_small_roots_are_all_walls(stack):
 
 def test_pivots_frozen(stack):
     a2 = stack("a2")
-    pivs, saturated = pivots(a2.geometry, cap=3)
+    pivs = pivots(a2.geometry)
     assert len(pivs) == 5  # every nontrivial element of the finite group
-    assert not saturated
     dinf = stack("d_infinity")
-    pivs, saturated = pivots(dinf.geometry, cap=4)
-    assert set(pivs) == {dinf.element("s"), dinf.element("t")}
-    assert not saturated
+    assert set(pivots(dinf.geometry)) == {dinf.element("s"), dinf.element("t")}
     t333 = stack("triangle_333")
-    pivs, saturated = pivots(t333.geometry, cap=5)
+    pivs = pivots(t333.geometry)
     assert len(pivs) == 15
     assert max(g.length for g in pivs) == 4
-    assert not saturated
     t334 = stack("triangle_334")
-    pivs, saturated = pivots(t334.geometry, cap=6)
+    pivs = pivots(t334.geometry)
     assert len(pivs) == 17
     assert max(g.length for g in pivs) == 5
-    assert not saturated
-
-
-def test_pivot_saturation_flag(stack):
-    t333 = stack("triangle_333")
-    pivs, saturated = pivots(t333.geometry, cap=3)
-    assert saturated  # pivots exist at the cap and the group goes on
-    assert max(g.length for g in pivs) == 3
+    order = sorted(pivs, key=lambda g: (g.length, t334.system.shortlex_word(g)))
+    assert list(pivs) == order
 
 
 def test_pivots_are_identity_projections(stack):
-    for name in ("d_infinity", "triangle_333", "triangle_334"):
+    # Brute force one length past the longest pivot: the search is complete.
+    for name in sorted(SMALL_ROOT_COUNTS):
         s = stack(name)
         geo = s.geometry
-        pivs, _ = pivots(geo, cap=4)
+        pivs = pivots(geo)
+        radius = max(g.length for g in pivs) + 1
         expected = {
             g
-            for g in s.system.ball(4)
+            for g in s.system.ball(radius)
             if g.length and geo.projection_candidates(g) == {s.system.identity}
         }
         assert set(pivs) == expected
 
 
+def _geometry(generators, orders):
+    return WallGeometry(CoxeterSystem(CoxeterMatrix(tuple(generators), orders)))
+
+
+AFFINE_A3 = ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1))
+TRIANGLE_237 = ((1, 2, 3), (2, 1, 7), (3, 7, 1))
+
+
+@pytest.fixture(scope="module")
+def long_pivot_geometries():
+    return {
+        "affine_a3": _geometry("abcd", AFFINE_A3),
+        "triangle_237": _geometry("abc", TRIANGLE_237),
+    }
+
+
+def test_long_pivot_groups_frozen(long_pivot_geometries):
+    geo = long_pivot_geometries["affine_a3"]
+    aut = build_automaton(geo)
+    assert (len(aut.universe), len(aut.states), len(aut.edges)) == (12, 125, 872)
+    pivs = pivots(geo)
+    assert len(pivs) == 124
+    assert max(g.length for g in pivs) == 10
+    pivs = pivots(long_pivot_geometries["triangle_237"])
+    assert len(pivs) == 39
+    assert max(g.length for g in pivs) == 12
+
+
+def test_pivots_are_prefix_closed(stack, long_pivot_geometries):
+    geometries = [stack(name).geometry for name in sorted(SMALL_ROOT_COUNTS)]
+    for geo in geometries + list(long_pivot_geometries.values()):
+        sys_ = geo.system
+        pivs = set(pivots(geo))
+        for g in pivs:
+            for s in sys_.right_descents(g):
+                prefix = sys_.right_mul(g, s)
+                assert prefix.length == 0 or prefix in pivs
+
+
+def test_pivot_search_is_bounded(stack):
+    cox = stack("triangle_334").cox
+    with pytest.raises(ResourceLimitError):
+        build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=5)))
+
+
 def test_gold_automaton_of_line(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
-    aut = build_automaton(geo, pivot_cap=4)
+    aut = build_automaton(geo)
     w_t, w_s = geo.wall_of_generator(1), geo.wall_of_generator(0)
     assert aut.universe == (w_t, w_s)
     assert aut.states == ((), (0,), (1,))
@@ -108,24 +149,21 @@ def test_gold_automaton_of_line(stack):
         (1, 2, (0,), ((0,),)),
         (2, 1, (1,), ((1,),)),
     }
-    assert not aut.pivot_saturated
-    assert aut.state_space_size() == 4
 
 
 def test_gold_automaton_of_a2(stack):
     a2 = stack("a2")
-    aut = build_automaton(a2.geometry, pivot_cap=3)
+    aut = build_automaton(a2.geometry)
     assert len(aut.states) == 6
     assert len(aut.edges) == 5
     assert all(e.source == 0 for e in aut.edges)
     longest = [e for e in aut.edges if len(e.pivot_word) == 3]
     assert len(longest) == 1
     assert longest[0].labels == ((0, 1, 0), (1, 0, 1))
-    assert aut.state_space_size() == 8
 
 
 def test_gold_automaton_of_rank1(stack):
-    aut = build_automaton(stack("rank1").geometry, pivot_cap=1)
+    aut = build_automaton(stack("rank1").geometry)
     assert aut.states == ((), (0,))
     assert len(aut.edges) == 1
     assert aut.accepts((0,))
@@ -133,22 +171,22 @@ def test_gold_automaton_of_rank1(stack):
 
 
 def test_state_and_edge_counts_frozen(stack):
-    t333 = build_automaton(stack("triangle_333").geometry, pivot_cap=5)
+    t333 = build_automaton(stack("triangle_333").geometry)
     assert (len(t333.states), len(t333.edges)) == (16, 51)
-    t334 = build_automaton(stack("triangle_334").geometry, pivot_cap=6)
+    t334 = build_automaton(stack("triangle_334").geometry)
     assert (len(t334.states), len(t334.edges)) == (18, 71)
 
 
 def test_accepts_frozen(stack):
     dinf = stack("d_infinity")
-    aut = build_automaton(dinf.geometry, pivot_cap=4)
+    aut = build_automaton(dinf.geometry)
     assert aut.accepts(())
     assert aut.accepts(dinf.word("stst"))
     assert aut.accepts(dinf.word("tsts"))
     assert not aut.accepts(dinf.word("stt"))
     assert not aut.accepts(dinf.word("ss"))
     a2 = stack("a2")
-    aut2 = build_automaton(a2.geometry, pivot_cap=3)
+    aut2 = build_automaton(a2.geometry)
     assert aut2.accepts(a2.word("sts"))
     assert aut2.accepts(a2.word("tst"))
     assert not aut2.accepts(a2.word("stst"))
@@ -156,13 +194,13 @@ def test_accepts_frozen(stack):
 
 def test_run_states_frozen(stack):
     dinf = stack("d_infinity")
-    aut = build_automaton(dinf.geometry, pivot_cap=4)
+    aut = build_automaton(dinf.geometry)
     assert aut.run_states(()) == {0}
     assert aut.run_states(dinf.word("st")) == {1}
     assert aut.run_states(dinf.word("ts")) == {2}
     assert aut.run_states(dinf.word("tt")) == frozenset()
     a2 = stack("a2")
-    aut2 = build_automaton(a2.geometry, pivot_cap=3)
+    aut2 = build_automaton(a2.geometry)
     assert aut2.run_states(a2.word("st")) == {3}
 
 
@@ -172,7 +210,7 @@ def test_edges_are_frontier_pullbacks(stack):
     for name in ("d_infinity", "triangle_333", "triangle_334"):
         s = stack(name)
         geo = s.geometry
-        aut = build_automaton(s.geometry, pivot_cap=5)
+        aut = build_automaton(s.geometry)
         uindex = {w: i for i, w in enumerate(aut.universe)}
         for e in aut.edges:
             w = s.system.intern(s.system.element_of_word(e.pivot_word))
@@ -190,7 +228,7 @@ def test_run_state_matches_element_frontier(stack):
     for name in ("d_infinity", "a2", "triangle_333"):
         s = stack(name)
         geo = s.geometry
-        aut = build_automaton(s.geometry, pivot_cap=5)
+        aut = build_automaton(s.geometry)
         for g in s.system.ball(5):
             back = {
                 geo.translate_wall(s.system.inverse(g), f)
@@ -205,7 +243,7 @@ def test_run_state_matches_element_frontier(stack):
 def test_json_round_trip(stack):
     for name in ("d_infinity", "b2", "triangle_334"):
         s = stack(name)
-        aut = build_automaton(s.geometry, pivot_cap=5)
+        aut = build_automaton(s.geometry)
         text = aut.to_json()
         clone = from_json_dict(json.loads(text), s.geometry)
         assert clone == aut
@@ -213,15 +251,25 @@ def test_json_round_trip(stack):
 
 
 def test_json_rejects_other_group(stack):
-    aut = build_automaton(stack("a2").geometry, pivot_cap=3)
+    aut = build_automaton(stack("a2").geometry)
     data = json.loads(aut.to_json())
     with pytest.raises(ValueError):
         from_json_dict(data, stack("d_infinity").geometry)
 
 
+def test_json_rejects_old_format(stack):
+    # Files of the earlier format may hold a truncated pivot set.
+    a2 = stack("a2")
+    data = json.loads(build_automaton(a2.geometry).to_json())
+    assert data["format"] == "voracious-automaton-2"
+    data["format"] = "voracious-automaton"
+    with pytest.raises(ValueError):
+        from_json_dict(data, a2.geometry)
+
+
 def test_json_exact_coordinates(stack):
     b2 = stack("b2")
-    aut = build_automaton(b2.geometry, pivot_cap=4)
+    aut = build_automaton(b2.geometry)
     data = aut.to_json_dict()
     assert data["cos_denominator"] == 4
     # Roots with irrational coordinates serialize as cos-basis coefficient
@@ -233,15 +281,15 @@ def test_json_exact_coordinates(stack):
 
 def test_build_is_deterministic(stack):
     s = stack("triangle_334")
-    a = build_automaton(s.geometry, pivot_cap=5)
-    b = build_automaton(s.geometry, pivot_cap=5)
+    a = build_automaton(s.geometry)
+    b = build_automaton(s.geometry)
     assert a == b
     assert a.to_json() == b.to_json()
     assert a.to_dot() == b.to_dot()
 
 
 def test_dot_output_shape(stack):
-    aut = build_automaton(stack("d_infinity").geometry, pivot_cap=4)
+    aut = build_automaton(stack("d_infinity").geometry)
     dot = aut.to_dot()
     assert dot.startswith("digraph voracious {")
     assert "qstart" in dot
@@ -251,9 +299,9 @@ def test_dot_output_shape(stack):
 
 def test_exhaustive_agreement_small_groups(stack):
     # accepts == language membership for every word up to length 7.
-    for name, cap in (("a2", 3), ("b2", 4), ("d_infinity", 2)):
+    for name in ("a2", "b2", "d_infinity"):
         s = stack(name)
-        aut = build_automaton(s.geometry, pivot_cap=cap)
+        aut = build_automaton(s.geometry)
         for n in range(8):
             for w in itertools.product(range(s.cox.rank), repeat=n):
                 assert aut.accepts(w) == s.language.contains(w)

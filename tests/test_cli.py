@@ -71,8 +71,6 @@ def test_accept_from_automaton_file(tmp_path):
         "automaton",
         "--group",
         group("d_infinity"),
-        "--cap",
-        "3",
         "--format",
         "json",
         "--out",
@@ -91,7 +89,7 @@ def test_accept_from_automaton_file(tmp_path):
 
 
 def test_automaton_dot_stdout():
-    r = run_cli("automaton", "--group", group("d_infinity"), "--cap", "3")
+    r = run_cli("automaton", "--group", group("d_infinity"))
     assert r.returncode == 0
     assert r.stdout.startswith("digraph voracious {")
     assert r.stdout.count("->") == 5
@@ -103,13 +101,13 @@ def test_automaton_deterministic_bytes(tmp_path):
         f = tmp_path / f"aut{i}.json"
         r = run_cli(
             "automaton", "--group", group("triangle_333"),
-            "--cap", "5", "--format", "json", "--out", str(f),
+            "--format", "json", "--out", str(f),
         )
         assert r.returncode == 0
         outs.append(f.read_bytes())
     assert outs[0] == outs[1]
     data = json.loads(outs[0])
-    assert data["format"] == "voracious-automaton"
+    assert data["format"] == "voracious-automaton-2"
     assert len(data["states"]) == 16
 
 
@@ -136,7 +134,6 @@ def test_verify_stdout_deterministic():
 def test_usage_errors():
     assert run_cli("reduce", "--group", group("a2"), "sx").returncode == 2
     assert run_cli("reduce", "--group", str(GROUPS / "nope.json"), "s").returncode == 2
-    assert run_cli("automaton", "--group", group("a2"), "--cap", "0").returncode == 2
     assert run_cli("automaton", "--group", group("a2"), "--format", "x").returncode == 2
     assert run_cli("bogus-command").returncode == 2
     assert run_cli("reduce").returncode == 2  # --group is required

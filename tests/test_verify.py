@@ -1,7 +1,13 @@
 import itertools
 import json
 
-from voracious import Verifier, VerifierConfig
+from voracious import (
+    CoxeterMatrix,
+    CoxeterSystem,
+    Verifier,
+    VerifierConfig,
+    WallGeometry,
+)
 
 CHECK_NAMES = [
     "projection-unique-maximum",
@@ -141,14 +147,15 @@ def test_zero_radius_is_vacuous_but_clean(stack):
     assert (c.C_hat, c.N_hat, c.Q_hat) == (0, 0, 0)
 
 
-def test_saturated_pivot_cap_skips_agreement(stack):
-    # An artificially low pivot cap truncates the automaton; the agreement
-    # check must report "skipped", never a false pass.
-    v = _fresh(stack, "triangle_333", radius=4, pivot_cap=1, word_length=4)
-    agreement = v.check_automaton_agreement()
-    assert agreement.status == "skipped"
-    assert agreement.details["pivot_saturated"]
-    assert any("saturated" in w for w in v.warnings)
+def test_agreement_builds_every_pivot():
+    # (2,3,7) has pivots up to length 12, far past a radius-3 ball and the
+    # length-6 words checked; the automaton must still hold all 39.
+    cox = CoxeterMatrix(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1)))
+    geometry = WallGeometry(CoxeterSystem(cox))
+    check = Verifier(geometry, VerifierConfig(radius=3)).check_automaton_agreement()
+    assert check.status == "pass"
+    assert check.details["pivots"] == 39
+    assert check.details["max_pivot_length"] == 12
 
 
 def test_rank2_separator_sampling_skipped(stack):

@@ -94,7 +94,7 @@ def test_walls_disjoint_frozen(stack):
     assert geo.walls_disjoint(geo.wall_of_generator(0), geo.wall_of_generator(1))
     assert geo.walls_disjoint(_wall_at(dinf, (2, 1)), _wall_at(dinf, (3, 2)))
     a2 = stack("a2")
-    assert a2.geometry.walls_intersect(
+    assert not a2.geometry.walls_disjoint(
         a2.geometry.wall_of_generator(0), _wall_at(a2, (1, 1))
     )
     with pytest.raises(ValueError):
