@@ -49,7 +49,7 @@ class CoxeterMatrix:
         for i in range(k):
             for j in range(k):
                 m = self.orders[i][j]
-                if not isinstance(m, int):
+                if not isinstance(m, int) or isinstance(m, bool):
                     raise GroupConfigError("matrix entries must be integers")
                 if m != self.orders[j][i]:
                     raise GroupConfigError("order matrix must be symmetric")
@@ -183,7 +183,7 @@ class CoxeterSystem:
         ctx = self.ctx
         k = self.rank
 
-        # 2B has integer polynomial entries; B itself picks up halves.
+        # 2B has integer polynomial entries; it is the only form kept.
         gram2 = []
         for i in range(k):
             row = []
@@ -196,10 +196,6 @@ class CoxeterSystem:
                     row.append(-ctx.two_cos_pi_over(cox.orders[i][j]))
             gram2.append(tuple(row))
         self.gram2 = tuple(gram2)
-        from fractions import Fraction
-
-        half = Fraction(1, 2)
-        self.gram = tuple(tuple(x * half for x in row) for row in self.gram2)
 
         # Generator s acts by v -> v - 2 B(alpha_s, v) alpha_s; as a matrix this
         # replaces row s of the identity by e_s - (2B) row s.
@@ -294,12 +290,6 @@ class CoxeterSystem:
 
     def generator_matrix(self, i: int):
         return self._gen_mats[i]
-
-    def bilinear(self, u, v) -> FieldScalar:
-        """B(u, v) for root-space vectors."""
-        from fractions import Fraction
-
-        return self.bilinear2(u, v) * Fraction(1, 2)
 
     def bilinear2(self, u, v) -> FieldScalar:
         """2 B(u, v); integer-valued on integer vectors."""
@@ -432,20 +422,31 @@ class CoxeterSystem:
         return tuple(word)
 
     def reduced_words(self, g: GroupElement) -> frozenset[Word]:
-        """All reduced words of g, by recursion over left descents."""
-        got = self._reduced_cache.get(g)
-        if got is not None:
-            return got
-        if g.length == 0:
-            out = frozenset({()})
-        else:
-            words = set()
-            for s in self.left_descents(g):
-                for w in self.reduced_words(self.left_mul(g, s)):
-                    words.add((s,) + w)
-            out = frozenset(words)
-        self._reduced_cache[g] = out
-        return out
+        """All reduced words of g: s followed by each reduced word of s*g, over
+        the left descents s.  A post-order walk on an explicit stack, so the
+        depth is not bounded by the recursion limit."""
+        cache = self._reduced_cache
+        # Frames are [element, (descent, s*element) pairs or None until expanded].
+        stack = [[g, None]]
+        while stack:
+            frame = stack[-1]
+            h, children = frame
+            if children is None:
+                if h in cache:
+                    stack.pop()
+                    continue
+                if h.length == 0:
+                    cache[h] = frozenset({()})
+                    stack.pop()
+                    continue
+                children = frame[1] = tuple(
+                    (s, self.left_mul(h, s)) for s in self.left_descents(h)
+                )
+                stack.extend([c, None] for _, c in children if c not in cache)
+                continue
+            cache[h] = frozenset((s,) + w for s, c in children for w in cache[c])
+            stack.pop()
+        return cache[g]
 
     # -- metric balls -------------------------------------------------------
 

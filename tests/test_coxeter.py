@@ -1,5 +1,5 @@
 import itertools
-from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +49,7 @@ def test_parse_infinite_order():
         '{"generators": ["s", "t"], "m": [[1, 3]]}',  # not square
         '{"generators": [], "m": []}',
         '{"generators": ["s", "t"], "m": [[1, 3.0], [3.0, 1]]}',  # non-integer
+        '{"generators": ["s", "t"], "m": [[true, 3], [3, true]]}',  # bool, not int
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -71,7 +72,6 @@ def test_word_string_round_trip():
 
 def test_gram_matrix_entries(stack):
     a2 = stack("a2")
-    assert a2.system.gram[0][1] == Fraction(-1, 2)
     assert a2.system.gram2[0][1] == -1
     assert a2.system.gram2[0][0] == 2
     dinf = stack("d_infinity")
@@ -79,7 +79,8 @@ def test_gram_matrix_entries(stack):
     b2 = stack("b2")
     x = b2.system.gram2[0][1]
     assert x.sign() < 0
-    assert abs(float(x) + 2 * 0.7071067811865476) < 1e-12
+    y = 2.0 * math.cos(math.pi / 4)
+    assert abs(sum(float(c) * y**j for j, c in enumerate(x.coeffs)) + y) < 1e-12
 
 
 def test_a2_multiplication_table(stack):
@@ -139,6 +140,26 @@ def test_reduced_words(stack):
     assert a2.system.reduced_words(a2.element("sts")) == {(0, 1, 0), (1, 0, 1)}
     dinf = stack("d_infinity")
     assert dinf.system.reduced_words(dinf.element("sts")) == {(0, 1, 0)}
+
+
+def test_reduced_words_past_recursion_limit():
+    sys_ = _system([[1, INF], [INF, 1]])
+    word = (0, 1) * 700
+    assert sys_.reduced_words(sys_.element_of_word(word)) == {word}
+
+
+def test_reduced_words_of_a3_longest_element(stack):
+    a3 = stack("a3")
+    w0 = a3.element("abacba")
+    assert w0.length == 6
+    assert sorted(a3.system.reduced_words(w0)) == [
+        (0, 1, 0, 2, 1, 0), (0, 1, 2, 0, 1, 0), (0, 1, 2, 1, 0, 1),
+        (0, 2, 1, 0, 2, 1), (0, 2, 1, 2, 0, 1), (1, 0, 1, 2, 1, 0),
+        (1, 0, 2, 1, 0, 2), (1, 0, 2, 1, 2, 0), (1, 2, 0, 1, 0, 2),
+        (1, 2, 0, 1, 2, 0), (1, 2, 1, 0, 1, 2), (2, 0, 1, 0, 2, 1),
+        (2, 0, 1, 2, 0, 1), (2, 1, 0, 1, 2, 1), (2, 1, 0, 2, 1, 2),
+        (2, 1, 2, 0, 1, 2),
+    ]
 
 
 @pytest.mark.parametrize("name,radius", [("a2", 4), ("d_infinity", 4), ("a3", 4)])

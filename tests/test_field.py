@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from voracious.field import (
@@ -48,10 +49,15 @@ def test_minimal_polynomial_numeric_root(modulus):
     assert abs(acc) < 1e-12
 
 
+def _float_value(x):
+    y = 2.0 * math.cos(math.pi / x.ctx.modulus)
+    return sum(float(c) * y**j for j, c in enumerate(x.coeffs))
+
+
 def test_two_cos_values_numeric():
     ctx = FieldContext(12)
     for m in (1, 2, 3, 4, 6, 12):
-        got = float(ctx.two_cos_pi_over(m))
+        got = _float_value(ctx.two_cos_pi_over(m))
         assert abs(got - 2.0 * math.cos(math.pi / m)) < 1e-12
 
 
@@ -60,8 +66,9 @@ def test_two_cos_exact_identities():
     assert ctx.two_cos_pi_over(1) == -2
     assert ctx.two_cos_pi_over(2) == 0
     assert ctx.two_cos_pi_over(3) == 1
-    assert ctx.two_cos_pi_over(4) ** 2 == 2
-    assert ctx.two_cos_pi_over(6) ** 2 == 3
+    sqrt2, sqrt3 = ctx.two_cos_pi_over(4), ctx.two_cos_pi_over(6)
+    assert sqrt2 * sqrt2 == 2
+    assert sqrt3 * sqrt3 == 3
     ctx5 = FieldContext(5)
     y = ctx5.two_cos_pi_over(5)
     assert y * y == y + 1  # golden ratio relation
@@ -88,7 +95,7 @@ def test_cos_basis_round_trip():
 def test_str_rendering():
     ctx = FieldContext(4)
     assert str(ctx.two_cos_pi_over(4)) == "2c"
-    assert str(ctx.two_cos_pi_over(4) ** 2) == "2"
+    assert str(ctx.two_cos_pi_over(4) * ctx.two_cos_pi_over(4)) == "2"
     assert str(ctx.rational(Fraction(-1, 2))) == "-1/2"
     assert str(ctx.zero) == "0"
     assert str(ctx.rational(1)) == "1"
@@ -169,9 +176,84 @@ def test_order_trichotomy(a, b):
     assert (a <= b) == (not a > b)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(a=_scalars(CTX12))
-def test_float_matches_coefficients(a):
-    y = 2.0 * math.cos(math.pi / 12)
-    expect = sum(float(c) * y**j for j, c in enumerate(a.coeffs))
-    assert abs(float(a) - expect) < 1e-9 * (1.0 + abs(expect))
+def _sqrt2_convergents(min_denominator):
+    """Consecutive convergents p/q of sqrt(2) until q exceeds min_denominator."""
+    p, q = 1, 1
+    out = []
+    while q <= min_denominator:
+        p, q = p + 2 * q, p + q
+        out.append((p, q))
+    return out[-2:]
+
+
+def test_sign_bisects_for_close_approximations():
+    # |p - q sqrt(2)| < 1/(2q) < 2^-41 for these convergents, far inside the
+    # seed enclosure width of 2^-23, so only bisection can decide the sign.
+    for p, q in _sqrt2_convergents(1 << 40):
+        ctx = FieldContext(4)
+        seed = ctx._enclosure
+        expect = 1 if p * p - 2 * q * q > 0 else -1
+        assert ctx.sign_of((p, -q)) == expect
+        assert ctx._enclosure[2] > seed[2]
+        lo, hi, b = ctx._enclosure
+        assert lo * lo < 2 << (2 * b) < hi * hi
+
+
+def test_sign_memo_is_consistent():
+    close = [(p, -q) for p, q in _sqrt2_convergents(1 << 40)]
+    tuples = close + [(3, -2), (-1, 1), (Fraction(-7, 5), 1), (0, 0), (5, 0)]
+    a, b = FieldContext(4), FieldContext(4)
+    first = [a.sign_of(c) for c in tuples]
+    assert first[2:] == [1, 1, 1, 0, 1]
+    assert [a.sign_of(c) for c in tuples] == first
+    assert set(a._signs) == set(tuples)
+    # A fresh context refines its enclosure in another order, same signs.
+    assert [b.sign_of(c) for c in reversed(tuples)] == first[::-1]
+
+
+def _decimal_series(first, ratio):
+    """Sum of a convergent series, to the current decimal precision; term k
+    is term k-1 times ratio(k)."""
+    total, term, k = Decimal(0), first, 0
+    while total + term != total:
+        total += term
+        k += 1
+        term *= ratio(k)
+    return total
+
+
+def _decimal_two_cos_pi_over(modulus):
+    def arctan_inv(n):  # arctan(1/n) = sum (-1)^k / ((2k + 1) n^(2k + 1))
+        return _decimal_series(
+            Decimal(1) / n, lambda k: Decimal(1 - 2 * k) / ((2 * k + 1) * n * n)
+        )
+
+    x = (16 * arctan_inv(5) - 4 * arctan_inv(239)) / modulus  # Machin's pi
+    return 2 * _decimal_series(Decimal(1), lambda k: -x * x / ((2 * k - 1) * (2 * k)))
+
+
+ORACLE_CONTEXTS = {m: FieldContext(m) for m in (5, 7, 12)}
+with localcontext() as _dctx:
+    _dctx.prec = 100
+    ORACLE_Y = {m: _decimal_two_cos_pi_over(m) for m in ORACLE_CONTEXTS}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    modulus=st.sampled_from(sorted(ORACLE_CONTEXTS)),
+    coeffs=st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_sign_matches_decimal_oracle(modulus, coeffs):
+    ctx = ORACLE_CONTEXTS[modulus]
+    x = ctx.scalar(coeffs)
+    with localcontext() as dctx:
+        dctx.prec = 100
+        value = Decimal(0)
+        for c in reversed(x.coeffs):
+            value = value * ORACLE_Y[modulus] + Decimal(c.numerator) / c.denominator
+    assume(abs(value) > Decimal("1e-40"))
+    assert x.sign() == (1 if value > 0 else -1)
