@@ -353,13 +353,15 @@ class CoxeterSystem:
         self._rmul_cache[key] = out
         return out
 
-    def left_mul(self, g: GroupElement, s: int) -> GroupElement:
-        """s * g, with the length tracked by the sign of g^{-1}(alpha_s)."""
-        delta = self.root_sign(_column(g.inv, s))
+    def left_mul(self, g: GroupElement, s: int, length: int | None = None) -> GroupElement:
+        """s * g; the length is tracked by the sign of g^{-1}(alpha_s) unless
+        supplied, as by callers that already know s is a left descent."""
+        if length is None:
+            length = g.length + self.root_sign(_column(g.inv, s))
         return GroupElement(
             self._mul_gen_left(s, g.matrix),
             self._mul_gen_right(g.inv, s),
-            g.length + delta,
+            length,
         )
 
     def inverse(self, g: GroupElement) -> GroupElement:
@@ -417,7 +419,7 @@ class CoxeterSystem:
             for s in range(self.rank):
                 if self.root_sign(_column(cur.inv, s)) < 0:
                     word.append(s)
-                    cur = self.left_mul(cur, s)
+                    cur = self.left_mul(cur, s, cur.length - 1)
                     break
         return tuple(word)
 
@@ -440,7 +442,8 @@ class CoxeterSystem:
                     stack.pop()
                     continue
                 children = frame[1] = tuple(
-                    (s, self.left_mul(h, s)) for s in self.left_descents(h)
+                    (s, self.left_mul(h, s, h.length - 1))
+                    for s in self.left_descents(h)
                 )
                 stack.extend([c, None] for _, c in children if c not in cache)
                 continue

@@ -10,12 +10,10 @@ doubled form 2B; rationals appear only where a caller divides, as in field
 inverses.
 
 Scalars are canonical reduced polynomials in y, so equality is coefficient
-comparison and the zero test is syntactic.  Signs of nonzero scalars are
-memoised per context by coefficient tuple.  A sign not yet in the memo is
-decided by interval Horner evaluation on integers: y is enclosed in the
-dyadic interval [lo, hi] / 2^b, rational coefficients are first cleared by
-the lcm of their denominators, and the enclosure is bisected until zero is
-excluded.  Every step is exact.
+comparison and the zero test is syntactic.  Signs are memoised per context
+by coefficient tuple.  A sign not yet in the memo is decided by interval
+evaluation over an exact rational enclosure of y, bisected until zero is
+excluded.
 """
 
 from __future__ import annotations
@@ -106,35 +104,28 @@ def two_cos_minimal_polynomial(modulus: int) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def _scaled_horner(coeffs, x: int, b: int) -> int:
-    """2^(b*n) * p(x / 2^b) for integer coefficients of p, n = len(coeffs) - 1.
-
-    The scale is positive, so the result has the sign of p(x / 2^b).
-    """
-    acc = coeffs[-1]
-    shift = 0
+def _eval_poly(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        shift += b
-        acc = acc * x + (c << shift)
+        acc = acc * x + c
     return acc
 
 
-def _integer_coeffs(coeffs) -> tuple[int, ...]:
-    """Coefficients times the lcm of their denominators: a positive multiple."""
-    den = 1
-    for c in coeffs:
-        if type(c) is not int:
-            den = math.lcm(den, c.denominator)
-    if den == 1:
-        return coeffs
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs)
+def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
+    """Horner evaluation with exact interval endpoints."""
+    alo = ahi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        ps = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo = min(ps) + c
+        ahi = max(ps) + c
+    return alo, ahi
 
 
 class FieldContext:
     """Shared arithmetic context for one group.
 
     Holds the minimal polynomial of y = 2 cos(pi/M), lazily grown reduction
-    tables for high powers of y, a dyadic enclosure of y that only ever
+    tables for high powers of y, a rational enclosure of y that only ever
     shrinks, and the memo of signs by coefficient tuple.  All refinement
     steps are exact bisections, so sign queries are deterministic under any
     interleaving.
@@ -145,8 +136,7 @@ class FieldContext:
         self.minpoly = two_cos_minimal_polynomial(modulus)
         self.degree = len(self.minpoly) - 1
         self._pows: list[tuple[Coeff, ...]] = []
-        # y lies in [lo, hi] / 2^b for (lo, hi, b) = _enclosure
-        self._enclosure: tuple[int, int, int] | None = None
+        self._enclosure: tuple[Fraction, Fraction] | None = None
         self._signs: dict[tuple[Coeff, ...], int] = {}
         if self.degree >= 2:
             self._seed_enclosure()
@@ -226,64 +216,50 @@ class FieldContext:
 
     def _seed_enclosure(self) -> None:
         yf = 2.0 * math.cos(math.pi / self.modulus)
-        num, den = yf.as_integer_ratio()
-        k = den.bit_length() - 1  # yf = num / 2^k exactly
-        p = self.minpoly
         for bits in (24, 32, 40, 48, 56):
-            b = max(k, bits)
-            centre, eps = num << (b - k), 1 << (b - bits)
-            lo, hi = centre - eps, centre + eps
+            eps = Fraction(1, 1 << bits)
+            lo, hi = Fraction(yf) - eps, Fraction(yf) + eps
             # y is the largest real root of the (monic) minimal polynomial,
             # so the sign change below certifies the enclosure.
-            if _scaled_horner(p, lo, b) < 0 < _scaled_horner(p, hi, b):
-                self._enclosure = (lo, hi, b)
+            if _eval_poly(self.minpoly, lo) < 0 < _eval_poly(self.minpoly, hi):
+                self._enclosure = (lo, hi)
                 return
         raise ArithmeticError("failed to isolate 2 cos(pi/M)")
 
     def refine_enclosure(self) -> None:
         """One exact bisection step on the enclosure of y."""
-        lo, hi, b = self._enclosure
-        mid = lo + hi  # the midpoint, at scale 2^(b+1)
-        v = _scaled_horner(self.minpoly, mid, b + 1)
+        lo, hi = self._enclosure
+        mid = (lo + hi) / 2
+        v = _eval_poly(self.minpoly, mid)
         if v > 0:
-            self._enclosure = (2 * lo, mid, b + 1)
+            self._enclosure = (lo, mid)
         elif v < 0:
-            self._enclosure = (mid, 2 * hi, b + 1)
-        else:
-            raise ArithmeticError("minimal polynomial has a rational root")
+            self._enclosure = (mid, hi)
+        else:  # rational root: only possible in degenerate low-degree cases
+            self._enclosure = (mid, mid)
 
     def sign_of(self, coeffs) -> int:
         """Exact sign of the scalar with these canonical coefficients, memoised."""
         s = self._signs.get(coeffs)
-        if s is not None:
-            return s
-        if not any(coeffs):
-            s = 0
-        elif not any(coeffs[1:]):
-            s = 1 if coeffs[0] > 0 else -1
-        else:
-            cs = _integer_coeffs(coeffs)
-            while True:
-                # Interval Horner on [lo, hi] / 2^b.  The enclosure lies in
-                # y > 0 (degree >= 2 means M >= 4), so the least value of
-                # a*y over the box is at a = alo and the greatest at a = ahi.
-                lo, hi, b = self._enclosure
-                alo = ahi = cs[-1]
-                shift = 0
-                for c in reversed(cs[:-1]):
-                    shift += b
-                    c <<= shift
-                    alo = alo * (lo if alo >= 0 else hi) + c
-                    ahi = ahi * (hi if ahi >= 0 else lo) + c
-                if alo > 0:
-                    s = 1
-                    break
-                if ahi < 0:
-                    s = -1
-                    break
-                self.refine_enclosure()
-        self._signs[coeffs] = s
+        if s is None:
+            s = self._signs[coeffs] = self._interval_sign(coeffs)
         return s
+
+    def _interval_sign(self, coeffs) -> int:
+        if not any(coeffs):
+            return 0
+        if not any(coeffs[1:]):
+            return 1 if coeffs[0] > 0 else -1
+        while True:
+            lo, hi = self._enclosure
+            a, b = _interval_eval(coeffs, lo, hi)
+            if a > 0:
+                return 1
+            if b < 0:
+                return -1
+            if lo == hi:
+                raise ArithmeticError("nonzero scalar evaluated to zero")
+            self.refine_enclosure()
 
     def __repr__(self):
         return f"FieldContext(modulus={self.modulus}, degree={self.degree})"

@@ -66,13 +66,16 @@ class WallGeometry:
     # -- construction ------------------------------------------------------
 
     def wall_of_root(self, root) -> Wall:
-        if self.system.root_sign(root) < 0:
-            root = tuple(-x for x in root)
+        # Walls are keyed by their positive root, so a hit needs no sign.
         key = _root_key(root)
         got = self._walls.get(key)
         if got is None:
-            got = Wall(root, key)
-            self._walls[key] = got
+            if self.system.root_sign(root) < 0:
+                root = tuple(-x for x in root)
+                key = _root_key(root)
+            got = self._walls.get(key)
+            if got is None:
+                got = self._walls[key] = Wall(root, key)
         return got
 
     def wall_of_generator(self, s: int) -> Wall:
@@ -247,7 +250,7 @@ class WallGeometry:
                 if self.wall_of_root(_column(p.matrix, s)) in frontier:
                     continue
                 p = sys.right_mul(p, s)
-                x = sys.left_mul(x, s)
+                x = sys.left_mul(x, s, x.length - 1)
                 moved = True
                 break
         p = sys.intern(p)
@@ -275,5 +278,5 @@ class WallGeometry:
                 if p2 in seen:
                     continue
                 seen.add(p2)
-                queue.append((p2, sys.left_mul(x, s)))
+                queue.append((p2, sys.left_mul(x, s, x.length - 1)))
         return frozenset(out)

@@ -194,9 +194,9 @@ def test_sign_bisects_for_close_approximations():
         seed = ctx._enclosure
         expect = 1 if p * p - 2 * q * q > 0 else -1
         assert ctx.sign_of((p, -q)) == expect
-        assert ctx._enclosure[2] > seed[2]
-        lo, hi, b = ctx._enclosure
-        assert lo * lo < 2 << (2 * b) < hi * hi
+        lo, hi = ctx._enclosure
+        assert hi - lo < seed[1] - seed[0]
+        assert lo * lo < 2 < hi * hi
 
 
 def test_sign_memo_is_consistent():
