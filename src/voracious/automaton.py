@@ -354,11 +354,10 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
 
     states = tuple(sorted(known, key=lambda st: (len(st), st)))
     sindex = {st: i for i, st in enumerate(states)}
-    edges = []
-    for a, pi, t in raw_edges:
-        w = pivot_list[pi]
-        word = sys.shortlex_word(w)
-        labels = tuple(sorted(sys.reduced_words(w)))
-        edges.append(Edge(sindex[a], sindex[t], word, labels))
+    words = [sys.shortlex_word(w) for w in pivot_list]
+    labels = [tuple(sorted(sys.reduced_words(w))) for w in pivot_list]
+    edges = [
+        Edge(sindex[a], sindex[t], words[pi], labels[pi]) for a, pi, t in raw_edges
+    ]
     edges.sort(key=lambda e: (e.source, len(e.pivot_word), e.pivot_word, e.target))
     return VoraciousAutomaton(geometry, universe, states, tuple(edges))

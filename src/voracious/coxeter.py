@@ -14,9 +14,14 @@ import json
 import math
 from dataclasses import dataclass
 
-from .field import FieldContext, FieldScalar
+from .field import FieldContext, FieldScalar, two_cos_degree
 
 INF = 0  # encoding of an infinite Coxeter matrix entry, here and in config files
+
+# Largest degree of Q(2 cos(pi/M)) a system may use.  The groups shipped or
+# named in the docs need at most 12, for (2,3,7); orders {1001, 2, 3} would
+# need 1440, and their minimal polynomial alone takes seconds to build.
+MAX_FIELD_DEGREE = 64
 
 Word = tuple[int, ...]
 
@@ -179,7 +184,17 @@ class CoxeterSystem:
         self.cox = cox
         self.rank = cox.rank
         self.max_ball_elements = max_ball_elements
-        self.ctx = FieldContext(cox.field_modulus())
+        modulus = cox.field_modulus()
+        # phi(2M) >= sqrt(M), so the degree is at least sqrt(M)/2 and a larger
+        # modulus is refused without factoring it.
+        if (
+            modulus > 4 * MAX_FIELD_DEGREE**2
+            or two_cos_degree(modulus) > MAX_FIELD_DEGREE
+        ):
+            raise ResourceLimitError(
+                f"field Q(2 cos(pi/{modulus})) has degree above {MAX_FIELD_DEGREE}"
+            )
+        self.ctx = FieldContext(modulus)
         ctx = self.ctx
         k = self.rank
 
@@ -225,6 +240,7 @@ class CoxeterSystem:
         self._interned: dict[GroupElement, GroupElement] = {self.identity: self.identity}
         self._reduced_cache: dict[GroupElement, frozenset[Word]] = {}
         self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
+        self._shortlex: dict[GroupElement, Word] = {self.identity: ()}
 
     # -- linear algebra ----------------------------------------------------
 
@@ -338,7 +354,8 @@ class CoxeterSystem:
         """g * s, with the length tracked by the sign of g(alpha_s).
 
         Memoized: enumeration loops revisit the same small ball many times,
-        and the cache stays within rank * |explored ball| entries.
+        and left_mul reads the same memo through inverses, so the cache stays
+        within rank * |explored ball and its inverses| entries.
         """
         key = (g, s)
         hit = self._rmul_cache.get(key)
@@ -353,27 +370,19 @@ class CoxeterSystem:
         self._rmul_cache[key] = out
         return out
 
-    def left_mul(self, g: GroupElement, s: int, length: int | None = None) -> GroupElement:
-        """s * g; the length is tracked by the sign of g^{-1}(alpha_s) unless
-        supplied, as by callers that already know s is a left descent."""
-        if length is None:
-            length = g.length + self.root_sign(_column(g.inv, s))
-        return GroupElement(
-            self._mul_gen_left(s, g.matrix),
-            self._mul_gen_right(g.inv, s),
-            length,
-        )
+    def left_mul(self, g: GroupElement, s: int) -> GroupElement:
+        """s * g, read as (g^{-1} * s)^{-1} so that the right_mul memo serves
+        both sides and each length sign is decided once per (element, s)."""
+        return self.inverse(self.right_mul(self.inverse(g), s))
 
     def inverse(self, g: GroupElement) -> GroupElement:
         return GroupElement(g.inv, g.matrix, g.length)
 
-    def multiply(self, g: GroupElement, h: GroupElement, length: int | None = None):
-        """g * h; the length is recomputed by a descent walk unless supplied."""
+    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """g * h; the length is recomputed by a descent walk."""
         matrix = self.matmul(g.matrix, h.matrix)
         inv = self.matmul(h.inv, g.inv)
-        if length is None:
-            length = self.length_of_matrix(matrix)
-        return GroupElement(matrix, inv, length)
+        return GroupElement(matrix, inv, self.length_of_matrix(matrix))
 
     def length_of_matrix(self, matrix) -> int:
         """Word length of the element with this matrix, by stripping right descents."""
@@ -412,16 +421,27 @@ class CoxeterSystem:
         )
 
     def shortlex_word(self, g: GroupElement) -> Word:
-        """Lexicographically least reduced word: greedy smallest left descent."""
-        word = []
+        """Lexicographically least reduced word: greedy smallest left descent.
+
+        Memoized.  If s is the first letter of g's word, the rest is the word
+        of s*g, so one walk fills the word of every element it passes and
+        stops at the first element already known.
+        """
+        memo = self._shortlex
+        path = []
         cur = g
-        while cur.length:
-            for s in range(self.rank):
-                if self.root_sign(_column(cur.inv, s)) < 0:
-                    word.append(s)
-                    cur = self.left_mul(cur, s, cur.length - 1)
-                    break
-        return tuple(word)
+        word = memo.get(cur)
+        while word is None:
+            s = next(
+                t for t in range(self.rank) if self.root_sign(_column(cur.inv, t)) < 0
+            )
+            path.append((cur, s))
+            cur = self.left_mul(cur, s)
+            word = memo.get(cur)
+        for h, s in reversed(path):
+            word = (s,) + word
+            memo[h] = word
+        return word
 
     def reduced_words(self, g: GroupElement) -> frozenset[Word]:
         """All reduced words of g: s followed by each reduced word of s*g, over
@@ -442,7 +462,7 @@ class CoxeterSystem:
                     stack.pop()
                     continue
                 children = frame[1] = tuple(
-                    (s, self.left_mul(h, s, h.length - 1))
+                    (s, self.left_mul(h, s))
                     for s in self.left_descents(h)
                 )
                 stack.extend([c, None] for _, c in children if c not in cache)

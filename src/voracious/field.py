@@ -67,6 +67,29 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(cache[n])
 
 
+def two_cos_degree(modulus: int) -> int:
+    """Degree of y = 2 cos(pi/M) over Q: phi(2M)/2, or 1 for M <= 2.
+
+    Euler's phi by trial division, so it costs O(sqrt(M)) and no polynomial
+    arithmetic.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    if modulus <= 2:
+        return 1
+    n = rest = 2 * modulus
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            n -= n // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        n -= n // rest
+    return n // 2
+
+
 def two_cos_minimal_polynomial(modulus: int) -> tuple[int, ...]:
     """Monic integer minimal polynomial of y = 2 cos(pi/M), low degree first.
 

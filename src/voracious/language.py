@@ -43,17 +43,15 @@ class VoraciousLanguage:
         got = self._chains.get(g)
         if got is not None:
             return got
-        sys = self.system
+        geo = self.geometry
         elements = [g]
         blocks = []
         cur = g
         while cur.length:
-            p = self.geometry.voracious_projection(cur)
+            p = geo.voracious_projection(cur)
             if p.length >= cur.length:
                 raise ArithmeticError("voracious projection made no progress")
-            blocks.append(
-                sys.multiply(sys.inverse(p), cur, length=cur.length - p.length)
-            )
+            blocks.append(geo.projection_block(cur))
             elements.append(p)
             cur = p
         got = FactorizationChain(tuple(elements), tuple(blocks))

@@ -56,7 +56,8 @@ class WallGeometry:
         self._walls: dict[tuple, Wall] = {}
         self._inv: dict[GroupElement, frozenset[Wall]] = {}
         self._frontier: dict[GroupElement, frozenset[Wall]] = {}
-        self._proj: dict[GroupElement, GroupElement] = {}
+        # g -> (p(g), p(g)^{-1} g): the projection and the block it leaves.
+        self._proj: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
         self._incident: dict[Wall, tuple[GroupElement, int]] = {}
         self._disjoint: dict[frozenset[Wall], bool] = {}
         self._gen_walls = tuple(
@@ -119,10 +120,10 @@ class WallGeometry:
         sys = self.system
         word = sys.shortlex_word(g)
         walls = set()
-        prefix = sys.identity.matrix
+        prefix = sys.identity
         for s in word:
-            walls.add(self.wall_of_root(_column(prefix, s)))
-            prefix = sys.matmul(prefix, sys.generator_matrix(s))
+            walls.add(self.wall_of_root(_column(prefix.matrix, s)))
+            prefix = sys.right_mul(prefix, s)
         if len(walls) != g.length:
             raise ArithmeticError("inversion walls of a reduced word must be distinct")
         out = frozenset(walls)
@@ -235,7 +236,7 @@ class WallGeometry:
         if order is None:
             got = self._proj.get(g)
             if got is not None:
-                return got
+                return got[0]
         sys = self.system
         frontier = self.frontier_set(g)
         seq = tuple(order) if order is not None else tuple(range(sys.rank))
@@ -250,13 +251,18 @@ class WallGeometry:
                 if self.wall_of_root(_column(p.matrix, s)) in frontier:
                     continue
                 p = sys.right_mul(p, s)
-                x = sys.left_mul(x, s, x.length - 1)
+                x = sys.left_mul(x, s)
                 moved = True
                 break
         p = sys.intern(p)
         if order is None:
-            self._proj[g] = p
+            self._proj[g] = (p, x)
         return p
+
+    def projection_block(self, g: GroupElement) -> GroupElement:
+        """p(g)^{-1} g, the rest of g that the greedy walk to p(g) leaves."""
+        self.voracious_projection(g)
+        return self._proj[g][1]
 
     def projection_candidates(self, g: GroupElement) -> frozenset[GroupElement]:
         """All prefixes of g on the identity side of every frontier wall."""
@@ -278,5 +284,5 @@ class WallGeometry:
                 if p2 in seen:
                     continue
                 seen.add(p2)
-                queue.append((p2, sys.left_mul(x, s, x.length - 1)))
+                queue.append((p2, sys.left_mul(x, s)))
         return frozenset(out)

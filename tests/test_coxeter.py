@@ -1,5 +1,7 @@
 import itertools
 import math
+import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,15 @@ from voracious import (
     CoxeterMatrix,
     CoxeterSystem,
     GroupConfigError,
+    ResourceLimitError,
     parse_group_config,
     word_from_string,
     word_to_string,
+)
+
+
+SHIPPED = sorted(
+    p.stem for p in (pathlib.Path(__file__).parent.parent / "groups").glob("*.json")
 )
 
 
@@ -134,6 +142,32 @@ def test_shortlex(stack):
             assert s.system.element_of_word(word) == g
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shortlex_is_least_reduced_word(stack, name):
+    # A fresh system, long elements first: short words then come from the
+    # suffixes that the long walks put in the memo.
+    sys_ = CoxeterSystem(stack(name).cox)
+    for g in sorted(sys_.ball(5), key=lambda g: -g.length):
+        assert sys_.shortlex_word(g) == min(sys_.reduced_words(g))
+
+
+def test_shortlex_second_pass_is_memo_hits(stack):
+    sys_ = CoxeterSystem(stack("triangle_334").cox)
+    ball = sys_.ball(6)
+    first = [sys_.shortlex_word(g) for g in ball]
+    calls = []
+    for name in ("_mul_gen_left", "_mul_gen_right"):
+        inner = getattr(sys_, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        setattr(sys_, name, counted)
+    assert [sys_.shortlex_word(g) for g in ball] == first
+    assert calls == []
+
+
 def test_reduced_words(stack):
     a2 = stack("a2")
     assert a2.system.reduced_words(a2.element("s")) == {(0,)}
@@ -219,6 +253,18 @@ def test_length_changes_by_one(stack):
                 assert abs(s.system.left_mul(g, i).length - g.length) == 1
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_left_mul_matches_multiply(stack, name):
+    sys_ = stack(name).system
+    for g in sys_.ball(5):
+        for s in range(sys_.rank):
+            got = sys_.left_mul(g, s)
+            want = sys_.multiply(sys_.element_of_word((s,)), g)
+            assert got == want
+            assert got.inv == want.inv
+            assert got.length == want.length
+
+
 def test_form_is_invariant(stack):
     # g^T (2B) g = 2B, checked exactly entry by entry.
     for name in ("a2", "d_infinity", "triangle_334"):
@@ -253,6 +299,30 @@ def test_automorphisms(stack):
     assert stack("triangle_334").cox.automorphisms() == [(0, 1, 2), (0, 2, 1)]
     assert len(stack("triangle_333").cox.automorphisms()) == 6
     assert stack("b2").cox.automorphisms() == [(0, 1), (1, 0)]
+
+
+def test_field_degree_is_bounded():
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        _system([[1, 1001, 2], [1001, 1, 3], [2, 3, 1]])  # degree 1440
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 5], [2, 2, 5, 1]],  # H(5,3,5)
+        [[1, 3, 2, 3], [3, 1, 3, 2], [2, 3, 1, 3], [3, 2, 3, 1]],  # affine A3
+        [[1, 2, 3], [2, 1, 7], [3, 7, 1]],  # (2,3,7), degree 12
+    ],
+)
+def test_field_degree_guard_admits_named_groups(rows):
+    assert _system(rows).rank == len(rows)
+
+
+def test_field_degree_guard_admits_shipped_groups(stack):
+    for name in SHIPPED:
+        assert stack(name).system.ctx.degree <= 12
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

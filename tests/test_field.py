@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from voracious.field import (
     FieldContext,
     cyclotomic_polynomial,
+    two_cos_degree,
     two_cos_minimal_polynomial,
 )
 
@@ -38,6 +39,12 @@ def test_cyclotomic_examples():
 @pytest.mark.parametrize("modulus,expected", sorted(MINPOLYS.items()))
 def test_minimal_polynomials_frozen(modulus, expected):
     assert two_cos_minimal_polynomial(modulus) == expected
+
+
+def test_degree_matches_minimal_polynomial():
+    for modulus in range(1, 121):
+        assert two_cos_degree(modulus) == len(two_cos_minimal_polynomial(modulus)) - 1
+    assert two_cos_degree(6006) == 1440
 
 
 @pytest.mark.parametrize("modulus", sorted(MINPOLYS))
