@@ -157,34 +157,76 @@ class VoraciousAutomaton:
             raise ValueError("state 0 must be the empty frontier")
         self._universe_index = {w: i for i, w in enumerate(universe)}
         self._state_index = {st: i for i, st in enumerate(states)}
-        self._by_source: list[tuple[tuple[Word, int], ...]] | None = None
+        # An edge is fixed by its source and pivot, and a pivot's labels are
+        # its reduced words, the same on every edge that carries it.
+        self._targets: dict[tuple[int, Word], int] = {}
+        self._pivot_labels: dict[Word, tuple[Word, ...]] = {}
+        for e in edges:
+            if not (0 <= e.source < len(states) and 0 <= e.target < len(states)):
+                raise ValueError(
+                    f"edge {e.source} -> {e.target} names a state outside "
+                    f"0..{len(states) - 1}"
+                )
+            if (e.source, e.pivot_word) in self._targets:
+                raise ValueError(
+                    f"two edges leave state {e.source} with pivot {e.pivot_word}"
+                )
+            self._targets[e.source, e.pivot_word] = e.target
+            if self._pivot_labels.setdefault(e.pivot_word, e.labels) != e.labels:
+                raise ValueError(f"pivot {e.pivot_word} carries two label lists")
+        self._trie: tuple[list[dict[int, int]], list[tuple[Word, ...]]] | None = None
 
     # -- running the machine -------------------------------------------------
 
-    def _label_index(self):
-        if self._by_source is None:
-            per: list[list[tuple[Word, int]]] = [[] for _ in self.states]
-            for e in self.edges:
-                for lab in e.labels:
-                    per[e.source].append((lab, e.target))
-            self._by_source = tuple(
-                tuple(sorted(row, key=lambda p: (len(p[0]), p[0]))) for row in per
-            )
-        return self._by_source
+    def _label_trie(self):
+        """Trie of the labels of every distinct pivot, shared by all states.
+
+        Node 0 is the root; children[n] maps a letter to a node, and
+        completes[n] lists the pivots that have the path to n as a label.
+        """
+        if self._trie is None:
+            children: list[dict[int, int]] = [{}]
+            completes: list[tuple[Word, ...]] = [()]
+            for pivot, labels in self._pivot_labels.items():
+                for lab in labels:
+                    node = 0
+                    for letter in lab:
+                        nxt = children[node].get(letter)
+                        if nxt is None:
+                            nxt = len(children)
+                            children[node][letter] = nxt
+                            children.append({})
+                            completes.append(())
+                        node = nxt
+                    completes[node] += (pivot,)
+            self._trie = (children, completes)
+        return self._trie
 
     def run_states(self, word: Word) -> frozenset[int]:
-        """States reachable by splitting the word into consecutive edge labels."""
-        by_source = self._label_index()
-        n = len(word)
-        reach: list[set[int]] = [set() for _ in range(n + 1)]
-        reach[0].add(self.start)
-        for i in range(n):
-            for state in reach[i]:
-                for lab, target in by_source[state]:
-                    ln = len(lab)
-                    if i + ln <= n and word[i : i + ln] == lab:
-                        reach[i + ln].add(target)
-        return frozenset(reach[n])
+        """States reachable by splitting the word into consecutive edge labels.
+
+        Walks (state, trie node) pairs one letter at a time: a pair at the
+        root has read whole labels up to a state, and a pair elsewhere is
+        partway through the next label.
+        """
+        children, completes = self._label_trie()
+        targets = self._targets
+        current = {(self.start, 0)}
+        for letter in word:
+            nxt = set()
+            for state, node in current:
+                child = children[node].get(letter)
+                if child is None:
+                    continue
+                nxt.add((state, child))
+                for pivot in completes[child]:
+                    target = targets.get((state, pivot))
+                    if target is not None:
+                        nxt.add((target, 0))
+            if not nxt:
+                return frozenset()
+            current = nxt
+        return frozenset(state for state, node in current if node == 0)
 
     def accepts(self, word: Word) -> bool:
         return bool(self.run_states(word))

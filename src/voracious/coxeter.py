@@ -149,13 +149,14 @@ def word_from_string(text: str, generators) -> Word:
 class GroupElement:
     """Element of a Coxeter group: matrix, inverse matrix, cached length."""
 
-    __slots__ = ("matrix", "inv", "length", "_hash")
+    __slots__ = ("matrix", "inv", "length", "_hash", "_inverse")
 
     def __init__(self, matrix, inv, length):
         self.matrix = matrix
         self.inv = inv
         self.length = length
         self._hash = None
+        self._inverse = None
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -376,7 +377,13 @@ class CoxeterSystem:
         return self.inverse(self.right_mul(self.inverse(g), s))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return GroupElement(g.inv, g.matrix, g.length)
+        """g^{-1}, kept on g and pointing back, so each side hashes once."""
+        h = g._inverse
+        if h is None:
+            h = GroupElement(g.inv, g.matrix, g.length)
+            h._inverse = g
+            g._inverse = h
+        return h
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g * h; the length is recomputed by a descent walk."""

@@ -547,9 +547,10 @@ class Verifier:
                 break
             u, a, b, wr, wq = pair_data[key]
             # left descents of u^{-1} g among {a, b} without a length walk
-            x_inv = sys.matmul(g.inv, u.matrix)
             descents = sum(
-                1 for t in (a, b) if sys.root_sign(_column(x_inv, t)) < 0
+                1
+                for t in (a, b)
+                if sys.root_sign(sys.apply_matrix(g.inv, _column(u.matrix, t))) < 0
             )
             if descents == 1:
                 continue  # g sits strictly between the two walls' sectors

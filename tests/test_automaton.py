@@ -204,6 +204,90 @@ def test_run_states_frozen(stack):
     assert aut2.run_states(a2.word("st")) == {3}
 
 
+def _label_scan_states(by_source, start, word):
+    """Reference splitter: at each position try every label of every state."""
+    n = len(word)
+    reach = [set() for _ in range(n + 1)]
+    reach[0].add(start)
+    for i in range(n):
+        for state in reach[i]:
+            for lab, target in by_source[state]:
+                if word[i : i + len(lab)] == lab:
+                    reach[i + len(lab)].add(target)
+    return frozenset(reach[n])
+
+
+def _assert_run_states_match_label_scan(aut, rank, max_length):
+    by_source = [[] for _ in aut.states]
+    for e in aut.edges:
+        for lab in e.labels:
+            by_source[e.source].append((lab, e.target))
+    for n in range(max_length + 1):
+        for w in itertools.product(range(rank), repeat=n):
+            want = _label_scan_states(by_source, aut.start, w)
+            assert aut.run_states(w) == want, w
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ROOT_COUNTS))
+def test_run_states_matches_label_scan(stack, name):
+    s = stack(name)
+    _assert_run_states_match_label_scan(build_automaton(s.geometry), s.cox.rank, 7)
+
+
+@pytest.mark.parametrize("name", ["affine_a3", "triangle_237"])
+def test_run_states_matches_label_scan_long_pivots(long_pivot_geometries, name):
+    geo = long_pivot_geometries[name]
+    _assert_run_states_match_label_scan(build_automaton(geo), geo.system.rank, 7)
+
+
+def test_accepts_long_word(stack):
+    dinf = stack("d_infinity")
+    aut = build_automaton(dinf.geometry)
+    word = dinf.word("st" * 5000)
+    assert aut.accepts(word)
+    assert not aut.accepts(word + dinf.word("t"))
+
+
+def test_label_trie_is_shared(long_pivot_geometries):
+    # One trie over the distinct pivots' labels, not one per source state.
+    aut = build_automaton(long_pivot_geometries["affine_a3"])
+    labels = {e.pivot_word: e.labels for e in aut.edges}
+    letters = sum(len(lab) for labs in labels.values() for lab in labs)
+    children, _ = aut._label_trie()
+    assert len(children) < letters
+
+
+def _json_of_334(stack):
+    s = stack("triangle_334")
+    return build_automaton(s.geometry).to_json_dict(), s.geometry
+
+
+def test_json_rejects_edge_outside_states(stack):
+    data, geo = _json_of_334(stack)
+    data["edges"][3]["to"] = len(data["states"])
+    with pytest.raises(ValueError):
+        from_json_dict(data, geo)
+    data, geo = _json_of_334(stack)
+    data["edges"][3]["from"] = -1
+    with pytest.raises(ValueError):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_repeated_source_and_pivot(stack):
+    data, geo = _json_of_334(stack)
+    data["edges"].append(dict(data["edges"][0]))
+    with pytest.raises(ValueError):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_pivot_with_two_label_lists(stack):
+    data, geo = _json_of_334(stack)
+    edge = next(e for e in data["edges"] if len(e["labels"]) > 1)
+    edge["labels"] = edge["labels"][:1]
+    with pytest.raises(ValueError):
+        from_json_dict(data, geo)
+
+
 def test_edges_are_frontier_pullbacks(stack):
     # Every edge's target is the pivot's frontier pulled back through the
     # pivot, re-expressed in universe indices.

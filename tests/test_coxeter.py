@@ -284,6 +284,7 @@ def test_inverse_and_multiply(stack):
     sys_ = s.system
     for g in sys_.ball(3):
         gi = sys_.inverse(g)
+        assert sys_.inverse(g) is gi and sys_.inverse(gi) is g
         assert gi.length == g.length
         assert sys_.multiply(g, gi) == sys_.identity
         for h in sys_.ball(2):
