@@ -8,7 +8,6 @@ from .automaton import (
     from_json_dict,
     pivots,
     small_roots,
-    small_roots_bruteforce,
 )
 from .coxeter import (
     INF,
@@ -53,7 +52,6 @@ __all__ = [
     "pivots",
     "run_suite",
     "small_roots",
-    "small_roots_bruteforce",
     "word_from_string",
     "word_to_string",
     "__version__",

@@ -54,7 +54,8 @@ def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
             if t.is_zero():
                 continue
             if -2 < t < 2:
-                vec = sys.apply_matrix(sys.generator_matrix(s), beta)
+                # s(beta) = beta - t alpha_s moves coordinate s only
+                vec = beta[:s] + (beta[s] - t,) + beta[s + 1 :]
                 if sys.root_sign(vec) < 0:
                     raise ArithmeticError("reflected small root must stay positive")
                 new = geometry.wall_of_root(vec)
@@ -66,26 +67,6 @@ def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
                             f"small-root closure exceeded {cap} walls"
                         )
     return tuple(sorted(seen, key=lambda w: w.key))
-
-
-def small_roots_bruteforce(geometry: WallGeometry, radius: int) -> tuple[Wall, ...]:
-    """Small walls among all walls of the ball, tested by the shadow criterion.
-
-    A wall W is small iff no wall disjoint from W separates the identity
-    chamber from W.  Any such wall lies in Inv(D) for D the far incident
-    chamber of W, so the search over Inv(D) is exhaustive.
-    """
-    walls: set[Wall] = set()
-    for g in geometry.system.ball(radius):
-        walls |= geometry.inversion_walls(g)
-    out = []
-    for wall in sorted(walls, key=lambda w: w.key):
-        inv = geometry.inversion_walls(geometry.incident_far_chamber(wall))
-        if not any(
-            other != wall and geometry.walls_disjoint(wall, other) for other in inv
-        ):
-            out.append(wall)
-    return tuple(out)
 
 
 def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
@@ -345,11 +326,9 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     uindex = {w: i for i, w in enumerate(universe)}
     pivot_list = pivots(geometry)
 
-    inv_idx: list[frozenset[int]] = []
+    inv_bits = [geometry.inversion_bits(w) for w in pivot_list]
     target_key: list[tuple[int, ...]] = []
     for w in pivot_list:
-        inv = geometry.inversion_walls(w)
-        inv_idx.append(frozenset(uindex[v] for v in inv if v in uindex))
         back = []
         for f in geometry.frontier_set(w):
             wall = geometry.translate_wall(sys.inverse(w), f)
@@ -367,11 +346,9 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     def enterable(pi: int, v: int) -> bool:
         got = sep_cache[pi].get(v)
         if got is None:
-            w = pivot_list[pi]
-            wall = universe[v]
-            candidates = geometry.walls_between(w, geometry.incident_chamber(wall))
-            got = geometry.find_separator(w, wall, candidates) is not None
-            sep_cache[pi][v] = got
+            got = sep_cache[pi][v] = geometry.has_separator(
+                pivot_list[pi], universe[v]
+            )
         return got
 
     start: tuple[int, ...] = ()
@@ -382,9 +359,11 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     while qi < len(order):
         a = order[qi]
         qi += 1
-        aset = frozenset(a)
+        amask = 0
+        for v in a:
+            amask |= universe[v].bit
         for pi in range(len(pivot_list)):
-            if aset & inv_idx[pi]:
+            if amask & inv_bits[pi]:
                 continue
             if not all(enterable(pi, v) for v in a):
                 continue

@@ -126,7 +126,7 @@ class Verifier:
         got = self._pair_cache.get(key)
         if got is None:
             geo = self.geometry
-            got = len(geo.inversion_walls(g) ^ geo.inversion_walls(h))
+            got = (geo.inversion_bits(g) ^ geo.inversion_bits(h)).bit_count()
             self._pair_cache[key] = got
         return got
 
@@ -141,12 +141,6 @@ class Verifier:
                     inc.setdefault(wall, []).append(h)
             self._incidences = inc
         return self._incidences
-
-    def _wall_separator(self, g: GroupElement, wall: Wall):
-        """Separator of chamber g from wall, over the complete candidate set."""
-        geo = self.geometry
-        candidates = geo.walls_between(g, geo.incident_chamber(wall))
-        return geo.find_separator(g, wall, candidates)
 
     # -- checks -------------------------------------------------------------
 
@@ -226,7 +220,7 @@ class Verifier:
             if g.length > g_cap:
                 continue
             for wall, first_r in wall_min_radius.items():
-                if self._wall_separator(g, wall) is not None:
+                if geo.has_separator(g, wall):
                     continue
                 d = min(self._dist(g, h) for h in incidences[wall])
                 d_canon = self._dist(g, geo.incident_chamber(wall))
@@ -288,7 +282,7 @@ class Verifier:
         """p(g) <= g' <= g (prefix order) implies p(g') <= p(g)."""
         geo = self.geometry
         ball = self._ball(self.config.radius)
-        inv = geo.inversion_walls
+        inv = geo.inversion_bits
         n_pairs = 0
         for g in ball:
             inv_g = inv(g)
@@ -296,9 +290,10 @@ class Verifier:
             inv_pg = inv(pg)
             for g2 in ball:
                 inv_g2 = inv(g2)
-                if inv_pg <= inv_g2 and inv_g2 <= inv_g:
+                # inversion sets as masks: a | b == b says a is a subset of b
+                if inv_pg | inv_g2 == inv_g2 and inv_g2 | inv_g == inv_g:
                     n_pairs += 1
-                    if not inv(geo.voracious_projection(g2)) <= inv_pg:
+                    if inv(geo.voracious_projection(g2)) | inv_pg != inv_pg:
                         return CheckResult(
                             "projection-monotone-under-prefix",
                             "fail",
@@ -533,35 +528,38 @@ class Verifier:
                 orbit_cache[key] = got
             return got
 
-        combos = [
-            (key, g) for key in sorted(pair_data, key=lambda k: sorted(w.key for w in k))
-            for g in ball
-        ]
+        # (pair, ball element) combinations are drawn without replacement by a
+        # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
+        # positions a draw has swapped, so drawing n of them costs O(n).
+        keys = sorted(pair_data, key=lambda k: sorted(w.key for w in k))
+        n_combos = len(keys) * len(ball)
         rng = random.Random(cfg.seed)
-        rng.shuffle(combos)
+        moved: dict[int, int] = {}
 
         n_samples = 0
         n_walls = 0
-        for key, g in combos:
+        for i in range(n_combos):
             if n_samples >= cfg.separator_samples:
                 break
-            u, a, b, wr, wq = pair_data[key]
-            # left descents of u^{-1} g among {a, b} without a length walk
-            descents = sum(
-                1
-                for t in (a, b)
-                if sys.root_sign(sys.apply_matrix(g.inv, _column(u.matrix, t))) < 0
-            )
+            j = rng.randrange(i, n_combos)
+            pick = moved.get(j, j)
+            moved[j] = moved.get(i, i)
+            u, a, b, wr, wq = pair_data[keys[pick // len(ball)]]
+            g = ball[pick % len(ball)]
+            # t is a left descent of u^{-1} g iff the wall of u(alpha_t), one
+            # of wr and wq, lies between chambers u and g
+            between = geo.inversion_bits(u) ^ geo.inversion_bits(g)
+            descents = bool(wr.bit & between) + bool(wq.bit & between)
             if descents == 1:
                 continue  # g sits strictly between the two walls' sectors
-            if self._wall_separator(g, wr) is None and self._wall_separator(g, wq) is None:
+            if not (geo.has_separator(g, wr) or geo.has_separator(g, wq)):
                 continue  # hypothesis not met: nothing separates g from the pair
             n_samples += 1
             for wall in orbit_walls(u, a, b):
                 if wall == wr or wall == wq:
                     continue
                 n_walls += 1
-                if self._wall_separator(g, wall) is None:
+                if not geo.has_separator(g, wall):
                     return CheckResult(
                         name,
                         "fail",

@@ -9,6 +9,11 @@ root.  Everything here reduces to exact sign evaluations:
   * a wall separates chamber g from a disjoint wall W iff g and the chambers
     incident to W lie on opposite sides.
 
+Each wall carries a bit, 1 << (its creation index), so an inversion set is a
+Python int and every side question is a mask operation.  Disjointness costs a
+field product, so it is decided one wall pair at a time, only for walls whose
+sides already qualify, and memoised in both directions as per-wall bitmasks.
+
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
 chamber stays on the identity side of every frontier wall.  Candidate
@@ -23,13 +28,21 @@ from .coxeter import CoxeterSystem, GroupElement, _column
 
 
 class Wall:
-    """Wall of a reflection, keyed by its sign-normalized positive root."""
+    """Wall of a reflection, keyed by its sign-normalized positive root.
 
-    __slots__ = ("root", "key", "_hash")
+    `bit` is 1 << (creation index in its geometry).  `known` masks the walls
+    whose disjointness from this one is decided, `disjoint` those found
+    disjoint; WallGeometry.walls_disjoint keeps both.
+    """
 
-    def __init__(self, root, key):
+    __slots__ = ("root", "key", "bit", "known", "disjoint", "_hash")
+
+    def __init__(self, root, key, bit):
         self.root = root
         self.key = key
+        self.bit = bit
+        self.known = 0
+        self.disjoint = 0
         self._hash = hash(key)
 
     def __eq__(self, other):
@@ -54,12 +67,13 @@ class WallGeometry:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._walls: dict[tuple, Wall] = {}
+        self._by_index: list[Wall] = []
+        self._inv_bits: dict[GroupElement, int] = {}
         self._inv: dict[GroupElement, frozenset[Wall]] = {}
         self._frontier: dict[GroupElement, frozenset[Wall]] = {}
         # g -> (p(g), p(g)^{-1} g): the projection and the block it leaves.
         self._proj: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
         self._incident: dict[Wall, tuple[GroupElement, int]] = {}
-        self._disjoint: dict[frozenset[Wall], bool] = {}
         self._gen_walls = tuple(
             self.wall_of_root(system.simple_root(s)) for s in range(system.rank)
         )
@@ -76,8 +90,17 @@ class WallGeometry:
                 key = _root_key(root)
             got = self._walls.get(key)
             if got is None:
-                got = self._walls[key] = Wall(root, key)
+                got = self._walls[key] = Wall(root, key, 1 << len(self._by_index))
+                self._by_index.append(got)
         return got
+
+    def _iter_walls(self, mask: int):
+        """The walls whose bits are set in mask, lowest bit first."""
+        by_index = self._by_index
+        while mask:
+            low = mask & -mask
+            yield by_index[low.bit_length() - 1]
+            mask ^= low
 
     def wall_of_generator(self, s: int) -> Wall:
         return self._gen_walls[s]
@@ -110,32 +133,40 @@ class WallGeometry:
         Equivalent to g^{-1}(beta) being positive; phrased through the
         inversion set so that repeated side queries share one computation.
         """
-        return wall not in self.inversion_walls(g)
+        return not self.inversion_bits(g) & wall.bit
+
+    def inversion_bits(self, g: GroupElement) -> int:
+        """Walls separating chamber g from the identity chamber, as a mask."""
+        got = self._inv_bits.get(g)
+        if got is not None:
+            return got
+        sys = self.system
+        bits = 0
+        prefix = sys.identity
+        for s in sys.shortlex_word(g):
+            bits |= self.wall_of_root(_column(prefix.matrix, s)).bit
+            prefix = sys.right_mul(prefix, s)
+        if bits.bit_count() != g.length:
+            raise ArithmeticError("inversion walls of a reduced word must be distinct")
+        self._inv_bits[g] = bits
+        return bits
 
     def inversion_walls(self, g: GroupElement) -> frozenset[Wall]:
         """Walls separating chamber g from the identity chamber."""
         got = self._inv.get(g)
-        if got is not None:
-            return got
-        sys = self.system
-        word = sys.shortlex_word(g)
-        walls = set()
-        prefix = sys.identity
-        for s in word:
-            walls.add(self.wall_of_root(_column(prefix.matrix, s)))
-            prefix = sys.right_mul(prefix, s)
-        if len(walls) != g.length:
-            raise ArithmeticError("inversion walls of a reduced word must be distinct")
-        out = frozenset(walls)
-        self._inv[g] = out
-        return out
+        if got is None:
+            got = self._inv[g] = frozenset(self._iter_walls(self.inversion_bits(g)))
+        return got
 
     def walls_between(self, g: GroupElement, h: GroupElement) -> frozenset[Wall]:
-        return self.inversion_walls(g) ^ self.inversion_walls(h)
+        return frozenset(
+            self._iter_walls(self.inversion_bits(g) ^ self.inversion_bits(h))
+        )
 
     def is_prefix(self, p: GroupElement, g: GroupElement) -> bool:
         """p lies on a geodesic from the identity to g."""
-        return self.inversion_walls(p) <= self.inversion_walls(g)
+        inv_g = self.inversion_bits(g)
+        return self.inversion_bits(p) | inv_g == inv_g
 
     # -- wall-versus-wall geometry ------------------------------------------
 
@@ -143,13 +174,16 @@ class WallGeometry:
         """True iff the two distinct walls do not cross: |B(alpha, beta)| >= 1."""
         if a == b:
             raise ValueError("wall disjointness needs two distinct walls")
-        pair = frozenset((a, b))
-        got = self._disjoint.get(pair)
-        if got is None:
-            t = self.system.bilinear2(a.root, b.root)
-            got = t >= 2 or t <= -2
-            self._disjoint[pair] = got
-        return got
+        if a.known & b.bit:
+            return bool(a.disjoint & b.bit)
+        t = self.system.bilinear2(a.root, b.root)
+        a.known |= b.bit
+        b.known |= a.bit
+        if t >= 2 or t <= -2:
+            a.disjoint |= b.bit
+            b.disjoint |= a.bit
+            return True
+        return False
 
     def incident_chamber(self, wall: Wall) -> GroupElement:
         """A canonical chamber having the wall among its own walls.
@@ -185,30 +219,33 @@ class WallGeometry:
             if simple is not None:
                 return sys.intern(chamber), simple
             for s in range(sys.rank):
-                if sys.gram2_row_dot(s, beta).sign() > 0:
-                    beta = sys.apply_matrix(sys.generator_matrix(s), beta)
+                t = sys.gram2_row_dot(s, beta)
+                if t.sign() > 0:
+                    # s(beta) = beta - t alpha_s moves coordinate s only
+                    beta = beta[:s] + (beta[s] - t,) + beta[s + 1 :]
                     chamber = sys.right_mul(chamber, s)
                     break
             else:
                 raise ArithmeticError("depth descent stalled on a non-root vector")
         raise ArithmeticError("depth descent failed to terminate")
 
-    def separates_from_wall(self, sep: Wall, g: GroupElement, wall: Wall) -> bool:
-        """True iff chamber g and wall lie strictly on opposite sides of sep."""
-        if sep == wall:
-            return False
-        if not self.walls_disjoint(sep, wall):
-            return False
-        return self.on_identity_side(g, sep) != self.on_identity_side(
-            self.incident_chamber(wall), sep
-        )
+    def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:
+        """True iff some wall in the candidates mask separates chamber g from wall.
 
-    def find_separator(self, g: GroupElement, wall: Wall, candidates):
-        """Deterministic search: least candidate (by root key) separating g from wall."""
-        for sep in sorted(candidates, key=lambda w: w.key):
-            if self.separates_from_wall(sep, g, wall):
-                return sep
-        return None
+        A separator lies on different sides of g and of incident_chamber(wall)
+        and is disjoint from wall.  The side condition is one mask; then
+        disjointness is read from the memo, and otherwise decided one wall at
+        a time up to the first disjoint one.  The default mask is every wall.
+        """
+        near = self.incident_chamber(wall)
+        sides = self.inversion_bits(g) ^ self.inversion_bits(near)
+        mask = candidates & sides & ~wall.bit
+        if mask & wall.disjoint:
+            return True
+        for sep in self._iter_walls(mask & ~wall.known):
+            if self.walls_disjoint(wall, sep):
+                return True
+        return False
 
     # -- frontier and projection --------------------------------------------
 
@@ -217,9 +254,10 @@ class WallGeometry:
         got = self._frontier.get(g)
         if got is not None:
             return got
-        inv = self.inversion_walls(g)
+        # Separators of an inversion wall of g are themselves in Inv(g).
+        inv = self.inversion_bits(g)
         out = frozenset(
-            w for w in inv if self.find_separator(g, w, inv - {w}) is None
+            w for w in self._iter_walls(inv) if not self.has_separator(g, w, inv)
         )
         self._frontier[g] = out
         return out

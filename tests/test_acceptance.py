@@ -17,10 +17,9 @@ from voracious import (
     build_automaton,
     load_group_file,
     small_roots,
-    small_roots_bruteforce,
 )
 
-from conftest import GROUPS_DIR
+from conftest import GROUPS_DIR, small_roots_bruteforce
 
 
 def criterion(num, name):

@@ -4,7 +4,6 @@ import json
 import pytest
 
 from voracious import (
-    CoxeterMatrix,
     CoxeterSystem,
     ResourceLimitError,
     WallGeometry,
@@ -12,8 +11,9 @@ from voracious import (
     from_json_dict,
     pivots,
     small_roots,
-    small_roots_bruteforce,
 )
+
+from conftest import AFFINE_A3, TRIANGLE_237, fresh_geometry, small_roots_bruteforce
 
 SMALL_ROOT_COUNTS = {
     "rank1": 1,
@@ -90,19 +90,11 @@ def test_pivots_are_identity_projections(stack):
         assert set(pivs) == expected
 
 
-def _geometry(generators, orders):
-    return WallGeometry(CoxeterSystem(CoxeterMatrix(tuple(generators), orders)))
-
-
-AFFINE_A3 = ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1))
-TRIANGLE_237 = ((1, 2, 3), (2, 1, 7), (3, 7, 1))
-
-
 @pytest.fixture(scope="module")
 def long_pivot_geometries():
     return {
-        "affine_a3": _geometry("abcd", AFFINE_A3),
-        "triangle_237": _geometry("abc", TRIANGLE_237),
+        "affine_a3": fresh_geometry("abcd", AFFINE_A3),
+        "triangle_237": fresh_geometry("abc", TRIANGLE_237),
     }
 
 

@@ -2,7 +2,27 @@ import itertools
 
 import pytest
 
+from voracious import small_roots
+
+from conftest import (
+    AFFINE_A3,
+    GROUPS_DIR,
+    TRIANGLE_237,
+    fresh_geometry,
+    reference_find_separator,
+)
+
 GOLD_BALL_RADIUS = 4
+SHIPPED = sorted(p.stem for p in GROUPS_DIR.glob("*.json"))
+BUILT = {"affine_a3": ("abcd", AFFINE_A3), "triangle_237": ("abc", TRIANGLE_237)}
+FRONTIER_BILINEAR_CALLS = 335
+
+
+def _fresh_geometry(stack, name):
+    if name in BUILT:
+        return fresh_geometry(*BUILT[name])
+    cox = stack(name).cox
+    return fresh_geometry(cox.generators, cox.orders)
 
 
 def _wall_at(s, coords):
@@ -44,6 +64,18 @@ def test_inversion_count_is_length(stack):
         s = stack(name)
         for g in s.system.ball(GOLD_BALL_RADIUS):
             assert len(s.geometry.inversion_walls(g)) == g.length
+
+
+def test_inversion_bits_match_walls(stack):
+    for name in ("a2", "d_infinity", "triangle_334", "a3"):
+        s = stack(name)
+        geo = s.geometry
+        for g in s.system.ball(GOLD_BALL_RADIUS):
+            bits = geo.inversion_bits(g)
+            assert bits.bit_count() == g.length
+            walls = geo.inversion_walls(g)
+            assert sum(w.bit for w in walls) == bits
+            assert walls == {w for w in geo._walls.values() if w.bit & bits}
 
 
 def test_roots_are_positive(stack):
@@ -99,6 +131,45 @@ def test_walls_disjoint_frozen(stack):
     )
     with pytest.raises(ValueError):
         geo.walls_disjoint(geo.wall_of_generator(0), geo.wall_of_generator(0))
+
+
+@pytest.mark.parametrize("name", ["triangle_334", "affine_a3"])
+def test_disjoint_bits_symmetric(stack, name):
+    # Decide each pair of ball(4) walls once, in one direction, on a fresh
+    # geometry; both walls' masks must then record the |2B| >= 2 answer.
+    geo = _fresh_geometry(stack, name)
+    walls = set()
+    for g in geo.system.ball(4):
+        walls |= geo.inversion_walls(g)
+    walls = sorted(walls, key=lambda w: w.bit)
+    for a, b in itertools.combinations(walls, 2):
+        t = geo.system.bilinear2(a.root, b.root)
+        assert geo.walls_disjoint(a, b) == (t >= 2 or t <= -2)
+    for a, b in itertools.permutations(walls, 2):
+        assert a.known & b.bit
+        assert bool(a.disjoint & b.bit) == bool(b.disjoint & a.bit)
+        assert geo.walls_disjoint(b, a) == bool(a.disjoint & b.bit)
+
+
+def test_frontier_bilinear_calls_frozen(stack):
+    # Disjointness is decided only for walls whose sides already qualify, and
+    # only up to the first disjoint one; this freezes the field products a
+    # fresh geometry spends on the frontiers of ball(8) of (3,3,4).
+    geo = _fresh_geometry(stack, "triangle_334")
+    sys_ = geo.system
+    ball = sys_.ball(8)
+    calls = 0
+    bilinear2 = sys_.bilinear2
+
+    def counted(u, v):
+        nonlocal calls
+        calls += 1
+        return bilinear2(u, v)
+
+    sys_.bilinear2 = counted
+    for g in ball:
+        geo.frontier_set(g)
+    assert calls == FRONTIER_BILINEAR_CALLS
 
 
 def test_incident_chamber_frozen(stack):
@@ -159,17 +230,17 @@ def test_separates_from_wall_frozen(stack):
     g = dinf.element("sts")
     w_s = geo.wall_of_generator(0)
     sep = _wall_at(dinf, (2, 1))
-    assert geo.separates_from_wall(sep, g, w_s)
+    assert geo.has_separator(g, w_s, sep.bit)
     # Chambers touching the wall (2,1) are s and st, both across W_s from id,
     # so W_s separates id from that wall; from s it does not.
-    assert geo.separates_from_wall(w_s, dinf.system.identity, sep)
-    assert not geo.separates_from_wall(w_s, dinf.element("s"), sep)
+    assert geo.has_separator(dinf.system.identity, sep, w_s.bit)
+    assert not geo.has_separator(dinf.element("s"), sep, w_s.bit)
     a2 = stack("a2")
     geo2 = a2.geometry
     walls = {w for g in a2.system.ball(3) for w in geo2.inversion_walls(g)}
     for g in a2.system.ball(3):
         for sep, wall in itertools.permutations(walls, 2):
-            assert not geo2.separates_from_wall(sep, g, wall)
+            assert not geo2.has_separator(g, wall, sep.bit)
 
 
 def test_frontier_frozen(stack):
@@ -208,10 +279,28 @@ def test_frontier_matches_separator_search(stack):
             front = geo.frontier_set(g)
             for wall in inv:
                 domain = geo.walls_between(g, geo.incident_chamber(wall))
-                sep = geo.find_separator(g, wall, domain)
+                sep = reference_find_separator(geo, g, wall, domain)
                 assert (sep is None) == (wall in front)
                 if sep is not None:
-                    assert geo.separates_from_wall(sep, g, wall)
+                    assert geo.has_separator(g, wall, sep.bit)
+
+
+@pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
+def test_has_separator_matches_reference(stack, name):
+    # Over ball(6): every inversion wall of g, with Inv(g) and with every wall
+    # as candidates, and every small-root wall, with every wall as candidates.
+    geo = _fresh_geometry(stack, name)
+    universe = small_roots(geo)
+    for g in geo.system.ball(6):
+        inv = geo.inversion_walls(g)
+        inv_bits = geo.inversion_bits(g)
+        for wall in inv:
+            want = reference_find_separator(geo, g, wall, inv - {wall})
+            assert geo.has_separator(g, wall, inv_bits) == (want is not None)
+        for wall in inv | set(universe):
+            domain = geo.walls_between(g, geo.incident_chamber(wall))
+            want = reference_find_separator(geo, g, wall, domain)
+            assert geo.has_separator(g, wall) == (want is not None)
 
 
 def test_projection_frozen(stack):
