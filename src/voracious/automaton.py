@@ -27,6 +27,7 @@ from .coxeter import (
     word_from_string,
     word_to_string,
 )
+from .field import add_rational, sub
 from .walls import Wall, WallGeometry
 
 # Files of earlier formats may hold an automaton built from a truncated pivot
@@ -42,6 +43,7 @@ def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
     pair is disjoint and one wall shadows the other.
     """
     sys = geometry.system
+    sign_of = sys.ctx.sign_of
     queue = [geometry.wall_of_generator(s) for s in range(sys.rank)]
     seen = set(queue)
     qi = 0
@@ -51,11 +53,11 @@ def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
         beta = wall.root
         for s in range(sys.rank):
             t = sys.gram2_row_dot(s, beta)
-            if t.is_zero():
+            if not any(t):
                 continue
-            if -2 < t < 2:
+            if sign_of(add_rational(t, 2)) > 0 and sign_of(add_rational(t, -2)) < 0:
                 # s(beta) = beta - t alpha_s moves coordinate s only
-                vec = beta[:s] + (beta[s] - t,) + beta[s + 1 :]
+                vec = beta[:s] + (sub(beta[s], t),) + beta[s + 1 :]
                 if sys.root_sign(vec) < 0:
                     raise ArithmeticError("reflected small root must stay positive")
                 new = geometry.wall_of_root(vec)
@@ -66,7 +68,7 @@ def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
                         raise ResourceLimitError(
                             f"small-root closure exceeded {cap} walls"
                         )
-    return tuple(sorted(seen, key=lambda w: w.key))
+    return tuple(sorted(seen, key=lambda w: w.root))
 
 
 def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
@@ -112,10 +114,6 @@ class Edge:
     target: int
     pivot_word: Word
     labels: tuple[Word, ...]
-
-
-def _wall_str(wall: Wall) -> str:
-    return "(" + ", ".join(str(x) for x in wall.root) + ")"
 
 
 class VoraciousAutomaton:
@@ -224,7 +222,7 @@ class VoraciousAutomaton:
         if not isinstance(other, VoraciousAutomaton):
             return NotImplemented
         return (
-            tuple(w.key for w in self.universe) == tuple(w.key for w in other.universe)
+            [w.root for w in self.universe] == [w.root for w in other.universe]
             and self.states == other.states
             and self.edges == other.edges
         )
@@ -233,7 +231,11 @@ class VoraciousAutomaton:
 
     # -- serialization -------------------------------------------------------
 
+    def _wall_str(self, wall: Wall) -> str:
+        return "(" + ", ".join(self.geometry.root_strings(wall)) + ")"
+
     def _coord_json(self, x):
+        x = self.geometry.system.ctx.scalar(x)
         if x.is_constant():
             return str(x.as_fraction())
         return [str(b) for b in x.cos_basis()]
@@ -272,7 +274,8 @@ class VoraciousAutomaton:
             f"  qstart [shape=point]; qstart -> q{self.start};",
         ]
         for i, st in enumerate(self.states):
-            label = "{" + ", ".join(_wall_str(self.universe[j]) for j in st) + "}"
+            walls = ", ".join(self._wall_str(self.universe[j]) for j in st)
+            label = "{" + walls + "}"
             lines.append(f'  q{i} [label="{label}"];')
         for e in self.edges:
             label = ", ".join(word_to_string(w, self.generators) for w in e.labels)
@@ -298,13 +301,29 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     ctx = sys.ctx
 
     def coord(entry):
-        if isinstance(entry, str):
-            return ctx.rational(Fraction(entry))
-        return ctx.from_cos_basis([Fraction(b) for b in entry])
+        try:
+            if isinstance(entry, str):
+                x = ctx.rational(Fraction(entry))
+            else:
+                x = ctx.from_cos_basis([Fraction(b) for b in entry])
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ValueError(f"bad root coordinate {entry!r}") from e
+        if any(type(c) is not int for c in x.coeffs):
+            raise ValueError(
+                f"root coordinate {entry!r} is not an integer polynomial in "
+                f"2 cos(pi/{ctx.modulus})"
+            )
+        return x.coeffs
 
-    universe = tuple(
-        geometry.wall_of_root(tuple(coord(c) for c in root)) for root in data["universe"]
-    )
+    def wall(root):
+        if not isinstance(root, list) or len(root) != sys.rank:
+            raise ValueError(f"universe root {root!r} needs {sys.rank} coordinates")
+        try:
+            return geometry.wall_of_root(tuple(coord(c) for c in root))
+        except ArithmeticError as e:
+            raise ValueError(f"universe entry {root!r} is not a root: {e}") from e
+
+    universe = tuple(wall(root) for root in data["universe"])
     states = tuple(tuple(st) for st in data["states"])
     gens = sys.cox.generators
     edges = tuple(

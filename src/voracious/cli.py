@@ -92,10 +92,10 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _wall_lines(walls) -> str:
-    rows = sorted(walls, key=lambda w: w.key)
+def _wall_lines(geometry, walls) -> str:
+    rows = sorted(walls, key=lambda w: w.root)
     return "".join(
-        "(" + ", ".join(str(x) for x in w.root) + ")\n" for w in rows
+        "(" + ", ".join(geometry.root_strings(w)) + ")\n" for w in rows
     )
 
 
@@ -126,13 +126,13 @@ def _cmd_project(args) -> int:
 def _cmd_walls(args) -> int:
     system, geometry = _load(args)
     g = system.intern(system.element_of_word(_parse_word(args.word, system)))
-    sys.stdout.write(_wall_lines(geometry.frontier_set(g)))
+    sys.stdout.write(_wall_lines(geometry, geometry.frontier_set(g)))
     return 0
 
 
 def _cmd_small_roots(args) -> int:
     _, geometry = _load(args)
-    sys.stdout.write(_wall_lines(automaton_mod.small_roots(geometry)))
+    sys.stdout.write(_wall_lines(geometry, automaton_mod.small_roots(geometry)))
     return 0
 
 

@@ -1,11 +1,13 @@
 """Coxeter systems: presentation matrix, geometric representation, words, balls.
 
 A group element is stored as its matrix in the geometric representation
-together with the matrix of its inverse and its cached word length.  The
+together with the matrix of its inverse and its cached word length.  Matrix
+entries, roots and the form 2B are coefficient tuples of ints over
+y = 2 cos(pi/M) (see field.py), so a matrix is a tuple of tuples of tuples
+and element equality and hashing are plain tuple operations.  The
 representation is faithful, so matrix equality is group equality.  Lengths
 are never assumed from input words: generator application tracks them by an
-exact root-sign test, and lengths of arbitrary products are recomputed by a
-descent walk back to the identity.
+exact root-sign test.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .field import FieldContext, FieldScalar, two_cos_degree
+from .field import FieldContext, add, neg, sub, two_cos_degree
 
 INF = 0  # encoding of an infinite Coxeter matrix entry, here and in config files
 
@@ -200,39 +202,39 @@ class CoxeterSystem:
         k = self.rank
 
         # 2B has integer polynomial entries; it is the only form kept.
+        zero = self._zero = (0,) * ctx.degree
+        one = (1,) + zero[1:]
         gram2 = []
         for i in range(k):
             row = []
             for j in range(k):
                 if i == j:
-                    row.append(ctx.rational(2))
+                    row.append((2,) + zero[1:])
                 elif cox.orders[i][j] == INF:
-                    row.append(ctx.rational(-2))
+                    row.append((-2,) + zero[1:])
                 else:
-                    row.append(-ctx.two_cos_pi_over(cox.orders[i][j]))
+                    row.append(neg(ctx.two_cos_pi_over(cox.orders[i][j]).coeffs))
             gram2.append(tuple(row))
         self.gram2 = tuple(gram2)
+        # Row s of 2B off the diagonal, negated, as (j, x -> -(2B)_sj x) over
+        # its nonzero entries; every diagonal entry is 2.
+        self._reflect_times = tuple(
+            tuple(
+                (j, ctx.multiplier(neg(x)))
+                for j, x in enumerate(row)
+                if j != s and any(x)
+            )
+            for s, row in enumerate(self.gram2)
+        )
 
         # Generator s acts by v -> v - 2 B(alpha_s, v) alpha_s; as a matrix this
         # replaces row s of the identity by e_s - (2B) row s.
-        mats = []
-        for s in range(k):
-            rows = []
-            for i in range(k):
-                if i != s:
-                    rows.append(tuple(ctx.one if j == i else ctx.zero for j in range(k)))
-                else:
-                    rows.append(
-                        tuple(
-                            (ctx.one if j == s else ctx.zero) - self.gram2[s][j]
-                            for j in range(k)
-                        )
-                    )
-            mats.append(tuple(rows))
-        self._gen_mats = tuple(mats)
-
         ident = tuple(
-            tuple(ctx.one if i == j else ctx.zero for j in range(k)) for i in range(k)
+            tuple(one if i == j else zero for j in range(k)) for i in range(k)
+        )
+        self._gen_mats = tuple(
+            ident[:s] + (tuple(map(sub, ident[s], self.gram2[s])),) + ident[s + 1 :]
+            for s in range(k)
         )
         self.identity = GroupElement(ident, ident, 0)
         self._simple_roots = tuple(_column(ident, j) for j in range(k))
@@ -245,61 +247,45 @@ class CoxeterSystem:
 
     # -- linear algebra ----------------------------------------------------
 
-    def matmul(self, a, b):
-        k = self.rank
-        bcols = tuple(zip(*b))
-        rows = []
-        for arow in a:
-            row = []
-            for bcol in bcols:
-                acc = arow[0] * bcol[0]
-                for i in range(1, k):
-                    acc = acc + arow[i] * bcol[i]
-                row.append(acc)
-            rows.append(tuple(row))
-        return tuple(rows)
-
     def apply_matrix(self, matrix, vec):
-        k = self.rank
+        mul = self.ctx.mul
         out = []
         for row in matrix:
-            acc = row[0] * vec[0]
-            for i in range(1, k):
-                acc = acc + row[i] * vec[i]
+            acc = self._zero
+            for a, x in zip(row, vec):
+                if any(a) and any(x):
+                    acc = add(acc, mul(a, x))
             out.append(acc)
         return tuple(out)
 
     def _mul_gen_right(self, mat, s: int):
-        """mat @ M_s without a full product: M_s only disturbs column data
-        through column s, and rows with a zero s-entry pass through unchanged
-        (the row tuple is shared, not copied)."""
-        k = self.rank
-        row_s = self.gram2[s]
+        """mat @ M_s without a full product: column j gains -(2B)_sj times
+        column s, so column s is negated, and rows with a zero s-entry pass
+        through unchanged (the row tuple is shared, not copied)."""
+        times = self._reflect_times[s]
         out = []
         for row in mat:
             x = row[s]
-            if x.is_zero():
+            if not any(x):
                 out.append(row)
                 continue
-            out.append(
-                tuple(
-                    -x if j == s else row[j] - x * row_s[j] for j in range(k)
-                )
-            )
+            new = list(row)
+            new[s] = neg(x)
+            for j, t in times:
+                new[j] = add(row[j], t(x))
+            out.append(tuple(new))
         return tuple(out)
 
     def _mul_gen_left(self, s: int, mat):
-        """M_s @ mat: only row s changes; every other row tuple is shared."""
-        k = self.rank
-        row_s = self.gram2[s]
-        new_row = []
-        for j in range(k):
-            acc = row_s[0] * mat[0][j]
-            for i in range(1, k):
-                acc = acc + row_s[i] * mat[i][j]
-            new_row.append(mat[s][j] - acc)
+        """M_s @ mat: only row s changes, to its negation plus -(2B)_si times
+        row i for each i != s; every other row tuple is shared."""
+        new = list(map(neg, mat[s]))
+        for i, t in self._reflect_times[s]:
+            for j, x in enumerate(mat[i]):
+                if any(x):
+                    new[j] = add(new[j], t(x))
         out = list(mat)
-        out[s] = tuple(new_row)
+        out[s] = tuple(new)
         return tuple(out)
 
     def simple_root(self, i: int):
@@ -308,26 +294,22 @@ class CoxeterSystem:
     def generator_matrix(self, i: int):
         return self._gen_mats[i]
 
-    def bilinear2(self, u, v) -> FieldScalar:
+    def bilinear2(self, u, v):
         """2 B(u, v); integer-valued on integer vectors."""
-        k = self.rank
-        acc = None
-        for i in range(k):
-            if not u[i].is_zero():
-                row = self.gram2[i]
-                part = row[0] * v[0]
-                for j in range(1, k):
-                    part = part + row[j] * v[j]
-                term = u[i] * part
-                acc = term if acc is None else acc + term
-        return self.ctx.zero if acc is None else acc
+        mul = self.ctx.mul
+        acc = self._zero
+        for i, x in enumerate(u):
+            if any(x):
+                acc = add(acc, mul(x, self.gram2_row_dot(i, v)))
+        return acc
 
-    def gram2_row_dot(self, s: int, vec) -> FieldScalar:
+    def gram2_row_dot(self, s: int, vec):
         """2 B(alpha_s, vec)."""
-        row = self.gram2[s]
-        acc = row[0] * vec[0]
-        for j in range(1, self.rank):
-            acc = acc + row[j] * vec[j]
+        acc = add(vec[s], vec[s])
+        for j, t in self._reflect_times[s]:
+            x = vec[j]
+            if any(x):
+                acc = sub(acc, t(x))
         return acc
 
     def root_sign(self, vec) -> int:
@@ -336,18 +318,19 @@ class CoxeterSystem:
         Roots of the representation have coordinates of one sign; anything
         else signals an arithmetic bug, so mixed signs raise.
         """
-        pos = neg = False
+        sign_of = self.ctx.sign_of
+        positive = negative = False
         for x in vec:
-            s = x.sign()
+            s = sign_of(x)
             if s > 0:
-                pos = True
+                positive = True
             elif s < 0:
-                neg = True
-        if pos and neg:
+                negative = True
+        if positive and negative:
             raise ArithmeticError("root has coordinates of both signs")
-        if not (pos or neg):
+        if not (positive or negative):
             raise ArithmeticError("zero vector is not a root")
-        return 1 if pos else -1
+        return 1 if positive else -1
 
     # -- group operations --------------------------------------------------
 
@@ -384,28 +367,6 @@ class CoxeterSystem:
             h._inverse = g
             g._inverse = h
         return h
-
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """g * h; the length is recomputed by a descent walk."""
-        matrix = self.matmul(g.matrix, h.matrix)
-        inv = self.matmul(h.inv, g.inv)
-        return GroupElement(matrix, inv, self.length_of_matrix(matrix))
-
-    def length_of_matrix(self, matrix) -> int:
-        """Word length of the element with this matrix, by stripping right descents."""
-        k = self.rank
-        n = 0
-        cur = matrix
-        while True:
-            for s in range(k):
-                if self.root_sign(_column(cur, s)) < 0:
-                    cur = self._mul_gen_right(cur, s)
-                    n += 1
-                    break
-            else:
-                if cur != self.identity.matrix:
-                    raise ArithmeticError("descent walk did not reach the identity")
-                return n
 
     def element_of_word(self, word: Word) -> GroupElement:
         g = self.identity
@@ -532,7 +493,7 @@ class CoxeterSystem:
         finite iff every pivot is positive.
         """
         k = self.rank
-        m = [list(row) for row in self.gram2]
+        m = [[self.ctx.scalar(x) for x in row] for row in self.gram2]
         for i in range(k):
             piv = m[i][i]
             if piv.sign() <= 0:

@@ -9,17 +9,30 @@ coordinates therefore keep integer coefficients throughout, over the
 doubled form 2B; rationals appear only where a caller divides, as in field
 inverses.
 
-Scalars are canonical reduced polynomials in y, so equality is coefficient
-comparison and the zero test is syntactic.  Signs are memoised per context
-by coefficient tuple.  A sign not yet in the memo is decided by interval
-evaluation over an exact rational enclosure of y, bisected until zero is
-excluded.
+A field element is its canonical coefficient tuple: the reduced polynomial in
+y, low degree first, d = [Q(y):Q] entries.  On the hot path (group-element
+matrices, roots, the form 2B) these tuples hold plain ints, and the integer
+kernel below works on them directly: add, sub and neg are elementwise,
+FieldContext.mul reduces a product with precomputed rows for y^d .. y^(2d-2),
+and FieldContext.multiplier turns a fixed constant into a precomputed map.
+Equality is tuple equality and the zero test is syntactic.
+
+FieldScalar wraps the same tuples with operator arithmetic, rationals
+included.  It serves the edges only: rendering, parsing, the field inverse
+behind CoxeterSystem.is_finite, and the tests, which use it as the oracle of
+the kernel.
+
+Signs are memoised per context by coefficient tuple.  A sign not yet in the
+memo is decided by interval evaluation over an exact rational enclosure of y,
+bisected until zero is excluded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import partial
 
 Coeff = int | Fraction
 
@@ -31,6 +44,30 @@ def _as_coeff(x: Coeff) -> Coeff:
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     return x
+
+
+def add(a, b):
+    """Sum of two coefficient tuples."""
+    return tuple(map(operator.add, a, b))
+
+
+def sub(a, b):
+    """Difference of two coefficient tuples."""
+    return tuple(map(operator.sub, a, b))
+
+
+def neg(a):
+    """Negation of a coefficient tuple."""
+    return tuple(map(operator.neg, a))
+
+
+def _same(a):
+    return a
+
+
+def add_rational(a, c):
+    """a + c for a rational constant c: only the constant term moves."""
+    return (a[0] + c,) + a[1:]
 
 
 def _divisors(n: int) -> list[int]:
@@ -167,6 +204,46 @@ class FieldContext:
         self.zero = FieldScalar(self, (0,) * d)
         self.one = FieldScalar(self, (1,) + (0,) * (d - 1))
         self._two_cos: dict[int, FieldScalar] = {}
+        # (y^j reduced) for j = d .. 2d-2, the powers a product can reach.
+        self._red = tuple(self._pow(j) for j in range(d, 2 * d - 1))
+
+    # -- integer kernel -----------------------------------------------------
+
+    def mul(self, a, b):
+        """Product of two coefficient tuples."""
+        d = self.degree
+        if d == 1:
+            return (a[0] * b[0],)
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        out = prod[:d]
+        for row, c in zip(self._red, prod[d:]):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return tuple(out)
+
+    def multiplier(self, c):
+        """The map x -> c x for a fixed coefficient tuple c, precomputed.
+
+        A rational c is a plain scale; otherwise the map is the d x d integer
+        matrix whose column j is c y^j.
+        """
+        if not any(c[1:]):
+            c0 = c[0]
+            if c0 == 1:
+                return _same
+            if c0 == -1:
+                return neg
+            scale = partial(operator.mul, c0)
+            return lambda x: tuple(map(scale, x))
+        d = self.degree
+        unit = [(0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)]
+        rows = tuple(zip(*(self.mul(c, e) for e in unit)))
+        return lambda x: tuple([sum(map(operator.mul, row, x)) for row in rows])
 
     # -- construction -----------------------------------------------------
 
@@ -221,7 +298,7 @@ class FieldContext:
             nxt = [cur[d - 1] * b for b in base]
             for i in range(d - 1):
                 nxt[i + 1] += cur[i]
-            self._pows.append(tuple(_as_coeff(c) for c in nxt))
+            self._pows.append(tuple(nxt))
         return self._pows[j - d]
 
     def _reduce(self, cs) -> tuple[Coeff, ...]:

@@ -522,7 +522,7 @@ class Verifier:
                 got = tuple(
                     geo.translate_wall(u, w)
                     for w in sorted(
-                        geo.inversion_walls(dihedral_top), key=lambda w: w.key
+                        geo.inversion_walls(dihedral_top), key=lambda w: w.root
                     )
                 )
                 orbit_cache[key] = got
@@ -531,7 +531,7 @@ class Verifier:
         # (pair, ball element) combinations are drawn without replacement by a
         # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
         # positions a draw has swapped, so drawing n of them costs O(n).
-        keys = sorted(pair_data, key=lambda k: sorted(w.key for w in k))
+        keys = sorted(pair_data, key=lambda k: sorted(w.root for w in k))
         n_combos = len(keys) * len(ball)
         rng = random.Random(cfg.seed)
         moved: dict[int, int] = {}
@@ -568,7 +568,7 @@ class Verifier:
                             "g": self._word(g),
                             "conjugator": self._word(u),
                             "pair": [sys.cox.generators[a], sys.cox.generators[b]],
-                            "unseparated_wall": [str(xc) for xc in wall.root],
+                            "unseparated_wall": geo.root_strings(wall),
                         },
                     )
         if n_samples == 0:

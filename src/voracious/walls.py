@@ -25,40 +25,37 @@ chambers sit on W's side of any disjoint separator.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem, GroupElement, _column
+from .field import add_rational, neg, sub
 
 
 class Wall:
     """Wall of a reflection, keyed by its sign-normalized positive root.
 
-    `bit` is 1 << (creation index in its geometry).  `known` masks the walls
-    whose disjointness from this one is decided, `disjoint` those found
-    disjoint; WallGeometry.walls_disjoint keeps both.
+    The root is a tuple of coefficient tuples, and it is the key.  `bit` is
+    1 << (creation index in its geometry).  `known` masks the walls whose
+    disjointness from this one is decided, `disjoint` those found disjoint;
+    WallGeometry.walls_disjoint keeps both.
     """
 
-    __slots__ = ("root", "key", "bit", "known", "disjoint", "_hash")
+    __slots__ = ("root", "bit", "known", "disjoint", "_hash")
 
-    def __init__(self, root, key, bit):
+    def __init__(self, root, bit):
         self.root = root
-        self.key = key
         self.bit = bit
         self.known = 0
         self.disjoint = 0
-        self._hash = hash(key)
+        self._hash = hash(root)
 
     def __eq__(self, other):
         if not isinstance(other, Wall):
             return NotImplemented
-        return self.key == other.key
+        return self.root == other.root
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Wall{self.key}"
-
-
-def _root_key(root):
-    return tuple(x.coeffs for x in root)
+        return f"Wall{self.root}"
 
 
 class WallGeometry:
@@ -82,17 +79,20 @@ class WallGeometry:
 
     def wall_of_root(self, root) -> Wall:
         # Walls are keyed by their positive root, so a hit needs no sign.
-        key = _root_key(root)
-        got = self._walls.get(key)
+        got = self._walls.get(root)
         if got is None:
             if self.system.root_sign(root) < 0:
-                root = tuple(-x for x in root)
-                key = _root_key(root)
-            got = self._walls.get(key)
+                root = tuple(map(neg, root))
+                got = self._walls.get(root)
             if got is None:
-                got = self._walls[key] = Wall(root, key, 1 << len(self._by_index))
+                got = self._walls[root] = Wall(root, 1 << len(self._by_index))
                 self._by_index.append(got)
         return got
+
+    def root_strings(self, wall: Wall) -> list[str]:
+        """The wall's root coordinates, rendered over powers of c = cos(pi/M)."""
+        scalar = self.system.ctx.scalar
+        return [str(scalar(x)) for x in wall.root]
 
     def _iter_walls(self, mask: int):
         """The walls whose bits are set in mask, lowest bit first."""
@@ -107,23 +107,6 @@ class WallGeometry:
 
     def translate_wall(self, g: GroupElement, wall: Wall) -> Wall:
         return self.wall_of_root(self.system.apply_matrix(g.matrix, wall.root))
-
-    def reflection_of_wall(self, wall: Wall) -> GroupElement:
-        """The reflection fixing the wall, as a group element."""
-        sys = self.system
-        k = sys.rank
-        beta = wall.root
-        coefs = tuple(sys.gram2_row_dot(j, beta) for j in range(k))
-        rows = []
-        for i in range(k):
-            rows.append(
-                tuple(
-                    (sys.ctx.one if i == j else sys.ctx.zero) - beta[i] * coefs[j]
-                    for j in range(k)
-                )
-            )
-        matrix = tuple(rows)
-        return GroupElement(matrix, matrix, sys.length_of_matrix(matrix))
 
     # -- sides and inversion sets -------------------------------------------
 
@@ -176,10 +159,12 @@ class WallGeometry:
             raise ValueError("wall disjointness needs two distinct walls")
         if a.known & b.bit:
             return bool(a.disjoint & b.bit)
-        t = self.system.bilinear2(a.root, b.root)
+        sys = self.system
+        t = sys.bilinear2(a.root, b.root)
         a.known |= b.bit
         b.known |= a.bit
-        if t >= 2 or t <= -2:
+        sign_of = sys.ctx.sign_of
+        if sign_of(add_rational(t, -2)) >= 0 or sign_of(add_rational(t, 2)) <= 0:
             a.disjoint |= b.bit
             b.disjoint |= a.bit
             return True
@@ -220,9 +205,9 @@ class WallGeometry:
                 return sys.intern(chamber), simple
             for s in range(sys.rank):
                 t = sys.gram2_row_dot(s, beta)
-                if t.sign() > 0:
+                if sys.ctx.sign_of(t) > 0:
                     # s(beta) = beta - t alpha_s moves coordinate s only
-                    beta = beta[:s] + (beta[s] - t,) + beta[s + 1 :]
+                    beta = beta[:s] + (sub(beta[s], t),) + beta[s + 1 :]
                     chamber = sys.right_mul(chamber, s)
                     break
             else:

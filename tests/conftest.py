@@ -5,16 +5,19 @@ import pytest
 from voracious import (
     CoxeterMatrix,
     CoxeterSystem,
+    GroupElement,
     VoraciousLanguage,
     WallGeometry,
     load_group_file,
 )
+from voracious.field import add, sub
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parent.parent / "groups"
 
 # Groups with long pivots, built in the tests rather than shipped.
 AFFINE_A3 = ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1))
 TRIANGLE_237 = ((1, 2, 3), (2, 1, 7), (3, 7, 1))
+BUILT = {"affine_a3": ("abcd", AFFINE_A3), "triangle_237": ("abc", TRIANGLE_237)}
 
 
 def fresh_geometry(generators, orders) -> WallGeometry:
@@ -32,7 +35,7 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     for g in geometry.system.ball(radius):
         walls |= geometry.inversion_walls(g)
     out = []
-    for wall in sorted(walls, key=lambda w: w.key):
+    for wall in sorted(walls, key=lambda w: w.root):
         inv = geometry.inversion_walls(geometry.incident_far_chamber(wall))
         if not any(
             other != wall and geometry.walls_disjoint(wall, other) for other in inv
@@ -41,19 +44,73 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     return tuple(out)
 
 
+def matmul(system: CoxeterSystem, a, b):
+    """Full product of two matrices of coefficient tuples."""
+    mul = system.ctx.mul
+    out = []
+    for row in a:
+        new = []
+        for col in zip(*b):
+            acc = mul(row[0], col[0])
+            for x, y in zip(row[1:], col[1:]):
+                acc = add(acc, mul(x, y))
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def length_of_matrix(system: CoxeterSystem, matrix) -> int:
+    """Word length of the element with this matrix, by stripping right
+    descents with full products against the generator matrices."""
+    n = 0
+    cur = matrix
+    while True:
+        for s in range(system.rank):
+            if system.root_sign(tuple(row[s] for row in cur)) < 0:
+                cur = matmul(system, cur, system.generator_matrix(s))
+                n += 1
+                break
+        else:
+            assert cur == system.identity.matrix, "descent walk missed the identity"
+            return n
+
+
+def multiply(system: CoxeterSystem, g, h):
+    """g * h by full matrix products; the length comes from a descent walk."""
+    matrix = matmul(system, g.matrix, h.matrix)
+    inv = matmul(system, h.inv, g.inv)
+    return GroupElement(matrix, inv, length_of_matrix(system, matrix))
+
+
+def reflection_of_wall(geometry: WallGeometry, wall):
+    """The reflection v -> v - 2B(beta, v) beta fixing the wall, as an element."""
+    system = geometry.system
+    k = system.rank
+    beta = wall.root
+    coefs = [system.gram2_row_dot(j, beta) for j in range(k)]
+    ident = system.identity.matrix
+    matrix = tuple(
+        tuple(sub(ident[i][j], system.ctx.mul(beta[i], coefs[j])) for j in range(k))
+        for i in range(k)
+    )
+    return GroupElement(matrix, matrix, length_of_matrix(system, matrix))
+
+
 def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     """Least candidate wall, by root key, that separates chamber g from wall.
 
     The key-sorted search the engine used before it reported existence only.
     Sides are read from the frozenset inversion sets and disjointness from
-    2B directly, so no disjointness memo is consulted.
+    2B directly, compared as a FieldScalar, so no disjointness memo is
+    consulted.
     """
     inv_g = geometry.inversion_walls(g)
     inv_near = geometry.inversion_walls(geometry.incident_chamber(wall))
-    for sep in sorted(candidates, key=lambda w: w.key):
+    scalar = geometry.system.ctx.scalar
+    for sep in sorted(candidates, key=lambda w: w.root):
         if sep == wall:
             continue
-        t = geometry.system.bilinear2(sep.root, wall.root)
+        t = scalar(geometry.system.bilinear2(sep.root, wall.root))
         if -2 < t < 2:
             continue
         if (sep in inv_g) != (sep in inv_near):

@@ -280,6 +280,44 @@ def test_json_rejects_pivot_with_two_label_lists(stack):
         from_json_dict(data, geo)
 
 
+def _json_of_a3(stack):
+    s = stack("a3")
+    return build_automaton(s.geometry).to_json_dict(), s.geometry
+
+
+def test_json_rejects_root_with_wrong_coordinate_count(stack):
+    data, geo = _json_of_a3(stack)
+    data["universe"][0] = ["1"] * 4
+    with pytest.raises(ValueError, match="3 coordinates"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_root_with_non_integer_coefficients(stack):
+    data, geo = _json_of_a3(stack)
+    data["universe"][0] = ["1/3"] * 3
+    with pytest.raises(ValueError, match="not an integer polynomial"):
+        from_json_dict(data, geo)
+    # c = cos(pi/12) is y/2, so it is not integral either.
+    data, geo = _json_of_334(stack)
+    data["universe"][0] = ["0", ["0", "1"], "1"]
+    with pytest.raises(ValueError, match="not an integer polynomial"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_root_with_mixed_signs(stack):
+    data, geo = _json_of_334(stack)
+    data["universe"][1] = ["1", "-1", "0"]
+    with pytest.raises(ValueError, match="not a root"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_zero_root(stack):
+    data, geo = _json_of_334(stack)
+    data["universe"][1] = ["0", "0", "0"]
+    with pytest.raises(ValueError, match="not a root"):
+        from_json_dict(data, geo)
+
+
 def test_edges_are_frontier_pullbacks(stack):
     # Every edge's target is the pivot's frontier pulled back through the
     # pivot, re-expressed in universe indices.

@@ -88,6 +88,25 @@ def test_accept_from_automaton_file(tmp_path):
     ).returncode == 1
 
 
+def test_accept_rejects_bad_root_in_automaton_file(tmp_path):
+    aut_file = tmp_path / "t334.json"
+    r = run_cli(
+        "automaton", "--group", group("triangle_334"),
+        "--format", "json", "--out", str(aut_file),
+    )
+    assert r.returncode == 0
+    data = json.loads(aut_file.read_text())
+    data["universe"][1] = ["1", "-1", "0"]
+    aut_file.write_text(json.dumps(data))
+    r = run_cli(
+        "accept", "--group", group("triangle_334"),
+        "--automaton", str(aut_file), "abc",
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
 def test_automaton_dot_stdout():
     r = run_cli("automaton", "--group", group("d_infinity"))
     assert r.returncode == 0

@@ -18,6 +18,8 @@ from voracious import (
     word_to_string,
 )
 
+from conftest import BUILT, fresh_geometry, multiply
+
 
 SHIPPED = sorted(
     p.stem for p in (pathlib.Path(__file__).parent.parent / "groups").glob("*.json")
@@ -80,12 +82,13 @@ def test_word_string_round_trip():
 
 def test_gram_matrix_entries(stack):
     a2 = stack("a2")
-    assert a2.system.gram2[0][1] == -1
-    assert a2.system.gram2[0][0] == 2
+    scalar = a2.system.ctx.scalar
+    assert scalar(a2.system.gram2[0][1]) == -1
+    assert scalar(a2.system.gram2[0][0]) == 2
     dinf = stack("d_infinity")
-    assert dinf.system.gram2[0][1] == -2
+    assert dinf.system.ctx.scalar(dinf.system.gram2[0][1]) == -2
     b2 = stack("b2")
-    x = b2.system.gram2[0][1]
+    x = b2.system.ctx.scalar(b2.system.gram2[0][1])
     assert x.sign() < 0
     y = 2.0 * math.cos(math.pi / 4)
     assert abs(sum(float(c) * y**j for j, c in enumerate(x.coeffs)) + y) < 1e-12
@@ -259,10 +262,28 @@ def test_left_mul_matches_multiply(stack, name):
     for g in sys_.ball(5):
         for s in range(sys_.rank):
             got = sys_.left_mul(g, s)
-            want = sys_.multiply(sys_.element_of_word((s,)), g)
+            want = multiply(sys_, sys_.element_of_word((s,)), g)
             assert got == want
             assert got.inv == want.inv
             assert got.length == want.length
+
+
+@pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
+def test_entries_are_int_coefficient_tuples(stack, name):
+    # Matrices, inverses and roots hold canonical coefficient tuples of ints,
+    # one entry per power of y below the field degree.
+    geo = fresh_geometry(*BUILT[name]) if name in BUILT else stack(name).geometry
+    sys_ = geo.system
+    d = sys_.ctx.degree
+
+    def is_coeff_tuple(x):
+        return type(x) is tuple and len(x) == d and all(type(c) is int for c in x)
+
+    for g in sys_.ball(5):
+        for mat in (g.matrix, g.inv):
+            assert all(is_coeff_tuple(x) for row in mat for x in row)
+        for wall in geo.inversion_walls(g):
+            assert all(is_coeff_tuple(x) for x in wall.root)
 
 
 def test_form_is_invariant(stack):
@@ -286,9 +307,9 @@ def test_inverse_and_multiply(stack):
         gi = sys_.inverse(g)
         assert sys_.inverse(g) is gi and sys_.inverse(gi) is g
         assert gi.length == g.length
-        assert sys_.multiply(g, gi) == sys_.identity
+        assert multiply(sys_, g, gi) == sys_.identity
         for h in sys_.ball(2):
-            prod = sys_.multiply(g, h)
+            prod = multiply(sys_, g, h)
             assert prod == sys_.element_of_word(
                 sys_.shortlex_word(g) + sys_.shortlex_word(h)
             )

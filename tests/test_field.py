@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from voracious.field import (
     FieldContext,
+    add,
+    add_rational,
     cyclotomic_polynomial,
+    neg,
+    sub,
     two_cos_degree,
     two_cos_minimal_polynomial,
 )
@@ -181,6 +185,56 @@ def test_order_trichotomy(a, b):
     assert (a < b) + (a == b) + (a > b) == 1
     assert (a < b) == (b > a)
     assert (a <= b) == (not a > b)
+
+
+# Degrees 1, 2, 2, 4 and 12; 42 is the modulus of the (2,3,7) triangle group.
+KERNEL_CONTEXTS = {m: FieldContext(m) for m in (3, 4, 5, 8, 42)}
+
+
+def test_kernel_context_degrees():
+    degrees = {m: ctx.degree for m, ctx in KERNEL_CONTEXTS.items()}
+    assert degrees == {3: 1, 4: 2, 5: 2, 8: 4, 42: 12}
+
+
+@st.composite
+def _kernel_case(draw):
+    ctx = KERNEL_CONTEXTS[draw(st.sampled_from(sorted(KERNEL_CONTEXTS)))]
+    d = ctx.degree
+    coeffs = st.lists(
+        st.integers(min_value=-300, max_value=300), min_size=d, max_size=d
+    ).map(tuple)
+    rational = st.integers(min_value=-3, max_value=3).map(
+        lambda c: (c,) + (0,) * (d - 1)
+    )
+    return ctx, draw(st.one_of(coeffs, rational)), draw(coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_kernel_case())
+def test_kernel_matches_field_scalar(case):
+    # The integer kernel against FieldScalar arithmetic on the same tuples.
+    ctx, a, b = case
+    x, y = ctx.scalar(a), ctx.scalar(b)
+    got = {
+        "mul": ctx.mul(a, b),
+        "multiplier": ctx.multiplier(a)(b),
+        "add": add(a, b),
+        "sub": sub(a, b),
+        "neg": neg(a),
+        "add_rational": add_rational(b, -2),
+    }
+    want = {
+        "mul": (x * y).coeffs,
+        "multiplier": (x * y).coeffs,
+        "add": (x + y).coeffs,
+        "sub": (x - y).coeffs,
+        "neg": (-x).coeffs,
+        "add_rational": (y - 2).coeffs,
+    }
+    assert got == want
+    for value in got.values():
+        assert type(value) is tuple and len(value) == ctx.degree
+        assert all(type(c) is int for c in value)
 
 
 def _sqrt2_convergents(min_denominator):

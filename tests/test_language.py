@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import multiply
+
 
 def test_chain_identity(stack):
     a2 = stack("a2")
@@ -44,7 +46,7 @@ def test_chain_block_lengths(stack):
             # consecutive elements are joined by the blocks
             for i, block in enumerate(chain.blocks):
                 assert (
-                    s.system.multiply(chain.elements[i + 1], block)
+                    multiply(s.system, chain.elements[i + 1], block)
                     == chain.elements[i]
                 )
 

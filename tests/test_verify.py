@@ -9,6 +9,8 @@ from voracious import (
     WallGeometry,
 )
 
+from conftest import multiply
+
 CHECK_NAMES = [
     "projection-unique-maximum",
     "constants-monotone-in-radius",
@@ -72,7 +74,7 @@ def test_fellow_traveller_matches_direct_recomputation(stack):
         return out
 
     def dist(a, b):
-        return sys_.multiply(sys_.inverse(a), b).length
+        return multiply(sys_, sys_.inverse(a), b).length
 
     max_ii = 0
     max_iii = 0
