@@ -9,6 +9,10 @@ A only if no wall of A is an inversion wall of w and every wall of A admits
 a separator from chamber w.  The target state w^{-1} W(w) depends on w
 alone.
 
+An edge stores only its source, target and pivot word: its labels are
+derived from the group, and the universe is the group's small roots, which
+the JSON loader checks rather than parses.
+
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
 fully between the identity chamber and it, which yields an independent
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .coxeter import (
     GroupElement,
@@ -30,9 +35,9 @@ from .coxeter import (
 from .field import add_rational, sub
 from .walls import Wall, WallGeometry
 
-# Files of earlier formats may hold an automaton built from a truncated pivot
-# set, so only this format is read back.
-FORMAT = "voracious-automaton-2"
+# Only this format is read back: format-1 files may hold a truncated pivot set,
+# and format-2 files store labels, which are now derived.
+FORMAT = "voracious-automaton-3"
 
 
 def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
@@ -113,7 +118,6 @@ class Edge:
     source: int
     target: int
     pivot_word: Word
-    labels: tuple[Word, ...]
 
 
 class VoraciousAutomaton:
@@ -132,14 +136,12 @@ class VoraciousAutomaton:
         self.states = states
         self.start = 0
         self.edges = edges
-        if states[0] != ():
+        if not states or states[0] != ():
             raise ValueError("state 0 must be the empty frontier")
         self._universe_index = {w: i for i, w in enumerate(universe)}
         self._state_index = {st: i for i, st in enumerate(states)}
-        # An edge is fixed by its source and pivot, and a pivot's labels are
-        # its reduced words, the same on every edge that carries it.
+        # An edge is fixed by its source and pivot.
         self._targets: dict[tuple[int, Word], int] = {}
-        self._pivot_labels: dict[Word, tuple[Word, ...]] = {}
         for e in edges:
             if not (0 <= e.source < len(states) and 0 <= e.target < len(states)):
                 raise ValueError(
@@ -151,11 +153,19 @@ class VoraciousAutomaton:
                     f"two edges leave state {e.source} with pivot {e.pivot_word}"
                 )
             self._targets[e.source, e.pivot_word] = e.target
-            if self._pivot_labels.setdefault(e.pivot_word, e.labels) != e.labels:
-                raise ValueError(f"pivot {e.pivot_word} carries two label lists")
+        self._labels: dict[Word, tuple[Word, ...]] = {}
         self._trie: tuple[list[dict[int, int]], list[tuple[Word, ...]]] | None = None
 
     # -- running the machine -------------------------------------------------
+
+    def labels(self, pivot_word: Word) -> tuple[Word, ...]:
+        """The labels of every edge carrying a pivot: its sorted reduced words."""
+        got = self._labels.get(pivot_word)
+        if got is None:
+            sys = self.geometry.system
+            g = sys.element_of_word(pivot_word)
+            got = self._labels[pivot_word] = tuple(sorted(sys.reduced_words(g)))
+        return got
 
     def _label_trie(self):
         """Trie of the labels of every distinct pivot, shared by all states.
@@ -166,8 +176,8 @@ class VoraciousAutomaton:
         if self._trie is None:
             children: list[dict[int, int]] = [{}]
             completes: list[tuple[Word, ...]] = [()]
-            for pivot, labels in self._pivot_labels.items():
-                for lab in labels:
+            for pivot in dict.fromkeys(e.pivot_word for e in self.edges):
+                for lab in self.labels(pivot):
                     node = 0
                     for letter in lab:
                         nxt = children[node].get(letter)
@@ -234,12 +244,6 @@ class VoraciousAutomaton:
     def _wall_str(self, wall: Wall) -> str:
         return "(" + ", ".join(self.geometry.root_strings(wall)) + ")"
 
-    def _coord_json(self, x):
-        x = self.geometry.system.ctx.scalar(x)
-        if x.is_constant():
-            return str(x.as_fraction())
-        return [str(b) for b in x.cos_basis()]
-
     def to_json_dict(self) -> dict:
         gens = self.generators
         return {
@@ -247,9 +251,7 @@ class VoraciousAutomaton:
             "generators": list(gens),
             "m": [list(row) for row in self.geometry.system.cox.orders],
             "cos_denominator": self.geometry.system.ctx.modulus,
-            "universe": [
-                [self._coord_json(x) for x in w.root] for w in self.universe
-            ],
+            "universe": _universe_json(self.universe),
             "states": [list(st) for st in self.states],
             "start": self.start,
             "edges": [
@@ -257,7 +259,6 @@ class VoraciousAutomaton:
                     "from": e.source,
                     "to": e.target,
                     "pivot_word": word_to_string(e.pivot_word, gens),
-                    "labels": [word_to_string(w, gens) for w in e.labels],
                 }
                 for e in self.edges
             ],
@@ -278,64 +279,84 @@ class VoraciousAutomaton:
             label = "{" + walls + "}"
             lines.append(f'  q{i} [label="{label}"];')
         for e in self.edges:
-            label = ", ".join(word_to_string(w, self.generators) for w in e.labels)
+            label = ", ".join(
+                word_to_string(w, self.generators) for w in self.labels(e.pivot_word)
+            )
             lines.append(f'  q{e.source} -> q{e.target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
-    """Rebuild an automaton over an existing geometry; group data must match."""
-    from fractions import Fraction
+def _universe_json(universe) -> list:
+    """Roots as JSON.  A coordinate is an integer polynomial in y = 2c, with
+    c = cos(pi/M): an integer is written as a string, any other as the
+    strings of its coefficients over powers of c (b_j = a_j 2^j)."""
+    return [
+        [
+            [str(a << j) for j, a in enumerate(x)] if any(x[1:]) else str(x[0])
+            for x in w.root
+        ]
+        for w in universe
+    ]
 
+
+def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
+    """Rebuild an automaton over an existing geometry; group data must match,
+    and the universe must be the group's small roots as `to_json_dict` writes
+    them.  Only the states and the pivot edges are read."""
+    if not isinstance(data, dict):
+        raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
         raise ValueError(
             f"automaton file format {data.get('format')!r} is not {FORMAT!r}; "
             "rebuild it"
         )
+    for key in ("generators", "m", "universe", "states", "edges"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"automaton file needs a list under {key!r}")
     sys = geometry.system
-    if list(sys.cox.generators) != data["generators"] or [
+    gens = sys.cox.generators
+    if list(gens) != data["generators"] or [
         list(r) for r in sys.cox.orders
     ] != data["m"]:
         raise ValueError("automaton file belongs to a different group")
-    ctx = sys.ctx
 
-    def coord(entry):
-        try:
-            if isinstance(entry, str):
-                x = ctx.rational(Fraction(entry))
-            else:
-                x = ctx.from_cos_basis([Fraction(b) for b in entry])
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"bad root coordinate {entry!r}") from e
-        if any(type(c) is not int for c in x.coeffs):
-            raise ValueError(
-                f"root coordinate {entry!r} is not an integer polynomial in "
-                f"2 cos(pi/{ctx.modulus})"
-            )
-        return x.coeffs
-
-    def wall(root):
-        if not isinstance(root, list) or len(root) != sys.rank:
-            raise ValueError(f"universe root {root!r} needs {sys.rank} coordinates")
-        try:
-            return geometry.wall_of_root(tuple(coord(c) for c in root))
-        except ArithmeticError as e:
-            raise ValueError(f"universe entry {root!r} is not a root: {e}") from e
-
-    universe = tuple(wall(root) for root in data["universe"])
-    states = tuple(tuple(st) for st in data["states"])
-    gens = sys.cox.generators
-    edges = tuple(
-        Edge(
-            e["from"],
-            e["to"],
-            word_from_string(e["pivot_word"], gens),
-            tuple(word_from_string(w, gens) for w in e["labels"]),
+    universe = small_roots(geometry)
+    got, want = data["universe"], _universe_json(universe)
+    if got != want:
+        i, entry, root = next(
+            (i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b
         )
-        for e in data["edges"]
-    )
-    return VoraciousAutomaton(geometry, universe, states, edges)
+        raise ValueError(
+            f"universe entry {i} is {json.dumps(entry)}, but small root {i} of "
+            f"the group is {json.dumps(root)}"
+        )
+
+    n = len(universe)
+    states = []
+    for st in data["states"]:
+        if not isinstance(st, list) or any(
+            type(i) is not int or not lo < i < n for lo, i in zip([-1] + st, st)
+        ):
+            raise ValueError(
+                f"state {st!r} is not a strictly increasing list of universe "
+                f"indices 0..{n - 1}"
+            )
+        states.append(tuple(st))
+
+    edges = []
+    for e in data["edges"]:
+        if not (
+            isinstance(e, dict)
+            and type(e.get("from")) is type(e.get("to")) is int
+            and isinstance(e.get("pivot_word"), str)
+        ):
+            raise ValueError(f"edge {e!r} needs int 'from', 'to' and str 'pivot_word'")
+        word = word_from_string(e["pivot_word"], gens)
+        if not word or sys.element_of_word(word).length != len(word):
+            raise ValueError(f"pivot word {e['pivot_word']!r} is empty or not reduced")
+        edges.append(Edge(e["from"], e["to"], word))
+    return VoraciousAutomaton(geometry, universe, tuple(states), tuple(edges))
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
@@ -395,9 +416,6 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     states = tuple(sorted(known, key=lambda st: (len(st), st)))
     sindex = {st: i for i, st in enumerate(states)}
     words = [sys.shortlex_word(w) for w in pivot_list]
-    labels = [tuple(sorted(sys.reduced_words(w))) for w in pivot_list]
-    edges = [
-        Edge(sindex[a], sindex[t], words[pi], labels[pi]) for a, pi, t in raw_edges
-    ]
+    edges = [Edge(sindex[a], sindex[t], words[pi]) for a, pi, t in raw_edges]
     edges.sort(key=lambda e: (e.source, len(e.pivot_word), e.pivot_word, e.target))
     return VoraciousAutomaton(geometry, universe, states, tuple(edges))

@@ -13,7 +13,6 @@ import sys
 from . import automaton as automaton_mod
 from .coxeter import (
     CoxeterSystem,
-    GroupConfigError,
     ResourceLimitError,
     load_group_file,
     word_from_string,
@@ -22,10 +21,6 @@ from .coxeter import (
 from .language import VoraciousLanguage
 from .verify import Verifier, VerifierConfig
 from .walls import WallGeometry
-
-
-class _CliError(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,7 +169,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.radius < 0:
-        raise _CliError("--radius must be nonnegative")
+        raise ValueError("--radius must be nonnegative")
     _, geometry = _load(args)
     config = VerifierConfig(radius=args.radius, seed=args.seed)
     report = Verifier(geometry, config).run_suite()
@@ -209,13 +204,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (_CliError, GroupConfigError, ResourceLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ResourceLimitError, OSError, ValueError) as e:
+        # GroupConfigError and malformed automaton files are ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

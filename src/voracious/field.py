@@ -18,9 +18,9 @@ and FieldContext.multiplier turns a fixed constant into a precomputed map.
 Equality is tuple equality and the zero test is syntactic.
 
 FieldScalar wraps the same tuples with operator arithmetic, rationals
-included.  It serves the edges only: rendering, parsing, the field inverse
-behind CoxeterSystem.is_finite, and the tests, which use it as the oracle of
-the kernel.
+included.  It serves the edges only: rendering, the field inverse behind
+CoxeterSystem.is_finite, and the tests, which use it as the oracle of the
+kernel.
 
 Signs are memoised per context by coefficient tuple.  A sign not yet in the
 memo is decided by interval evaluation over an exact rational enclosure of y,
@@ -261,10 +261,6 @@ class FieldContext:
 
     def rational(self, value) -> FieldScalar:
         return self.scalar([value])
-
-    def from_cos_basis(self, coeffs) -> FieldScalar:
-        """Scalar from coefficients over powers of c = cos(pi/M) = y/2."""
-        return self.scalar([Fraction(c) / (1 << j) for j, c in enumerate(coeffs)])
 
     def two_cos_pi_over(self, m: int) -> FieldScalar:
         """The scalar 2 cos(pi/m) for finite m dividing M."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 
 from .automaton import build_automaton
 from .coxeter import GroupElement, Word, _column, word_to_string
@@ -110,7 +110,6 @@ class Verifier:
         self.warnings: list[str] = []
         self.constants: Constants | None = None
         self._incidences: dict[Wall, list[GroupElement]] | None = None
-        self._pair_cache: dict[tuple, int] = {}
 
     # -- shared plumbing ----------------------------------------------------
 
@@ -122,13 +121,8 @@ class Verifier:
 
     def _dist(self, g: GroupElement, h: GroupElement) -> int:
         """Chamber distance = number of walls with different sides."""
-        key = (g, h) if hash(g) <= hash(h) else (h, g)
-        got = self._pair_cache.get(key)
-        if got is None:
-            geo = self.geometry
-            got = (geo.inversion_bits(g) ^ geo.inversion_bits(h)).bit_count()
-            self._pair_cache[key] = got
-        return got
+        geo = self.geometry
+        return (geo.inversion_bits(g) ^ geo.inversion_bits(h)).bit_count()
 
     def _ball_incidences(self, radius: int) -> dict[Wall, list[GroupElement]]:
         """All chambers of the ball listed against each of their own walls."""

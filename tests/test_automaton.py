@@ -134,7 +134,10 @@ def test_gold_automaton_of_line(stack):
     w_t, w_s = geo.wall_of_generator(1), geo.wall_of_generator(0)
     assert aut.universe == (w_t, w_s)
     assert aut.states == ((), (0,), (1,))
-    got = {(e.source, e.target, e.pivot_word, e.labels) for e in aut.edges}
+    got = {
+        (e.source, e.target, e.pivot_word, aut.labels(e.pivot_word))
+        for e in aut.edges
+    }
     assert got == {
         (0, 2, (0,), ((0,),)),
         (0, 1, (1,), ((1,),)),
@@ -151,7 +154,7 @@ def test_gold_automaton_of_a2(stack):
     assert all(e.source == 0 for e in aut.edges)
     longest = [e for e in aut.edges if len(e.pivot_word) == 3]
     assert len(longest) == 1
-    assert longest[0].labels == ((0, 1, 0), (1, 0, 1))
+    assert aut.labels(longest[0].pivot_word) == ((0, 1, 0), (1, 0, 1))
 
 
 def test_gold_automaton_of_rank1(stack):
@@ -212,7 +215,7 @@ def _label_scan_states(by_source, start, word):
 def _assert_run_states_match_label_scan(aut, rank, max_length):
     by_source = [[] for _ in aut.states]
     for e in aut.edges:
-        for lab in e.labels:
+        for lab in aut.labels(e.pivot_word):
             by_source[e.source].append((lab, e.target))
     for n in range(max_length + 1):
         for w in itertools.product(range(rank), repeat=n):
@@ -243,7 +246,7 @@ def test_accepts_long_word(stack):
 def test_label_trie_is_shared(long_pivot_geometries):
     # One trie over the distinct pivots' labels, not one per source state.
     aut = build_automaton(long_pivot_geometries["affine_a3"])
-    labels = {e.pivot_word: e.labels for e in aut.edges}
+    labels = {e.pivot_word: aut.labels(e.pivot_word) for e in aut.edges}
     letters = sum(len(lab) for labs in labels.values() for lab in labs)
     children, _ = aut._label_trie()
     assert len(children) < letters
@@ -272,11 +275,40 @@ def test_json_rejects_repeated_source_and_pivot(stack):
         from_json_dict(data, geo)
 
 
-def test_json_rejects_pivot_with_two_label_lists(stack):
-    data, geo = _json_of_334(stack)
-    edge = next(e for e in data["edges"] if len(e["labels"]) > 1)
-    edge["labels"] = edge["labels"][:1]
-    with pytest.raises(ValueError):
+def test_json_rejects_non_reduced_pivot_word(stack):
+    a2 = stack("a2")
+    data = build_automaton(a2.geometry).to_json_dict()
+    data["edges"][0]["pivot_word"] = "ss"
+    with pytest.raises(ValueError, match="'ss' is empty or not reduced"):
+        from_json_dict(data, a2.geometry)
+
+
+def _json_of_a2(stack):
+    s = stack("a2")
+    return build_automaton(s.geometry).to_json_dict(), s.geometry
+
+
+def test_json_rejects_missing_key(stack):
+    data, geo = _json_of_a2(stack)
+    del data["edges"]
+    with pytest.raises(ValueError, match="'edges'"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_top_level_list(stack):
+    data, geo = _json_of_a2(stack)
+    with pytest.raises(ValueError, match="JSON object"):
+        from_json_dict([data], geo)
+
+
+def test_json_rejects_state_outside_universe(stack):
+    data, geo = _json_of_a2(stack)
+    data["states"][1] = [99]
+    with pytest.raises(ValueError, match=r"state \[99\]"):
+        from_json_dict(data, geo)
+    data, geo = _json_of_a2(stack)
+    data["states"][-1] = data["states"][-1][::-1]
+    with pytest.raises(ValueError, match="strictly increasing"):
         from_json_dict(data, geo)
 
 
@@ -288,39 +320,62 @@ def _json_of_a3(stack):
 def test_json_rejects_root_with_wrong_coordinate_count(stack):
     data, geo = _json_of_a3(stack)
     data["universe"][0] = ["1"] * 4
-    with pytest.raises(ValueError, match="3 coordinates"):
+    with pytest.raises(ValueError, match="universe entry 0"):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_root_with_non_integer_coefficients(stack):
     data, geo = _json_of_a3(stack)
     data["universe"][0] = ["1/3"] * 3
-    with pytest.raises(ValueError, match="not an integer polynomial"):
+    with pytest.raises(ValueError, match="universe entry 0"):
         from_json_dict(data, geo)
     # c = cos(pi/12) is y/2, so it is not integral either.
     data, geo = _json_of_334(stack)
     data["universe"][0] = ["0", ["0", "1"], "1"]
-    with pytest.raises(ValueError, match="not an integer polynomial"):
+    with pytest.raises(ValueError, match="universe entry 0"):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_root_with_mixed_signs(stack):
     data, geo = _json_of_334(stack)
     data["universe"][1] = ["1", "-1", "0"]
-    with pytest.raises(ValueError, match="not a root"):
+    with pytest.raises(ValueError, match="universe entry 1"):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_zero_root(stack):
     data, geo = _json_of_334(stack)
     data["universe"][1] = ["0", "0", "0"]
-    with pytest.raises(ValueError, match="not a root"):
+    with pytest.raises(ValueError, match="universe entry 1"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_positive_non_root(stack):
+    data, geo = _json_of_334(stack)
+    data["universe"][0] = ["2", "0", "0"]
+    with pytest.raises(ValueError, match="universe entry 0"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_universe_other_than_small_roots(stack):
+    data, geo = _json_of_334(stack)
+    data["universe"][0], data["universe"][1] = data["universe"][1], data["universe"][0]
+    with pytest.raises(ValueError, match="universe entry 0"):
+        from_json_dict(data, geo)
+    data, geo = _json_of_334(stack)
+    data["universe"].pop()
+    with pytest.raises(ValueError, match="universe entry 6 is null"):
+        from_json_dict(data, geo)
+    data, geo = _json_of_334(stack)
+    data["universe"].append(["1", "1", "1"])
+    with pytest.raises(ValueError, match="small root 7 of the group is null"):
         from_json_dict(data, geo)
 
 
 def test_edges_are_frontier_pullbacks(stack):
     # Every edge's target is the pivot's frontier pulled back through the
-    # pivot, re-expressed in universe indices.
+    # pivot, re-expressed in universe indices; its labels are all the words
+    # of the pivot's length that spell the pivot.
     for name in ("d_infinity", "triangle_333", "triangle_334"):
         s = stack(name)
         geo = s.geometry
@@ -328,7 +383,12 @@ def test_edges_are_frontier_pullbacks(stack):
         uindex = {w: i for i, w in enumerate(aut.universe)}
         for e in aut.edges:
             w = s.system.intern(s.system.element_of_word(e.pivot_word))
-            assert s.system.reduced_words(w) == set(e.labels)
+            spelled = tuple(
+                u
+                for u in itertools.product(range(s.cox.rank), repeat=w.length)
+                if s.system.element_of_word(u) == w
+            )
+            assert aut.labels(e.pivot_word) == spelled
             back = {
                 uindex[geo.translate_wall(s.system.inverse(w), f)]
                 for f in geo.frontier_set(w)
@@ -354,12 +414,12 @@ def test_run_state_matches_element_frontier(stack):
                 assert aut.run_states(w) == {want}
 
 
-def test_json_round_trip(stack):
-    for name in ("d_infinity", "b2", "triangle_334"):
-        s = stack(name)
-        aut = build_automaton(s.geometry)
+def test_json_round_trip(stack, long_pivot_geometries):
+    geometries = [stack(name).geometry for name in ("d_infinity", "b2", "triangle_334")]
+    for geo in geometries + list(long_pivot_geometries.values()):
+        aut = build_automaton(geo)
         text = aut.to_json()
-        clone = from_json_dict(json.loads(text), s.geometry)
+        clone = from_json_dict(json.loads(text), geo)
         assert clone == aut
         assert clone.to_json() == text
 
@@ -372,13 +432,16 @@ def test_json_rejects_other_group(stack):
 
 
 def test_json_rejects_old_format(stack):
-    # Files of the earlier format may hold a truncated pivot set.
+    # Format-1 files may hold a truncated pivot set; format-2 files store
+    # labels, which are now derived.
     a2 = stack("a2")
     data = json.loads(build_automaton(a2.geometry).to_json())
-    assert data["format"] == "voracious-automaton-2"
-    data["format"] = "voracious-automaton"
-    with pytest.raises(ValueError):
-        from_json_dict(data, a2.geometry)
+    assert data["format"] == "voracious-automaton-3"
+    assert set(data["edges"][0]) == {"from", "to", "pivot_word"}
+    for old in ("voracious-automaton", "voracious-automaton-2"):
+        data["format"] = old
+        with pytest.raises(ValueError, match="rebuild it"):
+            from_json_dict(data, a2.geometry)
 
 
 def test_json_exact_coordinates(stack):
@@ -391,6 +454,17 @@ def test_json_exact_coordinates(stack):
     flat = [c for root in data["universe"] for c in root]
     assert ["0", "2"] in flat  # the coordinate sqrt(2) = 2 cos(pi/4)
     assert "1" in flat
+
+
+def test_json_universe_entry_of_237_frozen(long_pivot_geometries):
+    # The loader compares rendered coordinates, so the rendering is part of
+    # the file format.  (2,3,7) has degree 12 over powers of c = cos(pi/42).
+    data = build_automaton(long_pivot_geometries["triangle_237"]).to_json_dict()
+    assert data["cos_denominator"] == 42
+    assert len(data["universe"]) == 12
+    a = ["-2", "0", "36", "0", "-96", "0", "64", "0", "0", "0", "0", "0"]
+    b = ["2", "0", "-80", "0", "720", "0", "-2176", "0", "2560", "0", "-1024", "0"]
+    assert data["universe"][1] == [a, b, a]
 
 
 def test_build_is_deterministic(stack):

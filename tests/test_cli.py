@@ -53,6 +53,16 @@ def test_small_roots():
     assert r.stdout == "(0, 1)\n(2c, 1)\n(1, 0)\n(1, 2c)\n"
 
 
+def test_small_roots_of_334_frozen():
+    # Saved automata store roots in this rendering's basis, so it is frozen.
+    r = run_cli("small-roots", "--group", group("triangle_334"))
+    assert r.returncode == 0
+    assert r.stdout == (
+        "(0, 8c^3-6c, 1)\n(0, 0, 1)\n(0, 1, 8c^3-6c)\n(0, 1, 0)\n"
+        "(1, 0, 0)\n(1, 0, 1)\n(1, 1, 0)\n"
+    )
+
+
 def test_member_exit_codes():
     assert run_cli("member", "--group", group("d_infinity"), "sts").returncode == 0
     assert run_cli("member", "--group", group("d_infinity"), "stt").returncode == 1
@@ -107,6 +117,25 @@ def test_accept_rejects_bad_root_in_automaton_file(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_accept_rejects_malformed_automaton_file(tmp_path):
+    aut_file = tmp_path / "a2.json"
+    r = run_cli(
+        "automaton", "--group", group("a2"), "--format", "json", "--out", str(aut_file)
+    )
+    assert r.returncode == 0
+    good = json.loads(aut_file.read_text())
+    no_edges = {k: v for k, v in good.items() if k != "edges"}
+    bad_state = dict(good, states=[[], [99]] + good["states"][2:])
+    for data in (no_edges, [good], bad_state):
+        aut_file.write_text(json.dumps(data))
+        r = run_cli(
+            "accept", "--group", group("a2"), "--automaton", str(aut_file), "st"
+        )
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+
+
 def test_automaton_dot_stdout():
     r = run_cli("automaton", "--group", group("d_infinity"))
     assert r.returncode == 0
@@ -126,7 +155,7 @@ def test_automaton_deterministic_bytes(tmp_path):
         outs.append(f.read_bytes())
     assert outs[0] == outs[1]
     data = json.loads(outs[0])
-    assert data["format"] == "voracious-automaton-2"
+    assert data["format"] == "voracious-automaton-3"
     assert len(data["states"]) == 16
 
 
