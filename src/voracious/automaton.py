@@ -11,7 +11,8 @@ alone.
 
 An edge stores only its source, target and pivot word: its labels are
 derived from the group, and the universe is the group's small roots, which
-the JSON loader checks rather than parses.
+the JSON loader checks rather than parses.  The loader also checks each
+edge by the rules the build applies.
 
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
@@ -32,7 +33,7 @@ from .coxeter import (
     word_from_string,
     word_to_string,
 )
-from .field import add_rational, sub
+from .field import add_rational
 from .walls import Wall, WallGeometry
 
 # Only this format is read back: format-1 files may hold a truncated pivot set,
@@ -61,8 +62,7 @@ def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
             if not any(t):
                 continue
             if sign_of(add_rational(t, 2)) > 0 and sign_of(add_rational(t, -2)) < 0:
-                # s(beta) = beta - t alpha_s moves coordinate s only
-                vec = beta[:s] + (sub(beta[s], t),) + beta[s + 1 :]
+                vec = sys.reflect(s, beta)
                 if sys.root_sign(vec) < 0:
                     raise ArithmeticError("reflected small root must stay positive")
                 new = geometry.wall_of_root(vec)
@@ -303,7 +303,8 @@ def _universe_json(universe) -> list:
 def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     """Rebuild an automaton over an existing geometry; group data must match,
     and the universe must be the group's small roots as `to_json_dict` writes
-    them.  Only the states and the pivot edges are read."""
+    them.  Only the states and the pivot edges are read, and every edge must
+    be one that build_automaton makes."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -344,6 +345,7 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
             )
         states.append(tuple(st))
 
+    words: dict[str, Word] = {}
     edges = []
     for e in data["edges"]:
         if not (
@@ -352,22 +354,40 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
             and isinstance(e.get("pivot_word"), str)
         ):
             raise ValueError(f"edge {e!r} needs int 'from', 'to' and str 'pivot_word'")
-        word = word_from_string(e["pivot_word"], gens)
-        if not word or sys.element_of_word(word).length != len(word):
-            raise ValueError(f"pivot word {e['pivot_word']!r} is empty or not reduced")
+        text = e["pivot_word"]
+        word = words.get(text)
+        if word is None:
+            word = words[text] = word_from_string(text, gens)
         edges.append(Edge(e["from"], e["to"], word))
-    return VoraciousAutomaton(geometry, universe, tuple(states), tuple(edges))
+    aut = VoraciousAutomaton(geometry, universe, tuple(states), tuple(edges))
+    _check_edges(aut)
+    return aut
 
 
-def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
-    """Construct the automaton from scratch for one group."""
+def _wall_mask(universe, state) -> int:
+    """The union of the bits of a state's walls."""
+    mask = 0
+    for v in state:
+        mask |= universe[v].bit
+    return mask
+
+
+def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
+    """Where an edge with each pivot goes, and which states may take it.
+
+    Returns (targets, may_take).  targets[i] is w^{-1} W(w) for the pivot
+    w = pivot_list[i], its frontier pulled back to the base chamber, as sorted
+    universe indices; it depends on w alone.  may_take(i, state, mask), with
+    mask = _wall_mask(universe, state), holds iff no wall of the state is an
+    inversion wall of w and every wall V of it admits a separator from
+    chamber w.  That test depends on (w, V) only, so it is memoised.  Any
+    such separator also separates w from every chamber incident to V, so
+    searching the walls between w and incident_chamber(V) is complete.
+    """
     sys = geometry.system
-    universe = small_roots(geometry)
     uindex = {w: i for i, w in enumerate(universe)}
-    pivot_list = pivots(geometry)
-
     inv_bits = [geometry.inversion_bits(w) for w in pivot_list]
-    target_key: list[tuple[int, ...]] = []
+    targets: list[tuple[int, ...]] = []
     for w in pivot_list:
         back = []
         for f in geometry.frontier_set(w):
@@ -375,21 +395,75 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
             if wall not in uindex:
                 raise RuntimeError("pulled-back frontier wall is not a small root")
             back.append(uindex[wall])
-        target_key.append(tuple(sorted(back)))
+        targets.append(tuple(sorted(back)))
+    separated: list[dict[int, bool]] = [dict() for _ in pivot_list]
 
-    # Whether a state containing wall V may take pivot w depends on (w, V)
-    # only: some wall must separate chamber w from V.  Any such wall also
-    # separates w from every chamber incident to V, so searching the walls
-    # between w and incident_chamber(V) is complete.
-    sep_cache: list[dict[int, bool]] = [dict() for _ in pivot_list]
+    def may_take(pi: int, state: tuple[int, ...], mask: int) -> bool:
+        if mask & inv_bits[pi]:
+            return False
+        memo = separated[pi]
+        for v in state:
+            got = memo.get(v)
+            if got is None:
+                got = memo[v] = geometry.has_separator(pivot_list[pi], universe[v])
+            if not got:
+                return False
+        return True
 
-    def enterable(pi: int, v: int) -> bool:
-        got = sep_cache[pi].get(v)
-        if got is None:
-            got = sep_cache[pi][v] = geometry.has_separator(
-                pivot_list[pi], universe[v]
+    return targets, may_take
+
+
+def _check_edges(aut: VoraciousAutomaton) -> None:
+    """Refuse any edge that build_automaton would not have made.
+
+    Each pivot word must be reduced and the shortlex word of an element whose
+    projection is the identity, each edge must enter its pivot's target
+    state, and its source state must be allowed to take the pivot.  A missing
+    edge is not detected: only a rebuild finds it.
+    """
+    geometry = aut.geometry
+    sys = geometry.system
+    words = list(dict.fromkeys(e.pivot_word for e in aut.edges))
+    pivot_list = []
+    for word in words:
+        g = sys.element_of_word(word)
+        text = word_to_string(word, aut.generators)
+        if not word or g.length != len(word):
+            raise ValueError(f"pivot word {text!r} is empty or not reduced")
+        if sys.shortlex_word(g) != word:
+            raise ValueError(
+                f"pivot word {text!r} is not the shortlex word of its element"
             )
-        return got
+        if geometry.voracious_projection(g) != sys.identity:
+            raise ValueError(
+                f"pivot word {text!r} is not a pivot: its projection is not "
+                "the identity"
+            )
+        pivot_list.append(g)
+    targets, may_take = _pivot_rules(geometry, aut.universe, pivot_list)
+    index = {word: i for i, word in enumerate(words)}
+    for e in aut.edges:
+        pi = index[e.pivot_word]
+        name = (
+            f"edge {e.source} -> {e.target} with pivot "
+            f"{word_to_string(e.pivot_word, aut.generators)!r}"
+        )
+        if aut.states[e.target] != targets[pi]:
+            raise ValueError(
+                f"{name} must enter the pivot's pulled-back frontier, the "
+                f"state of universe walls {list(targets[pi])}"
+            )
+        source = aut.states[e.source]
+        if not may_take(pi, source, _wall_mask(aut.universe, source)):
+            raise ValueError(f"{name} leaves a state that may not take the pivot")
+
+
+def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
+    """Construct the automaton from scratch for one group."""
+    sys = geometry.system
+    universe = small_roots(geometry)
+    pivot_list = pivots(geometry)
+    targets, may_take = _pivot_rules(geometry, universe, pivot_list)
 
     start: tuple[int, ...] = ()
     known = {start}
@@ -399,15 +473,11 @@ def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     while qi < len(order):
         a = order[qi]
         qi += 1
-        amask = 0
-        for v in a:
-            amask |= universe[v].bit
+        amask = _wall_mask(universe, a)
         for pi in range(len(pivot_list)):
-            if amask & inv_bits[pi]:
+            if not may_take(pi, a, amask):
                 continue
-            if not all(enterable(pi, v) for v in a):
-                continue
-            t = target_key[pi]
+            t = targets[pi]
             if t not in known:
                 known.add(t)
                 order.append(t)

@@ -1,13 +1,15 @@
 """Coxeter systems: presentation matrix, geometric representation, words, balls.
 
-A group element is stored as its matrix in the geometric representation
-together with the matrix of its inverse and its cached word length.  Matrix
-entries, roots and the form 2B are coefficient tuples of ints over
-y = 2 cos(pi/M) (see field.py), so a matrix is a tuple of tuples of tuples
-and element equality and hashing are plain tuple operations.  The
-representation is faithful, so matrix equality is group equality.  Lengths
-are never assumed from input words: generator application tracks them by an
-exact root-sign test.
+A group element g is stored as its images of the simple roots: its matrix
+in the geometric representation is kept by columns, and column s is the
+root g(alpha_s).  The inverse is kept the same way, together with the cached
+word length.  Since l(gs) > l(g) iff g(alpha_s) > 0, every length, descent
+and inversion test reads one stored tuple.  Matrix entries, roots and the
+form 2B are coefficient tuples of ints over y = 2 cos(pi/M) (see field.py),
+so a matrix is a tuple of tuples of tuples and element equality and hashing
+are plain tuple operations.  The representation is faithful, so matrix
+equality is group equality.  Lengths are never assumed from input words:
+generator application tracks them by an exact root-sign test.
 """
 
 from __future__ import annotations
@@ -149,7 +151,12 @@ def word_from_string(text: str, generators) -> Word:
 
 
 class GroupElement:
-    """Element of a Coxeter group: matrix, inverse matrix, cached length."""
+    """Element g of a Coxeter group, stored as its images of the simple roots.
+
+    matrix[s] is the root g(alpha_s) and inv[s] is g^{-1}(alpha_s), so a
+    right descent (g(alpha_s) < 0) or a left descent (g^{-1}(alpha_s) < 0)
+    reads one stored tuple.  length is the cached word length.
+    """
 
     __slots__ = ("matrix", "inv", "length", "_hash", "_inverse")
 
@@ -174,10 +181,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"<element of length {self.length}>"
-
-
-def _column(matrix, j):
-    return tuple(row[j] for row in matrix)
 
 
 class CoxeterSystem:
@@ -227,17 +230,11 @@ class CoxeterSystem:
             for s, row in enumerate(self.gram2)
         )
 
-        # Generator s acts by v -> v - 2 B(alpha_s, v) alpha_s; as a matrix this
-        # replaces row s of the identity by e_s - (2B) row s.
+        # Column s of the identity is the simple root alpha_s.
         ident = tuple(
-            tuple(one if i == j else zero for j in range(k)) for i in range(k)
-        )
-        self._gen_mats = tuple(
-            ident[:s] + (tuple(map(sub, ident[s], self.gram2[s])),) + ident[s + 1 :]
-            for s in range(k)
+            tuple(one if i == j else zero for i in range(k)) for j in range(k)
         )
         self.identity = GroupElement(ident, ident, 0)
-        self._simple_roots = tuple(_column(ident, j) for j in range(k))
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
         self._interned: dict[GroupElement, GroupElement] = {self.identity: self.identity}
@@ -248,51 +245,50 @@ class CoxeterSystem:
     # -- linear algebra ----------------------------------------------------
 
     def apply_matrix(self, matrix, vec):
+        """The matrix, given by its columns, applied to vec: sum of vec_j column_j."""
         mul = self.ctx.mul
-        out = []
-        for row in matrix:
-            acc = self._zero
-            for a, x in zip(row, vec):
-                if any(a) and any(x):
-                    acc = add(acc, mul(a, x))
-            out.append(acc)
+        out = [self._zero] * self.rank
+        for column, x in zip(matrix, vec):
+            if any(x):
+                out = [
+                    add(acc, mul(a, x)) if any(a) else acc
+                    for acc, a in zip(out, column)
+                ]
         return tuple(out)
 
-    def _mul_gen_right(self, mat, s: int):
-        """mat @ M_s without a full product: column j gains -(2B)_sj times
-        column s, so column s is negated, and rows with a zero s-entry pass
-        through unchanged (the row tuple is shared, not copied)."""
-        times = self._reflect_times[s]
-        out = []
-        for row in mat:
-            x = row[s]
-            if not any(x):
-                out.append(row)
-                continue
-            new = list(row)
-            new[s] = neg(x)
-            for j, t in times:
-                new[j] = add(row[j], t(x))
-            out.append(tuple(new))
+    def reflect(self, s: int, vec):
+        """s(vec) = vec - 2 B(alpha_s, vec) alpha_s, which moves coordinate s only.
+
+        The new coordinate is -vec_s - sum over j != s of (2B)_sj vec_j; vec
+        itself is returned when it is unchanged.
+        """
+        x = vec[s]
+        new = neg(x)
+        for j, t in self._reflect_times[s]:
+            y = vec[j]
+            if any(y):
+                new = add(new, t(y))
+        if new == x:
+            return vec
+        return vec[:s] + (new,) + vec[s + 1 :]
+
+    def _mul_gen_right(self, cols, s: int):
+        """g s from the columns of g: (g s)(alpha_j) = g(alpha_j) - (2B)_sj
+        g(alpha_s), so column s is negated, each neighbour j of s in 2B gains
+        -(2B)_sj times column s, and every other column tuple is shared."""
+        col = cols[s]
+        out = list(cols)
+        out[s] = tuple(map(neg, col))
+        for j, t in self._reflect_times[s]:
+            out[j] = tuple(
+                add(y, t(x)) if any(x) else y for x, y in zip(col, cols[j])
+            )
         return tuple(out)
 
-    def _mul_gen_left(self, s: int, mat):
-        """M_s @ mat: only row s changes, to its negation plus -(2B)_si times
-        row i for each i != s; every other row tuple is shared."""
-        new = list(map(neg, mat[s]))
-        for i, t in self._reflect_times[s]:
-            for j, x in enumerate(mat[i]):
-                if any(x):
-                    new[j] = add(new[j], t(x))
-        out = list(mat)
-        out[s] = tuple(new)
-        return tuple(out)
-
-    def simple_root(self, i: int):
-        return self._simple_roots[i]
-
-    def generator_matrix(self, i: int):
-        return self._gen_mats[i]
+    def _mul_gen_left(self, s: int, cols):
+        """s g from the columns of g: s reflects every column."""
+        reflect = self.reflect
+        return tuple(reflect(s, col) for col in cols)
 
     def bilinear2(self, u, v):
         """2 B(u, v); integer-valued on integer vectors."""
@@ -345,7 +341,7 @@ class CoxeterSystem:
         hit = self._rmul_cache.get(key)
         if hit is not None:
             return hit
-        delta = self.root_sign(_column(g.matrix, s))
+        delta = self.root_sign(g.matrix[s])
         out = GroupElement(
             self._mul_gen_right(g.matrix, s),
             self._mul_gen_left(s, g.inv),
@@ -379,14 +375,10 @@ class CoxeterSystem:
     # -- descents and words ------------------------------------------------
 
     def right_descents(self, g: GroupElement) -> tuple[int, ...]:
-        return tuple(
-            s for s in range(self.rank) if self.root_sign(_column(g.matrix, s)) < 0
-        )
+        return tuple(s for s in range(self.rank) if self.root_sign(g.matrix[s]) < 0)
 
     def left_descents(self, g: GroupElement) -> tuple[int, ...]:
-        return tuple(
-            s for s in range(self.rank) if self.root_sign(_column(g.inv, s)) < 0
-        )
+        return tuple(s for s in range(self.rank) if self.root_sign(g.inv[s]) < 0)
 
     def shortlex_word(self, g: GroupElement) -> Word:
         """Lexicographically least reduced word: greedy smallest left descent.
@@ -400,9 +392,7 @@ class CoxeterSystem:
         cur = g
         word = memo.get(cur)
         while word is None:
-            s = next(
-                t for t in range(self.rank) if self.root_sign(_column(cur.inv, t)) < 0
-            )
+            s = next(t for t in range(self.rank) if self.root_sign(cur.inv[t]) < 0)
             path.append((cur, s))
             cur = self.left_mul(cur, s)
             word = memo.get(cur)

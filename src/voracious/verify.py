@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .automaton import build_automaton
-from .coxeter import GroupElement, Word, _column, word_to_string
+from .coxeter import GroupElement, Word, word_to_string
 from .language import VoraciousLanguage
 from .walls import Wall, WallGeometry
 
@@ -130,9 +130,8 @@ class Verifier:
             geo = self.geometry
             inc: dict[Wall, list[GroupElement]] = {}
             for h in self._ball(radius):
-                for s in range(self.system.rank):
-                    wall = geo.wall_of_root(_column(h.matrix, s))
-                    inc.setdefault(wall, []).append(h)
+                for root in h.matrix:
+                    inc.setdefault(geo.wall_of_root(root), []).append(h)
             self._incidences = inc
         return self._incidences
 
@@ -494,8 +493,8 @@ class Verifier:
         pair_data: dict[frozenset[Wall], tuple[GroupElement, int, int, Wall, Wall]] = {}
         for u in ball:
             for a, b in simple_pairs:
-                wr = geo.wall_of_root(_column(u.matrix, a))
-                wq = geo.wall_of_root(_column(u.matrix, b))
+                wr = geo.wall_of_root(u.matrix[a])
+                wq = geo.wall_of_root(u.matrix[b])
                 key = frozenset((wr, wq))
                 if key not in pair_data:
                     pair_data[key] = (u, a, b, wr, wq)

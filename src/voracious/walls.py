@@ -24,8 +24,8 @@ chambers sit on W's side of any disjoint separator.
 
 from __future__ import annotations
 
-from .coxeter import CoxeterSystem, GroupElement, _column
-from .field import add_rational, neg, sub
+from .coxeter import CoxeterSystem, GroupElement
+from .field import add_rational, neg
 
 
 class Wall:
@@ -66,14 +66,11 @@ class WallGeometry:
         self._walls: dict[tuple, Wall] = {}
         self._by_index: list[Wall] = []
         self._inv_bits: dict[GroupElement, int] = {}
-        self._inv: dict[GroupElement, frozenset[Wall]] = {}
         self._frontier: dict[GroupElement, frozenset[Wall]] = {}
         # g -> (p(g), p(g)^{-1} g): the projection and the block it leaves.
         self._proj: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
-        self._incident: dict[Wall, tuple[GroupElement, int]] = {}
-        self._gen_walls = tuple(
-            self.wall_of_root(system.simple_root(s)) for s in range(system.rank)
-        )
+        self._incident: dict[Wall, GroupElement] = {}
+        self._gen_walls = tuple(map(self.wall_of_root, system.identity.matrix))
 
     # -- construction ------------------------------------------------------
 
@@ -127,7 +124,7 @@ class WallGeometry:
         bits = 0
         prefix = sys.identity
         for s in sys.shortlex_word(g):
-            bits |= self.wall_of_root(_column(prefix.matrix, s)).bit
+            bits |= self.wall_of_root(prefix.matrix[s]).bit
             prefix = sys.right_mul(prefix, s)
         if bits.bit_count() != g.length:
             raise ArithmeticError("inversion walls of a reduced word must be distinct")
@@ -136,10 +133,7 @@ class WallGeometry:
 
     def inversion_walls(self, g: GroupElement) -> frozenset[Wall]:
         """Walls separating chamber g from the identity chamber."""
-        got = self._inv.get(g)
-        if got is None:
-            got = self._inv[g] = frozenset(self._iter_walls(self.inversion_bits(g)))
-        return got
+        return frozenset(self._iter_walls(self.inversion_bits(g)))
 
     def walls_between(self, g: GroupElement, h: GroupElement) -> frozenset[Wall]:
         return frozenset(
@@ -180,34 +174,19 @@ class WallGeometry:
         """
         got = self._incident.get(wall)
         if got is None:
-            got = self._locate_incident(wall)
-            self._incident[wall] = got
-        return got[0]
+            got = self._incident[wall] = self._locate_incident(wall)
+        return got
 
-    def incident_far_chamber(self, wall: Wall) -> GroupElement:
-        """The neighbour of incident_chamber(wall) across the wall."""
-        got = self._incident.get(wall)
-        if got is None:
-            got = self._locate_incident(wall)
-            self._incident[wall] = got
-        near, s = got
-        return self.system.right_mul(near, s)
-
-    def _locate_incident(self, wall: Wall):
+    def _locate_incident(self, wall: Wall) -> GroupElement:
         sys = self.system
         beta = wall.root
         chamber = sys.identity
         for _ in range(len(self._walls) + sys.max_ball_elements):
-            simple = next(
-                (s for s in range(sys.rank) if beta == sys.simple_root(s)), None
-            )
-            if simple is not None:
-                return sys.intern(chamber), simple
+            if beta in sys.identity.matrix:
+                return sys.intern(chamber)
             for s in range(sys.rank):
-                t = sys.gram2_row_dot(s, beta)
-                if sys.ctx.sign_of(t) > 0:
-                    # s(beta) = beta - t alpha_s moves coordinate s only
-                    beta = beta[:s] + (sub(beta[s], t),) + beta[s + 1 :]
+                if sys.ctx.sign_of(sys.gram2_row_dot(s, beta)) > 0:
+                    beta = sys.reflect(s, beta)
                     chamber = sys.right_mul(chamber, s)
                     break
             else:
@@ -269,9 +248,9 @@ class WallGeometry:
         while moved:
             moved = False
             for s in seq:
-                if sys.root_sign(_column(x.inv, s)) >= 0:
+                if sys.root_sign(x.inv[s]) >= 0:
                     continue
-                if self.wall_of_root(_column(p.matrix, s)) in frontier:
+                if self.wall_of_root(p.matrix[s]) in frontier:
                     continue
                 p = sys.right_mul(p, s)
                 x = sys.left_mul(x, s)
@@ -299,9 +278,9 @@ class WallGeometry:
             p, x = queue.pop()
             out.append(p)
             for s in range(sys.rank):
-                if sys.root_sign(_column(x.inv, s)) >= 0:
+                if sys.root_sign(x.inv[s]) >= 0:
                     continue
-                if self.wall_of_root(_column(p.matrix, s)) in frontier:
+                if self.wall_of_root(p.matrix[s]) in frontier:
                     continue
                 p2 = sys.intern(sys.right_mul(p, s))
                 if p2 in seen:

@@ -36,7 +36,7 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
         walls |= geometry.inversion_walls(g)
     out = []
     for wall in sorted(walls, key=lambda w: w.root):
-        inv = geometry.inversion_walls(geometry.incident_far_chamber(wall))
+        inv = geometry.inversion_walls(incident_far_chamber(geometry, wall))
         if not any(
             other != wall and geometry.walls_disjoint(wall, other) for other in inv
         ):
@@ -44,19 +44,39 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     return tuple(out)
 
 
+def incident_far_chamber(geometry: WallGeometry, wall):
+    """The neighbour of incident_chamber(wall) across the wall: the chamber
+    near * s for the generator s with near(alpha_s) the wall's root."""
+    near = geometry.incident_chamber(wall)
+    (s,) = [
+        s for s, root in enumerate(near.matrix) if geometry.wall_of_root(root) == wall
+    ]
+    return geometry.system.right_mul(near, s)
+
+
 def matmul(system: CoxeterSystem, a, b):
-    """Full product of two matrices of coefficient tuples."""
+    """Full product of two matrices of coefficient tuples, each given as the
+    tuple of its columns; the product comes back the same way."""
     mul = system.ctx.mul
+    rows = tuple(zip(*a))
     out = []
-    for row in a:
+    for col in b:
         new = []
-        for col in zip(*b):
+        for row in rows:
             acc = mul(row[0], col[0])
             for x, y in zip(row[1:], col[1:]):
                 acc = add(acc, mul(x, y))
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
+
+
+def generator_matrix(system: CoxeterSystem, s: int):
+    """The matrix of generator s, by columns: s(alpha_j) = alpha_j - (2B)_sj alpha_s."""
+    return tuple(
+        col[:s] + (sub(col[s], system.gram2[s][j]),) + col[s + 1 :]
+        for j, col in enumerate(system.identity.matrix)
+    )
 
 
 def length_of_matrix(system: CoxeterSystem, matrix) -> int:
@@ -66,8 +86,8 @@ def length_of_matrix(system: CoxeterSystem, matrix) -> int:
     cur = matrix
     while True:
         for s in range(system.rank):
-            if system.root_sign(tuple(row[s] for row in cur)) < 0:
-                cur = matmul(system, cur, system.generator_matrix(s))
+            if system.root_sign(cur[s]) < 0:
+                cur = matmul(system, cur, generator_matrix(system, s))
                 n += 1
                 break
         else:
@@ -83,15 +103,16 @@ def multiply(system: CoxeterSystem, g, h):
 
 
 def reflection_of_wall(geometry: WallGeometry, wall):
-    """The reflection v -> v - 2B(beta, v) beta fixing the wall, as an element."""
+    """The reflection v -> v - 2B(beta, v) beta fixing the wall, as an element;
+    its column j is alpha_j - 2B(alpha_j, beta) beta."""
     system = geometry.system
     k = system.rank
     beta = wall.root
     coefs = [system.gram2_row_dot(j, beta) for j in range(k)]
     ident = system.identity.matrix
     matrix = tuple(
-        tuple(sub(ident[i][j], system.ctx.mul(beta[i], coefs[j])) for j in range(k))
-        for i in range(k)
+        tuple(sub(ident[j][i], system.ctx.mul(beta[i], coefs[j])) for i in range(k))
+        for j in range(k)
     )
     return GroupElement(matrix, matrix, length_of_matrix(system, matrix))
 

@@ -283,6 +283,48 @@ def test_json_rejects_non_reduced_pivot_word(stack):
         from_json_dict(data, a2.geometry)
 
 
+def _json_of(stack, name):
+    s = stack(name)
+    return build_automaton(s.geometry).to_json_dict(), s.geometry
+
+
+def _edge(data, source, pivot_word):
+    (e,) = [
+        e for e in data["edges"] if (e["from"], e["pivot_word"]) == (source, pivot_word)
+    ]
+    return e
+
+
+def test_json_rejects_edge_into_wrong_state(stack):
+    # With this edge redirected, the file would accept the non-geodesic tss.
+    data, geo = _json_of(stack, "d_infinity")
+    _edge(data, 1, "s")["to"] = 1
+    with pytest.raises(ValueError, match=r"edge 1 -> 1 with pivot 's' must enter"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_reduced_word_that_is_not_a_pivot(stack):
+    data, geo = _json_of(stack, "d_infinity")
+    _edge(data, 0, "s")["pivot_word"] = "st"
+    with pytest.raises(ValueError, match="'st' is not a pivot"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_pivot_word_out_of_shortlex_order(stack):
+    data, geo = _json_of(stack, "a2")
+    _edge(data, 0, "sts")["pivot_word"] = "tst"
+    with pytest.raises(ValueError, match="'tst' is not the shortlex word"):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_edge_from_state_that_may_not_take_its_pivot(stack):
+    # State 2 holds the wall of s, an inversion wall of the pivot s.
+    data, geo = _json_of(stack, "d_infinity")
+    data["edges"].append({"from": 2, "to": 2, "pivot_word": "s"})
+    with pytest.raises(ValueError, match="edge 2 -> 2 with pivot 's' leaves"):
+        from_json_dict(data, geo)
+
+
 def _json_of_a2(stack):
     s = stack("a2")
     return build_automaton(s.geometry).to_json_dict(), s.geometry

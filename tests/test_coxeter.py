@@ -286,6 +286,32 @@ def test_entries_are_int_coefficient_tuples(stack, name):
             assert all(is_coeff_tuple(x) for x in wall.root)
 
 
+@pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
+def test_columns_are_root_images(stack, name):
+    # Column s of g is g(alpha_s) and column s of g^{-1} is g^{-1}(alpha_s):
+    # alpha_s pushed through reflect along g's shortlex word, right to left,
+    # or along the reversed word.
+    sys_ = fresh_geometry(*BUILT[name]).system if name in BUILT else stack(name).system
+    simple = sys_.identity.matrix
+    for g in sys_.ball(5):
+        word = sys_.shortlex_word(g)
+        for s in range(sys_.rank):
+            root = inv_root = simple[s]
+            for t in reversed(word):
+                root = sys_.reflect(t, root)
+            for t in word:
+                inv_root = sys_.reflect(t, inv_root)
+            assert g.matrix[s] == root
+            assert g.inv[s] == inv_root
+        # Each reflection is an involution and preserves the form.
+        for t in range(sys_.rank):
+            image = [sys_.reflect(t, col) for col in g.matrix]
+            assert [sys_.reflect(t, v) for v in image] == list(g.matrix)
+            for u, u2 in zip(g.matrix, image):
+                for v, v2 in zip(g.matrix, image):
+                    assert sys_.bilinear2(u2, v2) == sys_.bilinear2(u, v)
+
+
 def test_form_is_invariant(stack):
     # g^T (2B) g = 2B, checked exactly entry by entry.
     for name in ("a2", "d_infinity", "triangle_334"):
@@ -293,10 +319,9 @@ def test_form_is_invariant(stack):
         sys_ = s.system
         k = s.cox.rank
         for g in sys_.ball(4):
-            cols = [[row[j] for row in g.matrix] for j in range(k)]
             for i in range(k):
                 for j in range(k):
-                    got = sys_.bilinear2(cols[i], cols[j])
+                    got = sys_.bilinear2(g.matrix[i], g.matrix[j])
                     assert got == sys_.gram2[i][j]
 
 
