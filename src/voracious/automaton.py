@@ -382,16 +382,15 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     inversion wall of w and every wall V of it admits a separator from
     chamber w.  That test depends on (w, V) only, so it is memoised.  Any
     such separator also separates w from every chamber incident to V, so
-    searching the walls between w and incident_chamber(V) is complete.
+    searching the walls between w and one of them is complete.  The frontier
+    is pulled back by WallGeometry.pull_back, from stored columns.
     """
-    sys = geometry.system
     uindex = {w: i for i, w in enumerate(universe)}
     inv_bits = [geometry.inversion_bits(w) for w in pivot_list]
     targets: list[tuple[int, ...]] = []
     for w in pivot_list:
         back = []
-        for f in geometry.frontier_set(w):
-            wall = geometry.translate_wall(sys.inverse(w), f)
+        for wall in geometry.pull_back(w, geometry.frontier_set(w)):
             if wall not in uindex:
                 raise RuntimeError("pulled-back frontier wall is not a small root")
             back.append(uindex[wall])

@@ -23,8 +23,12 @@ CoxeterSystem.is_finite, and the tests, which use it as the oracle of the
 kernel.
 
 Signs are memoised per context by coefficient tuple.  A sign not yet in the
-memo is decided by interval evaluation over an exact rational enclosure of y,
-bisected until zero is excluded.
+memo is decided by interval Horner evaluation over an exact enclosure of y,
+bisected until zero is excluded.  The enclosure's two endpoints are ints over
+one power-of-two denominator 2^e, and the evaluation runs in ints: the
+interval it returns is the rational one scaled by 2^(e(d-1)), so it decides
+the same signs after the same bisections.  Rational coefficients are first
+cleared by their positive lcm.
 """
 
 from __future__ import annotations
@@ -164,20 +168,33 @@ def two_cos_minimal_polynomial(modulus: int) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def _eval_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+def _cleared(coeffs) -> tuple[int, ...]:
+    """The coefficients times the positive lcm of their denominators."""
+    if all(type(c) is int for c in coeffs):
+        return coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
-    """Horner evaluation with exact interval endpoints."""
-    alo = ahi = Fraction(coeffs[-1])
+def _scaled_horner(coeffs, lo: int, hi: int, e: int) -> tuple[int, int]:
+    """Interval Horner evaluation of int coefficients over [lo, hi] / 2^e.
+
+    Returns the interval of the rational evaluation scaled by 2^(e(d-1)),
+    for d = len(coeffs), so every endpoint stays an int.  Needs 0 < lo <= hi,
+    which holds for every enclosure of y = 2 cos(pi/M) of degree >= 2; then
+    each product's extremes are read from the signs of the running interval.
+    """
+    alo = ahi = coeffs[-1]
+    shift = 0
     for c in reversed(coeffs[:-1]):
-        ps = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo = min(ps) + c
-        ahi = max(ps) + c
+        shift += e
+        c <<= shift
+        if alo >= 0:
+            alo, ahi = alo * lo + c, ahi * hi + c
+        elif ahi <= 0:
+            alo, ahi = alo * hi + c, ahi * lo + c
+        else:
+            alo, ahi = alo * hi + c, ahi * hi + c
     return alo, ahi
 
 
@@ -185,10 +202,10 @@ class FieldContext:
     """Shared arithmetic context for one group.
 
     Holds the minimal polynomial of y = 2 cos(pi/M), lazily grown reduction
-    tables for high powers of y, a rational enclosure of y that only ever
-    shrinks, and the memo of signs by coefficient tuple.  All refinement
-    steps are exact bisections, so sign queries are deterministic under any
-    interleaving.
+    tables for high powers of y, an enclosure (lo, hi, e) of y, meaning
+    lo/2^e < y < hi/2^e, that only ever shrinks, and the memo of signs by
+    coefficient tuple.  All refinement steps are exact bisections, so sign
+    queries are deterministic under any interleaving.
     """
 
     def __init__(self, modulus: int):
@@ -196,7 +213,7 @@ class FieldContext:
         self.minpoly = two_cos_minimal_polynomial(modulus)
         self.degree = len(self.minpoly) - 1
         self._pows: list[tuple[Coeff, ...]] = []
-        self._enclosure: tuple[Fraction, Fraction] | None = None
+        self._enclosure: tuple[int, int, int] | None = None
         self._signs: dict[tuple[Coeff, ...], int] = {}
         if self.degree >= 2:
             self._seed_enclosure()
@@ -311,28 +328,35 @@ class FieldContext:
     # -- signs ------------------------------------------------------------
 
     def _seed_enclosure(self) -> None:
-        yf = 2.0 * math.cos(math.pi / self.modulus)
+        num, den = (2.0 * math.cos(math.pi / self.modulus)).as_integer_ratio()
+        e0 = den.bit_length() - 1
         for bits in (24, 32, 40, 48, 56):
-            eps = Fraction(1, 1 << bits)
-            lo, hi = Fraction(yf) - eps, Fraction(yf) + eps
+            # The float value of y plus and minus 2^-bits, over 2^e.
+            e = max(bits, e0)
+            y, eps = num << (e - e0), 1 << (e - bits)
+            lo, hi = y - eps, y + eps
             # y is the largest real root of the (monic) minimal polynomial,
             # so the sign change below certifies the enclosure.
-            if _eval_poly(self.minpoly, lo) < 0 < _eval_poly(self.minpoly, hi):
-                self._enclosure = (lo, hi)
+            if self._minpoly_at(lo, e) < 0 < self._minpoly_at(hi, e):
+                self._enclosure = (lo, hi, e)
                 return
         raise ArithmeticError("failed to isolate 2 cos(pi/M)")
 
+    def _minpoly_at(self, x: int, e: int) -> int:
+        """The minimal polynomial at x/2^e, scaled by 2^(e d): same sign."""
+        return _scaled_horner(self.minpoly, x, x, e)[0]
+
     def refine_enclosure(self) -> None:
         """One exact bisection step on the enclosure of y."""
-        lo, hi = self._enclosure
-        mid = (lo + hi) / 2
-        v = _eval_poly(self.minpoly, mid)
+        lo, hi, e = self._enclosure
+        mid, e = lo + hi, e + 1
+        v = self._minpoly_at(mid, e)
         if v > 0:
-            self._enclosure = (lo, mid)
+            self._enclosure = (2 * lo, mid, e)
         elif v < 0:
-            self._enclosure = (mid, hi)
+            self._enclosure = (mid, 2 * hi, e)
         else:  # rational root: only possible in degenerate low-degree cases
-            self._enclosure = (mid, mid)
+            self._enclosure = (mid, mid, e)
 
     def sign_of(self, coeffs) -> int:
         """Exact sign of the scalar with these canonical coefficients, memoised."""
@@ -346,9 +370,10 @@ class FieldContext:
             return 0
         if not any(coeffs[1:]):
             return 1 if coeffs[0] > 0 else -1
+        coeffs = _cleared(coeffs)
         while True:
-            lo, hi = self._enclosure
-            a, b = _interval_eval(coeffs, lo, hi)
+            lo, hi, e = self._enclosure
+            a, b = _scaled_horner(coeffs, lo, hi, e)
             if a > 0:
                 return 1
             if b < 0:

@@ -439,10 +439,7 @@ class Verifier:
             if member:
                 n_accepted += 1
                 gi = sys.intern(g)
-                expect = frozenset(
-                    geo.translate_wall(sys.inverse(gi), f)
-                    for f in geo.frontier_set(gi)
-                )
+                expect = geo.pull_back(gi, geo.frontier_set(gi))
                 want = aut.state_of_walls(expect)
                 if accepted and states != frozenset({want}) and mismatch is None:
                     mismatch = {

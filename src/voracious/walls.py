@@ -14,6 +14,14 @@ Python int and every side question is a mask operation.  Disjointness costs a
 field product, so it is decided one wall pair at a time, only for walls whose
 sides already qualify, and memoised in both directions as per-wall bitmasks.
 
+The shortlex walk that builds an inversion set passes, for each wall it
+crosses, a chamber incident to that wall.  The first such chamber is kept as
+the wall's crossing chamber, and every prefix's mask is kept too, so a
+separator test against a wall some walk has crossed reads both sides from
+memoised masks, with no depth descent to a canonical incident chamber.  The
+walk also pulls walls back: g^{-1} maps the wall crossed at each step to the
+wall of a column stored on the remaining suffix.
+
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
 chamber stays on the identity side of every frontier wall.  Candidate
@@ -34,16 +42,19 @@ class Wall:
     The root is a tuple of coefficient tuples, and it is the key.  `bit` is
     1 << (creation index in its geometry).  `known` masks the walls whose
     disjointness from this one is decided, `disjoint` those found disjoint;
-    WallGeometry.walls_disjoint keeps both.
+    WallGeometry.walls_disjoint keeps both.  `crossing` is the first chamber
+    an inversion walk saw cross the wall (see WallGeometry.inversion_bits),
+    or None while no walk has crossed it.
     """
 
-    __slots__ = ("root", "bit", "known", "disjoint", "_hash")
+    __slots__ = ("root", "bit", "known", "disjoint", "crossing", "_hash")
 
     def __init__(self, root, bit):
         self.root = root
         self.bit = bit
         self.known = 0
         self.disjoint = 0
+        self.crossing = None
         self._hash = hash(root)
 
     def __eq__(self, other):
@@ -105,6 +116,34 @@ class WallGeometry:
     def translate_wall(self, g: GroupElement, wall: Wall) -> Wall:
         return self.wall_of_root(self.system.apply_matrix(g.matrix, wall.root))
 
+    def pull_back(self, g: GroupElement, walls) -> frozenset[Wall]:
+        """The walls g^{-1}(W) for the given inversion walls W of g.
+
+        Read off the shortlex walk with no matrix product: along the word
+        s_1 ... s_n of g, step i crosses the wall p(alpha_s) for s = s_i and
+        the prefix p = s_1 ... s_{i-1}, and g^{-1} p is the inverse of the
+        suffix q = s_i ... s_n, so that wall pulls back to the wall of the
+        stored column q^{-1}(alpha_s).
+        """
+        sys = self.system
+        want = 0
+        for wall in walls:
+            want |= wall.bit
+        if want & ~self.inversion_bits(g):
+            raise ValueError("only inversion walls of g are pulled back")
+        out = []
+        prefix, suffix = sys.identity, g
+        for s in sys.shortlex_word(g):
+            if not want:
+                break
+            bit = self.wall_of_root(prefix.matrix[s]).bit
+            if want & bit:
+                want ^= bit
+                out.append(self.wall_of_root(suffix.inv[s]))
+            prefix = sys.right_mul(prefix, s)
+            suffix = sys.left_mul(suffix, s)
+        return frozenset(out)
+
     # -- sides and inversion sets -------------------------------------------
 
     def on_identity_side(self, g: GroupElement, wall: Wall) -> bool:
@@ -117,18 +156,29 @@ class WallGeometry:
 
     def inversion_bits(self, g: GroupElement) -> int:
         """Walls separating chamber g from the identity chamber, as a mask."""
-        got = self._inv_bits.get(g)
+        memo = self._inv_bits
+        got = memo.get(g)
         if got is not None:
             return got
         sys = self.system
         bits = 0
         prefix = sys.identity
+        crossed = []
         for s in sys.shortlex_word(g):
-            bits |= self.wall_of_root(prefix.matrix[s]).bit
+            wall = self.wall_of_root(prefix.matrix[s])
+            crossed.append((prefix, bits, wall))
+            bits |= wall.bit
             prefix = sys.right_mul(prefix, s)
         if bits.bit_count() != g.length:
             raise ArithmeticError("inversion walls of a reduced word must be distinct")
-        self._inv_bits[g] = bits
+        # Each prefix p of the walk is incident to the wall p(alpha_s) it
+        # crosses next; keep its mask and, if none is known, it as the wall's
+        # crossing chamber.
+        for p, mask, wall in crossed:
+            memo[p] = mask
+            if wall.crossing is None:
+                wall.crossing = p
+        memo[g] = bits
         return bits
 
     def inversion_walls(self, g: GroupElement) -> frozenset[Wall]:
@@ -196,12 +246,17 @@ class WallGeometry:
     def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:
         """True iff some wall in the candidates mask separates chamber g from wall.
 
-        A separator lies on different sides of g and of incident_chamber(wall)
-        and is disjoint from wall.  The side condition is one mask; then
-        disjointness is read from the memo, and otherwise decided one wall at
-        a time up to the first disjoint one.  The default mask is every wall.
+        A separator is disjoint from wall and lies on different sides of g
+        and of a chamber incident to wall.  Every chamber incident to wall
+        sits on one side of any wall disjoint from it, so the wall's crossing
+        chamber serves when a walk has recorded one, and incident_chamber(wall)
+        otherwise.  The side condition is one mask; then disjointness is read
+        from the memo, and otherwise decided one wall at a time up to the
+        first disjoint one.  The default mask is every wall.
         """
-        near = self.incident_chamber(wall)
+        near = wall.crossing
+        if near is None:
+            near = self.incident_chamber(wall)
         sides = self.inversion_bits(g) ^ self.inversion_bits(near)
         mask = candidates & sides & ~wall.bit
         if mask & wall.disjoint:

@@ -1,4 +1,5 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,23 @@ def incident_far_chamber(geometry: WallGeometry, wall):
         s for s, root in enumerate(near.matrix) if geometry.wall_of_root(root) == wall
     ]
     return geometry.system.right_mul(near, s)
+
+
+def interval_eval(coeffs, lo: Fraction, hi: Fraction):
+    """Horner evaluation with exact Fraction interval endpoints: the oracle of
+    the integer interval evaluation behind FieldContext.sign_of."""
+    alo = ahi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        ps = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo = min(ps) + c
+        ahi = max(ps) + c
+    return alo, ahi
+
+
+def enclosure_fractions(ctx):
+    """A context's enclosure (lo, hi, e) of y as the Fractions lo/2^e, hi/2^e."""
+    lo, hi, e = ctx._enclosure
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 def matmul(system: CoxeterSystem, a, b):

@@ -110,6 +110,25 @@ def test_long_pivot_groups_frozen(long_pivot_geometries):
     assert max(g.length for g in pivs) == 12
 
 
+# Hyperbolic H(5,3,5): the longest pivots of any group here.  Built in the
+# test, not shipped, so the SHIPPED-parametrised tests do not all take it.
+H535 = ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1))
+
+
+def test_h535_automaton_frozen():
+    geo = fresh_geometry("abcd", H535)
+    pivs = pivots(geo)
+    assert len(pivs) == 515
+    assert max(g.length for g in pivs) == 21
+    aut = build_automaton(geo)
+    assert (len(aut.states), len(aut.edges)) == (516, 16_753)
+    # Loaded into a fresh geometry, so every edge check runs from cold.
+    text = aut.to_json()
+    clone = from_json_dict(json.loads(text), fresh_geometry("abcd", H535))
+    assert clone == aut
+    assert clone.to_json() == text
+
+
 def test_pivots_are_prefix_closed(stack, long_pivot_geometries):
     geometries = [stack(name).geometry for name in sorted(SMALL_ROOT_COUNTS)]
     for geo in geometries + list(long_pivot_geometries.values()):

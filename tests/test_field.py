@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from voracious.field import (
     FieldContext,
+    _cleared,
+    _scaled_horner,
     add,
     add_rational,
     cyclotomic_polynomial,
@@ -16,6 +18,8 @@ from voracious.field import (
     two_cos_degree,
     two_cos_minimal_polynomial,
 )
+
+from conftest import enclosure_fractions, interval_eval
 
 # Minimal polynomials of y = 2 cos(pi/M), low degree first.  Frozen from an
 # independent derivation: y generates the real subfield of the 2M-th
@@ -253,12 +257,87 @@ def test_sign_bisects_for_close_approximations():
     # seed enclosure width of 2^-23, so only bisection can decide the sign.
     for p, q in _sqrt2_convergents(1 << 40):
         ctx = FieldContext(4)
-        seed = ctx._enclosure
+        seed = enclosure_fractions(ctx)
         expect = 1 if p * p - 2 * q * q > 0 else -1
         assert ctx.sign_of((p, -q)) == expect
-        lo, hi = ctx._enclosure
+        lo, hi = enclosure_fractions(ctx)
         assert hi - lo < seed[1] - seed[0]
         assert lo * lo < 2 < hi * hi
+
+
+def _assert_scaled_interval(ctx, coeffs):
+    # The int interval of the cleared coefficients is the Fraction oracle's
+    # interval times the lcm of the denominators and 2^(e(d-1)).
+    lo, hi, e = ctx._enclosure
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    scale = den << (e * (len(coeffs) - 1))
+    want = interval_eval(coeffs, *enclosure_fractions(ctx))
+    assert _scaled_horner(_cleared(coeffs), lo, hi, e) == tuple(
+        x * scale for x in want
+    )
+
+
+def _fraction_bisection(ctx, coeffs):
+    """The enclosure the Fraction sign path ends on, from ctx's enclosure:
+    bisect with the Fraction minimal polynomial until zero is excluded."""
+    lo, hi = enclosure_fractions(ctx)
+    while True:
+        a, b = interval_eval(coeffs, lo, hi)
+        if a > 0 or b < 0:
+            return lo, hi
+        mid = (lo + hi) / 2
+        if sum(c * mid**i for i, c in enumerate(ctx.minpoly)) > 0:
+            hi = mid
+        else:
+            lo = mid
+
+
+SIGN_CONTEXTS = {m: FieldContext(m) for m in (5, 7, 8, 10, 12)}
+
+
+def test_seed_enclosure_is_float_plus_minus_2_to_minus_24():
+    eps = Fraction(1, 1 << 24)
+    for m, ctx in SIGN_CONTEXTS.items():
+        y = Fraction(2.0 * math.cos(math.pi / m))
+        assert enclosure_fractions(ctx) == (y - eps, y + eps)
+
+
+@st.composite
+def _sign_case(draw):
+    ctx = SIGN_CONTEXTS[draw(st.sampled_from(sorted(SIGN_CONTEXTS)))]
+    d = ctx.degree
+    kind = draw(st.sampled_from(("int", "fraction", "straddle")))
+    if kind == "straddle":
+        # The top two coefficients nearly cancel at y, so the running
+        # interval straddles zero from the second Horner step on.
+        top = draw(st.integers(min_value=1 << 30, max_value=1 << 40))
+        low = draw(st.lists(st.integers(-3, 3), min_size=d - 2, max_size=d - 2))
+        y = 2 * math.cos(math.pi / ctx.modulus)
+        return ctx, (*low, -round(top * y), top)
+    if kind == "int":
+        entries = st.integers(min_value=-(10**6), max_value=10**6)
+    else:
+        entries = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    return ctx, tuple(draw(st.lists(entries, min_size=d, max_size=d)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_sign_case())
+def test_integer_interval_matches_fraction_oracle(case):
+    ctx, coeffs = case
+    _assert_scaled_interval(ctx, coeffs)
+
+
+def test_integer_interval_after_bisections():
+    # The enclosures left by the bisections above, against the oracle, and
+    # the bisections themselves against the Fraction path's.
+    for p, q in _sqrt2_convergents(1 << 40):
+        ctx = FieldContext(4)
+        want = _fraction_bisection(ctx, (p, -q))
+        ctx.sign_of((p, -q))
+        assert enclosure_fractions(ctx) == want
+        for coeffs in ((p, -q), (q, -p), (3, -2), (Fraction(-7, 5), 1)):
+            _assert_scaled_interval(ctx, coeffs)
 
 
 def test_sign_memo_is_consistent():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from voracious import small_roots
+from voracious import WallGeometry, small_roots
 
 from conftest import (
     BUILT,
@@ -226,6 +226,72 @@ def test_incident_chambers_share_side_of_disjoint_walls(stack):
             continue
         sides = {geo.on_identity_side(g, b) for g in touching[a]}
         assert len(sides) == 1
+
+
+CROSSING_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
+
+
+@pytest.mark.parametrize("name", CROSSING_GROUPS)
+def test_crossing_chambers_and_prefix_masks(stack, name):
+    # Each wall crossed by a walk over ball(6) records a chamber p with
+    # p(alpha_s) on the wall, whose step to p s crosses that wall alone, on
+    # the identity side; every mask the walks stored, prefixes included, is
+    # the inversion set a fresh geometry derives for that element.
+    geo = _fresh_geometry(stack, name)
+    sys = geo.system
+    walls = set()
+    for g in sys.ball(6):
+        walls |= geo.inversion_walls(g)
+    for wall in walls:
+        p = wall.crossing
+        (s,) = [s for s, root in enumerate(p.matrix) if geo.wall_of_root(root) == wall]
+        assert geo.walls_between(p, sys.right_mul(p, s)) == {wall}
+        assert geo.on_identity_side(p, wall)
+    assert len(geo._inv_bits) >= len(sys.ball(6))
+    for p, mask in geo._inv_bits.items():
+        fresh = WallGeometry(sys)
+        want = {w.root for w in fresh.inversion_walls(p)}
+        assert {w.root for w in geo._iter_walls(mask)} == want
+
+
+@pytest.mark.parametrize("name", CROSSING_GROUPS)
+def test_has_separator_independent_of_walk_order(stack, name):
+    # Two geometries walk ball(6) in opposite orders, so walls record
+    # different crossing chambers; every separator answer agrees.
+    answers = []
+    crossing = []
+    for reverse in (False, True):
+        geo = _fresh_geometry(stack, name)
+        ball = geo.system.ball(6)
+        got = {}
+        for g in reversed(ball) if reverse else ball:
+            inv_bits = geo.inversion_bits(g)
+            for wall in geo.inversion_walls(g):
+                got[g, wall.root] = (
+                    geo.has_separator(g, wall),
+                    geo.has_separator(g, wall, inv_bits),
+                )
+        answers.append(got)
+        crossing.append({w.root: w.crossing for w in geo._walls.values()})
+    assert answers[0] == answers[1]
+    assert crossing[0] != crossing[1]
+
+
+@pytest.mark.parametrize("name", CROSSING_GROUPS)
+def test_pull_back_matches_translate_wall(stack, name):
+    geo = _fresh_geometry(stack, name)
+    sys = geo.system
+    for g in sys.ball(6):
+        inv = geo.inversion_walls(g)
+        want = {geo.translate_wall(sys.inverse(g), w) for w in inv}
+        assert geo.pull_back(g, inv) == want
+        front = geo.frontier_set(g)
+        assert geo.pull_back(g, front) == {
+            geo.translate_wall(sys.inverse(g), w) for w in front
+        }
+    g = sys.element_of_word((0,))
+    with pytest.raises(ValueError, match="inversion walls"):
+        geo.pull_back(g, [geo.wall_of_generator(1)])
 
 
 def test_separates_from_wall_frozen(stack):
