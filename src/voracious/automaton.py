@@ -426,35 +426,35 @@ def _check_edges(aut: VoraciousAutomaton) -> None:
     pivot_list = []
     for word in words:
         g = sys.element_of_word(word)
-        text = word_to_string(word, aut.generators)
         if not word or g.length != len(word):
-            raise ValueError(f"pivot word {text!r} is empty or not reduced")
-        if sys.shortlex_word(g) != word:
-            raise ValueError(
-                f"pivot word {text!r} is not the shortlex word of its element"
-            )
-        if geometry.voracious_projection(g) != sys.identity:
-            raise ValueError(
-                f"pivot word {text!r} is not a pivot: its projection is not "
-                "the identity"
-            )
-        pivot_list.append(g)
+            problem = "is empty or not reduced"
+        elif sys.shortlex_word(g) != word:
+            problem = "is not the shortlex word of its element"
+        elif geometry.voracious_projection(g) != sys.identity:
+            problem = "is not a pivot: its projection is not the identity"
+        else:
+            pivot_list.append(g)
+            continue
+        text = word_to_string(word, aut.generators)
+        raise ValueError(f"pivot word {text!r} {problem}")
     targets, may_take = _pivot_rules(geometry, aut.universe, pivot_list)
     index = {word: i for i, word in enumerate(words)}
     for e in aut.edges:
         pi = index[e.pivot_word]
-        name = (
-            f"edge {e.source} -> {e.target} with pivot "
-            f"{word_to_string(e.pivot_word, aut.generators)!r}"
-        )
-        if aut.states[e.target] != targets[pi]:
-            raise ValueError(
-                f"{name} must enter the pivot's pulled-back frontier, the "
-                f"state of universe walls {list(targets[pi])}"
-            )
         source = aut.states[e.source]
-        if not may_take(pi, source, _wall_mask(aut.universe, source)):
-            raise ValueError(f"{name} leaves a state that may not take the pivot")
+        if aut.states[e.target] != targets[pi]:
+            problem = (
+                "must enter the pivot's pulled-back frontier, the state of "
+                f"universe walls {list(targets[pi])}"
+            )
+        elif not may_take(pi, source, _wall_mask(aut.universe, source)):
+            problem = "leaves a state that may not take the pivot"
+        else:
+            continue
+        text = word_to_string(e.pivot_word, aut.generators)
+        raise ValueError(
+            f"edge {e.source} -> {e.target} with pivot {text!r} {problem}"
+        )
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:

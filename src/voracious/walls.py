@@ -190,11 +190,6 @@ class WallGeometry:
             self._iter_walls(self.inversion_bits(g) ^ self.inversion_bits(h))
         )
 
-    def is_prefix(self, p: GroupElement, g: GroupElement) -> bool:
-        """p lies on a geodesic from the identity to g."""
-        inv_g = self.inversion_bits(g)
-        return self.inversion_bits(p) | inv_g == inv_g
-
     # -- wall-versus-wall geometry ------------------------------------------
 
     def walls_disjoint(self, a: Wall, b: Wall) -> bool:
@@ -281,39 +276,42 @@ class WallGeometry:
         self._frontier[g] = out
         return out
 
-    def voracious_projection(self, g: GroupElement, order=None) -> GroupElement:
+    def _moves(self, p: GroupElement, x: GroupElement, frontier):
+        """Generators by which the prefix p of g = p x may grow, least first.
+
+        s may move when it is a left descent of x, which keeps ps a prefix of
+        g, and the wall p(alpha_s) that ps newly crosses is not a frontier wall.
+        """
+        sys = self.system
+        for s in range(sys.rank):
+            if sys.root_sign(x.inv[s]) < 0 and (
+                self.wall_of_root(p.matrix[s]) not in frontier
+            ):
+                yield s
+
+    def voracious_projection(self, g: GroupElement) -> GroupElement:
         """Longest prefix of g on the identity side of every frontier wall.
 
-        Greedy construction: extend the prefix p by any generator s that is a
-        left descent of p^{-1} g (which keeps ps a prefix of g) and whose new
-        inversion wall p(alpha_s) avoids the frontier.  Maximal elements of
-        the prefix set are unique, so the greedy order does not matter; the
-        verification suite checks that claim against brute force.
+        Greedy construction: extend the prefix by the least generator the
+        move rule allows until none does.  Every greedy run, in any order
+        and with any choices, ends at a terminal node of projection_walk's
+        graph; the verification suite checks that this node is unique, so
+        the order taken here does not matter.
         """
-        if order is None:
-            got = self._proj.get(g)
-            if got is not None:
-                return got[0]
+        got = self._proj.get(g)
+        if got is not None:
+            return got[0]
         sys = self.system
         frontier = self.frontier_set(g)
-        seq = tuple(order) if order is not None else tuple(range(sys.rank))
         p = sys.identity
         x = g
-        moved = True
-        while moved:
-            moved = False
-            for s in seq:
-                if sys.root_sign(x.inv[s]) >= 0:
-                    continue
-                if self.wall_of_root(p.matrix[s]) in frontier:
-                    continue
-                p = sys.right_mul(p, s)
-                x = sys.left_mul(x, s)
-                moved = True
-                break
+        s = next(self._moves(p, x, frontier), None)
+        while s is not None:
+            p = sys.right_mul(p, s)
+            x = sys.left_mul(x, s)
+            s = next(self._moves(p, x, frontier), None)
         p = sys.intern(p)
-        if order is None:
-            self._proj[g] = (p, x)
+        self._proj[g] = (p, x)
         return p
 
     def projection_block(self, g: GroupElement) -> GroupElement:
@@ -321,25 +319,35 @@ class WallGeometry:
         self.voracious_projection(g)
         return self._proj[g][1]
 
-    def projection_candidates(self, g: GroupElement) -> frozenset[GroupElement]:
-        """All prefixes of g on the identity side of every frontier wall."""
+    def projection_walk(
+        self, g: GroupElement
+    ) -> tuple[frozenset[GroupElement], list[GroupElement]]:
+        """The graph of every greedy run towards p(g): (candidates, terminals).
+
+        The candidates are the prefixes of g that the move rule reaches from
+        the identity, which are all prefixes of g on the identity side of
+        every frontier wall.  The terminals are the candidates that allow no
+        move; each greedy run ends at one.
+        """
         sys = self.system
         frontier = self.frontier_set(g)
         start = sys.identity
         seen = {start}
         queue = [(start, g)]
-        out = []
+        terminals = []
         while queue:
             p, x = queue.pop()
-            out.append(p)
-            for s in range(sys.rank):
-                if sys.root_sign(x.inv[s]) >= 0:
-                    continue
-                if self.wall_of_root(p.matrix[s]) in frontier:
-                    continue
+            terminal = True
+            for s in self._moves(p, x, frontier):
+                terminal = False
                 p2 = sys.intern(sys.right_mul(p, s))
-                if p2 in seen:
-                    continue
-                seen.add(p2)
-                queue.append((p2, sys.left_mul(x, s)))
-        return frozenset(out)
+                if p2 not in seen:
+                    seen.add(p2)
+                    queue.append((p2, sys.left_mul(x, s)))
+            if terminal:
+                terminals.append(p)
+        return frozenset(seen), terminals
+
+    def projection_candidates(self, g: GroupElement) -> frozenset[GroupElement]:
+        """All prefixes of g on the identity side of every frontier wall."""
+        return self.projection_walk(g)[0]

@@ -157,6 +157,32 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     return None
 
 
+def is_prefix(geometry: WallGeometry, p, g) -> bool:
+    """p lies on a geodesic from the identity to g: Inv(p) is a subset of Inv(g)."""
+    inv_g = geometry.inversion_bits(g)
+    return geometry.inversion_bits(p) | inv_g == inv_g
+
+
+def projection_monotone_bruteforce(geometry: WallGeometry, radius: int):
+    """(pairs, holds) for prefix monotonicity of p over every pair of the ball.
+
+    The quadratic scan the verifier made before it walked weak-order
+    intervals: each (g, g') with p(g) <= g' <= g in the prefix order is a
+    pair, and it holds when p(g') <= p(g).
+    """
+    ball = geometry.system.ball(radius)
+    proj = geometry.voracious_projection
+    pairs = 0
+    holds = True
+    for g in ball:
+        pg = proj(g)
+        for g2 in ball:
+            if is_prefix(geometry, pg, g2) and is_prefix(geometry, g2, g):
+                pairs += 1
+                holds &= is_prefix(geometry, proj(g2), pg)
+    return pairs, holds
+
+
 class Stack:
     """Shared per-group computation stack; caches carry across tests."""
 

@@ -113,11 +113,10 @@ def test_criterion_3_unique_max(stack):
     for name in ("triangle_333", "triangle_334"):
         check = _verifier(stack, name).check_unique_max()
         assert check.status == "pass", check
-        assert check.details["tie_break_orders"] == 6
-        counts[name] = check.details["elements"]
-    assert counts["triangle_333"] == 64
-    assert counts["triangle_334"] == 88
-    return "radius 6, balls of 64 and 88, all 6 greedy orders"
+        counts[name] = (check.details["elements"], check.details["candidates"])
+    assert counts["triangle_333"] == (64, 172)
+    assert counts["triangle_334"] == (88, 266)
+    return "radius 6, balls of 64 and 88, 172 and 266 candidates"
 
 
 @criterion(4, "automaton agrees with the language")

@@ -9,7 +9,7 @@ from voracious import (
     WallGeometry,
 )
 
-from conftest import multiply
+from conftest import BUILT, fresh_geometry, multiply, projection_monotone_bruteforce
 
 CHECK_NAMES = [
     "projection-unique-maximum",
@@ -192,3 +192,51 @@ def test_separator_free_pairs_agree_between_search_domains(stack):
         front = geo.frontier_set(g)
         for wall in geo.inversion_walls(g):
             assert (not geo.has_separator(g, wall)) == (wall in front)
+
+
+def test_projection_monotone_matches_all_pairs_scan(stack):
+    # The interval walk meets exactly the pairs the quadratic scan finds.
+    cases = [
+        (stack("triangle_334").geometry, 8),
+        (fresh_geometry(*BUILT["affine_a3"]), 6),
+        (fresh_geometry(*BUILT["triangle_237"]), 8),
+    ]
+    for geo, radius in cases:
+        check = Verifier(geo, VerifierConfig(radius=radius)).check_projection_monotone()
+        pairs, holds = projection_monotone_bruteforce(geo, radius)
+        assert check.details["pairs"] == pairs
+        assert (check.status == "pass") == holds
+
+
+def test_unique_max_fails_on_a_second_terminal(stack, monkeypatch):
+    # Dropping the walls of a and b from the frontier of aba lets greedy runs
+    # stop at a or at b.  Two walls go: dropping any single frontier wall left
+    # one terminal on every element of the balls searched.
+    s = stack("triangle_333")
+    geo = WallGeometry(CoxeterSystem(s.cox))
+    g = geo.system.element_of_word(s.word("aba"))
+    frontier_set = geo.frontier_set
+    walls = {geo.wall_of_generator(0), geo.wall_of_generator(1)}
+    assert walls <= frontier_set(g)
+    dropped = frontier_set(g) - walls
+    monkeypatch.setattr(
+        geo, "frontier_set", lambda h: dropped if h == g else frontier_set(h)
+    )
+    check = Verifier(geo, VerifierConfig(radius=3)).check_unique_max()
+    assert check.status == "fail"
+    assert check.witness == {"g": "aba", "greedy": "a", "terminals": ["a", "b"]}
+
+
+def test_projection_monotone_fails_on_a_raised_projection(stack, monkeypatch):
+    # p(st) = 1 in A2; claim p(st) = st, which lies in [p(sts), sts] = A2
+    # and is not a prefix of p(sts) = 1.
+    s = stack("a2")
+    geo = WallGeometry(CoxeterSystem(s.cox))
+    identity = geo.system.identity
+    st = geo.system.element_of_word(s.word("st"))
+    assert geo.voracious_projection(st) == identity
+    monkeypatch.setitem(geo._proj, st, (st, identity))
+    check = Verifier(geo, VerifierConfig(radius=3)).check_projection_monotone()
+    assert check.status == "fail"
+    assert check.witness == {"g": "sts", "between": "st", "p_g": "", "p_between": "st"}
+    assert not projection_monotone_bruteforce(geo, 3)[1]

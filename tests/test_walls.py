@@ -9,6 +9,7 @@ from conftest import (
     GROUPS_DIR,
     fresh_geometry,
     incident_far_chamber,
+    is_prefix,
     reference_find_separator,
     multiply,
     reflection_of_wall,
@@ -111,12 +112,12 @@ def test_walls_between(stack):
 def test_is_prefix(stack):
     a2 = stack("a2")
     geo = a2.geometry
-    assert geo.is_prefix(a2.system.identity, a2.element("st"))
-    assert geo.is_prefix(a2.element("s"), a2.element("st"))
-    assert not geo.is_prefix(a2.element("t"), a2.element("st"))
-    assert geo.is_prefix(a2.element("t"), a2.element("sts"))  # longest element
+    assert is_prefix(geo, a2.system.identity, a2.element("st"))
+    assert is_prefix(geo, a2.element("s"), a2.element("st"))
+    assert not is_prefix(geo, a2.element("t"), a2.element("st"))
+    assert is_prefix(geo, a2.element("t"), a2.element("sts"))  # longest element
     dinf = stack("d_infinity")
-    assert not dinf.geometry.is_prefix(dinf.element("t"), dinf.element("st"))
+    assert not is_prefix(dinf.geometry, dinf.element("t"), dinf.element("st"))
 
 
 def test_walls_disjoint_frozen(stack):
@@ -411,15 +412,16 @@ def test_projection_is_maximum_candidate(stack):
             assert geo.voracious_projection(g) == best[0]
 
 
-def test_projection_order_independent(stack):
-    for name in ("d_infinity", "a2", "triangle_333"):
-        s = stack(name)
-        geo = s.geometry
-        k = s.cox.rank
-        for g in s.system.ball(3):
-            base = geo.voracious_projection(g)
-            for order in itertools.permutations(range(k)):
-                assert geo.voracious_projection(g, order=order) == base
+def test_projection_walk_has_one_terminal(stack):
+    # Every greedy run, in every generator order, ends at a terminal node of
+    # the walk, so one terminal equal to p(g) settles all orders at once.
+    small = [(stack(name).geometry, 3) for name in ("d_infinity", "a2", "triangle_333")]
+    large = [(_fresh_geometry(stack, name), 6)
+             for name in ("triangle_334", "affine_a3", "triangle_237")]
+    for geo, radius in small + large:
+        for g in geo.system.ball(radius):
+            _, terminals = geo.projection_walk(g)
+            assert terminals == [geo.voracious_projection(g)]
 
 
 def test_projection_candidates_prefix_closed(stack):
@@ -428,9 +430,9 @@ def test_projection_candidates_prefix_closed(stack):
     for g in s.system.ball(GOLD_BALL_RADIUS):
         cands = geo.projection_candidates(g)
         for p in cands:
-            assert geo.is_prefix(p, g)
+            assert is_prefix(geo, p, g)
             for q in cands:
-                if geo.is_prefix(q, p):
+                if is_prefix(geo, q, p):
                     assert q in cands
 
 
