@@ -105,7 +105,7 @@ def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
                     raise ResourceLimitError(
                         f"pivot search exceeded {sys.max_ball_elements} elements"
                     )
-                if geometry.voracious_projection(h) == sys.identity:
+                if geometry.voracious_projection(h) is sys.identity:
                     nxt.append(h)
         out.extend(nxt)
         layer = nxt
@@ -430,7 +430,7 @@ def _check_edges(aut: VoraciousAutomaton) -> None:
             problem = "is empty or not reduced"
         elif sys.shortlex_word(g) != word:
             problem = "is not the shortlex word of its element"
-        elif geometry.voracious_projection(g) != sys.identity:
+        elif geometry.voracious_projection(g) is not sys.identity:
             problem = "is not a pivot: its projection is not the identity"
         else:
             pivot_list.append(g)

@@ -105,7 +105,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_project(args) -> int:
     system, geometry = _load(args)
     language = VoraciousLanguage(geometry)
-    g = system.intern(system.element_of_word(_parse_word(args.word, system)))
+    g = system.element_of_word(_parse_word(args.word, system))
     chain = language.chain(g)
     names = [
         _render(system.shortlex_word(e), system) or "id" for e in chain.elements
@@ -120,7 +120,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_walls(args) -> int:
     system, geometry = _load(args)
-    g = system.intern(system.element_of_word(_parse_word(args.word, system)))
+    g = system.element_of_word(_parse_word(args.word, system))
     sys.stdout.write(_wall_lines(geometry, geometry.frontier_set(g)))
     return 0
 

@@ -6,10 +6,12 @@ root g(alpha_s).  The inverse is kept the same way, together with the cached
 word length.  Since l(gs) > l(g) iff g(alpha_s) > 0, every length, descent
 and inversion test reads one stored tuple.  Matrix entries, roots and the
 form 2B are coefficient tuples of ints over y = 2 cos(pi/M) (see field.py),
-so a matrix is a tuple of tuples of tuples and element equality and hashing
-are plain tuple operations.  The representation is faithful, so matrix
-equality is group equality.  Lengths are never assumed from input words:
-generator application tracks them by an exact root-sign test.
+so a matrix is a tuple of tuples of tuples.  The representation is faithful,
+so matrix equality is group equality, and a system builds each element once,
+from one table keyed by matrix: two elements of one system are equal iff
+they are the same object, and every memo hashes elements by identity.
+Lengths are never assumed from input words: generator application tracks
+them by an exact root-sign test.
 """
 
 from __future__ import annotations
@@ -156,28 +158,19 @@ class GroupElement:
     matrix[s] is the root g(alpha_s) and inv[s] is g^{-1}(alpha_s), so a
     right descent (g(alpha_s) < 0) or a left descent (g^{-1}(alpha_s) < 0)
     reads one stored tuple.  length is the cached word length.
+
+    Elements are made only by their CoxeterSystem (CoxeterSystem._element),
+    which makes one per matrix, so identity is equality.  Elements of two
+    different systems never compare equal, even over one Coxeter matrix.
     """
 
-    __slots__ = ("matrix", "inv", "length", "_hash", "_inverse")
+    __slots__ = ("matrix", "inv", "length", "_inverse")
 
     def __init__(self, matrix, inv, length):
         self.matrix = matrix
         self.inv = inv
         self.length = length
-        self._hash = None
         self._inverse = None
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.matrix)
-            self._hash = h
-        return h
 
     def __repr__(self):
         return f"<element of length {self.length}>"
@@ -234,10 +227,10 @@ class CoxeterSystem:
         ident = tuple(
             tuple(one if i == j else zero for i in range(k)) for j in range(k)
         )
-        self.identity = GroupElement(ident, ident, 0)
+        self._elements: dict[tuple, GroupElement] = {}
+        self.identity = self._element(ident, ident, 0)
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
-        self._interned: dict[GroupElement, GroupElement] = {self.identity: self.identity}
         self._reduced_cache: dict[GroupElement, frozenset[Word]] = {}
         self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
         self._shortlex: dict[GroupElement, Word] = {self.identity: ()}
@@ -330,6 +323,20 @@ class CoxeterSystem:
 
     # -- group operations --------------------------------------------------
 
+    def _element(self, matrix, inv, length: int) -> GroupElement:
+        """The element with this matrix: the one already built, or a new one.
+
+        Every element is built here, so each exists once.  length is the
+        length tracked along the path that reached the matrix; a stored
+        element of another length means the tracking went wrong.
+        """
+        got = self._elements.get(matrix)
+        if got is None:
+            got = self._elements[matrix] = GroupElement(matrix, inv, length)
+        elif got.length != length:
+            raise ArithmeticError("one element reached with two lengths")
+        return got
+
     def right_mul(self, g: GroupElement, s: int) -> GroupElement:
         """g * s, with the length tracked by the sign of g(alpha_s).
 
@@ -342,7 +349,7 @@ class CoxeterSystem:
         if hit is not None:
             return hit
         delta = self.root_sign(g.matrix[s])
-        out = GroupElement(
+        out = self._element(
             self._mul_gen_right(g.matrix, s),
             self._mul_gen_left(s, g.inv),
             g.length + delta,
@@ -356,10 +363,10 @@ class CoxeterSystem:
         return self.inverse(self.right_mul(self.inverse(g), s))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        """g^{-1}, kept on g and pointing back, so each side hashes once."""
+        """g^{-1}, kept on g and pointing back, so each side is looked up once."""
         h = g._inverse
         if h is None:
-            h = GroupElement(g.inv, g.matrix, g.length)
+            h = self._element(g.inv, g.matrix, g.length)
             h._inverse = g
             g._inverse = h
         return h
@@ -432,8 +439,8 @@ class CoxeterSystem:
     # -- metric balls -------------------------------------------------------
 
     def _extend_layers(self, radius: int, cap: int | None = None) -> None:
-        # Layers commit atomically so a cap overrun never leaves a partially
-        # interned layer behind.
+        # Every element of layer n+1 is some g * s longer than g in layer n.
+        # A layer is appended whole, so a cap overrun leaves no partial layer.
         cap = self.max_ball_elements if cap is None else cap
         count = sum(len(layer) for layer in self._layers)
         while len(self._layers) <= radius:
@@ -443,7 +450,7 @@ class CoxeterSystem:
             for g in last:
                 for s in range(self.rank):
                     h = self.right_mul(g, s)
-                    if h not in self._interned and h not in fresh:
+                    if h.length > g.length and h not in fresh:
                         fresh.add(h)
                         nxt.append(h)
                         count += 1
@@ -451,8 +458,6 @@ class CoxeterSystem:
                             raise ResourceLimitError(
                                 f"ball enumeration exceeded {cap} elements"
                             )
-            for h in nxt:
-                self._interned[h] = h
             if not nxt:
                 self._layers.append([])
                 break
@@ -471,10 +476,6 @@ class CoxeterSystem:
         for layer in self._layers[: radius + 1]:
             out.extend(layer)
         return out
-
-    def intern(self, g: GroupElement) -> GroupElement:
-        """Canonical instance of g if the enumeration has seen it, else g itself."""
-        return self._interned.get(g, g)
 
     def is_finite(self) -> bool:
         """Whether the group is finite: positive definiteness of the form.

@@ -72,11 +72,10 @@ class VoraciousLanguage:
         g = sys.element_of_word(word)
         if g.length != len(word):
             return False
-        g = sys.intern(g)
         pos = len(word)
         for block in self.chain(g).blocks:
             tail = word[pos - block.length : pos]
-            if sys.element_of_word(tail) != block:
+            if sys.element_of_word(tail) is not block:
                 return False
             pos -= block.length
         return pos == 0

@@ -300,7 +300,7 @@ class Verifier:
                 if g2.length == g.length:
                     continue  # g2 is g, the top of the interval
                 for s in range(sys.rank):
-                    up = sys.intern(sys.right_mul(g2, s))
+                    up = sys.right_mul(g2, s)
                     if (
                         up.length > g2.length
                         and inv(up) | inv_g == inv_g
@@ -316,11 +316,9 @@ class Verifier:
 
     def _prefix_walk(self, word: Word, head: GroupElement) -> tuple[GroupElement, ...]:
         sys = self.system
-        out = [sys.intern(head)]
-        cur = head
+        out = [head]
         for s in word:
-            cur = sys.intern(sys.right_mul(cur, s))
-            out.append(cur)
+            out.append(sys.right_mul(out[-1], s))
         return tuple(out)
 
     def check_fellow_traveller(self) -> CheckResult:
@@ -331,16 +329,16 @@ class Verifier:
         c, q = constants.C_hat, constants.Q_hat
         bound_iii = 2 * c * (c + 2 * q) + 2 * q
         radius = cfg.radius
-        sys.ball(radius + 1)  # so shifted prefixes intern cleanly
+        sys.ball(radius + 1)
         ball = self._ball(radius)
 
         tasks = []  # (kind, g, g2, s); ascending pairs only, the bound is symmetric
         for g in ball:
             for s in range(sys.rank):
-                gs = sys.intern(sys.right_mul(g, s))
+                gs = sys.right_mul(g, s)
                 if gs.length == g.length + 1 and gs.length <= radius:
                     tasks.append(("ii", g, gs, s))
-                sg = sys.intern(sys.left_mul(g, s))
+                sg = sys.left_mul(g, s)
                 if sg.length == g.length + 1 and sg.length <= radius:
                     tasks.append(("iii", g, sg, s))
 
@@ -372,7 +370,7 @@ class Verifier:
         max_ii = 0
         max_iii = 0
         n_checked = 0
-        gen_elements = [sys.intern(sys.element_of_word((s,))) for s in range(sys.rank)]
+        gen_elements = [sys.element_of_word((s,)) for s in range(sys.rank)]
         for kind, s, v, v2 in word_pairs:
             n_checked += 1
             if kind == "ii":
@@ -448,8 +446,7 @@ class Verifier:
                 }
             if member:
                 n_accepted += 1
-                gi = sys.intern(g)
-                expect = geo.pull_back(gi, geo.frontier_set(gi))
+                expect = geo.pull_back(g, geo.frontier_set(g))
                 want = aut.state_of_walls(expect)
                 if accepted and states != frozenset({want}) and mismatch is None:
                     mismatch = {
@@ -556,7 +553,7 @@ class Verifier:
                 continue  # hypothesis not met: nothing separates g from the pair
             n_samples += 1
             for wall in orbit_walls(u, a, b):
-                if wall == wr or wall == wq:
+                if wall is wr or wall is wq:
                     continue
                 n_walls += 1
                 if not geo.has_separator(g, wall):

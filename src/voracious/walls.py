@@ -37,17 +37,18 @@ from .field import add_rational, neg
 
 
 class Wall:
-    """Wall of a reflection, keyed by its sign-normalized positive root.
+    """Wall of a reflection, with its sign-normalized positive root.
 
-    The root is a tuple of coefficient tuples, and it is the key.  `bit` is
-    1 << (creation index in its geometry).  `known` masks the walls whose
-    disjointness from this one is decided, `disjoint` those found disjoint;
-    WallGeometry.walls_disjoint keeps both.  `crossing` is the first chamber
-    an inversion walk saw cross the wall (see WallGeometry.inversion_bits),
-    or None while no walk has crossed it.
+    The root is a tuple of coefficient tuples.  Walls are made only by
+    WallGeometry.wall_of_root, one per positive root and geometry, so
+    identity is equality.  `bit` is 1 << (creation index in its geometry).
+    `known` masks the walls whose disjointness from this one is decided,
+    `disjoint` those found disjoint; WallGeometry.walls_disjoint keeps both.
+    `crossing` is the first chamber an inversion walk saw cross the wall
+    (see WallGeometry.inversion_bits), or None while no walk has crossed it.
     """
 
-    __slots__ = ("root", "bit", "known", "disjoint", "crossing", "_hash")
+    __slots__ = ("root", "bit", "known", "disjoint", "crossing")
 
     def __init__(self, root, bit):
         self.root = root
@@ -55,15 +56,6 @@ class Wall:
         self.known = 0
         self.disjoint = 0
         self.crossing = None
-        self._hash = hash(root)
-
-    def __eq__(self, other):
-        if not isinstance(other, Wall):
-            return NotImplemented
-        return self.root == other.root
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Wall{self.root}"
@@ -194,7 +186,7 @@ class WallGeometry:
 
     def walls_disjoint(self, a: Wall, b: Wall) -> bool:
         """True iff the two distinct walls do not cross: |B(alpha, beta)| >= 1."""
-        if a == b:
+        if a is b:
             raise ValueError("wall disjointness needs two distinct walls")
         if a.known & b.bit:
             return bool(a.disjoint & b.bit)
@@ -228,7 +220,7 @@ class WallGeometry:
         chamber = sys.identity
         for _ in range(len(self._walls) + sys.max_ball_elements):
             if beta in sys.identity.matrix:
-                return sys.intern(chamber)
+                return chamber
             for s in range(sys.rank):
                 if sys.ctx.sign_of(sys.gram2_row_dot(s, beta)) > 0:
                     beta = sys.reflect(s, beta)
@@ -310,7 +302,6 @@ class WallGeometry:
             p = sys.right_mul(p, s)
             x = sys.left_mul(x, s)
             s = next(self._moves(p, x, frontier), None)
-        p = sys.intern(p)
         self._proj[g] = (p, x)
         return p
 
@@ -340,7 +331,7 @@ class WallGeometry:
             terminal = True
             for s in self._moves(p, x, frontier):
                 terminal = False
-                p2 = sys.intern(sys.right_mul(p, s))
+                p2 = sys.right_mul(p, s)
                 if p2 not in seen:
                     seen.add(p2)
                     queue.append((p2, sys.left_mul(x, s)))

@@ -6,7 +6,6 @@ import pytest
 from voracious import (
     CoxeterMatrix,
     CoxeterSystem,
-    GroupElement,
     VoraciousLanguage,
     WallGeometry,
     load_group_file,
@@ -117,7 +116,7 @@ def multiply(system: CoxeterSystem, g, h):
     """g * h by full matrix products; the length comes from a descent walk."""
     matrix = matmul(system, g.matrix, h.matrix)
     inv = matmul(system, h.inv, g.inv)
-    return GroupElement(matrix, inv, length_of_matrix(system, matrix))
+    return system._element(matrix, inv, length_of_matrix(system, matrix))
 
 
 def reflection_of_wall(geometry: WallGeometry, wall):
@@ -132,7 +131,7 @@ def reflection_of_wall(geometry: WallGeometry, wall):
         tuple(sub(ident[j][i], system.ctx.mul(beta[i], coefs[j])) for i in range(k))
         for j in range(k)
     )
-    return GroupElement(matrix, matrix, length_of_matrix(system, matrix))
+    return system._element(matrix, matrix, length_of_matrix(system, matrix))
 
 
 def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
@@ -197,7 +196,7 @@ class Stack:
         from voracious import word_from_string
 
         word = word_from_string(text, self.cox.generators)
-        return self.system.intern(self.system.element_of_word(word))
+        return self.system.element_of_word(word)
 
     def word(self, text: str):
         from voracious import word_from_string

@@ -64,8 +64,7 @@ def test_criterion_1_finite_collapse():
         ball = system.ball(top)
         assert system.sphere(top + 1) == []  # the whole group
         for g in ball:
-            gi = system.intern(g)
-            assert language.all_words_of(gi) == system.reduced_words(gi)
+            assert language.all_words_of(g) == system.reduced_words(g)
         aut = build_automaton(geometry)
         for n in range(top + 1):
             for w in itertools.product(range(system.rank), repeat=n):
@@ -74,7 +73,7 @@ def test_criterion_1_finite_collapse():
                 assert aut.accepts(w) == reduced
         if name == "a2":
             assert len(ball) == 6
-            assert sum(len(language.all_words_of(system.intern(g))) for g in ball) == 7
+            assert sum(len(language.all_words_of(g)) for g in ball) == 7
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     return f"A2/B2/I2(5)/A3 exhaustive, {elapsed:.2f}s"
@@ -100,8 +99,7 @@ def test_criterion_2_dihedral_gold():
             assert aut.accepts(w) == alternating
             assert language.contains(w) == alternating
     for g in system.ball(10):
-        gi = system.intern(g)
-        assert language.all_words_of(gi) == system.reduced_words(gi)
+        assert language.all_words_of(g) == system.reduced_words(g)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     return f"3 states, 4 edges, words to length 10, {elapsed:.2f}s"
@@ -177,7 +175,7 @@ def test_criterion_7_equivariance(stack):
         s = stack(name)
         words = set()
         for g in s.system.ball(6):
-            words |= s.language.all_words_of(s.system.intern(g))
+            words |= s.language.all_words_of(g)
         perms = s.cox.automorphisms()
         assert len(perms) > 1  # a nontrivial symmetry exists in each case
         for perm in perms:

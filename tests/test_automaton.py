@@ -443,7 +443,7 @@ def test_edges_are_frontier_pullbacks(stack):
         aut = build_automaton(s.geometry)
         uindex = {w: i for i, w in enumerate(aut.universe)}
         for e in aut.edges:
-            w = s.system.intern(s.system.element_of_word(e.pivot_word))
+            w = s.system.element_of_word(e.pivot_word)
             spelled = tuple(
                 u
                 for u in itertools.product(range(s.cox.rank), repeat=w.length)

@@ -115,7 +115,7 @@ def test_element_identities(stack):
     assert a2.element("sts") == a2.element("tst")
     assert a2.element("sts").length == 3
     dinf = stack("d_infinity")
-    assert dinf.element("sts") != dinf.element("tst")
+    assert dinf.element("sts").matrix != dinf.element("tst").matrix
     assert dinf.element("stst").length == 4
 
 
@@ -338,6 +338,55 @@ def test_inverse_and_multiply(stack):
             assert prod == sys_.element_of_word(
                 sys_.shortlex_word(g) + sys_.shortlex_word(h)
             )
+
+
+IDENTITY_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
+
+
+@pytest.mark.parametrize("name", IDENTITY_GROUPS)
+def test_one_element_per_matrix(stack, name):
+    # The system builds each element once, so every route to g, by any
+    # reduced word, by inverses or from the left, returns g itself.
+    sys_ = fresh_geometry(*BUILT[name]).system if name in BUILT else stack(name).system
+    for g in sys_.ball(6):
+        for u in sys_.reduced_words(g):
+            assert sys_.element_of_word(u) is g
+        assert sys_.inverse(sys_.inverse(g)) is g
+        word = sys_.shortlex_word(g)
+        for s in range(sys_.rank):
+            assert sys_.left_mul(g, s) is sys_.element_of_word((s,) + word)
+
+
+def test_elements_belong_to_their_system():
+    rows = ((1, 3, 3), (3, 1, 4), (3, 4, 1))
+    a, b = _system(rows), _system(rows)
+    assert a.identity != b.identity
+    for g in a.ball(3):
+        h = b.element_of_word(a.shortlex_word(g))
+        assert h.matrix == g.matrix
+        assert h != g
+
+
+def test_element_reached_with_another_length_raises():
+    sys_ = _system(((1, 3, 3), (3, 1, 4), (3, 4, 1)))
+    g = sys_.element_of_word((0, 1, 2))
+    assert sys_._element(g.matrix, g.inv, g.length) is g
+    with pytest.raises(ArithmeticError, match="two lengths"):
+        sys_._element(g.matrix, g.inv, g.length + 2)
+
+
+def test_ball_cap_leaves_built_layers_unchanged():
+    # (3,3,4) has 20 elements of length <= 3 and 35 of length <= 4.
+    cox = CoxeterMatrix(("s", "t", "u"), ((1, 3, 3), (3, 1, 4), (3, 4, 1)))
+    sys_ = CoxeterSystem(cox, max_ball_elements=30)
+    ball = sys_.ball(3)
+    assert len(ball) == 20
+    layers = [list(layer) for layer in sys_._layers]
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            sys_.ball(6)
+        assert sys_._layers == layers
+    assert sys_.ball(3) == ball
 
 
 def test_automorphisms(stack):

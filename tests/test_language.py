@@ -82,7 +82,7 @@ def test_one_accepted_word_per_element(stack):
         for n in range(radius + 1):
             for w in itertools.product(range(s.cox.rank), repeat=n):
                 if s.language.contains(w):
-                    g = s.system.intern(s.system.element_of_word(w))
+                    g = s.system.element_of_word(w)
                     by_element.setdefault(g, set()).add(w)
         ball = set(s.system.ball(radius))
         covered = {g for g in by_element}
@@ -158,7 +158,7 @@ def test_membership_requires_geodesic(word, stack):
     g = s.system.element_of_word(w)
     if s.language.contains(w):
         assert len(w) == g.length
-    assert s.language.contains(s.language.canonical_word(s.system.intern(g)))
+    assert s.language.contains(s.language.canonical_word(g))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -166,7 +166,7 @@ def test_membership_requires_geodesic(word, stack):
 def test_membership_matches_word_set(word, stack):
     s = stack("triangle_334")
     w = tuple(word)
-    g = s.system.intern(s.system.element_of_word(w))
+    g = s.system.element_of_word(w)
     if len(w) == g.length:
         assert s.language.contains(w) == (w in s.language.all_words_of(g))
     else:

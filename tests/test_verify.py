@@ -89,8 +89,8 @@ def test_fellow_traveller_matches_direct_recomputation(stack):
                     head = sys_.element_of_word((s_idx,))
                 if g2.length != g.length + 1 or g2.length > 3:
                     continue
-                for w1 in s.language.all_words_of(sys_.intern(g)):
-                    for w2 in s.language.all_words_of(sys_.intern(g2)):
+                for w1 in s.language.all_words_of(g):
+                    for w2 in s.language.all_words_of(g2):
                         left = walk(w1, head)
                         right = walk(w2, sys_.identity)
                         worst = max(

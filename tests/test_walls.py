@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from voracious import WallGeometry, small_roots
+from voracious.field import neg
 
 from conftest import (
     BUILT,
@@ -256,9 +257,26 @@ def test_crossing_chambers_and_prefix_masks(stack, name):
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
+def test_one_wall_per_root(stack, name):
+    # wall_of_root makes one wall per positive root, reached from either
+    # sign; another geometry over the same system makes its own walls.
+    geo = _fresh_geometry(stack, name)
+    for g in geo.system.ball(6):
+        for root in g.matrix:
+            wall = geo.wall_of_root(root)
+            assert geo.wall_of_root(tuple(map(neg, root))) is wall
+            assert geo.wall_of_root(wall.root) is wall
+    other = WallGeometry(geo.system)
+    for s in range(geo.system.rank):
+        assert other.wall_of_generator(s) != geo.wall_of_generator(s)
+        assert other.wall_of_generator(s).root == geo.wall_of_generator(s).root
+
+
+@pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_has_separator_independent_of_walk_order(stack, name):
     # Two geometries walk ball(6) in opposite orders, so walls record
-    # different crossing chambers; every separator answer agrees.
+    # different crossing chambers; every separator answer agrees.  Each
+    # geometry has its own system, so elements are compared by matrix.
     answers = []
     crossing = []
     for reverse in (False, True):
@@ -268,12 +286,12 @@ def test_has_separator_independent_of_walk_order(stack, name):
         for g in reversed(ball) if reverse else ball:
             inv_bits = geo.inversion_bits(g)
             for wall in geo.inversion_walls(g):
-                got[g, wall.root] = (
+                got[g.matrix, wall.root] = (
                     geo.has_separator(g, wall),
                     geo.has_separator(g, wall, inv_bits),
                 )
         answers.append(got)
-        crossing.append({w.root: w.crossing for w in geo._walls.values()})
+        crossing.append({w.root: w.crossing.matrix for w in geo._walls.values()})
     assert answers[0] == answers[1]
     assert crossing[0] != crossing[1]
 
