@@ -96,32 +96,40 @@ def generator_matrix(system: CoxeterSystem, s: int):
     )
 
 
-def length_of_matrix(system: CoxeterSystem, matrix) -> int:
-    """Word length of the element with this matrix, by stripping right
-    descents with full products against the generator matrices."""
-    n = 0
-    cur = matrix
-    while True:
-        for s in range(system.rank):
-            if system.root_sign(cur[s]) < 0:
-                cur = matmul(system, cur, generator_matrix(system, s))
-                n += 1
-                break
-        else:
-            assert cur == system.identity.matrix, "descent walk missed the identity"
-            return n
+def element_of_matrix(system: CoxeterSystem, matrix):
+    """The system's element with this matrix, checked against full products.
+
+    Right descents are stripped with full products against the generator
+    matrices; the stripped generators, reversed, spell a reduced word, and
+    their product in stripping order is the inverse.  The engine evaluates
+    the word with right_mul, and the element it returns must carry this
+    matrix, that inverse and that length.  The oracle itself stores nothing
+    in the system, so every element it sees was built by the engine.
+    """
+    ident = system.identity.matrix
+    stripped = []
+    cur, inv = matrix, ident
+    while cur != ident:
+        s = next(s for s in range(system.rank) if system.root_sign(cur[s]) < 0)
+        gen = generator_matrix(system, s)
+        cur = matmul(system, cur, gen)
+        inv = matmul(system, inv, gen)
+        stripped.append(s)
+    out = system.element_of_word(tuple(reversed(stripped)))
+    assert out.matrix == matrix
+    assert out.inv == inv
+    assert out.length == len(stripped)
+    return out
 
 
 def multiply(system: CoxeterSystem, g, h):
-    """g * h by full matrix products; the length comes from a descent walk."""
-    matrix = matmul(system, g.matrix, h.matrix)
-    inv = matmul(system, h.inv, g.inv)
-    return system._element(matrix, inv, length_of_matrix(system, matrix))
+    """g * h by a full matrix product, as the system's checked element."""
+    return element_of_matrix(system, matmul(system, g.matrix, h.matrix))
 
 
 def reflection_of_wall(geometry: WallGeometry, wall):
-    """The reflection v -> v - 2B(beta, v) beta fixing the wall, as an element;
-    its column j is alpha_j - 2B(alpha_j, beta) beta."""
+    """The reflection v -> v - 2B(beta, v) beta fixing the wall, as the
+    system's checked element; its column j is alpha_j - 2B(alpha_j, beta) beta."""
     system = geometry.system
     k = system.rank
     beta = wall.root
@@ -131,7 +139,9 @@ def reflection_of_wall(geometry: WallGeometry, wall):
         tuple(sub(ident[j][i], system.ctx.mul(beta[i], coefs[j])) for i in range(k))
         for j in range(k)
     )
-    return system._element(matrix, matrix, length_of_matrix(system, matrix))
+    out = element_of_matrix(system, matrix)
+    assert out.inv == matrix, "a reflection is its own inverse"
+    return out
 
 
 def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
