@@ -33,7 +33,6 @@ from .coxeter import (
     word_from_string,
     word_to_string,
 )
-from .field import add_rational
 from .walls import Wall, WallGeometry
 
 # Only this format is read back: format-1 files may hold a truncated pivot set,
@@ -42,38 +41,13 @@ FORMAT = "voracious-automaton-3"
 
 
 def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
-    """All small-root walls, by closure from the simple walls.
+    """All small-root walls, sorted by root.
 
-    From a small wall with root beta and a generator s, the reflected wall
-    s(beta) is small iff -2 < 2B(alpha_s, beta) < 2; outside that band the
-    pair is disjoint and one wall shadows the other.
+    The walls of CoxeterSystem.small_roots, made in the order the closure
+    finds their roots.
     """
-    sys = geometry.system
-    sign_of = sys.ctx.sign_of
-    queue = [geometry.wall_of_generator(s) for s in range(sys.rank)]
-    seen = set(queue)
-    qi = 0
-    while qi < len(queue):
-        wall = queue[qi]
-        qi += 1
-        beta = wall.root
-        for s in range(sys.rank):
-            t = sys.gram2_row_dot(s, beta)
-            if not any(t):
-                continue
-            if sign_of(add_rational(t, 2)) > 0 and sign_of(add_rational(t, -2)) < 0:
-                vec = sys.reflect(s, beta)
-                if sys.root_sign(vec) < 0:
-                    raise ArithmeticError("reflected small root must stay positive")
-                new = geometry.wall_of_root(vec)
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-                    if len(queue) > cap:
-                        raise ResourceLimitError(
-                            f"small-root closure exceeded {cap} walls"
-                        )
-    return tuple(sorted(seen, key=lambda w: w.root))
+    walls = map(geometry.wall_of_root, geometry.system.small_roots(cap))
+    return tuple(sorted(walls, key=lambda w: w.root))
 
 
 def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:

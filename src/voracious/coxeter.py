@@ -209,7 +209,7 @@ class CoxeterSystem:
                 elif cox.orders[i][j] == INF:
                     row.append((-2,) + zero[1:])
                 else:
-                    row.append(neg(ctx.two_cos_pi_over(cox.orders[i][j]).coeffs))
+                    row.append(neg(ctx.two_cos_pi_over(cox.orders[i][j])))
             gram2.append(tuple(row))
         self.gram2 = tuple(gram2)
         # Row s of 2B off the diagonal, negated, as (j, x -> -(2B)_sj x) over
@@ -477,26 +477,53 @@ class CoxeterSystem:
             out.extend(layer)
         return out
 
-    def is_finite(self) -> bool:
-        """Whether the group is finite: positive definiteness of the form.
+    # -- small roots and finiteness ------------------------------------------
 
-        Decided exactly by symmetric Gaussian elimination on 2B; the group is
-        finite iff every pivot is positive.
+    def small_roots(self, cap: int = 10_000) -> tuple:
+        """The small roots, positive, in the order their closure finds them.
+
+        The closure starts from the simple roots.  From a small root beta and
+        a generator s, the root s(beta) is small iff -2 < 2B(alpha_s, beta) < 2;
+        outside that band the two walls are disjoint, and at 0 s fixes beta.
+        Every Coxeter group has finitely many small roots (Brink-Howlett).
         """
-        k = self.rank
-        m = [[self.ctx.scalar(x) for x in row] for row in self.gram2]
-        for i in range(k):
-            piv = m[i][i]
-            if piv.sign() <= 0:
-                return False
-            inv = piv.inverse()
-            for r in range(i + 1, k):
-                f = m[r][i] * inv
-                if f.is_zero():
+        in_band = self.ctx.in_band
+        found = list(self.identity.matrix)
+        seen = set(found)
+        for beta in found:  # grows as the closure finds roots
+            for s in range(self.rank):
+                t = self.gram2_row_dot(s, beta)
+                if not any(t) or not in_band(t):
                     continue
-                for c in range(i + 1, k):
-                    m[r][c] = m[r][c] - f * m[i][c]
-        return True
+                vec = self.reflect(s, beta)
+                if self.root_sign(vec) < 0:
+                    raise ArithmeticError("reflected small root must stay positive")
+                if vec not in seen:
+                    seen.add(vec)
+                    found.append(vec)
+                    if len(found) > cap:
+                        raise ResourceLimitError(
+                            f"small-root closure exceeded {cap} walls"
+                        )
+        return tuple(found)
+
+    def is_finite(self) -> bool:
+        """Whether the group is finite: no small root beta other than alpha_s
+        has |2B(alpha_s, beta)| >= 2, for any generator s.
+
+        If W is finite, B is positive definite, so |B| < 1 on any two roots
+        that are not parallel.  Otherwise every s maps the small roots to
+        small roots, save s(alpha_s) = -alpha_s, so they and their negatives
+        form a W-stable set holding the simple roots: Phi, and with it W, is
+        finite.
+        """
+        in_band = self.ctx.in_band
+        simple = self.identity.matrix
+        return all(
+            beta == simple[s] or in_band(self.gram2_row_dot(s, beta))
+            for beta in self.small_roots()
+            for s in range(self.rank)
+        )
 
     def __repr__(self):
         return f"CoxeterSystem({'/'.join(self.cox.generators)}, rank={self.rank})"

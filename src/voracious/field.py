@@ -6,21 +6,21 @@ lcm of the finite Coxeter matrix entries, y = 2 cos(pi/M) is an algebraic
 integer and 2 cos(pi/m) is an integer polynomial in y for every finite m
 dividing M (a Chebyshev-style identity).  Group-element matrices and root
 coordinates therefore keep integer coefficients throughout, over the
-doubled form 2B; rationals appear only where a caller divides, as in field
-inverses.
+doubled form 2B, and the engine never divides.
 
 A field element is its canonical coefficient tuple: the reduced polynomial in
-y, low degree first, d = [Q(y):Q] entries.  On the hot path (group-element
-matrices, roots, the form 2B) these tuples hold plain ints, and the integer
-kernel below works on them directly: add, sub and neg are elementwise,
-FieldContext.mul reduces a product with precomputed rows for y^d .. y^(2d-2),
-and FieldContext.multiplier turns a fixed constant into a precomputed map.
-Equality is tuple equality and the zero test is syntactic.
+y, low degree first, d = [Q(y):Q] entries.  The engine's tuples (group-element
+matrices, roots, the form 2B) hold plain ints, and the integer kernel below
+works on them directly: add, sub and neg are elementwise, FieldContext.mul
+reduces a product with precomputed rows for y^d .. y^(2d-2),
+FieldContext.multiplier turns a fixed constant into a precomputed map, and
+FieldContext.in_band is the one test -2 < t < 2 behind small roots, wall
+disjointness and finiteness.  Equality is tuple equality and the zero test is
+syntactic.  cos_string renders a tuple over powers of c = cos(pi/M).
 
-FieldScalar wraps the same tuples with operator arithmetic, rationals
-included.  It serves the edges only: rendering, the field inverse behind
-CoxeterSystem.is_finite, and the tests, which use it as the oracle of the
-kernel.
+FieldScalar wraps the same tuples with ring operators and exact comparison,
+rationals included.  The engine does not use it: the tests use it as the
+oracle of the kernel.
 
 Signs are memoised per context by coefficient tuple.  A sign not yet in the
 memo is decided by interval Horner evaluation over an exact enclosure of y,
@@ -220,7 +220,7 @@ class FieldContext:
         d = self.degree
         self.zero = FieldScalar(self, (0,) * d)
         self.one = FieldScalar(self, (1,) + (0,) * (d - 1))
-        self._two_cos: dict[int, FieldScalar] = {}
+        self._two_cos: dict[int, tuple[Coeff, ...]] = {}
         # (y^j reduced) for j = d .. 2d-2, the powers a product can reach.
         self._red = tuple(self._pow(j) for j in range(d, 2 * d - 1))
 
@@ -262,6 +262,11 @@ class FieldContext:
         rows = tuple(zip(*(self.mul(c, e) for e in unit)))
         return lambda x: tuple([sum(map(operator.mul, row, x)) for row in rows])
 
+    def in_band(self, t) -> bool:
+        """Whether -2 < t < 2, for a coefficient tuple t; t - 2 is decided first."""
+        sign_of = self.sign_of
+        return sign_of(add_rational(t, -2)) < 0 and sign_of(add_rational(t, 2)) > 0
+
     # -- construction -----------------------------------------------------
 
     def scalar(self, coeffs) -> FieldScalar:
@@ -279,8 +284,8 @@ class FieldContext:
     def rational(self, value) -> FieldScalar:
         return self.scalar([value])
 
-    def two_cos_pi_over(self, m: int) -> FieldScalar:
-        """The scalar 2 cos(pi/m) for finite m dividing M."""
+    def two_cos_pi_over(self, m: int) -> tuple[Coeff, ...]:
+        """The coefficient tuple of 2 cos(pi/m) for finite m dividing M."""
         got = self._two_cos.get(m)
         if got is not None:
             return got
@@ -293,8 +298,7 @@ class FieldContext:
             for i, v in enumerate(prev):
                 nxt[i] -= v
             prev, cur = cur, nxt
-        val = self.scalar(cur)
-        self._two_cos[m] = val
+        val = self._two_cos[m] = self._reduce(cur)
         return val
 
     # -- reduction --------------------------------------------------------
@@ -386,40 +390,36 @@ class FieldContext:
         return f"FieldContext(modulus={self.modulus}, degree={self.degree})"
 
 
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
+def cos_string(coeffs) -> str:
+    """A coefficient tuple in y = 2c written over powers of c = cos(pi/M).
 
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _psub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _ptrim(out)
-
-
-def _pdivmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] / lead
-        if c:
-            q[i - len(den) + 1] = c
-            for j, dj in enumerate(den):
-                num[i - len(den) + 1 + j] -= c * dj
-    return _ptrim(q), _ptrim(num)
+    The coefficient of c^j is b_j = a_j * 2^j.
+    """
+    bs = tuple(_as_coeff(Fraction(a) * (1 << j)) for j, a in enumerate(coeffs))
+    if not any(bs):
+        return "0"
+    parts: list[str] = []
+    for j in range(len(bs) - 1, -1, -1):
+        b = bs[j]
+        if not b:
+            continue
+        mag = abs(Fraction(b))
+        if j == 0:
+            core = str(_as_coeff(mag))
+        else:
+            var = "c" if j == 1 else f"c^{j}"
+            if mag == 1:
+                core = var
+            elif mag.denominator == 1:
+                core = f"{mag.numerator}{var}"
+            else:
+                core = f"({mag}){var}"
+        parts.append(("-" if b < 0 else "+", core))
+    sign0, core0 = parts[0]
+    text = (sign0 if sign0 == "-" else "") + core0
+    for sgn, core in parts[1:]:
+        text += sgn + core
+    return text
 
 
 class FieldScalar:
@@ -506,49 +506,10 @@ class FieldScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> FieldScalar:
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        if not any(self.coeffs[1:]):
-            return self.ctx.rational(Fraction(1) / self.coeffs[0])
-        # Extended Euclid against the irreducible minimal polynomial.
-        r0 = [Fraction(c) for c in self.ctx.minpoly]
-        r1 = _ptrim([Fraction(c) for c in self.coeffs])
-        t0: list[Fraction] = []
-        t1 = [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _psub(t0, _pmul(q, t1))
-            if not r1:
-                raise ArithmeticError("minimal polynomial is reducible")
-        c = r1[0]
-        return self.ctx.scalar([t / c for t in t1])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     # -- predicates and order ---------------------------------------------
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def is_constant(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("scalar is not rational")
-        return Fraction(self.coeffs[0])
 
     def sign(self) -> int:
         return self.ctx.sign_of(self.coeffs)
@@ -596,36 +557,8 @@ class FieldScalar:
 
     # -- presentation -----------------------------------------------------
 
-    def cos_basis(self) -> tuple[Coeff, ...]:
-        """Coefficients over powers of c = cos(pi/M); b_j = a_j * 2^j."""
-        return tuple(_as_coeff(Fraction(a) * (1 << j)) for j, a in enumerate(self.coeffs))
-
     def __str__(self):
-        bs = self.cos_basis()
-        if not any(bs):
-            return "0"
-        parts: list[str] = []
-        for j in range(len(bs) - 1, -1, -1):
-            b = bs[j]
-            if not b:
-                continue
-            mag = abs(Fraction(b))
-            if j == 0:
-                core = str(_as_coeff(mag))
-            else:
-                var = "c" if j == 1 else f"c^{j}"
-                if mag == 1:
-                    core = var
-                elif mag.denominator == 1:
-                    core = f"{mag.numerator}{var}"
-                else:
-                    core = f"({mag}){var}"
-            parts.append(("-" if b < 0 else "+", core))
-        sign0, core0 = parts[0]
-        text = (sign0 if sign0 == "-" else "") + core0
-        for sgn, core in parts[1:]:
-            text += sgn + core
-        return text
+        return cos_string(self.coeffs)
 
     def __repr__(self):
         return f"FieldScalar({self})"

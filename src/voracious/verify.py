@@ -115,9 +115,6 @@ class Verifier:
     def _word(self, g: GroupElement) -> str:
         return word_to_string(self.system.shortlex_word(g), self.system.cox.generators)
 
-    def _ball(self, radius: int) -> list[GroupElement]:
-        return self.system.ball(radius)
-
     def _dist(self, g: GroupElement, h: GroupElement) -> int:
         """Chamber distance = number of walls with different sides."""
         geo = self.geometry
@@ -128,7 +125,7 @@ class Verifier:
         if self._incidences is None:
             geo = self.geometry
             inc: dict[Wall, list[GroupElement]] = {}
-            for h in self._ball(radius):
+            for h in self.system.ball(radius):
                 for root in h.matrix:
                     inc.setdefault(geo.wall_of_root(root), []).append(h)
             self._incidences = inc
@@ -150,7 +147,7 @@ class Verifier:
         geo = self.geometry
         n_elements = 0
         n_candidates = 0
-        for g in self._ball(self.config.radius):
+        for g in self.system.ball(self.config.radius):
             n_elements += 1
             candidates, terminals = geo.projection_walk(g)
             n_candidates += len(candidates)
@@ -186,7 +183,7 @@ class Verifier:
         cfg = self.config
         sys, geo = self.system, self.geometry
         radius = cfg.radius
-        ball = self._ball(radius)
+        ball = sys.ball(radius)
 
         # walls of the ball, tagged with the first radius they appear at
         wall_min_radius: dict[Wall, int] = {}
@@ -221,7 +218,7 @@ class Verifier:
 
         by_radius: dict[int, dict[str, int]] = {}
         for r in range(radius + 1):
-            row_ball = self._ball(r)
+            row_ball = self.system.ball(r)
             c = max((g.length - geo.voracious_projection(g).length for g in row_ball),
                     default=0)
             n = max((len(geo.frontier_set(g)) for g in row_ball), default=0)
@@ -275,7 +272,7 @@ class Verifier:
         sys, geo = self.system, self.geometry
         inv = geo.inversion_bits
         n_pairs = 0
-        for g in self._ball(self.config.radius):
+        for g in sys.ball(self.config.radius):
             inv_g = inv(g)
             pg = geo.voracious_projection(g)
             inv_pg = inv(pg)
@@ -329,11 +326,7 @@ class Verifier:
         c, q = constants.C_hat, constants.Q_hat
         bound_iii = 2 * c * (c + 2 * q) + 2 * q
         radius = cfg.radius
-        # Not needed by the checks below; kept only so the benchmark's traced
-        # operation counts stay comparable, and due to go with its next
-        # change (ROADMAP item 2).
-        sys.ball(radius + 1)
-        ball = self._ball(radius)
+        ball = sys.ball(radius)
 
         tasks = []  # (kind, g, g2, s); ascending pairs only, the bound is symmetric
         for g in ball:
@@ -488,7 +481,7 @@ class Verifier:
                 name, "skipped", {"reason": "needs rank >= 3 for separators to exist"}
             )
 
-        ball = self._ball(cfg.radius)
+        ball = sys.ball(cfg.radius)
         # sharp-angled wall pairs arise exactly as ball conjugates of simple
         # pairs with a finite order >= 3
         simple_pairs = [

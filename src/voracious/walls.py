@@ -33,7 +33,7 @@ chambers sit on W's side of any disjoint separator.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem, GroupElement
-from .field import add_rational, neg
+from .field import cos_string, neg
 
 
 class Wall:
@@ -91,8 +91,7 @@ class WallGeometry:
 
     def root_strings(self, wall: Wall) -> list[str]:
         """The wall's root coordinates, rendered over powers of c = cos(pi/M)."""
-        scalar = self.system.ctx.scalar
-        return [str(scalar(x)) for x in wall.root]
+        return [cos_string(x) for x in wall.root]
 
     def _iter_walls(self, mask: int):
         """The walls whose bits are set in mask, lowest bit first."""
@@ -194,8 +193,7 @@ class WallGeometry:
         t = sys.bilinear2(a.root, b.root)
         a.known |= b.bit
         b.known |= a.bit
-        sign_of = sys.ctx.sign_of
-        if sign_of(add_rational(t, -2)) >= 0 or sign_of(add_rational(t, 2)) <= 0:
+        if not sys.ctx.in_band(t):
             a.disjoint |= b.bit
             b.disjoint |= a.bit
             return True
@@ -338,7 +336,3 @@ class WallGeometry:
             if terminal:
                 terminals.append(p)
         return frozenset(seen), terminals
-
-    def projection_candidates(self, g: GroupElement) -> frozenset[GroupElement]:
-        """All prefixes of g on the identity side of every frontier wall."""
-        return self.projection_walk(g)[0]

@@ -54,6 +54,34 @@ def incident_far_chamber(geometry: WallGeometry, wall):
     return geometry.system.right_mul(near, s)
 
 
+def positive_definite_sylvester(system: CoxeterSystem) -> bool:
+    """Whether 2B is positive definite, so the group finite, by Sylvester's
+    criterion: every leading principal minor is positive.
+
+    A minor on rows 0..r-1 and a column subset is expanded along row r - 1
+    and memoised by its columns.  Exact and integer-only, and independent of
+    the small-root closure behind CoxeterSystem.is_finite.
+    """
+    ctx, gram2 = system.ctx, system.gram2
+    zero = (0,) * ctx.degree
+    memo = {(): (1,) + zero[1:]}
+
+    def minor(cols):
+        got = memo.get(cols)
+        if got is None:
+            r = len(cols) - 1
+            got = zero
+            for i, c in enumerate(cols):
+                term = ctx.mul(gram2[r][c], minor(cols[:i] + cols[i + 1 :]))
+                got = sub(got, term) if (r + i) % 2 else add(got, term)
+            memo[cols] = got
+        return got
+
+    return all(
+        ctx.sign_of(minor(tuple(range(r)))) > 0 for r in range(1, system.rank + 1)
+    )
+
+
 def interval_eval(coeffs, lo: Fraction, hi: Fraction):
     """Horner evaluation with exact Fraction interval endpoints: the oracle of
     the integer interval evaluation behind FieldContext.sign_of."""

@@ -85,7 +85,7 @@ def test_pivots_are_identity_projections(stack):
         expected = {
             g
             for g in s.system.ball(radius)
-            if g.length and geo.projection_candidates(g) == {s.system.identity}
+            if g.length and geo.projection_walk(g)[0] == {s.system.identity}
         }
         assert set(pivs) == expected
 

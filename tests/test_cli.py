@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -60,6 +61,46 @@ def test_small_roots_of_334_frozen():
     assert r.stdout == (
         "(0, 8c^3-6c, 1)\n(0, 0, 1)\n(0, 1, 8c^3-6c)\n(0, 1, 0)\n"
         "(1, 0, 0)\n(1, 0, 1)\n(1, 1, 0)\n"
+    )
+
+
+def _group_file(tmp_path, generators, orders):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": list(generators), "m": orders}))
+    return str(path)
+
+
+def test_small_roots_of_237_frozen(tmp_path):
+    # Degree 12 (modulus 42): terms up to c^10, and negative leading terms.
+    cfg = _group_file(tmp_path, "abc", [[1, 2, 3], [2, 1, 7], [3, 7, 1]])
+    r = run_cli("small-roots", "--group", cfg)
+    assert r.returncode == 0
+    c6 = "64c^6-96c^4+36c^2-2"
+    c10 = "-1024c^10+2560c^8-2176c^6+720c^4-80c^2+2"
+    assert r.stdout.splitlines() == [
+        f"({c6}, 1, {c6})",
+        f"({c6}, {c10}, {c6})",
+        f"(0, {c6}, 1)",
+        f"(0, {c6}, {c10})",
+        "(0, 0, 1)",
+        f"(0, 1, {c6})",
+        "(0, 1, 0)",
+        f"(0, {c10}, {c6})",
+        f"(0, {c10}, {c10})",
+        f"(1, {c6}, 1)",
+        "(1, 0, 0)",
+        "(1, 0, 1)",
+    ]
+
+
+def test_small_roots_of_h535_frozen(tmp_path):
+    # Degree 8 (modulus 30): a second field with c^k terms.
+    orders = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 5], [2, 2, 5, 1]]
+    r = run_cli("small-roots", "--group", _group_file(tmp_path, "abcd", orders))
+    assert r.returncode == 0
+    assert len(r.stdout.splitlines()) == 32
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "e343ff6989ce8a7aed842a3ae0a43586464f80b78263ea57589de3656864e775"
     )
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import random
 import time
 
 import pytest
@@ -18,7 +19,14 @@ from voracious import (
     word_to_string,
 )
 
-from conftest import BUILT, fresh_geometry, multiply
+from conftest import (
+    AFFINE_A3,
+    BUILT,
+    TRIANGLE_237,
+    fresh_geometry,
+    multiply,
+    positive_definite_sylvester,
+)
 
 
 SHIPPED = sorted(
@@ -245,6 +253,58 @@ def test_is_finite(stack):
     assert not stack("d_infinity").system.is_finite()
     assert not stack("triangle_333").system.is_finite()
     assert not stack("triangle_334").system.is_finite()
+
+
+def _chain(orders):
+    """The Coxeter matrix of a path diagram with these consecutive orders."""
+    k = len(orders) + 1
+    rows = [[1 if i == j else 2 for j in range(k)] for i in range(k)]
+    for i, m in enumerate(orders):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    return rows
+
+
+def _e8():
+    rows = _chain([3] * 6 + [2])
+    rows[2][7] = rows[7][2] = 3
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows,small",
+    [
+        (_e8(), 120),
+        (_chain([3, 4, 3]), 24),
+        (_chain([5, 3, 3]), 60),
+        ([list(r) for r in AFFINE_A3], None),
+        ([list(r) for r in TRIANGLE_237], None),
+        ([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 5], [2, 2, 5, 1]], None),
+    ],
+    ids=["E8", "F4", "H4", "affine_A3", "triangle_237", "H535"],
+)
+def test_is_finite_named_groups(rows, small):
+    # A finite group's small roots are all its positive roots.
+    system = _system(rows, gens=[f"s{i}" for i in range(len(rows))])
+    assert system.is_finite() == (small is not None)
+    assert positive_definite_sylvester(system) == (small is not None)
+    if small is not None:
+        assert len(system.small_roots()) == small
+
+
+def test_is_finite_matches_sylvester():
+    rng = random.Random(13)
+    orders = (INF, 2, 2, 2, 3, 3, 4, 5, 6)
+    finite = 0
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        rows = [[1] * k for _ in range(k)]
+        for i, j in itertools.combinations(range(k), 2):
+            rows[i][j] = rows[j][i] = rng.choice(orders)
+        system = _system(rows, gens=[f"s{i}" for i in range(k)])
+        want = positive_definite_sylvester(system)
+        assert system.is_finite() == want, rows
+        finite += want
+    assert 100 < finite < 300
 
 
 def test_length_changes_by_one(stack):

@@ -12,6 +12,7 @@ from voracious.field import (
     _scaled_horner,
     add,
     add_rational,
+    cos_string,
     cyclotomic_polynomial,
     neg,
     sub,
@@ -72,20 +73,24 @@ def _float_value(x):
 def test_two_cos_values_numeric():
     ctx = FieldContext(12)
     for m in (1, 2, 3, 4, 6, 12):
-        got = _float_value(ctx.two_cos_pi_over(m))
+        got = _float_value(ctx.scalar(ctx.two_cos_pi_over(m)))
         assert abs(got - 2.0 * math.cos(math.pi / m)) < 1e-12
 
 
 def test_two_cos_exact_identities():
     ctx = FieldContext(12)
-    assert ctx.two_cos_pi_over(1) == -2
-    assert ctx.two_cos_pi_over(2) == 0
-    assert ctx.two_cos_pi_over(3) == 1
-    sqrt2, sqrt3 = ctx.two_cos_pi_over(4), ctx.two_cos_pi_over(6)
+
+    def two_cos(m):
+        return ctx.scalar(ctx.two_cos_pi_over(m))
+
+    assert two_cos(1) == -2
+    assert two_cos(2) == 0
+    assert two_cos(3) == 1
+    sqrt2, sqrt3 = two_cos(4), two_cos(6)
     assert sqrt2 * sqrt2 == 2
     assert sqrt3 * sqrt3 == 3
     ctx5 = FieldContext(5)
-    y = ctx5.two_cos_pi_over(5)
+    y = ctx5.scalar(ctx5.two_cos_pi_over(5))
     assert y * y == y + 1  # golden ratio relation
 
 
@@ -97,21 +102,22 @@ def test_two_cos_requires_divisor():
         ctx.two_cos_pi_over(0)
 
 
-def test_cos_basis_round_trip():
-    ctx = FieldContext(4)
-    y = ctx.two_cos_pi_over(4)
-    assert y.cos_basis() == (0, 2)
+def test_cos_string_over_powers_of_c():
+    assert cos_string(FieldContext(4).two_cos_pi_over(4)) == "2c"
+    # Degree 4 (M = 12): the coefficient of c^j is a_j * 2^j, since c = y/2.
     ctx12 = FieldContext(12)
     x = ctx12.scalar([Fraction(1, 2), -1, 0, 3])
-    # b_j = a_j * 2^j, since c = y/2
-    back = [Fraction(b, 1 << j) for j, b in enumerate(x.cos_basis())]
-    assert ctx12.scalar(back) == x
+    assert cos_string(x.coeffs) == "24c^3-2c+1/2"
+    assert cos_string((Fraction(1, 3), Fraction(-3, 4), 0, 0)) == "-(3/2)c+1/3"
+    assert cos_string((0, 0, -1, 0)) == "-4c^2"
+    assert cos_string((0, 0, 0, 0)) == "0"
 
 
 def test_str_rendering():
     ctx = FieldContext(4)
-    assert str(ctx.two_cos_pi_over(4)) == "2c"
-    assert str(ctx.two_cos_pi_over(4) * ctx.two_cos_pi_over(4)) == "2"
+    y = ctx.scalar(ctx.two_cos_pi_over(4))
+    assert str(y) == "2c"
+    assert str(y * y) == "2"
     assert str(ctx.rational(Fraction(-1, 2))) == "-1/2"
     assert str(ctx.zero) == "0"
     assert str(ctx.rational(1)) == "1"
@@ -134,18 +140,6 @@ def test_context_mixing_rejected():
     b = FieldContext(5)
     with pytest.raises(ValueError):
         a.one + b.one
-
-
-def test_non_constant_as_fraction_rejected():
-    ctx = FieldContext(5)
-    with pytest.raises(ValueError):
-        ctx.two_cos_pi_over(5).as_fraction()
-
-
-def test_zero_inverse_rejected():
-    ctx = FieldContext(5)
-    with pytest.raises(ZeroDivisionError):
-        ctx.zero.inverse()
 
 
 CTX5 = FieldContext(5)
@@ -175,13 +169,6 @@ def test_field_axioms(a, b, c):
 @given(a=_scalars(CTX5), b=_scalars(CTX5))
 def test_sign_is_multiplicative(a, b):
     assert (a * b).sign() == a.sign() * b.sign()
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(a=_scalars(CTX12))
-def test_inverse_cancels(a):
-    if not a.is_zero():
-        assert a * a.inverse() == 1
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

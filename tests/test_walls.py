@@ -405,14 +405,14 @@ def test_projection_frozen(stack):
 
 def test_projection_candidates_frozen(stack):
     dinf = stack("d_infinity")
-    cands = dinf.geometry.projection_candidates(dinf.element("sts"))
+    cands = dinf.geometry.projection_walk(dinf.element("sts"))[0]
     assert cands == {
         dinf.system.identity,
         dinf.element("s"),
         dinf.element("st"),
     }
     a2 = stack("a2")
-    assert a2.geometry.projection_candidates(a2.element("sts")) == {
+    assert a2.geometry.projection_walk(a2.element("sts"))[0] == {
         a2.system.identity
     }
 
@@ -423,7 +423,7 @@ def test_projection_is_maximum_candidate(stack):
         s = stack(name)
         geo = s.geometry
         for g in s.system.ball(GOLD_BALL_RADIUS):
-            cands = geo.projection_candidates(g)
+            cands = geo.projection_walk(g)[0]
             top = max(c.length for c in cands)
             best = [c for c in cands if c.length == top]
             assert len(best) == 1
@@ -446,7 +446,7 @@ def test_projection_candidates_prefix_closed(stack):
     s = stack("triangle_334")
     geo = s.geometry
     for g in s.system.ball(GOLD_BALL_RADIUS):
-        cands = geo.projection_candidates(g)
+        cands = geo.projection_walk(g)[0]
         for p in cands:
             assert is_prefix(geo, p, g)
             for q in cands:
