@@ -10,9 +10,13 @@ a separator from chamber w.  The target state w^{-1} W(w) depends on w
 alone.
 
 An edge stores only its source, target and pivot word: its labels are
-derived from the group, and the universe is the group's small roots, which
-the JSON loader checks rather than parses.  The loader also checks each
-edge by the rules the build applies.
+derived from the group, and only to write DOT, and the universe is the
+group's small roots, which the JSON loader checks rather than parses.  The
+loader also checks each edge by the rules the build applies.
+
+Words are run over the pivot prefix graph rather than over the labels: its
+nodes are the pivots and their prefixes in the weak order, and reading a
+letter s at the node of h moves to the node of h s.
 
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
@@ -115,20 +119,20 @@ class VoraciousAutomaton:
         self._universe_index = {w: i for i, w in enumerate(universe)}
         self._state_index = {st: i for i, st in enumerate(states)}
         # An edge is fixed by its source and pivot.
-        self._targets: dict[tuple[int, Word], int] = {}
+        leaving: set[tuple[int, Word]] = set()
         for e in edges:
             if not (0 <= e.source < len(states) and 0 <= e.target < len(states)):
                 raise ValueError(
                     f"edge {e.source} -> {e.target} names a state outside "
                     f"0..{len(states) - 1}"
                 )
-            if (e.source, e.pivot_word) in self._targets:
+            if (e.source, e.pivot_word) in leaving:
                 raise ValueError(
                     f"two edges leave state {e.source} with pivot {e.pivot_word}"
                 )
-            self._targets[e.source, e.pivot_word] = e.target
+            leaving.add((e.source, e.pivot_word))
         self._labels: dict[Word, tuple[Word, ...]] = {}
-        self._trie: tuple[list[dict[int, int]], list[tuple[Word, ...]]] | None = None
+        self._graph: tuple[list[list[int]], list[dict[int, int]]] | None = None
 
     # -- running the machine -------------------------------------------------
 
@@ -141,51 +145,75 @@ class VoraciousAutomaton:
             got = self._labels[pivot_word] = tuple(sorted(sys.reduced_words(g)))
         return got
 
-    def _label_trie(self):
-        """Trie of the labels of every distinct pivot, shared by all states.
+    def _prefix_graph(self) -> tuple[list[list[int]], list[dict[int, int]]]:
+        """The pivot prefix graph, built on first use: (children, ends).
 
-        Node 0 is the root; children[n] maps a letter to a node, and
-        completes[n] lists the pivots that have the path to n as a label.
+        Node 0 is the identity.  The other nodes are the elements of the
+        edges' pivots and every element below them in the weak order, found
+        by stepping down right descents; a file may lack the edges of a
+        prefix, so the pivots alone would not hold every label prefix.
+        children[n][s] is the node of h s, for h the element of node n, when
+        h s is longer than h and is a node, and 0 otherwise (the identity is
+        no node's child).  ends[n] maps a state to the target of the edge
+        leaving it with pivot h.
+
+        A prefix of a reduced word is reduced, so it is fixed by its element:
+        the paths from node 0 to the node of w spell the reduced words of w,
+        which are the labels of w's edges.
         """
-        if self._trie is None:
-            children: list[dict[int, int]] = [{}]
-            completes: list[tuple[Word, ...]] = [()]
-            for pivot in dict.fromkeys(e.pivot_word for e in self.edges):
-                for lab in self.labels(pivot):
-                    node = 0
-                    for letter in lab:
-                        nxt = children[node].get(letter)
-                        if nxt is None:
-                            nxt = len(children)
-                            children[node][letter] = nxt
-                            children.append({})
-                            completes.append(())
-                        node = nxt
-                    completes[node] += (pivot,)
-            self._trie = (children, completes)
-        return self._trie
+        if self._graph is None:
+            sys = self.geometry.system
+            index: dict[GroupElement, int] = {}
+            elements: list[GroupElement] = []
+            children: list[list[int]] = []
+            ends: list[dict[int, int]] = []
+
+            def node(h: GroupElement) -> int:
+                n = index.get(h)
+                if n is None:
+                    n = index[h] = len(elements)
+                    elements.append(h)
+                    children.append([0] * sys.rank)
+                    ends.append({})
+                return n
+
+            node(sys.identity)
+            pivot_nodes: dict[Word, int] = {}
+            for e in self.edges:
+                n = pivot_nodes.get(e.pivot_word)
+                if n is None:
+                    n = pivot_nodes[e.pivot_word] = node(
+                        sys.element_of_word(e.pivot_word)
+                    )
+                ends[n][e.source] = e.target
+            for n, h in enumerate(elements):
+                for s in sys.right_descents(h):
+                    children[node(sys.right_mul(h, s))][s] = n
+            self._graph = (children, ends)
+        return self._graph
 
     def run_states(self, word: Word) -> frozenset[int]:
         """States reachable by splitting the word into consecutive edge labels.
 
-        Walks (state, trie node) pairs one letter at a time: a pair at the
-        root has read whole labels up to a state, and a pair elsewhere is
-        partway through the next label.
+        Walks (state, node) pairs of the pivot prefix graph one letter at a
+        time: a pair at node 0 has read whole labels up to a state, and a
+        pair elsewhere is partway through the label of a further edge.
         """
-        children, completes = self._label_trie()
-        targets = self._targets
+        children, ends = self._prefix_graph()
+        rank = len(self.generators)
         current = {(self.start, 0)}
         for letter in word:
+            if not 0 <= letter < rank:
+                return frozenset()
             nxt = set()
             for state, node in current:
-                child = children[node].get(letter)
-                if child is None:
+                child = children[node][letter]
+                if not child:
                     continue
                 nxt.add((state, child))
-                for pivot in completes[child]:
-                    target = targets.get((state, pivot))
-                    if target is not None:
-                        nxt.add((target, 0))
+                target = ends[child].get(state)
+                if target is not None:
+                    nxt.add((target, 0))
             if not nxt:
                 return frozenset()
             current = nxt

@@ -418,7 +418,38 @@ class Verifier:
 
     # automaton agreement ---------------------------------------------------
 
+    def _pivot_gap(self, aut) -> dict | None:
+        """A pivot the automaton lacks, or None.
+
+        Pivots are closed under prefixes, so a right-descent prefix of an
+        edge's pivot must be the identity or another edge's pivot; and every
+        element of the ball with identity projection must be an edge's pivot.
+        """
+        sys, geo = self.system, self.geometry
+        words = dict.fromkeys(e.pivot_word for e in aut.edges)
+        pivots = dict.fromkeys(map(sys.element_of_word, words))
+        for g in pivots:
+            for s in sys.right_descents(g):
+                prefix = sys.right_mul(g, s)
+                if prefix.length and prefix not in pivots:
+                    return {
+                        "issue": "prefix of a pivot is not a pivot",
+                        "pivot": self._word(g),
+                        "prefix": self._word(prefix),
+                    }
+        for g in sys.ball(self.config.radius):
+            if g.length and g not in pivots and (
+                geo.voracious_projection(g) is sys.identity
+            ):
+                return {
+                    "issue": "identity projection but not a pivot",
+                    "element": self._word(g),
+                }
+        return None
+
     def check_automaton_agreement(self) -> CheckResult:
+        """accepts agrees with the language on every word up to word_length,
+        in the frontier's state, and the automaton has every pivot."""
         cfg = self.config
         sys, geo = self.system, self.geometry
         aut = build_automaton(geo)
@@ -426,7 +457,7 @@ class Verifier:
         lang = self.language
         n_words = 0
         n_accepted = 0
-        mismatch = None
+        mismatch = self._pivot_gap(aut)
         stack: list[tuple[Word, GroupElement]] = [((), sys.identity)]
         while stack:
             word, g = stack.pop()

@@ -73,6 +73,7 @@ class WallGeometry:
         # g -> (p(g), p(g)^{-1} g): the projection and the block it leaves.
         self._proj: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
         self._incident: dict[Wall, GroupElement] = {}
+        # Made first, so the wall of generator s has bit s.
         self._gen_walls = tuple(map(self.wall_of_root, system.identity.matrix))
 
     # -- construction ------------------------------------------------------
@@ -100,9 +101,6 @@ class WallGeometry:
             low = mask & -mask
             yield by_index[low.bit_length() - 1]
             mask ^= low
-
-    def wall_of_generator(self, s: int) -> Wall:
-        return self._gen_walls[s]
 
     def translate_wall(self, g: GroupElement, wall: Wall) -> Wall:
         return self.wall_of_root(self.system.apply_matrix(g.matrix, wall.root))

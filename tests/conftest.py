@@ -24,6 +24,11 @@ def fresh_geometry(generators, orders) -> WallGeometry:
     return WallGeometry(CoxeterSystem(CoxeterMatrix(tuple(generators), orders)))
 
 
+def generator_wall(geometry: WallGeometry, s: int):
+    """The wall of the simple root alpha_s."""
+    return geometry.wall_of_root(geometry.system.identity.matrix[s])
+
+
 def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     """Small walls among all walls of the ball, tested by the shadow criterion.
 

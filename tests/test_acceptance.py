@@ -19,7 +19,7 @@ from voracious import (
     small_roots,
 )
 
-from conftest import GROUPS_DIR, small_roots_bruteforce
+from conftest import GROUPS_DIR, generator_wall, small_roots_bruteforce
 
 
 def criterion(num, name):
@@ -84,7 +84,7 @@ def test_criterion_2_dihedral_gold():
     t0 = time.perf_counter()
     system, geometry, language = _fresh("d_infinity")
     aut = build_automaton(geometry)
-    w_t, w_s = geometry.wall_of_generator(1), geometry.wall_of_generator(0)
+    w_t, w_s = generator_wall(geometry, 1), generator_wall(geometry, 0)
     assert aut.universe == (w_t, w_s)
     assert aut.states == ((), (0,), (1,))
     assert {(e.source, e.target, e.pivot_word) for e in aut.edges} == {

@@ -11,9 +11,16 @@ from voracious import (
     from_json_dict,
     pivots,
     small_roots,
+    word_from_string,
 )
 
-from conftest import AFFINE_A3, TRIANGLE_237, fresh_geometry, small_roots_bruteforce
+from conftest import (
+    AFFINE_A3,
+    TRIANGLE_237,
+    fresh_geometry,
+    generator_wall,
+    small_roots_bruteforce,
+)
 
 SMALL_ROOT_COUNTS = {
     "rank1": 1,
@@ -43,7 +50,7 @@ def test_small_roots_match_bruteforce(stack, name):
 def test_small_roots_of_line(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
-    assert set(small_roots(geo)) == {geo.wall_of_generator(0), geo.wall_of_generator(1)}
+    assert set(small_roots(geo)) == {generator_wall(geo, 0), generator_wall(geo, 1)}
 
 
 def test_finite_group_small_roots_are_all_walls(stack):
@@ -122,6 +129,7 @@ def test_h535_automaton_frozen():
     assert max(g.length for g in pivs) == 21
     aut = build_automaton(geo)
     assert (len(aut.states), len(aut.edges)) == (516, 16_753)
+    assert len(_prefix_graph_nodes(aut)) == 516
     # Loaded into a fresh geometry, so every edge check runs from cold.
     text = aut.to_json()
     clone = from_json_dict(json.loads(text), fresh_geometry("abcd", H535))
@@ -150,7 +158,7 @@ def test_gold_automaton_of_line(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
     aut = build_automaton(geo)
-    w_t, w_s = geo.wall_of_generator(1), geo.wall_of_generator(0)
+    w_t, w_s = generator_wall(geo, 1), generator_wall(geo, 0)
     assert aut.universe == (w_t, w_s)
     assert aut.states == ((), (0,), (1,))
     got = {
@@ -182,6 +190,9 @@ def test_gold_automaton_of_rank1(stack):
     assert len(aut.edges) == 1
     assert aut.accepts((0,))
     assert not aut.accepts((0, 0))
+    # Letters outside the generators spell no label.
+    assert not aut.accepts((1,))
+    assert not aut.accepts((-1,))
 
 
 def test_state_and_edge_counts_frozen(stack):
@@ -262,13 +273,66 @@ def test_accepts_long_word(stack):
     assert not aut.accepts(word + dinf.word("t"))
 
 
-def test_label_trie_is_shared(long_pivot_geometries):
-    # One trie over the distinct pivots' labels, not one per source state.
-    aut = build_automaton(long_pivot_geometries["affine_a3"])
-    labels = {e.pivot_word: aut.labels(e.pivot_word) for e in aut.edges}
-    letters = sum(len(lab) for labs in labels.values() for lab in labs)
-    children, _ = aut._label_trie()
-    assert len(children) < letters
+def _prefix_graph_nodes(aut):
+    """The element of each node of the automaton's pivot prefix graph.
+
+    Found by walking the children from node 0.  Asserts that every node is
+    reached and one element's, and that children[n][s] is the node of h s
+    when h s is longer than h and is a node, and 0 otherwise.
+    """
+    sys_ = aut.geometry.system
+    children, _ = aut._prefix_graph()
+    elements = [sys_.identity] + [None] * (len(children) - 1)
+    queue = [0]
+    for n in queue:
+        for s, c in enumerate(children[n]):
+            if c and elements[c] is None:
+                elements[c] = sys_.right_mul(elements[n], s)
+                queue.append(c)
+    assert None not in elements
+    index = {h: n for n, h in enumerate(elements)}
+    assert len(index) == len(elements)
+    for n, h in enumerate(elements):
+        for s in range(sys_.rank):
+            hs = sys_.right_mul(h, s)
+            want = index.get(hs, 0) if hs.length > h.length else 0
+            assert children[n][s] == want
+    return elements
+
+
+def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
+    # Pivots are prefix-closed, so the nodes are the pivots and the identity,
+    # and each pivot's node ends exactly the edges that carry it.
+    geo = long_pivot_geometries["affine_a3"]
+    aut = build_automaton(geo)
+    elements = _prefix_graph_nodes(aut)
+    assert len(elements) == 125
+    assert set(elements) == {geo.system.identity, *pivots(geo)}
+    _, ends = aut._prefix_graph()
+    want = [{} for _ in elements]
+    index = {h: n for n, h in enumerate(elements)}
+    for e in aut.edges:
+        want[index[geo.system.element_of_word(e.pivot_word)]][e.source] = e.target
+    assert ends == want
+
+
+def test_run_states_with_edges_missing_from_file(long_pivot_geometries):
+    # A loaded file may lack edges.  Drop every edge of a pivot that is a
+    # right-descent prefix of a longer pivot: the longer pivot's labels pass
+    # through the dropped pivot's element, which must stay a node.
+    geo = long_pivot_geometries["affine_a3"]
+    sys_ = geo.system
+    data = build_automaton(geo).to_json_dict()
+    words = sorted({e["pivot_word"] for e in data["edges"]}, key=lambda w: (len(w), w))
+    elements = {w: sys_.element_of_word(word_from_string(w, "abcd")) for w in words}
+    prefixes = {
+        sys_.right_mul(g, s) for g in elements.values() for s in sys_.right_descents(g)
+    }
+    dropped = next(w for w in words if len(w) == 2 and elements[w] in prefixes)
+    data["edges"] = [e for e in data["edges"] if e["pivot_word"] != dropped]
+    aut = from_json_dict(data, geo)
+    assert len(aut.edges) < 872
+    _assert_run_states_match_label_scan(aut, sys_.rank, 6)
 
 
 def _json_of_334(stack):

@@ -1,15 +1,26 @@
 import itertools
 import json
 
+import pytest
+
+import voracious.verify
 from voracious import (
     CoxeterMatrix,
     CoxeterSystem,
     Verifier,
     VerifierConfig,
+    VoraciousAutomaton,
     WallGeometry,
+    build_automaton,
 )
 
-from conftest import BUILT, fresh_geometry, multiply, projection_monotone_bruteforce
+from conftest import (
+    BUILT,
+    fresh_geometry,
+    generator_wall,
+    multiply,
+    projection_monotone_bruteforce,
+)
 
 CHECK_NAMES = [
     "projection-unique-maximum",
@@ -216,7 +227,7 @@ def test_unique_max_fails_on_a_second_terminal(stack, monkeypatch):
     geo = WallGeometry(CoxeterSystem(s.cox))
     g = geo.system.element_of_word(s.word("aba"))
     frontier_set = geo.frontier_set
-    walls = {geo.wall_of_generator(0), geo.wall_of_generator(1)}
+    walls = {generator_wall(geo, 0), generator_wall(geo, 1)}
     assert walls <= frontier_set(g)
     dropped = frontier_set(g) - walls
     monkeypatch.setattr(
@@ -240,3 +251,36 @@ def test_projection_monotone_fails_on_a_raised_projection(stack, monkeypatch):
     assert check.status == "fail"
     assert check.witness == {"g": "sts", "between": "st", "p_g": "", "p_between": "st"}
     assert not projection_monotone_bruteforce(geo, 3)[1]
+
+
+@pytest.mark.parametrize(
+    "dropped,witness",
+    [
+        # bcbca steps down its right descent a to the dropped bcbc.
+        (
+            "bcbc",
+            {
+                "issue": "prefix of a pivot is not a pivot",
+                "pivot": "bcbca",
+                "prefix": "bcbc",
+            },
+        ),
+        # No pivot extends bcbca, so only the ball finds it.
+        ("bcbca", {"issue": "identity projection but not a pivot", "element": "bcbca"}),
+    ],
+)
+def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch, dropped, witness):
+    s = stack("triangle_334")
+    geo = WallGeometry(CoxeterSystem(s.cox))
+    word = s.word(dropped)
+
+    def build_without_pivot(geometry):
+        aut = build_automaton(geometry)
+        edges = tuple(e for e in aut.edges if e.pivot_word != word)
+        assert len(edges) < len(aut.edges)
+        return VoraciousAutomaton(geometry, aut.universe, aut.states, edges)
+
+    monkeypatch.setattr(voracious.verify, "build_automaton", build_without_pivot)
+    check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
+    assert check.status == "fail"
+    assert check.witness == witness

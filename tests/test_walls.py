@@ -9,6 +9,7 @@ from conftest import (
     BUILT,
     GROUPS_DIR,
     fresh_geometry,
+    generator_wall,
     incident_far_chamber,
     is_prefix,
     reference_find_separator,
@@ -41,8 +42,8 @@ def _coords(wall):
 
 def test_generator_walls(stack):
     a2 = stack("a2")
-    assert _coords(a2.geometry.wall_of_generator(0)) == (1, 0)
-    assert _coords(a2.geometry.wall_of_generator(1)) == (0, 1)
+    assert _coords(generator_wall(a2.geometry, 0)) == (1, 0)
+    assert _coords(generator_wall(a2.geometry, 1)) == (0, 1)
 
 
 def test_wall_normalization(stack):
@@ -94,7 +95,7 @@ def test_roots_are_positive(stack):
 def test_on_identity_side(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
-    ws = geo.wall_of_generator(0)
+    ws = generator_wall(geo, 0)
     assert geo.on_identity_side(dinf.system.identity, ws)
     assert not geo.on_identity_side(dinf.element("s"), ws)
     assert geo.on_identity_side(dinf.element("t"), ws)
@@ -124,18 +125,18 @@ def test_is_prefix(stack):
 def test_walls_disjoint_frozen(stack):
     a2 = stack("a2")
     assert not a2.geometry.walls_disjoint(
-        a2.geometry.wall_of_generator(0), a2.geometry.wall_of_generator(1)
+        generator_wall(a2.geometry, 0), generator_wall(a2.geometry, 1)
     )
     dinf = stack("d_infinity")
     geo = dinf.geometry
-    assert geo.walls_disjoint(geo.wall_of_generator(0), geo.wall_of_generator(1))
+    assert geo.walls_disjoint(generator_wall(geo, 0), generator_wall(geo, 1))
     assert geo.walls_disjoint(_wall_at(dinf, (2, 1)), _wall_at(dinf, (3, 2)))
     a2 = stack("a2")
     assert not a2.geometry.walls_disjoint(
-        a2.geometry.wall_of_generator(0), _wall_at(a2, (1, 1))
+        generator_wall(a2.geometry, 0), _wall_at(a2, (1, 1))
     )
     with pytest.raises(ValueError):
-        geo.walls_disjoint(geo.wall_of_generator(0), geo.wall_of_generator(0))
+        geo.walls_disjoint(generator_wall(geo, 0), generator_wall(geo, 0))
 
 
 @pytest.mark.parametrize("name", ["triangle_334", "affine_a3"])
@@ -182,8 +183,8 @@ def test_incident_chamber_frozen(stack):
     a2 = stack("a2")
     geo = a2.geometry
     # The wall of a simple generator touches the identity chamber.
-    assert geo.incident_chamber(geo.wall_of_generator(0)) == a2.system.identity
-    assert incident_far_chamber(geo, geo.wall_of_generator(0)) == a2.element("s")
+    assert geo.incident_chamber(generator_wall(geo, 0)) == a2.system.identity
+    assert incident_far_chamber(geo, generator_wall(geo, 0)) == a2.element("s")
     # The long root's wall in the triangle tiling touches chamber s.
     mid = _wall_at(a2, (1, 1))
     assert geo.incident_chamber(mid) == a2.element("s")
@@ -220,7 +221,7 @@ def test_incident_chambers_share_side_of_disjoint_walls(stack):
     for g in ball:
         for s_idx in range(s.cox.rank):
             h = s.system.right_mul(g, s_idx)
-            wall = geo.translate_wall(g, geo.wall_of_generator(s_idx))
+            wall = geo.translate_wall(g, generator_wall(geo, s_idx))
             touching.setdefault(wall, set()).add(g)
     walls = list(touching)
     for a, b in itertools.combinations(walls, 2):
@@ -268,8 +269,8 @@ def test_one_wall_per_root(stack, name):
             assert geo.wall_of_root(wall.root) is wall
     other = WallGeometry(geo.system)
     for s in range(geo.system.rank):
-        assert other.wall_of_generator(s) != geo.wall_of_generator(s)
-        assert other.wall_of_generator(s).root == geo.wall_of_generator(s).root
+        assert generator_wall(other, s) != generator_wall(geo, s)
+        assert generator_wall(other, s).root == generator_wall(geo, s).root
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
@@ -310,14 +311,14 @@ def test_pull_back_matches_translate_wall(stack, name):
         }
     g = sys.element_of_word((0,))
     with pytest.raises(ValueError, match="inversion walls"):
-        geo.pull_back(g, [geo.wall_of_generator(1)])
+        geo.pull_back(g, [generator_wall(geo, 1)])
 
 
 def test_separates_from_wall_frozen(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
     g = dinf.element("sts")
-    w_s = geo.wall_of_generator(0)
+    w_s = generator_wall(geo, 0)
     sep = _wall_at(dinf, (2, 1))
     assert geo.has_separator(g, w_s, sep.bit)
     # Chambers touching the wall (2,1) are s and st, both across W_s from id,
@@ -467,7 +468,7 @@ def test_frontier_survives_to_projection_gap(stack):
 def test_reflection_of_wall(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
-    assert reflection_of_wall(geo, geo.wall_of_generator(0)) == dinf.element("s")
+    assert reflection_of_wall(geo, generator_wall(geo, 0)) == dinf.element("s")
     assert reflection_of_wall(geo, _wall_at(dinf, (2, 1))) == dinf.element("sts")
     assert reflection_of_wall(geo, _wall_at(dinf, (3, 2))) == dinf.element("ststs")
 
@@ -475,6 +476,6 @@ def test_reflection_of_wall(stack):
 def test_translate_wall(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
-    s_wall = geo.wall_of_generator(1)
+    s_wall = generator_wall(geo, 1)
     moved = geo.translate_wall(dinf.element("s"), s_wall)
     assert _coords(moved) == (2, 1)
