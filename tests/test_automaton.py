@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -9,6 +10,7 @@ from voracious import (
     WallGeometry,
     build_automaton,
     from_json_dict,
+    load_group_file,
     pivots,
     small_roots,
     word_from_string,
@@ -16,6 +18,7 @@ from voracious import (
 
 from conftest import (
     AFFINE_A3,
+    GROUPS_DIR,
     TRIANGLE_237,
     fresh_geometry,
     generator_wall,
@@ -135,6 +138,25 @@ def test_h535_automaton_frozen():
     clone = from_json_dict(json.loads(text), fresh_geometry("abcd", H535))
     assert clone == aut
     assert clone.to_json() == text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1ff16af57e1352139d77d5011d59a84da98c913cc914f4949f5e897617754604"
+    )
+
+
+def test_334_automaton_bytes_frozen():
+    # `automaton --format json` and `--format dot` on (3,3,4), from a fresh
+    # system as the command line builds it.  Saved files are read back only
+    # if their universe matches these bytes.
+    system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
+    aut = build_automaton(WallGeometry(system))
+    digests = [
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (aut.to_json(), aut.to_dot())
+    ]
+    assert digests == [
+        "9e22d3ab5a1a9e4576fa992d5c3efd66001b40464fdda40a7efea0bca58d32c6",
+        "2887d85cf1fd6aee013c1ca81ee5e6426d7feb8db8bd7cefea0054cec269a6c3",
+    ]
 
 
 def test_pivots_are_prefix_closed(stack, long_pivot_geometries):

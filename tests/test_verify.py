@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -12,10 +13,12 @@ from voracious import (
     VoraciousAutomaton,
     WallGeometry,
     build_automaton,
+    load_group_file,
 )
 
 from conftest import (
     BUILT,
+    GROUPS_DIR,
     fresh_geometry,
     generator_wall,
     multiply,
@@ -150,6 +153,18 @@ def test_report_json_schema_and_determinism(stack):
     }
     for check in data["checks"]:
         assert check["status"] in {"pass", "fail", "skipped"}
+
+
+def test_334_report_bytes_frozen():
+    # The report of `verify --radius 8 --seed 1` on (3,3,4), from a fresh
+    # system as the command line builds it.  A reordered universe, wall sort
+    # or seeded sample changes these bytes.
+    system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
+    config = VerifierConfig(radius=8, seed=1)
+    text = Verifier(WallGeometry(system), config).run_suite().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "99ed70edfd47b1c7c475bd4557fbb729804020808edeb075dcc22cd2d1db7f99"
+    )
 
 
 def test_zero_radius_is_vacuous_but_clean(stack):
