@@ -45,13 +45,13 @@ FORMAT = "voracious-automaton-3"
 
 
 def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
-    """All small-root walls, sorted by root.
+    """All small-root walls, sorted by root as output writes it.
 
     The walls of CoxeterSystem.small_roots, made in the order the closure
     finds their roots.
     """
     walls = map(geometry.wall_of_root, geometry.system.small_roots(cap))
-    return tuple(sorted(walls, key=lambda w: w.root))
+    return tuple(sorted(walls, key=geometry.output_root))
 
 
 def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
@@ -252,8 +252,8 @@ class VoraciousAutomaton:
             "format": FORMAT,
             "generators": list(gens),
             "m": [list(row) for row in self.geometry.system.cox.orders],
-            "cos_denominator": self.geometry.system.ctx.modulus,
-            "universe": _universe_json(self.universe),
+            "cos_denominator": self.geometry.system.cox.field_modulus(),
+            "universe": _universe_json(self.geometry, self.universe),
             "states": [list(st) for st in self.states],
             "start": self.start,
             "edges": [
@@ -289,14 +289,15 @@ class VoraciousAutomaton:
         return "\n".join(lines) + "\n"
 
 
-def _universe_json(universe) -> list:
-    """Roots as JSON.  A coordinate is an integer polynomial in y = 2c, with
-    c = cos(pi/M): an integer is written as a string, any other as the
-    strings of its coefficients over powers of c (b_j = a_j 2^j)."""
+def _universe_json(geometry: WallGeometry, universe) -> list:
+    """Roots as JSON, as WallGeometry.output_root writes them.  A coordinate
+    is an integer polynomial in y = 2c, with c = cos(pi/M): an integer is
+    written as a string, any other as the strings of its coefficients over
+    powers of c (b_j = a_j 2^j)."""
     return [
         [
             [str(a << j) for j, a in enumerate(x)] if any(x[1:]) else str(x[0])
-            for x in w.root
+            for x in geometry.output_root(w)
         ]
         for w in universe
     ]
@@ -325,7 +326,7 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
         raise ValueError("automaton file belongs to a different group")
 
     universe = small_roots(geometry)
-    got, want = data["universe"], _universe_json(universe)
+    got, want = data["universe"], _universe_json(geometry, universe)
     if got != want:
         i, entry, root = next(
             (i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b

@@ -88,7 +88,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _wall_lines(geometry, walls) -> str:
-    rows = sorted(walls, key=lambda w: w.root)
+    rows = sorted(walls, key=geometry.output_root)
     return "".join(
         "(" + ", ".join(geometry.root_strings(w)) + ")\n" for w in rows
     )

@@ -5,11 +5,15 @@ in the geometric representation is kept by columns, and column s is the
 root g(alpha_s).  The inverse is kept the same way, together with the cached
 word length.  Since l(gs) > l(g) iff g(alpha_s) > 0, every length, descent
 and inversion test reads one stored tuple.  Matrix entries, roots and the
-form 2B are coefficient tuples of ints over y = 2 cos(pi/M) (see field.py),
-so a matrix is a tuple of tuples of tuples.  The representation is faithful,
-so matrix equality is group equality, and a system builds each element once,
-from one table keyed by matrix: two elements of one system are equal iff
-they are the same object, and every memo hashes elements by identity.
+form 2B are coefficient tuples of ints over y' = 2 cos(pi/M'), for M' the
+lcm of the finite orders other than 2 and 3 (see field.py), so a matrix is a
+tuple of tuples of tuples.  Those two orders give the rational entries 0 and
+-1 of 2B, so one context over M' does all arithmetic; output_vector writes
+a vector over y = 2 cos(pi/M), for M the lcm of every finite order, the one
+basis every output uses.  The representation is faithful, so matrix equality
+is group equality, and a system builds each element once, from one table
+keyed by matrix: two elements of one system are equal iff they are the same
+object, and every memo hashes elements by identity.
 Lengths are never assumed from input words: generator application tracks
 them by an exact root-sign test.
 """
@@ -24,9 +28,11 @@ from .field import FieldContext, add, neg, sub, two_cos_degree
 
 INF = 0  # encoding of an infinite Coxeter matrix entry, here and in config files
 
-# Largest degree of Q(2 cos(pi/M)) a system may use.  The groups shipped or
-# named in the docs need at most 12, for (2,3,7); orders {1001, 2, 3} would
-# need 1440, and their minimal polynomial alone takes seconds to build.
+# Largest degree of Q(2 cos(pi/M)), M = CoxeterMatrix.field_modulus(), that a
+# system may write its outputs in; the field it computes in is a subfield.
+# The groups shipped or named in the docs need at most 12, for (2,3,7);
+# orders {1001, 2, 3} would need 1440, and their minimal polynomial alone
+# takes seconds to build.
 MAX_FIELD_DEGREE = 64
 
 Word = tuple[int, ...]
@@ -81,11 +87,20 @@ class CoxeterMatrix:
 
     def field_modulus(self) -> int:
         """lcm of the finite entries; 1 when every off-diagonal order is infinite."""
+        return self._lcm_of_orders(())
+
+    def arithmetic_modulus(self) -> int:
+        """lcm of the finite entries other than 2 and 3, or 1 when there are
+        none: 2 cos(pi/2) = 0 and 2 cos(pi/3) = 1 need no field."""
+        return self._lcm_of_orders((2, 3))
+
+    def _lcm_of_orders(self, skip) -> int:
         m = 1
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
-                if self.orders[i][j] != INF:
-                    m = math.lcm(m, self.orders[i][j])
+                order = self.orders[i][j]
+                if order != INF and order not in skip:
+                    m = math.lcm(m, order)
         return m
 
     def automorphisms(self) -> list[tuple[int, ...]]:
@@ -193,8 +208,9 @@ class CoxeterSystem:
             raise ResourceLimitError(
                 f"field Q(2 cos(pi/{modulus})) has degree above {MAX_FIELD_DEGREE}"
             )
-        self.ctx = FieldContext(modulus)
+        self.ctx = FieldContext(cox.arithmetic_modulus())
         ctx = self.ctx
+        self._output_map = None
         k = self.rank
 
         # 2B has integer polynomial entries; it is the only form kept.
@@ -282,6 +298,17 @@ class CoxeterSystem:
         """s g from the columns of g: s reflects every column."""
         reflect = self.reflect
         return tuple(reflect(s, col) for col in cols)
+
+    def output_vector(self, vec):
+        """vec with each coordinate written over y = 2 cos(pi/M), for M the
+        field modulus, through one integer map built on first use: the basis
+        of every output."""
+        rewrite = self._output_map
+        if rewrite is None:
+            rewrite = self._output_map = self.ctx.basis_change(
+                self.cox.field_modulus()
+            )
+        return tuple(map(rewrite, vec))
 
     def bilinear2(self, u, v):
         """2 B(u, v); integer-valued on integer vectors."""

@@ -1,12 +1,19 @@
 """Exact arithmetic in the real cyclotomic field Q(2 cos(pi/M)).
 
 Wall geometry needs exact sign decisions, never floating point.  Everything
-the engine computes lives in a single real algebraic extension: with M the
-lcm of the finite Coxeter matrix entries, y = 2 cos(pi/M) is an algebraic
-integer and 2 cos(pi/m) is an integer polynomial in y for every finite m
-dividing M (a Chebyshev-style identity).  Group-element matrices and root
+the engine computes lives in a single real algebraic extension: for a
+modulus M, y = 2 cos(pi/M) is an algebraic integer and 2 cos(pi/m) is an
+integer polynomial in y for every m dividing M (a Chebyshev-style
+identity), while 2 cos(pi/2) = 0 and 2 cos(pi/3) = 1 are rational in any
+context.  A Coxeter system computes with M the lcm of its finite orders
+other than 2 and 3 (see coxeter.py).  Group-element matrices and root
 coordinates therefore keep integer coefficients throughout, over the
 doubled form 2B, and the engine never divides.
+
+Outputs are written over the larger field of every finite order.  For a
+multiple N of M, Q(y) is a subfield of Q(2 cos(pi/N)), and
+FieldContext.basis_change(N) is the integer matrix that rewrites a tuple
+over y as the tuple of the same number over 2 cos(pi/N).
 
 A field element is its canonical coefficient tuple: the reduced polynomial in
 y, low degree first, d = [Q(y):Q] entries.  The engine's tuples (group-element
@@ -67,6 +74,12 @@ def neg(a):
 
 def _same(a):
     return a
+
+
+def _linear_map(columns):
+    """The map x -> sum of x_i columns[i], by precomputed integer rows."""
+    rows = tuple(zip(*columns))
+    return lambda x: tuple([sum(map(operator.mul, row, x)) for row in rows])
 
 
 def add_rational(a, c):
@@ -259,8 +272,27 @@ class FieldContext:
             return lambda x: tuple(map(scale, x))
         d = self.degree
         unit = [(0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)]
-        rows = tuple(zip(*(self.mul(c, e) for e in unit)))
-        return lambda x: tuple([sum(map(operator.mul, row, x)) for row in rows])
+        return _linear_map([self.mul(c, e) for e in unit])
+
+    def basis_change(self, modulus: int):
+        """The map writing a tuple over this context's y as the same number
+        over z = 2 cos(pi/modulus), for a multiple modulus of this modulus.
+
+        y is a polynomial in z (see two_cos_pi_over), so Q(y) is a subfield
+        of Q(z) and the map is the integer matrix whose column i is y^i
+        written over z.  It is built once, in a context over z.
+        """
+        if modulus < 1 or modulus % self.modulus:
+            raise ValueError(
+                f"{modulus} is not a multiple of the field modulus {self.modulus}"
+            )
+        wide = FieldContext(modulus)
+        cols = [wide.one.coeffs]
+        if self.degree > 1:
+            y = wide.two_cos_pi_over(self.modulus)
+            while len(cols) < self.degree:
+                cols.append(wide.mul(cols[-1], y))
+        return _linear_map(cols)
 
     def in_band(self, t) -> bool:
         """Whether -2 < t < 2, for a coefficient tuple t; t - 2 is decided first."""
@@ -285,10 +317,14 @@ class FieldContext:
         return self.scalar([value])
 
     def two_cos_pi_over(self, m: int) -> tuple[Coeff, ...]:
-        """The coefficient tuple of 2 cos(pi/m) for finite m dividing M."""
+        """The coefficient tuple of 2 cos(pi/m), for m = 2, m = 3 or finite m
+        dividing M.  The first two are the rationals 0 and 1, in any context."""
         got = self._two_cos.get(m)
         if got is not None:
             return got
+        if m in (2, 3):
+            val = self._two_cos[m] = self._reduce([m - 2])
+            return val
         if m < 1 or self.modulus % m:
             raise ValueError(f"{m} does not divide the field modulus {self.modulus}")
         j = self.modulus // m

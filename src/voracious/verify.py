@@ -120,12 +120,13 @@ class Verifier:
         geo = self.geometry
         return (geo.inversion_bits(g) ^ geo.inversion_bits(h)).bit_count()
 
-    def _ball_incidences(self, radius: int) -> dict[Wall, list[GroupElement]]:
-        """All chambers of the ball listed against each of their own walls."""
+    def _ball_incidences(self) -> dict[Wall, list[GroupElement]]:
+        """All chambers of the configured ball listed against each of their
+        own walls."""
         if self._incidences is None:
             geo = self.geometry
             inc: dict[Wall, list[GroupElement]] = {}
-            for h in self.system.ball(radius):
+            for h in self.system.ball(self.config.radius):
                 for root in h.matrix:
                     inc.setdefault(geo.wall_of_root(root), []).append(h)
             self._incidences = inc
@@ -192,7 +193,7 @@ class Verifier:
                 if w not in wall_min_radius or g.length < wall_min_radius[w]:
                     wall_min_radius[w] = g.length
 
-        incidences = self._ball_incidences(radius)
+        incidences = self._ball_incidences()
         g_cap = radius - cfg.margin
 
         # per-pair data for separator-free (g, W) pairs; values are exact,
@@ -546,7 +547,7 @@ class Verifier:
                 got = tuple(
                     geo.translate_wall(u, w)
                     for w in sorted(
-                        geo.inversion_walls(dihedral_top), key=lambda w: w.root
+                        geo.inversion_walls(dihedral_top), key=geo.output_root
                     )
                 )
                 orbit_cache[key] = got
@@ -555,7 +556,7 @@ class Verifier:
         # (pair, ball element) combinations are drawn without replacement by a
         # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
         # positions a draw has swapped, so drawing n of them costs O(n).
-        keys = sorted(pair_data, key=lambda k: sorted(w.root for w in k))
+        keys = sorted(pair_data, key=lambda k: sorted(map(geo.output_root, k)))
         n_combos = len(keys) * len(ball)
         rng = random.Random(cfg.seed)
         moved: dict[int, int] = {}

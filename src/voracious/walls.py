@@ -73,6 +73,7 @@ class WallGeometry:
         # g -> (p(g), p(g)^{-1} g): the projection and the block it leaves.
         self._proj: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
         self._incident: dict[Wall, GroupElement] = {}
+        self._output_roots: dict[Wall, tuple] = {}
         # Made first, so the wall of generator s has bit s.
         self._gen_walls = tuple(map(self.wall_of_root, system.identity.matrix))
 
@@ -90,9 +91,18 @@ class WallGeometry:
                 self._by_index.append(got)
         return got
 
+    def output_root(self, wall: Wall):
+        """The wall's root written over y = 2 cos(pi/M) (see
+        CoxeterSystem.output_vector), once per wall.  Every output writes
+        roots this way, and every wall order that reaches output sorts by it."""
+        got = self._output_roots.get(wall)
+        if got is None:
+            got = self._output_roots[wall] = self.system.output_vector(wall.root)
+        return got
+
     def root_strings(self, wall: Wall) -> list[str]:
         """The wall's root coordinates, rendered over powers of c = cos(pi/M)."""
-        return [cos_string(x) for x in wall.root]
+        return [cos_string(x) for x in self.output_root(wall)]
 
     def _iter_walls(self, mask: int):
         """The walls whose bits are set in mask, lowest bit first."""

@@ -4,19 +4,23 @@ from fractions import Fraction
 import pytest
 
 from voracious import (
+    INF,
     CoxeterMatrix,
     CoxeterSystem,
     VoraciousLanguage,
     WallGeometry,
     load_group_file,
 )
-from voracious.field import add, sub
+from voracious.field import FieldContext, add, sub
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parent.parent / "groups"
 
 # Groups with long pivots, built in the tests rather than shipped.
 AFFINE_A3 = ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1))
 TRIANGLE_237 = ((1, 2, 3), (2, 1, 7), (3, 7, 1))
+# Hyperbolic H(5,3,5): the longest pivots of any group here.  Kept out of
+# BUILT, so that the tests parametrised over BUILT do not all take it.
+H535 = ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1))
 BUILT = {"affine_a3": ("abcd", AFFINE_A3), "triangle_237": ("abc", TRIANGLE_237)}
 
 
@@ -40,7 +44,7 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     for g in geometry.system.ball(radius):
         walls |= geometry.inversion_walls(g)
     out = []
-    for wall in sorted(walls, key=lambda w: w.root):
+    for wall in sorted(walls, key=geometry.output_root):
         inv = geometry.inversion_walls(incident_far_chamber(geometry, wall))
         if not any(
             other != wall and geometry.walls_disjoint(wall, other) for other in inv
@@ -107,7 +111,10 @@ def enclosure_fractions(ctx):
 def matmul(system: CoxeterSystem, a, b):
     """Full product of two matrices of coefficient tuples, each given as the
     tuple of its columns; the product comes back the same way."""
-    mul = system.ctx.mul
+    return _matmul(system.ctx.mul, a, b)
+
+
+def _matmul(mul, a, b):
     rows = tuple(zip(*a))
     out = []
     for col in b:
@@ -127,6 +134,69 @@ def generator_matrix(system: CoxeterSystem, s: int):
         col[:s] + (sub(col[s], system.gram2[s][j]),) + col[s + 1 :]
         for j, col in enumerate(system.identity.matrix)
     )
+
+
+def two_cos_by_recurrence(ctx: FieldContext, m: int):
+    """2 cos(pi/m) for m dividing ctx.modulus, as the scalar z^j + z^-j for
+    z = e^(i pi/M) and j = M/m: p_0 = 2, p_1 = y, p_(k+1) = y p_k - p_(k-1).
+    FieldScalar arithmetic throughout, so independent of two_cos_pi_over."""
+    y = ctx.scalar([0, 1])
+    prev, cur = ctx.rational(2), y
+    for _ in range(ctx.modulus // m - 1):
+        prev, cur = cur, y * cur - prev
+    return cur
+
+
+def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
+    """Every element of the ball against products over Q(2 cos(pi/M)).
+
+    The engine computes over the smallest field holding 2B; its outputs are
+    written over y = 2 cos(pi/M), M the lcm of every finite order.  Here the
+    generator matrices are built over a FieldContext(M) of their own, and
+    each element's matrix and inverse, rewritten by CoxeterSystem.
+    output_vector, must equal the products along its shortlex word, in word
+    order and reversed.  Every coordinate must have one sign in both fields.
+    Returns the number of elements checked.
+    """
+    cox = system.cox
+    wide = FieldContext(cox.field_modulus())
+    zero = wide.zero.coeffs
+    k = system.rank
+
+    def form(i, j):
+        m = cox.orders[i][j]
+        if i == j:
+            return wide.rational(2)
+        return wide.rational(-2) if m == INF else -two_cos_by_recurrence(wide, m)
+
+    # s(alpha_j) = alpha_j - 2B(alpha_s, alpha_j) alpha_s, by columns.
+    ident = tuple(
+        tuple(wide.one.coeffs if i == j else zero for i in range(k)) for j in range(k)
+    )
+    gens = [
+        tuple(
+            col[:s] + (sub(col[s], form(s, j).coeffs),) + col[s + 1 :]
+            for j, col in enumerate(ident)
+        )
+        for s in range(k)
+    ]
+    products = {(): (ident, ident)}
+    ball = system.ball(radius)
+    for g in ball:
+        word = system.shortlex_word(g)
+        if word:
+            mat, inv = products[word[:-1]]  # the ball is in length order
+            gen = gens[word[-1]]
+            products[word] = (
+                _matmul(wide.mul, mat, gen),
+                _matmul(wide.mul, gen, inv),
+            )
+        for narrow, full in zip((g.matrix, g.inv), products[word]):
+            assert tuple(map(system.output_vector, narrow)) == full
+            for col, full_col in zip(narrow, full):
+                for x, z in zip(col, full_col):
+                    assert system.ctx.sign_of(x) == wide.sign_of(z)
+    return len(ball)
 
 
 def element_of_matrix(system: CoxeterSystem, matrix):
@@ -178,7 +248,7 @@ def reflection_of_wall(geometry: WallGeometry, wall):
 
 
 def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
-    """Least candidate wall, by root key, that separates chamber g from wall.
+    """Least candidate wall, by output root, that separates chamber g from wall.
 
     The key-sorted search the engine used before it reported existence only.
     Sides are read from the frozenset inversion sets and disjointness from
@@ -188,7 +258,7 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     inv_g = geometry.inversion_walls(g)
     inv_near = geometry.inversion_walls(geometry.incident_chamber(wall))
     scalar = geometry.system.ctx.scalar
-    for sep in sorted(candidates, key=lambda w: w.root):
+    for sep in sorted(candidates, key=geometry.output_root):
         if sep == wall:
             continue
         t = scalar(geometry.system.bilinear2(sep.root, wall.root))

@@ -19,6 +19,7 @@ from voracious import (
 from conftest import (
     AFFINE_A3,
     GROUPS_DIR,
+    H535,
     TRIANGLE_237,
     fresh_geometry,
     generator_wall,
@@ -118,11 +119,6 @@ def test_long_pivot_groups_frozen(long_pivot_geometries):
     pivs = pivots(long_pivot_geometries["triangle_237"])
     assert len(pivs) == 39
     assert max(g.length for g in pivs) == 12
-
-
-# Hyperbolic H(5,3,5): the longest pivots of any group here.  Built in the
-# test, not shipped, so the SHIPPED-parametrised tests do not all take it.
-H535 = ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1))
 
 
 def test_h535_automaton_frozen():

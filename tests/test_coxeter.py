@@ -18,11 +18,14 @@ from voracious import (
     word_from_string,
     word_to_string,
 )
+from voracious.field import two_cos_degree
 
 from conftest import (
     AFFINE_A3,
     BUILT,
+    H535,
     TRIANGLE_237,
+    check_full_field_products,
     fresh_geometry,
     multiply,
     positive_definite_sylvester,
@@ -474,6 +477,30 @@ def test_field_degree_is_bounded():
 )
 def test_field_degree_guard_admits_named_groups(rows):
     assert _system(rows).rank == len(rows)
+
+
+# name: (orders, degree of the arithmetic field, degree of the output basis)
+FIELDS = {
+    "triangle_334": (((1, 3, 3), (3, 1, 4), (3, 4, 1)), 2, 4),
+    "affine_a3": (AFFINE_A3, 1, 2),
+    "h535": (H535, 2, 8),
+    "triangle_237": (TRIANGLE_237, 3, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_arithmetic_degree_frozen(name):
+    # Orders 2 and 3 give the rational entries 0 and -1 of 2B, so they do
+    # not enter the field the engine computes in; outputs keep all of M.
+    orders, degree, output_degree = FIELDS[name]
+    system = _system(orders)
+    assert system.ctx.degree == degree
+    assert two_cos_degree(system.cox.field_modulus()) == output_degree
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_elements_match_products_over_the_full_field(name):
+    assert check_full_field_products(_system(FIELDS[name][0]), 5) > 20
 
 
 def test_field_degree_guard_admits_shipped_groups(stack):

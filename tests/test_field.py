@@ -102,6 +102,39 @@ def test_two_cos_requires_divisor():
         ctx.two_cos_pi_over(0)
 
 
+@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 5, 7, 12, 30, 42])
+def test_two_cos_of_2_and_3_in_any_context(modulus):
+    # 2 cos(pi/2) = 0 and 2 cos(pi/3) = 1, whether or not 2 or 3 divides M.
+    ctx = FieldContext(modulus)
+    zero = (0,) * ctx.degree
+    assert ctx.two_cos_pi_over(2) == zero
+    assert ctx.two_cos_pi_over(3) == (1,) + zero[1:]
+
+
+@pytest.mark.parametrize("narrow, wide", [(1, 1), (1, 6), (4, 12), (5, 30), (7, 42)])
+def test_basis_change_embeds_the_subfield(narrow, wide):
+    ctx, big = FieldContext(narrow), FieldContext(wide)
+    rewrite = ctx.basis_change(wide)
+    d = ctx.degree
+    unit = [(0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)]
+    # Column i is y^i, so y goes to 2 cos(pi/narrow) written over z.
+    assert rewrite(unit[0]) == big.one.coeffs
+    if d > 1:
+        assert rewrite(unit[1]) == big.two_cos_pi_over(narrow)
+    # A ring map: it keeps products, and with them every value and sign.
+    for a in unit + [(3,) + (-2,) * (d - 1), (-5,) * d]:
+        for b in unit + [(1,) + (7,) * (d - 1)]:
+            assert rewrite(ctx.mul(a, b)) == big.mul(rewrite(a), rewrite(b))
+        assert ctx.sign_of(a) == big.sign_of(rewrite(a))
+
+
+def test_basis_change_needs_a_multiple():
+    with pytest.raises(ValueError):
+        FieldContext(4).basis_change(6)
+    with pytest.raises(ValueError):
+        FieldContext(4).basis_change(0)
+
+
 def test_cos_string_over_powers_of_c():
     assert cos_string(FieldContext(4).two_cos_pi_over(4)) == "2c"
     # Degree 4 (M = 12): the coefficient of c^j is a_j * 2^j, since c = y/2.
