@@ -386,7 +386,7 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     chamber w.  That test depends on (w, V) only, so it is memoised.  Any
     such separator also separates w from every chamber incident to V, so
     searching the walls between w and one of them is complete.  The frontier
-    is pulled back by WallGeometry.pull_back, from stored columns.
+    is pulled back by WallGeometry.pull_back, through the stored inverse of w.
     """
     uindex = {w: i for i, w in enumerate(universe)}
     inv_bits = [geometry.inversion_bits(w) for w in pivot_list]

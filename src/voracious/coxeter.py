@@ -369,10 +369,13 @@ class CoxeterSystem:
 
         Memoized: enumeration loops revisit the same small ball many times,
         and left_mul reads the same memo through inverses, so the cache stays
-        within rank * |explored ball and its inverses| entries.
+        within rank * |explored ball and its inverses| entries.  Right
+        multiplication by s is an involution, so each product is memoised in
+        both directions: (g s) s = g is known from the moment g s is, and a
+        walk down a right descent of an element built by right_mul is free.
         """
-        key = (g, s)
-        hit = self._rmul_cache.get(key)
+        memo = self._rmul_cache
+        hit = memo.get((g, s))
         if hit is not None:
             return hit
         delta = self.root_sign(g.matrix[s])
@@ -381,8 +384,13 @@ class CoxeterSystem:
             self._mul_gen_left(s, g.inv),
             g.length + delta,
         )
-        self._rmul_cache[key] = out
+        memo[g, s] = out
+        memo[out, s] = g
         return out
+
+    def built_right_mul(self, g: GroupElement, s: int) -> GroupElement | None:
+        """g * s if right_mul has built it already, else None; no arithmetic."""
+        return self._rmul_cache.get((g, s))
 
     def left_mul(self, g: GroupElement, s: int) -> GroupElement:
         """s * g, read as (g^{-1} * s)^{-1} so that the right_mul memo serves

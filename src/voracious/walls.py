@@ -14,20 +14,25 @@ Python int and every side question is a mask operation.  Disjointness costs a
 field product, so it is decided one wall pair at a time, only for walls whose
 sides already qualify, and memoised in both directions as per-wall bitmasks.
 
-The shortlex walk that builds an inversion set passes, for each wall it
-crosses, a chamber incident to that wall.  The first such chamber is kept as
-the wall's crossing chamber, and every prefix's mask is kept too, so a
-separator test against a wall some walk has crossed reads both sides from
-memoised masks, with no depth descent to a canonical incident chamber.  The
-walk also pulls walls back: g^{-1} maps the wall crossed at each step to the
-wall of a column stored on the remaining suffix.
+Inversion sets are built by stepping down: for a right descent s of g,
+Inv(g) is Inv(g s) plus the wall of g(alpha_s) (Bjorner-Brenti, Combinatorics
+of Coxeter Groups, 1.3-1.4).  A walk down right descents, through products
+right_mul has memoised where it can, reaches an element whose mask is known
+and ORs in one wall bit per step.  Every element it passes keeps its mask,
+and the first chamber g s seen below a wall is kept as the wall's crossing
+chamber: it is incident to the wall, so a separator test against a wall some
+walk has crossed reads both sides from memoised masks, with no depth descent
+to a canonical incident chamber.
 
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
 chamber stays on the identity side of every frontier wall.  Candidate
 separators of (g, W) for W in Inv(g) always lie in Inv(g): a geodesic from
 the identity to g crosses W between two chambers incident to W, and those
-chambers sit on W's side of any disjoint separator.
+chambers sit on W's side of any disjoint separator.  The greedy walk to the
+projection carries the prefix p alone: p s is a longer prefix of g iff
+p(alpha_s) is a positive root whose wall is in Inv(g), and every wall is
+keyed under its positive root, so one dict lookup decides a move.
 """
 
 from __future__ import annotations
@@ -46,19 +51,22 @@ class Wall:
     `disjoint` those found disjoint; WallGeometry.walls_disjoint keeps both.
     `crossing` is the first chamber an inversion walk saw cross the wall
     (see WallGeometry.inversion_bits), or None while no walk has crossed it.
+    `modulus` is the M' of the arithmetic basis y' = 2 cos(pi/M') the root is
+    written over, which the repr names; outputs use WallGeometry.output_root.
     """
 
-    __slots__ = ("root", "bit", "known", "disjoint", "crossing")
+    __slots__ = ("root", "bit", "modulus", "known", "disjoint", "crossing")
 
-    def __init__(self, root, bit):
+    def __init__(self, root, bit, modulus):
         self.root = root
         self.bit = bit
+        self.modulus = modulus
         self.known = 0
         self.disjoint = 0
         self.crossing = None
 
     def __repr__(self):
-        return f"Wall{self.root}"
+        return f"Wall(root over y'=2cos(pi/{self.modulus}): {self.root})"
 
 
 class WallGeometry:
@@ -68,10 +76,11 @@ class WallGeometry:
         self.system = system
         self._walls: dict[tuple, Wall] = {}
         self._by_index: list[Wall] = []
-        self._inv_bits: dict[GroupElement, int] = {}
+        self._inv_bits: dict[GroupElement, int] = {system.identity: 0}
         self._frontier: dict[GroupElement, frozenset[Wall]] = {}
-        # g -> (p(g), p(g)^{-1} g): the projection and the block it leaves.
-        self._proj: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
+        # g -> p(g), and g -> p(g)^{-1} g, the block it leaves, on request.
+        self._proj: dict[GroupElement, GroupElement] = {}
+        self._blocks: dict[GroupElement, GroupElement] = {}
         self._incident: dict[Wall, GroupElement] = {}
         self._output_roots: dict[Wall, tuple] = {}
         # Made first, so the wall of generator s has bit s.
@@ -87,7 +96,9 @@ class WallGeometry:
                 root = tuple(map(neg, root))
                 got = self._walls.get(root)
             if got is None:
-                got = self._walls[root] = Wall(root, 1 << len(self._by_index))
+                got = self._walls[root] = Wall(
+                    root, 1 << len(self._by_index), self.system.ctx.modulus
+                )
                 self._by_index.append(got)
         return got
 
@@ -116,32 +127,17 @@ class WallGeometry:
         return self.wall_of_root(self.system.apply_matrix(g.matrix, wall.root))
 
     def pull_back(self, g: GroupElement, walls) -> frozenset[Wall]:
-        """The walls g^{-1}(W) for the given inversion walls W of g.
-
-        Read off the shortlex walk with no matrix product: along the word
-        s_1 ... s_n of g, step i crosses the wall p(alpha_s) for s = s_i and
-        the prefix p = s_1 ... s_{i-1}, and g^{-1} p is the inverse of the
-        suffix q = s_i ... s_n, so that wall pulls back to the wall of the
-        stored column q^{-1}(alpha_s).
-        """
-        sys = self.system
+        """The walls g^{-1}(W) for the given inversion walls W of g: each
+        root under g^{-1}, whose columns g keeps, and the wall of the image."""
         want = 0
         for wall in walls:
             want |= wall.bit
         if want & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
-        out = []
-        prefix, suffix = sys.identity, g
-        for s in sys.shortlex_word(g):
-            if not want:
-                break
-            bit = self.wall_of_root(prefix.matrix[s]).bit
-            if want & bit:
-                want ^= bit
-                out.append(self.wall_of_root(suffix.inv[s]))
-            prefix = sys.right_mul(prefix, s)
-            suffix = sys.left_mul(suffix, s)
-        return frozenset(out)
+        apply = self.system.apply_matrix
+        return frozenset(
+            self.wall_of_root(apply(g.inv, w.root)) for w in self._iter_walls(want)
+        )
 
     # -- sides and inversion sets -------------------------------------------
 
@@ -154,31 +150,49 @@ class WallGeometry:
         return not self.inversion_bits(g) & wall.bit
 
     def inversion_bits(self, g: GroupElement) -> int:
-        """Walls separating chamber g from the identity chamber, as a mask."""
+        """Walls separating chamber g from the identity chamber, as a mask.
+
+        Steps down right descents to an element whose mask is known, then
+        adds back one wall per step: for a descent s of h, Inv(h) is
+        Inv(h s) plus the wall of (h s)(alpha_s) = -h(alpha_s), which h s
+        is incident to.  Each element passed keeps its mask, and h s becomes
+        the wall's crossing chamber if it has none.
+        """
         memo = self._inv_bits
-        got = memo.get(g)
-        if got is not None:
-            return got
-        sys = self.system
-        bits = 0
-        prefix = sys.identity
-        crossed = []
-        for s in sys.shortlex_word(g):
-            wall = self.wall_of_root(prefix.matrix[s])
-            crossed.append((prefix, bits, wall))
+        bits = memo.get(g)
+        if bits is not None:
+            return bits
+        path = []
+        cur = g
+        while bits is None:
+            s, down = self._descent_step(cur)
+            path.append((cur, down, self.wall_of_root(down.matrix[s])))
+            cur = down
+            bits = memo.get(cur)
+        for h, down, wall in reversed(path):
+            if bits & wall.bit:
+                raise ArithmeticError(
+                    "inversion walls of a reduced word must be distinct"
+                )
             bits |= wall.bit
-            prefix = sys.right_mul(prefix, s)
-        if bits.bit_count() != g.length:
-            raise ArithmeticError("inversion walls of a reduced word must be distinct")
-        # Each prefix p of the walk is incident to the wall p(alpha_s) it
-        # crosses next; keep its mask and, if none is known, it as the wall's
-        # crossing chamber.
-        for p, mask, wall in crossed:
-            memo[p] = mask
+            memo[h] = bits
             if wall.crossing is None:
-                wall.crossing = p
-        memo[g] = bits
+                wall.crossing = down
         return bits
+
+    def _descent_step(self, h: GroupElement) -> tuple[int, GroupElement]:
+        """(s, h s) for a right descent s of h: the least s whose product
+        right_mul has built, whose length shows the descent with no sign;
+        otherwise the least descent s, and h s is built."""
+        sys = self.system
+        for s in range(sys.rank):
+            down = sys.built_right_mul(h, s)
+            if down is not None and down.length < h.length:
+                return s, down
+        for s, root in enumerate(h.matrix):
+            if sys.root_sign(root) < 0:
+                return s, sys.right_mul(h, s)
+        raise ArithmeticError("a non-identity element has no right descent")
 
     def inversion_walls(self, g: GroupElement) -> frozenset[Wall]:
         """Walls separating chamber g from the identity chamber."""
@@ -274,18 +288,27 @@ class WallGeometry:
         self._frontier[g] = out
         return out
 
-    def _moves(self, p: GroupElement, x: GroupElement, frontier):
-        """Generators by which the prefix p of g = p x may grow, least first.
+    def _moves(self, p: GroupElement, free: int):
+        """Generators by which the prefix p of g may grow, least first.
 
-        s may move when it is a left descent of x, which keeps ps a prefix of
-        g, and the wall p(alpha_s) that ps newly crosses is not a frontier wall.
+        p s is a longer prefix of g iff p(alpha_s) is a positive root whose
+        wall is in Inv(g); such a wall is not in Inv(p).  Every wall is keyed
+        under its positive root, so looking the column p(alpha_s) up decides
+        both, with no sign.  free masks Inv(g) minus the frontier walls of g,
+        which the move rule forbids crossing.
         """
-        sys = self.system
-        for s in range(sys.rank):
-            if sys.root_sign(x.inv[s]) < 0 and (
-                self.wall_of_root(p.matrix[s]) not in frontier
-            ):
+        walls = self._walls
+        for s, root in enumerate(p.matrix):
+            wall = walls.get(root)
+            if wall is not None and wall.bit & free:
                 yield s
+
+    def _free_bits(self, g: GroupElement) -> int:
+        """Inv(g) minus the frontier walls of g, as a mask."""
+        free = self.inversion_bits(g)
+        for wall in self.frontier_set(g):
+            free ^= wall.bit
+        return free
 
     def voracious_projection(self, g: GroupElement) -> GroupElement:
         """Longest prefix of g on the identity side of every frontier wall.
@@ -294,27 +317,52 @@ class WallGeometry:
         move rule allows until none does.  Every greedy run, in any order
         and with any choices, ends at a terminal node of projection_walk's
         graph; the verification suite checks that this node is unique, so
-        the order taken here does not matter.
+        the order taken here does not matter.  The walk carries the prefix
+        alone; projection_block finds the block it leaves when asked.
         """
         got = self._proj.get(g)
         if got is not None:
-            return got[0]
+            return got
         sys = self.system
-        frontier = self.frontier_set(g)
+        free = self._free_bits(g)
         p = sys.identity
-        x = g
-        s = next(self._moves(p, x, frontier), None)
+        s = next(self._moves(p, free), None)
         while s is not None:
             p = sys.right_mul(p, s)
-            x = sys.left_mul(x, s)
-            s = next(self._moves(p, x, frontier), None)
-        self._proj[g] = (p, x)
+            s = next(self._moves(p, free), None)
+        self._proj[g] = p
         return p
 
     def projection_block(self, g: GroupElement) -> GroupElement:
-        """p(g)^{-1} g, the rest of g that the greedy walk to p(g) leaves."""
-        self.voracious_projection(g)
-        return self._proj[g][1]
+        """p(g)^{-1} g, the rest of g that the greedy walk to p(g) leaves.
+
+        Built on first request, by stepping down from g along right descents
+        whose walls are not in Inv(p(g)): each such step stays above p(g) in
+        the prefix order, and one exists until p(g) is reached, so the steps
+        s_1, ..., s_k spell the block's reduced word s_k ... s_1, and k is
+        the block length.  A descent's wall is an inversion wall of g, keyed
+        under the positive root -h(alpha_s), so it is found with no sign.
+        """
+        got = self._blocks.get(g)
+        if got is not None:
+            return got
+        sys = self.system
+        p = self.voracious_projection(g)
+        keep = self.inversion_bits(p)
+        walls = self._walls
+        steps = []
+        h = g
+        while h is not p:
+            for s, root in enumerate(h.matrix):
+                wall = walls.get(tuple(map(neg, root)))
+                if wall is not None and not wall.bit & keep:
+                    break
+            else:
+                raise ArithmeticError("the projection is not a prefix of g")
+            steps.append(s)
+            h = sys.right_mul(h, s)
+        got = self._blocks[g] = sys.element_of_word(steps[::-1])
+        return got
 
     def projection_walk(
         self, g: GroupElement
@@ -327,20 +375,20 @@ class WallGeometry:
         move; each greedy run ends at one.
         """
         sys = self.system
-        frontier = self.frontier_set(g)
+        free = self._free_bits(g)
         start = sys.identity
         seen = {start}
-        queue = [(start, g)]
+        queue = [start]
         terminals = []
         while queue:
-            p, x = queue.pop()
+            p = queue.pop()
             terminal = True
-            for s in self._moves(p, x, frontier):
+            for s in self._moves(p, free):
                 terminal = False
                 p2 = sys.right_mul(p, s)
                 if p2 not in seen:
                     seen.add(p2)
-                    queue.append((p2, sys.left_mul(x, s)))
+                    queue.append(p2)
             if terminal:
                 terminals.append(p)
         return frozenset(seen), terminals

@@ -269,6 +269,66 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     return None
 
 
+def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
+    """Inv(g) as a mask, read off the shortlex walk.
+
+    Along the shortlex word s_1 ... s_n of g, step i crosses the wall of
+    p(alpha_s) for s = s_i and the prefix p = s_1 ... s_{i-1}; the walls
+    crossed are distinct and are Inv(g).  Reads no memoised mask.
+    """
+    system = geometry.system
+    bits = 0
+    prefix = system.identity
+    for s in system.shortlex_word(g):
+        bits |= geometry.wall_of_root(prefix.matrix[s]).bit
+        prefix = system.right_mul(prefix, s)
+    assert bits.bit_count() == g.length
+    return bits
+
+
+def suffix_pull_back(geometry: WallGeometry, g, walls) -> frozenset:
+    """The walls g^{-1}(W) for inversion walls W of g, from stored columns.
+
+    Along the shortlex walk, the wall crossed at the prefix p by s is the
+    wall of p(alpha_s), and g^{-1} p is the inverse of the suffix
+    q = s_i ... s_n, so that wall pulls back to the wall of the stored
+    column q^{-1}(alpha_s): no matrix is applied to a root.
+    """
+    system = geometry.system
+    want = set(walls)
+    out = []
+    prefix, suffix = system.identity, g
+    for s in system.shortlex_word(g):
+        if geometry.wall_of_root(prefix.matrix[s]) in want:
+            out.append(geometry.wall_of_root(suffix.inv[s]))
+        prefix = system.right_mul(prefix, s)
+        suffix = system.left_mul(suffix, s)
+    assert len(out) == len(want), "only inversion walls of g are pulled back"
+    return frozenset(out)
+
+
+def greedy_projection_pair(geometry: WallGeometry, g):
+    """(p(g), p(g)^{-1} g) by the greedy walk that carries both factors.
+
+    From p = 1 and x = g, the least s moves that is a left descent of x, so
+    that p s stays a prefix of g, and whose wall p(alpha_s) is not a frontier
+    wall of g; then p becomes p s and x becomes s x, until no s moves.
+    """
+    system = geometry.system
+    frontier = geometry.frontier_set(g)
+    p, x = system.identity, g
+    while True:
+        for s in range(system.rank):
+            if system.root_sign(x.inv[s]) < 0 and (
+                geometry.wall_of_root(p.matrix[s]) not in frontier
+            ):
+                p = system.right_mul(p, s)
+                x = system.left_mul(x, s)
+                break
+        else:
+            return p, x
+
+
 def is_prefix(geometry: WallGeometry, p, g) -> bool:
     """p lies on a geodesic from the identity to g: Inv(p) is a subset of Inv(g)."""
     inv_g = geometry.inversion_bits(g)

@@ -530,3 +530,25 @@ def test_descent_shortens(word):
 
 _SYS_334_RANK2 = _system([[1, 4], [4, 1]])
 _SYS_333 = _system([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+
+
+@pytest.mark.parametrize("name", ["triangle_334", "a3"])
+def test_right_mul_memoises_both_directions(stack, monkeypatch, name):
+    # (g s) s is g, read from the memo that g s filled: no product is made.
+    sys_ = CoxeterSystem(stack(name).cox)
+    mul = sys_._mul_gen_right
+    calls = []
+
+    def counted(cols, s):
+        calls.append(s)
+        return mul(cols, s)
+
+    monkeypatch.setattr(sys_, "_mul_gen_right", counted)
+    for g in sys_.ball(4):
+        for s in range(sys_.rank):
+            h = sys_.right_mul(g, s)
+            made = len(calls)
+            assert sys_.built_right_mul(h, s) is g
+            assert sys_.right_mul(h, s) is g
+            assert len(calls) == made
+    assert calls

@@ -261,7 +261,7 @@ def test_projection_monotone_fails_on_a_raised_projection(stack, monkeypatch):
     identity = geo.system.identity
     st = geo.system.element_of_word(s.word("st"))
     assert geo.voracious_projection(st) == identity
-    monkeypatch.setitem(geo._proj, st, (st, identity))
+    monkeypatch.setitem(geo._proj, st, st)
     check = Verifier(geo, VerifierConfig(radius=3)).check_projection_monotone()
     assert check.status == "fail"
     assert check.witness == {"g": "sts", "between": "st", "p_g": "", "p_between": "st"}

@@ -10,11 +10,14 @@ from conftest import (
     GROUPS_DIR,
     fresh_geometry,
     generator_wall,
+    greedy_projection_pair,
     incident_far_chamber,
     is_prefix,
     reference_find_separator,
     multiply,
     reflection_of_wall,
+    shortlex_inversion_bits,
+    suffix_pull_back,
 )
 
 GOLD_BALL_RADIUS = 4
@@ -238,8 +241,8 @@ CROSSING_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
 def test_crossing_chambers_and_prefix_masks(stack, name):
     # Each wall crossed by a walk over ball(6) records a chamber p with
     # p(alpha_s) on the wall, whose step to p s crosses that wall alone, on
-    # the identity side; every mask the walks stored, prefixes included, is
-    # the inversion set a fresh geometry derives for that element.
+    # the identity side; every mask the walks stored, for each element they
+    # passed, is the inversion set a fresh geometry derives for it.
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     walls = set()
@@ -299,19 +302,72 @@ def test_has_separator_independent_of_walk_order(stack, name):
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_pull_back_matches_translate_wall(stack, name):
+    # pull_back applies g^{-1} as translate_wall does; the suffix walk of
+    # conftest reads the same walls off stored columns with no product.
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     for g in sys.ball(6):
         inv = geo.inversion_walls(g)
         want = {geo.translate_wall(sys.inverse(g), w) for w in inv}
         assert geo.pull_back(g, inv) == want
+        assert suffix_pull_back(geo, g, inv) == want
         front = geo.frontier_set(g)
-        assert geo.pull_back(g, front) == {
-            geo.translate_wall(sys.inverse(g), w) for w in front
-        }
+        assert geo.pull_back(g, front) == suffix_pull_back(geo, g, front)
     g = sys.element_of_word((0,))
     with pytest.raises(ValueError, match="inversion walls"):
         geo.pull_back(g, [generator_wall(geo, 1)])
+
+
+@pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
+def test_chamber_walks_match_oracles(stack, monkeypatch, name):
+    # Over ball(6), the stepped-down masks, the pull-back through g^{-1},
+    # the greedy walk on masks and the lazy block equal what the shortlex
+    # and (p, x) walks of conftest find.  The engine answers first, so the
+    # oracles, which build elements by left_mul, cannot feed its memos.
+    # Each ball element steps down to a built product, so the masks of the
+    # ball make no product.
+    geo = _fresh_geometry(stack, name)
+    sys = geo.system
+    ball = sys.ball(6)
+    mul = sys._mul_gen_right
+    products = []
+    monkeypatch.setattr(sys, "_mul_gen_right", lambda *a: products.append(a) or mul(*a))
+    masks = [geo.inversion_bits(g) for g in ball]
+    assert not products
+    monkeypatch.undo()
+    got = [
+        (
+            geo.pull_back(g, geo.frontier_set(g)),
+            geo.voracious_projection(g),
+            geo.projection_block(g),
+        )
+        for g in ball
+    ]
+    for g, bits, (back, p, x) in zip(ball, masks, got):
+        assert bits == shortlex_inversion_bits(geo, g)
+        assert back == suffix_pull_back(geo, g, geo.frontier_set(g))
+        assert (p, x) == greedy_projection_pair(geo, g)
+        assert p.length + x.length == g.length
+        assert sys.element_of_word(sys.shortlex_word(p) + sys.shortlex_word(x)) is g
+
+
+@pytest.mark.parametrize("name", CROSSING_GROUPS)
+def test_inversion_bits_step_down_from_scratch(stack, name):
+    # In a fresh system, g^{-1} for g built along its word by right_mul has
+    # no built product with a generator unless it is an involution, so its
+    # mask steps down from scratch, building each step; every mask stored
+    # on the way equals the shortlex walk's.
+    source = _fresh_geometry(stack, name).system
+    for g in source.ball(6):
+        geo = _fresh_geometry(stack, name)
+        sys = geo.system
+        h = sys.inverse(sys.element_of_word(source.shortlex_word(g)))
+        if sys.inverse(h) is not h:
+            assert all(sys.built_right_mul(h, t) is None for t in range(sys.rank))
+        assert geo.inversion_bits(h).bit_count() == h.length
+        assert h in geo._inv_bits
+        for e, mask in geo._inv_bits.items():
+            assert mask == shortlex_inversion_bits(geo, e)
 
 
 def test_separates_from_wall_frozen(stack):
