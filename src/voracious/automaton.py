@@ -2,21 +2,24 @@
 
 States are finite sets of small-root walls: the state reached after reading
 a language word of g is g^{-1} W(g), the frontier of g pulled back to the
-base chamber.  Transitions append one projection block.  A pivot is an
-element whose voracious projection is the identity; blocks of any chain are
-pivots, and an edge labelled by the reduced words of pivot w may leave state
-A only if no wall of A is an inversion wall of w and every wall of A admits
-a separator from chamber w.  The target state w^{-1} W(w) depends on w
-alone.
+base chamber.  Transitions append one projection block, a pivot: an element
+whose voracious projection is the identity.  Each pivot q has two wall
+masks: target(q), of q^{-1} W(q), and forbid(q), of Inv(q) and the universe
+walls with no separator from chamber q.  An edge (S, q) exists iff
+mask(S) & forbid(q) == 0, and it enters target(q).  So the empty start
+state takes every pivot, and the states are it and the pivots' targets.
+The automaton stores its states, pivots, target states and forbid masks,
+and derives its edges from them.
 
-An edge stores only its source, target and pivot word: its labels are
-derived from the group, and only to write DOT, and the universe is the
-group's small roots, which the JSON loader checks rather than parses.  The
-loader also checks each edge by the rules the build applies.
+An edge's labels are the reduced words of its pivot, derived only to write
+DOT.  The universe is the group's small roots, which the JSON loader checks
+rather than parses, and the loader requires a file's edges to be exactly
+those the masks derive over its states and pivots.
 
 Words are run over the pivot prefix graph rather than over the labels: its
-nodes are the pivots and their prefixes in the weak order, and reading a
-letter s at the node of h moves to the node of h s.
+nodes are the pivots and their prefixes in the weak order, reading a letter
+s at the node of h moves to the node of h s, and a block ends at the node
+of pivot q for each state that may take q.
 
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 
 from .coxeter import (
@@ -99,40 +103,45 @@ class Edge:
 
 
 class VoraciousAutomaton:
-    """Automaton over small-wall states; accepts exactly the language words."""
+    """Automaton over small-wall states; accepts exactly the language words.
+    Pivots are in (length, shortlex) order, with their target state indices
+    and forbid masks (see _pivot_rules)."""
 
     def __init__(
         self,
         geometry: WallGeometry,
         universe: tuple[Wall, ...],
         states: tuple[tuple[int, ...], ...],
-        edges: tuple[Edge, ...],
+        pivots: tuple[GroupElement, ...],
+        targets: tuple[int, ...],
+        forbid: tuple[int, ...],
     ):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
         self.universe = universe
         self.states = states
         self.start = 0
-        self.edges = edges
+        self.pivots = pivots
+        self.targets = targets
+        self.forbid = forbid
         if not states or states[0] != ():
             raise ValueError("state 0 must be the empty frontier")
         self._universe_index = {w: i for i, w in enumerate(universe)}
         self._state_index = {st: i for i, st in enumerate(states)}
-        # An edge is fixed by its source and pivot.
-        leaving: set[tuple[int, Word]] = set()
-        for e in edges:
-            if not (0 <= e.source < len(states) and 0 <= e.target < len(states)):
-                raise ValueError(
-                    f"edge {e.source} -> {e.target} names a state outside "
-                    f"0..{len(states) - 1}"
-                )
-            if (e.source, e.pivot_word) in leaving:
-                raise ValueError(
-                    f"two edges leave state {e.source} with pivot {e.pivot_word}"
-                )
-            leaving.add((e.source, e.pivot_word))
+        self._masks = [sum(universe[v].bit for v in st) for st in states]
         self._labels: dict[Word, tuple[Word, ...]] = {}
-        self._graph: tuple[list[list[int]], list[dict[int, int]]] | None = None
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """An edge for each state and each pivot it may take, by source, then
+        by pivot in (length, shortlex) order."""
+        words = list(map(self.geometry.system.shortlex_word, self.pivots))
+        return tuple(
+            Edge(source, target, word)
+            for source, mask in enumerate(self._masks)
+            for target, word, forbid in zip(self.targets, words, self.forbid)
+            if not mask & forbid
+        )
 
     # -- running the machine -------------------------------------------------
 
@@ -145,61 +154,50 @@ class VoraciousAutomaton:
             got = self._labels[pivot_word] = tuple(sorted(sys.reduced_words(g)))
         return got
 
-    def _prefix_graph(self) -> tuple[list[list[int]], list[dict[int, int]]]:
-        """The pivot prefix graph, built on first use: (children, ends).
+    @cached_property
+    def _prefix_graph(self) -> tuple[list[list[int]], list[int]]:
+        """The pivot prefix graph, built on first use: (children, pivot_at).
 
-        Node 0 is the identity.  The other nodes are the elements of the
-        edges' pivots and every element below them in the weak order, found
-        by stepping down right descents; a file may lack the edges of a
-        prefix, so the pivots alone would not hold every label prefix.
+        Node 0 is the identity and node i + 1 is pivot i.  The other nodes
+        are the elements below a pivot in the weak order, found by stepping
+        down right descents; pivots are prefix-closed, so a built automaton
+        has none, but a loaded file may lack the edges of a prefix.
         children[n][s] is the node of h s, for h the element of node n, when
         h s is longer than h and is a node, and 0 otherwise (the identity is
-        no node's child).  ends[n] maps a state to the target of the edge
-        leaving it with pivot h.
+        no node's child).  pivot_at[n] is the index of h among the pivots,
+        or -1.
 
         A prefix of a reduced word is reduced, so it is fixed by its element:
-        the paths from node 0 to the node of w spell the reduced words of w,
-        which are the labels of w's edges.
+        the paths from node 0 to the node of q spell the reduced words of q,
+        which are the labels of q's edges.
         """
-        if self._graph is None:
-            sys = self.geometry.system
-            index: dict[GroupElement, int] = {}
-            elements: list[GroupElement] = []
-            children: list[list[int]] = []
-            ends: list[dict[int, int]] = []
-
-            def node(h: GroupElement) -> int:
-                n = index.get(h)
-                if n is None:
-                    n = index[h] = len(elements)
-                    elements.append(h)
+        sys = self.geometry.system
+        elements = [sys.identity, *self.pivots]
+        index = {h: n for n, h in enumerate(elements)}
+        children = [[0] * sys.rank for _ in elements]
+        pivot_at = [-1, *range(len(self.pivots))]
+        for n, h in enumerate(elements):
+            for s in sys.right_descents(h):
+                below = sys.right_mul(h, s)
+                m = index.get(below)
+                if m is None:
+                    m = index[below] = len(elements)
+                    elements.append(below)
                     children.append([0] * sys.rank)
-                    ends.append({})
-                return n
-
-            node(sys.identity)
-            pivot_nodes: dict[Word, int] = {}
-            for e in self.edges:
-                n = pivot_nodes.get(e.pivot_word)
-                if n is None:
-                    n = pivot_nodes[e.pivot_word] = node(
-                        sys.element_of_word(e.pivot_word)
-                    )
-                ends[n][e.source] = e.target
-            for n, h in enumerate(elements):
-                for s in sys.right_descents(h):
-                    children[node(sys.right_mul(h, s))][s] = n
-            self._graph = (children, ends)
-        return self._graph
+                    pivot_at.append(-1)
+                children[m][s] = n
+        return children, pivot_at
 
     def run_states(self, word: Word) -> frozenset[int]:
         """States reachable by splitting the word into consecutive edge labels.
 
         Walks (state, node) pairs of the pivot prefix graph one letter at a
         time: a pair at node 0 has read whole labels up to a state, and a
-        pair elsewhere is partway through the label of a further edge.
+        pair elsewhere is partway through the label of a further edge, and
+        closes it at the node of a pivot its state may take.
         """
-        children, ends = self._prefix_graph()
+        children, pivot_at = self._prefix_graph
+        masks, targets, forbid = self._masks, self.targets, self.forbid
         rank = len(self.generators)
         current = {(self.start, 0)}
         for letter in word:
@@ -211,9 +209,9 @@ class VoraciousAutomaton:
                 if not child:
                     continue
                 nxt.add((state, child))
-                target = ends[child].get(state)
-                if target is not None:
-                    nxt.add((target, 0))
+                q = pivot_at[child]
+                if q >= 0 and not masks[state] & forbid[q]:
+                    nxt.add((targets[q], 0))
             if not nxt:
                 return frozenset()
             current = nxt
@@ -306,8 +304,9 @@ def _universe_json(geometry: WallGeometry, universe) -> list:
 def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     """Rebuild an automaton over an existing geometry; group data must match,
     and the universe must be the group's small roots as `to_json_dict` writes
-    them.  Only the states and the pivot edges are read, and every edge must
-    be one that build_automaton makes."""
+    them.  Only the states and the pivot edges are read, and they must be
+    exactly the states and edges of an automaton over the file's pivots (see
+    _check_edges)."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -350,6 +349,7 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
 
     words: dict[str, Word] = {}
     edges = []
+    leaving: set[tuple[int, Word]] = set()
     for e in data["edges"]:
         if not (
             isinstance(e, dict)
@@ -361,73 +361,71 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
         word = words.get(text)
         if word is None:
             word = words[text] = word_from_string(text, gens)
-        edges.append(Edge(e["from"], e["to"], word))
-    aut = VoraciousAutomaton(geometry, universe, tuple(states), tuple(edges))
-    _check_edges(aut)
-    return aut
+        edge = Edge(e["from"], e["to"], word)
+        if not (0 <= edge.source < len(states) and 0 <= edge.target < len(states)):
+            raise ValueError(
+                f"edge {edge.source} -> {edge.target} names a state outside "
+                f"0..{len(states) - 1}"
+            )
+        # An edge is fixed by its source and pivot.
+        if (edge.source, word) in leaving:
+            raise ValueError(f"two edges leave state {edge.source} with pivot {word}")
+        leaving.add((edge.source, word))
+        edges.append(edge)
+    return _check_edges(geometry, universe, tuple(states), edges)
 
 
-def _wall_mask(universe, state) -> int:
-    """The union of the bits of a state's walls."""
-    mask = 0
-    for v in state:
-        mask |= universe[v].bit
-    return mask
+def _walls_of(universe, mask: int) -> tuple[int, ...]:
+    """The state of a wall mask: the universe indices of its walls."""
+    return tuple(i for i, wall in enumerate(universe) if mask & wall.bit)
 
 
 def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
-    """Where an edge with each pivot goes, and which states may take it.
+    """The two wall masks of each pivot q = pivot_list[i], as plain ints.
 
-    Returns (targets, may_take).  targets[i] is w^{-1} W(w) for the pivot
-    w = pivot_list[i], its frontier pulled back to the base chamber, as sorted
-    universe indices; it depends on w alone.  may_take(i, state, mask), with
-    mask = _wall_mask(universe, state), holds iff no wall of the state is an
-    inversion wall of w and every wall V of it admits a separator from
-    chamber w.  That test depends on (w, V) only, so it is memoised.  Any
-    such separator also separates w from every chamber incident to V, so
-    searching the walls between w and one of them is complete.  The frontier
-    is pulled back by WallGeometry.pull_back, through the stored inverse of w.
+    Returns (targets, forbid).  targets[i] is the mask of q^{-1} W(q), the
+    frontier of q pulled back through the stored inverse of q; every edge
+    with pivot q enters it.  forbid[i] is Inv(q), ORed with the bit of each
+    universe wall V outside Inv(q) that admits no separator from chamber q.
+    So mask(S) & forbid[i] == 0 iff no wall of state S is an inversion wall
+    of q and every wall of S admits a separator from q.  Any such separator
+    also separates q from every chamber incident to V, so searching the walls
+    between q and one of them (WallGeometry.has_separator) is complete.
     """
-    uindex = {w: i for i, w in enumerate(universe)}
-    inv_bits = [geometry.inversion_bits(w) for w in pivot_list]
-    targets: list[tuple[int, ...]] = []
-    for w in pivot_list:
-        back = []
-        for wall in geometry.pull_back(w, geometry.frontier_set(w)):
-            if wall not in uindex:
-                raise RuntimeError("pulled-back frontier wall is not a small root")
-            back.append(uindex[wall])
-        targets.append(tuple(sorted(back)))
-    separated: list[dict[int, bool]] = [dict() for _ in pivot_list]
-
-    def may_take(pi: int, state: tuple[int, ...], mask: int) -> bool:
-        if mask & inv_bits[pi]:
-            return False
-        memo = separated[pi]
-        for v in state:
-            got = memo.get(v)
-            if got is None:
-                got = memo[v] = geometry.has_separator(pivot_list[pi], universe[v])
-            if not got:
-                return False
-        return True
-
-    return targets, may_take
+    universe_mask = sum(wall.bit for wall in universe)
+    targets, forbid = [], []
+    for q in pivot_list:
+        back = 0
+        for wall in geometry.pull_back(q, geometry.frontier_set(q)):
+            back |= wall.bit
+        if back & ~universe_mask:
+            raise RuntimeError("pulled-back frontier wall is not a small root")
+        inv = geometry.inversion_bits(q)
+        unseparated = 0
+        for wall in universe:
+            if not inv & wall.bit and not geometry.has_separator(q, wall):
+                unseparated |= wall.bit
+        targets.append(back)
+        forbid.append(inv | unseparated)
+    return targets, forbid
 
 
-def _check_edges(aut: VoraciousAutomaton) -> None:
-    """Refuse any edge that build_automaton would not have made.
+def _check_edges(
+    geometry: WallGeometry, universe, states, edges: list[Edge]
+) -> VoraciousAutomaton:
+    """The automaton of a file's states and edges, if they are exactly the
+    edges it derives from the file's pivots.
 
     Each pivot word must be reduced and the shortlex word of an element whose
-    projection is the identity, each edge must enter its pivot's target
-    state, and its source state must be allowed to take the pivot.  A missing
-    edge is not detected: only a rebuild finds it.
+    projection is the identity.  Each edge (S, q) must enter target(q), and
+    mask(S) & forbid(q) must be 0.  No two edges share a source and a pivot,
+    so with as many edges as the automaton derives, the sets are equal;
+    otherwise the first derived edge missing from the file is named.
     """
-    geometry = aut.geometry
     sys = geometry.system
-    words = list(dict.fromkeys(e.pivot_word for e in aut.edges))
-    pivot_list = []
-    for word in words:
+    gens = sys.cox.generators
+    elements: dict[Word, GroupElement] = {}
+    for word in dict.fromkeys(e.pivot_word for e in edges):
         g = sys.element_of_word(word)
         if not word or g.length != len(word):
             problem = "is empty or not reduced"
@@ -436,58 +434,56 @@ def _check_edges(aut: VoraciousAutomaton) -> None:
         elif geometry.voracious_projection(g) is not sys.identity:
             problem = "is not a pivot: its projection is not the identity"
         else:
-            pivot_list.append(g)
+            elements[word] = g
             continue
-        text = word_to_string(word, aut.generators)
-        raise ValueError(f"pivot word {text!r} {problem}")
-    targets, may_take = _pivot_rules(geometry, aut.universe, pivot_list)
+        raise ValueError(f"pivot word {word_to_string(word, gens)!r} {problem}")
+    words = sorted(elements, key=lambda w: (len(w), w))
+    pivot_list = tuple(elements[w] for w in words)
+    masks, forbid = _pivot_rules(geometry, universe, pivot_list)
+    target_walls = [_walls_of(universe, m) for m in masks]
+    state_index = {st: i for i, st in enumerate(states)}
+    targets = tuple(state_index.get(t, -1) for t in target_walls)
+    aut = VoraciousAutomaton(
+        geometry, universe, states, pivot_list, targets, tuple(forbid)
+    )
+
     index = {word: i for i, word in enumerate(words)}
-    for e in aut.edges:
+    for e in edges:
         pi = index[e.pivot_word]
-        source = aut.states[e.source]
-        if aut.states[e.target] != targets[pi]:
+        if e.target != targets[pi]:
             problem = (
                 "must enter the pivot's pulled-back frontier, the state of "
-                f"universe walls {list(targets[pi])}"
+                f"universe walls {list(target_walls[pi])}"
             )
-        elif not may_take(pi, source, _wall_mask(aut.universe, source)):
+        elif aut._masks[e.source] & forbid[pi]:
             problem = "leaves a state that may not take the pivot"
         else:
             continue
-        text = word_to_string(e.pivot_word, aut.generators)
+        text = word_to_string(e.pivot_word, gens)
         raise ValueError(
             f"edge {e.source} -> {e.target} with pivot {text!r} {problem}"
         )
+    if len(edges) != len(aut.edges):
+        have = {(e.source, e.pivot_word) for e in edges}
+        e = next(e for e in aut.edges if (e.source, e.pivot_word) not in have)
+        text = word_to_string(e.pivot_word, gens)
+        raise ValueError(
+            f"no edge leaves state {e.source} with pivot {text!r}, which the "
+            "state may take"
+        )
+    return aut
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
-    """Construct the automaton from scratch for one group."""
-    sys = geometry.system
+    """Construct the automaton from scratch for one group: its states are
+    the empty start state and the pivots' targets, sorted by (size, walls)."""
     universe = small_roots(geometry)
     pivot_list = pivots(geometry)
-    targets, may_take = _pivot_rules(geometry, universe, pivot_list)
-
-    start: tuple[int, ...] = ()
-    known = {start}
-    order = [start]
-    raw_edges: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        amask = _wall_mask(universe, a)
-        for pi in range(len(pivot_list)):
-            if not may_take(pi, a, amask):
-                continue
-            t = targets[pi]
-            if t not in known:
-                known.add(t)
-                order.append(t)
-            raw_edges.append((a, pi, t))
-
-    states = tuple(sorted(known, key=lambda st: (len(st), st)))
-    sindex = {st: i for i, st in enumerate(states)}
-    words = [sys.shortlex_word(w) for w in pivot_list]
-    edges = [Edge(sindex[a], sindex[t], words[pi]) for a, pi, t in raw_edges]
-    edges.sort(key=lambda e: (e.source, len(e.pivot_word), e.pivot_word, e.target))
-    return VoraciousAutomaton(geometry, universe, states, tuple(edges))
+    masks, forbid = _pivot_rules(geometry, universe, pivot_list)
+    target_walls = [_walls_of(universe, m) for m in masks]
+    states = tuple(sorted({(), *target_walls}, key=lambda st: (len(st), st)))
+    index = {st: i for i, st in enumerate(states)}
+    targets = tuple(index[t] for t in target_walls)
+    return VoraciousAutomaton(
+        geometry, universe, states, pivot_list, targets, tuple(forbid)
+    )

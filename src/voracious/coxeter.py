@@ -247,7 +247,8 @@ class CoxeterSystem:
         self.identity = self._element(ident, ident, 0)
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
-        self._reduced_cache: dict[GroupElement, frozenset[Word]] = {}
+        self._reduced_cache = {self.identity: frozenset({()})}
+        self._reduced_held = 1
         self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
         self._shortlex: dict[GroupElement, Word] = {self.identity: ()}
 
@@ -446,7 +447,8 @@ class CoxeterSystem:
     def reduced_words(self, g: GroupElement) -> frozenset[Word]:
         """All reduced words of g: s followed by each reduced word of s*g, over
         the left descents s.  A post-order walk on an explicit stack, so the
-        depth is not bounded by the recursion limit."""
+        depth is not bounded by the recursion limit.  The words the memo holds
+        count against max_ball_elements."""
         cache = self._reduced_cache
         # Frames are [element, (descent, s*element) pairs or None until expanded].
         stack = [[g, None]]
@@ -457,16 +459,19 @@ class CoxeterSystem:
                 if h in cache:
                     stack.pop()
                     continue
-                if h.length == 0:
-                    cache[h] = frozenset({()})
-                    stack.pop()
-                    continue
                 children = frame[1] = tuple(
                     (s, self.left_mul(h, s))
                     for s in self.left_descents(h)
                 )
                 stack.extend([c, None] for _, c in children if c not in cache)
                 continue
+            # The words of h start with distinct descents, so none repeats.
+            held = self._reduced_held + sum(len(cache[c]) for _, c in children)
+            if held > self.max_ball_elements:
+                raise ResourceLimitError(
+                    f"reduced words exceeded {self.max_ball_elements} words"
+                )
+            self._reduced_held = held
             cache[h] = frozenset((s,) + w for s, c in children for w in cache[c])
             stack.pop()
         return cache[g]

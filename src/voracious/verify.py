@@ -422,14 +422,13 @@ class Verifier:
     def _pivot_gap(self, aut) -> dict | None:
         """A pivot the automaton lacks, or None.
 
-        Pivots are closed under prefixes, so a right-descent prefix of an
-        edge's pivot must be the identity or another edge's pivot; and every
-        element of the ball with identity projection must be an edge's pivot.
+        Pivots are closed under prefixes, so a right-descent prefix of a
+        pivot must be the identity or another pivot; and every element of the
+        ball with identity projection must be a pivot.
         """
         sys, geo = self.system, self.geometry
-        words = dict.fromkeys(e.pivot_word for e in aut.edges)
-        pivots = dict.fromkeys(map(sys.element_of_word, words))
-        for g in pivots:
+        pivots = set(aut.pivots)
+        for g in aut.pivots:
             for s in sys.right_descents(g):
                 prefix = sys.right_mul(g, s)
                 if prefix.length and prefix not in pivots:
@@ -487,14 +486,12 @@ class Verifier:
                 for s in range(sys.rank):
                     stack.append((word + (s,), sys.right_mul(g, s)))
 
-        # every pivot labels exactly one edge out of the empty start state
-        pivot_words = [e.pivot_word for e in aut.edges if e.source == aut.start]
         details = {
             "words_checked": n_words,
             "accepted": n_accepted,
             "max_word_length": cfg.word_length,
-            "pivots": len(pivot_words),
-            "max_pivot_length": max(map(len, pivot_words), default=0),
+            "pivots": len(aut.pivots),
+            "max_pivot_length": max((g.length for g in aut.pivots), default=0),
             "states": len(aut.states),
             "edges": len(aut.edges),
         }

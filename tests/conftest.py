@@ -388,3 +388,55 @@ def stack():
         return _CACHE[name]
 
     return get
+
+
+def may_take_automaton_oracle(geometry: WallGeometry):
+    """(states, edges) of the automaton by the rule the masks replace.
+
+    A state may take pivot w iff none of its walls is an inversion wall of w
+    and each of its walls admits a separator from chamber w; the edge enters
+    w^{-1} W(w).  The separator test is memoised per (pivot, wall) and run
+    state by state, and the states are found by a breadth-first search from
+    the empty one.  States are sorted by (size, walls), and the edges, as
+    (source, target, pivot word), by source and then by pivot.
+    """
+    from voracious import pivots, small_roots
+
+    sys_ = geometry.system
+    universe = small_roots(geometry)
+    uindex = {w: i for i, w in enumerate(universe)}
+    pivot_list = pivots(geometry)
+    targets = [
+        tuple(sorted(uindex[v] for v in geometry.pull_back(w, geometry.frontier_set(w))))
+        for w in pivot_list
+    ]
+    separated = [{} for _ in pivot_list]
+
+    def may_take(pi, state):
+        w = pivot_list[pi]
+        if any(geometry.inversion_bits(w) & universe[v].bit for v in state):
+            return False
+        memo = separated[pi]
+        for v in state:
+            if v not in memo:
+                memo[v] = geometry.has_separator(w, universe[v])
+            if not memo[v]:
+                return False
+        return True
+
+    order = [()]
+    known = {()}
+    raw = []
+    for a in order:
+        for pi, t in enumerate(targets):
+            if may_take(pi, a):
+                if t not in known:
+                    known.add(t)
+                    order.append(t)
+                raw.append((a, pi, t))
+    states = tuple(sorted(order, key=lambda st: (len(st), st)))
+    sindex = {st: i for i, st in enumerate(states)}
+    words = [sys_.shortlex_word(w) for w in pivot_list]
+    edges = [(sindex[a], sindex[t], words[pi]) for a, pi, t in raw]
+    edges.sort(key=lambda e: (e[0], len(e[2]), e[2]))
+    return states, edges

@@ -18,11 +18,13 @@ from voracious import (
 
 from conftest import (
     AFFINE_A3,
+    BUILT,
     GROUPS_DIR,
     H535,
     TRIANGLE_237,
     fresh_geometry,
     generator_wall,
+    may_take_automaton_oracle,
     small_roots_bruteforce,
 )
 
@@ -137,6 +139,23 @@ def test_h535_automaton_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1ff16af57e1352139d77d5011d59a84da98c913cc914f4949f5e897617754604"
     )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(SMALL_ROOT_COUNTS) + ["affine_a3", "triangle_237", "h535"]
+)
+def test_masks_match_may_take_oracle(stack, name):
+    built = {**BUILT, "h535": ("abcd", H535)}
+    geo = fresh_geometry(*built[name]) if name in built else stack(name).geometry
+    aut = build_automaton(geo)
+    states, edges = may_take_automaton_oracle(geo)
+    assert aut.states == states
+    assert [(e.source, e.target, e.pivot_word) for e in aut.edges] == edges
+    # Measured, not proved: the pivots' targets are distinct and none is the
+    # empty start state, so there is one state per pivot besides the start.
+    assert len(set(aut.targets)) == len(aut.pivots)
+    assert aut.start not in aut.targets
+    assert len(aut.states) == len(aut.pivots) + 1
 
 
 def test_334_automaton_bytes_frozen():
@@ -299,7 +318,7 @@ def _prefix_graph_nodes(aut):
     when h s is longer than h and is a node, and 0 otherwise.
     """
     sys_ = aut.geometry.system
-    children, _ = aut._prefix_graph()
+    children, _ = aut._prefix_graph
     elements = [sys_.identity] + [None] * (len(children) - 1)
     queue = [0]
     for n in queue:
@@ -326,7 +345,17 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
     elements = _prefix_graph_nodes(aut)
     assert len(elements) == 125
     assert set(elements) == {geo.system.identity, *pivots(geo)}
-    _, ends = aut._prefix_graph()
+    _, pivot_at = aut._prefix_graph
+    assert [aut.pivots[q] for q in pivot_at[1:]] == elements[1:]
+    assert pivot_at[0] == -1
+    ends = [
+        {
+            state: aut.targets[q]
+            for state, st in enumerate(aut.states)
+            if q >= 0 and not sum(aut.universe[v].bit for v in st) & aut.forbid[q]
+        }
+        for q in pivot_at
+    ]
     want = [{} for _ in elements]
     index = {h: n for n, h in enumerate(elements)}
     for e in aut.edges:
@@ -373,6 +402,18 @@ def test_json_rejects_repeated_source_and_pivot(stack):
     data, geo = _json_of_334(stack)
     data["edges"].append(dict(data["edges"][0]))
     with pytest.raises(ValueError):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_dropped_edge(stack):
+    # The dropped edge's pivot keeps its other edges, so every edge left
+    # passes its own check, and only the derived edge set finds the gap.
+    data, geo = _json_of_334(stack)
+    dropped = data["edges"].pop()
+    assert dropped["from"] != 0
+    assert any(e["pivot_word"] == dropped["pivot_word"] for e in data["edges"])
+    want = f"no edge leaves state {dropped['from']} with pivot '{dropped['pivot_word']}'"
+    with pytest.raises(ValueError, match=want):
         from_json_dict(data, geo)
 
 

@@ -210,6 +210,18 @@ def test_reduced_words_of_a3_longest_element(stack):
     ]
 
 
+def test_reduced_words_are_bounded(stack):
+    # The memo holds 66 words once the 16 of A3's longest element are found:
+    # one for each reduced word of each of its 24 suffixes.
+    cox = stack("a3").cox
+    word = word_from_string("abacba", cox.generators)
+    sys_ = CoxeterSystem(cox, max_ball_elements=66)
+    assert len(sys_.reduced_words(sys_.element_of_word(word))) == 16
+    sys_ = CoxeterSystem(cox, max_ball_elements=65)
+    with pytest.raises(ResourceLimitError, match="reduced words exceeded 65"):
+        sys_.reduced_words(sys_.element_of_word(word))
+
+
 @pytest.mark.parametrize("name,radius", [("a2", 4), ("d_infinity", 4), ("a3", 4)])
 def test_reduced_words_match_bruteforce(stack, name, radius):
     s = stack(name)

@@ -291,9 +291,11 @@ def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch, dropped, witness
 
     def build_without_pivot(geometry):
         aut = build_automaton(geometry)
-        edges = tuple(e for e in aut.edges if e.pivot_word != word)
-        assert len(edges) < len(aut.edges)
-        return VoraciousAutomaton(geometry, aut.universe, aut.states, edges)
+        shortlex = geometry.system.shortlex_word
+        kept = [i for i, q in enumerate(aut.pivots) if shortlex(q) != word]
+        assert len(kept) < len(aut.pivots)
+        rules = [[seq[i] for i in kept] for seq in (aut.pivots, aut.targets, aut.forbid)]
+        return VoraciousAutomaton(geometry, aut.universe, aut.states, *map(tuple, rules))
 
     monkeypatch.setattr(voracious.verify, "build_automaton", build_without_pivot)
     check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
