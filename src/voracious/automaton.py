@@ -8,13 +8,13 @@ masks: target(q), of q^{-1} W(q), and forbid(q), of Inv(q) and the universe
 walls with no separator from chamber q.  An edge (S, q) exists iff
 mask(S) & forbid(q) == 0, and it enters target(q).  So the empty start
 state takes every pivot, and the states are it and the pivots' targets.
-The automaton stores its states, pivots, target states and forbid masks,
-and derives its edges from them.
+The pivots fix the automaton: VoraciousAutomaton is built over them, and
+derives their masks, the states and the edges.
 
 An edge's labels are the reduced words of its pivot, derived only to write
-DOT.  The universe is the group's small roots, which the JSON loader checks
-rather than parses, and the loader requires a file's edges to be exactly
-those the masks derive over its states and pivots.
+DOT.  The universe is the group's small roots.  The JSON loader reads only
+a file's pivot words: it builds the automaton over them and requires the
+file's universe, states and edges to equal those the automaton writes.
 
 Words are run over the pivot prefix graph rather than over the labels: its
 nodes are the pivots and their prefixes in the weak order, reading a letter
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import zip_longest
 
 from .coxeter import (
@@ -48,13 +48,13 @@ from .walls import Wall, WallGeometry
 FORMAT = "voracious-automaton-3"
 
 
-def small_roots(geometry: WallGeometry, cap: int = 10_000) -> tuple[Wall, ...]:
+def small_roots(geometry: WallGeometry) -> tuple[Wall, ...]:
     """All small-root walls, sorted by root as output writes it.
 
     The walls of CoxeterSystem.small_roots, made in the order the closure
     finds their roots.
     """
-    walls = map(geometry.wall_of_root, geometry.system.small_roots(cap))
+    walls = map(geometry.wall_of_root, geometry.system.small_roots())
     return tuple(sorted(walls, key=geometry.output_root))
 
 
@@ -104,31 +104,30 @@ class Edge:
 
 class VoraciousAutomaton:
     """Automaton over small-wall states; accepts exactly the language words.
-    Pivots are in (length, shortlex) order, with their target state indices
-    and forbid masks (see _pivot_rules)."""
+
+    Built over a universe of walls and pivots in (length, shortlex) order.
+    Each pivot's target state index and forbid mask (see _pivot_rules), the
+    states, sorted by (size, walls), and the edges all follow from them."""
 
     def __init__(
         self,
         geometry: WallGeometry,
         universe: tuple[Wall, ...],
-        states: tuple[tuple[int, ...], ...],
         pivots: tuple[GroupElement, ...],
-        targets: tuple[int, ...],
-        forbid: tuple[int, ...],
     ):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
         self.universe = universe
-        self.states = states
         self.start = 0
         self.pivots = pivots
-        self.targets = targets
-        self.forbid = forbid
-        if not states or states[0] != ():
-            raise ValueError("state 0 must be the empty frontier")
+        target_masks, forbid = _pivot_rules(geometry, universe, pivots)
+        target_walls = [_walls_of(universe, m) for m in target_masks]
+        self.states = tuple(sorted({(), *target_walls}, key=lambda st: (len(st), st)))
+        self._state_index = {st: i for i, st in enumerate(self.states)}
+        self.targets = tuple(self._state_index[t] for t in target_walls)
+        self.forbid = tuple(forbid)
         self._universe_index = {w: i for i, w in enumerate(universe)}
-        self._state_index = {st: i for i, st in enumerate(states)}
-        self._masks = [sum(universe[v].bit for v in st) for st in states]
+        self._masks = [sum(universe[v].bit for v in st) for st in self.states]
         self._labels: dict[Word, tuple[Word, ...]] = {}
 
     @cached_property
@@ -160,8 +159,8 @@ class VoraciousAutomaton:
 
         Node 0 is the identity and node i + 1 is pivot i.  The other nodes
         are the elements below a pivot in the weak order, found by stepping
-        down right descents; pivots are prefix-closed, so a built automaton
-        has none, but a loaded file may lack the edges of a prefix.
+        down right descents; pivots are prefix-closed, so an automaton over
+        every pivot has none, but one over a subset of them may.
         children[n][s] is the node of h s, for h the element of node n, when
         h s is longer than h and is a node, and 0 otherwise (the identity is
         no node's child).  pivot_at[n] is the index of h among the pivots,
@@ -246,6 +245,8 @@ class VoraciousAutomaton:
 
     def to_json_dict(self) -> dict:
         gens = self.generators
+        shortlex = self.geometry.system.shortlex_word
+        text = {w: word_to_string(w, gens) for w in map(shortlex, self.pivots)}
         return {
             "format": FORMAT,
             "generators": list(gens),
@@ -258,7 +259,7 @@ class VoraciousAutomaton:
                 {
                     "from": e.source,
                     "to": e.target,
-                    "pivot_word": word_to_string(e.pivot_word, gens),
+                    "pivot_word": text[e.pivot_word],
                 }
                 for e in self.edges
             ],
@@ -302,11 +303,12 @@ def _universe_json(geometry: WallGeometry, universe) -> list:
 
 
 def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
-    """Rebuild an automaton over an existing geometry; group data must match,
-    and the universe must be the group's small roots as `to_json_dict` writes
-    them.  Only the states and the pivot edges are read, and they must be
-    exactly the states and edges of an automaton over the file's pivots (see
-    _check_edges)."""
+    """The automaton of a file's pivots, over an existing geometry.
+
+    The group data must match, and each edge's pivot word must be the
+    shortlex word of a pivot.  The automaton is built over the distinct
+    pivot words, and the file's universe, states and edges must equal those
+    it writes (see _require_written), so nothing else in the file is read."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -324,32 +326,7 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     ] != data["m"]:
         raise ValueError("automaton file belongs to a different group")
 
-    universe = small_roots(geometry)
-    got, want = data["universe"], _universe_json(geometry, universe)
-    if got != want:
-        i, entry, root = next(
-            (i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b
-        )
-        raise ValueError(
-            f"universe entry {i} is {json.dumps(entry)}, but small root {i} of "
-            f"the group is {json.dumps(root)}"
-        )
-
-    n = len(universe)
-    states = []
-    for st in data["states"]:
-        if not isinstance(st, list) or any(
-            type(i) is not int or not lo < i < n for lo, i in zip([-1] + st, st)
-        ):
-            raise ValueError(
-                f"state {st!r} is not a strictly increasing list of universe "
-                f"indices 0..{n - 1}"
-            )
-        states.append(tuple(st))
-
     words: dict[str, Word] = {}
-    edges = []
-    leaving: set[tuple[int, Word]] = set()
     for e in data["edges"]:
         if not (
             isinstance(e, dict)
@@ -358,21 +335,56 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
         ):
             raise ValueError(f"edge {e!r} needs int 'from', 'to' and str 'pivot_word'")
         text = e["pivot_word"]
-        word = words.get(text)
-        if word is None:
-            word = words[text] = word_from_string(text, gens)
-        edge = Edge(e["from"], e["to"], word)
-        if not (0 <= edge.source < len(states) and 0 <= edge.target < len(states)):
-            raise ValueError(
-                f"edge {edge.source} -> {edge.target} names a state outside "
-                f"0..{len(states) - 1}"
+        if text not in words:
+            words[text] = word_from_string(text, gens)
+    elements: dict[Word, GroupElement] = {}
+    for word in dict.fromkeys(words.values()):
+        g = sys.element_of_word(word)
+        if not word or g.length != len(word):
+            problem = "is empty or not reduced"
+        elif sys.shortlex_word(g) != word:
+            problem = "is not the shortlex word of its element"
+        elif geometry.voracious_projection(g) is not sys.identity:
+            problem = "is not a pivot: its projection is not the identity"
+        else:
+            elements[word] = g
+            continue
+        raise ValueError(f"pivot word {word_to_string(word, gens)!r} {problem}")
+    order = sorted(elements, key=lambda w: (len(w), w))
+    aut = VoraciousAutomaton(
+        geometry, small_roots(geometry), tuple(elements[w] for w in order)
+    )
+    _require_written(data, aut.to_json_dict())
+    return aut
+
+
+# Each list the loader compares, and what its i-th entry is in the built
+# automaton's file.
+_WRITTEN = {
+    "universe": "small root {} of the group",
+    "states": "state {} of the automaton of the file's pivots",
+    "edges": "edge {} of the automaton of the file's pivots",
+}
+
+
+def _require_written(data: dict, written: dict) -> None:
+    """Refuse a file whose universe, states or edges differ from the lists
+    `written`, naming the first differing entry (a missing one is null).
+
+    Entries are compared as JSON text, not by ==, so that a state entry
+    true or 1.0 is not read as the index 1."""
+    text = partial(json.dumps, sort_keys=True)
+    for key, entry in _WRITTEN.items():
+        got, want = data[key], written[key]
+        if text(got) != text(want):
+            i, a, b = next(
+                (i, a, b)
+                for i, (a, b) in enumerate(zip_longest(got, want))
+                if text(a) != text(b)
             )
-        # An edge is fixed by its source and pivot.
-        if (edge.source, word) in leaving:
-            raise ValueError(f"two edges leave state {edge.source} with pivot {word}")
-        leaving.add((edge.source, word))
-        edges.append(edge)
-    return _check_edges(geometry, universe, tuple(states), edges)
+            raise ValueError(
+                f"{key} entry {i} is {text(a)}, but {entry.format(i)} is {text(b)}"
+            )
 
 
 def _walls_of(universe, mask: int) -> tuple[int, ...]:
@@ -410,80 +422,7 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     return targets, forbid
 
 
-def _check_edges(
-    geometry: WallGeometry, universe, states, edges: list[Edge]
-) -> VoraciousAutomaton:
-    """The automaton of a file's states and edges, if they are exactly the
-    edges it derives from the file's pivots.
-
-    Each pivot word must be reduced and the shortlex word of an element whose
-    projection is the identity.  Each edge (S, q) must enter target(q), and
-    mask(S) & forbid(q) must be 0.  No two edges share a source and a pivot,
-    so with as many edges as the automaton derives, the sets are equal;
-    otherwise the first derived edge missing from the file is named.
-    """
-    sys = geometry.system
-    gens = sys.cox.generators
-    elements: dict[Word, GroupElement] = {}
-    for word in dict.fromkeys(e.pivot_word for e in edges):
-        g = sys.element_of_word(word)
-        if not word or g.length != len(word):
-            problem = "is empty or not reduced"
-        elif sys.shortlex_word(g) != word:
-            problem = "is not the shortlex word of its element"
-        elif geometry.voracious_projection(g) is not sys.identity:
-            problem = "is not a pivot: its projection is not the identity"
-        else:
-            elements[word] = g
-            continue
-        raise ValueError(f"pivot word {word_to_string(word, gens)!r} {problem}")
-    words = sorted(elements, key=lambda w: (len(w), w))
-    pivot_list = tuple(elements[w] for w in words)
-    masks, forbid = _pivot_rules(geometry, universe, pivot_list)
-    target_walls = [_walls_of(universe, m) for m in masks]
-    state_index = {st: i for i, st in enumerate(states)}
-    targets = tuple(state_index.get(t, -1) for t in target_walls)
-    aut = VoraciousAutomaton(
-        geometry, universe, states, pivot_list, targets, tuple(forbid)
-    )
-
-    index = {word: i for i, word in enumerate(words)}
-    for e in edges:
-        pi = index[e.pivot_word]
-        if e.target != targets[pi]:
-            problem = (
-                "must enter the pivot's pulled-back frontier, the state of "
-                f"universe walls {list(target_walls[pi])}"
-            )
-        elif aut._masks[e.source] & forbid[pi]:
-            problem = "leaves a state that may not take the pivot"
-        else:
-            continue
-        text = word_to_string(e.pivot_word, gens)
-        raise ValueError(
-            f"edge {e.source} -> {e.target} with pivot {text!r} {problem}"
-        )
-    if len(edges) != len(aut.edges):
-        have = {(e.source, e.pivot_word) for e in edges}
-        e = next(e for e in aut.edges if (e.source, e.pivot_word) not in have)
-        text = word_to_string(e.pivot_word, gens)
-        raise ValueError(
-            f"no edge leaves state {e.source} with pivot {text!r}, which the "
-            "state may take"
-        )
-    return aut
-
-
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
-    """Construct the automaton from scratch for one group: its states are
-    the empty start state and the pivots' targets, sorted by (size, walls)."""
-    universe = small_roots(geometry)
-    pivot_list = pivots(geometry)
-    masks, forbid = _pivot_rules(geometry, universe, pivot_list)
-    target_walls = [_walls_of(universe, m) for m in masks]
-    states = tuple(sorted({(), *target_walls}, key=lambda st: (len(st), st)))
-    index = {st: i for i, st in enumerate(states)}
-    targets = tuple(index[t] for t in target_walls)
-    return VoraciousAutomaton(
-        geometry, universe, states, pivot_list, targets, tuple(forbid)
-    )
+    """Construct the automaton from scratch for one group: over its small
+    roots and every pivot."""
+    return VoraciousAutomaton(geometry, small_roots(geometry), pivots(geometry))

@@ -35,6 +35,10 @@ INF = 0  # encoding of an infinite Coxeter matrix entry, here and in config file
 # takes seconds to build.
 MAX_FIELD_DEGREE = 64
 
+# Most small roots the small-root closure finds before it gives up.  Every
+# Coxeter group has finitely many (Brink-Howlett), so this only bounds work.
+MAX_SMALL_ROOTS = 10_000
+
 Word = tuple[int, ...]
 
 
@@ -81,9 +85,6 @@ class CoxeterMatrix:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def order(self, i: int, j: int) -> int:
-        return self.orders[i][j]
 
     def field_modulus(self) -> int:
         """lcm of the finite entries; 1 when every off-diagonal order is infinite."""
@@ -478,10 +479,10 @@ class CoxeterSystem:
 
     # -- metric balls -------------------------------------------------------
 
-    def _extend_layers(self, radius: int, cap: int | None = None) -> None:
+    def _extend_layers(self, radius: int) -> None:
         # Every element of layer n+1 is some g * s longer than g in layer n.
         # A layer is appended whole, so a cap overrun leaves no partial layer.
-        cap = self.max_ball_elements if cap is None else cap
+        cap = self.max_ball_elements
         count = sum(len(layer) for layer in self._layers)
         while len(self._layers) <= radius:
             last = self._layers[-1]
@@ -519,7 +520,7 @@ class CoxeterSystem:
 
     # -- small roots and finiteness ------------------------------------------
 
-    def small_roots(self, cap: int = 10_000) -> tuple:
+    def small_roots(self) -> tuple:
         """The small roots, positive, in the order their closure finds them.
 
         The closure starts from the simple roots.  From a small root beta and
@@ -541,9 +542,9 @@ class CoxeterSystem:
                 if vec not in seen:
                     seen.add(vec)
                     found.append(vec)
-                    if len(found) > cap:
+                    if len(found) > MAX_SMALL_ROOTS:
                         raise ResourceLimitError(
-                            f"small-root closure exceeded {cap} walls"
+                            f"small-root closure exceeded {MAX_SMALL_ROOTS} walls"
                         )
         return tuple(found)
 

@@ -27,13 +27,19 @@ from .language import VoraciousLanguage
 from .walls import Wall, WallGeometry
 
 
+# Chambers this close to the ball boundary are left out of Q_hat, so that the
+# incident chambers realising a distance stay inside the ball.
+TRIM_MARGIN = 2
+# The automaton agreement check runs every word up to this length.
+AGREEMENT_WORD_LENGTH = 6
+# The fellow-traveller check samples this many word pairs when it has more.
+MAX_WORD_PAIRS = 50_000
+
+
 @dataclass(frozen=True)
 class VerifierConfig:
     radius: int = 6
-    margin: int = 2
-    word_length: int = 6
     seed: int = 0
-    max_word_pairs: int = 50_000
     separator_samples: int = 120
 
 
@@ -194,7 +200,7 @@ class Verifier:
                     wall_min_radius[w] = g.length
 
         incidences = self._ball_incidences()
-        g_cap = radius - cfg.margin
+        g_cap = radius - TRIM_MARGIN
 
         # per-pair data for separator-free (g, W) pairs; values are exact,
         # rows of the by-radius table just filter which pairs are visible
@@ -208,7 +214,7 @@ class Verifier:
                     continue
                 d = min(self._dist(g, h) for h in incidences[wall])
                 d_canon = self._dist(g, geo.incident_chamber(wall))
-                if d > cfg.margin:
+                if d > TRIM_MARGIN:
                     boundary_suspect = True
                 pair_rows.append((g.length, first_r, d, d_canon))
         if boundary_suspect:
@@ -223,9 +229,9 @@ class Verifier:
             c = max((g.length - geo.voracious_projection(g).length for g in row_ball),
                     default=0)
             n = max((len(geo.frontier_set(g)) for g in row_ball), default=0)
-            q = max((d for gl, fr, d, _ in pair_rows if gl <= r - cfg.margin and fr <= r),
+            q = max((d for gl, fr, d, _ in pair_rows if gl <= r - TRIM_MARGIN and fr <= r),
                     default=0)
-            qc = max((dc for gl, fr, _, dc in pair_rows if gl <= r - cfg.margin and fr <= r),
+            qc = max((dc for gl, fr, _, dc in pair_rows if gl <= r - TRIM_MARGIN and fr <= r),
                      default=0)
             by_radius[r] = {"C_hat": c, "N_hat": n, "Q_hat": q, "Q_hat_canonical": qc}
 
@@ -345,12 +351,12 @@ class Verifier:
                 for v2 in sorted(self.language.all_words_of(g2)):
                     word_pairs.append((kind, s, v, v2))
         sampled = False
-        if len(word_pairs) > cfg.max_word_pairs:
+        if len(word_pairs) > MAX_WORD_PAIRS:
             sampled = True
             rng = random.Random(cfg.seed)
-            word_pairs = rng.sample(word_pairs, cfg.max_word_pairs)
+            word_pairs = rng.sample(word_pairs, MAX_WORD_PAIRS)
             self.warnings.append(
-                f"fellow-traveller word pairs capped at {cfg.max_word_pairs} "
+                f"fellow-traveller word pairs capped at {MAX_WORD_PAIRS} "
                 "(seeded sample)"
             )
 
@@ -448,9 +454,9 @@ class Verifier:
         return None
 
     def check_automaton_agreement(self) -> CheckResult:
-        """accepts agrees with the language on every word up to word_length,
-        in the frontier's state, and the automaton has every pivot."""
-        cfg = self.config
+        """accepts agrees with the language on every word up to
+        AGREEMENT_WORD_LENGTH, in the frontier's state, and the automaton has
+        every pivot."""
         sys, geo = self.system, self.geometry
         aut = build_automaton(geo)
 
@@ -482,14 +488,14 @@ class Verifier:
                         "states": sorted(states),
                         "expected_state": want,
                     }
-            if len(word) < cfg.word_length:
+            if len(word) < AGREEMENT_WORD_LENGTH:
                 for s in range(sys.rank):
                     stack.append((word + (s,), sys.right_mul(g, s)))
 
         details = {
             "words_checked": n_words,
             "accepted": n_accepted,
-            "max_word_length": cfg.word_length,
+            "max_word_length": AGREEMENT_WORD_LENGTH,
             "pivots": len(aut.pivots),
             "max_pivot_length": max((g.length for g in aut.pivots), default=0),
             "states": len(aut.states),
@@ -618,7 +624,7 @@ class Verifier:
 
     def run_suite(self) -> VerificationReport:
         cfg = self.config
-        if cfg.radius <= cfg.margin:
+        if cfg.radius <= TRIM_MARGIN:
             self.warnings.append(
                 "radius does not exceed the trim margin; distance-based "
                 "estimates are vacuous"

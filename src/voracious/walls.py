@@ -141,14 +141,6 @@ class WallGeometry:
 
     # -- sides and inversion sets -------------------------------------------
 
-    def on_identity_side(self, g: GroupElement, wall: Wall) -> bool:
-        """True iff g and the identity chamber agree about the wall.
-
-        Equivalent to g^{-1}(beta) being positive; phrased through the
-        inversion set so that repeated side queries share one computation.
-        """
-        return not self.inversion_bits(g) & wall.bit
-
     def inversion_bits(self, g: GroupElement) -> int:
         """Walls separating chamber g from the identity chamber, as a mask.
 

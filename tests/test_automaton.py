@@ -3,17 +3,20 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voracious import (
     CoxeterSystem,
     ResourceLimitError,
+    VoraciousAutomaton,
     WallGeometry,
     build_automaton,
     from_json_dict,
     load_group_file,
     pivots,
     small_roots,
-    word_from_string,
+    word_to_string,
 )
 
 from conftest import (
@@ -364,21 +367,24 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
 
 
 def test_run_states_with_edges_missing_from_file(long_pivot_geometries):
-    # A loaded file may lack edges.  Drop every edge of a pivot that is a
-    # right-descent prefix of a longer pivot: the longer pivot's labels pass
-    # through the dropped pivot's element, which must stay a node.
+    # A file may be written for a subset of the pivots.  Drop a pivot that is
+    # a right-descent prefix of a longer pivot: the longer pivot's labels pass
+    # through the dropped pivot's element, which must stay a node, though no
+    # block ends there.
     geo = long_pivot_geometries["affine_a3"]
     sys_ = geo.system
-    data = build_automaton(geo).to_json_dict()
-    words = sorted({e["pivot_word"] for e in data["edges"]}, key=lambda w: (len(w), w))
-    elements = {w: sys_.element_of_word(word_from_string(w, "abcd")) for w in words}
-    prefixes = {
-        sys_.right_mul(g, s) for g in elements.values() for s in sys_.right_descents(g)
-    }
-    dropped = next(w for w in words if len(w) == 2 and elements[w] in prefixes)
-    data["edges"] = [e for e in data["edges"] if e["pivot_word"] != dropped]
-    aut = from_json_dict(data, geo)
+    every = pivots(geo)
+    prefixes = {sys_.right_mul(g, s) for g in every for s in sys_.right_descents(g)}
+    dropped = next(g for g in every if g.length == 2 and g in prefixes)
+    kept = tuple(g for g in every if g is not dropped)
+    saved = VoraciousAutomaton(geo, small_roots(geo), kept).to_json()
+    aut = from_json_dict(json.loads(saved), geo)
+    assert aut.pivots == kept
+    assert aut.to_json() == saved
     assert len(aut.edges) < 872
+    elements = _prefix_graph_nodes(aut)
+    assert len(elements) == len(kept) + 2
+    assert aut._prefix_graph[1][elements.index(dropped)] == -1
     _assert_run_states_match_label_scan(aut, sys_.rank, 6)
 
 
@@ -406,13 +412,14 @@ def test_json_rejects_repeated_source_and_pivot(stack):
 
 
 def test_json_rejects_dropped_edge(stack):
-    # The dropped edge's pivot keeps its other edges, so every edge left
-    # passes its own check, and only the derived edge set finds the gap.
+    # The dropped edge's pivot keeps its other edges, so the file's pivots
+    # are all there, and only the edge list finds the gap.
     data, geo = _json_of_334(stack)
     dropped = data["edges"].pop()
     assert dropped["from"] != 0
     assert any(e["pivot_word"] == dropped["pivot_word"] for e in data["edges"])
-    want = f"no edge leaves state {dropped['from']} with pivot '{dropped['pivot_word']}'"
+    i = len(data["edges"])
+    want = rf"edges entry {i} is null, but edge {i} of the automaton of the file's"
     with pytest.raises(ValueError, match=want):
         from_json_dict(data, geo)
 
@@ -441,7 +448,8 @@ def test_json_rejects_edge_into_wrong_state(stack):
     # With this edge redirected, the file would accept the non-geodesic tss.
     data, geo = _json_of(stack, "d_infinity")
     _edge(data, 1, "s")["to"] = 1
-    with pytest.raises(ValueError, match=r"edge 1 -> 1 with pivot 's' must enter"):
+    want = r'edges entry \d+ is {"from": 1, "pivot_word": "s", "to": 1}, but edge'
+    with pytest.raises(ValueError, match=want):
         from_json_dict(data, geo)
 
 
@@ -463,7 +471,9 @@ def test_json_rejects_edge_from_state_that_may_not_take_its_pivot(stack):
     # State 2 holds the wall of s, an inversion wall of the pivot s.
     data, geo = _json_of(stack, "d_infinity")
     data["edges"].append({"from": 2, "to": 2, "pivot_word": "s"})
-    with pytest.raises(ValueError, match="edge 2 -> 2 with pivot 's' leaves"):
+    edge = r'{"from": 2, "pivot_word": "s", "to": 2}'
+    want = rf"edges entry (\d+) is {edge}, but edge \1 .* is null"
+    with pytest.raises(ValueError, match=want):
         from_json_dict(data, geo)
 
 
@@ -488,12 +498,109 @@ def test_json_rejects_top_level_list(stack):
 def test_json_rejects_state_outside_universe(stack):
     data, geo = _json_of_a2(stack)
     data["states"][1] = [99]
-    with pytest.raises(ValueError, match=r"state \[99\]"):
+    with pytest.raises(ValueError, match=r"states entry 1 is \[99\], but state 1"):
         from_json_dict(data, geo)
     data, geo = _json_of_a2(stack)
-    data["states"][-1] = data["states"][-1][::-1]
-    with pytest.raises(ValueError, match="strictly increasing"):
+    i = len(data["states"]) - 1
+    data["states"][i] = data["states"][i][::-1]
+    with pytest.raises(ValueError, match=rf"states entry {i} is \[2, 1, 0\]"):
         from_json_dict(data, geo)
+    # Equal under ==, but not integers.
+    for i, index in ((1, 0.0), (2, True)):
+        data, geo = _json_of_a2(stack)
+        assert data["states"][i] == [index]
+        data["states"][i] = [index]
+        want = rf"states entry {i} is \[{json.dumps(index)}\]"
+        with pytest.raises(ValueError, match=want):
+            from_json_dict(data, geo)
+
+
+def test_json_rejects_renumbered_states(stack):
+    # States 1 and 2 swapped, and every edge renumbered to match: the same
+    # machine, but not in the order the build writes, so it is refused.
+    data, geo = _json_of_334(stack)
+    states = data["states"]
+    states[1], states[2] = states[2], states[1]
+    swap = {1: 2, 2: 1}
+    for e in data["edges"]:
+        e["from"], e["to"] = swap.get(e["from"], e["from"]), swap.get(e["to"], e["to"])
+    want = r"states entry 1 is \[3\], but state 1 .* is \[1\]"
+    with pytest.raises(ValueError, match=want):
+        from_json_dict(data, geo)
+
+
+def test_json_rejects_extra_state(stack):
+    # A state no pivot enters, with every edge its walls allow: each edge
+    # obeys the masks, but the states are not those the build writes.
+    aut = build_automaton(stack("triangle_334").geometry)
+    data = aut.to_json_dict()
+    extra = [0, 1]
+    assert extra not in data["states"]
+    data["states"].append(extra)
+    i = len(data["states"]) - 1
+    mask = sum(aut.universe[v].bit for v in extra)
+    for q, target, forbid in zip(aut.pivots, aut.targets, aut.forbid):
+        if not mask & forbid:
+            word = aut.geometry.system.shortlex_word(q)
+            pivot_word = word_to_string(word, aut.generators)
+            data["edges"].append({"from": i, "to": target, "pivot_word": pivot_word})
+    assert len(data["edges"]) > len(aut.edges)
+    with pytest.raises(ValueError, match=rf"states entry {i} is \[0, 1\], but .* null"):
+        from_json_dict(data, aut.geometry)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["d_infinity", "a2", "triangle_334"]), draw=st.data())
+def test_json_mutation_is_refused_or_written_back(stack, name, draw):
+    # One mutation of a saved file either is refused, or loads to the
+    # automaton that writes exactly the mutated file: nothing but the pivot
+    # words reaches the program.
+    geo = stack(name).geometry
+    data = build_automaton(geo).to_json_dict()
+    edges, states = data["edges"], data["states"]
+    gens = "".join(data["generators"])
+    n = len(data["universe"])
+
+    def index(seq):
+        return draw.draw(st.integers(0, len(seq) - 1))
+
+    values = st.one_of(
+        st.integers(-1, len(states)),
+        st.sampled_from([True, 1.0, None]),
+        st.text(alphabet=gens, max_size=5),
+    )
+    kind = draw.draw(
+        st.sampled_from(
+            ["drop edge", "duplicate edge", "drop field", "edit field", "edit state",
+             "swap states"]
+        )
+    )
+    if kind == "drop edge":
+        del edges[index(edges)]
+    elif kind == "duplicate edge":
+        edges.insert(draw.draw(st.integers(0, len(edges))), dict(edges[index(edges)]))
+    elif kind in ("drop field", "edit field"):
+        edge = edges[index(edges)]
+        key = draw.draw(st.sampled_from(["from", "to", "pivot_word"]))
+        if kind == "drop field":
+            del edge[key]
+        else:
+            edge[key] = draw.draw(values)
+    elif kind == "edit state":
+        entries = st.one_of(st.integers(-1, n), st.sampled_from([True, 1.0]))
+        states[index(states)] = draw.draw(
+            st.one_of(st.sampled_from(states), st.lists(entries, max_size=4))
+        )
+    else:
+        i, j = index(states), index(states)
+        states[i], states[j] = states[j], states[i]
+    try:
+        aut = from_json_dict(data, geo)
+    except ValueError:
+        return
+    assert json.dumps(aut.to_json_dict(), sort_keys=True) == json.dumps(
+        data, sort_keys=True
+    )
 
 
 def _json_of_a3(stack):

@@ -46,14 +46,14 @@ def _system(rows, gens=None):
 def test_parse_valid_config():
     cox = parse_group_config('{"generators": ["s", "t"], "m": [[1, 3], [3, 1]]}')
     assert cox.generators == ("s", "t")
-    assert cox.order(0, 1) == 3
+    assert cox.orders[0][1] == 3
     assert cox.rank == 2
     assert cox.field_modulus() == 3
 
 
 def test_parse_infinite_order():
     cox = parse_group_config('{"generators": ["s", "t"], "m": [[1, 0], [0, 1]]}')
-    assert cox.order(0, 1) == INF
+    assert cox.orders[0][1] == INF
     assert cox.field_modulus() == 1
 
 

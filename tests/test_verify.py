@@ -12,8 +12,9 @@ from voracious import (
     VerifierConfig,
     VoraciousAutomaton,
     WallGeometry,
-    build_automaton,
     load_group_file,
+    pivots,
+    small_roots,
 )
 
 from conftest import (
@@ -290,12 +291,11 @@ def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch, dropped, witness
     word = s.word(dropped)
 
     def build_without_pivot(geometry):
-        aut = build_automaton(geometry)
+        every = pivots(geometry)
         shortlex = geometry.system.shortlex_word
-        kept = [i for i, q in enumerate(aut.pivots) if shortlex(q) != word]
-        assert len(kept) < len(aut.pivots)
-        rules = [[seq[i] for i in kept] for seq in (aut.pivots, aut.targets, aut.forbid)]
-        return VoraciousAutomaton(geometry, aut.universe, aut.states, *map(tuple, rules))
+        kept = tuple(q for q in every if shortlex(q) != word)
+        assert len(kept) < len(every)
+        return VoraciousAutomaton(geometry, small_roots(geometry), kept)
 
     monkeypatch.setattr(voracious.verify, "build_automaton", build_without_pivot)
     check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()

@@ -99,9 +99,9 @@ def test_on_identity_side(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
     ws = generator_wall(geo, 0)
-    assert geo.on_identity_side(dinf.system.identity, ws)
-    assert not geo.on_identity_side(dinf.element("s"), ws)
-    assert geo.on_identity_side(dinf.element("t"), ws)
+    assert not geo.inversion_bits(dinf.system.identity) & ws.bit
+    assert geo.inversion_bits(dinf.element("s")) & ws.bit
+    assert not geo.inversion_bits(dinf.element("t")) & ws.bit
 
 
 def test_walls_between(stack):
@@ -230,7 +230,7 @@ def test_incident_chambers_share_side_of_disjoint_walls(stack):
     for a, b in itertools.combinations(walls, 2):
         if not geo.walls_disjoint(a, b):
             continue
-        sides = {geo.on_identity_side(g, b) for g in touching[a]}
+        sides = {not geo.inversion_bits(g) & b.bit for g in touching[a]}
         assert len(sides) == 1
 
 
@@ -252,7 +252,7 @@ def test_crossing_chambers_and_prefix_masks(stack, name):
         p = wall.crossing
         (s,) = [s for s, root in enumerate(p.matrix) if geo.wall_of_root(root) == wall]
         assert geo.walls_between(p, sys.right_mul(p, s)) == {wall}
-        assert geo.on_identity_side(p, wall)
+        assert not geo.inversion_bits(p) & wall.bit
     assert len(geo._inv_bits) >= len(sys.ball(6))
     for p, mask in geo._inv_bits.items():
         fresh = WallGeometry(sys)
