@@ -23,7 +23,7 @@ from .coxeter import (
 )
 from .field import FieldContext, FieldScalar
 from .language import FactorizationChain, VoraciousLanguage
-from .verify import Verifier, VerifierConfig, VerificationReport, run_suite
+from .verify import Verifier, VerifierConfig, VerificationReport
 from .walls import Wall, WallGeometry
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "load_group_file",
     "parse_group_config",
     "pivots",
-    "run_suite",
     "small_roots",
     "word_from_string",
     "word_to_string",

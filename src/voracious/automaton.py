@@ -1,20 +1,22 @@
 """Finite state automaton accepting the voracious language.
 
-States are finite sets of small-root walls: the state reached after reading
-a language word of g is g^{-1} W(g), the frontier of g pulled back to the
-base chamber.  Transitions append one projection block, a pivot: an element
-whose voracious projection is the identity.  Each pivot q has two wall
-masks: target(q), of q^{-1} W(q), and forbid(q), of Inv(q) and the universe
-walls with no separator from chamber q.  An edge (S, q) exists iff
-mask(S) & forbid(q) == 0, and it enters target(q).  So the empty start
-state takes every pivot, and the states are it and the pivots' targets.
-The pivots fix the automaton: VoraciousAutomaton is built over them, and
-derives their masks, the states and the edges.
+States are finite sets of small-root walls, held as wall masks (see
+walls.py): the state reached after reading a language word of g is
+g^{-1} W(g), the frontier of g pulled back to the base chamber.  Transitions
+append one projection block, a pivot: an element whose voracious projection
+is the identity.  Each pivot q has two wall masks: target(q), of
+q^{-1} W(q), and forbid(q), of Inv(q) and the universe walls with no
+separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
+and it enters target(q).  So the empty start state takes every pivot, and
+the states are it and the pivots' targets.  The pivots fix the automaton:
+VoraciousAutomaton is built over them, and derives their masks, the states
+and the edges.  A state is written out, to JSON and DOT, as the sorted
+universe indices of its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
 DOT.  The universe is the group's small roots.  The JSON loader reads only
-a file's pivot words: it builds the automaton over them and requires the
-file's universe, states and edges to equal those the automaton writes.
+a file's pivot words: it builds the automaton over them and requires every
+top-level key of the file to equal what the automaton writes.
 
 Words are run over the pivot prefix graph rather than over the labels: its
 nodes are the pivots and their prefixes in the weak order, reading a letter
@@ -107,7 +109,8 @@ class VoraciousAutomaton:
 
     Built over a universe of walls and pivots in (length, shortlex) order.
     Each pivot's target state index and forbid mask (see _pivot_rules), the
-    states, sorted by (size, walls), and the edges all follow from them."""
+    state masks, sorted by (size, universe indices), and the edges all
+    follow from them.  `states` holds each state's universe indices."""
 
     def __init__(
         self,
@@ -121,13 +124,12 @@ class VoraciousAutomaton:
         self.start = 0
         self.pivots = pivots
         target_masks, forbid = _pivot_rules(geometry, universe, pivots)
-        target_walls = [_walls_of(universe, m) for m in target_masks]
-        self.states = tuple(sorted({(), *target_walls}, key=lambda st: (len(st), st)))
-        self._state_index = {st: i for i, st in enumerate(self.states)}
-        self.targets = tuple(self._state_index[t] for t in target_walls)
+        indices = {m: _indices_of(universe, m) for m in {0, *target_masks}}
+        self._masks = sorted(indices, key=lambda m: (m.bit_count(), indices[m]))
+        self._state_of = {m: i for i, m in enumerate(self._masks)}
+        self.states = tuple(indices[m] for m in self._masks)
+        self.targets = tuple(self._state_of[m] for m in target_masks)
         self.forbid = tuple(forbid)
-        self._universe_index = {w: i for i, w in enumerate(universe)}
-        self._masks = [sum(universe[v].bit for v in st) for st in self.states]
         self._labels: dict[Word, tuple[Word, ...]] = {}
 
     @cached_property
@@ -219,13 +221,9 @@ class VoraciousAutomaton:
     def accepts(self, word: Word) -> bool:
         return bool(self.run_states(word))
 
-    def state_of_walls(self, walls) -> int | None:
-        """Index of the state matching a set of walls, or None."""
-        try:
-            key = tuple(sorted(self._universe_index[w] for w in walls))
-        except KeyError:
-            return None
-        return self._state_index.get(key)
+    def state_of_mask(self, mask: int) -> int | None:
+        """Index of the state with this wall mask, or None."""
+        return self._state_of.get(mask)
 
     def __eq__(self, other):
         if not isinstance(other, VoraciousAutomaton):
@@ -307,8 +305,9 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
 
     The group data must match, and each edge's pivot word must be the
     shortlex word of a pivot.  The automaton is built over the distinct
-    pivot words, and the file's universe, states and edges must equal those
-    it writes (see _require_written), so nothing else in the file is read."""
+    pivot words, and the file must hold exactly the keys it writes, with
+    the values it writes (see _require_written), so nothing else in the file
+    is read."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -368,27 +367,37 @@ _WRITTEN = {
 
 
 def _require_written(data: dict, written: dict) -> None:
-    """Refuse a file whose universe, states or edges differ from the lists
-    `written`, naming the first differing entry (a missing one is null).
+    """Refuse a file with a key that `written` lacks, or whose value under a
+    key of `written` differs, naming the key.  For the lists of _WRITTEN it
+    names the first differing entry too.  A missing key or entry is null.
 
-    Entries are compared as JSON text, not by ==, so that a state entry
+    Values are compared as JSON text, not by ==, so that a state entry
     true or 1.0 is not read as the index 1."""
     text = partial(json.dumps, sort_keys=True)
-    for key, entry in _WRITTEN.items():
-        got, want = data[key], written[key]
-        if text(got) != text(want):
-            i, a, b = next(
-                (i, a, b)
-                for i, (a, b) in enumerate(zip_longest(got, want))
-                if text(a) != text(b)
-            )
+    extra = next((key for key in data if key not in written), None)
+    if extra is not None:
+        raise ValueError(f"automaton file has an unknown key {extra!r}")
+    for key, want in written.items():
+        got = data.get(key)
+        if text(got) == text(want):
+            continue
+        if key not in _WRITTEN:
             raise ValueError(
-                f"{key} entry {i} is {text(a)}, but {entry.format(i)} is {text(b)}"
+                f"{key} is {text(got)}, but the automaton of the file's pivots "
+                f"writes {text(want)}"
             )
+        i, a, b = next(
+            (i, a, b)
+            for i, (a, b) in enumerate(zip_longest(got, want))
+            if text(a) != text(b)
+        )
+        raise ValueError(
+            f"{key} entry {i} is {text(a)}, but {_WRITTEN[key].format(i)} is {text(b)}"
+        )
 
 
-def _walls_of(universe, mask: int) -> tuple[int, ...]:
-    """The state of a wall mask: the universe indices of its walls."""
+def _indices_of(universe, mask: int) -> tuple[int, ...]:
+    """The universe indices of the walls in a mask, ascending."""
     return tuple(i for i, wall in enumerate(universe) if mask & wall.bit)
 
 
@@ -399,7 +408,7 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     frontier of q pulled back through the stored inverse of q; every edge
     with pivot q enters it.  forbid[i] is Inv(q), ORed with the bit of each
     universe wall V outside Inv(q) that admits no separator from chamber q.
-    So mask(S) & forbid[i] == 0 iff no wall of state S is an inversion wall
+    So S & forbid[i] == 0 iff no wall of state S is an inversion wall
     of q and every wall of S admits a separator from q.  Any such separator
     also separates q from every chamber incident to V, so searching the walls
     between q and one of them (WallGeometry.has_separator) is complete.
@@ -407,9 +416,7 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     universe_mask = sum(wall.bit for wall in universe)
     targets, forbid = [], []
     for q in pivot_list:
-        back = 0
-        for wall in geometry.pull_back(q, geometry.frontier_set(q)):
-            back |= wall.bit
+        back = geometry.pull_back(q, geometry.frontier_set(q))
         if back & ~universe_mask:
             raise RuntimeError("pulled-back frontier wall is not a small root")
         inv = geometry.inversion_bits(q)

@@ -121,7 +121,8 @@ def _cmd_project(args) -> int:
 def _cmd_walls(args) -> int:
     system, geometry = _load(args)
     g = system.element_of_word(_parse_word(args.word, system))
-    sys.stdout.write(_wall_lines(geometry, geometry.frontier_set(g)))
+    walls = geometry.walls_of(geometry.frontier_set(g))
+    sys.stdout.write(_wall_lines(geometry, walls))
     return 0
 
 
@@ -168,8 +169,6 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.radius < 0:
-        raise ValueError("--radius must be nonnegative")
     _, geometry = _load(args)
     config = VerifierConfig(radius=args.radius, seed=args.seed)
     report = Verifier(geometry, config).run_suite()

@@ -34,13 +34,18 @@ TRIM_MARGIN = 2
 AGREEMENT_WORD_LENGTH = 6
 # The fellow-traveller check samples this many word pairs when it has more.
 MAX_WORD_PAIRS = 50_000
+# The sharp-angled separator check samples this many qualifying configurations.
+SEPARATOR_SAMPLES = 120
 
 
 @dataclass(frozen=True)
 class VerifierConfig:
     radius: int = 6
     seed: int = 0
-    separator_samples: int = 120
+
+    def __post_init__(self):
+        if self.radius < 0:
+            raise ValueError(f"radius must be nonnegative, not {self.radius}")
 
 
 @dataclass
@@ -170,7 +175,8 @@ class Verifier:
                         "terminals": sorted(map(self._word, terminals)),
                     },
                 )
-            if not geo.frontier_set(g) <= geo.walls_between(greedy, g):
+            between = geo.inversion_bits(greedy) ^ geo.inversion_bits(g)
+            if geo.frontier_set(g) & ~between:
                 return CheckResult(
                     "projection-unique-maximum",
                     "fail",
@@ -192,12 +198,15 @@ class Verifier:
         radius = cfg.radius
         ball = sys.ball(radius)
 
-        # walls of the ball, tagged with the first radius they appear at
+        # walls of the ball, tagged with the first radius they appear at: the
+        # ball is in length order, so a wall's first sighting is its least
         wall_min_radius: dict[Wall, int] = {}
+        seen = 0
         for g in ball:
-            for w in geo.inversion_walls(g):
-                if w not in wall_min_radius or g.length < wall_min_radius[w]:
-                    wall_min_radius[w] = g.length
+            new = geo.inversion_bits(g) & ~seen
+            seen |= new
+            for w in geo.walls_of(new):
+                wall_min_radius[w] = g.length
 
         incidences = self._ball_incidences()
         g_cap = radius - TRIM_MARGIN
@@ -228,7 +237,7 @@ class Verifier:
             row_ball = self.system.ball(r)
             c = max((g.length - geo.voracious_projection(g).length for g in row_ball),
                     default=0)
-            n = max((len(geo.frontier_set(g)) for g in row_ball), default=0)
+            n = max((geo.frontier_set(g).bit_count() for g in row_ball), default=0)
             q = max((d for gl, fr, d, _ in pair_rows if gl <= r - TRIM_MARGIN and fr <= r),
                     default=0)
             qc = max((dc for gl, fr, _, dc in pair_rows if gl <= r - TRIM_MARGIN and fr <= r),
@@ -479,8 +488,7 @@ class Verifier:
                 }
             if member:
                 n_accepted += 1
-                expect = geo.pull_back(g, geo.frontier_set(g))
-                want = aut.state_of_walls(expect)
+                want = aut.state_of_mask(geo.pull_back(g, geo.frontier_set(g)))
                 if accepted and states != frozenset({want}) and mismatch is None:
                     mismatch = {
                         "word": word_to_string(word, sys.cox.generators),
@@ -525,12 +533,13 @@ class Verifier:
             for b in range(a + 1, sys.rank)
             if sys.cox.orders[a][b] >= 3
         ]
-        pair_data: dict[frozenset[Wall], tuple[GroupElement, int, int, Wall, Wall]] = {}
+        # keyed by the mask of the pair's two walls
+        pair_data: dict[int, tuple[GroupElement, int, int, Wall, Wall]] = {}
         for u in ball:
             for a, b in simple_pairs:
                 wr = geo.wall_of_root(u.matrix[a])
                 wq = geo.wall_of_root(u.matrix[b])
-                key = frozenset((wr, wq))
+                key = wr.bit | wq.bit
                 if key not in pair_data:
                     pair_data[key] = (u, a, b, wr, wq)
         if not pair_data:
@@ -550,7 +559,8 @@ class Verifier:
                 got = tuple(
                     geo.translate_wall(u, w)
                     for w in sorted(
-                        geo.inversion_walls(dihedral_top), key=geo.output_root
+                        geo.walls_of(geo.inversion_bits(dihedral_top)),
+                        key=geo.output_root,
                     )
                 )
                 orbit_cache[key] = got
@@ -559,7 +569,9 @@ class Verifier:
         # (pair, ball element) combinations are drawn without replacement by a
         # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
         # positions a draw has swapped, so drawing n of them costs O(n).
-        keys = sorted(pair_data, key=lambda k: sorted(map(geo.output_root, k)))
+        keys = sorted(
+            pair_data, key=lambda k: sorted(map(geo.output_root, geo.walls_of(k)))
+        )
         n_combos = len(keys) * len(ball)
         rng = random.Random(cfg.seed)
         moved: dict[int, int] = {}
@@ -567,7 +579,7 @@ class Verifier:
         n_samples = 0
         n_walls = 0
         for i in range(n_combos):
-            if n_samples >= cfg.separator_samples:
+            if n_samples >= SEPARATOR_SAMPLES:
                 break
             j = rng.randrange(i, n_combos)
             pick = moved.get(j, j)
@@ -605,10 +617,10 @@ class Verifier:
                 "skipped",
                 {"reason": "no sampled configuration met the separator hypothesis"},
             )
-        if n_samples < cfg.separator_samples:
+        if n_samples < SEPARATOR_SAMPLES:
             self.warnings.append(
                 f"sharp-angled sampling found only {n_samples} qualifying "
-                f"configurations (target {cfg.separator_samples})"
+                f"configurations (target {SEPARATOR_SAMPLES})"
             )
         return CheckResult(
             name,
@@ -647,9 +659,3 @@ class Verifier:
             checks=checks,
             warnings=list(self.warnings),
         )
-
-
-def run_suite(
-    geometry: WallGeometry, config: VerifierConfig = VerifierConfig()
-) -> VerificationReport:
-    return Verifier(geometry, config).run_suite()

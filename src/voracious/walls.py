@@ -9,9 +9,11 @@ root.  Everything here reduces to exact sign evaluations:
   * a wall separates chamber g from a disjoint wall W iff g and the chambers
     incident to W lie on opposite sides.
 
-Each wall carries a bit, 1 << (its creation index), so an inversion set is a
-Python int and every side question is a mask operation.  Disjointness costs a
-field product, so it is decided one wall pair at a time, only for walls whose
+Each wall carries a bit, 1 << (its creation index), and every set of walls
+is a Python int mask: inversion sets, frontiers and pulled-back frontiers
+alike, so every side question is a mask operation.  Wall objects come back
+from a mask only through WallGeometry.walls_of.  Disjointness costs a field
+product, so it is decided one wall pair at a time, only for walls whose
 sides already qualify, and memoised in both directions as per-wall bitmasks.
 
 Inversion sets are built by stepping down: for a right descent s of g,
@@ -77,7 +79,7 @@ class WallGeometry:
         self._walls: dict[tuple, Wall] = {}
         self._by_index: list[Wall] = []
         self._inv_bits: dict[GroupElement, int] = {system.identity: 0}
-        self._frontier: dict[GroupElement, frozenset[Wall]] = {}
+        self._frontier: dict[GroupElement, int] = {}
         # g -> p(g), and g -> p(g)^{-1} g, the block it leaves, on request.
         self._proj: dict[GroupElement, GroupElement] = {}
         self._blocks: dict[GroupElement, GroupElement] = {}
@@ -115,7 +117,7 @@ class WallGeometry:
         """The wall's root coordinates, rendered over powers of c = cos(pi/M)."""
         return [cos_string(x) for x in self.output_root(wall)]
 
-    def _iter_walls(self, mask: int):
+    def walls_of(self, mask: int):
         """The walls whose bits are set in mask, lowest bit first."""
         by_index = self._by_index
         while mask:
@@ -126,18 +128,17 @@ class WallGeometry:
     def translate_wall(self, g: GroupElement, wall: Wall) -> Wall:
         return self.wall_of_root(self.system.apply_matrix(g.matrix, wall.root))
 
-    def pull_back(self, g: GroupElement, walls) -> frozenset[Wall]:
-        """The walls g^{-1}(W) for the given inversion walls W of g: each
-        root under g^{-1}, whose columns g keeps, and the wall of the image."""
-        want = 0
-        for wall in walls:
-            want |= wall.bit
-        if want & ~self.inversion_bits(g):
+    def pull_back(self, g: GroupElement, mask: int) -> int:
+        """The mask of the walls g^{-1}(W), for W the inversion walls of g in
+        mask: each root under g^{-1}, whose columns g keeps, and the wall of
+        the image."""
+        if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
         apply = self.system.apply_matrix
-        return frozenset(
-            self.wall_of_root(apply(g.inv, w.root)) for w in self._iter_walls(want)
-        )
+        out = 0
+        for w in self.walls_of(mask):
+            out |= self.wall_of_root(apply(g.inv, w.root)).bit
+        return out
 
     # -- sides and inversion sets -------------------------------------------
 
@@ -185,15 +186,6 @@ class WallGeometry:
             if sys.root_sign(root) < 0:
                 return s, sys.right_mul(h, s)
         raise ArithmeticError("a non-identity element has no right descent")
-
-    def inversion_walls(self, g: GroupElement) -> frozenset[Wall]:
-        """Walls separating chamber g from the identity chamber."""
-        return frozenset(self._iter_walls(self.inversion_bits(g)))
-
-    def walls_between(self, g: GroupElement, h: GroupElement) -> frozenset[Wall]:
-        return frozenset(
-            self._iter_walls(self.inversion_bits(g) ^ self.inversion_bits(h))
-        )
 
     # -- wall-versus-wall geometry ------------------------------------------
 
@@ -260,25 +252,26 @@ class WallGeometry:
         mask = candidates & sides & ~wall.bit
         if mask & wall.disjoint:
             return True
-        for sep in self._iter_walls(mask & ~wall.known):
+        for sep in self.walls_of(mask & ~wall.known):
             if self.walls_disjoint(wall, sep):
                 return True
         return False
 
     # -- frontier and projection --------------------------------------------
 
-    def frontier_set(self, g: GroupElement) -> frozenset[Wall]:
-        """Inversion walls of g that no wall separates from chamber g."""
+    def frontier_set(self, g: GroupElement) -> int:
+        """Inversion walls of g that no wall separates from chamber g, as a
+        mask."""
         got = self._frontier.get(g)
-        if got is not None:
-            return got
-        # Separators of an inversion wall of g are themselves in Inv(g).
-        inv = self.inversion_bits(g)
-        out = frozenset(
-            w for w in self._iter_walls(inv) if not self.has_separator(g, w, inv)
-        )
-        self._frontier[g] = out
-        return out
+        if got is None:
+            # Separators of an inversion wall of g are themselves in Inv(g).
+            inv = self.inversion_bits(g)
+            got = 0
+            for w in self.walls_of(inv):
+                if not self.has_separator(g, w, inv):
+                    got |= w.bit
+            self._frontier[g] = got
+        return got
 
     def _moves(self, p: GroupElement, free: int):
         """Generators by which the prefix p of g may grow, least first.
@@ -295,13 +288,6 @@ class WallGeometry:
             if wall is not None and wall.bit & free:
                 yield s
 
-    def _free_bits(self, g: GroupElement) -> int:
-        """Inv(g) minus the frontier walls of g, as a mask."""
-        free = self.inversion_bits(g)
-        for wall in self.frontier_set(g):
-            free ^= wall.bit
-        return free
-
     def voracious_projection(self, g: GroupElement) -> GroupElement:
         """Longest prefix of g on the identity side of every frontier wall.
 
@@ -316,7 +302,7 @@ class WallGeometry:
         if got is not None:
             return got
         sys = self.system
-        free = self._free_bits(g)
+        free = self.inversion_bits(g) & ~self.frontier_set(g)
         p = sys.identity
         s = next(self._moves(p, free), None)
         while s is not None:
@@ -367,7 +353,7 @@ class WallGeometry:
         move; each greedy run ends at one.
         """
         sys = self.system
-        free = self._free_bits(g)
+        free = self.inversion_bits(g) & ~self.frontier_set(g)
         start = sys.identity
         seen = {start}
         queue = [start]

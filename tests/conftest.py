@@ -33,6 +33,26 @@ def generator_wall(geometry: WallGeometry, s: int):
     return geometry.wall_of_root(geometry.system.identity.matrix[s])
 
 
+def wall_set(geometry: WallGeometry, mask: int) -> frozenset:
+    """The walls of a mask, as the frozenset the set assertions compare."""
+    return frozenset(geometry.walls_of(mask))
+
+
+def inversion_walls(geometry: WallGeometry, g) -> frozenset:
+    """Walls separating chamber g from the identity chamber."""
+    return wall_set(geometry, geometry.inversion_bits(g))
+
+
+def frontier_walls(geometry: WallGeometry, g) -> frozenset:
+    """The frontier walls of g."""
+    return wall_set(geometry, geometry.frontier_set(g))
+
+
+def walls_between(geometry: WallGeometry, g, h) -> frozenset:
+    """Walls with chambers g and h on different sides."""
+    return wall_set(geometry, geometry.inversion_bits(g) ^ geometry.inversion_bits(h))
+
+
 def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     """Small walls among all walls of the ball, tested by the shadow criterion.
 
@@ -42,10 +62,10 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     """
     walls = set()
     for g in geometry.system.ball(radius):
-        walls |= geometry.inversion_walls(g)
+        walls |= inversion_walls(geometry, g)
     out = []
     for wall in sorted(walls, key=geometry.output_root):
-        inv = geometry.inversion_walls(incident_far_chamber(geometry, wall))
+        inv = inversion_walls(geometry, incident_far_chamber(geometry, wall))
         if not any(
             other != wall and geometry.walls_disjoint(wall, other) for other in inv
         ):
@@ -255,8 +275,8 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     2B directly, compared as a FieldScalar, so no disjointness memo is
     consulted.
     """
-    inv_g = geometry.inversion_walls(g)
-    inv_near = geometry.inversion_walls(geometry.incident_chamber(wall))
+    inv_g = inversion_walls(geometry, g)
+    inv_near = inversion_walls(geometry, geometry.incident_chamber(wall))
     scalar = geometry.system.ctx.scalar
     for sep in sorted(candidates, key=geometry.output_root):
         if sep == wall:
@@ -286,8 +306,9 @@ def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
     return bits
 
 
-def suffix_pull_back(geometry: WallGeometry, g, walls) -> frozenset:
-    """The walls g^{-1}(W) for inversion walls W of g, from stored columns.
+def suffix_pull_back(geometry: WallGeometry, g, mask: int) -> int:
+    """The mask of the walls g^{-1}(W), for the inversion walls W of g in
+    mask, from stored columns.
 
     Along the shortlex walk, the wall crossed at the prefix p by s is the
     wall of p(alpha_s), and g^{-1} p is the inverse of the suffix
@@ -295,16 +316,17 @@ def suffix_pull_back(geometry: WallGeometry, g, walls) -> frozenset:
     column q^{-1}(alpha_s): no matrix is applied to a root.
     """
     system = geometry.system
-    want = set(walls)
-    out = []
+    out = 0
+    found = 0
     prefix, suffix = system.identity, g
     for s in system.shortlex_word(g):
-        if geometry.wall_of_root(prefix.matrix[s]) in want:
-            out.append(geometry.wall_of_root(suffix.inv[s]))
+        if geometry.wall_of_root(prefix.matrix[s]).bit & mask:
+            out |= geometry.wall_of_root(suffix.inv[s]).bit
+            found += 1
         prefix = system.right_mul(prefix, s)
         suffix = system.left_mul(suffix, s)
-    assert len(out) == len(want), "only inversion walls of g are pulled back"
-    return frozenset(out)
+    assert found == mask.bit_count(), "only inversion walls of g are pulled back"
+    return out
 
 
 def greedy_projection_pair(geometry: WallGeometry, g):
@@ -319,8 +341,8 @@ def greedy_projection_pair(geometry: WallGeometry, g):
     p, x = system.identity, g
     while True:
         for s in range(system.rank):
-            if system.root_sign(x.inv[s]) < 0 and (
-                geometry.wall_of_root(p.matrix[s]) not in frontier
+            if system.root_sign(x.inv[s]) < 0 and not (
+                geometry.wall_of_root(p.matrix[s]).bit & frontier
             ):
                 p = system.right_mul(p, s)
                 x = system.left_mul(x, s)
@@ -407,7 +429,10 @@ def may_take_automaton_oracle(geometry: WallGeometry):
     uindex = {w: i for i, w in enumerate(universe)}
     pivot_list = pivots(geometry)
     targets = [
-        tuple(sorted(uindex[v] for v in geometry.pull_back(w, geometry.frontier_set(w))))
+        tuple(sorted(
+            uindex[v]
+            for v in wall_set(geometry, geometry.pull_back(w, geometry.frontier_set(w)))
+        ))
         for w in pivot_list
     ]
     separated = [{} for _ in pivot_list]

@@ -26,7 +26,9 @@ from conftest import (
     H535,
     TRIANGLE_237,
     fresh_geometry,
+    frontier_walls,
     generator_wall,
+    inversion_walls,
     may_take_automaton_oracle,
     small_roots_bruteforce,
 )
@@ -69,7 +71,7 @@ def test_finite_group_small_roots_are_all_walls(stack):
         geo = s.geometry
         all_walls = set()
         for g in s.system.ball(16):
-            all_walls |= geo.inversion_walls(g)
+            all_walls |= inversion_walls(geo, g)
         assert set(small_roots(geo)) == all_walls
 
 
@@ -393,6 +395,25 @@ def _json_of_334(stack):
     return build_automaton(s.geometry).to_json_dict(), s.geometry
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("start", 7, "start is 7, but the automaton of the file's pivots writes 0"),
+        ("cos_denominator", 99, "cos_denominator is 99, but .* writes 12"),
+        ("comment", "hand edited", "unknown key 'comment'"),
+    ],
+)
+def test_json_rejects_changed_top_level_key(stack, key, value, message):
+    data, geo = _json_of_334(stack)
+    data[key] = value
+    with pytest.raises(ValueError, match=message):
+        from_json_dict(data, geo)
+    del data[key]
+    if key != "comment":
+        with pytest.raises(ValueError, match=f"{key} is null"):
+            from_json_dict(data, geo)
+
+
 def test_json_rejects_edge_outside_states(stack):
     data, geo = _json_of_334(stack)
     data["edges"][3]["to"] = len(data["states"])
@@ -572,7 +593,7 @@ def test_json_mutation_is_refused_or_written_back(stack, name, draw):
     kind = draw.draw(
         st.sampled_from(
             ["drop edge", "duplicate edge", "drop field", "edit field", "edit state",
-             "swap states"]
+             "swap states", "edit key", "drop key", "add key"]
         )
     )
     if kind == "drop edge":
@@ -591,9 +612,19 @@ def test_json_mutation_is_refused_or_written_back(stack, name, draw):
         states[index(states)] = draw.draw(
             st.one_of(st.sampled_from(states), st.lists(entries, max_size=4))
         )
-    else:
+    elif kind == "swap states":
         i, j = index(states), index(states)
         states[i], states[j] = states[j], states[i]
+    elif kind == "edit key":
+        key = draw.draw(st.sampled_from(["start", "cos_denominator"]))
+        old = json.dumps(data[key])
+        data[key] = draw.draw(values.filter(lambda v: json.dumps(v) != old))
+    elif kind == "drop key":
+        del data[draw.draw(st.sampled_from(["start", "cos_denominator"]))]
+    else:
+        data[draw.draw(st.text(max_size=5).filter(lambda k: k not in data))] = (
+            draw.draw(values)
+        )
     try:
         aut = from_json_dict(data, geo)
     except ValueError:
@@ -682,7 +713,7 @@ def test_edges_are_frontier_pullbacks(stack):
             assert aut.labels(e.pivot_word) == spelled
             back = {
                 uindex[geo.translate_wall(s.system.inverse(w), f)]
-                for f in geo.frontier_set(w)
+                for f in frontier_walls(geo, w)
             }
             assert aut.states[e.target] == tuple(sorted(back))
 
@@ -697,9 +728,9 @@ def test_run_state_matches_element_frontier(stack):
         for g in s.system.ball(5):
             back = {
                 geo.translate_wall(s.system.inverse(g), f)
-                for f in geo.frontier_set(g)
+                for f in frontier_walls(geo, g)
             }
-            want = aut.state_of_walls(back)
+            want = aut.state_of_mask(sum(w.bit for w in back))
             assert want is not None
             for w in s.language.all_words_of(g):
                 assert aut.run_states(w) == {want}

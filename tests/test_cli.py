@@ -167,7 +167,10 @@ def test_accept_rejects_malformed_automaton_file(tmp_path):
     good = json.loads(aut_file.read_text())
     no_edges = {k: v for k, v in good.items() if k != "edges"}
     bad_state = dict(good, states=[[], [99]] + good["states"][2:])
-    for data in (no_edges, [good], bad_state):
+    bad_start = dict(good, start=7)
+    bad_modulus = dict(good, cos_denominator=99)
+    extra_key = dict(good, comment="hand edited")
+    for data in (no_edges, [good], bad_state, bad_start, bad_modulus, extra_key):
         aut_file.write_text(json.dumps(data))
         r = run_cli(
             "accept", "--group", group("a2"), "--automaton", str(aut_file), "st"
@@ -226,6 +229,7 @@ def test_usage_errors():
     assert run_cli("automaton", "--group", group("a2"), "--format", "x").returncode == 2
     assert run_cli("bogus-command").returncode == 2
     assert run_cli("reduce").returncode == 2  # --group is required
+    assert run_cli("verify", "--group", group("a2"), "--radius", "-1").returncode == 2
     assert (
         run_cli("accept", "--group", group("a2"), "--automaton", "missing.json", "s")
         .returncode

@@ -357,7 +357,7 @@ def test_entries_are_int_coefficient_tuples(stack, name):
     for g in sys_.ball(5):
         for mat in (g.matrix, g.inv):
             assert all(is_coeff_tuple(x) for row in mat for x in row)
-        for wall in geo.inversion_walls(g):
+        for wall in geo.walls_of(geo.inversion_bits(g)):
             assert all(is_coeff_tuple(x) for x in wall.root)
 
 

@@ -61,8 +61,14 @@ def test_line_constants_frozen(stack):
     assert report.passed
 
 
+def test_negative_radius_is_refused():
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        VerifierConfig(radius=-1)
+    assert VerifierConfig(radius=0).radius == 0
+
+
 def test_triangle_suite_smoke(stack):
-    v = _fresh(stack, "triangle_333", radius=4, separator_samples=20)
+    v = _fresh(stack, "triangle_333", radius=4)
     report = v.run_suite()
     by_name = {c.name: c for c in report.checks}
     assert [c.name for c in report.checks] == CHECK_NAMES
@@ -201,8 +207,9 @@ def test_finite_group_separator_sampling_skipped(stack):
     assert report.passed
 
 
-def test_separator_sampling_runs_on_triangles(stack):
-    v = _fresh(stack, "triangle_334", radius=5, separator_samples=25)
+def test_separator_sampling_runs_on_triangles(stack, monkeypatch):
+    monkeypatch.setattr(voracious.verify, "SEPARATOR_SAMPLES", 25)
+    v = _fresh(stack, "triangle_334", radius=5)
     check = v.check_separator_sampling()
     assert check.status == "pass"
     assert check.details["samples"] == 25
@@ -217,8 +224,8 @@ def test_separator_free_pairs_agree_between_search_domains(stack):
     geo = s.geometry
     for g in s.system.ball(4):
         front = geo.frontier_set(g)
-        for wall in geo.inversion_walls(g):
-            assert (not geo.has_separator(g, wall)) == (wall in front)
+        for wall in geo.walls_of(geo.inversion_bits(g)):
+            assert (not geo.has_separator(g, wall)) == bool(wall.bit & front)
 
 
 def test_projection_monotone_matches_all_pairs_scan(stack):
@@ -243,9 +250,9 @@ def test_unique_max_fails_on_a_second_terminal(stack, monkeypatch):
     geo = WallGeometry(CoxeterSystem(s.cox))
     g = geo.system.element_of_word(s.word("aba"))
     frontier_set = geo.frontier_set
-    walls = {generator_wall(geo, 0), generator_wall(geo, 1)}
-    assert walls <= frontier_set(g)
-    dropped = frontier_set(g) - walls
+    walls = generator_wall(geo, 0).bit | generator_wall(geo, 1).bit
+    assert not walls & ~frontier_set(g)
+    dropped = frontier_set(g) & ~walls
     monkeypatch.setattr(
         geo, "frontier_set", lambda h: dropped if h == g else frontier_set(h)
     )

@@ -9,15 +9,19 @@ from conftest import (
     BUILT,
     GROUPS_DIR,
     fresh_geometry,
+    frontier_walls,
     generator_wall,
     greedy_projection_pair,
     incident_far_chamber,
+    inversion_walls,
     is_prefix,
     reference_find_separator,
     multiply,
     reflection_of_wall,
     shortlex_inversion_bits,
     suffix_pull_back,
+    wall_set,
+    walls_between,
 )
 
 GOLD_BALL_RADIUS = 4
@@ -59,19 +63,19 @@ def test_wall_normalization(stack):
 
 def test_inversion_walls_frozen(stack):
     dinf = stack("d_infinity")
-    inv = dinf.geometry.inversion_walls(dinf.element("sts"))
+    inv = inversion_walls(dinf.geometry, dinf.element("sts"))
     assert {_coords(w) for w in inv} == {(1, 0), (2, 1), (3, 2)}
     a2 = stack("a2")
-    inv = a2.geometry.inversion_walls(a2.element("st"))
+    inv = inversion_walls(a2.geometry, a2.element("st"))
     assert {_coords(w) for w in inv} == {(1, 0), (1, 1)}
-    assert a2.geometry.inversion_walls(a2.system.identity) == frozenset()
+    assert inversion_walls(a2.geometry, a2.system.identity) == frozenset()
 
 
 def test_inversion_count_is_length(stack):
     for name in ("a2", "d_infinity", "triangle_334"):
         s = stack(name)
         for g in s.system.ball(GOLD_BALL_RADIUS):
-            assert len(s.geometry.inversion_walls(g)) == g.length
+            assert len(inversion_walls(s.geometry, g)) == g.length
 
 
 def test_inversion_bits_match_walls(stack):
@@ -81,7 +85,7 @@ def test_inversion_bits_match_walls(stack):
         for g in s.system.ball(GOLD_BALL_RADIUS):
             bits = geo.inversion_bits(g)
             assert bits.bit_count() == g.length
-            walls = geo.inversion_walls(g)
+            walls = inversion_walls(geo, g)
             assert sum(w.bit for w in walls) == bits
             assert walls == {w for w in geo._walls.values() if w.bit & bits}
 
@@ -90,7 +94,7 @@ def test_roots_are_positive(stack):
     s = stack("triangle_334")
     sign_of = s.system.ctx.sign_of
     for g in s.system.ball(GOLD_BALL_RADIUS):
-        for wall in s.geometry.inversion_walls(g):
+        for wall in inversion_walls(s.geometry, g):
             assert all(sign_of(x) >= 0 for x in wall.root)
             assert any(sign_of(x) > 0 for x in wall.root)
 
@@ -108,9 +112,9 @@ def test_walls_between(stack):
     a2 = stack("a2")
     geo = a2.geometry
     g = a2.element("st")
-    assert geo.walls_between(g, g) == frozenset()
-    assert geo.walls_between(a2.system.identity, g) == geo.inversion_walls(g)
-    between = geo.walls_between(a2.element("s"), a2.element("t"))
+    assert walls_between(geo, g, g) == frozenset()
+    assert walls_between(geo, a2.system.identity, g) == inversion_walls(geo, g)
+    between = walls_between(geo, a2.element("s"), a2.element("t"))
     assert {_coords(w) for w in between} == {(1, 0), (0, 1)}
 
 
@@ -149,7 +153,7 @@ def test_disjoint_bits_symmetric(stack, name):
     geo = _fresh_geometry(stack, name)
     walls = set()
     for g in geo.system.ball(4):
-        walls |= geo.inversion_walls(g)
+        walls |= inversion_walls(geo, g)
     walls = sorted(walls, key=lambda w: w.bit)
     scalar = geo.system.ctx.scalar
     for a, b in itertools.combinations(walls, 2):
@@ -205,13 +209,13 @@ def test_incident_chamber_is_adjacent_to_wall(stack):
         geo = s.geometry
         walls = set()
         for g in s.system.ball(GOLD_BALL_RADIUS):
-            walls |= geo.inversion_walls(g)
+            walls |= inversion_walls(geo, g)
         for wall in walls:
             near = geo.incident_chamber(wall)
             far = incident_far_chamber(geo, wall)
             refl = reflection_of_wall(geo, wall)
             assert multiply(s.system, refl, near) == far
-            assert geo.walls_between(near, far) == {wall}
+            assert walls_between(geo, near, far) == {wall}
 
 
 def test_incident_chambers_share_side_of_disjoint_walls(stack):
@@ -247,17 +251,17 @@ def test_crossing_chambers_and_prefix_masks(stack, name):
     sys = geo.system
     walls = set()
     for g in sys.ball(6):
-        walls |= geo.inversion_walls(g)
+        walls |= inversion_walls(geo, g)
     for wall in walls:
         p = wall.crossing
         (s,) = [s for s, root in enumerate(p.matrix) if geo.wall_of_root(root) == wall]
-        assert geo.walls_between(p, sys.right_mul(p, s)) == {wall}
+        assert walls_between(geo, p, sys.right_mul(p, s)) == {wall}
         assert not geo.inversion_bits(p) & wall.bit
     assert len(geo._inv_bits) >= len(sys.ball(6))
     for p, mask in geo._inv_bits.items():
         fresh = WallGeometry(sys)
-        want = {w.root for w in fresh.inversion_walls(p)}
-        assert {w.root for w in geo._iter_walls(mask)} == want
+        want = {w.root for w in inversion_walls(fresh, p)}
+        assert {w.root for w in geo.walls_of(mask)} == want
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
@@ -289,7 +293,7 @@ def test_has_separator_independent_of_walk_order(stack, name):
         got = {}
         for g in reversed(ball) if reverse else ball:
             inv_bits = geo.inversion_bits(g)
-            for wall in geo.inversion_walls(g):
+            for wall in inversion_walls(geo, g):
                 got[g.matrix, wall.root] = (
                     geo.has_separator(g, wall),
                     geo.has_separator(g, wall, inv_bits),
@@ -307,15 +311,15 @@ def test_pull_back_matches_translate_wall(stack, name):
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     for g in sys.ball(6):
-        inv = geo.inversion_walls(g)
-        want = {geo.translate_wall(sys.inverse(g), w) for w in inv}
-        assert geo.pull_back(g, inv) == want
-        assert suffix_pull_back(geo, g, inv) == want
+        inv = geo.inversion_bits(g)
+        want = {geo.translate_wall(sys.inverse(g), w) for w in geo.walls_of(inv)}
+        assert wall_set(geo, geo.pull_back(g, inv)) == want
+        assert wall_set(geo, suffix_pull_back(geo, g, inv)) == want
         front = geo.frontier_set(g)
         assert geo.pull_back(g, front) == suffix_pull_back(geo, g, front)
     g = sys.element_of_word((0,))
     with pytest.raises(ValueError, match="inversion walls"):
-        geo.pull_back(g, [generator_wall(geo, 1)])
+        geo.pull_back(g, generator_wall(geo, 1).bit)
 
 
 @pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
@@ -383,7 +387,7 @@ def test_separates_from_wall_frozen(stack):
     assert not geo.has_separator(dinf.element("s"), sep, w_s.bit)
     a2 = stack("a2")
     geo2 = a2.geometry
-    walls = {w for g in a2.system.ball(3) for w in geo2.inversion_walls(g)}
+    walls = {w for g in a2.system.ball(3) for w in inversion_walls(geo2, g)}
     for g in a2.system.ball(3):
         for sep, wall in itertools.permutations(walls, 2):
             assert not geo2.has_separator(g, wall, sep.bit)
@@ -392,14 +396,12 @@ def test_separates_from_wall_frozen(stack):
 def test_frontier_frozen(stack):
     a2 = stack("a2")
     w0 = a2.element("sts")
-    assert a2.geometry.frontier_set(w0) == a2.geometry.inversion_walls(w0)
+    assert frontier_walls(a2.geometry, w0) == inversion_walls(a2.geometry, w0)
     dinf = stack("d_infinity")
-    assert {_coords(w) for w in dinf.geometry.frontier_set(dinf.element("sts"))} == {
-        (3, 2)
-    }
-    assert {_coords(w) for w in dinf.geometry.frontier_set(dinf.element("s"))} == {
-        (1, 0)
-    }
+    front = frontier_walls(dinf.geometry, dinf.element("sts"))
+    assert {_coords(w) for w in front} == {(3, 2)}
+    front = frontier_walls(dinf.geometry, dinf.element("s"))
+    assert {_coords(w) for w in front} == {(1, 0)}
 
 
 def test_frontier_basic_invariants(stack):
@@ -407,8 +409,8 @@ def test_frontier_basic_invariants(stack):
         s = stack(name)
         geo = s.geometry
         for g in s.system.ball(GOLD_BALL_RADIUS):
-            front = geo.frontier_set(g)
-            inv = geo.inversion_walls(g)
+            front = frontier_walls(geo, g)
+            inv = inversion_walls(geo, g)
             assert front <= inv
             if g.length:
                 assert front  # nonempty for nontrivial elements
@@ -421,10 +423,10 @@ def test_frontier_matches_separator_search(stack):
         s = stack(name)
         geo = s.geometry
         for g in s.system.ball(GOLD_BALL_RADIUS):
-            inv = geo.inversion_walls(g)
-            front = geo.frontier_set(g)
+            inv = inversion_walls(geo, g)
+            front = frontier_walls(geo, g)
             for wall in inv:
-                domain = geo.walls_between(g, geo.incident_chamber(wall))
+                domain = walls_between(geo, g, geo.incident_chamber(wall))
                 sep = reference_find_separator(geo, g, wall, domain)
                 assert (sep is None) == (wall in front)
                 if sep is not None:
@@ -438,13 +440,13 @@ def test_has_separator_matches_reference(stack, name):
     geo = _fresh_geometry(stack, name)
     universe = small_roots(geo)
     for g in geo.system.ball(6):
-        inv = geo.inversion_walls(g)
+        inv = inversion_walls(geo, g)
         inv_bits = geo.inversion_bits(g)
         for wall in inv:
             want = reference_find_separator(geo, g, wall, inv - {wall})
             assert geo.has_separator(g, wall, inv_bits) == (want is not None)
         for wall in inv | set(universe):
-            domain = geo.walls_between(g, geo.incident_chamber(wall))
+            domain = walls_between(geo, g, geo.incident_chamber(wall))
             want = reference_find_separator(geo, g, wall, domain)
             assert geo.has_separator(g, wall) == (want is not None)
 
@@ -518,7 +520,7 @@ def test_frontier_survives_to_projection_gap(stack):
         geo = s.geometry
         for g in s.system.ball(GOLD_BALL_RADIUS):
             p = geo.voracious_projection(g)
-            assert geo.frontier_set(g) <= geo.walls_between(p, g)
+            assert frontier_walls(geo, g) <= walls_between(geo, p, g)
 
 
 def test_reflection_of_wall(stack):
