@@ -15,6 +15,7 @@ from .coxeter import (
     CoxeterSystem,
     ResourceLimitError,
     load_group_file,
+    unique_keys,
     word_from_string,
     word_to_string,
 )
@@ -147,7 +148,7 @@ def _cmd_accept(args) -> int:
     word = _parse_word(args.word, system)
     if args.automaton is not None:
         with open(args.automaton, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
         aut = automaton_mod.from_json_dict(data, geometry)
     else:
         aut = automaton_mod.build_automaton(geometry)

@@ -120,12 +120,26 @@ class CoxeterMatrix:
         return out
 
 
+def unique_keys(pairs) -> dict:
+    """json's object_pairs_hook for every file the program reads: the object
+    as a dict, or a ValueError naming a key given twice, where json alone
+    would keep the last value without a word."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
 def parse_group_config(text: str) -> CoxeterMatrix:
     """Parse a JSON group config: {"generators": [...], "m": [[...]]}; 0 = infinity."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise GroupConfigError(f"invalid JSON: {e}") from e
+    except ValueError as e:  # a key given twice
+        raise GroupConfigError(str(e)) from e
     if not isinstance(data, dict):
         raise GroupConfigError("group config must be a JSON object")
     gens = data.get("generators")
@@ -312,14 +326,22 @@ class CoxeterSystem:
             )
         return tuple(map(rewrite, vec))
 
-    def bilinear2(self, u, v):
-        """2 B(u, v); integer-valued on integer vectors."""
-        mul = self.ctx.mul
-        acc = self._zero
-        for i, x in enumerate(u):
-            if any(x):
-                acc = add(acc, mul(x, self.gram2_row_dot(i, v)))
-        return acc
+    def form_functional(self, vec):
+        """The integer map u -> 2 B(u, vec), as d rows of k d ints.
+
+        2 B(u, vec) is the sum over s of u_s times c_s = 2 B(alpha_s, vec),
+        and u_s c_s is the sum over a of u_s[a] y^a c_s.  So coefficient r of
+        2 B(u, vec) is the dot product of row r with u flattened coordinate
+        by coordinate, sum(u, ()), where row r lists entry r of each y^a c_s
+        in that order.
+        """
+        times_powers = self.ctx.times_powers
+        columns = [
+            col
+            for s in range(self.rank)
+            for col in times_powers(self.gram2_row_dot(s, vec))
+        ]
+        return tuple(zip(*columns))
 
     def gram2_row_dot(self, s: int, vec):
         """2 B(alpha_s, vec)."""

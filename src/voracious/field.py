@@ -270,9 +270,24 @@ class FieldContext:
                 return neg
             scale = partial(operator.mul, c0)
             return lambda x: tuple(map(scale, x))
-        d = self.degree
-        unit = [(0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)]
-        return _linear_map([self.mul(c, e) for e in unit])
+        return _linear_map(self.times_powers(c))
+
+    def times_powers(self, c):
+        """The tuples c, c y, ..., c y^(d-1).
+
+        Each is the one before times y: its coefficients shift up one place,
+        and the top one comes back as that coefficient times y^d reduced, so
+        the list costs O(d^2) ints.
+        """
+        out = [c]
+        for _ in range(self.degree - 1):
+            prev = out[-1]
+            top = prev[-1]
+            cur = (0,) + prev[:-1]
+            if top:
+                cur = tuple([x + top * r for x, r in zip(cur, self._red[0])])
+            out.append(cur)
+        return out
 
     def basis_change(self, modulus: int):
         """The map writing a tuple over this context's y as the same number

@@ -12,9 +12,12 @@ root.  Everything here reduces to exact sign evaluations:
 Each wall carries a bit, 1 << (its creation index), and every set of walls
 is a Python int mask: inversion sets, frontiers and pulled-back frontiers
 alike, so every side question is a mask operation.  Wall objects come back
-from a mask only through WallGeometry.walls_of.  Disjointness costs a field
-product, so it is decided one wall pair at a time, only for walls whose
-sides already qualify, and memoised in both directions as per-wall bitmasks.
+from a mask only through WallGeometry.walls_of.  Disjointness reads 2B of two
+roots from an integer functional that a wall builds on its first test, d
+rows of k d ints (CoxeterSystem.form_functional), so a pair costs d integer
+dot products and one band test.  It is still decided one wall pair at a
+time, only for walls whose sides already qualify, and memoised in both
+directions as per-wall bitmasks.
 
 Inversion sets are built by stepping down: for a right descent s of g,
 Inv(g) is Inv(g s) plus the wall of g(alpha_s) (Bjorner-Brenti, Combinatorics
@@ -39,6 +42,8 @@ keyed under its positive root, so one dict lookup decides a move.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .coxeter import CoxeterSystem, GroupElement
 from .field import cos_string, neg
 
@@ -53,11 +58,14 @@ class Wall:
     `disjoint` those found disjoint; WallGeometry.walls_disjoint keeps both.
     `crossing` is the first chamber an inversion walk saw cross the wall
     (see WallGeometry.inversion_bits), or None while no walk has crossed it.
+    `form` is the integer functional u -> 2B(u, root) (see
+    CoxeterSystem.form_functional), built by WallGeometry.form2 when a
+    disjointness test first needs it, or None before that.
     `modulus` is the M' of the arithmetic basis y' = 2 cos(pi/M') the root is
     written over, which the repr names; outputs use WallGeometry.output_root.
     """
 
-    __slots__ = ("root", "bit", "modulus", "known", "disjoint", "crossing")
+    __slots__ = ("root", "bit", "modulus", "known", "disjoint", "crossing", "form")
 
     def __init__(self, root, bit, modulus):
         self.root = root
@@ -66,6 +74,7 @@ class Wall:
         self.known = 0
         self.disjoint = 0
         self.crossing = None
+        self.form = None
 
     def __repr__(self):
         return f"Wall(root over y'=2cos(pi/{self.modulus}): {self.root})"
@@ -83,7 +92,10 @@ class WallGeometry:
         # g -> p(g), and g -> p(g)^{-1} g, the block it leaves, on request.
         self._proj: dict[GroupElement, GroupElement] = {}
         self._blocks: dict[GroupElement, GroupElement] = {}
-        self._incident: dict[Wall, GroupElement] = {}
+        # Positive root -> its canonical incident chamber (incident_chamber).
+        self._incident: dict[tuple, GroupElement] = dict.fromkeys(
+            system.identity.matrix, system.identity
+        )
         self._output_roots: dict[Wall, tuple] = {}
         # Made first, so the wall of generator s has bit s.
         self._gen_walls = tuple(map(self.wall_of_root, system.identity.matrix))
@@ -189,17 +201,33 @@ class WallGeometry:
 
     # -- wall-versus-wall geometry ------------------------------------------
 
+    def form2(self, a: Wall, b: Wall):
+        """2B(alpha, beta) for the roots of walls a and b: d dot products of
+        ints, the rows of one wall's functional against the other's root
+        flattened.  The functional of a wall that has one serves, and
+        otherwise a's is built and kept."""
+        if a.form is None and b.form is not None:
+            a, b = b, a
+        rows = a.form
+        if rows is None:
+            rows = a.form = self.system.form_functional(a.root)
+        flat = sum(b.root, ())
+        return tuple([sum(map(mul, row, flat)) for row in rows])
+
     def walls_disjoint(self, a: Wall, b: Wall) -> bool:
-        """True iff the two distinct walls do not cross: |B(alpha, beta)| >= 1."""
+        """True iff the two distinct walls do not cross: |B(alpha, beta)| >= 1.
+
+        Decided once per pair, from 2B(alpha, beta) by form2, and memoised in
+        both walls' masks.
+        """
         if a is b:
             raise ValueError("wall disjointness needs two distinct walls")
         if a.known & b.bit:
             return bool(a.disjoint & b.bit)
-        sys = self.system
-        t = sys.bilinear2(a.root, b.root)
+        t = self.form2(a, b)
         a.known |= b.bit
         b.known |= a.bit
-        if not sys.ctx.in_band(t):
+        if not self.system.ctx.in_band(t):
             a.disjoint |= b.bit
             b.disjoint |= a.bit
             return True
@@ -210,29 +238,37 @@ class WallGeometry:
 
         Descends the root's depth: while beta is not simple, applying the
         least generator s with B(alpha_s, beta) > 0 keeps beta positive and
-        brings it closer to simplicity.  The resulting chamber lies on the
+        brings it closer to simplicity.  The chambers of beta and s(beta)
+        are then related by chamber(beta) = s chamber(s(beta)), so the
+        descent stops at the first root whose chamber is known, and fills in
+        the chamber of every root it passed on the way back.  Roots are the
+        keys, so a descent makes no walls.  The resulting chamber lies on the
         identity side of the wall.
         """
-        got = self._incident.get(wall)
-        if got is None:
-            got = self._incident[wall] = self._locate_incident(wall)
-        return got
-
-    def _locate_incident(self, wall: Wall) -> GroupElement:
+        memo = self._incident
+        got = memo.get(wall.root)
+        if got is not None:
+            return got
         sys = self.system
+        sign_of = sys.ctx.sign_of
+        path = []
         beta = wall.root
-        chamber = sys.identity
         for _ in range(len(self._walls) + sys.max_ball_elements):
-            if beta in sys.identity.matrix:
-                return chamber
             for s in range(sys.rank):
-                if sys.ctx.sign_of(sys.gram2_row_dot(s, beta)) > 0:
-                    beta = sys.reflect(s, beta)
-                    chamber = sys.right_mul(chamber, s)
+                if sign_of(sys.gram2_row_dot(s, beta)) > 0:
                     break
             else:
                 raise ArithmeticError("depth descent stalled on a non-root vector")
-        raise ArithmeticError("depth descent failed to terminate")
+            path.append((beta, s))
+            beta = sys.reflect(s, beta)
+            got = memo.get(beta)
+            if got is not None:
+                break
+        else:
+            raise ArithmeticError("depth descent failed to terminate")
+        for root, s in reversed(path):
+            got = memo[root] = sys.left_mul(got, s)
+        return got
 
     def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:
         """True iff some wall in the candidates mask separates chamber g from wall.

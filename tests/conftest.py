@@ -21,6 +21,8 @@ TRIANGLE_237 = ((1, 2, 3), (2, 1, 7), (3, 7, 1))
 # Hyperbolic H(5,3,5): the longest pivots of any group here.  Kept out of
 # BUILT, so that the tests parametrised over BUILT do not all take it.
 H535 = ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1))
+# The (2,4,5) triangle group computes over Q(2 cos(pi/20)), of degree 8.
+TRIANGLE_245 = ((1, 2, 4), (2, 1, 5), (4, 5, 1))
 BUILT = {"affine_a3": ("abcd", AFFINE_A3), "triangle_237": ("abc", TRIANGLE_237)}
 
 
@@ -71,6 +73,39 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
         ):
             out.append(wall)
     return tuple(out)
+
+
+def bilinear2(system: CoxeterSystem, u, v):
+    """2B(u, v) as the sum over i of u_i times 2B(alpha_i, v), by field
+    products: the oracle of WallGeometry.form2's integer functional."""
+    mul = system.ctx.mul
+    acc = (0,) * system.ctx.degree
+    for i, x in enumerate(u):
+        if any(x):
+            acc = add(acc, mul(x, system.gram2_row_dot(i, v)))
+    return acc
+
+
+def descent_chamber(geometry: WallGeometry, wall):
+    """The wall's canonical incident chamber by its own depth descent.
+
+    While beta is not simple, the least generator s with 2B(alpha_s, beta) > 0
+    reflects beta and multiplies the chamber on the right by s, from the
+    identity: the per-wall walk that WallGeometry.incident_chamber shares
+    between roots.
+    """
+    system = geometry.system
+    beta = wall.root
+    chamber = system.identity
+    while beta not in system.identity.matrix:
+        s = next(
+            s
+            for s in range(system.rank)
+            if system.ctx.sign_of(system.gram2_row_dot(s, beta)) > 0
+        )
+        beta = system.reflect(s, beta)
+        chamber = system.right_mul(chamber, s)
+    return chamber
 
 
 def incident_far_chamber(geometry: WallGeometry, wall):
@@ -281,7 +316,7 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     for sep in sorted(candidates, key=geometry.output_root):
         if sep == wall:
             continue
-        t = scalar(geometry.system.bilinear2(sep.root, wall.root))
+        t = scalar(bilinear2(geometry.system, sep.root, wall.root))
         if -2 < t < 2:
             continue
         if (sep in inv_g) != (sep in inv_near):

@@ -180,6 +180,21 @@ def test_accept_rejects_malformed_automaton_file(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_accept_rejects_duplicate_key_in_automaton_file(tmp_path):
+    aut_file = tmp_path / "a2.json"
+    r = run_cli(
+        "automaton", "--group", group("a2"), "--format", "json", "--out", str(aut_file)
+    )
+    assert r.returncode == 0
+    # The file's own "start" repeated with its own value: still refused.
+    text = aut_file.read_text()
+    assert text.startswith("{\n")
+    aut_file.write_text('{\n  "start": 0,' + text[1:])
+    r = run_cli("accept", "--group", group("a2"), "--automaton", str(aut_file), "st")
+    assert r.returncode == 2
+    assert r.stderr == "error: duplicate key 'start' in a JSON object\n"
+
+
 def test_automaton_dot_stdout():
     r = run_cli("automaton", "--group", group("d_infinity"))
     assert r.returncode == 0
@@ -243,6 +258,18 @@ def test_bad_group_file_is_usage_error(tmp_path):
     r = run_cli("reduce", "--group", str(bad), "s")
     assert r.returncode == 2
     assert "error" in r.stderr
+
+
+def test_duplicate_key_group_file_is_usage_error(tmp_path):
+    # json alone keeps the last "m" and would print B2's small roots.
+    dup = tmp_path / "dup.json"
+    dup.write_text(
+        '{"generators": ["a", "b"], "m": [[1, 3], [3, 1]], "m": [[1, 4], [4, 1]]}'
+    )
+    r = run_cli("small-roots", "--group", str(dup))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: duplicate key 'm' in a JSON object\n"
 
 
 def test_multichar_generator_names(tmp_path):

@@ -25,6 +25,7 @@ from conftest import (
     BUILT,
     H535,
     TRIANGLE_237,
+    bilinear2,
     check_full_field_products,
     fresh_geometry,
     multiply,
@@ -75,6 +76,20 @@ def test_parse_infinite_order():
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(GroupConfigError):
+        parse_group_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # json alone keeps the last "m", so this read as B2 once.
+        ('{"generators": ["a", "b"], "m": [[1, 3], [3, 1]], "m": [[1, 4], [4, 1]]}', "m"),
+        # A repeat is refused even when both values agree.
+        ('{"generators": ["s"], "generators": ["s"], "m": [[1]]}', "generators"),
+    ],
+)
+def test_parse_rejects_duplicate_keys(text, key):
+    with pytest.raises(GroupConfigError, match=f"duplicate key '{key}'"):
         parse_group_config(text)
 
 
@@ -384,7 +399,7 @@ def test_columns_are_root_images(stack, name):
             assert [sys_.reflect(t, v) for v in image] == list(g.matrix)
             for u, u2 in zip(g.matrix, image):
                 for v, v2 in zip(g.matrix, image):
-                    assert sys_.bilinear2(u2, v2) == sys_.bilinear2(u, v)
+                    assert bilinear2(sys_, u2, v2) == bilinear2(sys_, u, v)
 
 
 def test_form_is_invariant(stack):
@@ -396,7 +411,7 @@ def test_form_is_invariant(stack):
         for g in sys_.ball(4):
             for i in range(k):
                 for j in range(k):
-                    got = sys_.bilinear2(g.matrix[i], g.matrix[j])
+                    got = bilinear2(sys_, g.matrix[i], g.matrix[j])
                     assert got == sys_.gram2[i][j]
 
 

@@ -172,6 +172,9 @@ def test_334_report_bytes_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "99ed70edfd47b1c7c475bd4557fbb729804020808edeb075dcc22cd2d1db7f99"
     )
+    # The distance to the canonical incident chambers, which the depth
+    # descents find.
+    assert json.loads(text)["constants"]["Q_hat_canonical"] == 7
 
 
 def test_zero_radius_is_vacuous_but_clean(stack):

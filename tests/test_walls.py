@@ -8,6 +8,10 @@ from voracious.field import neg
 from conftest import (
     BUILT,
     GROUPS_DIR,
+    H535,
+    TRIANGLE_245,
+    bilinear2,
+    descent_chamber,
     fresh_geometry,
     frontier_walls,
     generator_wall,
@@ -27,11 +31,16 @@ from conftest import (
 GOLD_BALL_RADIUS = 4
 SHIPPED = sorted(p.stem for p in GROUPS_DIR.glob("*.json"))
 FRONTIER_BILINEAR_CALLS = 335
+# Built only where a test names them: H(5,3,5) has the longest pivots, and
+# (2,4,5) the largest field degree (8) of any group the tests build.
+LARGE = {"h535": ("abcd", H535), "triangle_245": ("abc", TRIANGLE_245)}
 
 
 def _fresh_geometry(stack, name):
     if name in BUILT:
         return fresh_geometry(*BUILT[name])
+    if name in LARGE:
+        return fresh_geometry(*LARGE[name])
     cox = stack(name).cox
     return fresh_geometry(cox.generators, cox.orders)
 
@@ -157,7 +166,7 @@ def test_disjoint_bits_symmetric(stack, name):
     walls = sorted(walls, key=lambda w: w.bit)
     scalar = geo.system.ctx.scalar
     for a, b in itertools.combinations(walls, 2):
-        t = scalar(geo.system.bilinear2(a.root, b.root))
+        t = scalar(bilinear2(geo.system, a.root, b.root))
         assert geo.walls_disjoint(a, b) == (t >= 2 or t <= -2)
     for a, b in itertools.permutations(walls, 2):
         assert a.known & b.bit
@@ -167,23 +176,57 @@ def test_disjoint_bits_symmetric(stack, name):
 
 def test_frontier_bilinear_calls_frozen(stack):
     # Disjointness is decided only for walls whose sides already qualify, and
-    # only up to the first disjoint one; this freezes the field products a
-    # fresh geometry spends on the frontiers of ball(8) of (3,3,4).
+    # only up to the first disjoint one; this freezes the 2B evaluations
+    # (WallGeometry.form2) a fresh geometry spends on the frontiers of
+    # ball(8) of (3,3,4).
     geo = _fresh_geometry(stack, "triangle_334")
-    sys_ = geo.system
-    ball = sys_.ball(8)
+    ball = geo.system.ball(8)
     calls = 0
-    bilinear2 = sys_.bilinear2
+    form2 = geo.form2
 
-    def counted(u, v):
+    def counted(a, b):
         nonlocal calls
         calls += 1
-        return bilinear2(u, v)
+        return form2(a, b)
 
-    sys_.bilinear2 = counted
+    geo.form2 = counted
     for g in ball:
         geo.frontier_set(g)
     assert calls == FRONTIER_BILINEAR_CALLS
+
+
+@pytest.mark.parametrize(
+    "name", [*SHIPPED, "affine_a3", "triangle_237", "h535", "triangle_245"]
+)
+def test_form2_matches_field_products(stack, name):
+    # Each wall's integer functional gives the coefficient tuple of 2B that
+    # field products give, on every ordered pair of ball(6) walls, a wall
+    # with itself included.  (2,3,7) and (2,4,5) have fields of degree 3 and
+    # 8, so the functional's reduction of y^d is exercised.
+    geo = _fresh_geometry(stack, name)
+    walls = set()
+    for g in geo.system.ball(6):
+        walls |= inversion_walls(geo, g)
+    for a, b in itertools.product(walls, repeat=2):
+        assert geo.form2(a, b) == bilinear2(geo.system, a.root, b.root)
+
+
+@pytest.mark.parametrize("name", ["triangle_334", "affine_a3", "triangle_237", "h535"])
+def test_incident_chamber_matches_per_wall_descent(stack, name):
+    # The descents share their chambers through a memo by root; each wall's
+    # chamber must still be the one its own descent reaches, and the shared
+    # walk makes no walls.  Deepest walls first, so the memo fills from long
+    # descents before short ones are asked for.
+    geo = _fresh_geometry(stack, name)
+    walls = set()
+    for g in geo.system.ball(8):
+        walls |= inversion_walls(geo, g)
+    made = len(geo._by_index)
+    order = sorted(walls, key=lambda w: descent_chamber(geo, w).length, reverse=True)
+    got = {wall: geo.incident_chamber(wall) for wall in order}
+    assert len(geo._by_index) == made
+    for wall in order:
+        assert got[wall] is descent_chamber(geo, wall)
 
 
 def test_incident_chamber_frozen(stack):
