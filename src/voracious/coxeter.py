@@ -2,15 +2,16 @@
 
 A group element g is stored as its images of the simple roots: its matrix
 in the geometric representation is kept by columns, and column s is the
-root g(alpha_s).  The inverse is kept the same way, together with the cached
-word length.  Since l(gs) > l(g) iff g(alpha_s) > 0, every length, descent
-and inversion test reads one stored tuple.  Matrix entries, roots and the
-form 2B are coefficient tuples of ints over y' = 2 cos(pi/M'), for M' the
-lcm of the finite orders other than 2 and 3 (see field.py), so a matrix is a
-tuple of tuples of tuples.  Those two orders give the rational entries 0 and
--1 of 2B, so one context over M' does all arithmetic; output_vector writes
-a vector over y = 2 cos(pi/M), for M the lcm of every finite order, the one
-basis every output uses.  The representation is faithful, so matrix equality
+root g(alpha_s), together with the cached word length.  Since l(gs) > l(g)
+iff g(alpha_s) > 0, every length, right descent and inversion test reads one
+stored tuple.  The element g^{-1}, whose columns the left descents and left
+products read, is built only when asked for (CoxeterSystem.inverse).  Matrix
+entries, roots and the form 2B are coefficient tuples of ints over y' =
+2 cos(pi/M'), for M' the lcm of the finite orders other than 2 and 3 (see
+field.py), so a matrix is a tuple of tuples of tuples.  Those two orders
+give the rational entries 0 and -1 of 2B, so one context over M' does all
+arithmetic; output_vector writes a vector over y = 2 cos(pi/M), for M the
+lcm of every finite order, the one basis every output uses.  The representation is faithful, so matrix equality
 is group equality, and a system builds each element once, from one table
 keyed by matrix: two elements of one system are equal iff they are the same
 object, and every memo hashes elements by identity.
@@ -185,20 +186,21 @@ def word_from_string(text: str, generators) -> Word:
 class GroupElement:
     """Element g of a Coxeter group, stored as its images of the simple roots.
 
-    matrix[s] is the root g(alpha_s) and inv[s] is g^{-1}(alpha_s), so a
-    right descent (g(alpha_s) < 0) or a left descent (g^{-1}(alpha_s) < 0)
-    reads one stored tuple.  length is the cached word length.
+    matrix[s] is the root g(alpha_s), so a right descent (g(alpha_s) < 0)
+    reads one stored tuple, and length is the cached word length.  _inverse
+    links the element g^{-1} once CoxeterSystem.inverse has built it, and
+    that element links back; a left descent (g^{-1}(alpha_s) < 0) reads its
+    matrix.
 
     Elements are made only by their CoxeterSystem (CoxeterSystem._element),
     which makes one per matrix, so identity is equality.  Elements of two
     different systems never compare equal, even over one Coxeter matrix.
     """
 
-    __slots__ = ("matrix", "inv", "length", "_inverse")
+    __slots__ = ("matrix", "length", "_inverse")
 
-    def __init__(self, matrix, inv, length):
+    def __init__(self, matrix, length):
         self.matrix = matrix
-        self.inv = inv
         self.length = length
         self._inverse = None
 
@@ -259,7 +261,9 @@ class CoxeterSystem:
             tuple(one if i == j else zero for i in range(k)) for j in range(k)
         )
         self._elements: dict[tuple, GroupElement] = {}
-        self.identity = self._element(ident, ident, 0)
+        self.identity = self._element(ident, 0)
+        self.identity._inverse = self.identity
+        self._inverses_built = 0
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
         self._reduced_cache = {self.identity: frozenset({()})}
@@ -374,7 +378,7 @@ class CoxeterSystem:
 
     # -- group operations --------------------------------------------------
 
-    def _element(self, matrix, inv, length: int) -> GroupElement:
+    def _element(self, matrix, length: int) -> GroupElement:
         """The element with this matrix: the one already built, or a new one.
 
         Every element is built here, so each exists once.  length is the
@@ -383,7 +387,7 @@ class CoxeterSystem:
         """
         got = self._elements.get(matrix)
         if got is None:
-            got = self._elements[matrix] = GroupElement(matrix, inv, length)
+            got = self._elements[matrix] = GroupElement(matrix, length)
         elif got.length != length:
             raise ArithmeticError("one element reached with two lengths")
         return got
@@ -397,17 +401,14 @@ class CoxeterSystem:
         multiplication by s is an involution, so each product is memoised in
         both directions: (g s) s = g is known from the moment g s is, and a
         walk down a right descent of an element built by right_mul is free.
+        Only the columns of g s are computed; its inverse waits for inverse.
         """
         memo = self._rmul_cache
         hit = memo.get((g, s))
         if hit is not None:
             return hit
         delta = self.root_sign(g.matrix[s])
-        out = self._element(
-            self._mul_gen_right(g.matrix, s),
-            self._mul_gen_left(s, g.inv),
-            g.length + delta,
-        )
+        out = self._element(self._mul_gen_right(g.matrix, s), g.length + delta)
         memo[g, s] = out
         memo[out, s] = g
         return out
@@ -416,19 +417,49 @@ class CoxeterSystem:
         """g * s if right_mul has built it already, else None; no arithmetic."""
         return self._rmul_cache.get((g, s))
 
+    def descent_step(self, h: GroupElement) -> tuple[int, GroupElement]:
+        """(s, h s) for a right descent s of h: the least s whose product
+        right_mul has built, whose length shows the descent with no sign;
+        otherwise the least descent s, and h s is built."""
+        for s in range(self.rank):
+            down = self.built_right_mul(h, s)
+            if down is not None and down.length < h.length:
+                return s, down
+        for s, root in enumerate(h.matrix):
+            if self.root_sign(root) < 0:
+                return s, self.right_mul(h, s)
+        raise ArithmeticError("a non-identity element has no right descent")
+
     def left_mul(self, g: GroupElement, s: int) -> GroupElement:
         """s * g, read as (g^{-1} * s)^{-1} so that the right_mul memo serves
-        both sides and each length sign is decided once per (element, s)."""
+        both sides and each length sign is decided once per (element, s).
+        The inverses it needs are built by inverse, on request."""
         return self.inverse(self.right_mul(self.inverse(g), s))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        """g^{-1}, kept on g and pointing back, so each side is looked up once."""
-        h = g._inverse
-        if h is None:
-            h = self._element(g.inv, g.matrix, g.length)
-            h._inverse = g
-            g._inverse = h
-        return h
+        """g^{-1}, built the first time it is asked for and linked both ways.
+
+        Walks down right descents (descent_step) to an element whose inverse
+        is linked, the identity at worst, then climbs back: for a descent s
+        of h, h^{-1} = s (h s)^{-1}, so its columns are those of (h s)^{-1}
+        reflected by s.  Every element passed is linked to its inverse.
+        """
+        got = g._inverse
+        if got is not None:
+            return got
+        path = []
+        cur = g
+        while got is None:
+            s, down = self.descent_step(cur)
+            path.append((cur, s))
+            cur = down
+            got = cur._inverse
+        for h, s in reversed(path):
+            got = self._element(self._mul_gen_left(s, got.matrix), h.length)
+            h._inverse = got
+            got._inverse = h
+            self._inverses_built += 1
+        return got
 
     def element_of_word(self, word: Word) -> GroupElement:
         g = self.identity
@@ -444,7 +475,8 @@ class CoxeterSystem:
         return tuple(s for s in range(self.rank) if self.root_sign(g.matrix[s]) < 0)
 
     def left_descents(self, g: GroupElement) -> tuple[int, ...]:
-        return tuple(s for s in range(self.rank) if self.root_sign(g.inv[s]) < 0)
+        inv = self.inverse(g).matrix
+        return tuple(s for s in range(self.rank) if self.root_sign(inv[s]) < 0)
 
     def shortlex_word(self, g: GroupElement) -> Word:
         """Lexicographically least reduced word: greedy smallest left descent.
@@ -458,7 +490,8 @@ class CoxeterSystem:
         cur = g
         word = memo.get(cur)
         while word is None:
-            s = next(t for t in range(self.rank) if self.root_sign(cur.inv[t]) < 0)
+            inv = self.inverse(cur).matrix
+            s = next(t for t in range(self.rank) if self.root_sign(inv[t]) < 0)
             path.append((cur, s))
             cur = self.left_mul(cur, s)
             word = memo.get(cur)
@@ -587,6 +620,19 @@ class CoxeterSystem:
             for beta in self.small_roots()
             for s in range(self.rank)
         )
+
+    def stats(self) -> dict[str, int]:
+        """Sizes of the system's memos: elements built, inverse matrices
+        built by inverse (one per linked pair, the identity aside), right
+        products, shortlex words, reduced-word sets and decided signs."""
+        return {
+            "elements": len(self._elements),
+            "inverses": self._inverses_built,
+            "right_products": len(self._rmul_cache),
+            "shortlex_words": len(self._shortlex),
+            "reduced_word_sets": len(self._reduced_cache),
+            "signs": len(self.ctx._signs),
+        }
 
     def __repr__(self):
         return f"CoxeterSystem({'/'.join(self.cox.generators)}, rank={self.rank})"

@@ -129,6 +129,18 @@ class WallGeometry:
         """The wall's root coordinates, rendered over powers of c = cos(pi/M)."""
         return [cos_string(x) for x in self.output_root(wall)]
 
+    def stats(self) -> dict[str, int]:
+        """Sizes of the geometry's memos: walls, inversion masks, frontiers,
+        projections, projection blocks and incident chambers."""
+        return {
+            "walls": len(self._walls),
+            "inversion_sets": len(self._inv_bits),
+            "frontiers": len(self._frontier),
+            "projections": len(self._proj),
+            "blocks": len(self._blocks),
+            "incident_chambers": len(self._incident),
+        }
+
     def walls_of(self, mask: int):
         """The walls whose bits are set in mask, lowest bit first."""
         by_index = self._by_index
@@ -142,14 +154,15 @@ class WallGeometry:
 
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
-        mask: each root under g^{-1}, whose columns g keeps, and the wall of
-        the image."""
+        mask: each root under the matrix of g^{-1} (CoxeterSystem.inverse),
+        and the wall of the image."""
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
         apply = self.system.apply_matrix
+        inv = self.system.inverse(g).matrix
         out = 0
         for w in self.walls_of(mask):
-            out |= self.wall_of_root(apply(g.inv, w.root)).bit
+            out |= self.wall_of_root(apply(inv, w.root)).bit
         return out
 
     # -- sides and inversion sets -------------------------------------------
@@ -157,20 +170,21 @@ class WallGeometry:
     def inversion_bits(self, g: GroupElement) -> int:
         """Walls separating chamber g from the identity chamber, as a mask.
 
-        Steps down right descents to an element whose mask is known, then
-        adds back one wall per step: for a descent s of h, Inv(h) is
-        Inv(h s) plus the wall of (h s)(alpha_s) = -h(alpha_s), which h s
-        is incident to.  Each element passed keeps its mask, and h s becomes
+        Steps down right descents (CoxeterSystem.descent_step) to an
+        element whose mask is known, then adds back one wall per step: for a
+        descent s of h, Inv(h) is Inv(h s) plus the wall of (h s)(alpha_s) =
+        -h(alpha_s), which h s is incident to.  Each element passed keeps its mask, and h s becomes
         the wall's crossing chamber if it has none.
         """
         memo = self._inv_bits
         bits = memo.get(g)
         if bits is not None:
             return bits
+        descent_step = self.system.descent_step
         path = []
         cur = g
         while bits is None:
-            s, down = self._descent_step(cur)
+            s, down = descent_step(cur)
             path.append((cur, down, self.wall_of_root(down.matrix[s])))
             cur = down
             bits = memo.get(cur)
@@ -184,20 +198,6 @@ class WallGeometry:
             if wall.crossing is None:
                 wall.crossing = down
         return bits
-
-    def _descent_step(self, h: GroupElement) -> tuple[int, GroupElement]:
-        """(s, h s) for a right descent s of h: the least s whose product
-        right_mul has built, whose length shows the descent with no sign;
-        otherwise the least descent s, and h s is built."""
-        sys = self.system
-        for s in range(sys.rank):
-            down = sys.built_right_mul(h, s)
-            if down is not None and down.length < h.length:
-                return s, down
-        for s, root in enumerate(h.matrix):
-            if sys.root_sign(root) < 0:
-                return s, sys.right_mul(h, s)
-        raise ArithmeticError("a non-identity element has no right descent")
 
     # -- wall-versus-wall geometry ------------------------------------------
 

@@ -246,7 +246,8 @@ def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
                 _matmul(wide.mul, mat, gen),
                 _matmul(wide.mul, gen, inv),
             )
-        for narrow, full in zip((g.matrix, g.inv), products[word]):
+        inv = system.inverse(g).matrix
+        for narrow, full in zip((g.matrix, inv), products[word]):
             assert tuple(map(system.output_vector, narrow)) == full
             for col, full_col in zip(narrow, full):
                 for x, z in zip(col, full_col):
@@ -261,8 +262,9 @@ def element_of_matrix(system: CoxeterSystem, matrix):
     matrices; the stripped generators, reversed, spell a reduced word, and
     their product in stripping order is the inverse.  The engine evaluates
     the word with right_mul, and the element it returns must carry this
-    matrix, that inverse and that length.  The oracle itself stores nothing
-    in the system, so every element it sees was built by the engine.
+    matrix and that length, and its inverse (CoxeterSystem.inverse) that
+    inverse matrix.  The oracle itself stores nothing in the system, so
+    every element it sees was built by the engine.
     """
     ident = system.identity.matrix
     stripped = []
@@ -275,7 +277,7 @@ def element_of_matrix(system: CoxeterSystem, matrix):
         stripped.append(s)
     out = system.element_of_word(tuple(reversed(stripped)))
     assert out.matrix == matrix
-    assert out.inv == inv
+    assert system.inverse(out).matrix == inv
     assert out.length == len(stripped)
     return out
 
@@ -298,7 +300,7 @@ def reflection_of_wall(geometry: WallGeometry, wall):
         for j in range(k)
     )
     out = element_of_matrix(system, matrix)
-    assert out.inv == matrix, "a reflection is its own inverse"
+    assert system.inverse(out).matrix == matrix, "a reflection is its own inverse"
     return out
 
 
@@ -347,8 +349,8 @@ def suffix_pull_back(geometry: WallGeometry, g, mask: int) -> int:
 
     Along the shortlex walk, the wall crossed at the prefix p by s is the
     wall of p(alpha_s), and g^{-1} p is the inverse of the suffix
-    q = s_i ... s_n, so that wall pulls back to the wall of the stored
-    column q^{-1}(alpha_s): no matrix is applied to a root.
+    q = s_i ... s_n, so that wall pulls back to the wall of the column
+    q^{-1}(alpha_s) of the inverse element: no matrix is applied to a root.
     """
     system = geometry.system
     out = 0
@@ -356,7 +358,7 @@ def suffix_pull_back(geometry: WallGeometry, g, mask: int) -> int:
     prefix, suffix = system.identity, g
     for s in system.shortlex_word(g):
         if geometry.wall_of_root(prefix.matrix[s]).bit & mask:
-            out |= geometry.wall_of_root(suffix.inv[s]).bit
+            out |= geometry.wall_of_root(system.inverse(suffix).matrix[s]).bit
             found += 1
         prefix = system.right_mul(prefix, s)
         suffix = system.left_mul(suffix, s)
@@ -376,7 +378,7 @@ def greedy_projection_pair(geometry: WallGeometry, g):
     p, x = system.identity, g
     while True:
         for s in range(system.rank):
-            if system.root_sign(x.inv[s]) < 0 and not (
+            if system.root_sign(system.inverse(x).matrix[s]) < 0 and not (
                 geometry.wall_of_root(p.matrix[s]).bit & frontier
             ):
                 p = system.right_mul(p, s)

@@ -271,28 +271,41 @@ def test_run_states_frozen(stack):
     assert aut2.run_states(a2.word("st")) == {3}
 
 
-def _label_scan_states(by_source, start, word):
-    """Reference splitter: at each position try every label of every state."""
-    n = len(word)
-    reach = [set() for _ in range(n + 1)]
-    reach[0].add(start)
-    for i in range(n):
-        for state in reach[i]:
-            for lab, target in by_source[state]:
-                if word[i : i + len(lab)] == lab:
-                    reach[i + len(lab)].add(target)
-    return frozenset(reach[n])
+def _label_scan_states(targets_by_label, start, rank, max_length):
+    """Reference splitter: (word, states) for every word of length at most
+    max_length, by a depth-first walk over prefixes.
+
+    reach[j] holds the states at which a split of the first j letters into
+    consecutive edge labels ends, so it depends on those letters alone and
+    is computed once per prefix: t is in reach[j] iff some edge into t leaves
+    a state in reach[i] with label word[i:j], for some i < j.
+    """
+    stack = [((), (frozenset({start}),))]
+    while stack:
+        word, reach = stack.pop()
+        yield word, reach[-1]
+        if len(word) == max_length:
+            continue
+        for letter in range(rank):
+            w = word + (letter,)
+            here = set()
+            for i, states in enumerate(reach):
+                tail = w[i:]
+                for state in states:
+                    here.update(targets_by_label[state].get(tail, ()))
+            stack.append((w, reach + (frozenset(here),)))
 
 
 def _assert_run_states_match_label_scan(aut, rank, max_length):
-    by_source = [[] for _ in aut.states]
+    targets_by_label = [{} for _ in aut.states]
     for e in aut.edges:
         for lab in aut.labels(e.pivot_word):
-            by_source[e.source].append((lab, e.target))
-    for n in range(max_length + 1):
-        for w in itertools.product(range(rank), repeat=n):
-            want = _label_scan_states(by_source, aut.start, w)
-            assert aut.run_states(w) == want, w
+            targets_by_label[e.source].setdefault(lab, set()).add(e.target)
+    words = 0
+    for w, want in _label_scan_states(targets_by_label, aut.start, rank, max_length):
+        assert aut.run_states(w) == want, w
+        words += 1
+    assert words == sum(rank**n for n in range(max_length + 1))
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_ROOT_COUNTS))

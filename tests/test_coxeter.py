@@ -14,6 +14,7 @@ from voracious import (
     CoxeterSystem,
     GroupConfigError,
     ResourceLimitError,
+    load_group_file,
     parse_group_config,
     word_from_string,
     word_to_string,
@@ -23,10 +24,13 @@ from voracious.field import two_cos_degree
 from conftest import (
     AFFINE_A3,
     BUILT,
+    GROUPS_DIR,
     H535,
     TRIANGLE_237,
+    TRIANGLE_245,
     bilinear2,
     check_full_field_products,
+    element_of_matrix,
     fresh_geometry,
     multiply,
     positive_definite_sylvester,
@@ -354,7 +358,7 @@ def test_left_mul_matches_multiply(stack, name):
             got = sys_.left_mul(g, s)
             want = multiply(sys_, sys_.element_of_word((s,)), g)
             assert got == want
-            assert got.inv == want.inv
+            assert sys_.inverse(got).matrix == sys_.inverse(want).matrix
             assert got.length == want.length
 
 
@@ -370,7 +374,7 @@ def test_entries_are_int_coefficient_tuples(stack, name):
         return type(x) is tuple and len(x) == d and all(type(c) is int for c in x)
 
     for g in sys_.ball(5):
-        for mat in (g.matrix, g.inv):
+        for mat in (g.matrix, sys_.inverse(g).matrix):
             assert all(is_coeff_tuple(x) for row in mat for x in row)
         for wall in geo.walls_of(geo.inversion_bits(g)):
             assert all(is_coeff_tuple(x) for x in wall.root)
@@ -392,7 +396,7 @@ def test_columns_are_root_images(stack, name):
             for t in word:
                 inv_root = sys_.reflect(t, inv_root)
             assert g.matrix[s] == root
-            assert g.inv[s] == inv_root
+            assert sys_.inverse(g).matrix[s] == inv_root
         # Each reflection is an involution and preserves the form.
         for t in range(sys_.rank):
             image = [sys_.reflect(t, col) for col in g.matrix]
@@ -430,6 +434,114 @@ def test_inverse_and_multiply(stack):
             )
 
 
+# Every shipped group and four built ones, for the lazy inverse.
+INVERSE_GROUPS = {
+    **{name: load_group_file(str(GROUPS_DIR / f"{name}.json")) for name in SHIPPED},
+    "affine_a3": CoxeterMatrix(tuple("abcd"), AFFINE_A3),
+    "triangle_237": CoxeterMatrix(tuple("abc"), TRIANGLE_237),
+    "h535": CoxeterMatrix(tuple("abcd"), H535),
+    "triangle_245": CoxeterMatrix(tuple("abc"), TRIANGLE_245),
+}
+
+
+def _check_inverse(sys_, g):
+    # inverse(g) carries the full-product inverse matrix (element_of_matrix
+    # checks it), has g's length and links back, and linking both ways
+    # means asking again builds nothing.
+    gi = sys_.inverse(g)
+    built = sys_.stats()["inverses"]
+    assert sys_.inverse(gi) is g and sys_.inverse(g) is gi
+    assert sys_.stats()["inverses"] == built
+    assert gi.length == g.length
+    assert element_of_matrix(sys_, g.matrix) is g
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_GROUPS))
+def test_inverse_of_ball_elements(name):
+    sys_ = CoxeterSystem(INVERSE_GROUPS[name])
+    for g in sys_.ball(5):
+        _check_inverse(sys_, g)
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_GROUPS))
+def test_inverse_of_left_products(name):
+    # Elements reached from the left only, before the test calls right_mul.
+    sys_ = CoxeterSystem(INVERSE_GROUPS[name])
+    layer = [sys_.identity]
+    reached = {}
+    for _ in range(4):
+        layer = [sys_.left_mul(g, s) for g in layer for s in range(sys_.rank)]
+        layer = [g for g in dict.fromkeys(layer) if g not in reached]
+        reached.update(dict.fromkeys(layer))
+    for g in reached:
+        _check_inverse(sys_, g)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(INVERSE_GROUPS)),
+    draw=st.data(),
+)
+def test_inverse_after_descending_products(name, draw):
+    # The word u v v^{-1} spells u, so it is not reduced: walking it takes
+    # descending products and leaves a memo of built products unlike a ball
+    # walk's.
+    cox = INVERSE_GROUPS[name]
+    letters = st.integers(min_value=0, max_value=cox.rank - 1)
+    u = draw.draw(st.lists(letters, max_size=8))
+    v = draw.draw(st.lists(letters, min_size=1, max_size=6))
+    sys_ = CoxeterSystem(cox)
+    g = sys_.identity
+    passed = []
+    for s in u + v + v[::-1]:
+        g = sys_.right_mul(g, s)
+        passed.append(g)
+    assert g is sys_.element_of_word(tuple(u))
+    for h in reversed(passed):
+        _check_inverse(sys_, h)
+
+
+def test_inverse_is_built_on_request():
+    # A fresh system evaluates a length-16 geodesic with no inverse; one
+    # inverse builds at most one per step of its descent walk, and asking
+    # for either side again builds nothing.
+    cox = INVERSE_GROUPS["triangle_334"]
+    word = CoxeterSystem(cox).shortlex_word(CoxeterSystem(cox).sphere(16)[-1])
+    sys_ = CoxeterSystem(cox)
+    g = sys_.element_of_word(word)
+    assert g.length == len(word) == 16
+    assert sys_.stats()["inverses"] == 0
+    gi = sys_.inverse(g)
+    built = sys_.stats()["inverses"]
+    assert 0 < built <= g.length
+    assert sys_.inverse(g) is gi and sys_.inverse(gi) is g
+    assert sys_.stats()["inverses"] == built
+
+
+def test_stats_count_memo_entries():
+    # (3,3,4) has 20 elements of length <= 3.  The ball walk multiplies
+    # each shorter element by every generator, and each product is memoised
+    # both ways, so an element of length 3 holds one entry per descent.
+    sys_ = CoxeterSystem(INVERSE_GROUPS["triangle_334"])
+    assert sys_.stats() == {
+        "elements": 1,
+        "inverses": 0,
+        "right_products": 0,
+        "shortlex_words": 1,
+        "reduced_word_sets": 1,
+        "signs": 0,
+    }
+    ball = sys_.ball(3)
+    got = sys_.stats()
+    assert got["elements"] == len(ball) == 20
+    assert got["right_products"] == sum(
+        len(sys_.right_descents(h)) if h.length == 3 else 3 for h in ball
+    )
+    g = ball[-1]
+    sys_.shortlex_word(g)
+    assert sys_.stats()["shortlex_words"] == 1 + g.length
+
+
 IDENTITY_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
 
 
@@ -460,9 +572,9 @@ def test_elements_belong_to_their_system():
 def test_element_reached_with_another_length_raises():
     sys_ = _system(((1, 3, 3), (3, 1, 4), (3, 4, 1)))
     g = sys_.element_of_word((0, 1, 2))
-    assert sys_._element(g.matrix, g.inv, g.length) is g
+    assert sys_._element(g.matrix, g.length) is g
     with pytest.raises(ArithmeticError, match="two lengths"):
-        sys_._element(g.matrix, g.inv, g.length + 2)
+        sys_._element(g.matrix, g.length + 2)
 
 
 def test_ball_cap_leaves_built_layers_unchanged():

@@ -580,3 +580,23 @@ def test_translate_wall(stack):
     s_wall = generator_wall(geo, 1)
     moved = geo.translate_wall(dinf.element("s"), s_wall)
     assert _coords(moved) == (2, 1)
+
+
+def test_stats_count_memo_entries(stack):
+    # A fresh geometry holds the generator walls, the identity's empty mask
+    # and the generator walls' incident chamber; each request adds its own.
+    geo = _fresh_geometry(stack, "triangle_334")
+    sys = geo.system
+    assert geo.stats() == {
+        "walls": 3,
+        "inversion_sets": 1,
+        "frontiers": 0,
+        "projections": 0,
+        "blocks": 0,
+        "incident_chambers": 3,
+    }
+    g = sys.element_of_word((0, 1, 2, 1))
+    geo.projection_block(g)
+    got = geo.stats()
+    assert got["inversion_sets"] == len(geo._inv_bits) >= 1 + g.length
+    assert (got["frontiers"], got["projections"], got["blocks"]) == (1, 1, 1)
