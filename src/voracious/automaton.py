@@ -10,13 +10,14 @@ separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
 and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  The pivots fix the automaton:
 VoraciousAutomaton is built over them, and derives their masks, the states
-and the edges.  A state is written out, to JSON and DOT, as the sorted
-universe indices of its walls.
+and the edges.  `states` holds each state as the sorted universe indices of
+its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
-DOT.  The universe is the group's small roots.  The JSON loader reads only
-a file's pivot words: it builds the automaton over them and requires every
-top-level key of the file to equal what the automaton writes.
+DOT.  The universe is the group's small roots.  A JSON file holds the group,
+the universe as a checked header and the pivots' shortlex words, and nothing
+else: the loader builds the automaton over the words and requires every
+top-level key of the file to equal what that automaton writes.
 
 Words are run over the pivot prefix graph rather than over the labels: its
 nodes are the pivots and their prefixes in the weak order, reading a letter
@@ -46,8 +47,9 @@ from .coxeter import (
 from .walls import Wall, WallGeometry
 
 # Only this format is read back: format-1 files may hold a truncated pivot set,
-# and format-2 files store labels, which are now derived.
-FORMAT = "voracious-automaton-3"
+# format-2 files store labels, which are now derived, and format-3 files store
+# the states and edges, which the pivots fix.
+FORMAT = "voracious-automaton-4"
 
 
 def small_roots(geometry: WallGeometry) -> tuple[Wall, ...]:
@@ -136,7 +138,7 @@ class VoraciousAutomaton:
     def edges(self) -> tuple[Edge, ...]:
         """An edge for each state and each pivot it may take, by source, then
         by pivot in (length, shortlex) order."""
-        words = list(map(self.geometry.system.shortlex_word, self.pivots))
+        words = self._pivot_words()
         return tuple(
             Edge(source, target, word)
             for source, mask in enumerate(self._masks)
@@ -226,12 +228,13 @@ class VoraciousAutomaton:
         return self._state_of.get(mask)
 
     def __eq__(self, other):
+        """Equal iff built over the same universe roots and the same pivot
+        words, which fix the states and edges."""
         if not isinstance(other, VoraciousAutomaton):
             return NotImplemented
         return (
             [w.root for w in self.universe] == [w.root for w in other.universe]
-            and self.states == other.states
-            and self.edges == other.edges
+            and self._pivot_words() == other._pivot_words()
         )
 
     __hash__ = None
@@ -241,26 +244,18 @@ class VoraciousAutomaton:
     def _wall_str(self, wall: Wall) -> str:
         return "(" + ", ".join(self.geometry.root_strings(wall)) + ")"
 
+    def _pivot_words(self) -> list[Word]:
+        return list(map(self.geometry.system.shortlex_word, self.pivots))
+
     def to_json_dict(self) -> dict:
         gens = self.generators
-        shortlex = self.geometry.system.shortlex_word
-        text = {w: word_to_string(w, gens) for w in map(shortlex, self.pivots)}
         return {
             "format": FORMAT,
             "generators": list(gens),
             "m": [list(row) for row in self.geometry.system.cox.orders],
             "cos_denominator": self.geometry.system.cox.field_modulus(),
             "universe": _universe_json(self.geometry, self.universe),
-            "states": [list(st) for st in self.states],
-            "start": self.start,
-            "edges": [
-                {
-                    "from": e.source,
-                    "to": e.target,
-                    "pivot_word": text[e.pivot_word],
-                }
-                for e in self.edges
-            ],
+            "pivots": [word_to_string(w, gens) for w in self._pivot_words()],
         }
 
     def to_json(self) -> str:
@@ -301,13 +296,12 @@ def _universe_json(geometry: WallGeometry, universe) -> list:
 
 
 def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
-    """The automaton of a file's pivots, over an existing geometry.
+    """The automaton of a file's pivot words, over an existing geometry.
 
-    The group data must match, and each edge's pivot word must be the
-    shortlex word of a pivot.  The automaton is built over the distinct
-    pivot words, and the file must hold exactly the keys it writes, with
-    the values it writes (see _require_written), so nothing else in the file
-    is read."""
+    The group must match, and each pivot word must be the shortlex word of a
+    pivot.  The automaton is built over the distinct words, and the file must
+    hold exactly the keys it writes, with the values it writes (see
+    _require_written), so nothing else in the file is read."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -315,29 +309,18 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
             f"automaton file format {data.get('format')!r} is not {FORMAT!r}; "
             "rebuild it"
         )
-    for key in ("generators", "m", "universe", "states", "edges"):
-        if not isinstance(data.get(key), list):
-            raise ValueError(f"automaton file needs a list under {key!r}")
     sys = geometry.system
     gens = sys.cox.generators
-    if list(gens) != data["generators"] or [
+    if data.get("generators") != list(gens) or data.get("m") != [
         list(r) for r in sys.cox.orders
-    ] != data["m"]:
+    ]:
         raise ValueError("automaton file belongs to a different group")
+    texts = data.get("pivots")
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError("automaton file needs a list of strings under 'pivots'")
 
-    words: dict[str, Word] = {}
-    for e in data["edges"]:
-        if not (
-            isinstance(e, dict)
-            and type(e.get("from")) is type(e.get("to")) is int
-            and isinstance(e.get("pivot_word"), str)
-        ):
-            raise ValueError(f"edge {e!r} needs int 'from', 'to' and str 'pivot_word'")
-        text = e["pivot_word"]
-        if text not in words:
-            words[text] = word_from_string(text, gens)
     elements: dict[Word, GroupElement] = {}
-    for word in dict.fromkeys(words.values()):
+    for word in dict.fromkeys(word_from_string(t, gens) for t in texts):
         g = sys.element_of_word(word)
         if not word or g.length != len(word):
             problem = "is empty or not reduced"
@@ -357,22 +340,13 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     return aut
 
 
-# Each list the loader compares, and what its i-th entry is in the built
-# automaton's file.
-_WRITTEN = {
-    "universe": "small root {} of the group",
-    "states": "state {} of the automaton of the file's pivots",
-    "edges": "edge {} of the automaton of the file's pivots",
-}
-
-
 def _require_written(data: dict, written: dict) -> None:
     """Refuse a file with a key that `written` lacks, or whose value under a
-    key of `written` differs, naming the key.  For the lists of _WRITTEN it
-    names the first differing entry too.  A missing key or entry is null.
+    key of `written` differs, naming the key, and for two lists the first
+    differing entry.  A missing key or entry is null.
 
-    Values are compared as JSON text, not by ==, so that a state entry
-    true or 1.0 is not read as the index 1."""
+    Values are compared as JSON text, not by ==, so that an entry true or
+    1.0 is not read as the integer 1."""
     text = partial(json.dumps, sort_keys=True)
     extra = next((key for key in data if key not in written), None)
     if extra is not None:
@@ -381,18 +355,16 @@ def _require_written(data: dict, written: dict) -> None:
         got = data.get(key)
         if text(got) == text(want):
             continue
-        if key not in _WRITTEN:
-            raise ValueError(
-                f"{key} is {text(got)}, but the automaton of the file's pivots "
-                f"writes {text(want)}"
+        if isinstance(got, list) and isinstance(want, list):
+            i, got, want = next(
+                (i, a, b)
+                for i, (a, b) in enumerate(zip_longest(got, want))
+                if text(a) != text(b)
             )
-        i, a, b = next(
-            (i, a, b)
-            for i, (a, b) in enumerate(zip_longest(got, want))
-            if text(a) != text(b)
-        )
+            key = f"{key} entry {i}"
         raise ValueError(
-            f"{key} entry {i} is {text(a)}, but {_WRITTEN[key].format(i)} is {text(b)}"
+            f"{key} is {text(got)}, but the automaton of the file's pivots "
+            f"writes {text(want)}"
         )
 
 

@@ -15,7 +15,7 @@ from .coxeter import (
     CoxeterSystem,
     ResourceLimitError,
     load_group_file,
-    unique_keys,
+    parse_json,
     word_from_string,
     word_to_string,
 )
@@ -142,13 +142,11 @@ def _cmd_automaton(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    import json
-
     system, geometry = _load(args)
     word = _parse_word(args.word, system)
     if args.automaton is not None:
         with open(args.automaton, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=unique_keys)
+            data = parse_json(fh.read())
         aut = automaton_mod.from_json_dict(data, geometry)
     else:
         aut = automaton_mod.build_automaton(geometry)

@@ -105,42 +105,34 @@ class CoxeterMatrix:
                     m = math.lcm(m, order)
         return m
 
-    def automorphisms(self) -> list[tuple[int, ...]]:
-        """All permutations of the generator indices preserving the orders."""
-        from itertools import permutations
-
-        k = self.rank
-        out = []
-        for perm in permutations(range(k)):
-            if all(
-                self.orders[perm[i]][perm[j]] == self.orders[i][j]
-                for i in range(k)
-                for j in range(k)
-            ):
-                out.append(perm)
-        return out
-
 
 def unique_keys(pairs) -> dict:
-    """json's object_pairs_hook for every file the program reads: the object
-    as a dict, or a ValueError naming a key given twice, where json alone
-    would keep the last value without a word."""
+    """json's object_pairs_hook for parse_json: the object as a dict, or a
+    GroupConfigError naming a key given twice, where json alone would keep
+    the last value without a word."""
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate key {key!r} in a JSON object")
+            raise GroupConfigError(f"duplicate key {key!r} in a JSON object")
         out[key] = value
     return out
 
 
-def parse_group_config(text: str) -> CoxeterMatrix:
-    """Parse a JSON group config: {"generators": [...], "m": [[...]]}; 0 = infinity."""
+def parse_json(text: str):
+    """The JSON value of a text, as the program reads every file: a group
+    file or an automaton file.  Invalid JSON, a key given twice and nesting
+    too deep for the parser are GroupConfigErrors."""
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise GroupConfigError(f"invalid JSON: {e}") from e
-    except ValueError as e:  # a key given twice
-        raise GroupConfigError(str(e)) from e
+    except RecursionError as e:
+        raise GroupConfigError("invalid JSON: nested too deeply") from e
+
+
+def parse_group_config(text: str) -> CoxeterMatrix:
+    """Parse a JSON group config: {"generators": [...], "m": [[...]]}; 0 = infinity."""
+    data = parse_json(text)
     if not isinstance(data, dict):
         raise GroupConfigError("group config must be a JSON object")
     gens = data.get("generators")

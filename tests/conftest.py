@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 from fractions import Fraction
 
@@ -28,6 +29,20 @@ BUILT = {"affine_a3": ("abcd", AFFINE_A3), "triangle_237": ("abc", TRIANGLE_237)
 
 def fresh_geometry(generators, orders) -> WallGeometry:
     return WallGeometry(CoxeterSystem(CoxeterMatrix(tuple(generators), orders)))
+
+
+def automorphisms(cox: CoxeterMatrix) -> list[tuple[int, ...]]:
+    """All permutations of the generator indices preserving the orders."""
+    k = cox.rank
+    return [
+        perm
+        for perm in itertools.permutations(range(k))
+        if all(
+            cox.orders[perm[i]][perm[j]] == cox.orders[i][j]
+            for i in range(k)
+            for j in range(k)
+        )
+    ]
 
 
 def generator_wall(geometry: WallGeometry, s: int):

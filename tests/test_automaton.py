@@ -16,7 +16,6 @@ from voracious import (
     load_group_file,
     pivots,
     small_roots,
-    word_to_string,
 )
 
 from conftest import (
@@ -136,13 +135,13 @@ def test_h535_automaton_frozen():
     aut = build_automaton(geo)
     assert (len(aut.states), len(aut.edges)) == (516, 16_753)
     assert len(_prefix_graph_nodes(aut)) == 516
-    # Loaded into a fresh geometry, so every edge check runs from cold.
+    # Loaded into a fresh geometry, so every pivot check runs from cold.
     text = aut.to_json()
     clone = from_json_dict(json.loads(text), fresh_geometry("abcd", H535))
     assert clone == aut
     assert clone.to_json() == text
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1ff16af57e1352139d77d5011d59a84da98c913cc914f4949f5e897617754604"
+        "b751bf2b44b376a187c7f36df35dccc2c2dc03a6395bf4e3a9424a1566dc07ee"
     )
 
 
@@ -174,7 +173,7 @@ def test_334_automaton_bytes_frozen():
         for text in (aut.to_json(), aut.to_dot())
     ]
     assert digests == [
-        "9e22d3ab5a1a9e4576fa992d5c3efd66001b40464fdda40a7efea0bca58d32c6",
+        "d6933539b88740386e61e6b2d4e0c1954181b89ecbf3bd0be0d05535d89d02fa",
         "2887d85cf1fd6aee013c1ca81ee5e6426d7feb8db8bd7cefea0054cec269a6c3",
     ]
 
@@ -403,15 +402,19 @@ def test_run_states_with_edges_missing_from_file(long_pivot_geometries):
     _assert_run_states_match_label_scan(aut, sys_.rank, 6)
 
 
-def _json_of_334(stack):
-    s = stack("triangle_334")
+def _json_of(stack, name):
+    s = stack(name)
     return build_automaton(s.geometry).to_json_dict(), s.geometry
+
+
+def _json_of_334(stack):
+    return _json_of(stack, "triangle_334")
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("start", 7, "start is 7, but the automaton of the file's pivots writes 0"),
+        ("start", 7, "unknown key 'start'"),
         ("cos_denominator", 99, "cos_denominator is 99, but .* writes 12"),
         ("comment", "hand edited", "unknown key 'comment'"),
     ],
@@ -422,165 +425,57 @@ def test_json_rejects_changed_top_level_key(stack, key, value, message):
     with pytest.raises(ValueError, match=message):
         from_json_dict(data, geo)
     del data[key]
-    if key != "comment":
+    if key == "cos_denominator":
         with pytest.raises(ValueError, match=f"{key} is null"):
             from_json_dict(data, geo)
 
 
-def test_json_rejects_edge_outside_states(stack):
-    data, geo = _json_of_334(stack)
-    data["edges"][3]["to"] = len(data["states"])
-    with pytest.raises(ValueError):
-        from_json_dict(data, geo)
-    data, geo = _json_of_334(stack)
-    data["edges"][3]["from"] = -1
-    with pytest.raises(ValueError):
-        from_json_dict(data, geo)
-
-
-def test_json_rejects_repeated_source_and_pivot(stack):
-    data, geo = _json_of_334(stack)
-    data["edges"].append(dict(data["edges"][0]))
-    with pytest.raises(ValueError):
-        from_json_dict(data, geo)
-
-
-def test_json_rejects_dropped_edge(stack):
-    # The dropped edge's pivot keeps its other edges, so the file's pivots
-    # are all there, and only the edge list finds the gap.
-    data, geo = _json_of_334(stack)
-    dropped = data["edges"].pop()
-    assert dropped["from"] != 0
-    assert any(e["pivot_word"] == dropped["pivot_word"] for e in data["edges"])
-    i = len(data["edges"])
-    want = rf"edges entry {i} is null, but edge {i} of the automaton of the file's"
-    with pytest.raises(ValueError, match=want):
-        from_json_dict(data, geo)
-
-
 def test_json_rejects_non_reduced_pivot_word(stack):
-    a2 = stack("a2")
-    data = build_automaton(a2.geometry).to_json_dict()
-    data["edges"][0]["pivot_word"] = "ss"
+    data, geo = _json_of(stack, "a2")
+    data["pivots"][0] = "ss"
     with pytest.raises(ValueError, match="'ss' is empty or not reduced"):
-        from_json_dict(data, a2.geometry)
-
-
-def _json_of(stack, name):
-    s = stack(name)
-    return build_automaton(s.geometry).to_json_dict(), s.geometry
-
-
-def _edge(data, source, pivot_word):
-    (e,) = [
-        e for e in data["edges"] if (e["from"], e["pivot_word"]) == (source, pivot_word)
-    ]
-    return e
-
-
-def test_json_rejects_edge_into_wrong_state(stack):
-    # With this edge redirected, the file would accept the non-geodesic tss.
-    data, geo = _json_of(stack, "d_infinity")
-    _edge(data, 1, "s")["to"] = 1
-    want = r'edges entry \d+ is {"from": 1, "pivot_word": "s", "to": 1}, but edge'
-    with pytest.raises(ValueError, match=want):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_reduced_word_that_is_not_a_pivot(stack):
     data, geo = _json_of(stack, "d_infinity")
-    _edge(data, 0, "s")["pivot_word"] = "st"
+    assert data["pivots"] == ["s", "t"]
+    data["pivots"][0] = "st"
     with pytest.raises(ValueError, match="'st' is not a pivot"):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_pivot_word_out_of_shortlex_order(stack):
     data, geo = _json_of(stack, "a2")
-    _edge(data, 0, "sts")["pivot_word"] = "tst"
+    assert data["pivots"][-1] == "sts"
+    data["pivots"][-1] = "tst"
     with pytest.raises(ValueError, match="'tst' is not the shortlex word"):
         from_json_dict(data, geo)
 
 
-def test_json_rejects_edge_from_state_that_may_not_take_its_pivot(stack):
-    # State 2 holds the wall of s, an inversion wall of the pivot s.
-    data, geo = _json_of(stack, "d_infinity")
-    data["edges"].append({"from": 2, "to": 2, "pivot_word": "s"})
-    edge = r'{"from": 2, "pivot_word": "s", "to": 2}'
-    want = rf"edges entry (\d+) is {edge}, but edge \1 .* is null"
-    with pytest.raises(ValueError, match=want):
+def test_json_rejects_pivots_out_of_order_or_repeated(stack):
+    # Each word is a pivot's, but the list is not the one the build writes.
+    data, geo = _json_of(stack, "a2")
+    data["pivots"][1], data["pivots"][2] = data["pivots"][2], data["pivots"][1]
+    with pytest.raises(ValueError, match=r'pivots entry 1 is "st", but .* "t"'):
+        from_json_dict(data, geo)
+    data, geo = _json_of(stack, "a2")
+    data["pivots"].append("s")
+    with pytest.raises(ValueError, match=r'pivots entry 5 is "s", but .* null'):
         from_json_dict(data, geo)
 
 
-def _json_of_a2(stack):
-    s = stack("a2")
-    return build_automaton(s.geometry).to_json_dict(), s.geometry
-
-
 def test_json_rejects_missing_key(stack):
-    data, geo = _json_of_a2(stack)
-    del data["edges"]
-    with pytest.raises(ValueError, match="'edges'"):
+    data, geo = _json_of(stack, "a2")
+    del data["pivots"]
+    with pytest.raises(ValueError, match="'pivots'"):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_top_level_list(stack):
-    data, geo = _json_of_a2(stack)
+    data, geo = _json_of(stack, "a2")
     with pytest.raises(ValueError, match="JSON object"):
         from_json_dict([data], geo)
-
-
-def test_json_rejects_state_outside_universe(stack):
-    data, geo = _json_of_a2(stack)
-    data["states"][1] = [99]
-    with pytest.raises(ValueError, match=r"states entry 1 is \[99\], but state 1"):
-        from_json_dict(data, geo)
-    data, geo = _json_of_a2(stack)
-    i = len(data["states"]) - 1
-    data["states"][i] = data["states"][i][::-1]
-    with pytest.raises(ValueError, match=rf"states entry {i} is \[2, 1, 0\]"):
-        from_json_dict(data, geo)
-    # Equal under ==, but not integers.
-    for i, index in ((1, 0.0), (2, True)):
-        data, geo = _json_of_a2(stack)
-        assert data["states"][i] == [index]
-        data["states"][i] = [index]
-        want = rf"states entry {i} is \[{json.dumps(index)}\]"
-        with pytest.raises(ValueError, match=want):
-            from_json_dict(data, geo)
-
-
-def test_json_rejects_renumbered_states(stack):
-    # States 1 and 2 swapped, and every edge renumbered to match: the same
-    # machine, but not in the order the build writes, so it is refused.
-    data, geo = _json_of_334(stack)
-    states = data["states"]
-    states[1], states[2] = states[2], states[1]
-    swap = {1: 2, 2: 1}
-    for e in data["edges"]:
-        e["from"], e["to"] = swap.get(e["from"], e["from"]), swap.get(e["to"], e["to"])
-    want = r"states entry 1 is \[3\], but state 1 .* is \[1\]"
-    with pytest.raises(ValueError, match=want):
-        from_json_dict(data, geo)
-
-
-def test_json_rejects_extra_state(stack):
-    # A state no pivot enters, with every edge its walls allow: each edge
-    # obeys the masks, but the states are not those the build writes.
-    aut = build_automaton(stack("triangle_334").geometry)
-    data = aut.to_json_dict()
-    extra = [0, 1]
-    assert extra not in data["states"]
-    data["states"].append(extra)
-    i = len(data["states"]) - 1
-    mask = sum(aut.universe[v].bit for v in extra)
-    for q, target, forbid in zip(aut.pivots, aut.targets, aut.forbid):
-        if not mask & forbid:
-            word = aut.geometry.system.shortlex_word(q)
-            pivot_word = word_to_string(word, aut.generators)
-            data["edges"].append({"from": i, "to": target, "pivot_word": pivot_word})
-    assert len(data["edges"]) > len(aut.edges)
-    with pytest.raises(ValueError, match=rf"states entry {i} is \[0, 1\], but .* null"):
-        from_json_dict(data, aut.geometry)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -591,49 +486,39 @@ def test_json_mutation_is_refused_or_written_back(stack, name, draw):
     # words reaches the program.
     geo = stack(name).geometry
     data = build_automaton(geo).to_json_dict()
-    edges, states = data["edges"], data["states"]
+    pivot_words = data["pivots"]
     gens = "".join(data["generators"])
-    n = len(data["universe"])
 
     def index(seq):
         return draw.draw(st.integers(0, len(seq) - 1))
 
     values = st.one_of(
-        st.integers(-1, len(states)),
-        st.sampled_from([True, 1.0, None]),
+        st.integers(-1, 20),
+        st.sampled_from([True, 1.0, None, []]),
         st.text(alphabet=gens, max_size=5),
     )
     kind = draw.draw(
         st.sampled_from(
-            ["drop edge", "duplicate edge", "drop field", "edit field", "edit state",
-             "swap states", "edit key", "drop key", "add key"]
+            ["drop pivot", "duplicate pivot", "edit pivot", "swap pivots",
+             "edit key", "drop key", "add key"]
         )
     )
-    if kind == "drop edge":
-        del edges[index(edges)]
-    elif kind == "duplicate edge":
-        edges.insert(draw.draw(st.integers(0, len(edges))), dict(edges[index(edges)]))
-    elif kind in ("drop field", "edit field"):
-        edge = edges[index(edges)]
-        key = draw.draw(st.sampled_from(["from", "to", "pivot_word"]))
-        if kind == "drop field":
-            del edge[key]
-        else:
-            edge[key] = draw.draw(values)
-    elif kind == "edit state":
-        entries = st.one_of(st.integers(-1, n), st.sampled_from([True, 1.0]))
-        states[index(states)] = draw.draw(
-            st.one_of(st.sampled_from(states), st.lists(entries, max_size=4))
-        )
-    elif kind == "swap states":
-        i, j = index(states), index(states)
-        states[i], states[j] = states[j], states[i]
+    if kind == "drop pivot":
+        del pivot_words[index(pivot_words)]
+    elif kind == "duplicate pivot":
+        i = draw.draw(st.integers(0, len(pivot_words)))
+        pivot_words.insert(i, pivot_words[index(pivot_words)])
+    elif kind == "edit pivot":
+        pivot_words[index(pivot_words)] = draw.draw(values)
+    elif kind == "swap pivots":
+        i, j = index(pivot_words), index(pivot_words)
+        pivot_words[i], pivot_words[j] = pivot_words[j], pivot_words[i]
     elif kind == "edit key":
-        key = draw.draw(st.sampled_from(["start", "cos_denominator"]))
+        key = draw.draw(st.sampled_from(sorted(data)))
         old = json.dumps(data[key])
         data[key] = draw.draw(values.filter(lambda v: json.dumps(v) != old))
     elif kind == "drop key":
-        del data[draw.draw(st.sampled_from(["start", "cos_denominator"]))]
+        del data[draw.draw(st.sampled_from(sorted(data)))]
     else:
         data[draw.draw(st.text(max_size=5).filter(lambda k: k not in data))] = (
             draw.draw(values)
@@ -647,20 +532,15 @@ def test_json_mutation_is_refused_or_written_back(stack, name, draw):
     )
 
 
-def _json_of_a3(stack):
-    s = stack("a3")
-    return build_automaton(s.geometry).to_json_dict(), s.geometry
-
-
 def test_json_rejects_root_with_wrong_coordinate_count(stack):
-    data, geo = _json_of_a3(stack)
+    data, geo = _json_of(stack, "a3")
     data["universe"][0] = ["1"] * 4
     with pytest.raises(ValueError, match="universe entry 0"):
         from_json_dict(data, geo)
 
 
 def test_json_rejects_root_with_non_integer_coefficients(stack):
-    data, geo = _json_of_a3(stack)
+    data, geo = _json_of(stack, "a3")
     data["universe"][0] = ["1/3"] * 3
     with pytest.raises(ValueError, match="universe entry 0"):
         from_json_dict(data, geo)
@@ -703,7 +583,8 @@ def test_json_rejects_universe_other_than_small_roots(stack):
         from_json_dict(data, geo)
     data, geo = _json_of_334(stack)
     data["universe"].append(["1", "1", "1"])
-    with pytest.raises(ValueError, match="small root 7 of the group is null"):
+    want = r'universe entry 7 is \["1", "1", "1"\], but .* writes null'
+    with pytest.raises(ValueError, match=want):
         from_json_dict(data, geo)
 
 
@@ -759,6 +640,31 @@ def test_json_round_trip(stack, long_pivot_geometries):
         assert clone.to_json() == text
 
 
+@pytest.mark.parametrize(
+    "name", sorted(SMALL_ROOT_COUNTS) + ["affine_a3", "triangle_237", "h535"]
+)
+def test_json_load_into_fresh_geometry_rebuilds_the_automaton(stack, name):
+    # A file holds only pivot words: loaded into a fresh geometry, they give
+    # the build's states, edges, targets and forbid masks.  Wall bits are
+    # numbered per geometry, so the masks are compared as sets of roots.
+    built = {**BUILT, "h535": ("abcd", H535)}
+    if name in built:
+        generators, orders = built[name]
+    else:
+        generators, orders = stack(name).cox.generators, stack(name).cox.orders
+    aut = build_automaton(fresh_geometry(generators, orders))
+    clone = from_json_dict(json.loads(aut.to_json()), fresh_geometry(generators, orders))
+
+    def forbid_roots(a):
+        return [{w.root for w in a.geometry.walls_of(m)} for m in a.forbid]
+
+    assert clone.states == aut.states
+    assert clone.edges == aut.edges
+    assert clone.targets == aut.targets
+    assert forbid_roots(clone) == forbid_roots(aut)
+    assert clone == aut
+
+
 def test_json_rejects_other_group(stack):
     aut = build_automaton(stack("a2").geometry)
     data = json.loads(aut.to_json())
@@ -768,15 +674,38 @@ def test_json_rejects_other_group(stack):
 
 def test_json_rejects_old_format(stack):
     # Format-1 files may hold a truncated pivot set; format-2 files store
-    # labels, which are now derived.
+    # labels, which are now derived; format-3 files store states and edges,
+    # which the pivots fix.
     a2 = stack("a2")
     data = json.loads(build_automaton(a2.geometry).to_json())
-    assert data["format"] == "voracious-automaton-3"
-    assert set(data["edges"][0]) == {"from", "to", "pivot_word"}
-    for old in ("voracious-automaton", "voracious-automaton-2"):
+    assert data["format"] == "voracious-automaton-4"
+    assert set(data) == {"format", "generators", "m", "cos_denominator", "universe", "pivots"}
+    for old in ("voracious-automaton", "voracious-automaton-2", "voracious-automaton-3"):
         data["format"] = old
         with pytest.raises(ValueError, match="rebuild it"):
             from_json_dict(data, a2.geometry)
+
+
+def test_json_rejects_format_3_file(stack):
+    # The whole D-infinity file as format 3 wrote it.
+    text = """{
+  "cos_denominator": 1,
+  "edges": [
+    {"from": 0, "pivot_word": "s", "to": 2},
+    {"from": 0, "pivot_word": "t", "to": 1},
+    {"from": 1, "pivot_word": "s", "to": 2},
+    {"from": 2, "pivot_word": "t", "to": 1}
+  ],
+  "format": "voracious-automaton-3",
+  "generators": ["s", "t"],
+  "m": [[1, 0], [0, 1]],
+  "start": 0,
+  "states": [[], [0], [1]],
+  "universe": [["0", "1"], ["1", "0"]]
+}"""
+    want = "format 'voracious-automaton-3' is not 'voracious-automaton-4'; rebuild it"
+    with pytest.raises(ValueError, match=want):
+        from_json_dict(json.loads(text), stack("d_infinity").geometry)
 
 
 def test_json_exact_coordinates(stack):

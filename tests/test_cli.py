@@ -165,12 +165,11 @@ def test_accept_rejects_malformed_automaton_file(tmp_path):
     )
     assert r.returncode == 0
     good = json.loads(aut_file.read_text())
-    no_edges = {k: v for k, v in good.items() if k != "edges"}
-    bad_state = dict(good, states=[[], [99]] + good["states"][2:])
+    no_pivots = {k: v for k, v in good.items() if k != "pivots"}
     bad_start = dict(good, start=7)
     bad_modulus = dict(good, cos_denominator=99)
     extra_key = dict(good, comment="hand edited")
-    for data in (no_edges, [good], bad_state, bad_start, bad_modulus, extra_key):
+    for data in (no_pivots, [good], bad_start, bad_modulus, extra_key):
         aut_file.write_text(json.dumps(data))
         r = run_cli(
             "accept", "--group", group("a2"), "--automaton", str(aut_file), "st"
@@ -186,13 +185,23 @@ def test_accept_rejects_duplicate_key_in_automaton_file(tmp_path):
         "automaton", "--group", group("a2"), "--format", "json", "--out", str(aut_file)
     )
     assert r.returncode == 0
-    # The file's own "start" repeated with its own value: still refused.
+    # The file's own "format" repeated with its own value: still refused.
     text = aut_file.read_text()
     assert text.startswith("{\n")
-    aut_file.write_text('{\n  "start": 0,' + text[1:])
+    aut_file.write_text('{\n  "format": "voracious-automaton-4",' + text[1:])
     r = run_cli("accept", "--group", group("a2"), "--automaton", str(aut_file), "st")
     assert r.returncode == 2
-    assert r.stderr == "error: duplicate key 'start' in a JSON object\n"
+    assert r.stderr == "error: duplicate key 'format' in a JSON object\n"
+
+
+def test_accept_rejects_deeply_nested_automaton_file(tmp_path):
+    # Deeper than the JSON parser's recursion allows: an input error, not a
+    # crash whose exit code 1 would read as "reject".
+    aut_file = tmp_path / "deep.json"
+    aut_file.write_text("[" * 100_000 + "]" * 100_000)
+    r = run_cli("accept", "--group", group("a2"), "--automaton", str(aut_file), "st")
+    assert r.returncode == 2
+    assert r.stderr == "error: invalid JSON: nested too deeply\n"
 
 
 def test_automaton_dot_stdout():
@@ -214,8 +223,8 @@ def test_automaton_deterministic_bytes(tmp_path):
         outs.append(f.read_bytes())
     assert outs[0] == outs[1]
     data = json.loads(outs[0])
-    assert data["format"] == "voracious-automaton-3"
-    assert len(data["states"]) == 16
+    assert data["format"] == "voracious-automaton-4"
+    assert len(data["pivots"]) == 15
 
 
 def test_verify_json_report(tmp_path):
@@ -270,6 +279,15 @@ def test_duplicate_key_group_file_is_usage_error(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: duplicate key 'm' in a JSON object\n"
+
+
+def test_deeply_nested_group_file_is_usage_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    r = run_cli("small-roots", "--group", str(deep))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: invalid JSON: nested too deeply\n"
 
 
 def test_multichar_generator_names(tmp_path):

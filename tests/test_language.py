@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multiply
+from conftest import automorphisms, multiply
 
 
 def test_chain_identity(stack):
@@ -139,7 +139,7 @@ def test_equivariance_under_diagram_symmetry(stack):
     # Any symmetry of the Coxeter diagram permutes the accepted words.
     for name in ("a2", "d_infinity", "triangle_333"):
         s = stack(name)
-        for perm in s.cox.automorphisms():
+        for perm in automorphisms(s.cox):
             for g in s.system.ball(4):
                 for w in s.language.all_words_of(g):
                     mapped = tuple(perm[i] for i in w)
