@@ -8,9 +8,12 @@ is the identity.  Each pivot q has two wall masks: target(q), of
 q^{-1} W(q), and forbid(q), of Inv(q) and the universe walls with no
 separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
 and it enters target(q).  So the empty start state takes every pivot, and
-the states are it and the pivots' targets.  The pivots fix the automaton:
-VoraciousAutomaton is built over them, and derives their masks, the states
-and the edges.  `states` holds each state as the sorted universe indices of
+the states are it and the pivots' targets.  q^{-1} W(q) is the
+Brink-Howlett state of q, the small walls of Inv(q^{-1}), so target(q) is
+read along q's shortlex word by one reflection table per generator, with no
+matrix product and no inverse (see _pivot_rules).  The pivots fix the
+automaton: VoraciousAutomaton is built over them, and derives their masks,
+the states and the edges.  `states` holds each state as the sorted universe indices of
 its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
@@ -27,7 +30,10 @@ of pivot q for each state that may take q.
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
 fully between the identity chamber and it, which yields an independent
-brute-force oracle over any ball.
+brute-force oracle over any ball.  The pivots come out of one breadth-first
+search in (length, shortlex) order with their words
+(CoxeterSystem.shortlex_search), so neither the build nor the JSON export
+walks a word from the left.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from itertools import zip_longest
 
 from .coxeter import (
     GroupElement,
-    ResourceLimitError,
     Word,
     word_from_string,
     word_to_string,
@@ -50,6 +55,10 @@ from .walls import Wall, WallGeometry
 # format-2 files store labels, which are now derived, and format-3 files store
 # the states and edges, which the pivots fix.
 FORMAT = "voracious-automaton-4"
+
+# Most characters of a file's value, or of the value written in its place,
+# that a refusal message shows.
+SHOWN_CHARS = 200
 
 
 def small_roots(geometry: WallGeometry) -> tuple[Wall, ...]:
@@ -65,38 +74,21 @@ def small_roots(geometry: WallGeometry) -> tuple[Wall, ...]:
 def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
     """All elements of positive length with identity projection.
 
-    Sorted by (length, shortlex word).  Pivots are closed under prefixes: if
-    p(g) = id and g' <= g in the prefix order, then p(g) <= g' <= g and
-    projection monotonicity (suite check 3) give p(g') <= p(g) = id.  So every
-    pivot of length n + 1 is a pivot of length n times an ascent, and a
-    breadth-first search that extends only pivots finds all of them.  The
-    search ends at the first length with no pivot: a pivot is its own
-    projection block, and block lengths are bounded by the constant C, so no
-    pivot is longer than C.  The elements examined count against the
-    system's max_ball_elements.
+    In (length, shortlex word) order, with each pivot's shortlex word
+    recorded (CoxeterSystem.shortlex_search).  Pivots are closed under
+    prefixes: if p(g) = id and g' <= g in the prefix order, then
+    p(g) <= g' <= g and projection monotonicity (suite check 3) give
+    p(g') <= p(g) = id.  So every pivot of length n + 1 is a pivot of length
+    n times an ascent, and a breadth-first search that extends only pivots
+    finds all of them.  The search ends at the first length with no pivot: a
+    pivot is its own projection block, and block lengths are bounded by the
+    constant C, so no pivot is longer than C.  The elements examined count
+    against the system's max_ball_elements.
     """
-    sys = geometry.system
-    seen = {sys.identity}
-    layer = [sys.identity]
-    out: list[GroupElement] = []
-    while layer:
-        nxt = []
-        for g in layer:
-            for s in range(sys.rank):
-                h = sys.right_mul(g, s)
-                if h.length < g.length or h in seen:
-                    continue
-                seen.add(h)
-                if len(seen) > sys.max_ball_elements:
-                    raise ResourceLimitError(
-                        f"pivot search exceeded {sys.max_ball_elements} elements"
-                    )
-                if geometry.voracious_projection(h) is sys.identity:
-                    nxt.append(h)
-        out.extend(nxt)
-        layer = nxt
-    out.sort(key=lambda g: (g.length, sys.shortlex_word(g)))
-    return tuple(out)
+    identity = geometry.system.identity
+    return geometry.system.shortlex_search(
+        lambda h: geometry.voracious_projection(h) is identity
+    )
 
 
 @dataclass(frozen=True)
@@ -346,7 +338,8 @@ def _require_written(data: dict, written: dict) -> None:
     differing entry.  A missing key or entry is null.
 
     Values are compared as JSON text, not by ==, so that an entry true or
-    1.0 is not read as the integer 1."""
+    1.0 is not read as the integer 1.  The message shows each value's text
+    cut to SHOWN_CHARS characters, so one huge entry cannot flood it."""
     text = partial(json.dumps, sort_keys=True)
     extra = next((key for key in data if key not in written), None)
     if extra is not None:
@@ -363,9 +356,17 @@ def _require_written(data: dict, written: dict) -> None:
             )
             key = f"{key} entry {i}"
         raise ValueError(
-            f"{key} is {text(got)}, but the automaton of the file's pivots "
-            f"writes {text(want)}"
+            f"{key} is {_shown(text(got))}, but the automaton of the file's "
+            f"pivots writes {_shown(text(want))}"
         )
+
+
+def _shown(text: str) -> str:
+    """A value's JSON text as a refusal message shows it: at most
+    SHOWN_CHARS characters, then an ellipsis if any were cut."""
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return text[:SHOWN_CHARS] + "…"
 
 
 def _indices_of(universe, mask: int) -> tuple[int, ...]:
@@ -376,27 +377,56 @@ def _indices_of(universe, mask: int) -> tuple[int, ...]:
 def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     """The two wall masks of each pivot q = pivot_list[i], as plain ints.
 
-    Returns (targets, forbid).  targets[i] is the mask of q^{-1} W(q), the
-    frontier of q pulled back through the stored inverse of q; every edge
-    with pivot q enters it.  forbid[i] is Inv(q), ORed with the bit of each
-    universe wall V outside Inv(q) that admits no separator from chamber q.
-    So S & forbid[i] == 0 iff no wall of state S is an inversion wall
-    of q and every wall of S admits a separator from q.  Any such separator
-    also separates q from every chamber incident to V, so searching the walls
-    between q and one of them (WallGeometry.has_separator) is complete.
+    Returns (targets, forbid).  targets[i] is the mask of q^{-1} W(q); every
+    edge with pivot q enters it.  That set is the Brink-Howlett state D(q) of
+    q, the small walls of Inv(q^{-1}): a wall of Inv(q) with no separator
+    from chamber q pulls back to one with no separator from the identity
+    chamber, which is a small wall.  So it is computed along q's shortlex
+    word, from D(1) = {} and D(g s) = {alpha_s} + (s D(g) & Small) for
+    l(g s) > l(g) (Brink and Howlett, Math. Ann. 296, 1993), starting from
+    the longest prefix whose state is known.  The universe must be the
+    small roots; each generator gets one table from a universe wall's bit
+    to the bit of s(beta) when s(beta) is small, and to 0 otherwise.
+
+    forbid[i] is Inv(q), ORed with the bit of each universe wall V outside
+    Inv(q) that admits no separator from chamber q.  So S & forbid[i] == 0
+    iff no wall of state S is an inversion wall of q and every wall of S
+    admits a separator from q.  Any such separator also separates q from
+    every chamber incident to V, so searching the walls between q and one of
+    them (WallGeometry.has_separator) is complete.
     """
-    universe_mask = sum(wall.bit for wall in universe)
+    sys = geometry.system
+    bit_of = {wall.root: wall.bit for wall in universe}
+    simple = [bit_of[root] for root in sys.identity.matrix]
+    moves = [
+        {wall.bit: bit_of.get(sys.reflect(s, wall.root), 0) for wall in universe}
+        for s in range(sys.rank)
+    ]
+    known: dict[Word, int] = {(): 0}
     targets, forbid = [], []
     for q in pivot_list:
-        back = geometry.pull_back(q, geometry.frontier_set(q))
-        if back & ~universe_mask:
-            raise RuntimeError("pulled-back frontier wall is not a small root")
+        word = sys.shortlex_word(q)
+        n = len(word)
+        while word[:n] not in known:
+            n -= 1
+        state = known[word[:n]]
+        for i in range(n, len(word)):
+            s = word[i]
+            if state & simple[s]:
+                raise ArithmeticError("a shortlex word is not reduced")
+            move = moves[s]
+            image = simple[s]
+            while state:
+                low = state & -state
+                image |= move[low]
+                state ^= low
+            state = known[word[: i + 1]] = image
         inv = geometry.inversion_bits(q)
         unseparated = 0
         for wall in universe:
             if not inv & wall.bit and not geometry.has_separator(q, wall):
                 unseparated |= wall.bit
-        targets.append(back)
+        targets.append(state)
         forbid.append(inv | unseparated)
     return targets, forbid
 

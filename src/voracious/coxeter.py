@@ -524,6 +524,47 @@ class CoxeterSystem:
             stack.pop()
         return cache[g]
 
+    def shortlex_search(self, keep) -> tuple[GroupElement, ...]:
+        """The elements h other than the identity with keep(h), in (length,
+        shortlex) order, for a predicate keep closed under prefixes in the
+        weak order; the identity is taken as kept.
+
+        A breadth-first search that extends only kept elements, reading each
+        layer in order and, from each element, the letters in ascending
+        order.  Every kept h of length n + 1 is reached first from its
+        shortlex parent: if u s is the shortlex word of h and the layer is in
+        shortlex order, another kept parent g = h t with shortlex word u'
+        gives a reduced word u' t of h, so u s <= u' t and u <= u', with
+        equality only for g = h s; from h s, only the letter s reaches h.
+        So the first discovery spells the shortlex word of h, the parent's
+        word plus s, and the next layer comes out in shortlex order with no
+        sort.  Each kept element's word is recorded in the shortlex memo.
+        The elements examined, kept or not, count against max_ball_elements.
+        """
+        memo = self._shortlex
+        seen = {self.identity}
+        layer = [(self.identity, ())]
+        out: list[GroupElement] = []
+        while layer:
+            nxt = []
+            for g, word in layer:
+                for s in range(self.rank):
+                    h = self.right_mul(g, s)
+                    if h.length < g.length or h in seen:
+                        continue
+                    seen.add(h)
+                    if len(seen) > self.max_ball_elements:
+                        raise ResourceLimitError(
+                            f"shortlex search exceeded {self.max_ball_elements} "
+                            "elements"
+                        )
+                    if keep(h):
+                        memo[h] = h_word = word + (s,)
+                        nxt.append((h, h_word))
+                        out.append(h)
+            layer = nxt
+        return tuple(out)
+
     # -- metric balls -------------------------------------------------------
 
     def _extend_layers(self, radius: int) -> None:

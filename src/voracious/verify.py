@@ -465,7 +465,13 @@ class Verifier:
     def check_automaton_agreement(self) -> CheckResult:
         """accepts agrees with the language on every word up to
         AGREEMENT_WORD_LENGTH, in the frontier's state, and the automaton has
-        every pivot."""
+        every pivot.
+
+        The accept state is checked by two independent routes: the automaton
+        reaches it by its pivots' targets, Brink-Howlett states read along
+        shortlex words by reflection tables, and the check computes it from
+        the definition, the frontier of the word's element g pulled back
+        through the matrix of g^{-1} (WallGeometry.pull_back)."""
         sys, geo = self.system, self.geometry
         aut = build_automaton(geo)
 

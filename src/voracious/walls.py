@@ -155,7 +155,9 @@ class WallGeometry:
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
         mask: each root under the matrix of g^{-1} (CoxeterSystem.inverse),
-        and the wall of the image."""
+        and the wall of the image.  This is the definition of an accept
+        state, which the verifier reads; the automaton build reaches the
+        same masks with no matrix product (automaton._pivot_rules)."""
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
         apply = self.system.apply_matrix

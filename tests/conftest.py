@@ -464,6 +464,35 @@ def stack():
     return get
 
 
+def pull_back_target(geometry: WallGeometry, q) -> int:
+    """target(q) by the rule the Brink-Howlett transition replaces: the
+    frontier of q pulled back through the matrix of q^{-1}."""
+    return geometry.pull_back(q, geometry.frontier_set(q))
+
+
+def sorted_pivot_search(geometry: WallGeometry):
+    """The pivots by the search that shortlex_search replaces: a
+    breadth-first search that extends only pivots, in discovery order, then
+    a sort by (length, shortlex_word), whose left walks build inverses."""
+    sys_ = geometry.system
+    seen = {sys_.identity}
+    layer = [sys_.identity]
+    out = []
+    while layer:
+        nxt = []
+        for g in layer:
+            for s in range(sys_.rank):
+                h = sys_.right_mul(g, s)
+                if h.length > g.length and h not in seen:
+                    seen.add(h)
+                    if geometry.voracious_projection(h) is sys_.identity:
+                        nxt.append(h)
+        out.extend(nxt)
+        layer = nxt
+    out.sort(key=lambda g: (g.length, sys_.shortlex_word(g)))
+    return tuple(out)
+
+
 def may_take_automaton_oracle(geometry: WallGeometry):
     """(states, edges) of the automaton by the rule the masks replace.
 
@@ -482,8 +511,7 @@ def may_take_automaton_oracle(geometry: WallGeometry):
     pivot_list = pivots(geometry)
     targets = [
         tuple(sorted(
-            uindex[v]
-            for v in wall_set(geometry, geometry.pull_back(w, geometry.frontier_set(w)))
+            uindex[v] for v in wall_set(geometry, pull_back_target(geometry, w))
         ))
         for w in pivot_list
     ]

@@ -17,6 +17,7 @@ from voracious import (
     pivots,
     small_roots,
 )
+from voracious.automaton import SHOWN_CHARS
 
 from conftest import (
     AFFINE_A3,
@@ -24,12 +25,15 @@ from conftest import (
     GROUPS_DIR,
     H535,
     TRIANGLE_237,
+    TRIANGLE_245,
     fresh_geometry,
     frontier_walls,
     generator_wall,
     inversion_walls,
     may_take_automaton_oracle,
+    pull_back_target,
     small_roots_bruteforce,
+    sorted_pivot_search,
 )
 
 SMALL_ROOT_COUNTS = {
@@ -160,6 +164,79 @@ def test_masks_match_may_take_oracle(stack, name):
     assert len(set(aut.targets)) == len(aut.pivots)
     assert aut.start not in aut.targets
     assert len(aut.states) == len(aut.pivots) + 1
+
+
+# Every shipped group and every group the conftest builds.
+ALL_GROUPS = sorted(SMALL_ROOT_COUNTS) + [
+    "affine_a3", "triangle_237", "h535", "triangle_245"
+]
+
+
+def _fresh(stack, name):
+    built = {**BUILT, "h535": ("abcd", H535), "triangle_245": ("abc", TRIANGLE_245)}
+    if name in built:
+        return fresh_geometry(*built[name])
+    return fresh_geometry(stack(name).cox.generators, stack(name).cox.orders)
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_targets_match_pull_back_oracle(stack, name):
+    # target(q), read along q's shortlex word by the Brink-Howlett
+    # transition, is the state of q's frontier pulled back through q^{-1}.
+    geo = _fresh(stack, name)
+    aut = build_automaton(geo)
+    for q, target in zip(aut.pivots, aut.targets):
+        assert aut.state_of_mask(pull_back_target(geo, q)) == target
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_pivot_search_matches_sorted_oracle(stack, name):
+    # The search's order and recorded words equal the old sort's, computed
+    # on a second fresh system, and each word is the least reduced word.
+    geo = _fresh(stack, name)
+    sys_ = geo.system
+    pivs = pivots(geo)
+    recorded = sys_.stats()["shortlex_words"]
+    assert recorded == len(pivs) + 1
+    words = [sys_.shortlex_word(q) for q in pivs]
+    assert sys_.stats()["shortlex_words"] == recorded
+    oracle = _fresh(stack, name)
+    assert words == [
+        oracle.system.shortlex_word(q) for q in sorted_pivot_search(oracle)
+    ]
+    for q, word in zip(pivs, words):
+        assert word == min(sys_.reduced_words(q))
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_build_makes_no_inverse(stack, name):
+    # The build and its JSON export apply no matrix to a root and walk no
+    # word from the left: no inverse is built, and the only shortlex words
+    # are the identity's and those the pivot search records.
+    geo = _fresh(stack, name)
+    aut = build_automaton(geo)
+    aut.to_json()
+    stats = geo.system.stats()
+    assert stats["inverses"] == 0
+    assert stats["shortlex_words"] == len(aut.pivots) + 1
+
+
+@pytest.mark.parametrize("name", ["affine_a3", "triangle_237", "h535"])
+def test_subset_targets_match_full_automaton(stack, name):
+    # A file may hold a subset of the pivots that is not prefix-closed; the
+    # loader's automaton walks each target through prefixes it does not
+    # hold, and gives each pivot the full automaton's target.  Every pivot
+    # of lengths 2 to 4 is dropped, so every longer pivot has some missing
+    # prefixes.
+    full = build_automaton(_fresh(stack, name))
+    kept = tuple(q for q in full.pivots if not 2 <= q.length <= 4)
+    subset = VoraciousAutomaton(full.geometry, full.universe, kept)
+    loaded = from_json_dict(json.loads(subset.to_json()), _fresh(stack, name))
+    assert len(loaded.pivots) == len(kept) < len(full.pivots)
+    want = dict(zip(full._pivot_words(), full.targets))
+    for aut in (subset, loaded):
+        for word, target in zip(aut._pivot_words(), aut.targets):
+            assert aut.states[target] == full.states[want[word]]
 
 
 def test_334_automaton_bytes_frozen():
@@ -588,6 +665,21 @@ def test_json_rejects_universe_other_than_small_roots(stack):
         from_json_dict(data, geo)
 
 
+def test_json_refusal_cuts_long_values(stack):
+    # One huge entry does not flood the message: each value shows at most
+    # SHOWN_CHARS characters, then an ellipsis; a short value shows whole.
+    data, geo = _json_of(stack, "a2")
+    data["universe"][0] = ["1"] * 500
+    with pytest.raises(ValueError) as refused:
+        from_json_dict(data, geo)
+    message = str(refused.value)
+    shown = json.dumps(["1"] * 500)[:SHOWN_CHARS] + "…"
+    assert message == (
+        f"universe entry 0 is {shown}, but the automaton of the file's pivots "
+        'writes ["0", "1"]'
+    )
+
+
 def test_edges_are_frontier_pullbacks(stack):
     # Every edge's target is the pivot's frontier pulled back through the
     # pivot, re-expressed in universe indices; its labels are all the words
@@ -647,13 +739,8 @@ def test_json_load_into_fresh_geometry_rebuilds_the_automaton(stack, name):
     # A file holds only pivot words: loaded into a fresh geometry, they give
     # the build's states, edges, targets and forbid masks.  Wall bits are
     # numbered per geometry, so the masks are compared as sets of roots.
-    built = {**BUILT, "h535": ("abcd", H535)}
-    if name in built:
-        generators, orders = built[name]
-    else:
-        generators, orders = stack(name).cox.generators, stack(name).cox.orders
-    aut = build_automaton(fresh_geometry(generators, orders))
-    clone = from_json_dict(json.loads(aut.to_json()), fresh_geometry(generators, orders))
+    aut = build_automaton(_fresh(stack, name))
+    clone = from_json_dict(json.loads(aut.to_json()), _fresh(stack, name))
 
     def forbid_roots(a):
         return [{w.root for w in a.geometry.walls_of(m)} for m in a.forbid]

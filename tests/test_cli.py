@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+from voracious.automaton import SHOWN_CHARS
+
 GROUPS = pathlib.Path(__file__).resolve().parent.parent / "groups"
 
 
@@ -202,6 +204,27 @@ def test_accept_rejects_deeply_nested_automaton_file(tmp_path):
     r = run_cli("accept", "--group", group("a2"), "--automaton", str(aut_file), "st")
     assert r.returncode == 2
     assert r.stderr == "error: invalid JSON: nested too deeply\n"
+
+
+def test_accept_refusal_of_a_deep_universe_entry_is_short(tmp_path):
+    # An entry nested 970 lists deep parses, and is refused with its text
+    # cut to SHOWN_CHARS characters rather than some 2,000.
+    aut_file = tmp_path / "a2.json"
+    r = run_cli(
+        "automaton", "--group", group("a2"), "--format", "json", "--out", str(aut_file)
+    )
+    assert r.returncode == 0
+    data = json.loads(aut_file.read_text())
+    data["universe"][0] = "deep"
+    # Spliced in as text: json.dumps would recurse once per level.
+    text = json.dumps(data).replace('"deep"', "[" * 970 + "]" * 970)
+    aut_file.write_text(text)
+    r = run_cli("accept", "--group", group("a2"), "--automaton", str(aut_file), "st")
+    assert r.returncode == 2
+    assert r.stderr == (
+        "error: universe entry 0 is " + "[" * SHOWN_CHARS + "…, but the "
+        'automaton of the file\'s pivots writes ["0", "1"]\n'
+    )
 
 
 def test_automaton_dot_stdout():

@@ -311,3 +311,36 @@ def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch, dropped, witness
     check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
     assert check.status == "fail"
     assert check.witness == witness
+
+
+@pytest.mark.parametrize(
+    "pair,witness",
+    [
+        (("a", "b"), {"word": "b", "states": [3], "expected_state": 2}),
+        # bcbc = cbcb, as m(b, c) = 4; its edge now enters bcbca's target.
+        (("bcbc", "bcbca"), {"word": "cbcb", "states": [16], "expected_state": 17}),
+    ],
+)
+def test_agreement_fails_on_swapped_targets(stack, monkeypatch, pair, witness):
+    # The automaton's targets come from Brink-Howlett states; the check
+    # pulls each accepted word's frontier back through a matrix, so two
+    # pivots with their targets swapped give a wrong accept state.
+    s = stack("triangle_334")
+    geo = WallGeometry(CoxeterSystem(s.cox))
+    build = voracious.verify.build_automaton
+
+    def build_with_swapped_targets(geometry):
+        aut = build(geometry)
+        words = aut._pivot_words()
+        i, j = (words.index(s.word(text)) for text in pair)
+        targets = list(aut.targets)
+        targets[i], targets[j] = targets[j], targets[i]
+        aut.targets = tuple(targets)
+        return aut
+
+    monkeypatch.setattr(
+        voracious.verify, "build_automaton", build_with_swapped_targets
+    )
+    check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
+    assert check.status == "fail"
+    assert check.witness == {"issue": "wrong accept state", **witness}
