@@ -183,21 +183,24 @@ class VoraciousAutomaton:
                 children[m][s] = n
         return children, pivot_at
 
-    def run_states(self, word: Word) -> frozenset[int]:
-        """States reachable by splitting the word into consecutive edge labels.
+    def run_pairs(
+        self, word: Word, pairs: set[tuple[int, int]] | None = None
+    ) -> set[tuple[int, int]]:
+        """The (state, node) pairs of the pivot prefix graph reached by reading
+        the word from `pairs`, by default from the start state at node 0.
 
-        Walks (state, node) pairs of the pivot prefix graph one letter at a
-        time: a pair at node 0 has read whole labels up to a state, and a
-        pair elsewhere is partway through the label of a further edge, and
-        closes it at the node of a pivot its state may take.
+        A pair at node 0 has read whole labels up to a state, and a pair
+        elsewhere is partway through the label of a further edge, and closes
+        it at the node of a pivot its state may take.  So reading a word one
+        letter at a time, each from the pairs of the last, gives its pairs.
         """
         children, pivot_at = self._prefix_graph
         masks, targets, forbid = self._masks, self.targets, self.forbid
         rank = len(self.generators)
-        current = {(self.start, 0)}
+        current = {(self.start, 0)} if pairs is None else pairs
         for letter in word:
             if not 0 <= letter < rank:
-                return frozenset()
+                return set()
             nxt = set()
             for state, node in current:
                 child = children[node][letter]
@@ -208,12 +211,19 @@ class VoraciousAutomaton:
                 if q >= 0 and not masks[state] & forbid[q]:
                     nxt.add((targets[q], 0))
             if not nxt:
-                return frozenset()
+                return nxt
             current = nxt
-        return frozenset(state for state, node in current if node == 0)
+        return current
+
+    def run_states(self, word: Word) -> frozenset[int]:
+        """States reachable by splitting the word into consecutive edge
+        labels: those of its run's pairs at node 0 (run_pairs)."""
+        return frozenset(state for state, node in self.run_pairs(word) if not node)
 
     def accepts(self, word: Word) -> bool:
-        return bool(self.run_states(word))
+        """True iff some run of the word ends at node 0 (run_pairs)."""
+        pairs = self.run_pairs(word)
+        return bool(pairs) and any(not node for _, node in pairs)
 
     def state_of_mask(self, mask: int) -> int | None:
         """Index of the state with this wall mask, or None."""

@@ -63,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report JSON file (default: stdout)")
+    p.add_argument("--stats", action="store_true",
+                   help="also print check times and memo sizes to stderr")
     return parser
 
 
@@ -168,7 +170,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _, geometry = _load(args)
+    system, geometry = _load(args)
     config = VerifierConfig(radius=args.radius, seed=args.seed)
     report = Verifier(geometry, config).run_suite()
     for check in report.checks:
@@ -181,6 +183,12 @@ def _cmd_verify(args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"overall: {'pass' if report.passed else 'fail'}", file=sys.stderr)
+    if args.stats:
+        for name, seconds in report.seconds.items():
+            print(f"time {name}: {seconds:.4f} s", file=sys.stderr)
+        for layer, stats in (("coxeter", system.stats()), ("walls", geometry.stats())):
+            for key, value in stats.items():
+                print(f"{layer}.{key}: {value}", file=sys.stderr)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 

@@ -17,9 +17,12 @@ with these estimates substituted.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+import time
 from dataclasses import dataclass, field
+from operator import xor
 
 from .automaton import build_automaton
 from .coxeter import GroupElement, Word, word_to_string
@@ -36,6 +39,13 @@ AGREEMENT_WORD_LENGTH = 6
 MAX_WORD_PAIRS = 50_000
 # The sharp-angled separator check samples this many qualifying configurations.
 SEPARATOR_SAMPLES = 120
+# The methods run_suite runs, in order; estimate_constants is the one
+# returning no check.
+SUITE = (
+    "check_unique_max", "estimate_constants", "check_constants_monotone",
+    "check_projection_monotone", "check_fellow_traveller",
+    "check_automaton_agreement", "check_separator_sampling",
+)
 
 
 @dataclass(frozen=True)
@@ -67,15 +77,8 @@ class Constants:
     by_radius: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "C_hat": self.C_hat,
-            "N_hat": self.N_hat,
-            "Q_hat": self.Q_hat,
-            "Q_hat_canonical": self.Q_hat_canonical,
-            "ft_ii_max": self.ft_ii_max,
-            "ft_iii_max": self.ft_iii_max,
-            "by_radius": {str(r): row for r, row in sorted(self.by_radius.items())},
-        }
+        by_radius = {str(r): row for r, row in sorted(self.by_radius.items())}
+        return {**vars(self), "by_radius": by_radius}
 
 
 @dataclass
@@ -85,6 +88,8 @@ class VerificationReport:
     constants: Constants
     checks: list[CheckResult]
     warnings: list[str]
+    # Wall time of each SUITE method in seconds; not part of the JSON report.
+    seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -95,15 +100,7 @@ class VerificationReport:
             "group": self.group,
             "radius": self.radius,
             "constants": self.constants.as_dict(),
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "details": c.details,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(vars(c)) for c in self.checks],
             "warnings": self.warnings,
         }
 
@@ -119,29 +116,11 @@ class Verifier:
         self.language = VoraciousLanguage(geometry)
         self.warnings: list[str] = []
         self.constants: Constants | None = None
-        self._incidences: dict[Wall, list[GroupElement]] | None = None
 
     # -- shared plumbing ----------------------------------------------------
 
     def _word(self, g: GroupElement) -> str:
         return word_to_string(self.system.shortlex_word(g), self.system.cox.generators)
-
-    def _dist(self, g: GroupElement, h: GroupElement) -> int:
-        """Chamber distance = number of walls with different sides."""
-        geo = self.geometry
-        return (geo.inversion_bits(g) ^ geo.inversion_bits(h)).bit_count()
-
-    def _ball_incidences(self) -> dict[Wall, list[GroupElement]]:
-        """All chambers of the configured ball listed against each of their
-        own walls."""
-        if self._incidences is None:
-            geo = self.geometry
-            inc: dict[Wall, list[GroupElement]] = {}
-            for h in self.system.ball(self.config.radius):
-                for root in h.matrix:
-                    inc.setdefault(geo.wall_of_root(root), []).append(h)
-            self._incidences = inc
-        return self._incidences
 
     # -- checks -------------------------------------------------------------
 
@@ -198,31 +177,39 @@ class Verifier:
         radius = cfg.radius
         ball = sys.ball(radius)
 
-        # walls of the ball, tagged with the first radius they appear at: the
-        # ball is in length order, so a wall's first sighting is its least
+        # walls of the ball, tagged with the first radius they appear at (the
+        # ball is in length order, so a wall's first sighting is its least),
+        # and the inversion masks of the ball's chambers incident to each wall
+        inv = geo.inversion_bits
         wall_min_radius: dict[Wall, int] = {}
+        incident: dict[Wall, list[int]] = {}
         seen = 0
         for g in ball:
-            new = geo.inversion_bits(g) & ~seen
-            seen |= new
-            for w in geo.walls_of(new):
+            bits = inv(g)
+            for w in geo.walls_of(bits & ~seen):
                 wall_min_radius[w] = g.length
-
-        incidences = self._ball_incidences()
-        g_cap = radius - TRIM_MARGIN
+            seen |= bits
+            for root in g.matrix:
+                incident.setdefault(geo.wall_of_root(root), []).append(bits)
 
         # per-pair data for separator-free (g, W) pairs; values are exact,
-        # rows of the by-radius table just filter which pairs are visible
+        # rows of the by-radius table just filter which pairs are visible.
+        # A chamber distance is the popcount of two inversion masks' XOR.
+        g_cap = radius - TRIM_MARGIN
+        canonical: dict[Wall, int] = {}  # incident_chamber masks, on first use
         pair_rows: list[tuple[int, int, int, int]] = []
         boundary_suspect = False
         for g in ball:
             if g.length > g_cap:
                 continue
+            inv_g = inv(g)
             for wall, first_r in wall_min_radius.items():
                 if geo.has_separator(g, wall):
                     continue
-                d = min(self._dist(g, h) for h in incidences[wall])
-                d_canon = self._dist(g, geo.incident_chamber(wall))
+                if wall not in canonical:
+                    canonical[wall] = inv(geo.incident_chamber(wall))
+                d = min(map(int.bit_count, map(inv_g.__xor__, incident[wall])))
+                d_canon = (inv_g ^ canonical[wall]).bit_count()
                 if d > TRIM_MARGIN:
                     boundary_suspect = True
                 pair_rows.append((g.length, first_r, d, d_canon))
@@ -244,14 +231,7 @@ class Verifier:
                      default=0)
             by_radius[r] = {"C_hat": c, "N_hat": n, "Q_hat": q, "Q_hat_canonical": qc}
 
-        top = by_radius[radius]
-        self.constants = Constants(
-            C_hat=top["C_hat"],
-            N_hat=top["N_hat"],
-            Q_hat=top["Q_hat"],
-            Q_hat_canonical=top["Q_hat_canonical"],
-            by_radius=by_radius,
-        )
+        self.constants = Constants(**by_radius[radius], by_radius=by_radius)
         return self.constants
 
     def check_constants_monotone(self) -> CheckResult:
@@ -327,16 +307,17 @@ class Verifier:
 
     # fellow traveller ------------------------------------------------------
 
-    def _prefix_walk(self, word: Word, head: GroupElement) -> tuple[GroupElement, ...]:
+    def _prefix_walk(self, word: Word, head: GroupElement) -> tuple[int, ...]:
+        """Inversion masks of the chambers head w_1 ... w_i, for i = 0 .. |w|."""
         sys = self.system
         out = [head]
         for s in word:
             out.append(sys.right_mul(out[-1], s))
-        return tuple(out)
+        return tuple(map(self.geometry.inversion_bits, out))
 
     def check_fellow_traveller(self) -> CheckResult:
         cfg = self.config
-        sys, geo = self.system, self.geometry
+        sys = self.system
         constants = self.estimate_constants()
         bound_ii = 2 * constants.C_hat
         c, q = constants.C_hat, constants.Q_hat
@@ -354,11 +335,13 @@ class Verifier:
                 if sg.length == g.length + 1 and sg.length <= radius:
                     tasks.append(("iii", g, sg, s))
 
-        word_pairs = []
-        for kind, g, g2, s in tasks:
-            for v in sorted(self.language.all_words_of(g)):
-                for v2 in sorted(self.language.all_words_of(g2)):
-                    word_pairs.append((kind, s, v, v2))
+        words = functools.cache(lambda g: sorted(self.language.all_words_of(g)))
+        word_pairs = [
+            (kind, s, v, v2)
+            for kind, g, g2, s in tasks
+            for v in words(g)
+            for v2 in words(g2)
+        ]
         sampled = False
         if len(word_pairs) > MAX_WORD_PAIRS:
             sampled = True
@@ -369,16 +352,7 @@ class Verifier:
                 "(seeded sample)"
             )
 
-        walks: dict[tuple, tuple[GroupElement, ...]] = {}
-
-        def walk(word: Word, head: GroupElement, tag) -> tuple[GroupElement, ...]:
-            key = (tag, word)
-            got = walks.get(key)
-            if got is None:
-                got = self._prefix_walk(word, head)
-                walks[key] = got
-            return got
-
+        walk = functools.cache(self._prefix_walk)
         max_ii = 0
         max_iii = 0
         n_checked = 0
@@ -386,19 +360,17 @@ class Verifier:
         for kind, s, v, v2 in word_pairs:
             n_checked += 1
             if kind == "ii":
-                left = walk(v, sys.identity, None)
+                left = walk(v, sys.identity)
                 bound = bound_ii
             else:
-                left = walk(v, gen_elements[s], s)  # prefixes of s * v
+                left = walk(v, gen_elements[s])  # prefixes of s * v
                 bound = bound_iii
-            right = walk(v2, sys.identity, None)
-            worst = 0
-            for i in range(max(len(v), len(v2)) + 1):
-                a = left[min(i, len(v))]
-                b = right[min(i, len(v2))]
-                d = self._dist(a, b)
-                if d > worst:
-                    worst = d
+            right = walk(v2, sys.identity)
+            # the shorter walk waits at its end: pad it with its last mask
+            n = max(len(left), len(right))
+            left += left[-1:] * (n - len(left))
+            right += right[-1:] * (n - len(right))
+            worst = max(map(int.bit_count, map(xor, left, right)))
             if kind == "ii":
                 max_ii = max(max_ii, worst)
             else:
@@ -479,12 +451,18 @@ class Verifier:
         n_words = 0
         n_accepted = 0
         mismatch = self._pivot_gap(aut)
-        stack: list[tuple[Word, GroupElement]] = [((), sys.identity)]
+        # the state pull_back gives, once per element
+        want_of = functools.cache(
+            lambda g: aut.state_of_mask(geo.pull_back(g, geo.frontier_set(g)))
+        )
+        # each word carries its run's (state, node) pairs, which its children
+        # extend by one letter (VoraciousAutomaton.run_pairs)
+        stack = [((), sys.identity, aut.run_pairs(()))]
         while stack:
-            word, g = stack.pop()
+            word, g, pairs = stack.pop()
             n_words += 1
             member = g.length == len(word) and lang.contains(word)
-            states = aut.run_states(word)
+            states = frozenset(state for state, node in pairs if not node)
             accepted = bool(states)
             if member != accepted and mismatch is None:
                 mismatch = {
@@ -494,7 +472,7 @@ class Verifier:
                 }
             if member:
                 n_accepted += 1
-                want = aut.state_of_mask(geo.pull_back(g, geo.frontier_set(g)))
+                want = want_of(g)
                 if accepted and states != frozenset({want}) and mismatch is None:
                     mismatch = {
                         "word": word_to_string(word, sys.cox.generators),
@@ -503,8 +481,10 @@ class Verifier:
                         "expected_state": want,
                     }
             if len(word) < AGREEMENT_WORD_LENGTH:
-                for s in range(sys.rank):
-                    stack.append((word + (s,), sys.right_mul(g, s)))
+                stack.extend(
+                    (word + (s,), sys.right_mul(g, s), aut.run_pairs((s,), pairs))
+                    for s in range(sys.rank)
+                )
 
         details = {
             "words_checked": n_words,
@@ -647,13 +627,13 @@ class Verifier:
                 "radius does not exceed the trim margin; distance-based "
                 "estimates are vacuous"
             )
-        checks = [self.check_unique_max()]
-        constants = self.estimate_constants()
-        checks.append(self.check_constants_monotone())
-        checks.append(self.check_projection_monotone())
-        checks.append(self.check_fellow_traveller())
-        checks.append(self.check_automaton_agreement())
-        checks.append(self.check_separator_sampling())
+        checks, seconds = [], {}
+        for name in SUITE:
+            start = time.perf_counter()
+            result = getattr(self, name)()
+            seconds[name] = time.perf_counter() - start
+            if isinstance(result, CheckResult):
+                checks.append(result)
         cox = self.system.cox
         return VerificationReport(
             group={
@@ -661,7 +641,8 @@ class Verifier:
                 "m": [list(row) for row in cox.orders],
             },
             radius=cfg.radius,
-            constants=constants,
+            constants=self.constants,
             checks=checks,
             warnings=list(self.warnings),
+            seconds=seconds,
         )

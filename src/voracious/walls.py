@@ -352,32 +352,26 @@ class WallGeometry:
     def projection_block(self, g: GroupElement) -> GroupElement:
         """p(g)^{-1} g, the rest of g that the greedy walk to p(g) leaves.
 
-        Built on first request, by stepping down from g along right descents
-        whose walls are not in Inv(p(g)): each such step stays above p(g) in
-        the prefix order, and one exists until p(g) is reached, so the steps
-        s_1, ..., s_k spell the block's reduced word s_k ... s_1, and k is
-        the block length.  A descent's wall is an inversion wall of g, keyed
-        under the positive root -h(alpha_s), so it is found with no sign.
+        Built on first request, by walking up from p(g): h s is a longer
+        prefix of g iff the column h(alpha_s) is a positive root whose wall
+        is in Inv(g) (see _moves), and some s qualifies until h is g.  So
+        the steps s_1, ..., s_k spell a reduced word of the block, and each
+        is found by looking columns up as they are, with no negation.
         """
         got = self._blocks.get(g)
         if got is not None:
             return got
         sys = self.system
-        p = self.voracious_projection(g)
-        keep = self.inversion_bits(p)
-        walls = self._walls
+        inv = self.inversion_bits(g)
         steps = []
-        h = g
-        while h is not p:
-            for s, root in enumerate(h.matrix):
-                wall = walls.get(tuple(map(neg, root)))
-                if wall is not None and not wall.bit & keep:
-                    break
-            else:
+        h = self.voracious_projection(g)
+        while h.length < g.length:
+            s = next(self._moves(h, inv), None)
+            if s is None:
                 raise ArithmeticError("the projection is not a prefix of g")
             steps.append(s)
             h = sys.right_mul(h, s)
-        got = self._blocks[g] = sys.element_of_word(steps[::-1])
+        got = self._blocks[g] = sys.element_of_word(steps)
         return got
 
     def projection_walk(

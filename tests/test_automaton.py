@@ -209,6 +209,26 @@ def test_pivot_search_matches_sorted_oracle(stack, name):
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
+def test_run_pairs_extend_one_letter_at_a_time(stack, name):
+    # The agreement check carries each word's (state, node) pairs down the
+    # word tree: extending the pairs of a word by one letter gives the pairs
+    # of the longer word, and their node-0 states are its run_states.
+    aut = build_automaton(_fresh(stack, name))
+    rank = len(aut.generators)
+    todo = [((), aut.run_pairs(()))]
+    words = 0
+    while todo:
+        word, pairs = todo.pop()
+        words += 1
+        assert pairs == aut.run_pairs(word), word
+        assert {state for state, node in pairs if not node} == aut.run_states(word)
+        assert aut.accepts(word) == bool(aut.run_states(word))
+        if len(word) < 6:
+            todo.extend((word + (s,), aut.run_pairs((s,), pairs)) for s in range(rank))
+    assert words == sum(rank**n for n in range(7))
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
 def test_build_makes_no_inverse(stack, name):
     # The build and its JSON export apply no matrix to a root and walk no
     # word from the left: no inverse is built, and the only shortlex words

@@ -270,6 +270,31 @@ def test_verify_stdout_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_verify_stats_go_to_stderr_only():
+    # --stats adds check times and memo sizes to stderr; stdout is the same
+    # report, byte for byte.
+    plain = run_cli("verify", "--group", group("triangle_333"), "--radius", "4")
+    stats = run_cli(
+        "verify", "--group", group("triangle_333"), "--radius", "4", "--stats"
+    )
+    assert plain.returncode == stats.returncode == 0
+    assert stats.stdout == plain.stdout
+    assert stats.stderr.startswith(plain.stderr)
+    extra = stats.stderr[len(plain.stderr):].splitlines()
+    names = [line.split(":")[0] for line in extra]
+    assert names[:7] == [
+        "time check_unique_max",
+        "time estimate_constants",
+        "time check_constants_monotone",
+        "time check_projection_monotone",
+        "time check_fellow_traveller",
+        "time check_automaton_agreement",
+        "time check_separator_sampling",
+    ]
+    assert "coxeter.elements" in names and "walls.walls" in names
+    assert "time" not in plain.stderr
+
+
 def test_usage_errors():
     assert run_cli("reduce", "--group", group("a2"), "sx").returncode == 2
     assert run_cli("reduce", "--group", str(GROUPS / "nope.json"), "s").returncode == 2

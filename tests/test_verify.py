@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ from voracious import (
     Verifier,
     VerifierConfig,
     VoraciousAutomaton,
+    VoraciousLanguage,
     WallGeometry,
     load_group_file,
     pivots,
@@ -20,8 +22,10 @@ from voracious import (
 from conftest import (
     BUILT,
     GROUPS_DIR,
+    descent_chamber,
     fresh_geometry,
     generator_wall,
+    inversion_walls,
     multiply,
     projection_monotone_bruteforce,
 )
@@ -78,42 +82,38 @@ def test_triangle_suite_smoke(stack):
     assert report.constants.C_hat >= 3
 
 
-def test_fellow_traveller_matches_direct_recomputation(stack):
-    # Independent recomputation for the tiny group: walk both words letter by
-    # letter, measure each gap directly through group multiplication.
-    s = stack("a2")
-    sys_ = s.system
-    v = _fresh(stack, "a2", radius=3)
-    report = v.run_suite()
+def _direct_fellow_traveller_maxima(system, language, radius):
+    """(ii_max, iii_max) of the fellow-traveller check, recomputed by walking
+    both words letter by letter and measuring each gap as the length of
+    a^{-1} b, through a full matrix product."""
 
     def walk(word, head):
         cur = head
         out = [cur]
         for x in word:
-            cur = sys_.right_mul(cur, x)
+            cur = system.right_mul(cur, x)
             out.append(cur)
         return out
 
     def dist(a, b):
-        return multiply(sys_, sys_.inverse(a), b).length
+        return multiply(system, system.inverse(a), b).length
 
-    max_ii = 0
-    max_iii = 0
-    for g in sys_.ball(3):
-        for s_idx in range(2):
+    maxima = {"ii": 0, "iii": 0}
+    for g in system.ball(radius):
+        for s_idx in range(system.rank):
             for kind in ("ii", "iii"):
                 if kind == "ii":
-                    g2 = sys_.right_mul(g, s_idx)
-                    head = sys_.identity
+                    g2 = system.right_mul(g, s_idx)
+                    head = system.identity
                 else:
-                    g2 = sys_.left_mul(g, s_idx)
-                    head = sys_.element_of_word((s_idx,))
-                if g2.length != g.length + 1 or g2.length > 3:
+                    g2 = system.left_mul(g, s_idx)
+                    head = system.element_of_word((s_idx,))
+                if g2.length != g.length + 1 or g2.length > radius:
                     continue
-                for w1 in s.language.all_words_of(g):
-                    for w2 in s.language.all_words_of(g2):
+                for w1 in language.all_words_of(g):
+                    for w2 in language.all_words_of(g2):
                         left = walk(w1, head)
-                        right = walk(w2, sys_.identity)
+                        right = walk(w2, system.identity)
                         worst = max(
                             dist(
                                 left[min(i, len(w1))],
@@ -121,12 +121,73 @@ def test_fellow_traveller_matches_direct_recomputation(stack):
                             )
                             for i in range(max(len(w1), len(w2)) + 1)
                         )
-                        if kind == "ii":
-                            max_ii = max(max_ii, worst)
-                        else:
-                            max_iii = max(max_iii, worst)
-    assert report.constants.ft_ii_max == max_ii
-    assert report.constants.ft_iii_max == max_iii
+                        maxima[kind] = max(maxima[kind], worst)
+    return maxima["ii"], maxima["iii"]
+
+
+@pytest.mark.parametrize(
+    "name,radius", [("a2", 3), ("triangle_334", 5), ("affine_a3", 4)]
+)
+def test_fellow_traveller_matches_direct_recomputation(stack, name, radius):
+    # The check measures gaps as popcounts of inversion-mask XORs; the
+    # recomputation multiplies elements, on a second system.
+    if name in BUILT:
+        geo = fresh_geometry(*BUILT[name])
+    else:
+        geo = WallGeometry(CoxeterSystem(stack(name).cox))
+    verifier = Verifier(geo, VerifierConfig(radius=radius))
+    assert verifier.check_fellow_traveller().status == "pass"
+    c = verifier.constants
+    oracle = fresh_geometry(geo.system.cox.generators, geo.system.cox.orders)
+    assert (c.ft_ii_max, c.ft_iii_max) == _direct_fellow_traveller_maxima(
+        oracle.system, VoraciousLanguage(oracle), radius
+    )
+
+
+def test_q_hat_matches_element_distance(stack):
+    # Q_hat and Q_hat_canonical from their definitions, on a second system:
+    # for each chamber g at least the trim margin inside the ball and each
+    # wall of the ball with no separator from g, the least length of g^{-1} h
+    # over the ball's chambers h incident to the wall, and that length for
+    # the wall's canonical incident chamber.  The length is that of the
+    # element of the word of g reversed, then the word of h.
+    radius, margin = 6, voracious.verify.TRIM_MARGIN
+    verifier = _fresh(stack, "triangle_334", radius=radius)
+    constants = verifier.estimate_constants()
+    geo = WallGeometry(CoxeterSystem(stack("triangle_334").cox))
+    sys_ = geo.system
+    ball = sys_.ball(radius)
+    incident = {}
+    first_radius = {}
+    for h in ball:
+        for root in h.matrix:
+            incident.setdefault(geo.wall_of_root(root), []).append(h)
+        for wall in inversion_walls(geo, h):
+            first_radius.setdefault(wall, h.length)
+
+    @functools.cache
+    def dist(a, b):
+        word = sys_.shortlex_word
+        return sys_.element_of_word(word(a)[::-1] + word(b)).length
+
+    rows = []
+    for g in ball:
+        if g.length > radius - margin:
+            continue
+        for wall, first in first_radius.items():
+            if geo.has_separator(g, wall):
+                continue
+            d = min(dist(g, h) for h in incident[wall])
+            d_canon = dist(g, descent_chamber(geo, wall))
+            rows.append((g.length, first, d, d_canon))
+    assert rows
+    for r in range(radius + 1):
+        seen = [row for row in rows if row[0] <= r - margin and row[1] <= r]
+        want = (max((row[2] for row in seen), default=0),
+                max((row[3] for row in seen), default=0))
+        got = constants.by_radius[r]
+        assert (got["Q_hat"], got["Q_hat_canonical"]) == want, r
+    assert (constants.Q_hat, constants.Q_hat_canonical) == want
 
 
 def test_constants_by_radius_monotone(stack):
