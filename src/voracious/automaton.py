@@ -32,8 +32,9 @@ simple walls; a wall fails to be small exactly when some other wall lies
 fully between the identity chamber and it, which yields an independent
 brute-force oracle over any ball.  The pivots come out of one breadth-first
 search in (length, shortlex) order with their words
-(CoxeterSystem.shortlex_search), so neither the build nor the JSON export
-walks a word from the left.
+(WallGeometry.shortlex_search), and the loader checks a file's words by
+climbing the weak order (WallGeometry.shortlex_word), so no build, export or
+load builds an inverse.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
     """All elements of positive length with identity projection.
 
     In (length, shortlex word) order, with each pivot's shortlex word
-    recorded (CoxeterSystem.shortlex_search).  Pivots are closed under
+    recorded (WallGeometry.shortlex_search).  Pivots are closed under
     prefixes: if p(g) = id and g' <= g in the prefix order, then
     p(g) <= g' <= g and projection monotonicity (suite check 3) give
     p(g') <= p(g) = id.  So every pivot of length n + 1 is a pivot of length
@@ -86,7 +87,7 @@ def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
     against the system's max_ball_elements.
     """
     identity = geometry.system.identity
-    return geometry.system.shortlex_search(
+    return geometry.shortlex_search(
         lambda h: geometry.voracious_projection(h) is identity
     )
 
@@ -215,11 +216,6 @@ class VoraciousAutomaton:
             current = nxt
         return current
 
-    def run_states(self, word: Word) -> frozenset[int]:
-        """States reachable by splitting the word into consecutive edge
-        labels: those of its run's pairs at node 0 (run_pairs)."""
-        return frozenset(state for state, node in self.run_pairs(word) if not node)
-
     def accepts(self, word: Word) -> bool:
         """True iff some run of the word ends at node 0 (run_pairs)."""
         pairs = self.run_pairs(word)
@@ -247,7 +243,7 @@ class VoraciousAutomaton:
         return "(" + ", ".join(self.geometry.root_strings(wall)) + ")"
 
     def _pivot_words(self) -> list[Word]:
-        return list(map(self.geometry.system.shortlex_word, self.pivots))
+        return list(map(self.geometry.shortlex_word, self.pivots))
 
     def to_json_dict(self) -> dict:
         gens = self.generators
@@ -326,7 +322,7 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
         g = sys.element_of_word(word)
         if not word or g.length != len(word):
             problem = "is empty or not reduced"
-        elif sys.shortlex_word(g) != word:
+        elif geometry.shortlex_word(g) != word:
             problem = "is not the shortlex word of its element"
         elif geometry.voracious_projection(g) is not sys.identity:
             problem = "is not a pivot: its projection is not the identity"
@@ -415,7 +411,7 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     known: dict[Word, int] = {(): 0}
     targets, forbid = [], []
     for q in pivot_list:
-        word = sys.shortlex_word(q)
+        word = geometry.shortlex_word(q)
         n = len(word)
         while word[:n] not in known:
             n -= 1

@@ -98,9 +98,9 @@ def _wall_lines(geometry, walls) -> str:
 
 
 def _cmd_reduce(args) -> int:
-    system, _ = _load(args)
+    system, geometry = _load(args)
     g = system.element_of_word(_parse_word(args.word, system))
-    print(_render(system.shortlex_word(g), system))
+    print(_render(geometry.shortlex_word(g), system))
     print(f"length: {g.length}")
     return 0
 
@@ -111,11 +111,11 @@ def _cmd_project(args) -> int:
     g = system.element_of_word(_parse_word(args.word, system))
     chain = language.chain(g)
     names = [
-        _render(system.shortlex_word(e), system) or "id" for e in chain.elements
+        _render(geometry.shortlex_word(e), system) or "id" for e in chain.elements
     ]
     print(" -> ".join(names))
     blocks = "|".join(
-        _render(system.shortlex_word(b), system) for b in chain.blocks
+        _render(geometry.shortlex_word(b), system) for b in chain.blocks
     )
     print(f"blocks: {blocks}")
     return 0

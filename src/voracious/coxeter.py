@@ -4,8 +4,10 @@ A group element g is stored as its images of the simple roots: its matrix
 in the geometric representation is kept by columns, and column s is the
 root g(alpha_s), together with the cached word length.  Since l(gs) > l(g)
 iff g(alpha_s) > 0, every length, right descent and inversion test reads one
-stored tuple.  The element g^{-1}, whose columns the left descents and left
-products read, is built only when asked for (CoxeterSystem.inverse).  Matrix
+stored tuple.  Words are built from the right: reduced_words steps down
+right descents, and shortlex words climb the weak order (walls.py).  So the
+element g^{-1} is built only when a left product (left_mul) or a pull-back
+(WallGeometry.pull_back) asks for it (CoxeterSystem.inverse).  Matrix
 entries, roots and the form 2B are coefficient tuples of ints over y' =
 2 cos(pi/M'), for M' the lcm of the finite orders other than 2 and 3 (see
 field.py), so a matrix is a tuple of tuples of tuples.  Those two orders
@@ -181,8 +183,7 @@ class GroupElement:
     matrix[s] is the root g(alpha_s), so a right descent (g(alpha_s) < 0)
     reads one stored tuple, and length is the cached word length.  _inverse
     links the element g^{-1} once CoxeterSystem.inverse has built it, and
-    that element links back; a left descent (g^{-1}(alpha_s) < 0) reads its
-    matrix.
+    that element links back; left_mul reads its matrix.
 
     Elements are made only by their CoxeterSystem (CoxeterSystem._element),
     which makes one per matrix, so identity is equality.  Elements of two
@@ -261,7 +262,6 @@ class CoxeterSystem:
         self._reduced_cache = {self.identity: frozenset({()})}
         self._reduced_held = 1
         self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
-        self._shortlex: dict[GroupElement, Word] = {self.identity: ()}
 
     # -- linear algebra ----------------------------------------------------
 
@@ -466,39 +466,13 @@ class CoxeterSystem:
     def right_descents(self, g: GroupElement) -> tuple[int, ...]:
         return tuple(s for s in range(self.rank) if self.root_sign(g.matrix[s]) < 0)
 
-    def left_descents(self, g: GroupElement) -> tuple[int, ...]:
-        inv = self.inverse(g).matrix
-        return tuple(s for s in range(self.rank) if self.root_sign(inv[s]) < 0)
-
-    def shortlex_word(self, g: GroupElement) -> Word:
-        """Lexicographically least reduced word: greedy smallest left descent.
-
-        Memoized.  If s is the first letter of g's word, the rest is the word
-        of s*g, so one walk fills the word of every element it passes and
-        stops at the first element already known.
-        """
-        memo = self._shortlex
-        path = []
-        cur = g
-        word = memo.get(cur)
-        while word is None:
-            inv = self.inverse(cur).matrix
-            s = next(t for t in range(self.rank) if self.root_sign(inv[t]) < 0)
-            path.append((cur, s))
-            cur = self.left_mul(cur, s)
-            word = memo.get(cur)
-        for h, s in reversed(path):
-            word = (s,) + word
-            memo[h] = word
-        return word
-
     def reduced_words(self, g: GroupElement) -> frozenset[Word]:
-        """All reduced words of g: s followed by each reduced word of s*g, over
-        the left descents s.  A post-order walk on an explicit stack, so the
-        depth is not bounded by the recursion limit.  The words the memo holds
-        count against max_ball_elements."""
+        """All reduced words of g: each reduced word of g*s followed by s,
+        over the right descents s.  A post-order walk on an explicit stack,
+        so the depth is not bounded by the recursion limit.  The words the
+        memo holds count against max_ball_elements."""
         cache = self._reduced_cache
-        # Frames are [element, (descent, s*element) pairs or None until expanded].
+        # Frames are [element, (descent, element*s) pairs or None until expanded].
         stack = [[g, None]]
         while stack:
             frame = stack[-1]
@@ -508,62 +482,20 @@ class CoxeterSystem:
                     stack.pop()
                     continue
                 children = frame[1] = tuple(
-                    (s, self.left_mul(h, s))
-                    for s in self.left_descents(h)
+                    (s, self.right_mul(h, s)) for s in self.right_descents(h)
                 )
                 stack.extend([c, None] for _, c in children if c not in cache)
                 continue
-            # The words of h start with distinct descents, so none repeats.
+            # The words of h end with distinct descents, so none repeats.
             held = self._reduced_held + sum(len(cache[c]) for _, c in children)
             if held > self.max_ball_elements:
                 raise ResourceLimitError(
                     f"reduced words exceeded {self.max_ball_elements} words"
                 )
             self._reduced_held = held
-            cache[h] = frozenset((s,) + w for s, c in children for w in cache[c])
+            cache[h] = frozenset(w + (s,) for s, c in children for w in cache[c])
             stack.pop()
         return cache[g]
-
-    def shortlex_search(self, keep) -> tuple[GroupElement, ...]:
-        """The elements h other than the identity with keep(h), in (length,
-        shortlex) order, for a predicate keep closed under prefixes in the
-        weak order; the identity is taken as kept.
-
-        A breadth-first search that extends only kept elements, reading each
-        layer in order and, from each element, the letters in ascending
-        order.  Every kept h of length n + 1 is reached first from its
-        shortlex parent: if u s is the shortlex word of h and the layer is in
-        shortlex order, another kept parent g = h t with shortlex word u'
-        gives a reduced word u' t of h, so u s <= u' t and u <= u', with
-        equality only for g = h s; from h s, only the letter s reaches h.
-        So the first discovery spells the shortlex word of h, the parent's
-        word plus s, and the next layer comes out in shortlex order with no
-        sort.  Each kept element's word is recorded in the shortlex memo.
-        The elements examined, kept or not, count against max_ball_elements.
-        """
-        memo = self._shortlex
-        seen = {self.identity}
-        layer = [(self.identity, ())]
-        out: list[GroupElement] = []
-        while layer:
-            nxt = []
-            for g, word in layer:
-                for s in range(self.rank):
-                    h = self.right_mul(g, s)
-                    if h.length < g.length or h in seen:
-                        continue
-                    seen.add(h)
-                    if len(seen) > self.max_ball_elements:
-                        raise ResourceLimitError(
-                            f"shortlex search exceeded {self.max_ball_elements} "
-                            "elements"
-                        )
-                    if keep(h):
-                        memo[h] = h_word = word + (s,)
-                        nxt.append((h, h_word))
-                        out.append(h)
-            layer = nxt
-        return tuple(out)
 
     # -- metric balls -------------------------------------------------------
 
@@ -657,12 +589,11 @@ class CoxeterSystem:
     def stats(self) -> dict[str, int]:
         """Sizes of the system's memos: elements built, inverse matrices
         built by inverse (one per linked pair, the identity aside), right
-        products, shortlex words, reduced-word sets and decided signs."""
+        products, reduced-word sets and decided signs."""
         return {
             "elements": len(self._elements),
             "inverses": self._inverses_built,
             "right_products": len(self._rmul_cache),
-            "shortlex_words": len(self._shortlex),
             "reduced_word_sets": len(self._reduced_cache),
             "signs": len(self.ctx._signs),
         }

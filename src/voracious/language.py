@@ -5,7 +5,8 @@ iterating the projection yields a chain g, p(g), p(p(g)), ..., id.  The
 blocks are the quotients between consecutive chain elements; lengths add up
 along the chain.  A word belongs to the language iff it is a geodesic that
 splits, from its tail, into reduced words of the successive blocks.  The
-canonical representative uses each block's shortlex word.
+canonical representative uses each block's shortlex word, the letters of
+the climb that WallGeometry.projection_block takes to find the block.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ class VoraciousLanguage:
         return got
 
     def canonical_word(self, g: GroupElement) -> Word:
-        """Shortlex words of the blocks, innermost block first."""
-        sys = self.system
+        """Shortlex words of the blocks, innermost block first: the letters
+        projection_block recorded for each block as it climbed it."""
+        word = self.geometry.shortlex_word
         out: list[int] = []
         for block in reversed(self.chain(g).blocks):
-            out.extend(sys.shortlex_word(block))
+            out.extend(word(block))
         return tuple(out)
 
     def contains(self, word: Word) -> bool:

@@ -120,7 +120,7 @@ class Verifier:
     # -- shared plumbing ----------------------------------------------------
 
     def _word(self, g: GroupElement) -> str:
-        return word_to_string(self.system.shortlex_word(g), self.system.cox.generators)
+        return word_to_string(self.geometry.shortlex_word(g), self.system.cox.generators)
 
     # -- checks -------------------------------------------------------------
 
@@ -261,9 +261,11 @@ class Verifier:
         """p(g) <= g' <= g (prefix order) implies p(g') <= p(g).
 
         The g' of each g are the weak-order interval [p(g), g], walked up
-        from p(g) by the generator steps that stay below g.  Its covers are
-        generator steps, so the walk meets each g' once.  Every g' lies in
-        the ball, whose products and inversion sets are memoised already.
+        from p(g) by the moves that stay below g, the rule of
+        WallGeometry.projection_block, which reads one column per step.  Its
+        covers are generator steps, so the walk meets each g' once.  Every
+        g' lies in the ball, whose products and inversion sets are memoised
+        already.
         """
         sys, geo = self.system, self.geometry
         inv = geo.inversion_bits
@@ -290,15 +292,9 @@ class Verifier:
                             "p_between": self._word(geo.voracious_projection(g2)),
                         },
                     )
-                if g2.length == g.length:
-                    continue  # g2 is g, the top of the interval
-                for s in range(sys.rank):
+                for s in geo._moves(g2, inv_g):  # none from g, the top
                     up = sys.right_mul(g2, s)
-                    if (
-                        up.length > g2.length
-                        and inv(up) | inv_g == inv_g
-                        and up not in seen
-                    ):
+                    if up not in seen:
                         seen.add(up)
                         stack.append(up)
         return CheckResult(

@@ -37,14 +37,18 @@ the identity to g crosses W between two chambers incident to W, and those
 chambers sit on W's side of any disjoint separator.  The greedy walk to the
 projection carries the prefix p alone: p s is a longer prefix of g iff
 p(alpha_s) is a positive root whose wall is in Inv(g), and every wall is
-keyed under its positive root, so one dict lookup decides a move.
+keyed under its positive root, so one dict lookup decides a move.  The same
+climb, crossing any wall of Inv(g), spells words: from the identity by the
+least move it spells the shortlex word of g, and from p(g) that of the
+block p(g)^{-1} g.  So words are built from the right, and in this module
+only incident_chamber (through left products) and pull_back build inverses.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .coxeter import CoxeterSystem, GroupElement
+from .coxeter import CoxeterSystem, GroupElement, ResourceLimitError, Word
 from .field import cos_string, neg
 
 
@@ -92,6 +96,7 @@ class WallGeometry:
         # g -> p(g), and g -> p(g)^{-1} g, the block it leaves, on request.
         self._proj: dict[GroupElement, GroupElement] = {}
         self._blocks: dict[GroupElement, GroupElement] = {}
+        self._shortlex: dict[GroupElement, Word] = {system.identity: ()}
         # Positive root -> its canonical incident chamber (incident_chamber).
         self._incident: dict[tuple, GroupElement] = dict.fromkeys(
             system.identity.matrix, system.identity
@@ -131,13 +136,15 @@ class WallGeometry:
 
     def stats(self) -> dict[str, int]:
         """Sizes of the geometry's memos: walls, inversion masks, frontiers,
-        projections, projection blocks and incident chambers."""
+        projections, projection blocks, shortlex words and incident
+        chambers."""
         return {
             "walls": len(self._walls),
             "inversion_sets": len(self._inv_bits),
             "frontiers": len(self._frontier),
             "projections": len(self._proj),
             "blocks": len(self._blocks),
+            "shortlex_words": len(self._shortlex),
             "incident_chambers": len(self._incident),
         }
 
@@ -317,8 +324,8 @@ class WallGeometry:
         p s is a longer prefix of g iff p(alpha_s) is a positive root whose
         wall is in Inv(g); such a wall is not in Inv(p).  Every wall is keyed
         under its positive root, so looking the column p(alpha_s) up decides
-        both, with no sign.  free masks Inv(g) minus the frontier walls of g,
-        which the move rule forbids crossing.
+        both, with no sign.  free masks the walls of Inv(g) that may be
+        crossed: all of them, or all but the frontier walls of g.
         """
         walls = self._walls
         for s, root in enumerate(p.matrix):
@@ -326,52 +333,112 @@ class WallGeometry:
             if wall is not None and wall.bit & free:
                 yield s
 
+    def _climb(self, h: GroupElement, free: int) -> tuple[GroupElement, Word]:
+        """(end, letters): from h, the least move _moves allows, until none
+        does; the letters are the moves taken."""
+        right_mul = self.system.right_mul
+        letters = []
+        s = next(self._moves(h, free), None)
+        while s is not None:
+            letters.append(s)
+            h = right_mul(h, s)
+            s = next(self._moves(h, free), None)
+        return h, tuple(letters)
+
+    def shortlex_word(self, g: GroupElement) -> Word:
+        """Lexicographically least reduced word of g, memoised.
+
+        By the prefix characterisation of the right weak order
+        (Bjorner-Brenti, Combinatorics of Coxeter Groups, 3.1-3.2), h s is
+        a prefix of g exactly when _moves(h, Inv(g)) yields s, and every
+        prefix of g extends to a reduced word of g.  So the climb from the
+        identity by the least move spells the least word (Casselman,
+        "Computation in Coxeter groups I", 2002), with no inverse.
+        """
+        got = self._shortlex.get(g)
+        if got is None:
+            _, got = self._climb(self.system.identity, self.inversion_bits(g))
+            self._shortlex[g] = got
+        return got
+
+    def shortlex_search(self, keep) -> tuple[GroupElement, ...]:
+        """The elements h other than the identity with keep(h), in (length,
+        shortlex) order, for a predicate keep closed under prefixes in the
+        weak order; the identity is taken as kept.
+
+        A breadth-first search that extends only kept elements, reading each
+        layer in order and, from each element, the letters in ascending
+        order.  Every kept h of length n + 1 is reached first from its
+        shortlex parent: if u s is the shortlex word of h and the layer is in
+        shortlex order, another kept parent g = h t with shortlex word u'
+        gives a reduced word u' t of h, so u s <= u' t and u <= u', with
+        equality only for g = h s; from h s, only the letter s reaches h.
+        So the first discovery spells the shortlex word of h, the parent's
+        word plus s, and the next layer comes out in shortlex order with no
+        sort.  Each kept element's word is recorded in the shortlex memo.
+        An h s longer than h lies in the next layer, so a set of that layer
+        alone keeps each element from being tested twice.  The elements
+        examined, kept or not, count against max_ball_elements.
+        """
+        sys = self.system
+        memo = self._shortlex
+        cap = sys.max_ball_elements
+        examined = 1
+        layer = [(sys.identity, ())]
+        out: list[GroupElement] = []
+        while layer:
+            nxt = []
+            fresh: set[GroupElement] = set()
+            for g, word in layer:
+                for s in range(sys.rank):
+                    h = sys.right_mul(g, s)
+                    if h.length < g.length or h in fresh:
+                        continue
+                    fresh.add(h)
+                    examined += 1
+                    if examined > cap:
+                        raise ResourceLimitError(
+                            f"shortlex search exceeded {cap} elements"
+                        )
+                    if keep(h):
+                        memo[h] = h_word = word + (s,)
+                        nxt.append((h, h_word))
+                        out.append(h)
+            layer = nxt
+        return tuple(out)
+
     def voracious_projection(self, g: GroupElement) -> GroupElement:
         """Longest prefix of g on the identity side of every frontier wall.
 
-        Greedy construction: extend the prefix by the least generator the
-        move rule allows until none does.  Every greedy run, in any order
-        and with any choices, ends at a terminal node of projection_walk's
-        graph; the verification suite checks that this node is unique, so
-        the order taken here does not matter.  The walk carries the prefix
-        alone; projection_block finds the block it leaves when asked.
+        Greedy construction: climb from the identity by the least generator
+        the move rule allows, crossing no frontier wall, until none does.
+        Every greedy run, in any order and with any choices, ends at a
+        terminal node of projection_walk's graph; the verification suite
+        checks that this node is unique, so the order taken here does not
+        matter.  projection_block finds the block it leaves when asked.
         """
         got = self._proj.get(g)
-        if got is not None:
-            return got
-        sys = self.system
-        free = self.inversion_bits(g) & ~self.frontier_set(g)
-        p = sys.identity
-        s = next(self._moves(p, free), None)
-        while s is not None:
-            p = sys.right_mul(p, s)
-            s = next(self._moves(p, free), None)
-        self._proj[g] = p
-        return p
+        if got is None:
+            free = self.inversion_bits(g) & ~self.frontier_set(g)
+            got = self._proj[g] = self._climb(self.system.identity, free)[0]
+        return got
 
     def projection_block(self, g: GroupElement) -> GroupElement:
         """p(g)^{-1} g, the rest of g that the greedy walk to p(g) leaves.
 
-        Built on first request, by walking up from p(g): h s is a longer
-        prefix of g iff the column h(alpha_s) is a positive root whose wall
-        is in Inv(g) (see _moves), and some s qualifies until h is g.  So
-        the steps s_1, ..., s_k spell a reduced word of the block, and each
-        is found by looking columns up as they are, with no negation.
+        Built on first request, by the climb from p(g) to g under Inv(g).
+        Left multiplication by p(g) maps the weak-order interval
+        [1, p(g)^{-1} g] onto [p(g), g], so the least moves spell the
+        block's shortlex word, which is recorded in the shortlex memo.
         """
         got = self._blocks.get(g)
         if got is not None:
             return got
-        sys = self.system
-        inv = self.inversion_bits(g)
-        steps = []
-        h = self.voracious_projection(g)
-        while h.length < g.length:
-            s = next(self._moves(h, inv), None)
-            if s is None:
-                raise ArithmeticError("the projection is not a prefix of g")
-            steps.append(s)
-            h = sys.right_mul(h, s)
-        got = self._blocks[g] = sys.element_of_word(steps)
+        end, letters = self._climb(self.voracious_projection(g), self.inversion_bits(g))
+        if end is not g:
+            raise ArithmeticError("the projection is not a prefix of g")
+        got = self._blocks[g] = self.system.element_of_word(letters)
+        self._shortlex[got] = letters
         return got
 
     def projection_walk(

@@ -45,6 +45,33 @@ def automorphisms(cox: CoxeterMatrix) -> list[tuple[int, ...]]:
     ]
 
 
+def left_descents(system: CoxeterSystem, g) -> tuple[int, ...]:
+    """The left descents of g: the right descents of g^{-1}."""
+    return system.right_descents(system.inverse(g))
+
+
+def left_shortlex_word(system: CoxeterSystem, g):
+    """Lexicographically least reduced word of g by the left walk: its
+    least left descent s, then the word of s g.
+
+    The walk the engine took before its words climbed the weak order from
+    the right (WallGeometry.shortlex_word).  It keeps no memo of words, and
+    it builds the inverse of every element it passes.
+    """
+    word = []
+    while g.length:
+        s = left_descents(system, g)[0]
+        word.append(s)
+        g = system.left_mul(g, s)
+    return tuple(word)
+
+
+def run_states(aut, word) -> frozenset[int]:
+    """States reachable by splitting the word into consecutive edge labels
+    of the automaton: those of its run's pairs at node 0 (run_pairs)."""
+    return frozenset(state for state, node in aut.run_pairs(word) if not node)
+
+
 def generator_wall(geometry: WallGeometry, s: int):
     """The wall of the simple root alpha_s."""
     return geometry.wall_of_root(geometry.system.identity.matrix[s])
@@ -253,7 +280,7 @@ def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
     products = {(): (ident, ident)}
     ball = system.ball(radius)
     for g in ball:
-        word = system.shortlex_word(g)
+        word = left_shortlex_word(system, g)
         if word:
             mat, inv = products[word[:-1]]  # the ball is in length order
             gen = gens[word[-1]]
@@ -342,7 +369,7 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
 
 
 def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
-    """Inv(g) as a mask, read off the shortlex walk.
+    """Inv(g) as a mask, read off the left walk's shortlex word.
 
     Along the shortlex word s_1 ... s_n of g, step i crosses the wall of
     p(alpha_s) for s = s_i and the prefix p = s_1 ... s_{i-1}; the walls
@@ -351,7 +378,7 @@ def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
     system = geometry.system
     bits = 0
     prefix = system.identity
-    for s in system.shortlex_word(g):
+    for s in left_shortlex_word(system, g):
         bits |= geometry.wall_of_root(prefix.matrix[s]).bit
         prefix = system.right_mul(prefix, s)
     assert bits.bit_count() == g.length
@@ -371,7 +398,7 @@ def suffix_pull_back(geometry: WallGeometry, g, mask: int) -> int:
     out = 0
     found = 0
     prefix, suffix = system.identity, g
-    for s in system.shortlex_word(g):
+    for s in left_shortlex_word(system, g):
         if geometry.wall_of_root(prefix.matrix[s]).bit & mask:
             out |= geometry.wall_of_root(system.inverse(suffix).matrix[s]).bit
             found += 1
@@ -473,7 +500,8 @@ def pull_back_target(geometry: WallGeometry, q) -> int:
 def sorted_pivot_search(geometry: WallGeometry):
     """The pivots by the search that shortlex_search replaces: a
     breadth-first search that extends only pivots, in discovery order, then
-    a sort by (length, shortlex_word), whose left walks build inverses."""
+    a sort by (length, shortlex word), the words by the left walk
+    (left_shortlex_word), which builds inverses."""
     sys_ = geometry.system
     seen = {sys_.identity}
     layer = [sys_.identity]
@@ -489,7 +517,7 @@ def sorted_pivot_search(geometry: WallGeometry):
                         nxt.append(h)
         out.extend(nxt)
         layer = nxt
-    out.sort(key=lambda g: (g.length, sys_.shortlex_word(g)))
+    out.sort(key=lambda g: (g.length, left_shortlex_word(sys_, g)))
     return tuple(out)
 
 
@@ -541,7 +569,7 @@ def may_take_automaton_oracle(geometry: WallGeometry):
                 raw.append((a, pi, t))
     states = tuple(sorted(order, key=lambda st: (len(st), st)))
     sindex = {st: i for i, st in enumerate(states)}
-    words = [sys_.shortlex_word(w) for w in pivot_list]
+    words = [left_shortlex_word(sys_, w) for w in pivot_list]
     edges = [(sindex[a], sindex[t], words[pi]) for a, pi, t in raw]
     edges.sort(key=lambda e: (e[0], len(e[2]), e[2]))
     return states, edges

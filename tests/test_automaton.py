@@ -30,8 +30,10 @@ from conftest import (
     frontier_walls,
     generator_wall,
     inversion_walls,
+    left_shortlex_word,
     may_take_automaton_oracle,
     pull_back_target,
+    run_states,
     small_roots_bruteforce,
     sorted_pivot_search,
 )
@@ -92,7 +94,7 @@ def test_pivots_frozen(stack):
     pivs = pivots(t334.geometry)
     assert len(pivs) == 17
     assert max(g.length for g in pivs) == 5
-    order = sorted(pivs, key=lambda g: (g.length, t334.system.shortlex_word(g)))
+    order = sorted(pivs, key=lambda g: (g.length, t334.geometry.shortlex_word(g)))
     assert list(pivs) == order
 
 
@@ -196,13 +198,13 @@ def test_pivot_search_matches_sorted_oracle(stack, name):
     geo = _fresh(stack, name)
     sys_ = geo.system
     pivs = pivots(geo)
-    recorded = sys_.stats()["shortlex_words"]
+    recorded = geo.stats()["shortlex_words"]
     assert recorded == len(pivs) + 1
-    words = [sys_.shortlex_word(q) for q in pivs]
-    assert sys_.stats()["shortlex_words"] == recorded
+    words = [geo.shortlex_word(q) for q in pivs]
+    assert geo.stats()["shortlex_words"] == recorded
     oracle = _fresh(stack, name)
     assert words == [
-        oracle.system.shortlex_word(q) for q in sorted_pivot_search(oracle)
+        left_shortlex_word(oracle.system, q) for q in sorted_pivot_search(oracle)
     ]
     for q, word in zip(pivs, words):
         assert word == min(sys_.reduced_words(q))
@@ -221,8 +223,8 @@ def test_run_pairs_extend_one_letter_at_a_time(stack, name):
         word, pairs = todo.pop()
         words += 1
         assert pairs == aut.run_pairs(word), word
-        assert {state for state, node in pairs if not node} == aut.run_states(word)
-        assert aut.accepts(word) == bool(aut.run_states(word))
+        assert {state for state, node in pairs if not node} == run_states(aut, word)
+        assert aut.accepts(word) == bool(run_states(aut, word))
         if len(word) < 6:
             todo.extend((word + (s,), aut.run_pairs((s,), pairs)) for s in range(rank))
     assert words == sum(rank**n for n in range(7))
@@ -236,9 +238,21 @@ def test_build_makes_no_inverse(stack, name):
     geo = _fresh(stack, name)
     aut = build_automaton(geo)
     aut.to_json()
+    assert geo.system.stats()["inverses"] == 0
+    assert geo.stats()["shortlex_words"] == len(aut.pivots) + 1
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_json_load_makes_no_inverse(stack, name):
+    # The loader checks each file word by climbing the weak order, so a load
+    # into a fresh geometry builds no inverse, and the only elements it makes
+    # are the pivots, prefix-closed, and the identity.
+    text = build_automaton(_fresh(stack, name)).to_json()
+    geo = _fresh(stack, name)
+    aut = from_json_dict(json.loads(text), geo)
     stats = geo.system.stats()
     assert stats["inverses"] == 0
-    assert stats["shortlex_words"] == len(aut.pivots) + 1
+    assert stats["elements"] == len(aut.pivots) + 1
 
 
 @pytest.mark.parametrize("name", ["affine_a3", "triangle_237", "h535"])
@@ -290,6 +304,11 @@ def test_pivot_search_is_bounded(stack):
     cox = stack("triangle_334").cox
     with pytest.raises(ResourceLimitError):
         build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=5)))
+    # The search examines 32 elements of (3,3,4), kept or not, the identity
+    # included: a cap of 32 admits it and a cap of 31 does not.
+    assert len(pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=32)))) == 17
+    with pytest.raises(ResourceLimitError, match="shortlex search exceeded 31"):
+        pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=31)))
 
 
 def test_gold_automaton_of_line(stack):
@@ -358,13 +377,13 @@ def test_accepts_frozen(stack):
 def test_run_states_frozen(stack):
     dinf = stack("d_infinity")
     aut = build_automaton(dinf.geometry)
-    assert aut.run_states(()) == {0}
-    assert aut.run_states(dinf.word("st")) == {1}
-    assert aut.run_states(dinf.word("ts")) == {2}
-    assert aut.run_states(dinf.word("tt")) == frozenset()
+    assert run_states(aut, ()) == {0}
+    assert run_states(aut, dinf.word("st")) == {1}
+    assert run_states(aut, dinf.word("ts")) == {2}
+    assert run_states(aut, dinf.word("tt")) == frozenset()
     a2 = stack("a2")
     aut2 = build_automaton(a2.geometry)
-    assert aut2.run_states(a2.word("st")) == {3}
+    assert run_states(aut2, a2.word("st")) == {3}
 
 
 def _label_scan_states(targets_by_label, start, rank, max_length):
@@ -399,7 +418,7 @@ def _assert_run_states_match_label_scan(aut, rank, max_length):
             targets_by_label[e.source].setdefault(lab, set()).add(e.target)
     words = 0
     for w, want in _label_scan_states(targets_by_label, aut.start, rank, max_length):
-        assert aut.run_states(w) == want, w
+        assert run_states(aut, w) == want, w
         words += 1
     assert words == sum(rank**n for n in range(max_length + 1))
 
@@ -739,7 +758,7 @@ def test_run_state_matches_element_frontier(stack):
             want = aut.state_of_mask(sum(w.bit for w in back))
             assert want is not None
             for w in s.language.all_words_of(g):
-                assert aut.run_states(w) == {want}
+                assert run_states(aut, w) == {want}
 
 
 def test_json_round_trip(stack, long_pivot_geometries):

@@ -14,6 +14,7 @@ from voracious import (
     CoxeterSystem,
     GroupConfigError,
     ResourceLimitError,
+    WallGeometry,
     load_group_file,
     parse_group_config,
     word_from_string,
@@ -33,6 +34,8 @@ from conftest import (
     check_full_field_products,
     element_of_matrix,
     fresh_geometry,
+    left_descents,
+    left_shortlex_word,
     multiply,
     positive_definite_sylvester,
 )
@@ -153,42 +156,34 @@ def test_element_identities(stack):
 def test_descents(stack):
     a2 = stack("a2")
     sys_ = a2.system
-    assert sys_.left_descents(sys_.identity) == ()
+    assert left_descents(sys_, sys_.identity) == ()
     assert sys_.right_descents(sys_.identity) == ()
     st_elem = a2.element("st")
-    assert sys_.left_descents(st_elem) == (0,)
+    assert left_descents(sys_, st_elem) == (0,)
     assert sys_.right_descents(st_elem) == (1,)
     w0 = a2.element("sts")
-    assert sys_.left_descents(w0) == (0, 1)
+    assert left_descents(sys_, w0) == (0, 1)
     assert sys_.right_descents(w0) == (0, 1)
 
 
 def test_shortlex(stack):
     a2 = stack("a2")
-    assert a2.system.shortlex_word(a2.element("tst")) == (0, 1, 0)
-    assert a2.system.shortlex_word(a2.system.identity) == ()
+    assert a2.geometry.shortlex_word(a2.element("tst")) == (0, 1, 0)
+    assert a2.geometry.shortlex_word(a2.system.identity) == ()
     dinf = stack("d_infinity")
-    assert dinf.system.shortlex_word(dinf.element("tst")) == (1, 0, 1)
+    assert dinf.geometry.shortlex_word(dinf.element("tst")) == (1, 0, 1)
     for s in (a2, dinf):
         for g in s.system.ball(4):
-            word = s.system.shortlex_word(g)
+            word = s.geometry.shortlex_word(g)
             assert len(word) == g.length
             assert s.system.element_of_word(word) == g
 
 
-@pytest.mark.parametrize("name", SHIPPED)
-def test_shortlex_is_least_reduced_word(stack, name):
-    # A fresh system, long elements first: short words then come from the
-    # suffixes that the long walks put in the memo.
-    sys_ = CoxeterSystem(stack(name).cox)
-    for g in sorted(sys_.ball(5), key=lambda g: -g.length):
-        assert sys_.shortlex_word(g) == min(sys_.reduced_words(g))
-
-
 def test_shortlex_second_pass_is_memo_hits(stack):
-    sys_ = CoxeterSystem(stack("triangle_334").cox)
+    geo = WallGeometry(CoxeterSystem(stack("triangle_334").cox))
+    sys_ = geo.system
     ball = sys_.ball(6)
-    first = [sys_.shortlex_word(g) for g in ball]
+    first = [geo.shortlex_word(g) for g in ball]
     calls = []
     for name in ("_mul_gen_left", "_mul_gen_right"):
         inner = getattr(sys_, name)
@@ -198,7 +193,7 @@ def test_shortlex_second_pass_is_memo_hits(stack):
             return _inner(*args)
 
         setattr(sys_, name, counted)
-    assert [sys_.shortlex_word(g) for g in ball] == first
+    assert [geo.shortlex_word(g) for g in ball] == first
     assert calls == []
 
 
@@ -232,7 +227,7 @@ def test_reduced_words_of_a3_longest_element(stack):
 
 def test_reduced_words_are_bounded(stack):
     # The memo holds 66 words once the 16 of A3's longest element are found:
-    # one for each reduced word of each of its 24 suffixes.
+    # one for each reduced word of each of its 24 prefixes.
     cox = stack("a3").cox
     word = word_from_string("abacba", cox.generators)
     sys_ = CoxeterSystem(cox, max_ball_elements=66)
@@ -389,7 +384,7 @@ def test_columns_are_root_images(stack, name):
     sys_ = fresh_geometry(*BUILT[name]).system if name in BUILT else stack(name).system
     simple = sys_.identity.matrix
     for g in sys_.ball(5):
-        word = sys_.shortlex_word(g)
+        word = left_shortlex_word(sys_, g)
         for s in range(sys_.rank):
             root = inv_root = simple[s]
             for t in reversed(word):
@@ -431,7 +426,7 @@ def test_inverse_and_multiply(stack):
         for h in sys_.ball(2):
             prod = multiply(sys_, g, h)
             assert prod == sys_.element_of_word(
-                sys_.shortlex_word(g) + sys_.shortlex_word(h)
+                s.geometry.shortlex_word(g) + s.geometry.shortlex_word(h)
             )
 
 
@@ -443,6 +438,20 @@ INVERSE_GROUPS = {
     "h535": CoxeterMatrix(tuple("abcd"), H535),
     "triangle_245": CoxeterMatrix(tuple("abc"), TRIANGLE_245),
 }
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_GROUPS))
+def test_shortlex_is_least_reduced_word(name):
+    # The climb of a fresh geometry, long elements first, spells the word
+    # the left walk finds, and it is the least reduced word.  The climb
+    # builds no inverse.
+    geo = WallGeometry(CoxeterSystem(INVERSE_GROUPS[name]))
+    sys_ = geo.system
+    ball = sorted(sys_.ball(6), key=lambda g: -g.length)
+    words = [geo.shortlex_word(g) for g in ball]
+    assert sys_.stats()["inverses"] == 0
+    for g, word in zip(ball, words):
+        assert word == min(sys_.reduced_words(g)) == left_shortlex_word(sys_, g)
 
 
 def _check_inverse(sys_, g):
@@ -507,7 +516,8 @@ def test_inverse_is_built_on_request():
     # inverse builds at most one per step of its descent walk, and asking
     # for either side again builds nothing.
     cox = INVERSE_GROUPS["triangle_334"]
-    word = CoxeterSystem(cox).shortlex_word(CoxeterSystem(cox).sphere(16)[-1])
+    other = WallGeometry(CoxeterSystem(cox))
+    word = other.shortlex_word(other.system.sphere(16)[-1])
     sys_ = CoxeterSystem(cox)
     g = sys_.element_of_word(word)
     assert g.length == len(word) == 16
@@ -528,7 +538,6 @@ def test_stats_count_memo_entries():
         "elements": 1,
         "inverses": 0,
         "right_products": 0,
-        "shortlex_words": 1,
         "reduced_word_sets": 1,
         "signs": 0,
     }
@@ -538,9 +547,13 @@ def test_stats_count_memo_entries():
     assert got["right_products"] == sum(
         len(sys_.right_descents(h)) if h.length == 3 else 3 for h in ball
     )
-    g = ball[-1]
-    sys_.shortlex_word(g)
-    assert sys_.stats()["shortlex_words"] == 1 + g.length
+    # The words live in a geometry's memo: the identity's, and one per
+    # element asked for, with no inverse built.
+    geo = WallGeometry(sys_)
+    assert geo.stats()["shortlex_words"] == 1
+    geo.shortlex_word(ball[-1])
+    assert geo.stats()["shortlex_words"] == 2
+    assert sys_.stats()["inverses"] == 0
 
 
 IDENTITY_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
@@ -550,12 +563,13 @@ IDENTITY_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
 def test_one_element_per_matrix(stack, name):
     # The system builds each element once, so every route to g, by any
     # reduced word, by inverses or from the left, returns g itself.
-    sys_ = fresh_geometry(*BUILT[name]).system if name in BUILT else stack(name).system
+    geo = fresh_geometry(*BUILT[name]) if name in BUILT else stack(name).geometry
+    sys_ = geo.system
     for g in sys_.ball(6):
         for u in sys_.reduced_words(g):
             assert sys_.element_of_word(u) is g
         assert sys_.inverse(sys_.inverse(g)) is g
-        word = sys_.shortlex_word(g)
+        word = geo.shortlex_word(g)
         for s in range(sys_.rank):
             assert sys_.left_mul(g, s) is sys_.element_of_word((s,) + word)
 
@@ -565,7 +579,7 @@ def test_elements_belong_to_their_system():
     a, b = _system(rows), _system(rows)
     assert a.identity != b.identity
     for g in a.ball(3):
-        h = b.element_of_word(a.shortlex_word(g))
+        h = b.element_of_word(left_shortlex_word(a, g))
         assert h.matrix == g.matrix
         assert h != g
 
@@ -664,7 +678,7 @@ def test_descent_shortens(word):
     g = sys_.element_of_word(tuple(word))
     for i in sys_.right_descents(g):
         assert sys_.right_mul(g, i).length == g.length - 1
-    for i in sys_.left_descents(g):
+    for i in left_descents(sys_, g):
         assert sys_.left_mul(g, i).length == g.length - 1
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import automorphisms, multiply
+from voracious import CoxeterSystem, VoraciousLanguage, WallGeometry
+
+from conftest import automorphisms, left_shortlex_word, multiply
 
 
 def test_chain_identity(stack):
@@ -61,6 +63,33 @@ def test_membership_frozen(stack):
     assert dinf.language.contains(dinf.word("sts"))
     assert dinf.language.contains(dinf.word("tst"))
     assert not dinf.language.contains(dinf.word("stt"))
+
+
+@pytest.mark.parametrize("name", ["a3", "d_infinity", "triangle_334"])
+def test_canonical_word_reads_the_block_climbs(stack, monkeypatch, name):
+    # Each block of the canonical word is written by the letters that
+    # projection_block climbed, which are the block's shortlex word: the
+    # left walk's, and what another geometry's climb from the identity
+    # spells.  Once the chains are built, canonical_word climbs nothing.
+    cox = stack(name).cox
+    geo = WallGeometry(CoxeterSystem(cox))
+    other = WallGeometry(CoxeterSystem(cox))
+    language = VoraciousLanguage(geo)
+    ball = geo.system.ball(6)
+    chains = [language.chain(g) for g in ball]
+    climb = geo._climb
+    climbs = []
+    monkeypatch.setattr(geo, "_climb", lambda *a: climbs.append(a) or climb(*a))
+    words = [language.canonical_word(g) for g in ball]
+    assert not climbs
+    for word, chain in zip(words, chains):
+        pos = 0
+        for block in reversed(chain.blocks):
+            piece = word[pos : pos + block.length]
+            assert piece == left_shortlex_word(geo.system, block)
+            assert piece == other.shortlex_word(other.system.element_of_word(piece))
+            pos += block.length
+        assert pos == len(word)
 
 
 def test_canonical_word(stack):

@@ -26,6 +26,7 @@ from conftest import (
     fresh_geometry,
     generator_wall,
     inversion_walls,
+    left_shortlex_word,
     multiply,
     projection_monotone_bruteforce,
 )
@@ -167,7 +168,7 @@ def test_q_hat_matches_element_distance(stack):
 
     @functools.cache
     def dist(a, b):
-        word = sys_.shortlex_word
+        word = functools.partial(left_shortlex_word, sys_)
         return sys_.element_of_word(word(a)[::-1] + word(b)).length
 
     rows = []
@@ -363,7 +364,7 @@ def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch, dropped, witness
 
     def build_without_pivot(geometry):
         every = pivots(geometry)
-        shortlex = geometry.system.shortlex_word
+        shortlex = geometry.shortlex_word
         kept = tuple(q for q in every if shortlex(q) != word)
         assert len(kept) < len(every)
         return VoraciousAutomaton(geometry, small_roots(geometry), kept)

@@ -22,6 +22,7 @@ from conftest import (
     reference_find_separator,
     multiply,
     reflection_of_wall,
+    left_shortlex_word,
     shortlex_inversion_bits,
     suffix_pull_back,
     wall_set,
@@ -395,7 +396,9 @@ def test_chamber_walks_match_oracles(stack, monkeypatch, name):
         assert back == suffix_pull_back(geo, g, geo.frontier_set(g))
         assert (p, x) == greedy_projection_pair(geo, g)
         assert p.length + x.length == g.length
-        assert sys.element_of_word(sys.shortlex_word(p) + sys.shortlex_word(x)) is g
+        # The block's word is the climb's letters, which its memo holds.
+        assert geo.shortlex_word(x) == left_shortlex_word(sys, x)
+        assert sys.element_of_word(geo.shortlex_word(p) + geo.shortlex_word(x)) is g
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
@@ -408,7 +411,7 @@ def test_inversion_bits_step_down_from_scratch(stack, name):
     for g in source.ball(6):
         geo = _fresh_geometry(stack, name)
         sys = geo.system
-        h = sys.inverse(sys.element_of_word(source.shortlex_word(g)))
+        h = sys.inverse(sys.element_of_word(left_shortlex_word(source, g)))
         if sys.inverse(h) is not h:
             assert all(sys.built_right_mul(h, t) is None for t in range(sys.rank))
         assert geo.inversion_bits(h).bit_count() == h.length
@@ -593,6 +596,7 @@ def test_stats_count_memo_entries(stack):
         "frontiers": 0,
         "projections": 0,
         "blocks": 0,
+        "shortlex_words": 1,
         "incident_chambers": 3,
     }
     g = sys.element_of_word((0, 1, 2, 1))
@@ -600,3 +604,4 @@ def test_stats_count_memo_entries(stack):
     got = geo.stats()
     assert got["inversion_sets"] == len(geo._inv_bits) >= 1 + g.length
     assert (got["frontiers"], got["projections"], got["blocks"]) == (1, 1, 1)
+    assert got["shortlex_words"] == 2  # the identity's and the block's
