@@ -11,10 +11,10 @@ and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  q^{-1} W(q) is the
 Brink-Howlett state of q, the small walls of Inv(q^{-1}), so target(q) is
 read along q's shortlex word by one reflection table per generator, with no
-matrix product and no inverse (see _pivot_rules).  The pivots fix the
-automaton: VoraciousAutomaton is built over them, and derives their masks,
-the states and the edges.  `states` holds each state as the sorted universe indices of
-its walls.
+matrix product (see _pivot_rules).  The pivots fix the automaton:
+VoraciousAutomaton is built over them, and derives their masks, the states
+and the edges.  `states` holds each state as the sorted universe indices
+of its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
 DOT.  The universe is the group's small roots.  A JSON file holds the group,
@@ -33,8 +33,7 @@ fully between the identity chamber and it, which yields an independent
 brute-force oracle over any ball.  The pivots come out of one breadth-first
 search in (length, shortlex) order with their words
 (WallGeometry.shortlex_search), and the loader checks a file's words by
-climbing the weak order (WallGeometry.shortlex_word), so no build, export or
-load builds an inverse.
+climbing the weak order (WallGeometry.shortlex_word).
 """
 
 from __future__ import annotations

@@ -5,20 +5,23 @@ in the geometric representation is kept by columns, and column s is the
 root g(alpha_s), together with the cached word length.  Since l(gs) > l(g)
 iff g(alpha_s) > 0, every length, right descent and inversion test reads one
 stored tuple.  Words are built from the right: reduced_words steps down
-right descents, and shortlex words climb the weak order (walls.py).  So the
-element g^{-1} is built only when a left product (left_mul) or a pull-back
-(WallGeometry.pull_back) asks for it (CoxeterSystem.inverse).  Matrix
-entries, roots and the form 2B are coefficient tuples of ints over y' =
-2 cos(pi/M'), for M' the lcm of the finite orders other than 2 and 3 (see
-field.py), so a matrix is a tuple of tuples of tuples.  Those two orders
-give the rational entries 0 and -1 of 2B, so one context over M' does all
-arithmetic; output_vector writes a vector over y = 2 cos(pi/M), for M the
-lcm of every finite order, the one basis every output uses.  The representation is faithful, so matrix equality
-is group equality, and a system builds each element once, from one table
-keyed by matrix: two elements of one system are equal iff they are the same
-object, and every memo hashes elements by identity.
-Lengths are never assumed from input words: generator application tracks
-them by an exact root-sign test.
+right descents, and shortlex words climb the weak order (walls.py).  Every
+element is built by right products: a left product s g is the element of
+the word s followed by a reduced word of g, and g^{-1} that of the reversed
+word, so the system has one product direction and no inverse link.
+
+Matrix entries, roots and the form 2B are coefficient tuples of ints over
+y' = 2 cos(pi/M'), for M' the lcm of the finite orders other than 2 and 3
+(see field.py), so a matrix is a tuple of tuples of tuples.  Those two
+orders give the rational entries 0 and -1 of 2B, so one context over M'
+does all arithmetic; output_vector writes a vector over y = 2 cos(pi/M),
+for M the lcm of every finite order, the one basis every output uses.
+
+The representation is faithful, so matrix equality is group equality, and
+a system builds each element once, from one table keyed by matrix: two
+elements of one system are equal iff they are the same object, and every
+memo hashes elements by identity.  Lengths are never assumed from input
+words: generator application tracks them by an exact root-sign test.
 """
 
 from __future__ import annotations
@@ -68,6 +71,9 @@ class CoxeterMatrix:
             raise GroupConfigError("generator names must be distinct")
         if any(not isinstance(g, str) or not g for g in self.generators):
             raise GroupConfigError("generator names must be nonempty strings")
+        if any("," in g for g in self.generators):
+            # words of several-letter names are written comma-joined
+            raise GroupConfigError("generator names must not contain ','")
         if len(self.orders) != k or any(len(row) != k for row in self.orders):
             raise GroupConfigError("order matrix must be square of rank len(generators)")
         for i in range(k):
@@ -181,21 +187,18 @@ class GroupElement:
     """Element g of a Coxeter group, stored as its images of the simple roots.
 
     matrix[s] is the root g(alpha_s), so a right descent (g(alpha_s) < 0)
-    reads one stored tuple, and length is the cached word length.  _inverse
-    links the element g^{-1} once CoxeterSystem.inverse has built it, and
-    that element links back; left_mul reads its matrix.
+    reads one stored tuple, and length is the cached word length.
 
     Elements are made only by their CoxeterSystem (CoxeterSystem._element),
     which makes one per matrix, so identity is equality.  Elements of two
     different systems never compare equal, even over one Coxeter matrix.
     """
 
-    __slots__ = ("matrix", "length", "_inverse")
+    __slots__ = ("matrix", "length")
 
     def __init__(self, matrix, length):
         self.matrix = matrix
         self.length = length
-        self._inverse = None
 
     def __repr__(self):
         return f"<element of length {self.length}>"
@@ -255,8 +258,6 @@ class CoxeterSystem:
         )
         self._elements: dict[tuple, GroupElement] = {}
         self.identity = self._element(ident, 0)
-        self.identity._inverse = self.identity
-        self._inverses_built = 0
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
         self._reduced_cache = {self.identity: frozenset({()})}
@@ -305,11 +306,6 @@ class CoxeterSystem:
                 add(y, t(x)) if any(x) else y for x, y in zip(col, cols[j])
             )
         return tuple(out)
-
-    def _mul_gen_left(self, s: int, cols):
-        """s g from the columns of g: s reflects every column."""
-        reflect = self.reflect
-        return tuple(reflect(s, col) for col in cols)
 
     def output_vector(self, vec):
         """vec with each coordinate written over y = 2 cos(pi/M), for M the
@@ -388,12 +384,10 @@ class CoxeterSystem:
         """g * s, with the length tracked by the sign of g(alpha_s).
 
         Memoized: enumeration loops revisit the same small ball many times,
-        and left_mul reads the same memo through inverses, so the cache stays
-        within rank * |explored ball and its inverses| entries.  Right
+        so the cache stays within rank * |elements built| entries.  Right
         multiplication by s is an involution, so each product is memoised in
         both directions: (g s) s = g is known from the moment g s is, and a
         walk down a right descent of an element built by right_mul is free.
-        Only the columns of g s are computed; its inverse waits for inverse.
         """
         memo = self._rmul_cache
         hit = memo.get((g, s))
@@ -421,37 +415,6 @@ class CoxeterSystem:
             if self.root_sign(root) < 0:
                 return s, self.right_mul(h, s)
         raise ArithmeticError("a non-identity element has no right descent")
-
-    def left_mul(self, g: GroupElement, s: int) -> GroupElement:
-        """s * g, read as (g^{-1} * s)^{-1} so that the right_mul memo serves
-        both sides and each length sign is decided once per (element, s).
-        The inverses it needs are built by inverse, on request."""
-        return self.inverse(self.right_mul(self.inverse(g), s))
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        """g^{-1}, built the first time it is asked for and linked both ways.
-
-        Walks down right descents (descent_step) to an element whose inverse
-        is linked, the identity at worst, then climbs back: for a descent s
-        of h, h^{-1} = s (h s)^{-1}, so its columns are those of (h s)^{-1}
-        reflected by s.  Every element passed is linked to its inverse.
-        """
-        got = g._inverse
-        if got is not None:
-            return got
-        path = []
-        cur = g
-        while got is None:
-            s, down = self.descent_step(cur)
-            path.append((cur, s))
-            cur = down
-            got = cur._inverse
-        for h, s in reversed(path):
-            got = self._element(self._mul_gen_left(s, got.matrix), h.length)
-            h._inverse = got
-            got._inverse = h
-            self._inverses_built += 1
-        return got
 
     def element_of_word(self, word: Word) -> GroupElement:
         g = self.identity
@@ -587,12 +550,10 @@ class CoxeterSystem:
         )
 
     def stats(self) -> dict[str, int]:
-        """Sizes of the system's memos: elements built, inverse matrices
-        built by inverse (one per linked pair, the identity aside), right
-        products, reduced-word sets and decided signs."""
+        """Sizes of the system's memos: elements built, right products,
+        reduced-word sets and decided signs."""
         return {
             "elements": len(self._elements),
-            "inverses": self._inverses_built,
             "right_products": len(self._rmul_cache),
             "reduced_word_sets": len(self._reduced_cache),
             "signs": len(self.ctx._signs),

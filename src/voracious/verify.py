@@ -313,7 +313,7 @@ class Verifier:
 
     def check_fellow_traveller(self) -> CheckResult:
         cfg = self.config
-        sys = self.system
+        sys, geo = self.system, self.geometry
         constants = self.estimate_constants()
         bound_ii = 2 * constants.C_hat
         c, q = constants.C_hat, constants.Q_hat
@@ -327,8 +327,10 @@ class Verifier:
                 gs = sys.right_mul(g, s)
                 if gs.length == g.length + 1 and gs.length <= radius:
                     tasks.append(("ii", g, gs, s))
-                sg = sys.left_mul(g, s)
-                if sg.length == g.length + 1 and sg.length <= radius:
+                # s g is longer than g iff the wall of alpha_s, bit s, is
+                # not an inversion wall of g
+                if g.length < radius and not geo.inversion_bits(g) >> s & 1:
+                    sg = sys.element_of_word((s,) + geo.shortlex_word(g))
                     tasks.append(("iii", g, sg, s))
 
         words = functools.cache(lambda g: sorted(self.language.all_words_of(g)))
@@ -439,7 +441,7 @@ class Verifier:
         reaches it by its pivots' targets, Brink-Howlett states read along
         shortlex words by reflection tables, and the check computes it from
         the definition, the frontier of the word's element g pulled back
-        through the matrix of g^{-1} (WallGeometry.pull_back)."""
+        along the reversed shortlex word of g (WallGeometry.pull_back)."""
         sys, geo = self.system, self.geometry
         aut = build_automaton(geo)
 

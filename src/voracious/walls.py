@@ -40,8 +40,9 @@ p(alpha_s) is a positive root whose wall is in Inv(g), and every wall is
 keyed under its positive root, so one dict lookup decides a move.  The same
 climb, crossing any wall of Inv(g), spells words: from the identity by the
 least move it spells the shortlex word of g, and from p(g) that of the
-block p(g)^{-1} g.  So words are built from the right, and in this module
-only incident_chamber (through left products) and pull_back build inverses.
+block p(g)^{-1} g.  So words are built from the right, and so are the
+chambers this module names: incident_chamber and pull_back evaluate words
+by right products, and no inverse is built.
 """
 
 from __future__ import annotations
@@ -161,17 +162,31 @@ class WallGeometry:
 
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
-        mask: each root under the matrix of g^{-1} (CoxeterSystem.inverse),
-        and the wall of the image.  This is the definition of an accept
-        state, which the verifier reads; the automaton build reaches the
-        same masks with no matrix product (automaton._pivot_rules)."""
+        mask: the definition of an accept state, which the verifier reads.
+
+        For the shortlex word s_1 ... s_n of g, step i crosses the wall of
+        p(alpha_s), p = s_1 ... s_{i-1} and s = s_i, and g^{-1} p =
+        s_n ... s_i maps it to the wall of q(alpha_s), q = s_n ... s_{i+1}:
+        the wall the reversed word crosses at its step n - i + 1.  So both
+        words are climbed by right products, and no matrix meets a root.
+        The automaton build reaches the same masks from its reflection
+        tables instead (automaton._pivot_rules).
+        """
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
-        apply = self.system.apply_matrix
-        inv = self.system.inverse(g).matrix
+        right_mul = self.system.right_mul
+        word = self.shortlex_word(g)
+        crossed = []
+        p = self.system.identity
+        for s in word:
+            crossed.append(self.wall_of_root(p.matrix[s]).bit)
+            p = right_mul(p, s)
         out = 0
-        for w in self.walls_of(mask):
-            out |= self.wall_of_root(apply(inv, w.root)).bit
+        q = self.system.identity
+        for s, bit in zip(reversed(word), reversed(crossed)):
+            if bit & mask:
+                out |= self.wall_of_root(q.matrix[s]).bit
+            q = right_mul(q, s)
         return out
 
     # -- sides and inversion sets -------------------------------------------
@@ -249,10 +264,12 @@ class WallGeometry:
         least generator s with B(alpha_s, beta) > 0 keeps beta positive and
         brings it closer to simplicity.  The chambers of beta and s(beta)
         are then related by chamber(beta) = s chamber(s(beta)), so the
-        descent stops at the first root whose chamber is known, and fills in
-        the chamber of every root it passed on the way back.  Roots are the
-        keys, so a descent makes no walls.  The resulting chamber lies on the
-        identity side of the wall.
+        descent stops at the first root whose chamber c is known, and fills
+        in the chamber of every root it passed on the way back: for the
+        letters s_i ... s_{k-1} descended from it, the element of that word
+        followed by the shortlex word of c.  Roots are the keys, so the
+        descent itself makes no walls; only that shortlex word may.  The
+        resulting chamber lies on the identity side of the wall.
         """
         memo = self._incident
         got = memo.get(wall.root)
@@ -275,8 +292,10 @@ class WallGeometry:
                 break
         else:
             raise ArithmeticError("depth descent failed to terminate")
+        word = self.shortlex_word(got)
         for root, s in reversed(path):
-            got = memo[root] = sys.left_mul(got, s)
+            word = (s,) + word
+            got = memo[root] = sys.element_of_word(word)
         return got
 
     def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:

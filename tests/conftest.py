@@ -45,9 +45,22 @@ def automorphisms(cox: CoxeterMatrix) -> list[tuple[int, ...]]:
     ]
 
 
+def inverse_of(system: CoxeterSystem, g):
+    """g^{-1}: the element of a reduced word of g, reversed.
+
+    The word is read by stepping down right descents: if g t_1 ... t_n = 1
+    letter by letter, then g^{-1} = t_1 ... t_n, evaluated by right_mul.
+    """
+    stripped = []
+    while g.length:
+        s, g = system.descent_step(g)
+        stripped.append(s)
+    return system.element_of_word(tuple(stripped))
+
+
 def left_descents(system: CoxeterSystem, g) -> tuple[int, ...]:
     """The left descents of g: the right descents of g^{-1}."""
-    return system.right_descents(system.inverse(g))
+    return system.right_descents(inverse_of(system, g))
 
 
 def left_shortlex_word(system: CoxeterSystem, g):
@@ -55,14 +68,16 @@ def left_shortlex_word(system: CoxeterSystem, g):
     least left descent s, then the word of s g.
 
     The walk the engine took before its words climbed the weak order from
-    the right (WallGeometry.shortlex_word).  It keeps no memo of words, and
-    it builds the inverse of every element it passes.
+    the right (WallGeometry.shortlex_word).  A left descent of x is a right
+    descent of x^{-1}, and (s x)^{-1} = x^{-1} s, so the walk runs on g^{-1}
+    (inverse_of) by right products.  It keeps no memo of words.
     """
     word = []
-    while g.length:
-        s = left_descents(system, g)[0]
+    h = inverse_of(system, g)
+    while h.length:
+        s = system.right_descents(h)[0]
         word.append(s)
-        g = system.left_mul(g, s)
+        h = system.right_mul(h, s)
     return tuple(word)
 
 
@@ -288,7 +303,7 @@ def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
                 _matmul(wide.mul, mat, gen),
                 _matmul(wide.mul, gen, inv),
             )
-        inv = system.inverse(g).matrix
+        inv = inverse_of(system, g).matrix
         for narrow, full in zip((g.matrix, inv), products[word]):
             assert tuple(map(system.output_vector, narrow)) == full
             for col, full_col in zip(narrow, full):
@@ -304,9 +319,9 @@ def element_of_matrix(system: CoxeterSystem, matrix):
     matrices; the stripped generators, reversed, spell a reduced word, and
     their product in stripping order is the inverse.  The engine evaluates
     the word with right_mul, and the element it returns must carry this
-    matrix and that length, and its inverse (CoxeterSystem.inverse) that
-    inverse matrix.  The oracle itself stores nothing in the system, so
-    every element it sees was built by the engine.
+    matrix and that length, and its inverse (inverse_of) that inverse
+    matrix.  The oracle itself stores nothing in the system, so every
+    element it sees was built by the engine.
     """
     ident = system.identity.matrix
     stripped = []
@@ -319,7 +334,7 @@ def element_of_matrix(system: CoxeterSystem, matrix):
         stripped.append(s)
     out = system.element_of_word(tuple(reversed(stripped)))
     assert out.matrix == matrix
-    assert system.inverse(out).matrix == inv
+    assert inverse_of(system, out).matrix == inv
     assert out.length == len(stripped)
     return out
 
@@ -342,7 +357,7 @@ def reflection_of_wall(geometry: WallGeometry, wall):
         for j in range(k)
     )
     out = element_of_matrix(system, matrix)
-    assert system.inverse(out).matrix == matrix, "a reflection is its own inverse"
+    assert inverse_of(system, out) is out, "a reflection is its own inverse"
     return out
 
 
@@ -385,26 +400,27 @@ def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
     return bits
 
 
-def suffix_pull_back(geometry: WallGeometry, g, mask: int) -> int:
-    """The mask of the walls g^{-1}(W), for the inversion walls W of g in
-    mask, from stored columns.
+def inverse_matrix(system: CoxeterSystem, g):
+    """The matrix of g^{-1} by full products of the generator matrices, in
+    the order right descents come off g (see inverse_of)."""
+    out = system.identity.matrix
+    while g.length:
+        s, g = system.descent_step(g)
+        out = matmul(system, out, generator_matrix(system, s))
+    return out
 
-    Along the shortlex walk, the wall crossed at the prefix p by s is the
-    wall of p(alpha_s), and g^{-1} p is the inverse of the suffix
-    q = s_i ... s_n, so that wall pulls back to the wall of the column
-    q^{-1}(alpha_s) of the inverse element: no matrix is applied to a root.
-    """
+
+def reference_pull_back(geometry: WallGeometry, g, mask: int) -> int:
+    """The mask of the walls g^{-1}(W), for the inversion walls W of g in
+    mask, by the definition: each root under the full-product matrix of
+    g^{-1}, and the wall of the image."""
+    assert mask & ~geometry.inversion_bits(g) == 0
     system = geometry.system
+    inv = inverse_matrix(system, g)
     out = 0
-    found = 0
-    prefix, suffix = system.identity, g
-    for s in left_shortlex_word(system, g):
-        if geometry.wall_of_root(prefix.matrix[s]).bit & mask:
-            out |= geometry.wall_of_root(system.inverse(suffix).matrix[s]).bit
-            found += 1
-        prefix = system.right_mul(prefix, s)
-        suffix = system.left_mul(suffix, s)
-    assert found == mask.bit_count(), "only inversion walls of g are pulled back"
+    for wall in geometry.walls_of(mask):
+        (image,) = matmul(system, inv, (wall.root,))
+        out |= geometry.wall_of_root(image).bit
     return out
 
 
@@ -413,21 +429,23 @@ def greedy_projection_pair(geometry: WallGeometry, g):
 
     From p = 1 and x = g, the least s moves that is a left descent of x, so
     that p s stays a prefix of g, and whose wall p(alpha_s) is not a frontier
-    wall of g; then p becomes p s and x becomes s x, until no s moves.
+    wall of g; then p becomes p s and x becomes s x, until no s moves.  The
+    walk carries x^{-1} (inverse_of), whose right descents are the left
+    descents of x, and (s x)^{-1} = x^{-1} s.
     """
     system = geometry.system
     frontier = geometry.frontier_set(g)
-    p, x = system.identity, g
+    p, xi = system.identity, inverse_of(system, g)
     while True:
         for s in range(system.rank):
-            if system.root_sign(system.inverse(x).matrix[s]) < 0 and not (
+            if system.root_sign(xi.matrix[s]) < 0 and not (
                 geometry.wall_of_root(p.matrix[s]).bit & frontier
             ):
                 p = system.right_mul(p, s)
-                x = system.left_mul(x, s)
+                xi = system.right_mul(xi, s)
                 break
         else:
-            return p, x
+            return p, inverse_of(system, xi)
 
 
 def is_prefix(geometry: WallGeometry, p, g) -> bool:
@@ -493,7 +511,7 @@ def stack():
 
 def pull_back_target(geometry: WallGeometry, q) -> int:
     """target(q) by the rule the Brink-Howlett transition replaces: the
-    frontier of q pulled back through the matrix of q^{-1}."""
+    frontier of q pulled back along the reversed word of q."""
     return geometry.pull_back(q, geometry.frontier_set(q))
 
 
@@ -501,7 +519,7 @@ def sorted_pivot_search(geometry: WallGeometry):
     """The pivots by the search that shortlex_search replaces: a
     breadth-first search that extends only pivots, in discovery order, then
     a sort by (length, shortlex word), the words by the left walk
-    (left_shortlex_word), which builds inverses."""
+    (left_shortlex_word)."""
     sys_ = geometry.system
     seen = {sys_.identity}
     layer = [sys_.identity]

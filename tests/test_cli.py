@@ -196,6 +196,18 @@ def test_accept_rejects_duplicate_key_in_automaton_file(tmp_path):
     assert r.stderr == "error: duplicate key 'format' in a JSON object\n"
 
 
+def test_generator_name_with_comma_exits_2(tmp_path):
+    # Such a name could not round-trip through a word or an automaton file,
+    # so the group file is refused before anything is built.
+    cfg = tmp_path / "comma.json"
+    cfg.write_text(json.dumps({"generators": [",", "b"], "m": [[1, 3], [3, 1]]}))
+    for args in (("automaton", "--format", "json"), ("accept", "b")):
+        r = run_cli(args[0], "--group", str(cfg), *args[1:])
+        assert r.returncode == 2
+        assert r.stderr == "error: generator names must not contain ','\n"
+        assert r.stdout == ""
+
+
 def test_accept_rejects_deeply_nested_automaton_file(tmp_path):
     # Deeper than the JSON parser's recursion allows: an input error, not a
     # crash whose exit code 1 would read as "reject".

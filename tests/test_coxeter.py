@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -34,6 +35,7 @@ from conftest import (
     check_full_field_products,
     element_of_matrix,
     fresh_geometry,
+    inverse_of,
     left_descents,
     left_shortlex_word,
     multiply,
@@ -101,6 +103,17 @@ def test_parse_rejects_duplicate_keys(text, key):
         parse_group_config(text)
 
 
+@pytest.mark.parametrize("gens", [[",", "b"], ["a,b", "c"], ["a", "b,"]])
+def test_generator_names_with_commas_are_refused(gens):
+    # Words of several-letter names are written comma-joined, so a name
+    # holding "," could not be read back: "," alone writes the pivot ba as
+    # ",b" and reads it back as the empty name, and with a,b and c the word
+    # a,b,c has two readings.
+    text = json.dumps({"generators": gens, "m": [[1, 3], [3, 1]]})
+    with pytest.raises(GroupConfigError, match="must not contain ','"):
+        parse_group_config(text)
+
+
 def test_word_string_round_trip():
     gens = ("s", "t", "u")
     assert word_to_string((0, 1, 0), gens) == "sts"
@@ -140,7 +153,8 @@ def test_a2_multiplication_table(stack):
         assert sys_.right_mul(elems[w], 0) == elems[right_s[w]]
         assert sys_.right_mul(elems[w], 1) == elems[right_t[w]]
     # Left multiplication example: s * (st) = t.
-    assert sys_.left_mul(elems["st"], 0) == elems["t"]
+    assert sys_.element_of_word((0, 0, 1)) == elems["t"]
+    assert multiply(sys_, elems["s"], elems["st"]) == elems["t"]
 
 
 def test_element_identities(stack):
@@ -185,14 +199,13 @@ def test_shortlex_second_pass_is_memo_hits(stack):
     ball = sys_.ball(6)
     first = [geo.shortlex_word(g) for g in ball]
     calls = []
-    for name in ("_mul_gen_left", "_mul_gen_right"):
-        inner = getattr(sys_, name)
+    inner = sys_._mul_gen_right
 
-        def counted(*args, _inner=inner, _name=name):
-            calls.append(_name)
-            return _inner(*args)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
 
-        setattr(sys_, name, counted)
+    sys_._mul_gen_right = counted
     assert [geo.shortlex_word(g) for g in ball] == first
     assert calls == []
 
@@ -341,21 +354,30 @@ def test_length_changes_by_one(stack):
     for name in ("a2", "d_infinity", "triangle_334"):
         s = stack(name)
         for g in s.system.ball(3):
+            word = s.geometry.shortlex_word(g)
             for i in range(s.cox.rank):
                 assert abs(s.system.right_mul(g, i).length - g.length) == 1
-                assert abs(s.system.left_mul(g, i).length - g.length) == 1
+                sg = s.system.element_of_word((i,) + word)
+                assert abs(sg.length - g.length) == 1
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_left_mul_matches_multiply(stack, name):
-    sys_ = stack(name).system
+    # A left product s g is the element of the word s followed by a reduced
+    # word of g, as the verifier forms it; it is the full matrix product.
+    s_ = stack(name)
+    sys_ = s_.system
     for g in sys_.ball(5):
+        word = s_.geometry.shortlex_word(g)
         for s in range(sys_.rank):
-            got = sys_.left_mul(g, s)
+            got = sys_.element_of_word((s,) + word)
             want = multiply(sys_, sys_.element_of_word((s,)), g)
             assert got == want
-            assert sys_.inverse(got).matrix == sys_.inverse(want).matrix
             assert got.length == want.length
+            # the wall of alpha_s, bit s, is an inversion wall of g iff s g
+            # is shorter
+            shorter = bool(s_.geometry.inversion_bits(g) >> s & 1)
+            assert shorter == (got.length < g.length)
 
 
 @pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
@@ -370,7 +392,7 @@ def test_entries_are_int_coefficient_tuples(stack, name):
         return type(x) is tuple and len(x) == d and all(type(c) is int for c in x)
 
     for g in sys_.ball(5):
-        for mat in (g.matrix, sys_.inverse(g).matrix):
+        for mat in (g.matrix, inverse_of(sys_, g).matrix):
             assert all(is_coeff_tuple(x) for row in mat for x in row)
         for wall in geo.walls_of(geo.inversion_bits(g)):
             assert all(is_coeff_tuple(x) for x in wall.root)
@@ -392,7 +414,7 @@ def test_columns_are_root_images(stack, name):
             for t in word:
                 inv_root = sys_.reflect(t, inv_root)
             assert g.matrix[s] == root
-            assert sys_.inverse(g).matrix[s] == inv_root
+            assert inverse_of(sys_, g).matrix[s] == inv_root
         # Each reflection is an involution and preserves the form.
         for t in range(sys_.rank):
             image = [sys_.reflect(t, col) for col in g.matrix]
@@ -419,8 +441,8 @@ def test_inverse_and_multiply(stack):
     s = stack("triangle_334")
     sys_ = s.system
     for g in sys_.ball(3):
-        gi = sys_.inverse(g)
-        assert sys_.inverse(g) is gi and sys_.inverse(gi) is g
+        gi = inverse_of(sys_, g)
+        assert inverse_of(sys_, gi) is g
         assert gi.length == g.length
         assert multiply(sys_, g, gi) == sys_.identity
         for h in sys_.ball(2):
@@ -430,7 +452,7 @@ def test_inverse_and_multiply(stack):
             )
 
 
-# Every shipped group and four built ones, for the lazy inverse.
+# Every shipped group and four built ones, for inverses by reversed words.
 INVERSE_GROUPS = {
     **{name: load_group_file(str(GROUPS_DIR / f"{name}.json")) for name in SHIPPED},
     "affine_a3": CoxeterMatrix(tuple("abcd"), AFFINE_A3),
@@ -444,24 +466,22 @@ INVERSE_GROUPS = {
 def test_shortlex_is_least_reduced_word(name):
     # The climb of a fresh geometry, long elements first, spells the word
     # the left walk finds, and it is the least reduced word.  The climb
-    # builds no inverse.
+    # passes prefixes of ball elements only, so it makes no element.
     geo = WallGeometry(CoxeterSystem(INVERSE_GROUPS[name]))
     sys_ = geo.system
     ball = sorted(sys_.ball(6), key=lambda g: -g.length)
     words = [geo.shortlex_word(g) for g in ball]
-    assert sys_.stats()["inverses"] == 0
+    assert sys_.stats()["elements"] == len(ball)
     for g, word in zip(ball, words):
         assert word == min(sys_.reduced_words(g)) == left_shortlex_word(sys_, g)
 
 
 def _check_inverse(sys_, g):
-    # inverse(g) carries the full-product inverse matrix (element_of_matrix
-    # checks it), has g's length and links back, and linking both ways
-    # means asking again builds nothing.
-    gi = sys_.inverse(g)
-    built = sys_.stats()["inverses"]
-    assert sys_.inverse(gi) is g and sys_.inverse(g) is gi
-    assert sys_.stats()["inverses"] == built
+    # The reversed word of g, evaluated by right_mul, carries the
+    # full-product inverse matrix (element_of_matrix checks it) and g's
+    # length, and the reversed word of g^{-1} reaches g itself.
+    gi = inverse_of(sys_, g)
+    assert inverse_of(sys_, gi) is g
     assert gi.length == g.length
     assert element_of_matrix(sys_, g.matrix) is g
 
@@ -475,14 +495,21 @@ def test_inverse_of_ball_elements(name):
 
 @pytest.mark.parametrize("name", sorted(INVERSE_GROUPS))
 def test_inverse_of_left_products(name):
-    # Elements reached from the left only, before the test calls right_mul.
+    # Elements reached by left products only: s g is the element of the
+    # word s followed by the word g was reached by, so every word is
+    # evaluated from its first letter and the memo holds no ball walk.
     sys_ = CoxeterSystem(INVERSE_GROUPS[name])
-    layer = [sys_.identity]
+    layer = {sys_.identity: ()}
     reached = {}
     for _ in range(4):
-        layer = [sys_.left_mul(g, s) for g in layer for s in range(sys_.rank)]
-        layer = [g for g in dict.fromkeys(layer) if g not in reached]
-        reached.update(dict.fromkeys(layer))
+        nxt = {}
+        for word in layer.values():
+            for s in range(sys_.rank):
+                sg = sys_.element_of_word((s,) + word)
+                if sg not in reached and sg not in nxt:
+                    nxt[sg] = (s,) + word
+        layer = nxt
+        reached.update(layer)
     for g in reached:
         _check_inverse(sys_, g)
 
@@ -512,21 +539,21 @@ def test_inverse_after_descending_products(name, draw):
 
 
 def test_inverse_is_built_on_request():
-    # A fresh system evaluates a length-16 geodesic with no inverse; one
-    # inverse builds at most one per step of its descent walk, and asking
-    # for either side again builds nothing.
+    # A fresh system evaluates a length-16 geodesic by its 16 prefixes and
+    # no inverse; the reversed word makes at most one element per letter,
+    # and reversing again makes nothing.
     cox = INVERSE_GROUPS["triangle_334"]
     other = WallGeometry(CoxeterSystem(cox))
     word = other.shortlex_word(other.system.sphere(16)[-1])
     sys_ = CoxeterSystem(cox)
     g = sys_.element_of_word(word)
     assert g.length == len(word) == 16
-    assert sys_.stats()["inverses"] == 0
-    gi = sys_.inverse(g)
-    built = sys_.stats()["inverses"]
-    assert 0 < built <= g.length
-    assert sys_.inverse(g) is gi and sys_.inverse(gi) is g
-    assert sys_.stats()["inverses"] == built
+    assert sys_.stats()["elements"] == 17
+    gi = inverse_of(sys_, g)
+    built = sys_.stats()["elements"]
+    assert 17 < built <= 17 + g.length
+    assert inverse_of(sys_, gi) is g and inverse_of(sys_, g) is gi
+    assert sys_.stats()["elements"] == built
 
 
 def test_stats_count_memo_entries():
@@ -536,7 +563,6 @@ def test_stats_count_memo_entries():
     sys_ = CoxeterSystem(INVERSE_GROUPS["triangle_334"])
     assert sys_.stats() == {
         "elements": 1,
-        "inverses": 0,
         "right_products": 0,
         "reduced_word_sets": 1,
         "signs": 0,
@@ -548,12 +574,12 @@ def test_stats_count_memo_entries():
         len(sys_.right_descents(h)) if h.length == 3 else 3 for h in ball
     )
     # The words live in a geometry's memo: the identity's, and one per
-    # element asked for, with no inverse built.
+    # element asked for, whose climb makes no element outside the ball.
     geo = WallGeometry(sys_)
     assert geo.stats()["shortlex_words"] == 1
     geo.shortlex_word(ball[-1])
     assert geo.stats()["shortlex_words"] == 2
-    assert sys_.stats()["inverses"] == 0
+    assert sys_.stats()["elements"] == 20
 
 
 IDENTITY_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
@@ -562,16 +588,17 @@ IDENTITY_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
 @pytest.mark.parametrize("name", IDENTITY_GROUPS)
 def test_one_element_per_matrix(stack, name):
     # The system builds each element once, so every route to g, by any
-    # reduced word, by inverses or from the left, returns g itself.
+    # reduced word, by reversed words or from the left, returns g itself.
     geo = fresh_geometry(*BUILT[name]) if name in BUILT else stack(name).geometry
     sys_ = geo.system
     for g in sys_.ball(6):
         for u in sys_.reduced_words(g):
             assert sys_.element_of_word(u) is g
-        assert sys_.inverse(sys_.inverse(g)) is g
+        assert inverse_of(sys_, inverse_of(sys_, g)) is g
         word = geo.shortlex_word(g)
         for s in range(sys_.rank):
-            assert sys_.left_mul(g, s) is sys_.element_of_word((s,) + word)
+            sg = multiply(sys_, sys_.element_of_word((s,)), g)
+            assert sg is sys_.element_of_word((s,) + word)
 
 
 def test_elements_belong_to_their_system():
@@ -679,7 +706,8 @@ def test_descent_shortens(word):
     for i in sys_.right_descents(g):
         assert sys_.right_mul(g, i).length == g.length - 1
     for i in left_descents(sys_, g):
-        assert sys_.left_mul(g, i).length == g.length - 1
+        sg = multiply(sys_, sys_.element_of_word((i,)), g)
+        assert sg.length == g.length - 1
 
 
 _SYS_334_RANK2 = _system([[1, 4], [4, 1]])

@@ -25,6 +25,7 @@ from conftest import (
     descent_chamber,
     fresh_geometry,
     generator_wall,
+    inverse_of,
     inversion_walls,
     left_shortlex_word,
     multiply,
@@ -97,7 +98,7 @@ def _direct_fellow_traveller_maxima(system, language, radius):
         return out
 
     def dist(a, b):
-        return multiply(system, system.inverse(a), b).length
+        return multiply(system, inverse_of(system, a), b).length
 
     maxima = {"ii": 0, "iii": 0}
     for g in system.ball(radius):
@@ -107,8 +108,8 @@ def _direct_fellow_traveller_maxima(system, language, radius):
                     g2 = system.right_mul(g, s_idx)
                     head = system.identity
                 else:
-                    g2 = system.left_mul(g, s_idx)
                     head = system.element_of_word((s_idx,))
+                    g2 = multiply(system, head, g)
                 if g2.length != g.length + 1 or g2.length > radius:
                     continue
                 for w1 in language.all_words_of(g):

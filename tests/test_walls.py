@@ -17,14 +17,16 @@ from conftest import (
     generator_wall,
     greedy_projection_pair,
     incident_far_chamber,
+    inverse_matrix,
+    inverse_of,
     inversion_walls,
     is_prefix,
     reference_find_separator,
     multiply,
     reflection_of_wall,
     left_shortlex_word,
+    reference_pull_back,
     shortlex_inversion_bits,
-    suffix_pull_back,
     wall_set,
     walls_between,
 )
@@ -350,17 +352,19 @@ def test_has_separator_independent_of_walk_order(stack, name):
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_pull_back_matches_translate_wall(stack, name):
-    # pull_back applies g^{-1} as translate_wall does; the suffix walk of
-    # conftest reads the same walls off stored columns with no product.
+    # pull_back, which reads the walls along the reversed word, moves each
+    # wall by g^{-1} as translate_wall does, and as the full-product matrix
+    # of g^{-1} in conftest does.
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     for g in sys.ball(6):
         inv = geo.inversion_bits(g)
-        want = {geo.translate_wall(sys.inverse(g), w) for w in geo.walls_of(inv)}
+        gi = inverse_of(sys, g)
+        want = {geo.translate_wall(gi, w) for w in geo.walls_of(inv)}
         assert wall_set(geo, geo.pull_back(g, inv)) == want
-        assert wall_set(geo, suffix_pull_back(geo, g, inv)) == want
+        assert wall_set(geo, reference_pull_back(geo, g, inv)) == want
         front = geo.frontier_set(g)
-        assert geo.pull_back(g, front) == suffix_pull_back(geo, g, front)
+        assert geo.pull_back(g, front) == reference_pull_back(geo, g, front)
     g = sys.element_of_word((0,))
     with pytest.raises(ValueError, match="inversion walls"):
         geo.pull_back(g, generator_wall(geo, 1).bit)
@@ -368,10 +372,11 @@ def test_pull_back_matches_translate_wall(stack, name):
 
 @pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
 def test_chamber_walks_match_oracles(stack, monkeypatch, name):
-    # Over ball(6), the stepped-down masks, the pull-back through g^{-1},
-    # the greedy walk on masks and the lazy block equal what the shortlex
-    # and (p, x) walks of conftest find.  The engine answers first, so the
-    # oracles, which build elements by left_mul, cannot feed its memos.
+    # Over ball(6), the stepped-down masks, the pull-back along the
+    # reversed word, the greedy walk on masks and the lazy block equal what
+    # the shortlex and (p, x) walks and the full-product pull-back of
+    # conftest find.  The engine answers first, so the oracles, which build
+    # inverses of their own, cannot feed its memos.
     # Each ball element steps down to a built product, so the masks of the
     # ball make no product.
     geo = _fresh_geometry(stack, name)
@@ -393,7 +398,7 @@ def test_chamber_walks_match_oracles(stack, monkeypatch, name):
     ]
     for g, bits, (back, p, x) in zip(ball, masks, got):
         assert bits == shortlex_inversion_bits(geo, g)
-        assert back == suffix_pull_back(geo, g, geo.frontier_set(g))
+        assert back == reference_pull_back(geo, g, geo.frontier_set(g))
         assert (p, x) == greedy_projection_pair(geo, g)
         assert p.length + x.length == g.length
         # The block's word is the climb's letters, which its memo holds.
@@ -403,17 +408,16 @@ def test_chamber_walks_match_oracles(stack, monkeypatch, name):
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_inversion_bits_step_down_from_scratch(stack, name):
-    # In a fresh system, g^{-1} for g built along its word by right_mul has
-    # no built product with a generator unless it is an involution, so its
-    # mask steps down from scratch, building each step; every mask stored
-    # on the way equals the shortlex walk's.
+    # In a fresh system, g^{-1} made from its full-product matrix has no
+    # built product with a generator, so its mask steps down from scratch,
+    # building each step; every mask stored on the way equals the shortlex
+    # walk's.
     source = _fresh_geometry(stack, name).system
     for g in source.ball(6):
         geo = _fresh_geometry(stack, name)
         sys = geo.system
-        h = sys.inverse(sys.element_of_word(left_shortlex_word(source, g)))
-        if sys.inverse(h) is not h:
-            assert all(sys.built_right_mul(h, t) is None for t in range(sys.rank))
+        h = sys._element(inverse_matrix(source, g), g.length)
+        assert all(sys.built_right_mul(h, t) is None for t in range(sys.rank))
         assert geo.inversion_bits(h).bit_count() == h.length
         assert h in geo._inv_bits
         for e, mask in geo._inv_bits.items():
