@@ -30,10 +30,11 @@ of pivot q for each state that may take q.
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
 fully between the identity chamber and it, which yields an independent
-brute-force oracle over any ball.  The pivots come out of one breadth-first
-search in (length, shortlex) order with their words
-(WallGeometry.shortlex_search), and the loader checks a file's words by
-climbing the weak order (WallGeometry.shortlex_word).
+brute-force oracle over any ball.  The pivots come out of the breadth-first
+step that grows the ball (CoxeterSystem.next_layer), layer by layer in
+(length, shortlex) order with their words (WallGeometry.shortlex_search),
+and the loader checks a file's words by climbing the weak order
+(WallGeometry.shortlex_word).
 """
 
 from __future__ import annotations

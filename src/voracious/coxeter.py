@@ -5,7 +5,9 @@ in the geometric representation is kept by columns, and column s is the
 root g(alpha_s), together with the cached word length.  Since l(gs) > l(g)
 iff g(alpha_s) > 0, every length, right descent and inversion test reads one
 stored tuple.  Words are built from the right: reduced_words steps down
-right descents, and shortlex words climb the weak order (walls.py).  Every
+right descents, and shortlex words climb the weak order (walls.py).  One
+breadth-first step, next_layer, grows both the ball and the pivot search
+(walls.py) by a layer, in (length, shortlex) order with no sort.  Every
 element is built by right products: a left product s g is the element of
 the word s followed by a reduced word of g, and g^{-1} that of the reversed
 word, so the system has one product direction and no inverse link.
@@ -227,7 +229,7 @@ class CoxeterSystem:
         k = self.rank
 
         # 2B has integer polynomial entries; it is the only form kept.
-        zero = self._zero = (0,) * ctx.degree
+        zero = (0,) * ctx.degree
         one = (1,) + zero[1:]
         gram2 = []
         for i in range(k):
@@ -265,18 +267,6 @@ class CoxeterSystem:
         self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
 
     # -- linear algebra ----------------------------------------------------
-
-    def apply_matrix(self, matrix, vec):
-        """The matrix, given by its columns, applied to vec: sum of vec_j column_j."""
-        mul = self.ctx.mul
-        out = [self._zero] * self.rank
-        for column, x in zip(matrix, vec):
-            if any(x):
-                out = [
-                    add(acc, mul(a, x)) if any(a) else acc
-                    for acc, a in zip(out, column)
-                ]
-        return tuple(out)
 
     def reflect(self, s: int, vec):
         """s(vec) = vec - 2 B(alpha_s, vec) alpha_s, which moves coordinate s only.
@@ -462,30 +452,45 @@ class CoxeterSystem:
 
     # -- metric balls -------------------------------------------------------
 
-    def _extend_layers(self, radius: int) -> None:
-        # Every element of layer n+1 is some g * s longer than g in layer n.
-        # A layer is appended whole, so a cap overrun leaves no partial layer.
+    def next_layer(self, layer, examined: int) -> dict:
+        """The elements g s longer than g, for g in layer and s ascending,
+        each mapped to the first (g, s) that reaches it.
+
+        For a layer in (length, shortlex) order, the first (g, s) reaching
+        h is its shortlex parent, whenever the layer holds it: if u s is the
+        shortlex word of h, another g = h t of the layer with shortlex word
+        u' gives a reduced word u' t of h, so u s <= u' t and u <= u', with
+        equality only for g = h s; and from h s, only s reaches h.  So the
+        word of h is its parent's plus s, and the elements come out in
+        (length, shortlex) order with no sort.  A ball's layer holds every
+        parent, and a prefix-closed set's layer those of its next layer.
+
+        examined counts the elements seen before; ResourceLimitError is
+        raised as soon as they and the new ones exceed max_ball_elements,
+        so a layer is never returned partly built.
+        """
         cap = self.max_ball_elements
-        count = sum(len(layer) for layer in self._layers)
-        while len(self._layers) <= radius:
-            last = self._layers[-1]
-            nxt = []
-            fresh: set[GroupElement] = set()
-            for g in last:
-                for s in range(self.rank):
-                    h = self.right_mul(g, s)
-                    if h.length > g.length and h not in fresh:
-                        fresh.add(h)
-                        nxt.append(h)
-                        count += 1
-                        if count > cap:
-                            raise ResourceLimitError(
-                                f"ball enumeration exceeded {cap} elements"
-                            )
-            if not nxt:
-                self._layers.append([])
-                break
-            self._layers.append(nxt)
+        right_mul = self.right_mul
+        out = {}
+        for g in layer:
+            for s in range(self.rank):
+                h = right_mul(g, s)
+                if h.length > g.length and h not in out:
+                    out[h] = (g, s)
+                    if examined + len(out) > cap:
+                        raise ResourceLimitError(
+                            f"layer search exceeded max_ball_elements = {cap}"
+                        )
+        return out
+
+    def _extend_layers(self, radius: int) -> None:
+        # Layer n + 1 is next_layer of layer n.  Past a finite group's
+        # diameter the last layer is empty, and nothing is appended.
+        layers = self._layers
+        examined = sum(map(len, layers))
+        while len(layers) <= radius and layers[-1]:
+            layers.append(list(self.next_layer(layers[-1], examined)))
+            examined += len(layers[-1])
 
     def sphere(self, radius: int) -> list[GroupElement]:
         self._extend_layers(radius)
@@ -494,7 +499,8 @@ class CoxeterSystem:
         return []
 
     def ball(self, radius: int) -> list[GroupElement]:
-        """All elements of length <= radius, in breadth-first (deterministic) order."""
+        """All elements of length <= radius, in (length, shortlex) order
+        (see next_layer)."""
         self._extend_layers(radius)
         out = []
         for layer in self._layers[: radius + 1]:

@@ -260,24 +260,19 @@ class Verifier:
     def check_projection_monotone(self) -> CheckResult:
         """p(g) <= g' <= g (prefix order) implies p(g') <= p(g).
 
-        The g' of each g are the weak-order interval [p(g), g], walked up
-        from p(g) by the moves that stay below g, the rule of
-        WallGeometry.projection_block, which reads one column per step.  Its
-        covers are generator steps, so the walk meets each g' once.  Every
-        g' lies in the ball, whose products and inversion sets are memoised
-        already.
+        The g' of each g are the weak-order interval [p(g), g], reached from
+        p(g) by WallGeometry.walk_up crossing walls of Inv(g) only: the
+        walk that lists the projection's candidates, one column per move.
+        Every g' lies in the ball, whose products and inversion sets are
+        memoised already.
         """
         sys, geo = self.system, self.geometry
         inv = geo.inversion_bits
         n_pairs = 0
         for g in sys.ball(self.config.radius):
-            inv_g = inv(g)
             pg = geo.voracious_projection(g)
             inv_pg = inv(pg)
-            seen = {pg}
-            stack = [pg]
-            while stack:
-                g2 = stack.pop()
+            for g2 in geo.walk_up(pg, inv(g))[0]:
                 n_pairs += 1
                 # inversion sets as masks: a | b == b says a is a subset of b
                 if inv(geo.voracious_projection(g2)) | inv_pg != inv_pg:
@@ -292,11 +287,6 @@ class Verifier:
                             "p_between": self._word(geo.voracious_projection(g2)),
                         },
                     )
-                for s in geo._moves(g2, inv_g):  # none from g, the top
-                    up = sys.right_mul(g2, s)
-                    if up not in seen:
-                        seen.add(up)
-                        stack.append(up)
         return CheckResult(
             "projection-monotone-under-prefix", "pass", {"pairs": n_pairs}
         )
@@ -531,25 +521,7 @@ class Verifier:
                 name, "skipped", {"reason": "no noncommuting finite-order pair"}
             )
 
-        orbit_cache: dict[tuple, tuple[Wall, ...]] = {}
-
-        def orbit_walls(u: GroupElement, a: int, b: int) -> tuple[Wall, ...]:
-            m = sys.cox.orders[a][b]
-            alt = tuple((a, b)[i % 2] for i in range(m))
-            key = (u, a, b)
-            got = orbit_cache.get(key)
-            if got is None:
-                dihedral_top = sys.element_of_word(alt)
-                got = tuple(
-                    geo.translate_wall(u, w)
-                    for w in sorted(
-                        geo.walls_of(geo.inversion_bits(dihedral_top)),
-                        key=geo.output_root,
-                    )
-                )
-                orbit_cache[key] = got
-            return got
-
+        orbit_cache: dict[int, tuple[Wall, ...]] = {}  # residue walls per pair
         # (pair, ball element) combinations are drawn without replacement by a
         # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
         # positions a draw has swapped, so drawing n of them costs O(n).
@@ -568,7 +540,8 @@ class Verifier:
             j = rng.randrange(i, n_combos)
             pick = moved.get(j, j)
             moved[j] = moved.get(i, i)
-            u, a, b, wr, wq = pair_data[keys[pick // len(ball)]]
+            key = keys[pick // len(ball)]
+            u, a, b, wr, wq = pair_data[key]
             g = ball[pick % len(ball)]
             # t is a left descent of u^{-1} g iff the wall of u(alpha_t), one
             # of wr and wq, lies between chambers u and g
@@ -579,7 +552,9 @@ class Verifier:
             if not (geo.has_separator(g, wr) or geo.has_separator(g, wq)):
                 continue  # hypothesis not met: nothing separates g from the pair
             n_samples += 1
-            for wall in orbit_walls(u, a, b):
+            if key not in orbit_cache:
+                orbit_cache[key] = geo.residue_walls(u, a, b)
+            for wall in orbit_cache[key]:
                 if wall is wr or wall is wq:
                     continue
                 n_walls += 1

@@ -37,19 +37,23 @@ the identity to g crosses W between two chambers incident to W, and those
 chambers sit on W's side of any disjoint separator.  The greedy walk to the
 projection carries the prefix p alone: p s is a longer prefix of g iff
 p(alpha_s) is a positive root whose wall is in Inv(g), and every wall is
-keyed under its positive root, so one dict lookup decides a move.  The same
-climb, crossing any wall of Inv(g), spells words: from the identity by the
-least move it spells the shortlex word of g, and from p(g) that of the
-block p(g)^{-1} g.  So words are built from the right, and so are the
-chambers this module names: incident_chamber and pull_back evaluate words
-by right products, and no inverse is built.
+keyed under its positive root, so one dict lookup decides a move.  _climb
+takes the least move, and walk_up every move, which lists the projection's
+candidates and the interval [p(g), g] alike.  The climb, crossing any wall
+of Inv(g), spells words: from the identity the shortlex word of g, and
+from p(g) that of the block p(g)^{-1} g; the pivot search goes layer by
+layer instead (CoxeterSystem.next_layer, which grows the ball).  So words
+are built from the right, and so are the chambers this module names, with
+no inverse.  The step by s from h crosses the wall of h(alpha_s), column s
+of h, so pull_back and residue_walls read their walls off columns, and no
+matrix is applied to a root.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .coxeter import CoxeterSystem, GroupElement, ResourceLimitError, Word
+from .coxeter import CoxeterSystem, GroupElement, Word
 from .field import cos_string, neg
 
 
@@ -156,9 +160,6 @@ class WallGeometry:
             low = mask & -mask
             yield by_index[low.bit_length() - 1]
             mask ^= low
-
-    def translate_wall(self, g: GroupElement, wall: Wall) -> Wall:
-        return self.wall_of_root(self.system.apply_matrix(g.matrix, wall.root))
 
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
@@ -385,45 +386,28 @@ class WallGeometry:
         shortlex) order, for a predicate keep closed under prefixes in the
         weak order; the identity is taken as kept.
 
-        A breadth-first search that extends only kept elements, reading each
-        layer in order and, from each element, the letters in ascending
-        order.  Every kept h of length n + 1 is reached first from its
-        shortlex parent: if u s is the shortlex word of h and the layer is in
-        shortlex order, another kept parent g = h t with shortlex word u'
-        gives a reduced word u' t of h, so u s <= u' t and u <= u', with
-        equality only for g = h s; from h s, only the letter s reaches h.
-        So the first discovery spells the shortlex word of h, the parent's
-        word plus s, and the next layer comes out in shortlex order with no
-        sort.  Each kept element's word is recorded in the shortlex memo.
-        An h s longer than h lies in the next layer, so a set of that layer
-        alone keeps each element from being tested twice.  The elements
-        examined, kept or not, count against max_ball_elements.
+        Layer by layer, CoxeterSystem.next_layer of the kept elements, of
+        which keep selects the next kept layer.  The shortlex parent of a
+        kept element is a prefix, so it is kept, and it is the first to
+        reach the element: each kept h's word is its parent's plus one
+        letter, recorded in the shortlex memo, and every layer stays in
+        shortlex order with no sort.  The elements examined, kept or not,
+        count against max_ball_elements.
         """
         sys = self.system
         memo = self._shortlex
-        cap = sys.max_ball_elements
         examined = 1
-        layer = [(sys.identity, ())]
+        layer = [sys.identity]
         out: list[GroupElement] = []
         while layer:
-            nxt = []
-            fresh: set[GroupElement] = set()
-            for g, word in layer:
-                for s in range(sys.rank):
-                    h = sys.right_mul(g, s)
-                    if h.length < g.length or h in fresh:
-                        continue
-                    fresh.add(h)
-                    examined += 1
-                    if examined > cap:
-                        raise ResourceLimitError(
-                            f"shortlex search exceeded {cap} elements"
-                        )
-                    if keep(h):
-                        memo[h] = h_word = word + (s,)
-                        nxt.append((h, h_word))
-                        out.append(h)
-            layer = nxt
+            found = sys.next_layer(layer, examined)
+            examined += len(found)
+            layer = []
+            for h, (g, s) in found.items():
+                if keep(h):
+                    memo[h] = memo[g] + (s,)
+                    layer.append(h)
+            out.extend(layer)
         return tuple(out)
 
     def voracious_projection(self, g: GroupElement) -> GroupElement:
@@ -460,6 +444,29 @@ class WallGeometry:
         self._shortlex[got] = letters
         return got
 
+    def walk_up(self, start: GroupElement, free: int) -> tuple[tuple, list]:
+        """(reached, terminals): the elements that moves crossing walls of
+        free reach from start, in order of discovery, and those of them that
+        allow no move.  For free within Inv(g), g above start, they lie in
+        the weak-order interval [start, g], and the walk meets each once.
+        """
+        right_mul = self.system.right_mul
+        seen = {start: None}
+        stack = [start]
+        terminals = []
+        while stack:
+            p = stack.pop()
+            terminal = True
+            for s in self._moves(p, free):
+                terminal = False
+                up = right_mul(p, s)
+                if up not in seen:
+                    seen[up] = None
+                    stack.append(up)
+            if terminal:
+                terminals.append(p)
+        return tuple(seen), terminals
+
     def projection_walk(
         self, g: GroupElement
     ) -> tuple[frozenset[GroupElement], list[GroupElement]]:
@@ -470,21 +477,23 @@ class WallGeometry:
         every frontier wall.  The terminals are the candidates that allow no
         move; each greedy run ends at one.
         """
-        sys = self.system
         free = self.inversion_bits(g) & ~self.frontier_set(g)
-        start = sys.identity
-        seen = {start}
-        queue = [start]
-        terminals = []
-        while queue:
-            p = queue.pop()
-            terminal = True
-            for s in self._moves(p, free):
-                terminal = False
-                p2 = sys.right_mul(p, s)
-                if p2 not in seen:
-                    seen.add(p2)
-                    queue.append(p2)
-            if terminal:
-                terminals.append(p)
-        return frozenset(seen), terminals
+        reached, terminals = self.walk_up(self.system.identity, free)
+        return frozenset(reached), terminals
+
+    def residue_walls(self, u: GroupElement, a: int, b: int) -> tuple[Wall, ...]:
+        """The m walls of the residue u W_ab, for a finite order m = m_ab,
+        in the order the alternating word a b a ... from u crosses them.
+
+        The residue is a 2m-cycle of chambers, so the m steps of that word
+        from u cross each of its walls once: the step by s from h crosses
+        the wall of h(alpha_s), column s of h.
+        """
+        right_mul = self.system.right_mul
+        out = []
+        h = u
+        for i in range(self.system.cox.orders[a][b]):
+            s = b if i % 2 else a
+            out.append(self.wall_of_root(h.matrix[s]))
+            h = right_mul(h, s)
+        return tuple(out)

@@ -240,6 +240,12 @@ def _matmul(mul, a, b):
     return tuple(out)
 
 
+def translate_wall(geometry: WallGeometry, g, wall):
+    """The wall g(W), by the full product of g's matrix with W's root."""
+    (image,) = matmul(geometry.system, g.matrix, (wall.root,))
+    return geometry.wall_of_root(image)
+
+
 def generator_matrix(system: CoxeterSystem, s: int):
     """The matrix of generator s, by columns: s(alpha_j) = alpha_j - (2B)_sj alpha_s."""
     return tuple(

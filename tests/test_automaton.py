@@ -37,6 +37,7 @@ from conftest import (
     run_states,
     small_roots_bruteforce,
     sorted_pivot_search,
+    translate_wall,
 )
 
 SMALL_ROOT_COUNTS = {
@@ -305,7 +306,7 @@ def test_pivot_search_is_bounded(stack):
     # The search examines 32 elements of (3,3,4), kept or not, the identity
     # included: a cap of 32 admits it and a cap of 31 does not.
     assert len(pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=32)))) == 17
-    with pytest.raises(ResourceLimitError, match="shortlex search exceeded 31"):
+    with pytest.raises(ResourceLimitError, match="exceeded max_ball_elements = 31"):
         pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=31)))
 
 
@@ -735,7 +736,7 @@ def test_edges_are_frontier_pullbacks(stack):
             )
             assert aut.labels(e.pivot_word) == spelled
             back = {
-                uindex[geo.translate_wall(inverse_of(s.system, w), f)]
+                uindex[translate_wall(geo, inverse_of(s.system, w), f)]
                 for f in frontier_walls(geo, w)
             }
             assert aut.states[e.target] == tuple(sorted(back))
@@ -750,7 +751,7 @@ def test_run_state_matches_element_frontier(stack):
         aut = build_automaton(s.geometry)
         for g in s.system.ball(5):
             back = {
-                geo.translate_wall(inverse_of(s.system, g), f)
+                translate_wall(geo, inverse_of(s.system, g), f)
                 for f in frontier_walls(geo, g)
             }
             want = aut.state_of_mask(sum(w.bit for w in back))

@@ -275,6 +275,43 @@ def test_ball_counts(stack):
     assert len(stack("i2_5").system.ball(5)) == 10
 
 
+def test_ball_stops_growing_past_the_diameter():
+    # A2 has diameter 3: its layers are lengths 0 to 3 and one empty layer,
+    # however often and however far past the diameter they are asked for.
+    sys_ = _system(((1, 3), (3, 1)))
+    assert len(sys_.ball(3)) == 6
+    for radius in (10, 10, 10, 50):
+        assert len(sys_.ball(radius)) == 6
+        assert sys_.sphere(radius + 1) == []
+    assert len(sys_._layers) == 5
+
+
+# Groups beyond groups/ whose balls are checked for shortlex order: the
+# conftest groups, free rank 3 and (inf,2,3).
+ORDERED_BALLS = {
+    "affine_a3": ("abcd", AFFINE_A3),
+    "triangle_237": ("abc", TRIANGLE_237),
+    "triangle_245": ("abc", TRIANGLE_245),
+    "h535": ("abcd", H535),
+    "free3": ("abc", ((1, INF, INF), (INF, 1, INF), (INF, INF, 1))),
+    "inf_2_3": ("abc", ((1, INF, 2), (INF, 1, 3), (2, 3, 1))),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED + sorted(ORDERED_BALLS))
+def test_ball_is_in_shortlex_order(name):
+    # next_layer reads each layer in order and the letters ascending, so
+    # the ball comes out in (length, shortlex) order.  The words are those
+    # of the weak-order climb (WallGeometry.shortlex_word), which reads no
+    # layer.
+    if name in ORDERED_BALLS:
+        geo = fresh_geometry(*ORDERED_BALLS[name])
+    else:
+        geo = WallGeometry(CoxeterSystem(load_group_file(str(GROUPS_DIR / f"{name}.json"))))
+    words = [geo.shortlex_word(g) for g in geo.system.ball(7)]
+    assert words == sorted(words, key=lambda w: (len(w), w))
+
+
 def test_ball_matches_bruteforce_enumeration(stack):
     s = stack("triangle_333")
     for radius in range(4):

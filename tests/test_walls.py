@@ -27,6 +27,7 @@ from conftest import (
     left_shortlex_word,
     reference_pull_back,
     shortlex_inversion_bits,
+    translate_wall,
     wall_set,
     walls_between,
 )
@@ -274,7 +275,7 @@ def test_incident_chambers_share_side_of_disjoint_walls(stack):
     for g in ball:
         for s_idx in range(s.cox.rank):
             h = s.system.right_mul(g, s_idx)
-            wall = geo.translate_wall(g, generator_wall(geo, s_idx))
+            wall = translate_wall(geo, g, generator_wall(geo, s_idx))
             touching.setdefault(wall, set()).add(g)
     walls = list(touching)
     for a, b in itertools.combinations(walls, 2):
@@ -353,14 +354,14 @@ def test_has_separator_independent_of_walk_order(stack, name):
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_pull_back_matches_translate_wall(stack, name):
     # pull_back, which reads the walls along the reversed word, moves each
-    # wall by g^{-1} as translate_wall does, and as the full-product matrix
-    # of g^{-1} in conftest does.
+    # wall by g^{-1} as conftest's translate_wall and reference_pull_back
+    # do, each by full products.
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     for g in sys.ball(6):
         inv = geo.inversion_bits(g)
         gi = inverse_of(sys, g)
-        want = {geo.translate_wall(gi, w) for w in geo.walls_of(inv)}
+        want = {translate_wall(geo, gi, w) for w in geo.walls_of(inv)}
         assert wall_set(geo, geo.pull_back(g, inv)) == want
         assert wall_set(geo, reference_pull_back(geo, g, inv)) == want
         front = geo.frontier_set(g)
@@ -573,6 +574,31 @@ def test_frontier_survives_to_projection_gap(stack):
             assert frontier_walls(geo, g) <= walls_between(geo, p, g)
 
 
+@pytest.mark.parametrize("name", ["triangle_334", "triangle_245", "h535", "affine_a3"])
+def test_residue_walls_match_translated_dihedral_walls(stack, name):
+    # For u in a ball and a pair a, b of finite order m >= 3, the residue
+    # walk yields m distinct walls: those of Inv of the dihedral longest
+    # element, moved by u with the full-product matrix of u.
+    geo = _fresh_geometry(stack, name)
+    sys = geo.system
+    orders = sys.cox.orders
+    pairs = [
+        (a, b)
+        for a in range(sys.rank)
+        for b in range(a + 1, sys.rank)
+        if orders[a][b] >= 3
+    ]
+    for u in sys.ball(5 if sys.rank == 4 else 6):
+        for a, b in pairs:
+            m = orders[a][b]
+            walls = geo.residue_walls(u, a, b)
+            assert len(set(walls)) == len(walls) == m
+            top = sys.element_of_word(tuple((a, b)[i % 2] for i in range(m)))
+            assert set(walls) == {
+                translate_wall(geo, u, w) for w in geo.walls_of(geo.inversion_bits(top))
+            }
+
+
 def test_reflection_of_wall(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
@@ -585,7 +611,7 @@ def test_translate_wall(stack):
     dinf = stack("d_infinity")
     geo = dinf.geometry
     s_wall = generator_wall(geo, 1)
-    moved = geo.translate_wall(dinf.element("s"), s_wall)
+    moved = translate_wall(geo, dinf.element("s"), s_wall)
     assert _coords(moved) == (2, 1)
 
 
