@@ -10,11 +10,12 @@ separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
 and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  q^{-1} W(q) is the
 Brink-Howlett state of q, the small walls of Inv(q^{-1}), so target(q) is
-read along q's shortlex word by one reflection table per generator, with no
-matrix product (see _pivot_rules).  The pivots fix the automaton:
-VoraciousAutomaton is built over them, and derives their masks, the states
-and the edges.  `states` holds each state as the sorted universe indices
-of its walls.
+read off the state of q's prefix below a right descent by one reflection
+table per generator, with no matrix product (see _pivot_rules).  The
+pivots fix the automaton: VoraciousAutomaton is built over them, which
+must be prefix-closed, as every pivot set is (see pivots), and derives
+their masks, the prefix graph, the states and the edges in one scan.
+`states` holds each state as the sorted universe indices of its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
 DOT.  The universe is the group's small roots.  A JSON file holds the group,
@@ -23,9 +24,9 @@ else: the loader builds the automaton over the words and requires every
 top-level key of the file to equal what that automaton writes.
 
 Words are run over the pivot prefix graph rather than over the labels: its
-nodes are the pivots and their prefixes in the weak order, reading a letter
-s at the node of h moves to the node of h s, and a block ends at the node
-of pivot q for each state that may take q.
+nodes are the identity and the pivots, reading a letter s at the node of h
+moves to the node of h s, and a block ends at the node of pivot q for each
+state that may take q.
 
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
@@ -102,10 +103,12 @@ class Edge:
 class VoraciousAutomaton:
     """Automaton over small-wall states; accepts exactly the language words.
 
-    Built over a universe of walls and pivots in (length, shortlex) order.
-    Each pivot's target state index and forbid mask (see _pivot_rules), the
-    state masks, sorted by (size, universe indices), and the edges all
-    follow from them.  `states` holds each state's universe indices."""
+    Built over a universe of walls and a prefix-closed set of pivots in
+    (length, shortlex) order; ValueError is raised for pivots that are not
+    prefix-closed.  One scan of the pivots (_pivot_rules) gives each pivot's
+    target state index and forbid mask, and `children`, the pivot prefix
+    graph; the state masks, sorted by (size, universe indices), and the
+    edges follow.  `states` holds each state's universe indices."""
 
     def __init__(
         self,
@@ -118,7 +121,9 @@ class VoraciousAutomaton:
         self.universe = universe
         self.start = 0
         self.pivots = pivots
-        target_masks, forbid = _pivot_rules(geometry, universe, pivots)
+        target_masks, forbid, self.children = _pivot_rules(
+            geometry, universe, pivots
+        )
         indices = {m: _indices_of(universe, m) for m in {0, *target_masks}}
         self._masks = sorted(indices, key=lambda m: (m.bit_count(), indices[m]))
         self._state_of = {m: i for i, m in enumerate(self._masks)}
@@ -150,40 +155,6 @@ class VoraciousAutomaton:
             got = self._labels[pivot_word] = tuple(sorted(sys.reduced_words(g)))
         return got
 
-    @cached_property
-    def _prefix_graph(self) -> tuple[list[list[int]], list[int]]:
-        """The pivot prefix graph, built on first use: (children, pivot_at).
-
-        Node 0 is the identity and node i + 1 is pivot i.  The other nodes
-        are the elements below a pivot in the weak order, found by stepping
-        down right descents; pivots are prefix-closed, so an automaton over
-        every pivot has none, but one over a subset of them may.
-        children[n][s] is the node of h s, for h the element of node n, when
-        h s is longer than h and is a node, and 0 otherwise (the identity is
-        no node's child).  pivot_at[n] is the index of h among the pivots,
-        or -1.
-
-        A prefix of a reduced word is reduced, so it is fixed by its element:
-        the paths from node 0 to the node of q spell the reduced words of q,
-        which are the labels of q's edges.
-        """
-        sys = self.geometry.system
-        elements = [sys.identity, *self.pivots]
-        index = {h: n for n, h in enumerate(elements)}
-        children = [[0] * sys.rank for _ in elements]
-        pivot_at = [-1, *range(len(self.pivots))]
-        for n, h in enumerate(elements):
-            for s in sys.right_descents(h):
-                below = sys.right_mul(h, s)
-                m = index.get(below)
-                if m is None:
-                    m = index[below] = len(elements)
-                    elements.append(below)
-                    children.append([0] * sys.rank)
-                    pivot_at.append(-1)
-                children[m][s] = n
-        return children, pivot_at
-
     def run_pairs(
         self, word: Word, pairs: set[tuple[int, int]] | None = None
     ) -> set[tuple[int, int]]:
@@ -192,11 +163,12 @@ class VoraciousAutomaton:
 
         A pair at node 0 has read whole labels up to a state, and a pair
         elsewhere is partway through the label of a further edge, and closes
-        it at the node of a pivot its state may take.  So reading a word one
-        letter at a time, each from the pairs of the last, gives its pairs.
+        it at node n of pivot n - 1 if its state may take that pivot.  So
+        reading a word one letter at a time, each from the pairs of the
+        last, gives its pairs.
         """
-        children, pivot_at = self._prefix_graph
-        masks, targets, forbid = self._masks, self.targets, self.forbid
+        children, masks = self.children, self._masks
+        targets, forbid = self.targets, self.forbid
         rank = len(self.generators)
         current = {(self.start, 0)} if pairs is None else pairs
         for letter in word:
@@ -208,9 +180,8 @@ class VoraciousAutomaton:
                 if not child:
                     continue
                 nxt.add((state, child))
-                q = pivot_at[child]
-                if q >= 0 and not masks[state] & forbid[q]:
-                    nxt.add((targets[q], 0))
+                if not masks[state] & forbid[child - 1]:
+                    nxt.add((targets[child - 1], 0))
             if not nxt:
                 return nxt
             current = nxt
@@ -297,9 +268,10 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     """The automaton of a file's pivot words, over an existing geometry.
 
     The group must match, and each pivot word must be the shortlex word of a
-    pivot.  The automaton is built over the distinct words, and the file must
-    hold exactly the keys it writes, with the values it writes (see
-    _require_written), so nothing else in the file is read."""
+    pivot.  The automaton is built over the distinct words, which must be
+    prefix-closed (see _pivot_rules), and the file must hold exactly the
+    keys it writes, with the values it writes (see _require_written), so
+    nothing else in the file is read."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -381,18 +353,29 @@ def _indices_of(universe, mask: int) -> tuple[int, ...]:
 
 
 def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
-    """The two wall masks of each pivot q = pivot_list[i], as plain ints.
+    """One scan of pivot_list, in (length, shortlex) order: the two wall
+    masks of each pivot q = pivot_list[i], as plain ints, and the pivot
+    prefix graph.
 
-    Returns (targets, forbid).  targets[i] is the mask of q^{-1} W(q); every
-    edge with pivot q enters it.  That set is the Brink-Howlett state D(q) of
-    q, the small walls of Inv(q^{-1}): a wall of Inv(q) with no separator
-    from chamber q pulls back to one with no separator from the identity
-    chamber, which is a small wall.  So it is computed along q's shortlex
-    word, from D(1) = {} and D(g s) = {alpha_s} + (s D(g) & Small) for
-    l(g s) > l(g) (Brink and Howlett, Math. Ann. 296, 1993), starting from
-    the longest prefix whose state is known.  The universe must be the
-    small roots; each generator gets one table from a universe wall's bit
-    to the bit of s(beta) when s(beta) is small, and to 0 otherwise.
+    Returns (targets, forbid, children).  Node 0 of the graph is the
+    identity and node i + 1 is q, which must not be the identity.  For each
+    right descent s of q, q s must be the identity or an earlier pivot, or
+    ValueError is raised, naming both: the pivots are not prefix-closed.
+    children[node of q s][s] is the node of q, and every other entry is 0
+    (the identity is no node's child).  A prefix of a reduced word is
+    reduced, so the paths from node 0 to the node of q spell the reduced
+    words of q, which are the labels of q's edges.
+
+    targets[i] is the mask of q^{-1} W(q); every edge with pivot q enters
+    it.  That set is the Brink-Howlett state D(q) of q, the small walls of
+    Inv(q^{-1}): a wall of Inv(q) with no separator from chamber q pulls
+    back to one with no separator from the identity chamber, which is a
+    small wall.  D(q) is a function of q, so it is read from the node of
+    q s for the first right descent s of q, by D(g s) = {alpha_s} +
+    (s D(g) & Small) for l(g s) > l(g) (Brink and Howlett, Math. Ann. 296,
+    1993).  The universe must be the small roots; each generator gets one
+    table from a universe wall's bit to the bit of s(beta) when s(beta) is
+    small, and to 0 otherwise.
 
     forbid[i] is Inv(q), ORed with the bit of each universe wall V outside
     Inv(q) that admits no separator from chamber q.  So S & forbid[i] == 0
@@ -408,33 +391,46 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
         {wall.bit: bit_of.get(sys.reflect(s, wall.root), 0) for wall in universe}
         for s in range(sys.rank)
     ]
-    known: dict[Word, int] = {(): 0}
-    targets, forbid = [], []
+    node = {sys.identity: 0}
+    children = [[0] * sys.rank]
+    states = [0]  # D of each node's element
+    forbid = []
     for q in pivot_list:
-        word = geometry.shortlex_word(q)
-        n = len(word)
-        while word[:n] not in known:
-            n -= 1
-        state = known[word[:n]]
-        for i in range(n, len(word)):
-            s = word[i]
-            if state & simple[s]:
-                raise ArithmeticError("a shortlex word is not reduced")
-            move = moves[s]
-            image = simple[s]
-            while state:
-                low = state & -state
-                image |= move[low]
-                state ^= low
-            state = known[word[: i + 1]] = image
+        n = node[q] = len(children)
+        children.append([0] * sys.rank)
+        below = [(s, node.get(sys.right_mul(q, s))) for s in sys.right_descents(q)]
+        if not below:
+            raise ValueError("the identity is not a pivot")
+        for s, m in below:
+            if m is None:
+                word, prefix = (
+                    word_to_string(geometry.shortlex_word(g), sys.cox.generators)
+                    for g in (q, sys.right_mul(q, s))
+                )
+                raise ValueError(
+                    f"pivots are not prefix-closed: pivot {word!r} has the "
+                    f"prefix {prefix!r}, which is neither the identity nor an "
+                    "earlier pivot"
+                )
+            children[m][s] = n
+        s, m = below[0]
+        state = states[m]
+        if state & simple[s]:
+            raise ArithmeticError("a pivot's prefix below descent s has descent s")
+        move = moves[s]
+        image = simple[s]
+        while state:
+            low = state & -state
+            image |= move[low]
+            state ^= low
+        states.append(image)
         inv = geometry.inversion_bits(q)
         unseparated = 0
         for wall in universe:
             if not inv & wall.bit and not geometry.has_separator(q, wall):
                 unseparated |= wall.bit
-        targets.append(state)
         forbid.append(inv | unseparated)
-    return targets, forbid
+    return states[1:], forbid, children
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:

@@ -69,10 +69,10 @@ class CoxeterMatrix:
         k = len(self.generators)
         if k == 0:
             raise GroupConfigError("at least one generator is required")
-        if len(set(self.generators)) != k:
-            raise GroupConfigError("generator names must be distinct")
         if any(not isinstance(g, str) or not g for g in self.generators):
             raise GroupConfigError("generator names must be nonempty strings")
+        if len(set(self.generators)) != k:
+            raise GroupConfigError("generator names must be distinct")
         if any("," in g for g in self.generators):
             # words of several-letter names are written comma-joined
             raise GroupConfigError("generator names must not contain ','")
@@ -494,7 +494,7 @@ class CoxeterSystem:
 
     def sphere(self, radius: int) -> list[GroupElement]:
         self._extend_layers(radius)
-        if radius < len(self._layers):
+        if 0 <= radius < len(self._layers):
             return list(self._layers[radius])
         return []
 
@@ -503,7 +503,7 @@ class CoxeterSystem:
         (see next_layer)."""
         self._extend_layers(radius)
         out = []
-        for layer in self._layers[: radius + 1]:
+        for layer in self._layers[: max(radius + 1, 0)]:
             out.extend(layer)
         return out
 

@@ -395,23 +395,15 @@ class Verifier:
     # automaton agreement ---------------------------------------------------
 
     def _pivot_gap(self, aut) -> dict | None:
-        """A pivot the automaton lacks, or None.
+        """A pivot the automaton lacks, or None: an element of the ball with
+        identity projection that is not a pivot.
 
-        Pivots are closed under prefixes, so a right-descent prefix of a
-        pivot must be the identity or another pivot; and every element of the
-        ball with identity projection must be a pivot.
+        The automaton's constructor refuses pivots that are not prefix-closed,
+        so none of its pivots lies above a pivot it lacks in the weak order,
+        and only the ball finds one.
         """
         sys, geo = self.system, self.geometry
         pivots = set(aut.pivots)
-        for g in aut.pivots:
-            for s in sys.right_descents(g):
-                prefix = sys.right_mul(g, s)
-                if prefix.length and prefix not in pivots:
-                    return {
-                        "issue": "prefix of a pivot is not a pivot",
-                        "pivot": self._word(g),
-                        "prefix": self._word(prefix),
-                    }
         for g in sys.ball(self.config.radius):
             if g.length and g not in pivots and (
                 geo.voracious_projection(g) is sys.identity
@@ -428,10 +420,11 @@ class Verifier:
         every pivot.
 
         The accept state is checked by two independent routes: the automaton
-        reaches it by its pivots' targets, Brink-Howlett states read along
-        shortlex words by reflection tables, and the check computes it from
-        the definition, the frontier of the word's element g pulled back
-        along the reversed shortlex word of g (WallGeometry.pull_back)."""
+        reaches it by its pivots' targets, Brink-Howlett states each read off
+        the state of a prefix below a right descent by reflection tables, and
+        the check computes it from the definition, the frontier of the word's
+        element g pulled back along the reversed shortlex word of g
+        (WallGeometry.pull_back)."""
         sys, geo = self.system, self.geometry
         aut = build_automaton(geo)
 

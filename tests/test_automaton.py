@@ -255,16 +255,47 @@ def test_json_load_makes_no_inverse(stack, name):
 
 
 @pytest.mark.parametrize("name", ["affine_a3", "triangle_237", "h535"])
-def test_subset_targets_match_full_automaton(stack, name):
-    # A file may hold a subset of the pivots that is not prefix-closed; the
-    # loader's automaton walks each target through prefixes it does not
-    # hold, and gives each pivot the full automaton's target.  Every pivot
-    # of lengths 2 to 4 is dropped, so every longer pivot has some missing
-    # prefixes.
+def test_pivots_not_prefix_closed_are_refused(stack, name):
+    # Every pivot of lengths 2 to 4 is dropped, so every longer pivot has a
+    # missing prefix: the constructor refuses the set, and so does the
+    # loader, for a file of the kept words.
     full = build_automaton(_fresh(stack, name))
     kept = tuple(q for q in full.pivots if not 2 <= q.length <= 4)
+    refusal = "pivots are not prefix-closed: pivot '.{5}' has the prefix '.{4}'"
+    with pytest.raises(ValueError, match=refusal):
+        VoraciousAutomaton(full.geometry, full.universe, kept)
+    data = full.to_json_dict()
+    data["pivots"] = [w for w in data["pivots"] if not 2 <= len(w) <= 4]
+    with pytest.raises(ValueError, match=refusal):
+        from_json_dict(data, _fresh(stack, name))
+
+
+def test_identity_is_refused_as_a_pivot(stack):
+    # It is node 0 of the prefix graph, below every pivot.
+    geo = stack("a2").geometry
+    with pytest.raises(ValueError, match="the identity is not a pivot"):
+        VoraciousAutomaton(
+            geo, small_roots(geo), (geo.system.identity, *pivots(geo))
+        )
+
+
+def _truncated(full, max_length):
+    """The pivots of an automaton up to a length, which are prefix-closed,
+    and its file written for them."""
+    kept = tuple(q for q in full.pivots if q.length <= max_length)
+    data = full.to_json_dict()
+    data["pivots"] = [w for w in data["pivots"] if len(w) <= max_length]
+    return kept, data
+
+
+@pytest.mark.parametrize("name", ["affine_a3", "triangle_237", "h535"])
+def test_subset_targets_match_full_automaton(stack, name):
+    # A truncation by length is prefix-closed: built and loaded, it gives
+    # each pivot the full automaton's target.
+    full = build_automaton(_fresh(stack, name))
+    kept, data = _truncated(full, max(q.length for q in full.pivots) // 2)
     subset = VoraciousAutomaton(full.geometry, full.universe, kept)
-    loaded = from_json_dict(json.loads(subset.to_json()), _fresh(stack, name))
+    loaded = from_json_dict(data, _fresh(stack, name))
     assert len(loaded.pivots) == len(kept) < len(full.pivots)
     want = dict(zip(full._pivot_words(), full.targets))
     for aut in (subset, loaded):
@@ -450,7 +481,7 @@ def _prefix_graph_nodes(aut):
     when h s is longer than h and is a node, and 0 otherwise.
     """
     sys_ = aut.geometry.system
-    children, _ = aut._prefix_graph
+    children = aut.children
     elements = [sys_.identity] + [None] * (len(children) - 1)
     queue = [0]
     for n in queue:
@@ -475,18 +506,14 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
     geo = long_pivot_geometries["affine_a3"]
     aut = build_automaton(geo)
     elements = _prefix_graph_nodes(aut)
-    assert len(elements) == 125
-    assert set(elements) == {geo.system.identity, *pivots(geo)}
-    _, pivot_at = aut._prefix_graph
-    assert [aut.pivots[q] for q in pivot_at[1:]] == elements[1:]
-    assert pivot_at[0] == -1
-    ends = [
+    assert elements == [geo.system.identity, *pivots(geo)]
+    ends = [{}] + [
         {
             state: aut.targets[q]
             for state, st in enumerate(aut.states)
-            if q >= 0 and not sum(aut.universe[v].bit for v in st) & aut.forbid[q]
+            if not sum(aut.universe[v].bit for v in st) & aut.forbid[q]
         }
-        for q in pivot_at
+        for q in range(len(aut.pivots))
     ]
     want = [{} for _ in elements]
     index = {h: n for n, h in enumerate(elements)}
@@ -496,25 +523,17 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
 
 
 def test_run_states_with_edges_missing_from_file(long_pivot_geometries):
-    # A file may be written for a subset of the pivots.  Drop a pivot that is
-    # a right-descent prefix of a longer pivot: the longer pivot's labels pass
-    # through the dropped pivot's element, which must stay a node, though no
-    # block ends there.
+    # A file may be written for the pivots up to a length: the longer
+    # pivots' edges are missing, and words run over the graph of the kept
+    # pivots agree with a scan of the kept edges' labels.
     geo = long_pivot_geometries["affine_a3"]
-    sys_ = geo.system
-    every = pivots(geo)
-    prefixes = {sys_.right_mul(g, s) for g in every for s in sys_.right_descents(g)}
-    dropped = next(g for g in every if g.length == 2 and g in prefixes)
-    kept = tuple(g for g in every if g is not dropped)
-    saved = VoraciousAutomaton(geo, small_roots(geo), kept).to_json()
-    aut = from_json_dict(json.loads(saved), geo)
+    kept, data = _truncated(build_automaton(geo), 5)
+    aut = from_json_dict(data, geo)
     assert aut.pivots == kept
-    assert aut.to_json() == saved
+    assert aut.to_json_dict() == data
     assert len(aut.edges) < 872
-    elements = _prefix_graph_nodes(aut)
-    assert len(elements) == len(kept) + 2
-    assert aut._prefix_graph[1][elements.index(dropped)] == -1
-    _assert_run_states_match_label_scan(aut, sys_.rank, 6)
+    assert _prefix_graph_nodes(aut) == [geo.system.identity, *kept]
+    _assert_run_states_match_label_scan(aut, geo.system.rank, 6)
 
 
 def _json_of(stack, name):

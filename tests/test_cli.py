@@ -208,6 +208,43 @@ def test_generator_name_with_comma_exits_2(tmp_path):
         assert r.stdout == ""
 
 
+def test_generator_name_of_another_type_exits_2(tmp_path):
+    # Checked before the names are compared, which hashes them.
+    cfg = tmp_path / "list_name.json"
+    cfg.write_text(json.dumps({"generators": [["a"], "b"], "m": [[1, 3], [3, 1]]}))
+    r = run_cli("small-roots", "--group", str(cfg))
+    assert r.returncode == 2
+    assert r.stderr == "error: generator names must be nonempty strings\n"
+    assert r.stdout == ""
+
+
+def test_accept_rejects_pivots_not_prefix_closed(tmp_path):
+    # bcbca steps down its right descent a to bcbc: a file without bcbc is
+    # refused, and one without bcbca too, which no pivot extends, loads.
+    aut_file = tmp_path / "t334.json"
+    r = run_cli(
+        "automaton", "--group", group("triangle_334"),
+        "--format", "json", "--out", str(aut_file),
+    )
+    assert r.returncode == 0
+    data = json.loads(aut_file.read_text())
+    runs = {}
+    for dropped in ("bcbc", "bcbca"):
+        pivots = [w for w in data["pivots"] if w != dropped]
+        assert len(pivots) == len(data["pivots"]) - 1
+        aut_file.write_text(json.dumps({**data, "pivots": pivots}))
+        runs[dropped] = run_cli(
+            "accept", "--group", group("triangle_334"),
+            "--automaton", str(aut_file), "abc",
+        )
+    assert runs["bcbc"].returncode == 2
+    assert runs["bcbc"].stderr == (
+        "error: pivots are not prefix-closed: pivot 'bcbca' has the prefix "
+        "'bcbc', which is neither the identity nor an earlier pivot\n"
+    )
+    assert (runs["bcbca"].returncode, runs["bcbca"].stdout) == (0, "accept\n")
+
+
 def test_accept_rejects_deeply_nested_automaton_file(tmp_path):
     # Deeper than the JSON parser's recursion allows: an input error, not a
     # crash whose exit code 1 would read as "reject".

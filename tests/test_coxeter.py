@@ -78,6 +78,8 @@ def test_parse_infinite_order():
         '{"generators": ["s", "t"], "m": [[2, 3], [3, 1]]}',  # bad diagonal
         '{"generators": ["s", "t"], "m": [[1, 1], [1, 1]]}',  # order 1 off-diagonal
         '{"generators": ["s", "s"], "m": [[1, 3], [3, 1]]}',  # duplicate names
+        # a list is no name, and cannot be hashed to compare the names
+        '{"generators": [["a"], "b"], "m": [[1, 3], [3, 1]]}',
         '{"generators": ["s", "t"], "m": [[1, 3]]}',  # not square
         '{"generators": [], "m": []}',
         '{"generators": ["s", "t"], "m": [[1, 3.0], [3.0, 1]]}',  # non-integer
@@ -284,6 +286,16 @@ def test_ball_stops_growing_past_the_diameter():
         assert len(sys_.ball(radius)) == 6
         assert sys_.sphere(radius + 1) == []
     assert len(sys_._layers) == 5
+
+
+def test_negative_sphere_is_empty(stack):
+    # No layer is counted from the end, in a sphere or a ball.
+    sys_ = stack("triangle_334").system
+    assert len(sys_.ball(3)) == 20
+    assert [len(sys_.sphere(r)) for r in range(4)] == [1, 3, 6, 10]
+    for radius in (-1, -2, -5):
+        assert sys_.sphere(radius) == []
+        assert sys_.ball(radius) == []
 
 
 # Groups beyond groups/ whose balls are checked for shortlex order: the

@@ -342,38 +342,45 @@ def test_projection_monotone_fails_on_a_raised_projection(stack, monkeypatch):
     assert not projection_monotone_bruteforce(geo, 3)[1]
 
 
-@pytest.mark.parametrize(
-    "dropped,witness",
-    [
-        # bcbca steps down its right descent a to the dropped bcbc.
-        (
-            "bcbc",
-            {
-                "issue": "prefix of a pivot is not a pivot",
-                "pivot": "bcbca",
-                "prefix": "bcbc",
-            },
-        ),
-        # No pivot extends bcbca, so only the ball finds it.
-        ("bcbca", {"issue": "identity projection but not a pivot", "element": "bcbca"}),
-    ],
-)
-def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch, dropped, witness):
+def _pivots_without(geometry, word):
+    """Every pivot but the one with this shortlex word."""
+    every = pivots(geometry)
+    kept = tuple(q for q in every if geometry.shortlex_word(q) != word)
+    assert len(kept) < len(every)
+    return kept
+
+
+def test_automaton_refuses_a_dropped_prefix(stack):
+    # bcbca steps down its right descent a to bcbc, so the pivots without
+    # bcbc are not prefix-closed, and no automaton is built over them.
     s = stack("triangle_334")
     geo = WallGeometry(CoxeterSystem(s.cox))
-    word = s.word(dropped)
+    kept = _pivots_without(geo, s.word("bcbc"))
+    with pytest.raises(
+        ValueError,
+        match="^pivots are not prefix-closed: pivot 'bcbca' has the prefix "
+        "'bcbc', which is neither the identity nor an earlier pivot$",
+    ):
+        VoraciousAutomaton(geo, small_roots(geo), kept)
+
+
+def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch):
+    # No pivot extends bcbca, so the pivots without it are prefix-closed,
+    # and only the ball finds it.
+    s = stack("triangle_334")
+    geo = WallGeometry(CoxeterSystem(s.cox))
 
     def build_without_pivot(geometry):
-        every = pivots(geometry)
-        shortlex = geometry.shortlex_word
-        kept = tuple(q for q in every if shortlex(q) != word)
-        assert len(kept) < len(every)
+        kept = _pivots_without(geometry, s.word("bcbca"))
         return VoraciousAutomaton(geometry, small_roots(geometry), kept)
 
     monkeypatch.setattr(voracious.verify, "build_automaton", build_without_pivot)
     check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
     assert check.status == "fail"
-    assert check.witness == witness
+    assert check.witness == {
+        "issue": "identity projection but not a pivot",
+        "element": "bcbca",
+    }
 
 
 @pytest.mark.parametrize(
