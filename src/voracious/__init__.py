@@ -16,6 +16,7 @@ from .coxeter import (
     GroupConfigError,
     GroupElement,
     ResourceLimitError,
+    Wall,
     load_group_file,
     parse_group_config,
     word_from_string,
@@ -24,7 +25,7 @@ from .coxeter import (
 from .field import FieldContext, FieldScalar
 from .language import FactorizationChain, VoraciousLanguage
 from .verify import Verifier, VerifierConfig, VerificationReport
-from .walls import Wall, WallGeometry
+from .walls import WallGeometry
 
 __version__ = "0.1.0"
 

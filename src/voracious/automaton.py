@@ -10,8 +10,8 @@ separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
 and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  q^{-1} W(q) is the
 Brink-Howlett state of q, the small walls of Inv(q^{-1}), so target(q) is
-read off the state of q's prefix below a right descent by one reflection
-table per generator, with no matrix product (see _pivot_rules).  The
+read off the state of q's prefix below a right descent by the simple
+walls' reflection tables, with no matrix product (see _pivot_rules).  The
 pivots fix the automaton: VoraciousAutomaton is built over them, which
 must be prefix-closed, as every pivot set is (see pivots), and derives
 their masks, the prefix graph, the states and the edges in one scan.
@@ -47,11 +47,12 @@ from itertools import zip_longest
 
 from .coxeter import (
     GroupElement,
+    Wall,
     Word,
     word_from_string,
     word_to_string,
 )
-from .walls import Wall, WallGeometry
+from .walls import WallGeometry
 
 # Only this format is read back: format-1 files may hold a truncated pivot set,
 # format-2 files store labels, which are now derived, and format-3 files store
@@ -64,13 +65,9 @@ SHOWN_CHARS = 200
 
 
 def small_roots(geometry: WallGeometry) -> tuple[Wall, ...]:
-    """All small-root walls, sorted by root as output writes it.
-
-    The walls of CoxeterSystem.small_roots, made in the order the closure
-    finds their roots.
-    """
-    walls = map(geometry.wall_of_root, geometry.system.small_roots())
-    return tuple(sorted(walls, key=geometry.output_root))
+    """All small-root walls (CoxeterSystem.small_roots), sorted by root as
+    output writes it."""
+    return tuple(sorted(geometry.system.small_roots(), key=geometry.output_root))
 
 
 def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
@@ -373,9 +370,9 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     small wall.  D(q) is a function of q, so it is read from the node of
     q s for the first right descent s of q, by D(g s) = {alpha_s} +
     (s D(g) & Small) for l(g s) > l(g) (Brink and Howlett, Math. Ann. 296,
-    1993).  The universe must be the small roots; each generator gets one
-    table from a universe wall's bit to the bit of s(beta) when s(beta) is
-    small, and to 0 otherwise.
+    1993).  The universe must be the small roots; s(beta) is read from the
+    reflection table of the wall of alpha_s, which has bit s
+    (CoxeterSystem.simple_reflection), and kept when it is small.
 
     forbid[i] is Inv(q), ORed with the bit of each universe wall V outside
     Inv(q) that admits no separator from chamber q.  So S & forbid[i] == 0
@@ -385,12 +382,7 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     them (WallGeometry.has_separator) is complete.
     """
     sys = geometry.system
-    bit_of = {wall.root: wall.bit for wall in universe}
-    simple = [bit_of[root] for root in sys.identity.matrix]
-    moves = [
-        {wall.bit: bit_of.get(sys.reflect(s, wall.root), 0) for wall in universe}
-        for s in range(sys.rank)
-    ]
+    small = sum(wall.bit for wall in universe)
     node = {sys.identity: 0}
     children = [[0] * sys.rank]
     states = [0]  # D of each node's element
@@ -415,15 +407,12 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
             children[m][s] = n
         s, m = below[0]
         state = states[m]
-        if state & simple[s]:
+        if state >> s & 1:
             raise ArithmeticError("a pivot's prefix below descent s has descent s")
-        move = moves[s]
-        image = simple[s]
-        while state:
-            low = state & -state
-            image |= move[low]
-            state ^= low
-        states.append(image)
+        image = 1 << s
+        for wall in sys.walls_of(state):
+            image |= sys.simple_reflection(s, wall)[0].bit
+        states.append(image & small)
         inv = geometry.inversion_bits(q)
         unseparated = 0
         for wall in universe:

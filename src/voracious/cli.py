@@ -8,6 +8,7 @@ for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import automaton as automaton_mod
@@ -82,6 +83,21 @@ def _render(word, system) -> str:
     return word_to_string(word, system.cox.generators)
 
 
+def _check_out(out_path: str | None) -> None:
+    """Refuse an output path that could not be written, before any group
+    work: a folder, or a new file in a missing or read-only folder.  An
+    existing file is checked, not opened, so a later error leaves it intact."""
+    if out_path is None:
+        return
+    if os.path.exists(out_path):
+        ok = not os.path.isdir(out_path) and os.access(out_path, os.W_OK)
+    else:
+        folder = os.path.dirname(out_path) or "."
+        ok = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if not ok:
+        raise OSError(f"cannot write --out {out_path!r}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -124,7 +140,7 @@ def _cmd_project(args) -> int:
 def _cmd_walls(args) -> int:
     system, geometry = _load(args)
     g = system.element_of_word(_parse_word(args.word, system))
-    walls = geometry.walls_of(geometry.frontier_set(g))
+    walls = system.walls_of(geometry.frontier_set(g))
     sys.stdout.write(_wall_lines(geometry, walls))
     return 0
 
@@ -136,6 +152,7 @@ def _cmd_small_roots(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
+    _check_out(args.out)
     _, geometry = _load(args)
     aut = automaton_mod.build_automaton(geometry)
     text = aut.to_json() if args.format == "json" else aut.to_dot()
@@ -170,6 +187,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_out(args.out)
     system, geometry = _load(args)
     config = VerifierConfig(radius=args.radius, seed=args.seed)
     report = Verifier(geometry, config).run_suite()

@@ -1,29 +1,31 @@
 """Coxeter systems: presentation matrix, geometric representation, words, balls.
 
-A group element g is stored as its images of the simple roots: its matrix
-in the geometric representation is kept by columns, and column s is the
-root g(alpha_s), together with the cached word length.  Since l(gs) > l(g)
-iff g(alpha_s) > 0, every length, right descent and inversion test reads one
-stored tuple.  Words are built from the right: reduced_words steps down
-right descents, and shortlex words climb the weak order (walls.py).  One
+A group element g is stored as its walls: for each generator s, the wall of
+the root g(alpha_s) and a descent bit, set iff g(alpha_s) < 0, beside the
+cached word length.  Since l(gs) < l(g) iff g(alpha_s) < 0, every length
+and right descent test reads one bit.  The system owns the walls, one per
+positive root, each with a bit 1 << (creation index), so a set of walls is
+an int mask (walls.py).  A product g s reflects the walls of the neighbours
+of s in the wall of g(alpha_s), through one memoised table per wall (see
+right_mul).  Words are built from the right: reduced_words steps down right
+descents, and shortlex words climb the weak order (walls.py).  One
 breadth-first step, next_layer, grows both the ball and the pivot search
-(walls.py) by a layer, in (length, shortlex) order with no sort.  Every
-element is built by right products: a left product s g is the element of
-the word s followed by a reduced word of g, and g^{-1} that of the reversed
-word, so the system has one product direction and no inverse link.
+(walls.py) by a layer, in (length, shortlex) order with no sort.  A left
+product s g is the element of the word s followed by a reduced word of g,
+and g^{-1} that of the reversed word, so the system has one product
+direction and no inverse link.
 
-Matrix entries, roots and the form 2B are coefficient tuples of ints over
-y' = 2 cos(pi/M'), for M' the lcm of the finite orders other than 2 and 3
-(see field.py), so a matrix is a tuple of tuples of tuples.  Those two
-orders give the rational entries 0 and -1 of 2B, so one context over M'
-does all arithmetic; output_vector writes a vector over y = 2 cos(pi/M),
-for M the lcm of every finite order, the one basis every output uses.
+Roots and the form 2B are coefficient tuples of ints over y' = 2 cos(pi/M'),
+for M' the lcm of the finite orders other than 2 and 3 (see field.py), so a
+root is a tuple of tuples.  Those two orders give the rational entries 0 and
+-1 of 2B, so one context over M' does all arithmetic; output_vector writes a
+vector over y = 2 cos(pi/M), for M the lcm of every finite order, the one
+basis every output uses.
 
-The representation is faithful, so matrix equality is group equality, and
-a system builds each element once, from one table keyed by matrix: two
-elements of one system are equal iff they are the same object, and every
-memo hashes elements by identity.  Lengths are never assumed from input
-words: generator application tracks them by an exact root-sign test.
+The representation is faithful, so a system builds each element once, from
+one table keyed by its walls and descent bits: two elements of one system
+are equal iff they are the same object, and every memo hashes elements and
+walls by identity.  A root's sign is decided once, when its wall is made.
 """
 
 from __future__ import annotations
@@ -185,21 +187,53 @@ def word_from_string(text: str, generators) -> Word:
     return tuple(word)
 
 
-class GroupElement:
-    """Element g of a Coxeter group, stored as its images of the simple roots.
+class Wall:
+    """Wall of a reflection, with its sign-normalized positive root.
 
-    matrix[s] is the root g(alpha_s), so a right descent (g(alpha_s) < 0)
-    reads one stored tuple, and length is the cached word length.
-
-    Elements are made only by their CoxeterSystem (CoxeterSystem._element),
-    which makes one per matrix, so identity is equality.  Elements of two
-    different systems never compare equal, even over one Coxeter matrix.
+    The root is a tuple of coefficient tuples over y' (outputs use
+    WallGeometry.output_root).  Walls are made only by
+    CoxeterSystem.wall_of_root, one per positive root and system, so
+    identity is equality.  `bit` is 1 << (creation index in its system).
+    `reflections` maps a wall W to (W', flip), r(beta_W) = -beta_W' if flip
+    else beta_W', for r the reflection in this wall (CoxeterSystem.right_mul).
+    `known` masks the walls whose disjointness from this one is decided,
+    `disjoint` those found disjoint (WallGeometry.walls_disjoint).
+    `crossing` is the first chamber an inversion walk saw cross the wall
+    (WallGeometry.inversion_bits), or None.  `form` is the integer
+    functional u -> 2B(u, root) (CoxeterSystem.form_functional), built by
+    WallGeometry.form2 on a first disjointness test, or None before that.
     """
 
-    __slots__ = ("matrix", "length")
+    __slots__ = ("root", "bit", "reflections", "known", "disjoint", "crossing", "form")
 
-    def __init__(self, matrix, length):
-        self.matrix = matrix
+    def __init__(self, root, bit):
+        self.root = root
+        self.bit = bit
+        self.reflections: dict[Wall, tuple[Wall, int]] = {}
+        self.known = 0
+        self.disjoint = 0
+        self.crossing = None
+        self.form = None
+
+    def __repr__(self):
+        return f"Wall({self.root})"
+
+
+class GroupElement:
+    """Element g of a Coxeter group, stored as its walls.
+
+    g(alpha_s) is the root of walls[s], negated iff bit s of descents is
+    set, so descents masks the right descents; length is the word length.
+    Elements are made only by their CoxeterSystem (CoxeterSystem._element),
+    one per (walls, descents), so identity is equality.  Elements of two
+    systems never compare equal, even over one Coxeter matrix.
+    """
+
+    __slots__ = ("walls", "descents", "length")
+
+    def __init__(self, walls, descents, length):
+        self.walls = walls
+        self.descents = descents
         self.length = length
 
     def __repr__(self):
@@ -254,12 +288,17 @@ class CoxeterSystem:
             for s, row in enumerate(self.gram2)
         )
 
-        # Column s of the identity is the simple root alpha_s.
-        ident = tuple(
-            tuple(one if i == j else zero for i in range(k)) for j in range(k)
+        # Positive root -> its wall.
+        self._walls: dict[tuple, Wall] = {}
+        self._by_index: list[Wall] = []
+        # Column s of the identity is the simple root alpha_s, so the wall
+        # of generator s has bit s.
+        simple = tuple(
+            self.wall_of_root(tuple(one if i == j else zero for i in range(k)))
+            for j in range(k)
         )
         self._elements: dict[tuple, GroupElement] = {}
-        self.identity = self._element(ident, 0)
+        self.identity = self._element(simple, 0, 0)
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
         self._reduced_cache = {self.identity: frozenset({()})}
@@ -267,35 +306,6 @@ class CoxeterSystem:
         self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
 
     # -- linear algebra ----------------------------------------------------
-
-    def reflect(self, s: int, vec):
-        """s(vec) = vec - 2 B(alpha_s, vec) alpha_s, which moves coordinate s only.
-
-        The new coordinate is -vec_s - sum over j != s of (2B)_sj vec_j; vec
-        itself is returned when it is unchanged.
-        """
-        x = vec[s]
-        new = neg(x)
-        for j, t in self._reflect_times[s]:
-            y = vec[j]
-            if any(y):
-                new = add(new, t(y))
-        if new == x:
-            return vec
-        return vec[:s] + (new,) + vec[s + 1 :]
-
-    def _mul_gen_right(self, cols, s: int):
-        """g s from the columns of g: (g s)(alpha_j) = g(alpha_j) - (2B)_sj
-        g(alpha_s), so column s is negated, each neighbour j of s in 2B gains
-        -(2B)_sj times column s, and every other column tuple is shared."""
-        col = cols[s]
-        out = list(cols)
-        out[s] = tuple(map(neg, col))
-        for j, t in self._reflect_times[s]:
-            out[j] = tuple(
-                add(y, t(x)) if any(x) else y for x, y in zip(col, cols[j])
-            )
-        return tuple(out)
 
     def output_vector(self, vec):
         """vec with each coordinate written over y = 2 cos(pi/M), for M the
@@ -335,56 +345,110 @@ class CoxeterSystem:
         return acc
 
     def root_sign(self, vec) -> int:
-        """+1 for a positive root, -1 for a negative one.
+        """+1 for a positive root, -1 for a negative one.  The coordinates of
+        a root are of one sign, and not all 0; anything else signals an
+        arithmetic bug, so it raises."""
+        signs = set(map(self.ctx.sign_of, vec))
+        signs.discard(0)
+        if len(signs) != 1:
+            raise ArithmeticError(f"not a root: coordinate signs {sorted(signs)}")
+        return signs.pop()
 
-        Roots of the representation have coordinates of one sign; anything
-        else signals an arithmetic bug, so mixed signs raise.
-        """
-        sign_of = self.ctx.sign_of
-        positive = negative = False
-        for x in vec:
-            s = sign_of(x)
-            if s > 0:
-                positive = True
-            elif s < 0:
-                negative = True
-        if positive and negative:
-            raise ArithmeticError("root has coordinates of both signs")
-        if not (positive or negative):
-            raise ArithmeticError("zero vector is not a root")
-        return 1 if positive else -1
+    # -- walls ---------------------------------------------------------------
+
+    def wall_of_root(self, root) -> Wall:
+        """The wall of a root of either sign."""
+        return self._signed_wall(root)[0]
+
+    def _signed_wall(self, root) -> tuple[Wall, int]:
+        """(wall, flip): root is the wall's root, negated iff flip.  A root
+        whose negation is a wall's is negative, so a root's sign is decided
+        only when its wall is made."""
+        got = self._walls.get(root)
+        if got is not None:
+            return got, 0
+        other = tuple(map(neg, root))
+        got = self._walls.get(other)
+        if got is not None:
+            return got, 1
+        flip = int(self.root_sign(root) < 0)
+        got = Wall(other if flip else root, 1 << len(self._by_index))
+        self._by_index.append(got)
+        self._walls[got.root] = got
+        return got, flip
+
+    def walls_of(self, mask: int):
+        """The walls whose bits are set in mask, lowest bit first."""
+        by_index = self._by_index
+        while mask:
+            low = mask & -mask
+            yield by_index[low.bit_length() - 1]
+            mask ^= low
+
+    def simple_reflection(self, s: int, wall: Wall) -> tuple[Wall, int]:
+        """(W', flip) for s(beta_W) = -beta_W' if flip else beta_W', from the
+        reflection table of the wall of alpha_s.  A new entry moves
+        coordinate s only: s(beta) = beta - 2B(alpha_s, beta) alpha_s."""
+        table = self.identity.walls[s].reflections
+        got = table.get(wall)
+        if got is None:
+            beta = wall.root
+            moved = sub(beta[s], self.gram2_row_dot(s, beta))
+            got = table[wall] = self._signed_wall(beta[:s] + (moved,) + beta[s + 1 :])
+        return got
 
     # -- group operations --------------------------------------------------
 
-    def _element(self, matrix, length: int) -> GroupElement:
-        """The element with this matrix: the one already built, or a new one.
-
-        Every element is built here, so each exists once.  length is the
-        length tracked along the path that reached the matrix; a stored
-        element of another length means the tracking went wrong.
-        """
-        got = self._elements.get(matrix)
+    def _element(self, walls, descents: int, length: int) -> GroupElement:
+        """The element with these signed walls: the one already built, or a
+        new one.  length is tracked along the path that reached it; a stored
+        element of another length means the tracking went wrong."""
+        key = walls, descents
+        got = self._elements.get(key)
         if got is None:
-            got = self._elements[matrix] = GroupElement(matrix, length)
+            got = self._elements[key] = GroupElement(walls, descents, length)
         elif got.length != length:
             raise ArithmeticError("one element reached with two lengths")
         return got
 
     def right_mul(self, g: GroupElement, s: int) -> GroupElement:
-        """g * s, with the length tracked by the sign of g(alpha_s).
+        """g * s, from the walls of g and their descent bits.
 
-        Memoized: enumeration loops revisit the same small ball many times,
-        so the cache stays within rank * |elements built| entries.  Right
-        multiplication by s is an involution, so each product is memoised in
-        both directions: (g s) s = g is known from the moment g s is, and a
-        walk down a right descent of an element built by right_mul is free.
+        (g s)(alpha_s) = -g(alpha_s), so bit s flips, and it gives the length
+        step.  For H the wall of g(alpha_s), (g s)(alpha_t) = g(alpha_t) -
+        (2B)_st g(alpha_s) is r_H(g(alpha_t)), as B is W-invariant: for each
+        neighbour t of s in 2B, the wall W of column t becomes W', and bit t
+        flips if r_H(beta_W) = -beta_W'.  H's table holds that reflection;
+        a new entry costs one column of arithmetic, since 2B(beta_H, beta_W)
+        is (2B)_st, negated when bits s and t differ.
+
+        Memoised both ways, as right multiplication by s is an involution:
+        (g s) s = g is known from the moment g s is, so a walk down a right
+        descent of an element built by right_mul is free.
         """
         memo = self._rmul_cache
         hit = memo.get((g, s))
         if hit is not None:
             return hit
-        delta = self.root_sign(g.matrix[s])
-        out = self._element(self._mul_gen_right(g.matrix, s), g.length + delta)
+        signs = g.descents
+        walls = list(g.walls)
+        h = walls[s]
+        table = h.reflections
+        descents = signs ^ 1 << s
+        for t, times in self._reflect_times[s]:
+            w = walls[t]
+            got = table.get(w)
+            if got is None:
+                combine = sub if (signs >> s ^ signs >> t) & 1 else add
+                root = tuple(
+                    combine(y, times(x)) if any(x) else y
+                    for x, y in zip(h.root, w.root)
+                )
+                got = table[w] = self._signed_wall(root)
+            walls[t], flip = got
+            descents ^= flip << t
+        length = g.length - 1 if signs >> s & 1 else g.length + 1
+        out = self._element(tuple(walls), descents, length)
         memo[g, s] = out
         memo[out, s] = g
         return out
@@ -395,16 +459,15 @@ class CoxeterSystem:
 
     def descent_step(self, h: GroupElement) -> tuple[int, GroupElement]:
         """(s, h s) for a right descent s of h: the least s whose product
-        right_mul has built, whose length shows the descent with no sign;
-        otherwise the least descent s, and h s is built."""
-        for s in range(self.rank):
+        right_mul has built, otherwise the least s, and h s is built."""
+        descents = self.right_descents(h)
+        for s in descents:
             down = self.built_right_mul(h, s)
-            if down is not None and down.length < h.length:
+            if down is not None:
                 return s, down
-        for s, root in enumerate(h.matrix):
-            if self.root_sign(root) < 0:
-                return s, self.right_mul(h, s)
-        raise ArithmeticError("a non-identity element has no right descent")
+        if not descents:
+            raise ArithmeticError("a non-identity element has no right descent")
+        return descents[0], self.right_mul(h, descents[0])
 
     def element_of_word(self, word: Word) -> GroupElement:
         g = self.identity
@@ -417,7 +480,7 @@ class CoxeterSystem:
     # -- descents and words ------------------------------------------------
 
     def right_descents(self, g: GroupElement) -> tuple[int, ...]:
-        return tuple(s for s in range(self.rank) if self.root_sign(g.matrix[s]) < 0)
+        return tuple(s for s in range(self.rank) if g.descents >> s & 1)
 
     def reduced_words(self, g: GroupElement) -> frozenset[Word]:
         """All reduced words of g: each reduced word of g*s followed by s,
@@ -509,28 +572,28 @@ class CoxeterSystem:
 
     # -- small roots and finiteness ------------------------------------------
 
-    def small_roots(self) -> tuple:
-        """The small roots, positive, in the order their closure finds them.
+    def small_roots(self) -> tuple[Wall, ...]:
+        """The walls of the small roots, in the order their closure finds them.
 
-        The closure starts from the simple roots.  From a small root beta and
+        The closure starts from the simple walls.  From a small root beta and
         a generator s, the root s(beta) is small iff -2 < 2B(alpha_s, beta) < 2;
         outside that band the two walls are disjoint, and at 0 s fixes beta.
         Every Coxeter group has finitely many small roots (Brink-Howlett).
         """
         in_band = self.ctx.in_band
-        found = list(self.identity.matrix)
+        found = list(self.identity.walls)
         seen = set(found)
-        for beta in found:  # grows as the closure finds roots
+        for wall in found:  # grows as the closure finds walls
             for s in range(self.rank):
-                t = self.gram2_row_dot(s, beta)
+                t = self.gram2_row_dot(s, wall.root)
                 if not any(t) or not in_band(t):
                     continue
-                vec = self.reflect(s, beta)
-                if self.root_sign(vec) < 0:
+                image, flip = self.simple_reflection(s, wall)
+                if flip:
                     raise ArithmeticError("reflected small root must stay positive")
-                if vec not in seen:
-                    seen.add(vec)
-                    found.append(vec)
+                if image not in seen:
+                    seen.add(image)
+                    found.append(image)
                     if len(found) > MAX_SMALL_ROOTS:
                         raise ResourceLimitError(
                             f"small-root closure exceeded {MAX_SMALL_ROOTS} walls"
@@ -548,19 +611,21 @@ class CoxeterSystem:
         finite.
         """
         in_band = self.ctx.in_band
-        simple = self.identity.matrix
+        simple = self.identity.walls
         return all(
-            beta == simple[s] or in_band(self.gram2_row_dot(s, beta))
-            for beta in self.small_roots()
+            wall is simple[s] or in_band(self.gram2_row_dot(s, wall.root))
+            for wall in self.small_roots()
             for s in range(self.rank)
         )
 
     def stats(self) -> dict[str, int]:
         """Sizes of the system's memos: elements built, right products,
-        reduced-word sets and decided signs."""
+        walls, wall reflections, reduced-word sets and decided signs."""
         return {
             "elements": len(self._elements),
             "right_products": len(self._rmul_cache),
+            "walls": len(self._by_index),
+            "reflections": sum(len(w.reflections) for w in self._by_index),
             "reduced_word_sets": len(self._reduced_cache),
             "signs": len(self.ctx._signs),
         }

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from operator import xor
 
 from .automaton import build_automaton
-from .coxeter import GroupElement, Word, word_to_string
+from .coxeter import GroupElement, Wall, Word, word_to_string
 from .language import VoraciousLanguage
-from .walls import Wall, WallGeometry
+from .walls import WallGeometry
 
 
 # Chambers this close to the ball boundary are left out of Q_hat, so that the
@@ -186,11 +186,11 @@ class Verifier:
         seen = 0
         for g in ball:
             bits = inv(g)
-            for w in geo.walls_of(bits & ~seen):
+            for w in sys.walls_of(bits & ~seen):
                 wall_min_radius[w] = g.length
             seen |= bits
-            for root in g.matrix:
-                incident.setdefault(geo.wall_of_root(root), []).append(bits)
+            for wall in g.walls:
+                incident.setdefault(wall, []).append(bits)
 
         # per-pair data for separator-free (g, W) pairs; values are exact,
         # rows of the by-radius table just filter which pairs are visible.
@@ -262,7 +262,7 @@ class Verifier:
 
         The g' of each g are the weak-order interval [p(g), g], reached from
         p(g) by WallGeometry.walk_up crossing walls of Inv(g) only: the
-        walk that lists the projection's candidates, one column per move.
+        walk that lists the projection's candidates, two bit tests per move.
         Every g' lies in the ball, whose products and inversion sets are
         memoised already.
         """
@@ -504,8 +504,7 @@ class Verifier:
         pair_data: dict[int, tuple[GroupElement, int, int, Wall, Wall]] = {}
         for u in ball:
             for a, b in simple_pairs:
-                wr = geo.wall_of_root(u.matrix[a])
-                wq = geo.wall_of_root(u.matrix[b])
+                wr, wq = u.walls[a], u.walls[b]
                 key = wr.bit | wq.bit
                 if key not in pair_data:
                     pair_data[key] = (u, a, b, wr, wq)
@@ -519,7 +518,7 @@ class Verifier:
         # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
         # positions a draw has swapped, so drawing n of them costs O(n).
         keys = sorted(
-            pair_data, key=lambda k: sorted(map(geo.output_root, geo.walls_of(k)))
+            pair_data, key=lambda k: sorted(map(geo.output_root, sys.walls_of(k)))
         )
         n_combos = len(keys) * len(ball)
         rng = random.Random(cfg.seed)

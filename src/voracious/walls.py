@@ -1,7 +1,9 @@
 """Walls of a Coxeter chamber system and the voracious projection.
 
 A wall is the fixed hyperplane of a reflection, represented by its positive
-root.  Everything here reduces to exact sign evaluations:
+root; the system owns the walls (coxeter.Wall, CoxeterSystem.wall_of_root),
+and an element is its walls, one per generator with a descent bit (see
+coxeter.py).  Everything here reduces to exact sign evaluations:
 
   * chamber g lies on the identity side of the wall of beta iff
     g^{-1}(beta) is positive;
@@ -11,23 +13,14 @@ root.  Everything here reduces to exact sign evaluations:
 
 Each wall carries a bit, 1 << (its creation index), and every set of walls
 is a Python int mask: inversion sets, frontiers and pulled-back frontiers
-alike, so every side question is a mask operation.  Wall objects come back
-from a mask only through WallGeometry.walls_of.  Disjointness reads 2B of two
-roots from an integer functional that a wall builds on its first test, d
-rows of k d ints (CoxeterSystem.form_functional), so a pair costs d integer
-dot products and one band test.  It is still decided one wall pair at a
-time, only for walls whose sides already qualify, and memoised in both
-directions as per-wall bitmasks.
-
-Inversion sets are built by stepping down: for a right descent s of g,
-Inv(g) is Inv(g s) plus the wall of g(alpha_s) (Bjorner-Brenti, Combinatorics
-of Coxeter Groups, 1.3-1.4).  A walk down right descents, through products
-right_mul has memoised where it can, reaches an element whose mask is known
-and ORs in one wall bit per step.  Every element it passes keeps its mask,
-and the first chamber g s seen below a wall is kept as the wall's crossing
-chamber: it is incident to the wall, so a separator test against a wall some
-walk has crossed reads both sides from memoised masks, with no depth descent
-to a canonical incident chamber.
+alike, so every side question is a mask operation, and
+CoxeterSystem.walls_of lists a mask's walls.  Disjointness reads 2B of two
+roots from an integer functional that a wall builds on its first test (see
+form2), decided one wall pair at a time, only for walls whose sides already
+qualify, and memoised in both directions as per-wall bitmasks.  Inversion
+sets are built by stepping down right descents (inversion_bits), which also
+records each wall's crossing chamber, so a separator test against a wall
+some walk has crossed reads both sides from memoised masks.
 
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
@@ -36,57 +29,20 @@ separators of (g, W) for W in Inv(g) always lie in Inv(g): a geodesic from
 the identity to g crosses W between two chambers incident to W, and those
 chambers sit on W's side of any disjoint separator.  The greedy walk to the
 projection carries the prefix p alone: p s is a longer prefix of g iff
-p(alpha_s) is a positive root whose wall is in Inv(g), and every wall is
-keyed under its positive root, so one dict lookup decides a move.  _climb
-takes the least move, and walk_up every move, which lists the projection's
-candidates and the interval [p(g), g] alike.  The climb, crossing any wall
-of Inv(g), spells words: from the identity the shortlex word of g, and
-from p(g) that of the block p(g)^{-1} g; the pivot search goes layer by
-layer instead (CoxeterSystem.next_layer, which grows the ball).  So words
-are built from the right, and so are the chambers this module names, with
-no inverse.  The step by s from h crosses the wall of h(alpha_s), column s
-of h, so pull_back and residue_walls read their walls off columns, and no
-matrix is applied to a root.
+p(alpha_s) is a positive root whose wall is in Inv(g), so a descent bit and
+a wall bit decide a move.  _climb takes the least move, and walk_up every
+move.  The climb spells words: from the identity the shortlex word of g,
+and from p(g) that of the block p(g)^{-1} g.  The step by s from h crosses
+h.walls[s], so pull_back and residue_walls read their walls off elements,
+with no inverse.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .coxeter import CoxeterSystem, GroupElement, Word
-from .field import cos_string, neg
-
-
-class Wall:
-    """Wall of a reflection, with its sign-normalized positive root.
-
-    The root is a tuple of coefficient tuples.  Walls are made only by
-    WallGeometry.wall_of_root, one per positive root and geometry, so
-    identity is equality.  `bit` is 1 << (creation index in its geometry).
-    `known` masks the walls whose disjointness from this one is decided,
-    `disjoint` those found disjoint; WallGeometry.walls_disjoint keeps both.
-    `crossing` is the first chamber an inversion walk saw cross the wall
-    (see WallGeometry.inversion_bits), or None while no walk has crossed it.
-    `form` is the integer functional u -> 2B(u, root) (see
-    CoxeterSystem.form_functional), built by WallGeometry.form2 when a
-    disjointness test first needs it, or None before that.
-    `modulus` is the M' of the arithmetic basis y' = 2 cos(pi/M') the root is
-    written over, which the repr names; outputs use WallGeometry.output_root.
-    """
-
-    __slots__ = ("root", "bit", "modulus", "known", "disjoint", "crossing", "form")
-
-    def __init__(self, root, bit, modulus):
-        self.root = root
-        self.bit = bit
-        self.modulus = modulus
-        self.known = 0
-        self.disjoint = 0
-        self.crossing = None
-        self.form = None
-
-    def __repr__(self):
-        return f"Wall(root over y'=2cos(pi/{self.modulus}): {self.root})"
+from .coxeter import CoxeterSystem, GroupElement, Wall, Word
+from .field import cos_string
 
 
 class WallGeometry:
@@ -94,37 +50,17 @@ class WallGeometry:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._walls: dict[tuple, Wall] = {}
-        self._by_index: list[Wall] = []
         self._inv_bits: dict[GroupElement, int] = {system.identity: 0}
         self._frontier: dict[GroupElement, int] = {}
         # g -> p(g), and g -> p(g)^{-1} g, the block it leaves, on request.
         self._proj: dict[GroupElement, GroupElement] = {}
         self._blocks: dict[GroupElement, GroupElement] = {}
         self._shortlex: dict[GroupElement, Word] = {system.identity: ()}
-        # Positive root -> its canonical incident chamber (incident_chamber).
-        self._incident: dict[tuple, GroupElement] = dict.fromkeys(
-            system.identity.matrix, system.identity
-        )
+        # Wall -> its canonical incident chamber (incident_chamber).
+        self._incident = dict.fromkeys(system.identity.walls, system.identity)
         self._output_roots: dict[Wall, tuple] = {}
-        # Made first, so the wall of generator s has bit s.
-        self._gen_walls = tuple(map(self.wall_of_root, system.identity.matrix))
 
-    # -- construction ------------------------------------------------------
-
-    def wall_of_root(self, root) -> Wall:
-        # Walls are keyed by their positive root, so a hit needs no sign.
-        got = self._walls.get(root)
-        if got is None:
-            if self.system.root_sign(root) < 0:
-                root = tuple(map(neg, root))
-                got = self._walls.get(root)
-            if got is None:
-                got = self._walls[root] = Wall(
-                    root, 1 << len(self._by_index), self.system.ctx.modulus
-                )
-                self._by_index.append(got)
-        return got
+    # -- output --------------------------------------------------------------
 
     def output_root(self, wall: Wall):
         """The wall's root written over y = 2 cos(pi/M) (see
@@ -140,11 +76,10 @@ class WallGeometry:
         return [cos_string(x) for x in self.output_root(wall)]
 
     def stats(self) -> dict[str, int]:
-        """Sizes of the geometry's memos: walls, inversion masks, frontiers,
+        """Sizes of the geometry's memos: inversion masks, frontiers,
         projections, projection blocks, shortlex words and incident
-        chambers."""
+        chambers; the walls are the system's (CoxeterSystem.stats)."""
         return {
-            "walls": len(self._walls),
             "inversion_sets": len(self._inv_bits),
             "frontiers": len(self._frontier),
             "projections": len(self._proj),
@@ -152,14 +87,6 @@ class WallGeometry:
             "shortlex_words": len(self._shortlex),
             "incident_chambers": len(self._incident),
         }
-
-    def walls_of(self, mask: int):
-        """The walls whose bits are set in mask, lowest bit first."""
-        by_index = self._by_index
-        while mask:
-            low = mask & -mask
-            yield by_index[low.bit_length() - 1]
-            mask ^= low
 
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
@@ -169,9 +96,8 @@ class WallGeometry:
         p(alpha_s), p = s_1 ... s_{i-1} and s = s_i, and g^{-1} p =
         s_n ... s_i maps it to the wall of q(alpha_s), q = s_n ... s_{i+1}:
         the wall the reversed word crosses at its step n - i + 1.  So both
-        words are climbed by right products, and no matrix meets a root.
-        The automaton build reaches the same masks from its reflection
-        tables instead (automaton._pivot_rules).
+        words are climbed by right products.  The automaton build reaches
+        the same masks from the reflection tables (automaton._pivot_rules).
         """
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
@@ -180,13 +106,13 @@ class WallGeometry:
         crossed = []
         p = self.system.identity
         for s in word:
-            crossed.append(self.wall_of_root(p.matrix[s]).bit)
+            crossed.append(p.walls[s].bit)
             p = right_mul(p, s)
         out = 0
         q = self.system.identity
         for s, bit in zip(reversed(word), reversed(crossed)):
             if bit & mask:
-                out |= self.wall_of_root(q.matrix[s]).bit
+                out |= q.walls[s].bit
             q = right_mul(q, s)
         return out
 
@@ -198,8 +124,8 @@ class WallGeometry:
         Steps down right descents (CoxeterSystem.descent_step) to an
         element whose mask is known, then adds back one wall per step: for a
         descent s of h, Inv(h) is Inv(h s) plus the wall of (h s)(alpha_s) =
-        -h(alpha_s), which h s is incident to.  Each element passed keeps its mask, and h s becomes
-        the wall's crossing chamber if it has none.
+        -h(alpha_s), which h s is incident to.  Each element passed keeps its
+        mask, and h s becomes the wall's crossing chamber if it has none.
         """
         memo = self._inv_bits
         bits = memo.get(g)
@@ -210,7 +136,7 @@ class WallGeometry:
         cur = g
         while bits is None:
             s, down = descent_step(cur)
-            path.append((cur, down, self.wall_of_root(down.matrix[s])))
+            path.append((cur, down, down.walls[s]))
             cur = down
             bits = memo.get(cur)
         for h, down, wall in reversed(path):
@@ -265,38 +191,38 @@ class WallGeometry:
         least generator s with B(alpha_s, beta) > 0 keeps beta positive and
         brings it closer to simplicity.  The chambers of beta and s(beta)
         are then related by chamber(beta) = s chamber(s(beta)), so the
-        descent stops at the first root whose chamber c is known, and fills
-        in the chamber of every root it passed on the way back: for the
+        descent stops at the first wall whose chamber c is known, and fills
+        in the chamber of every wall it passed on the way back: for the
         letters s_i ... s_{k-1} descended from it, the element of that word
-        followed by the shortlex word of c.  Roots are the keys, so the
-        descent itself makes no walls; only that shortlex word may.  The
-        resulting chamber lies on the identity side of the wall.
+        followed by the shortlex word of c.  Each step reads the reflection
+        table of a simple wall (CoxeterSystem.simple_reflection), and each
+        wall it passes is one of the walls of its chamber.  The resulting
+        chamber lies on the identity side of the wall.
         """
         memo = self._incident
-        got = memo.get(wall.root)
+        got = memo.get(wall)
         if got is not None:
             return got
         sys = self.system
         sign_of = sys.ctx.sign_of
         path = []
-        beta = wall.root
-        for _ in range(len(self._walls) + sys.max_ball_elements):
+        for _ in range(len(sys._by_index) + sys.max_ball_elements):
             for s in range(sys.rank):
-                if sign_of(sys.gram2_row_dot(s, beta)) > 0:
+                if sign_of(sys.gram2_row_dot(s, wall.root)) > 0:
                     break
             else:
                 raise ArithmeticError("depth descent stalled on a non-root vector")
-            path.append((beta, s))
-            beta = sys.reflect(s, beta)
-            got = memo.get(beta)
+            path.append((wall, s))
+            wall = sys.simple_reflection(s, wall)[0]
+            got = memo.get(wall)
             if got is not None:
                 break
         else:
             raise ArithmeticError("depth descent failed to terminate")
         word = self.shortlex_word(got)
-        for root, s in reversed(path):
+        for passed, s in reversed(path):
             word = (s,) + word
-            got = memo[root] = sys.element_of_word(word)
+            got = memo[passed] = sys.element_of_word(word)
         return got
 
     def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:
@@ -317,7 +243,7 @@ class WallGeometry:
         mask = candidates & sides & ~wall.bit
         if mask & wall.disjoint:
             return True
-        for sep in self.walls_of(mask & ~wall.known):
+        for sep in self.system.walls_of(mask & ~wall.known):
             if self.walls_disjoint(wall, sep):
                 return True
         return False
@@ -332,7 +258,7 @@ class WallGeometry:
             # Separators of an inversion wall of g are themselves in Inv(g).
             inv = self.inversion_bits(g)
             got = 0
-            for w in self.walls_of(inv):
+            for w in self.system.walls_of(inv):
                 if not self.has_separator(g, w, inv):
                     got |= w.bit
             self._frontier[g] = got
@@ -341,16 +267,14 @@ class WallGeometry:
     def _moves(self, p: GroupElement, free: int):
         """Generators by which the prefix p of g may grow, least first.
 
-        p s is a longer prefix of g iff p(alpha_s) is a positive root whose
-        wall is in Inv(g); such a wall is not in Inv(p).  Every wall is keyed
-        under its positive root, so looking the column p(alpha_s) up decides
-        both, with no sign.  free masks the walls of Inv(g) that may be
-        crossed: all of them, or all but the frontier walls of g.
+        p s is a longer prefix of g iff p(alpha_s) is a positive root, which
+        bit s of p's descents tells, whose wall is in Inv(g); such a wall is
+        not in Inv(p).  free masks the walls of Inv(g) that may be crossed:
+        all of them, or all but the frontier walls of g.
         """
-        walls = self._walls
-        for s, root in enumerate(p.matrix):
-            wall = walls.get(root)
-            if wall is not None and wall.bit & free:
+        descents = p.descents
+        for s, wall in enumerate(p.walls):
+            if wall.bit & free and not descents >> s & 1:
                 yield s
 
     def _climb(self, h: GroupElement, free: int) -> tuple[GroupElement, Word]:
@@ -487,13 +411,13 @@ class WallGeometry:
 
         The residue is a 2m-cycle of chambers, so the m steps of that word
         from u cross each of its walls once: the step by s from h crosses
-        the wall of h(alpha_s), column s of h.
+        the wall of h(alpha_s), walls[s] of h.
         """
         right_mul = self.system.right_mul
         out = []
         h = u
         for i in range(self.system.cox.orders[a][b]):
             s = b if i % 2 else a
-            out.append(self.wall_of_root(h.matrix[s]))
+            out.append(h.walls[s])
             h = right_mul(h, s)
         return tuple(out)

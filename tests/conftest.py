@@ -12,7 +12,7 @@ from voracious import (
     WallGeometry,
     load_group_file,
 )
-from voracious.field import FieldContext, add, sub
+from voracious.field import FieldContext, add, neg, sub
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parent.parent / "groups"
 
@@ -87,14 +87,24 @@ def run_states(aut, word) -> frozenset[int]:
     return frozenset(state for state, node in aut.run_pairs(word) if not node)
 
 
+def matrix_of(g):
+    """The matrix of g by columns: column s is g(alpha_s), the root of
+    g.walls[s], negated when s is a right descent.  The full-product
+    oracles below compare elements by it."""
+    return tuple(
+        tuple(map(neg, wall.root)) if g.descents >> s & 1 else wall.root
+        for s, wall in enumerate(g.walls)
+    )
+
+
 def generator_wall(geometry: WallGeometry, s: int):
     """The wall of the simple root alpha_s."""
-    return geometry.wall_of_root(geometry.system.identity.matrix[s])
+    return geometry.system.wall_of_root(matrix_of(geometry.system.identity)[s])
 
 
 def wall_set(geometry: WallGeometry, mask: int) -> frozenset:
     """The walls of a mask, as the frozenset the set assertions compare."""
-    return frozenset(geometry.walls_of(mask))
+    return frozenset(geometry.system.walls_of(mask))
 
 
 def inversion_walls(geometry: WallGeometry, g) -> frozenset:
@@ -143,6 +153,11 @@ def bilinear2(system: CoxeterSystem, u, v):
     return acc
 
 
+def reflect(system: CoxeterSystem, s: int, vec):
+    """s(vec) = vec - 2B(alpha_s, vec) alpha_s, which moves coordinate s only."""
+    return vec[:s] + (sub(vec[s], system.gram2_row_dot(s, vec)),) + vec[s + 1 :]
+
+
 def descent_chamber(geometry: WallGeometry, wall):
     """The wall's canonical incident chamber by its own depth descent.
 
@@ -154,13 +169,13 @@ def descent_chamber(geometry: WallGeometry, wall):
     system = geometry.system
     beta = wall.root
     chamber = system.identity
-    while beta not in system.identity.matrix:
+    while beta not in matrix_of(system.identity):
         s = next(
             s
             for s in range(system.rank)
             if system.ctx.sign_of(system.gram2_row_dot(s, beta)) > 0
         )
-        beta = system.reflect(s, beta)
+        beta = reflect(system, s, beta)
         chamber = system.right_mul(chamber, s)
     return chamber
 
@@ -169,9 +184,7 @@ def incident_far_chamber(geometry: WallGeometry, wall):
     """The neighbour of incident_chamber(wall) across the wall: the chamber
     near * s for the generator s with near(alpha_s) the wall's root."""
     near = geometry.incident_chamber(wall)
-    (s,) = [
-        s for s, root in enumerate(near.matrix) if geometry.wall_of_root(root) == wall
-    ]
+    (s,) = [s for s, w in enumerate(near.walls) if w is wall]
     return geometry.system.right_mul(near, s)
 
 
@@ -242,15 +255,15 @@ def _matmul(mul, a, b):
 
 def translate_wall(geometry: WallGeometry, g, wall):
     """The wall g(W), by the full product of g's matrix with W's root."""
-    (image,) = matmul(geometry.system, g.matrix, (wall.root,))
-    return geometry.wall_of_root(image)
+    (image,) = matmul(geometry.system, matrix_of(g), (wall.root,))
+    return geometry.system.wall_of_root(image)
 
 
 def generator_matrix(system: CoxeterSystem, s: int):
     """The matrix of generator s, by columns: s(alpha_j) = alpha_j - (2B)_sj alpha_s."""
     return tuple(
         col[:s] + (sub(col[s], system.gram2[s][j]),) + col[s + 1 :]
-        for j, col in enumerate(system.identity.matrix)
+        for j, col in enumerate(matrix_of(system.identity))
     )
 
 
@@ -271,10 +284,13 @@ def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
     The engine computes over the smallest field holding 2B; its outputs are
     written over y = 2 cos(pi/M), M the lcm of every finite order.  Here the
     generator matrices are built over a FieldContext(M) of their own, and
-    each element's matrix and inverse, rewritten by CoxeterSystem.
-    output_vector, must equal the products along its shortlex word, in word
-    order and reversed.  Every coordinate must have one sign in both fields.
-    Returns the number of elements checked.
+    each element's matrix (matrix_of) and inverse, rewritten by
+    CoxeterSystem.output_vector, must equal the products along its shortlex
+    word, in word order and reversed.  Every coordinate must have one sign
+    in both fields.  Each element's walls and descent bits must match the
+    full product's columns: column s is the root of walls[s], rewritten,
+    and it is negative exactly when bit s is set.  Returns the number of
+    elements checked.
     """
     cox = system.cox
     wide = FieldContext(cox.field_modulus())
@@ -309,8 +325,15 @@ def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
                 _matmul(wide.mul, mat, gen),
                 _matmul(wide.mul, gen, inv),
             )
-        inv = inverse_of(system, g).matrix
-        for narrow, full in zip((g.matrix, inv), products[word]):
+        full_g = products[word][0]
+        for s, (wall, col) in enumerate(zip(g.walls, full_g)):
+            negative = any(wide.sign_of(z) < 0 for z in col)
+            assert negative == bool(g.descents >> s & 1)
+            assert system.output_vector(wall.root) == (
+                tuple(map(neg, col)) if negative else col
+            )
+        inv = matrix_of(inverse_of(system, g))
+        for narrow, full in zip((matrix_of(g), inv), products[word]):
             assert tuple(map(system.output_vector, narrow)) == full
             for col, full_col in zip(narrow, full):
                 for x, z in zip(col, full_col):
@@ -329,7 +352,7 @@ def element_of_matrix(system: CoxeterSystem, matrix):
     matrix.  The oracle itself stores nothing in the system, so every
     element it sees was built by the engine.
     """
-    ident = system.identity.matrix
+    ident = matrix_of(system.identity)
     stripped = []
     cur, inv = matrix, ident
     while cur != ident:
@@ -339,15 +362,15 @@ def element_of_matrix(system: CoxeterSystem, matrix):
         inv = matmul(system, inv, gen)
         stripped.append(s)
     out = system.element_of_word(tuple(reversed(stripped)))
-    assert out.matrix == matrix
-    assert inverse_of(system, out).matrix == inv
+    assert matrix_of(out) == matrix
+    assert matrix_of(inverse_of(system, out)) == inv
     assert out.length == len(stripped)
     return out
 
 
 def multiply(system: CoxeterSystem, g, h):
     """g * h by a full matrix product, as the system's checked element."""
-    return element_of_matrix(system, matmul(system, g.matrix, h.matrix))
+    return element_of_matrix(system, matmul(system, matrix_of(g), matrix_of(h)))
 
 
 def reflection_of_wall(geometry: WallGeometry, wall):
@@ -357,7 +380,7 @@ def reflection_of_wall(geometry: WallGeometry, wall):
     k = system.rank
     beta = wall.root
     coefs = [system.gram2_row_dot(j, beta) for j in range(k)]
-    ident = system.identity.matrix
+    ident = matrix_of(system.identity)
     matrix = tuple(
         tuple(sub(ident[j][i], system.ctx.mul(beta[i], coefs[j])) for i in range(k))
         for j in range(k)
@@ -400,7 +423,7 @@ def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
     bits = 0
     prefix = system.identity
     for s in left_shortlex_word(system, g):
-        bits |= geometry.wall_of_root(prefix.matrix[s]).bit
+        bits |= system.wall_of_root(matrix_of(prefix)[s]).bit
         prefix = system.right_mul(prefix, s)
     assert bits.bit_count() == g.length
     return bits
@@ -409,7 +432,7 @@ def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
 def inverse_matrix(system: CoxeterSystem, g):
     """The matrix of g^{-1} by full products of the generator matrices, in
     the order right descents come off g (see inverse_of)."""
-    out = system.identity.matrix
+    out = matrix_of(system.identity)
     while g.length:
         s, g = system.descent_step(g)
         out = matmul(system, out, generator_matrix(system, s))
@@ -424,9 +447,9 @@ def reference_pull_back(geometry: WallGeometry, g, mask: int) -> int:
     system = geometry.system
     inv = inverse_matrix(system, g)
     out = 0
-    for wall in geometry.walls_of(mask):
+    for wall in system.walls_of(mask):
         (image,) = matmul(system, inv, (wall.root,))
-        out |= geometry.wall_of_root(image).bit
+        out |= system.wall_of_root(image).bit
     return out
 
 
@@ -444,8 +467,8 @@ def greedy_projection_pair(geometry: WallGeometry, g):
     p, xi = system.identity, inverse_of(system, g)
     while True:
         for s in range(system.rank):
-            if system.root_sign(xi.matrix[s]) < 0 and not (
-                geometry.wall_of_root(p.matrix[s]).bit & frontier
+            if system.root_sign(matrix_of(xi)[s]) < 0 and not (
+                system.wall_of_root(matrix_of(p)[s]).bit & frontier
             ):
                 p = system.right_mul(p, s)
                 xi = system.right_mul(xi, s)

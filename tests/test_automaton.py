@@ -243,6 +243,31 @@ def test_build_makes_no_inverse(stack, name):
     assert geo.stats()["shortlex_words"] == len(aut.pivots) + 1
 
 
+# Affine C~4, linear 4-3-3-4: the one tier-1 build long enough for products
+# to meet a wall pair again, so the reflection tables get reused.
+AFFINE_C4 = (
+    (1, 4, 2, 2, 2),
+    (4, 1, 3, 2, 2),
+    (2, 3, 1, 3, 2),
+    (2, 2, 3, 1, 4),
+    (2, 2, 2, 4, 1),
+)
+
+
+def test_affine_c4_build_frozen():
+    # 6,560 pivots, the longest of length 50, from 10,206 elements.  The
+    # build makes 18,225 products (two right_products entries each), and
+    # its wall reflections fill 2,419 table entries, each made once.
+    geo = fresh_geometry("abcde", AFFINE_C4)
+    aut = build_automaton(geo)
+    assert len(aut.pivots) == 6560
+    assert max(q.length for q in aut.pivots) == aut.pivots[-1].length == 50
+    stats = geo.system.stats()
+    assert stats["elements"] == 10206
+    assert stats["right_products"] == 2 * 18225
+    assert stats["reflections"] == 2419 < 18225
+
+
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_json_load_makes_no_inverse(stack, name):
     # The loader checks each file word by climbing the weak order, so the
@@ -800,7 +825,7 @@ def test_json_load_into_fresh_geometry_rebuilds_the_automaton(stack, name):
     clone = from_json_dict(json.loads(aut.to_json()), _fresh(stack, name))
 
     def forbid_roots(a):
-        return [{w.root for w in a.geometry.walls_of(m)} for m in a.forbid]
+        return [{w.root for w in a.geometry.system.walls_of(m)} for m in a.forbid]
 
     assert clone.states == aut.states
     assert clone.edges == aut.edges

@@ -340,8 +340,41 @@ def test_verify_stats_go_to_stderr_only():
         "time check_automaton_agreement",
         "time check_separator_sampling",
     ]
-    assert "coxeter.elements" in names and "walls.walls" in names
+    assert {"coxeter.elements", "coxeter.walls", "coxeter.reflections"} <= set(names)
+    assert "walls.inversion_sets" in names and "walls.walls" not in names
     assert "time" not in plain.stderr
+
+
+OUT_COMMANDS = (("verify", "--radius", "4"), ("automaton", "--format", "json"))
+
+
+def test_unwritable_out_fails_before_group_work(tmp_path):
+    # An --out in a missing folder, under a file, or naming a folder, is
+    # refused with exit 2 and one error line: no check runs, and the group
+    # file is not read (a missing one would be the error otherwise).
+    (tmp_path / "file").write_text("")
+    outs = [tmp_path / "missing" / "r.json", tmp_path / "file" / "r.json", tmp_path]
+    for out in map(str, outs):
+        for name, *rest in OUT_COMMANDS:
+            for group_file in (group("triangle_334"), str(tmp_path / "none.json")):
+                r = run_cli(name, "--group", group_file, *rest, "--out", out)
+                assert r.returncode == 2
+                assert r.stdout == ""
+                assert r.stderr == f"error: cannot write --out {out!r}\n"
+
+
+def test_existing_out_file_is_kept_on_a_group_error(tmp_path):
+    # The early check does not open the file, so an error after it leaves
+    # the file as it was.
+    out = tmp_path / "r.json"
+    out.write_text("kept\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for name, *rest in OUT_COMMANDS:
+        r = run_cli(name, "--group", str(bad), *rest, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: invalid JSON")
+        assert out.read_text() == "kept\n"
 
 
 def test_usage_errors():

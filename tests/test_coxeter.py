@@ -38,8 +38,10 @@ from conftest import (
     inverse_of,
     left_descents,
     left_shortlex_word,
+    matrix_of,
     multiply,
     positive_definite_sylvester,
+    reflect,
 )
 
 
@@ -165,7 +167,7 @@ def test_element_identities(stack):
     assert a2.element("sts") == a2.element("tst")
     assert a2.element("sts").length == 3
     dinf = stack("d_infinity")
-    assert dinf.element("sts").matrix != dinf.element("tst").matrix
+    assert matrix_of(dinf.element("sts")) != matrix_of(dinf.element("tst"))
     assert dinf.element("stst").length == 4
 
 
@@ -201,13 +203,13 @@ def test_shortlex_second_pass_is_memo_hits(stack):
     ball = sys_.ball(6)
     first = [geo.shortlex_word(g) for g in ball]
     calls = []
-    inner = sys_._mul_gen_right
+    inner = sys_._element
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    sys_._mul_gen_right = counted
+    sys_._element = counted
     assert [geo.shortlex_word(g) for g in ball] == first
     assert calls == []
 
@@ -441,9 +443,9 @@ def test_entries_are_int_coefficient_tuples(stack, name):
         return type(x) is tuple and len(x) == d and all(type(c) is int for c in x)
 
     for g in sys_.ball(5):
-        for mat in (g.matrix, inverse_of(sys_, g).matrix):
+        for mat in (matrix_of(g), matrix_of(inverse_of(sys_, g))):
             assert all(is_coeff_tuple(x) for row in mat for x in row)
-        for wall in geo.walls_of(geo.inversion_bits(g)):
+        for wall in sys_.walls_of(geo.inversion_bits(g)):
             assert all(is_coeff_tuple(x) for x in wall.root)
 
 
@@ -453,23 +455,24 @@ def test_columns_are_root_images(stack, name):
     # alpha_s pushed through reflect along g's shortlex word, right to left,
     # or along the reversed word.
     sys_ = fresh_geometry(*BUILT[name]).system if name in BUILT else stack(name).system
-    simple = sys_.identity.matrix
+    simple = matrix_of(sys_.identity)
     for g in sys_.ball(5):
         word = left_shortlex_word(sys_, g)
         for s in range(sys_.rank):
             root = inv_root = simple[s]
             for t in reversed(word):
-                root = sys_.reflect(t, root)
+                root = reflect(sys_, t, root)
             for t in word:
-                inv_root = sys_.reflect(t, inv_root)
-            assert g.matrix[s] == root
-            assert inverse_of(sys_, g).matrix[s] == inv_root
+                inv_root = reflect(sys_, t, inv_root)
+            assert matrix_of(g)[s] == root
+            assert matrix_of(inverse_of(sys_, g))[s] == inv_root
         # Each reflection is an involution and preserves the form.
+        cols = matrix_of(g)
         for t in range(sys_.rank):
-            image = [sys_.reflect(t, col) for col in g.matrix]
-            assert [sys_.reflect(t, v) for v in image] == list(g.matrix)
-            for u, u2 in zip(g.matrix, image):
-                for v, v2 in zip(g.matrix, image):
+            image = [reflect(sys_, t, col) for col in cols]
+            assert [reflect(sys_, t, v) for v in image] == list(cols)
+            for u, u2 in zip(cols, image):
+                for v, v2 in zip(cols, image):
                     assert bilinear2(sys_, u2, v2) == bilinear2(sys_, u, v)
 
 
@@ -482,7 +485,7 @@ def test_form_is_invariant(stack):
         for g in sys_.ball(4):
             for i in range(k):
                 for j in range(k):
-                    got = bilinear2(sys_, g.matrix[i], g.matrix[j])
+                    got = bilinear2(sys_, matrix_of(g)[i], matrix_of(g)[j])
                     assert got == sys_.gram2[i][j]
 
 
@@ -532,7 +535,7 @@ def _check_inverse(sys_, g):
     gi = inverse_of(sys_, g)
     assert inverse_of(sys_, gi) is g
     assert gi.length == g.length
-    assert element_of_matrix(sys_, g.matrix) is g
+    assert element_of_matrix(sys_, matrix_of(g)) is g
 
 
 @pytest.mark.parametrize("name", sorted(INVERSE_GROUPS))
@@ -609,12 +612,16 @@ def test_stats_count_memo_entries():
     # (3,3,4) has 20 elements of length <= 3.  The ball walk multiplies
     # each shorter element by every generator, and each product is memoised
     # both ways, so an element of length 3 holds one entry per descent.
+    # A fresh system has the simple walls, whose roots' coordinates 0 and 1
+    # are its two decided signs.
     sys_ = CoxeterSystem(INVERSE_GROUPS["triangle_334"])
     assert sys_.stats() == {
         "elements": 1,
         "right_products": 0,
+        "walls": 3,
+        "reflections": 0,
         "reduced_word_sets": 1,
-        "signs": 0,
+        "signs": 2,
     }
     ball = sys_.ball(3)
     got = sys_.stats()
@@ -622,6 +629,11 @@ def test_stats_count_memo_entries():
     assert got["right_products"] == sum(
         len(sys_.right_descents(h)) if h.length == 3 else 3 for h in ball
     )
+    # The walls are those of the ball's columns.  Each product made fills
+    # two right_products entries and reflects the columns of the two
+    # neighbours of its generator, each at most once per wall pair.
+    assert got["walls"] == len({w for h in ball for w in h.walls})
+    assert 0 < got["reflections"] <= got["right_products"]
     # The words live in a geometry's memo: the identity's, and one per
     # element asked for, whose climb makes no element outside the ball.
     geo = WallGeometry(sys_)
@@ -656,16 +668,16 @@ def test_elements_belong_to_their_system():
     assert a.identity != b.identity
     for g in a.ball(3):
         h = b.element_of_word(left_shortlex_word(a, g))
-        assert h.matrix == g.matrix
+        assert matrix_of(h) == matrix_of(g)
         assert h != g
 
 
 def test_element_reached_with_another_length_raises():
     sys_ = _system(((1, 3, 3), (3, 1, 4), (3, 4, 1)))
     g = sys_.element_of_word((0, 1, 2))
-    assert sys_._element(g.matrix, g.length) is g
+    assert sys_._element(g.walls, g.descents, g.length) is g
     with pytest.raises(ArithmeticError, match="two lengths"):
-        sys_._element(g.matrix, g.length + 2)
+        sys_._element(g.walls, g.descents, g.length + 2)
 
 
 def test_ball_cap_leaves_built_layers_unchanged():
@@ -767,14 +779,14 @@ _SYS_333 = _system([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
 def test_right_mul_memoises_both_directions(stack, monkeypatch, name):
     # (g s) s is g, read from the memo that g s filled: no product is made.
     sys_ = CoxeterSystem(stack(name).cox)
-    mul = sys_._mul_gen_right
+    make = sys_._element
     calls = []
 
-    def counted(cols, s):
-        calls.append(s)
-        return mul(cols, s)
+    def counted(walls, descents, length):
+        calls.append(length)
+        return make(walls, descents, length)
 
-    monkeypatch.setattr(sys_, "_mul_gen_right", counted)
+    monkeypatch.setattr(sys_, "_element", counted)
     for g in sys_.ball(4):
         for s in range(sys_.rank):
             h = sys_.right_mul(g, s)

@@ -28,6 +28,7 @@ from conftest import (
     inverse_of,
     inversion_walls,
     left_shortlex_word,
+    matrix_of,
     multiply,
     projection_monotone_bruteforce,
 )
@@ -162,8 +163,8 @@ def test_q_hat_matches_element_distance(stack):
     incident = {}
     first_radius = {}
     for h in ball:
-        for root in h.matrix:
-            incident.setdefault(geo.wall_of_root(root), []).append(h)
+        for root in matrix_of(h):
+            incident.setdefault(sys_.wall_of_root(root), []).append(h)
         for wall in inversion_walls(geo, h):
             first_radius.setdefault(wall, h.length)
 
@@ -290,7 +291,7 @@ def test_separator_free_pairs_agree_between_search_domains(stack):
     geo = s.geometry
     for g in s.system.ball(4):
         front = geo.frontier_set(g)
-        for wall in geo.walls_of(geo.inversion_bits(g)):
+        for wall in geo.system.walls_of(geo.inversion_bits(g)):
             assert (not geo.has_separator(g, wall)) == bool(wall.bit & front)
 
 

@@ -21,6 +21,7 @@ from conftest import (
     inverse_of,
     inversion_walls,
     is_prefix,
+    matrix_of,
     reference_find_separator,
     multiply,
     reflection_of_wall,
@@ -51,7 +52,7 @@ def _fresh_geometry(stack, name):
 
 def _wall_at(s, coords):
     ctx = s.system.ctx
-    return s.geometry.wall_of_root(tuple(ctx.rational(c).coeffs for c in coords))
+    return s.system.wall_of_root(tuple(ctx.rational(c).coeffs for c in coords))
 
 
 def _coords(wall):
@@ -69,8 +70,8 @@ def test_generator_walls(stack):
 def test_wall_normalization(stack):
     a2 = stack("a2")
     ctx = a2.system.ctx
-    pos = a2.geometry.wall_of_root((ctx.rational(1).coeffs, ctx.rational(1).coeffs))
-    neg = a2.geometry.wall_of_root((ctx.rational(-1).coeffs, ctx.rational(-1).coeffs))
+    pos = a2.system.wall_of_root((ctx.rational(1).coeffs, ctx.rational(1).coeffs))
+    neg = a2.system.wall_of_root((ctx.rational(-1).coeffs, ctx.rational(-1).coeffs))
     assert pos is neg  # interned and sign-normalized
 
 
@@ -100,7 +101,7 @@ def test_inversion_bits_match_walls(stack):
             assert bits.bit_count() == g.length
             walls = inversion_walls(geo, g)
             assert sum(w.bit for w in walls) == bits
-            assert walls == {w for w in geo._walls.values() if w.bit & bits}
+            assert walls == {w for w in geo.system._by_index if w.bit & bits}
 
 
 def test_roots_are_positive(stack):
@@ -225,10 +226,10 @@ def test_incident_chamber_matches_per_wall_descent(stack, name):
     walls = set()
     for g in geo.system.ball(8):
         walls |= inversion_walls(geo, g)
-    made = len(geo._by_index)
+    made = len(geo.system._by_index)
     order = sorted(walls, key=lambda w: descent_chamber(geo, w).length, reverse=True)
     got = {wall: geo.incident_chamber(wall) for wall in order}
-    assert len(geo._by_index) == made
+    assert len(geo.system._by_index) == made
     for wall in order:
         assert got[wall] is descent_chamber(geo, wall)
 
@@ -301,30 +302,33 @@ def test_crossing_chambers_and_prefix_masks(stack, name):
         walls |= inversion_walls(geo, g)
     for wall in walls:
         p = wall.crossing
-        (s,) = [s for s, root in enumerate(p.matrix) if geo.wall_of_root(root) == wall]
+        (s,) = [s for s, w in enumerate(p.walls) if w is wall]
         assert walls_between(geo, p, sys.right_mul(p, s)) == {wall}
         assert not geo.inversion_bits(p) & wall.bit
     assert len(geo._inv_bits) >= len(sys.ball(6))
     for p, mask in geo._inv_bits.items():
         fresh = WallGeometry(sys)
         want = {w.root for w in inversion_walls(fresh, p)}
-        assert {w.root for w in geo.walls_of(mask)} == want
+        assert {w.root for w in sys.walls_of(mask)} == want
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_one_wall_per_root(stack, name):
     # wall_of_root makes one wall per positive root, reached from either
-    # sign; another geometry over the same system makes its own walls.
+    # sign, and column s of each element is the root of its walls[s]; the
+    # walls are the system's, so every geometry over it shares them.
     geo = _fresh_geometry(stack, name)
-    for g in geo.system.ball(6):
-        for root in g.matrix:
-            wall = geo.wall_of_root(root)
-            assert geo.wall_of_root(tuple(map(neg, root))) is wall
-            assert geo.wall_of_root(wall.root) is wall
-    other = WallGeometry(geo.system)
-    for s in range(geo.system.rank):
-        assert generator_wall(other, s) != generator_wall(geo, s)
-        assert generator_wall(other, s).root == generator_wall(geo, s).root
+    sys = geo.system
+    for g in sys.ball(6):
+        for wall, root in zip(g.walls, matrix_of(g)):
+            assert sys.wall_of_root(root) is wall
+            assert sys.wall_of_root(tuple(map(neg, root))) is wall
+            assert sys.wall_of_root(wall.root) is wall
+    other = WallGeometry(sys)
+    for s in range(sys.rank):
+        assert generator_wall(other, s) is generator_wall(geo, s)
+    g = sys.ball(6)[-1]
+    assert other.inversion_bits(g) == geo.inversion_bits(g)
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
@@ -341,12 +345,16 @@ def test_has_separator_independent_of_walk_order(stack, name):
         for g in reversed(ball) if reverse else ball:
             inv_bits = geo.inversion_bits(g)
             for wall in inversion_walls(geo, g):
-                got[g.matrix, wall.root] = (
+                got[matrix_of(g), wall.root] = (
                     geo.has_separator(g, wall),
                     geo.has_separator(g, wall, inv_bits),
                 )
         answers.append(got)
-        crossing.append({w.root: w.crossing.matrix for w in geo._walls.values()})
+        crossing.append({
+            w.root: matrix_of(w.crossing)
+            for w in geo.system._by_index
+            if w.crossing is not None
+        })
     assert answers[0] == answers[1]
     assert crossing[0] != crossing[1]
 
@@ -361,7 +369,7 @@ def test_pull_back_matches_translate_wall(stack, name):
     for g in sys.ball(6):
         inv = geo.inversion_bits(g)
         gi = inverse_of(sys, g)
-        want = {translate_wall(geo, gi, w) for w in geo.walls_of(inv)}
+        want = {translate_wall(geo, gi, w) for w in sys.walls_of(inv)}
         assert wall_set(geo, geo.pull_back(g, inv)) == want
         assert wall_set(geo, reference_pull_back(geo, g, inv)) == want
         front = geo.frontier_set(g)
@@ -383,9 +391,9 @@ def test_chamber_walks_match_oracles(stack, monkeypatch, name):
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     ball = sys.ball(6)
-    mul = sys._mul_gen_right
+    make = sys._element
     products = []
-    monkeypatch.setattr(sys, "_mul_gen_right", lambda *a: products.append(a) or mul(*a))
+    monkeypatch.setattr(sys, "_element", lambda *a: products.append(a) or make(*a))
     masks = [geo.inversion_bits(g) for g in ball]
     assert not products
     monkeypatch.undo()
@@ -417,7 +425,9 @@ def test_inversion_bits_step_down_from_scratch(stack, name):
     for g in source.ball(6):
         geo = _fresh_geometry(stack, name)
         sys = geo.system
-        h = sys._element(inverse_matrix(source, g), g.length)
+        cols = inverse_matrix(source, g)
+        descents = sum(1 << s for s, col in enumerate(cols) if sys.root_sign(col) < 0)
+        h = sys._element(tuple(map(sys.wall_of_root, cols)), descents, g.length)
         assert all(sys.built_right_mul(h, t) is None for t in range(sys.rank))
         assert geo.inversion_bits(h).bit_count() == h.length
         assert h in geo._inv_bits
@@ -595,7 +605,7 @@ def test_residue_walls_match_translated_dihedral_walls(stack, name):
             assert len(set(walls)) == len(walls) == m
             top = sys.element_of_word(tuple((a, b)[i % 2] for i in range(m)))
             assert set(walls) == {
-                translate_wall(geo, u, w) for w in geo.walls_of(geo.inversion_bits(top))
+                translate_wall(geo, u, w) for w in geo.system.walls_of(geo.inversion_bits(top))
             }
 
 
@@ -621,7 +631,6 @@ def test_stats_count_memo_entries(stack):
     geo = _fresh_geometry(stack, "triangle_334")
     sys = geo.system
     assert geo.stats() == {
-        "walls": 3,
         "inversion_sets": 1,
         "frontiers": 0,
         "projections": 0,
