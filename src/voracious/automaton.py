@@ -9,9 +9,10 @@ q^{-1} W(q), and forbid(q), of Inv(q) and the universe walls with no
 separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
 and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  q^{-1} W(q) is the
-Brink-Howlett state of q, the small walls of Inv(q^{-1}), so target(q) is
-read off the state of q's prefix below a right descent by the simple
-walls' reflection tables, with no matrix product (see _pivot_rules).  The
+Brink-Howlett state of q, the small walls of Inv(q^{-1}), which the
+geometry keeps beside q's frontier walls, stepped along a word by the
+small-root steps (WallGeometry.frontier_pairs), so target(q) is read off
+q's frontier pairs, with no matrix product (see _pivot_rules).  The
 pivots fix the automaton: VoraciousAutomaton is built over them, which
 must be prefix-closed, as every pivot set is (see pivots), and derives
 their masks, the prefix graph, the states and the edges in one scan.
@@ -365,14 +366,9 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
 
     targets[i] is the mask of q^{-1} W(q); every edge with pivot q enters
     it.  That set is the Brink-Howlett state D(q) of q, the small walls of
-    Inv(q^{-1}): a wall of Inv(q) with no separator from chamber q pulls
-    back to one with no separator from the identity chamber, which is a
-    small wall.  D(q) is a function of q, so it is read from the node of
-    q s for the first right descent s of q, by D(g s) = {alpha_s} +
-    (s D(g) & Small) for l(g s) > l(g) (Brink and Howlett, Math. Ann. 296,
-    1993).  The universe must be the small roots; s(beta) is read from the
-    reflection table of the wall of alpha_s, which has bit s
-    (CoxeterSystem.simple_reflection), and kept when it is small.
+    Inv(q^{-1}), so the universe must be the small roots.  It is read as
+    the betas of q's frontier pairs (WallGeometry.frontier_pairs), which
+    the pivot search and the loader have already memoised.
 
     forbid[i] is Inv(q), ORed with the bit of each universe wall V outside
     Inv(q) that admits no separator from chamber q.  So S & forbid[i] == 0
@@ -382,10 +378,9 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
     them (WallGeometry.has_separator) is complete.
     """
     sys = geometry.system
-    small = sum(wall.bit for wall in universe)
     node = {sys.identity: 0}
     children = [[0] * sys.rank]
-    states = [0]  # D of each node's element
+    targets = []
     forbid = []
     for q in pivot_list:
         n = node[q] = len(children)
@@ -405,21 +400,14 @@ def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
                     "earlier pivot"
                 )
             children[m][s] = n
-        s, m = below[0]
-        state = states[m]
-        if state >> s & 1:
-            raise ArithmeticError("a pivot's prefix below descent s has descent s")
-        image = 1 << s
-        for wall in sys.walls_of(state):
-            image |= sys.simple_reflection(s, wall)[0].bit
-        states.append(image & small)
+        targets.append(sum(beta.bit for beta in geometry.frontier_pairs(q)[::2]))
         inv = geometry.inversion_bits(q)
         unseparated = 0
         for wall in universe:
             if not inv & wall.bit and not geometry.has_separator(q, wall):
                 unseparated |= wall.bit
         forbid.append(inv | unseparated)
-    return states[1:], forbid, children
+    return targets, forbid, children
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import FieldContext, add, neg, sub, two_cos_degree
 
@@ -224,17 +225,20 @@ class GroupElement:
 
     g(alpha_s) is the root of walls[s], negated iff bit s of descents is
     set, so descents masks the right descents; length is the word length.
-    Elements are made only by their CoxeterSystem (CoxeterSystem._element),
-    one per (walls, descents), so identity is equality.  Elements of two
-    systems never compare equal, even over one Coxeter matrix.
+    products[s] is g s once CoxeterSystem.right_mul has built it, else
+    None.  Elements are made only by their CoxeterSystem
+    (CoxeterSystem._element), one per (walls, descents), so identity is
+    equality.  Elements of two systems never compare equal, even over one
+    Coxeter matrix.
     """
 
-    __slots__ = ("walls", "descents", "length")
+    __slots__ = ("walls", "descents", "length", "products")
 
     def __init__(self, walls, descents, length):
         self.walls = walls
         self.descents = descents
         self.length = length
+        self.products: list[GroupElement | None] = [None] * len(walls)
 
     def __repr__(self):
         return f"<element of length {self.length}>"
@@ -303,7 +307,6 @@ class CoxeterSystem:
         self._layers: list[list[GroupElement]] = [[self.identity]]
         self._reduced_cache = {self.identity: frozenset({()})}
         self._reduced_held = 1
-        self._rmul_cache: dict[tuple[GroupElement, int], GroupElement] = {}
 
     # -- linear algebra ----------------------------------------------------
 
@@ -422,12 +425,12 @@ class CoxeterSystem:
         a new entry costs one column of arithmetic, since 2B(beta_H, beta_W)
         is (2B)_st, negated when bits s and t differ.
 
-        Memoised both ways, as right multiplication by s is an involution:
-        (g s) s = g is known from the moment g s is, so a walk down a right
-        descent of an element built by right_mul is free.
+        Memoised both ways in the elements' product slots, as right
+        multiplication by s is an involution: (g s) s = g is known from the
+        moment g s is, so a walk down a right descent of an element built by
+        right_mul is free.
         """
-        memo = self._rmul_cache
-        hit = memo.get((g, s))
+        hit = g.products[s]
         if hit is not None:
             return hit
         signs = g.descents
@@ -449,25 +452,25 @@ class CoxeterSystem:
             descents ^= flip << t
         length = g.length - 1 if signs >> s & 1 else g.length + 1
         out = self._element(tuple(walls), descents, length)
-        memo[g, s] = out
-        memo[out, s] = g
+        g.products[s] = out
+        out.products[s] = g
         return out
 
     def built_right_mul(self, g: GroupElement, s: int) -> GroupElement | None:
         """g * s if right_mul has built it already, else None; no arithmetic."""
-        return self._rmul_cache.get((g, s))
+        return g.products[s]
 
     def descent_step(self, h: GroupElement) -> tuple[int, GroupElement]:
         """(s, h s) for a right descent s of h: the least s whose product
         right_mul has built, otherwise the least s, and h s is built."""
-        descents = self.right_descents(h)
-        for s in descents:
-            down = self.built_right_mul(h, s)
-            if down is not None:
+        descents = h.descents
+        for s, down in enumerate(h.products):
+            if down is not None and descents >> s & 1:
                 return s, down
         if not descents:
             raise ArithmeticError("a non-identity element has no right descent")
-        return descents[0], self.right_mul(h, descents[0])
+        s = (descents & -descents).bit_length() - 1
+        return s, self.right_mul(h, s)
 
     def element_of_word(self, word: Word) -> GroupElement:
         g = self.identity
@@ -573,24 +576,45 @@ class CoxeterSystem:
     # -- small roots and finiteness ------------------------------------------
 
     def small_roots(self) -> tuple[Wall, ...]:
-        """The walls of the small roots, in the order their closure finds them.
+        """The walls of the small roots, in the order their closure finds them
+        (see _small_closure)."""
+        return self._small_closure[0]
+
+    def small_steps(self) -> tuple[dict[Wall, Wall], ...]:
+        """For each generator s, the map beta -> s(beta) on the small walls
+        beta whose image s(beta) is small (see _small_closure): the step of
+        a Brink-Howlett state (WallGeometry.frontier_pairs)."""
+        return self._small_closure[1]
+
+    @cached_property
+    def _small_closure(self) -> tuple[tuple[Wall, ...], tuple[dict[Wall, Wall], ...]]:
+        """(small walls, steps), from one closure that runs once.
 
         The closure starts from the simple walls.  From a small root beta and
         a generator s, the root s(beta) is small iff -2 < 2B(alpha_s, beta) < 2;
         outside that band the two walls are disjoint, and at 0 s fixes beta.
-        Every Coxeter group has finitely many small roots (Brink-Howlett).
+        So the closure evaluates 2B(alpha_s, beta) and the band test once for
+        each (beta, s), and steps[s] maps beta to s(beta) exactly when it is
+        in the band: alpha_s, at 2, is left out, and every wall made is
+        small.  Every Coxeter group has finitely many small roots
+        (Brink-Howlett).
         """
         in_band = self.ctx.in_band
         found = list(self.identity.walls)
         seen = set(found)
+        steps = tuple({} for _ in range(self.rank))
         for wall in found:  # grows as the closure finds walls
-            for s in range(self.rank):
+            for s, step in enumerate(steps):
                 t = self.gram2_row_dot(s, wall.root)
-                if not any(t) or not in_band(t):
+                if not any(t):
+                    step[wall] = wall
+                    continue
+                if not in_band(t):
                     continue
                 image, flip = self.simple_reflection(s, wall)
                 if flip:
                     raise ArithmeticError("reflected small root must stay positive")
+                step[wall] = image
                 if image not in seen:
                     seen.add(image)
                     found.append(image)
@@ -598,11 +622,12 @@ class CoxeterSystem:
                         raise ResourceLimitError(
                             f"small-root closure exceeded {MAX_SMALL_ROOTS} walls"
                         )
-        return tuple(found)
+        return tuple(found), steps
 
     def is_finite(self) -> bool:
         """Whether the group is finite: no small root beta other than alpha_s
-        has |2B(alpha_s, beta)| >= 2, for any generator s.
+        has |2B(alpha_s, beta)| >= 2, for any generator s, so each step of
+        small_steps maps every small wall but alpha_s's.
 
         If W is finite, B is positive definite, so |B| < 1 on any two roots
         that are not parallel.  Otherwise every s maps the small roots to
@@ -610,20 +635,18 @@ class CoxeterSystem:
         form a W-stable set holding the simple roots: Phi, and with it W, is
         finite.
         """
-        in_band = self.ctx.in_band
-        simple = self.identity.walls
-        return all(
-            wall is simple[s] or in_band(self.gram2_row_dot(s, wall.root))
-            for wall in self.small_roots()
-            for s in range(self.rank)
-        )
+        others = len(self.small_roots()) - 1
+        return all(len(step) == others for step in self.small_steps())
 
     def stats(self) -> dict[str, int]:
         """Sizes of the system's memos: elements built, right products,
         walls, wall reflections, reduced-word sets and decided signs."""
         return {
             "elements": len(self._elements),
-            "right_products": len(self._rmul_cache),
+            "right_products": sum(
+                len(g.products) - g.products.count(None)
+                for g in self._elements.values()
+            ),
             "walls": len(self._by_index),
             "reflections": sum(len(w.reflections) for w in self._by_index),
             "reduced_word_sets": len(self._reduced_cache),

@@ -108,6 +108,20 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _separator_frontier(geo: WallGeometry, g: GroupElement) -> int:
+    """The frontier of g by its definition: the inversion walls of g that no
+    wall separates from chamber g (WallGeometry.has_separator), as a mask.
+    Separators of an inversion wall of g are themselves in Inv(g).  The
+    agreement check's oracle for WallGeometry.frontier_set, which steps
+    Brink-Howlett states instead."""
+    inv = geo.inversion_bits(g)
+    out = 0
+    for wall in geo.system.walls_of(inv):
+        if not geo.has_separator(g, wall, inv):
+            out |= wall.bit
+    return out
+
+
 class Verifier:
     def __init__(self, geometry: WallGeometry, config: VerifierConfig = VerifierConfig()):
         self.geometry = geometry
@@ -323,18 +337,20 @@ class Verifier:
                     sg = sys.element_of_word((s,) + geo.shortlex_word(g))
                     tasks.append(("iii", g, sg, s))
 
+        # The pairs stream in task order, unless there are more than the cap:
+        # only then are they listed, for the seeded sample.
         words = functools.cache(lambda g: sorted(self.language.all_words_of(g)))
-        word_pairs = [
+        word_pairs = (
             (kind, s, v, v2)
             for kind, g, g2, s in tasks
             for v in words(g)
             for v2 in words(g2)
-        ]
-        sampled = False
-        if len(word_pairs) > MAX_WORD_PAIRS:
-            sampled = True
+        )
+        n_pairs = sum(len(words(g)) * len(words(g2)) for _, g, g2, _ in tasks)
+        sampled = n_pairs > MAX_WORD_PAIRS
+        if sampled:
             rng = random.Random(cfg.seed)
-            word_pairs = rng.sample(word_pairs, MAX_WORD_PAIRS)
+            word_pairs = rng.sample(list(word_pairs), MAX_WORD_PAIRS)
             self.warnings.append(
                 f"fellow-traveller word pairs capped at {MAX_WORD_PAIRS} "
                 "(seeded sample)"
@@ -420,10 +436,11 @@ class Verifier:
         every pivot.
 
         The accept state is checked by two independent routes: the automaton
-        reaches it by its pivots' targets, Brink-Howlett states each read off
-        the state of a prefix below a right descent by reflection tables, and
-        the check computes it from the definition, the frontier of the word's
-        element g pulled back along the reversed shortlex word of g
+        reaches it by its pivots' targets, Brink-Howlett states stepped along
+        a word by the small-root steps (WallGeometry.frontier_pairs), and the
+        check computes it from the definition, the frontier of the word's
+        element g found by the separator search (_separator_frontier) and
+        pulled back along the reversed shortlex word of g
         (WallGeometry.pull_back)."""
         sys, geo = self.system, self.geometry
         aut = build_automaton(geo)
@@ -434,7 +451,7 @@ class Verifier:
         mismatch = self._pivot_gap(aut)
         # the state pull_back gives, once per element
         want_of = functools.cache(
-            lambda g: aut.state_of_mask(geo.pull_back(g, geo.frontier_set(g)))
+            lambda g: aut.state_of_mask(geo.pull_back(g, _separator_frontier(geo, g)))
         )
         # each word carries its run's (state, node) pairs, which its children
         # extend by one letter (VoraciousAutomaton.run_pairs)

@@ -3,7 +3,9 @@
 A wall is the fixed hyperplane of a reflection, represented by its positive
 root; the system owns the walls (coxeter.Wall, CoxeterSystem.wall_of_root),
 and an element is its walls, one per generator with a descent bit (see
-coxeter.py).  Everything here reduces to exact sign evaluations:
+coxeter.py).  Sides and frontiers are read off walks along the weak order,
+and the separator search, which frontiers do not use, rests on exact sign
+evaluations:
 
   * chamber g lies on the identity side of the wall of beta iff
     g^{-1}(beta) is positive;
@@ -14,27 +16,29 @@ coxeter.py).  Everything here reduces to exact sign evaluations:
 Each wall carries a bit, 1 << (its creation index), and every set of walls
 is a Python int mask: inversion sets, frontiers and pulled-back frontiers
 alike, so every side question is a mask operation, and
-CoxeterSystem.walls_of lists a mask's walls.  Disjointness reads 2B of two
-roots from an integer functional that a wall builds on its first test (see
-form2), decided one wall pair at a time, only for walls whose sides already
-qualify, and memoised in both directions as per-wall bitmasks.  Inversion
-sets are built by stepping down right descents (inversion_bits), which also
-records each wall's crossing chamber, so a separator test against a wall
-some walk has crossed reads both sides from memoised masks.
+CoxeterSystem.walls_of lists a mask's walls.  Inversion sets are built by
+stepping down right descents (inversion_bits), which also records each
+wall's crossing chamber.  The separator search (has_separator) serves the
+automaton's forbid masks and the verifier: it reads both sides from
+memoised masks, and disjointness from 2B of two roots, through an integer
+functional that a wall builds on its first test (see form2), decided one
+wall pair at a time, only for walls whose sides already qualify, and
+memoised in both directions as per-wall bitmasks.
 
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
-chamber stays on the identity side of every frontier wall.  Candidate
-separators of (g, W) for W in Inv(g) always lie in Inv(g): a geodesic from
-the identity to g crosses W between two chambers incident to W, and those
-chambers sit on W's side of any disjoint separator.  The greedy walk to the
-projection carries the prefix p alone: p s is a longer prefix of g iff
-p(alpha_s) is a positive root whose wall is in Inv(g), so a descent bit and
-a wall bit decide a move.  _climb takes the least move, and walk_up every
-move.  The climb spells words: from the identity the shortlex word of g,
-and from p(g) that of the block p(g)^{-1} g.  The step by s from h crosses
-h.walls[s], so pull_back and residue_walls read their walls off elements,
-with no inverse.
+chamber stays on the identity side of every frontier wall.  Pulled back by
+g^{-1}, the frontier is the Brink-Howlett state of g, a set of small walls,
+so frontier_pairs steps each frontier wall's pull-back along a word by the
+small-root steps (CoxeterSystem.small_steps), with no separator search.
+The greedy walk to the projection carries the prefix p alone: p s is a
+longer prefix of g iff p(alpha_s) is a positive root whose wall is in
+Inv(g), so a descent bit and a wall bit decide a move.  _climb takes the
+least move, and walk_up every move.  The climb spells words: from the
+identity the shortlex word of g, and from p(g) that of the block
+p(g)^{-1} g.  The step by s from h crosses h.walls[s], so pull_back,
+frontier_pairs and residue_walls read their walls off elements, with no
+inverse.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class WallGeometry:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._inv_bits: dict[GroupElement, int] = {system.identity: 0}
-        self._frontier: dict[GroupElement, int] = {}
+        # g -> the flat (beta, wall) pairs of its frontier (frontier_pairs).
+        self._frontier: dict[GroupElement, tuple[Wall, ...]] = {system.identity: ()}
         # g -> p(g), and g -> p(g)^{-1} g, the block it leaves, on request.
         self._proj: dict[GroupElement, GroupElement] = {}
         self._blocks: dict[GroupElement, GroupElement] = {}
@@ -76,7 +81,7 @@ class WallGeometry:
         return [cos_string(x) for x in self.output_root(wall)]
 
     def stats(self) -> dict[str, int]:
-        """Sizes of the geometry's memos: inversion masks, frontiers,
+        """Sizes of the geometry's memos: inversion masks, frontier pairs,
         projections, projection blocks, shortlex words and incident
         chambers; the walls are the system's (CoxeterSystem.stats)."""
         return {
@@ -250,19 +255,52 @@ class WallGeometry:
 
     # -- frontier and projection --------------------------------------------
 
+    def frontier_pairs(self, g: GroupElement) -> tuple[Wall, ...]:
+        """The frontier walls W of g, each after its pull-back beta = g^{-1} W,
+        as one flat tuple beta_1, W_1, beta_2, W_2, ...; memoised.
+
+        A wall W of Inv(g) has a separator from chamber g iff g^{-1} W, a wall
+        of Inv(g^{-1}), has one from the identity chamber, and a wall with
+        none is small.  So the betas are the Brink-Howlett state D(g), the
+        small walls of Inv(g^{-1}), and the frontier is g D(g).  For g = h s
+        longer than h, D(g) = {alpha_s} + (s D(h) & Small) (Brink and
+        Howlett, Math. Ann. 296, 1993): the wall h.walls[s] that the step
+        crosses pulls back to g^{-1} h(alpha_s) = -alpha_s, and a pair
+        (beta, W) of h stays, as (s(beta), W), iff s(beta) is small, which
+        CoxeterSystem.small_steps tells.  Steps down right descents
+        (CoxeterSystem.descent_step) to an element whose pairs are known,
+        then adds them back one step at a time; each element passed keeps
+        its pairs.  No separator is searched for and no 2B is evaluated.
+        """
+        memo = self._frontier
+        got = memo.get(g)
+        if got is not None:
+            return got
+        sys = self.system
+        descent_step = sys.descent_step
+        path = []
+        cur = g
+        while got is None:
+            s, down = descent_step(cur)
+            path.append((cur, s, down))
+            cur = down
+            got = memo.get(cur)
+        steps = sys.small_steps()
+        simple = sys.identity.walls
+        for up, s, h in reversed(path):
+            step = steps[s]
+            pairs = [simple[s], h.walls[s]]
+            for beta, wall in zip(got[::2], got[1::2]):
+                image = step.get(beta)
+                if image is not None:
+                    pairs += (image, wall)
+            got = memo[up] = tuple(pairs)
+        return got
+
     def frontier_set(self, g: GroupElement) -> int:
         """Inversion walls of g that no wall separates from chamber g, as a
-        mask."""
-        got = self._frontier.get(g)
-        if got is None:
-            # Separators of an inversion wall of g are themselves in Inv(g).
-            inv = self.inversion_bits(g)
-            got = 0
-            for w in self.system.walls_of(inv):
-                if not self.has_separator(g, w, inv):
-                    got |= w.bit
-            self._frontier[g] = got
-        return got
+        mask: the walls of frontier_pairs."""
+        return sum(wall.bit for wall in self.frontier_pairs(g)[1::2])
 
     def _moves(self, p: GroupElement, free: int):
         """Generators by which the prefix p of g may grow, least first.

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voracious import WallGeometry, small_roots
 from voracious.field import neg
+from voracious.verify import _separator_frontier
 
 from conftest import (
     BUILT,
@@ -35,10 +38,11 @@ from conftest import (
 
 GOLD_BALL_RADIUS = 4
 SHIPPED = sorted(p.stem for p in GROUPS_DIR.glob("*.json"))
-FRONTIER_BILINEAR_CALLS = 335
+FRONTIER_BILINEAR_CALLS = 0
 # Built only where a test names them: H(5,3,5) has the longest pivots, and
 # (2,4,5) the largest field degree (8) of any group the tests build.
 LARGE = {"h535": ("abcd", H535), "triangle_245": ("abc", TRIANGLE_245)}
+CONFTEST_GROUPS = SHIPPED + sorted(BUILT) + sorted(LARGE)
 
 
 def _fresh_geometry(stack, name):
@@ -179,25 +183,22 @@ def test_disjoint_bits_symmetric(stack, name):
         assert geo.walls_disjoint(b, a) == bool(a.disjoint & b.bit)
 
 
-def test_frontier_bilinear_calls_frozen(stack):
-    # Disjointness is decided only for walls whose sides already qualify, and
-    # only up to the first disjoint one; this freezes the 2B evaluations
-    # (WallGeometry.form2) a fresh geometry spends on the frontiers of
-    # ball(8) of (3,3,4).
-    geo = _fresh_geometry(stack, "triangle_334")
-    ball = geo.system.ball(8)
-    calls = 0
-    form2 = geo.form2
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return form2(a, b)
-
-    geo.form2 = counted
-    for g in ball:
-        geo.frontier_set(g)
-    assert calls == FRONTIER_BILINEAR_CALLS
+def test_frontier_bilinear_calls_frozen(stack, monkeypatch):
+    # Frontiers step Brink-Howlett states through the small-root steps, so
+    # on every group the frontiers of ball(8) in a fresh geometry search no
+    # separator, decide no wall disjointness and evaluate no 2B of two
+    # walls (WallGeometry.form2).
+    calls = []
+    for name in CONFTEST_GROUPS:
+        geo = _fresh_geometry(stack, name)
+        ball = geo.system.ball(8)
+        for method in ("form2", "walls_disjoint", "has_separator"):
+            monkeypatch.setattr(
+                geo, method, lambda *args, method=method: calls.append(method)
+            )
+        for g in ball:
+            geo.frontier_set(g)
+    assert len(calls) == FRONTIER_BILINEAR_CALLS
 
 
 @pytest.mark.parametrize(
@@ -478,20 +479,38 @@ def test_frontier_basic_invariants(stack):
 
 
 def test_frontier_matches_separator_search(stack):
-    # Independent re-derivation: a wall is in the frontier iff no separator
-    # exists among the walls between g and the wall's incident chamber.
-    for name in ("d_infinity", "triangle_334"):
-        s = stack(name)
-        geo = s.geometry
-        for g in s.system.ball(GOLD_BALL_RADIUS):
+    # Independent re-derivation on every group: a wall is in the frontier iff
+    # no separator exists among the walls between g and the wall's incident
+    # chamber.
+    for name in CONFTEST_GROUPS:
+        geo = _fresh_geometry(stack, name)
+        for g in geo.system.ball(GOLD_BALL_RADIUS):
             inv = inversion_walls(geo, g)
             front = frontier_walls(geo, g)
             for wall in inv:
                 domain = walls_between(geo, g, geo.incident_chamber(wall))
                 sep = reference_find_separator(geo, g, wall, domain)
-                assert (sep is None) == (wall in front)
+                assert (sep is None) == (wall in front), name
                 if sep is not None:
                     assert geo.has_separator(g, wall, sep.bit)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["affine_a3", "h535", "triangle_334"]), draw=st.data())
+def test_frontier_of_long_geodesics(stack, name, draw):
+    # Past the balls: each letter of a random geodesic of length <= 40 is
+    # an ascent of its prefix.  The frontier equals the separator
+    # definition, and its pairs' betas are the frontier pulled back.
+    geo = _fresh_geometry(stack, name)
+    sys = geo.system
+    g = sys.identity
+    for _ in range(draw.draw(st.integers(0, 40))):
+        ascents = [s for s in range(sys.rank) if not g.descents >> s & 1]
+        g = sys.right_mul(g, draw.draw(st.sampled_from(ascents)))
+    front = geo.frontier_set(g)
+    assert front == _separator_frontier(geo, g)
+    betas = sum(beta.bit for beta in geo.frontier_pairs(g)[::2])
+    assert geo.pull_back(g, front) == betas
 
 
 @pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
@@ -627,12 +646,13 @@ def test_translate_wall(stack):
 
 def test_stats_count_memo_entries(stack):
     # A fresh geometry holds the generator walls, the identity's empty mask
-    # and the generator walls' incident chamber; each request adds its own.
+    # and empty frontier, and the generator walls' incident chamber; each
+    # request adds its own.
     geo = _fresh_geometry(stack, "triangle_334")
     sys = geo.system
     assert geo.stats() == {
         "inversion_sets": 1,
-        "frontiers": 0,
+        "frontiers": 1,
         "projections": 0,
         "blocks": 0,
         "shortlex_words": 1,
@@ -642,5 +662,6 @@ def test_stats_count_memo_entries(stack):
     geo.projection_block(g)
     got = geo.stats()
     assert got["inversion_sets"] == len(geo._inv_bits) >= 1 + g.length
-    assert (got["frontiers"], got["projections"], got["blocks"]) == (1, 1, 1)
+    # The frontier walk keeps the pairs of g and of its three prefixes.
+    assert (got["frontiers"], got["projections"], got["blocks"]) == (5, 1, 1)
     assert got["shortlex_words"] == 2  # the identity's and the block's
