@@ -101,8 +101,8 @@ class WallGeometry:
         p(alpha_s), p = s_1 ... s_{i-1} and s = s_i, and g^{-1} p =
         s_n ... s_i maps it to the wall of q(alpha_s), q = s_n ... s_{i+1}:
         the wall the reversed word crosses at its step n - i + 1.  So both
-        words are climbed by right products.  The automaton build reaches
-        the same masks from the reflection tables (automaton._pivot_rules).
+        words are climbed by right products.  The automaton build reads the
+        same masks off frontier pairs (frontier_pairs), with no word.
         """
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
