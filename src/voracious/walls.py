@@ -102,7 +102,7 @@ class WallGeometry:
         s_n ... s_i maps it to the wall of q(alpha_s), q = s_n ... s_{i+1}:
         the wall the reversed word crosses at its step n - i + 1.  So both
         words are climbed by right products.  The automaton build reads the
-        same masks off frontier pairs (frontier_pairs), with no word.
+        same masks off the frontier pairs of its pivots (frontier_pairs).
         """
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")
