@@ -5,18 +5,17 @@ walls.py): the state reached after reading a language word of g is
 g^{-1} W(g), the frontier of g pulled back to the base chamber.  Transitions
 append one projection block, a pivot: an element whose voracious projection
 is the identity.  Each pivot q has two wall masks: target(q), of
-q^{-1} W(q), and forbid(q), of Inv(q) and the universe walls with no
+q^{-1} W(q), and forbid(q), of the universe walls in Inv(q) or with no
 separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
 and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  q^{-1} W(q) is the
 Brink-Howlett state of q, the small walls of Inv(q^{-1}), which the
-geometry keeps beside q's frontier walls, stepped along a word by the
-small-root steps (WallGeometry.frontier_pairs), so target(q) is read off
-q's frontier pairs, with no matrix product (see _pivot_rules).  The
-pivots fix the automaton: VoraciousAutomaton is built over them, which
-must be prefix-closed, as every pivot set is (see pivots), and derives
-their masks, the prefix graph, the states and the edges in one scan.
-`states` holds each state as the sorted universe indices of its walls.
+geometry keeps beside q's frontier walls (WallGeometry.frontier_pairs).
+The pivots fix the automaton: VoraciousAutomaton is built over them, which
+must be prefix-closed, as every pivot set is (see pivots), and one pass
+over their shortlex tree gives their words, their masks and the prefix
+graph (see _PivotTree); the states and the edges follow.  `states` holds
+each state as the sorted universe indices of its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
 DOT.  The universe is the group's small roots.  A JSON file holds the group,
@@ -32,22 +31,23 @@ state that may take q.
 Small walls are closed under the moves that keep |B| < 1, starting from the
 simple walls; a wall fails to be small exactly when some other wall lies
 fully between the identity chamber and it, which yields an independent
-brute-force oracle over any ball.  The pivots come out of the breadth-first
-step that grows the ball (CoxeterSystem.next_layer), layer by layer in
-(length, shortlex) order with their words (WallGeometry.shortlex_search),
-and the loader checks a file's words by climbing the weak order
-(WallGeometry.shortlex_word).
+brute-force oracle over any ball.  The pass that finds the pivots steps
+small-root states along each pivot's word, so it projects nothing and
+searches no separator, and the loader checks a file's words by the same
+pass.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import zip_longest
 
 from .coxeter import (
     GroupElement,
+    ResourceLimitError,
     Wall,
     Word,
     word_from_string,
@@ -75,20 +75,19 @@ def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
     """All elements of positive length with identity projection.
 
     In (length, shortlex word) order, with each pivot's shortlex word
-    recorded (WallGeometry.shortlex_search).  Pivots are closed under
-    prefixes: if p(g) = id and g' <= g in the prefix order, then
-    p(g) <= g' <= g and projection monotonicity (suite check 3) give
-    p(g') <= p(g) = id.  So every pivot of length n + 1 is a pivot of length
-    n times an ascent, and a breadth-first search that extends only pivots
-    finds all of them.  The search ends at the first length with no pivot: a
-    pivot is its own projection block, and block lengths are bounded by the
-    constant C, so no pivot is longer than C.  The elements examined count
-    against the system's max_ball_elements.
+    recorded (_PivotTree).  Pivots are closed under prefixes: if
+    p(g) = id and g' <= g in the prefix order, then p(g) <= g' <= g and
+    projection monotonicity (suite check 3) give p(g') <= p(g) = id.  So
+    the shortlex parent of a pivot is a pivot, and a breadth-first pass
+    over the shortlex tree that extends only pivots finds all of them.  It
+    ends at the first length with no pivot: a pivot is its own projection
+    block, and block lengths are bounded by the constant C, so no pivot is
+    longer than C.  The letters the pass tries count against the system's
+    max_ball_elements.
     """
-    identity = geometry.system.identity
-    return geometry.shortlex_search(
-        lambda h: geometry.voracious_projection(h) is identity
-    )
+    tree = _PivotTree(geometry, small_roots(geometry))
+    tree.explore()
+    return tuple(tree.pivots)
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,11 @@ class Edge:
 class VoraciousAutomaton:
     """Automaton over small-wall states; accepts exactly the language words.
 
-    Built over a universe of walls and a prefix-closed set of pivots in
-    (length, shortlex) order; ValueError is raised for pivots that are not
-    prefix-closed.  One scan of the pivots (_pivot_rules) gives each pivot's
+    Built over a universe of walls, the small roots, and the pivots: every
+    pivot for words None, and otherwise the pivots of the given shortlex
+    words, distinct, prefix-closed and in (length, shortlex) order;
+    ValueError is raised for words that are not.  One pass over the
+    pivots' shortlex tree (_PivotTree) gives each pivot, its word, its
     target state index and forbid mask, and `children`, the pivot prefix
     graph; the state masks, sorted by (size, universe indices), and the
     edges follow.  `states` holds each state's universe indices."""
@@ -112,33 +113,37 @@ class VoraciousAutomaton:
         self,
         geometry: WallGeometry,
         universe: tuple[Wall, ...],
-        pivots: tuple[GroupElement, ...],
+        words: Iterable[Word] | None = None,
     ):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
         self.universe = universe
         self.start = 0
-        self.pivots = pivots
-        target_masks, forbid, self.children = _pivot_rules(
-            geometry, universe, pivots
-        )
-        indices = {m: _indices_of(universe, m) for m in {0, *target_masks}}
+        tree = _PivotTree(geometry, universe)
+        if words is None:
+            tree.explore()
+        else:
+            tree.walk(words)
+        self.pivots = tuple(tree.pivots)
+        self.words = tuple(tree.words)
+        self.children = tree.children
+        target_masks = tree.targets
+        indices = {0: (), **dict(zip(target_masks, tree.target_indices))}
         self._masks = sorted(indices, key=lambda m: (m.bit_count(), indices[m]))
         self._state_of = {m: i for i, m in enumerate(self._masks)}
         self.states = tuple(indices[m] for m in self._masks)
         self.targets = tuple(self._state_of[m] for m in target_masks)
-        self.forbid = tuple(forbid)
+        self.forbid = tuple(tree.forbid)
         self._labels: dict[Word, tuple[Word, ...]] = {}
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """An edge for each state and each pivot it may take, by source, then
         by pivot in (length, shortlex) order."""
-        words = self._pivot_words()
         return tuple(
             Edge(source, target, word)
             for source, mask in enumerate(self._masks)
-            for target, word, forbid in zip(self.targets, words, self.forbid)
+            for target, word, forbid in zip(self.targets, self.words, self.forbid)
             if not mask & forbid
         )
 
@@ -201,7 +206,7 @@ class VoraciousAutomaton:
             return NotImplemented
         return (
             [w.root for w in self.universe] == [w.root for w in other.universe]
-            and self._pivot_words() == other._pivot_words()
+            and self.words == other.words
         )
 
     __hash__ = None
@@ -211,9 +216,6 @@ class VoraciousAutomaton:
     def _wall_str(self, wall: Wall) -> str:
         return "(" + ", ".join(self.geometry.root_strings(wall)) + ")"
 
-    def _pivot_words(self) -> list[Word]:
-        return list(map(self.geometry.shortlex_word, self.pivots))
-
     def to_json_dict(self) -> dict:
         gens = self.generators
         return {
@@ -222,7 +224,7 @@ class VoraciousAutomaton:
             "m": [list(row) for row in self.geometry.system.cox.orders],
             "cos_denominator": self.geometry.system.cox.field_modulus(),
             "universe": _universe_json(self.geometry, self.universe),
-            "pivots": [word_to_string(w, gens) for w in self._pivot_words()],
+            "pivots": [word_to_string(w, gens) for w in self.words],
         }
 
     def to_json(self) -> str:
@@ -265,10 +267,12 @@ def _universe_json(geometry: WallGeometry, universe) -> list:
 def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     """The automaton of a file's pivot words, over an existing geometry.
 
-    The group must match, and each pivot word must be the shortlex word of a
-    pivot.  The automaton is built over the distinct words, which must be
-    prefix-closed (see _pivot_rules), and the file must hold exactly the
-    keys it writes, with the values it writes (see _require_written), so
+    The group must match.  The automaton is built over the distinct words
+    in (length, shortlex) order, by the pass that builds every automaton
+    (_PivotTree): each word's prefix must be an earlier word, its last
+    letter must lengthen the prefix and keep the word shortlex, and its
+    element must be a pivot.  The file must hold exactly the keys that
+    automaton writes, with the values it writes (see _require_written), so
     nothing else in the file is read."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
@@ -286,23 +290,11 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
     texts = data.get("pivots")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ValueError("automaton file needs a list of strings under 'pivots'")
-
-    elements: dict[Word, GroupElement] = {}
-    for word in dict.fromkeys(word_from_string(t, gens) for t in texts):
-        g = sys.element_of_word(word)
-        if not word or g.length != len(word):
-            problem = "is empty or not reduced"
-        elif geometry.shortlex_word(g) != word:
-            problem = "is not the shortlex word of its element"
-        elif geometry.voracious_projection(g) is not sys.identity:
-            problem = "is not a pivot: its projection is not the identity"
-        else:
-            elements[word] = g
-            continue
-        raise ValueError(f"pivot word {word_to_string(word, gens)!r} {problem}")
-    order = sorted(elements, key=lambda w: (len(w), w))
+    # A file written by to_json is sorted already, which sorted() finds in
+    # one scan.
+    words = dict.fromkeys(word_from_string(t, gens) for t in texts)
     aut = VoraciousAutomaton(
-        geometry, small_roots(geometry), tuple(elements[w] for w in order)
+        geometry, small_roots(geometry), sorted(words, key=lambda w: (len(w), w))
     )
     _require_written(data, aut.to_json_dict())
     return aut
@@ -345,72 +337,217 @@ def _shown(text: str) -> str:
     return text[:SHOWN_CHARS] + "…"
 
 
-def _indices_of(universe, mask: int) -> tuple[int, ...]:
-    """The universe indices of the walls in a mask, ascending."""
-    return tuple(i for i, wall in enumerate(universe) if mask & wall.bit)
+class _PivotTree:
+    """One breadth-first pass over the shortlex tree of the pivots.
 
+    explore() finds every pivot, and walk(words) the pivots of the given
+    distinct words, in (length, shortlex) order, refusing with ValueError,
+    and naming it, a word that is empty, is not reduced, is not the
+    shortlex word of its element or is not a pivot's.  Either leaves the
+    pivots in (length, shortlex) order with their shortlex words, the two
+    wall masks of each pivot as plain ints, targets and forbid, and the
+    pivot prefix graph, children.
 
-def _pivot_rules(geometry: WallGeometry, universe, pivot_list):
-    """One scan of pivot_list, in (length, shortlex) order: the two wall
-    masks of each pivot q = pivot_list[i], as plain ints, and the pivot
-    prefix graph.
+    A node of the tree is a pivot h with its word, stepped from its parent
+    by the small-root steps (CoxeterSystem.small_steps), with no separator
+    search, no inversion walk and no projection:
+      * its frontier pairs (beta, W) (WallGeometry.frontier_pairs);
+      * its open pairs (gamma, V): V a universe wall outside Inv(h) that no
+        wall separates from chamber h, and gamma = h^{-1} V.  A wall
+        separating V from chamber h separates h^{-1} V from the identity
+        chamber, so these V are the universe walls outside Inv(h) whose
+        pull-back is small.  The identity has (alpha, alpha) for every
+        universe wall.  The step by s keeps (s(gamma), V) when s(gamma) is
+        small and drops the pair otherwise: a separator from h still
+        separates V from h s unless it is the wall H the step crosses, and
+        H, outside Inv(h), would then separate V from the identity chamber,
+        so V would not be small;
+      * the universe part of Inv(h), which gains H if H is small;
+      * the shortlex state X(h) (Brink and Howlett, Math. Ann. 296, 1993;
+        Casselman, "Computation in Coxeter groups I", 2002): the word of h
+        followed by s is the shortlex word of h s iff alpha_s is not in
+        X(h), and X(h s) = {alpha_s} + s(X(h)) + {s(alpha_t) : t < s}, cut
+        to the small walls.  X(h) holds D(h), so it refuses every descent.
+    p(g) is the identity iff every simple wall of Inv(g) is a frontier wall
+    of g: the first step of the projection's climb.  For g = h s, H is a
+    frontier wall of g, and the other simple walls of Inv(g) are those of
+    Inv(h), which for a pivot h are frontier walls of h.  So h s is a pivot
+    iff every pair (beta, W) of h with W simple survives the step by s, and
+    only pivots are multiplied out.
 
-    Returns (targets, forbid, children).  Node 0 of the graph is the
-    identity and node i + 1 is q, which must not be the identity.  For each
-    right descent s of q, q s must be the identity or an earlier pivot, or
+    targets[i] is the mask of q^{-1} W(q), the betas of the frontier pairs of
+    q = pivots[i]: the Brink-Howlett state D(q), so the universe must be the
+    small roots.  forbid[i] is the universe part of Inv(q) ORed with the Vs
+    of q's open pairs, so S & forbid[i] == 0 iff no wall of state S is an
+    inversion wall of q and every wall of S admits a separator from chamber
+    q.  Node 0 of the graph is the identity and node i + 1 is q; for each
+    right descent s of q, children[node of q s][s] is the node of q, and
+    every other entry is 0.  A prefix of a reduced word is reduced, so the
+    paths from node 0 to the node of q spell the reduced words of q, the
+    labels of its edges.  q s must be the identity or an earlier pivot, or
     ValueError is raised, naming both: the pivots are not prefix-closed.
-    children[node of q s][s] is the node of q, and every other entry is 0
-    (the identity is no node's child).  A prefix of a reduced word is
-    reduced, so the paths from node 0 to the node of q spell the reduced
-    words of q, which are the labels of q's edges.
-
-    targets[i] is the mask of q^{-1} W(q); every edge with pivot q enters
-    it.  That set is the Brink-Howlett state D(q) of q, the small walls of
-    Inv(q^{-1}), so the universe must be the small roots.  It is read as
-    the betas of q's frontier pairs (WallGeometry.frontier_pairs), which
-    the pivot search and the loader have already memoised.
-
-    forbid[i] is Inv(q), ORed with the bit of each universe wall V outside
-    Inv(q) that admits no separator from chamber q.  So S & forbid[i] == 0
-    iff no wall of state S is an inversion wall of q and every wall of S
-    admits a separator from q.  Any such separator also separates q from
-    every chamber incident to V, so searching the walls between q and one of
-    them (WallGeometry.has_separator) is complete.
+    Each pivot's word and frontier pairs go into the geometry's memos.  The
+    letters the pass tries, and the identity, count against
+    max_ball_elements.
     """
-    sys = geometry.system
-    node = {sys.identity: 0}
-    children = [[0] * sys.rank]
-    targets = []
-    forbid = []
-    for q in pivot_list:
-        n = node[q] = len(children)
-        children.append([0] * sys.rank)
-        below = [(s, node.get(sys.right_mul(q, s))) for s in sys.right_descents(q)]
-        if not below:
-            raise ValueError("the identity is not a pivot")
-        for s, m in below:
-            if m is None:
-                word, prefix = (
-                    word_to_string(geometry.shortlex_word(g), sys.cox.generators)
-                    for g in (q, sys.right_mul(q, s))
-                )
-                raise ValueError(
-                    f"pivots are not prefix-closed: pivot {word!r} has the "
-                    f"prefix {prefix!r}, which is neither the identity nor an "
-                    "earlier pivot"
-                )
-            children[m][s] = n
-        targets.append(sum(beta.bit for beta in geometry.frontier_pairs(q)[::2]))
-        inv = geometry.inversion_bits(q)
-        unseparated = 0
-        for wall in universe:
-            if not inv & wall.bit and not geometry.has_separator(q, wall):
-                unseparated |= wall.bit
-        forbid.append(inv | unseparated)
-    return targets, forbid, children
+
+    def __init__(self, geometry: WallGeometry, universe):
+        sys = geometry.system
+        self.geometry = geometry
+        self.system = sys
+        self.steps = steps = sys.small_steps()
+        self.simple = simple = sys.identity.walls
+        self.in_universe = sum(wall.bit for wall in universe)
+        # The part of X(h s) that X(h) does not give: alpha_s and the small
+        # s(alpha_t) for t < s.
+        self.fresh = tuple(
+            frozenset([simple[s], *filter(None, map(steps[s].get, simple[:s]))])
+            for s in range(sys.rank)
+        )
+        self.examined = 1
+        self.node_of = {sys.identity: 0}
+        self.children = [[0] * sys.rank]
+        self.pivots: list[GroupElement] = []
+        self.words: list[Word] = []
+        self.targets: list[int] = []
+        # The universe indices of each target's walls, ascending.
+        self.target_indices: list[tuple[int, ...]] = []
+        self.universe_index = {wall: i for i, wall in enumerate(universe)}
+        self.forbid: list[int] = []
+        # A node: (element, word, X, the universe part of Inv, the gammas of
+        # the open pairs, the bits of their Vs).
+        self.root = (
+            sys.identity, (), frozenset(), 0, universe, tuple(w.bit for w in universe)
+        )
+
+    def explore(self) -> None:
+        """Every pivot: layer by layer, each node extended by each letter
+        that X allows, in order, so the layers stay in shortlex order."""
+        simple = self.simple
+        layer = [self.root]
+        while layer:
+            grown = []
+            for node in layer:
+                for s in range(self.system.rank):
+                    if simple[s] not in node[2]:
+                        self._examine()
+                        if self._is_pivot(node[0], s):
+                            child = self._child(node, node[1] + (s,))
+                            grown.append(self._add(child))
+            layer = grown
+
+    def walk(self, words) -> None:
+        """The pivots of the words: each word's prefix must be a word of the
+        previous length, and its last letter must pass the three tests."""
+        gens = self.system.cox.generators
+        length, below, layer = 0, {}, {(): self.root}
+        for word in words:
+            if not word:
+                raise ValueError("the identity is not a pivot")
+            self._examine()
+            if len(word) != length:
+                length, below, layer = len(word), layer, {}
+            parent = below.get(word[:-1])
+            if parent is None:
+                why = self._first_problem(word)
+            else:
+                why = self._problem(parent, word[-1])
+            if why is not None:
+                raise ValueError(f"pivot word {word_to_string(word, gens)!r} {why}")
+            if parent is None:
+                _refuse_unclosed(word, word[:-1], gens)
+            layer[word] = self._add(self._child(parent, word))
+
+    def _first_problem(self, word) -> str | None:
+        """The problem of the first letter of the word that the pass
+        refuses, walked from the identity, or None: for a word whose prefix
+        is no earlier word, only to name its refusal."""
+        node = self.root
+        for n, s in enumerate(word, 1):
+            why = self._problem(node, s)
+            if why is not None:
+                return why
+            node = self._child(node, word[:n])
+        return None
+
+    def _examine(self) -> None:
+        self.examined += 1
+        cap = self.system.max_ball_elements
+        if self.examined > cap:
+            raise ResourceLimitError(f"pivot search exceeded max_ball_elements = {cap}")
+
+    def _is_pivot(self, h: GroupElement, s: int) -> bool:
+        """For a pivot h and a letter s that X(h) allows: h s is a pivot."""
+        step = self.steps[s]
+        pairs = self.geometry.frontier_pairs(h)
+        rank = self.system.rank
+        return all(
+            beta in step
+            for beta, wall in zip(pairs[::2], pairs[1::2])
+            if wall.bit >> rank == 0
+        )
+
+    def _problem(self, node, s: int) -> str | None:
+        h, _, x, *_ = node
+        if h.descents >> s & 1:
+            return "is empty or not reduced"
+        if self.simple[s] in x:
+            return "is not the shortlex word of its element"
+        if not self._is_pivot(h, s):
+            return "is not a pivot: its projection is not the identity"
+        return None
+
+    def _child(self, node, word: Word):
+        """The node of the word, which is the node's word and one letter."""
+        h, _, x, inv, gammas, vbits = node
+        s = word[-1]
+        step = self.steps[s]
+        x = self.fresh[s].union(filter(None, map(step.get, x)))
+        kept, kept_bits = [], []
+        for gamma, vbit in zip(gammas, vbits):
+            image = step.get(gamma)
+            if image is not None:
+                kept.append(image)
+                kept_bits.append(vbit)
+        inv |= h.walls[s].bit & self.in_universe
+        return self.system.right_mul(h, s), word, x, inv, kept, kept_bits
+
+    def _add(self, node):
+        """The node, recorded as the next pivot: its entries in the prefix
+        graph, its masks and the geometry's memos."""
+        g, word, _, inv, _, vbits = node
+        right_mul = self.system.right_mul
+        node_of, children = self.node_of, self.children
+        n = node_of[g] = len(children)
+        children.append([0] * self.system.rank)
+        for s in range(self.system.rank):
+            if g.descents >> s & 1:
+                below = right_mul(g, s)
+                m = node_of.get(below)
+                if m is None:
+                    prefix = self.geometry.shortlex_word(below)
+                    _refuse_unclosed(word, prefix, self.system.cox.generators)
+                children[m][s] = n
+        self.geometry.record_shortlex_word(g, word)
+        self.pivots.append(g)
+        self.words.append(word)
+        betas = self.geometry.frontier_pairs(g)[::2]
+        self.targets.append(sum(beta.bit for beta in betas))
+        index = self.universe_index
+        self.target_indices.append(tuple(sorted(index[beta] for beta in betas)))
+        self.forbid.append(inv | sum(vbits))
+        return node
+
+
+def _refuse_unclosed(word, prefix, gens):
+    word, prefix = (word_to_string(w, gens) for w in (word, prefix))
+    raise ValueError(
+        f"pivots are not prefix-closed: pivot {word!r} has the prefix "
+        f"{prefix!r}, which is neither the identity nor an earlier pivot"
+    )
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     """Construct the automaton from scratch for one group: over its small
     roots and every pivot."""
-    return VoraciousAutomaton(geometry, small_roots(geometry), pivots(geometry))
+    return VoraciousAutomaton(geometry, small_roots(geometry))

@@ -9,11 +9,10 @@ an int mask (walls.py).  A product g s reflects the walls of the neighbours
 of s in the wall of g(alpha_s), through one memoised table per wall (see
 right_mul).  Words are built from the right: reduced_words steps down right
 descents, and shortlex words climb the weak order (walls.py).  One
-breadth-first step, next_layer, grows both the ball and the pivot search
-(walls.py) by a layer, in (length, shortlex) order with no sort.  A left
-product s g is the element of the word s followed by a reduced word of g,
-and g^{-1} that of the reversed word, so the system has one product
-direction and no inverse link.
+breadth-first step, next_layer, grows the ball by a layer, in (length,
+shortlex) order with no sort.  A left product s g is the element of the
+word s followed by a reduced word of g, and g^{-1} that of the reversed
+word, so the system has one product direction and no inverse link.
 
 Roots and the form 2B are coefficient tuples of ints over y' = 2 cos(pi/M'),
 for M' the lcm of the finite orders other than 2 and 3 (see field.py), so a
@@ -175,17 +174,15 @@ def word_to_string(word: Word, generators) -> str:
 def word_from_string(text: str, generators) -> Word:
     if text == "":
         return ()
-    index = {g: i for i, g in enumerate(generators)}
-    if all(len(g) == 1 for g in generators) and "," not in text:
-        letters = list(text)
-    else:
+    index = dict(zip(generators, range(len(generators))))
+    if "," in text or max(map(len, generators)) > 1:
         letters = text.split(",")
-    word = []
-    for letter in letters:
-        if letter not in index:
-            raise GroupConfigError(f"unknown generator {letter!r}")
-        word.append(index[letter])
-    return tuple(word)
+    else:
+        letters = text
+    try:
+        return tuple(map(index.__getitem__, letters))
+    except KeyError as e:
+        raise GroupConfigError(f"unknown generator {e.args[0]!r}") from None
 
 
 class Wall:
@@ -529,7 +526,7 @@ class CoxeterSystem:
         equality only for g = h s; and from h s, only s reaches h.  So the
         word of h is its parent's plus s, and the elements come out in
         (length, shortlex) order with no sort.  A ball's layer holds every
-        parent, and a prefix-closed set's layer those of its next layer.
+        parent.
 
         examined counts the elements seen before; ResourceLimitError is
         raised as soon as they and the new ones exceed max_ball_elements,

@@ -19,11 +19,11 @@ alike, so every side question is a mask operation, and
 CoxeterSystem.walls_of lists a mask's walls.  Inversion sets are built by
 stepping down right descents (inversion_bits), which also records each
 wall's crossing chamber.  The separator search (has_separator) serves the
-automaton's forbid masks and the verifier: it reads both sides from
-memoised masks, and disjointness from 2B of two roots, through an integer
-functional that a wall builds on its first test (see form2), decided one
-wall pair at a time, only for walls whose sides already qualify, and
-memoised in both directions as per-wall bitmasks.
+verifier alone: neither frontiers nor the automaton use it.  It reads both
+sides from memoised masks, and disjointness from 2B of two roots, through
+an integer functional that a wall builds on its first test (see form2),
+decided one wall pair at a time, only for walls whose sides already
+qualify, and memoised in both directions as per-wall bitmasks.
 
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
@@ -92,6 +92,12 @@ class WallGeometry:
             "shortlex_words": len(self._shortlex),
             "incident_chambers": len(self._incident),
         }
+
+    def record_shortlex_word(self, g: GroupElement, word: Word) -> None:
+        """Memoise the shortlex word of g, which a caller has spelled by
+        walking shortlex words letter by letter (the automaton's pass over
+        the pivots), so that shortlex_word need not climb to it."""
+        self._shortlex[g] = word
 
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
@@ -342,35 +348,6 @@ class WallGeometry:
             _, got = self._climb(self.system.identity, self.inversion_bits(g))
             self._shortlex[g] = got
         return got
-
-    def shortlex_search(self, keep) -> tuple[GroupElement, ...]:
-        """The elements h other than the identity with keep(h), in (length,
-        shortlex) order, for a predicate keep closed under prefixes in the
-        weak order; the identity is taken as kept.
-
-        Layer by layer, CoxeterSystem.next_layer of the kept elements, of
-        which keep selects the next kept layer.  The shortlex parent of a
-        kept element is a prefix, so it is kept, and it is the first to
-        reach the element: each kept h's word is its parent's plus one
-        letter, recorded in the shortlex memo, and every layer stays in
-        shortlex order with no sort.  The elements examined, kept or not,
-        count against max_ball_elements.
-        """
-        sys = self.system
-        memo = self._shortlex
-        examined = 1
-        layer = [sys.identity]
-        out: list[GroupElement] = []
-        while layer:
-            found = sys.next_layer(layer, examined)
-            examined += len(found)
-            layer = []
-            for h, (g, s) in found.items():
-                if keep(h):
-                    memo[h] = memo[g] + (s,)
-                    layer.append(h)
-            out.extend(layer)
-        return tuple(out)
 
     def voracious_projection(self, g: GroupElement) -> GroupElement:
         """Longest prefix of g on the identity side of every frontier wall.

@@ -545,10 +545,11 @@ def pull_back_target(geometry: WallGeometry, q) -> int:
 
 
 def sorted_pivot_search(geometry: WallGeometry):
-    """The pivots by the search that shortlex_search replaces: a
-    breadth-first search that extends only pivots, in discovery order, then
-    a sort by (length, shortlex word), the words by the left walk
-    (left_shortlex_word)."""
+    """The pivots by projection search, the route that the automaton's pass
+    over the shortlex tree replaced: a breadth-first search that extends
+    only elements whose voracious projection is the identity, in discovery
+    order, then a sort by (length, shortlex word), the words by the left
+    walk (left_shortlex_word)."""
     sys_ = geometry.system
     seen = {sys_.identity}
     layer = [sys_.identity]
@@ -566,6 +567,55 @@ def sorted_pivot_search(geometry: WallGeometry):
         layer = nxt
     out.sort(key=lambda g: (g.length, left_shortlex_word(sys_, g)))
     return tuple(out)
+
+
+def separator_route(geometry: WallGeometry):
+    """(words, targets, forbid, children) of the automaton by the route that
+    its pass over the shortlex tree replaced.
+
+    The pivots by projection search (sorted_pivot_search), with their words
+    by the left walk; each target as the mask of q's frontier pulled back
+    (pull_back_target); forbid(q) as the universe walls in Inv(q) or with no
+    separator from chamber q (WallGeometry.has_separator); and children[n][s]
+    the node of h s for each h s longer than the element h of node n, where
+    both are nodes, found through the right descents of each pivot.
+    """
+    from voracious import small_roots
+
+    sys_ = geometry.system
+    universe = small_roots(geometry)
+    pivot_list = sorted_pivot_search(geometry)
+    node = {sys_.identity: 0, **{q: n for n, q in enumerate(pivot_list, 1)}}
+    children = [[0] * sys_.rank for _ in node]
+    targets, forbid = [], []
+    for q in pivot_list:
+        for s in sys_.right_descents(q):
+            children[node[sys_.right_mul(q, s)]][s] = node[q]
+        targets.append(pull_back_target(geometry, q))
+        inv = geometry.inversion_bits(q)
+        forbid.append(sum(
+            wall.bit
+            for wall in universe
+            if inv & wall.bit or not geometry.has_separator(q, wall)
+        ))
+    words = [left_shortlex_word(sys_, q) for q in pivot_list]
+    return words, targets, forbid, children
+
+
+def climb_word_problem(geometry: WallGeometry, word) -> str | None:
+    """Why a pivot word is refused, by the checks that the automaton's pass
+    replaced in the loader, or None for a pivot's shortlex word: the
+    element's length, the shortlex word that the climb spells
+    (WallGeometry.shortlex_word) and the voracious projection."""
+    sys_ = geometry.system
+    g = sys_.element_of_word(word)
+    if not word or g.length != len(word):
+        return "is empty or not reduced"
+    if geometry.shortlex_word(g) != word:
+        return "is not the shortlex word of its element"
+    if geometry.voracious_projection(g) is not sys_.identity:
+        return "is not a pivot: its projection is not the identity"
+    return None
 
 
 def may_take_automaton_oracle(geometry: WallGeometry):

@@ -16,8 +16,9 @@ from voracious import (
     load_group_file,
     pivots,
     small_roots,
+    word_to_string,
 )
-from voracious.automaton import SHOWN_CHARS
+from voracious.automaton import SHOWN_CHARS, _PivotTree
 
 from conftest import (
     AFFINE_A3,
@@ -26,6 +27,7 @@ from conftest import (
     H535,
     TRIANGLE_237,
     TRIANGLE_245,
+    climb_word_problem,
     fresh_geometry,
     frontier_walls,
     generator_wall,
@@ -35,6 +37,7 @@ from conftest import (
     may_take_automaton_oracle,
     pull_back_target,
     run_states,
+    separator_route,
     small_roots_bruteforce,
     sorted_pivot_search,
     translate_wall,
@@ -177,7 +180,12 @@ ALL_GROUPS = sorted(SMALL_ROOT_COUNTS) + [
 
 
 def _fresh(stack, name):
-    built = {**BUILT, "h535": ("abcd", H535), "triangle_245": ("abc", TRIANGLE_245)}
+    built = {
+        **BUILT,
+        "h535": ("abcd", H535),
+        "triangle_245": ("abc", TRIANGLE_245),
+        "affine_c4": ("abcde", AFFINE_C4),
+    }
     if name in built:
         return fresh_geometry(*built[name])
     return fresh_geometry(stack(name).cox.generators, stack(name).cox.orders)
@@ -255,24 +263,119 @@ AFFINE_C4 = (
 
 
 def test_affine_c4_build_frozen():
-    # 6,560 pivots, the longest of length 50, from 10,206 elements.  The
-    # build makes 18,225 products (two right_products entries each), and
-    # its wall reflections fill 2,362 table entries, each made once: the
+    # 6,560 pivots, the longest of length 50, from 6,561 elements: the
+    # pivots and the identity.  The build makes 14,580 products (two
+    # right_products entries each), one per right descent of a pivot, and
+    # its wall reflections fill 2,195 table entries, each made once: the
     # small-root closure reflects a small wall only into a small one.
     geo = fresh_geometry("abcde", AFFINE_C4)
     aut = build_automaton(geo)
     assert len(aut.pivots) == 6560
     assert max(q.length for q in aut.pivots) == aut.pivots[-1].length == 50
     stats = geo.system.stats()
-    assert stats["elements"] == 10206
-    assert stats["right_products"] == 2 * 18225
-    assert stats["reflections"] == 2362 < 18225
+    assert stats["elements"] == 6561
+    assert stats["right_products"] == 2 * 14580
+    assert sum(q.descents.bit_count() for q in aut.pivots) == 14580
+    assert stats["reflections"] == 2195 < 14580
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS + ["affine_c4"])
+def test_pass_matches_separator_route(stack, name):
+    # The pass over the shortlex tree against the route it replaced, on a
+    # second fresh system: pivots by projection search, targets by pulling
+    # frontiers back, forbid by the separator search.  forbid holds only
+    # its universe part, and the masks are compared as sets of roots.
+    geo = _fresh(stack, name)
+    aut = build_automaton(geo)
+    oracle = _fresh(stack, name)
+    words, targets, forbid, children = separator_route(oracle)
+
+    def roots(g, masks):
+        return [{w.root for w in g.system.walls_of(m)} for m in masks]
+
+    assert list(aut.words) == words
+    assert roots(geo, [aut._masks[t] for t in aut.targets]) == roots(oracle, targets)
+    assert roots(geo, aut.forbid) == roots(oracle, forbid)
+    assert aut.children == children
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_build_and_load_search_no_projection_separator_or_inversion(
+    stack, name, monkeypatch
+):
+    # The pass steps small-root states alone: with the projection, the
+    # separator search, the inversion walk and the climb made to fail, a
+    # build and a load still succeed, and each makes only the pivots and
+    # the identity.
+    built, loaded = _fresh(stack, name), _fresh(stack, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pass called a replaced route")
+
+    for method in ("voracious_projection", "has_separator", "inversion_bits", "_climb"):
+        monkeypatch.setattr(WallGeometry, method, refuse)
+    aut = build_automaton(built)
+    text = aut.to_json()
+    assert built.system.stats()["elements"] == len(aut.pivots) + 1
+    clone = from_json_dict(json.loads(text), loaded)
+    assert clone.to_json() == text
+    assert loaded.system.stats()["elements"] == len(clone.pivots) + 1
+
+
+_X_GEOMETRIES: dict = {}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(ALL_GROUPS), draw=st.data())
+def test_shortlex_state_allows_exactly_the_shortlex_words(stack, name, draw):
+    # The pass's shortlex state X allows a word letter by letter iff the
+    # word is the shortlex word of its element, by the climb
+    # (WallGeometry.shortlex_word), for every prefix of a word of length up
+    # to 12.  A node of the pass holds X at index 2.
+    if name not in _X_GEOMETRIES:
+        geo = _fresh(stack, name)
+        _X_GEOMETRIES[name] = geo, _PivotTree(geo, small_roots(geo))
+    geo, tree = _X_GEOMETRIES[name]
+    sys_ = geo.system
+    word = draw.draw(st.lists(st.integers(0, sys_.rank - 1), max_size=12))
+    node, allowed = tree.root, True
+    for n, s in enumerate(word, 1):
+        allowed = allowed and tree.simple[s] not in node[2]
+        prefix = tuple(word[:n])
+        if allowed:
+            node = tree._child(node, prefix)
+        assert allowed == (geo.shortlex_word(sys_.element_of_word(prefix)) == prefix)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ROOT_COUNTS) + ["triangle_237"])
+def test_loader_refusals_match_the_climb(stack, name):
+    # A file with one word more, a pivot's word or the empty word followed
+    # by a letter, is refused with the reason that the loader's former
+    # checks give that word (climb_word_problem); a word they accept is
+    # already in the file.
+    full = build_automaton(_fresh(stack, name))
+    data = full.to_json_dict()
+    geo, oracle = _fresh(stack, name), _fresh(stack, name)
+    refused = 0
+    for prefix in ((),) + full.words:
+        for s in range(len(full.generators)):
+            word = prefix + (s,)
+            want = climb_word_problem(oracle, word)
+            if want is None:
+                assert word in full.words
+                continue
+            text = word_to_string(word, full.generators)
+            with pytest.raises(ValueError) as refusal:
+                from_json_dict({**data, "pivots": data["pivots"] + [text]}, geo)
+            assert str(refusal.value) == f"pivot word {text!r} {want}"
+            refused += 1
+    assert refused == (len(full.words) + 1) * len(full.generators) - len(full.words)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_json_load_makes_no_inverse(stack, name):
-    # The loader checks each file word by climbing the weak order, so the
-    # only elements a load into a fresh geometry makes are the pivots,
+    # The loader checks each file word by the pass that builds, so the only
+    # elements a load into a fresh geometry makes are the pivots,
     # prefix-closed, and the identity.
     text = build_automaton(_fresh(stack, name)).to_json()
     geo = _fresh(stack, name)
@@ -286,7 +389,7 @@ def test_pivots_not_prefix_closed_are_refused(stack, name):
     # missing prefix: the constructor refuses the set, and so does the
     # loader, for a file of the kept words.
     full = build_automaton(_fresh(stack, name))
-    kept = tuple(q for q in full.pivots if not 2 <= q.length <= 4)
+    kept = tuple(w for w in full.words if not 2 <= len(w) <= 4)
     refusal = "pivots are not prefix-closed: pivot '.{5}' has the prefix '.{4}'"
     with pytest.raises(ValueError, match=refusal):
         VoraciousAutomaton(full.geometry, full.universe, kept)
@@ -299,16 +402,15 @@ def test_pivots_not_prefix_closed_are_refused(stack, name):
 def test_identity_is_refused_as_a_pivot(stack):
     # It is node 0 of the prefix graph, below every pivot.
     geo = stack("a2").geometry
+    words = build_automaton(geo).words
     with pytest.raises(ValueError, match="the identity is not a pivot"):
-        VoraciousAutomaton(
-            geo, small_roots(geo), (geo.system.identity, *pivots(geo))
-        )
+        VoraciousAutomaton(geo, small_roots(geo), ((), *words))
 
 
 def _truncated(full, max_length):
     """The pivots of an automaton up to a length, which are prefix-closed,
     and its file written for them."""
-    kept = tuple(q for q in full.pivots if q.length <= max_length)
+    kept = tuple(w for w in full.words if len(w) <= max_length)
     data = full.to_json_dict()
     data["pivots"] = [w for w in data["pivots"] if len(w) <= max_length]
     return kept, data
@@ -323,9 +425,9 @@ def test_subset_targets_match_full_automaton(stack, name):
     subset = VoraciousAutomaton(full.geometry, full.universe, kept)
     loaded = from_json_dict(data, _fresh(stack, name))
     assert len(loaded.pivots) == len(kept) < len(full.pivots)
-    want = dict(zip(full._pivot_words(), full.targets))
+    want = dict(zip(full.words, full.targets))
     for aut in (subset, loaded):
-        for word, target in zip(aut._pivot_words(), aut.targets):
+        for word, target in zip(aut.words, aut.targets):
             assert aut.states[target] == full.states[want[word]]
 
 
@@ -360,11 +462,15 @@ def test_pivot_search_is_bounded(stack):
     cox = stack("triangle_334").cox
     with pytest.raises(ResourceLimitError):
         build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=5)))
-    # The search examines 32 elements of (3,3,4), kept or not, the identity
-    # included: a cap of 32 admits it and a cap of 31 does not.
-    assert len(pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=32)))) == 17
-    with pytest.raises(ResourceLimitError, match="exceeded max_ball_elements = 31"):
-        pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=31)))
+    # The pass examines 31 elements of (3,3,4): the identity and the 30
+    # letters that the shortlex states allow, 17 of them giving pivots.  A
+    # cap of 31 admits it and a cap of 30 does not.  It builds 18 elements,
+    # the pivots and the identity.
+    geo = WallGeometry(CoxeterSystem(cox, max_ball_elements=31))
+    assert len(pivots(geo)) == 17
+    assert geo.system.stats()["elements"] == 18
+    with pytest.raises(ResourceLimitError, match="exceeded max_ball_elements = 30"):
+        pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=30)))
 
 
 def test_gold_automaton_of_line(stack):
@@ -553,12 +659,14 @@ def test_run_states_with_edges_missing_from_file(long_pivot_geometries):
     # pivots' edges are missing, and words run over the graph of the kept
     # pivots agree with a scan of the kept edges' labels.
     geo = long_pivot_geometries["affine_a3"]
-    kept, data = _truncated(build_automaton(geo), 5)
+    full = build_automaton(geo)
+    kept, data = _truncated(full, 5)
     aut = from_json_dict(data, geo)
-    assert aut.pivots == kept
+    assert aut.words == kept
+    assert aut.pivots == full.pivots[: len(kept)]
     assert aut.to_json_dict() == data
     assert len(aut.edges) < 872
-    assert _prefix_graph_nodes(aut) == [geo.system.identity, *kept]
+    assert _prefix_graph_nodes(aut) == [geo.system.identity, *aut.pivots]
     _assert_run_states_match_label_scan(aut, geo.system.rank, 6)
 
 
@@ -591,18 +699,28 @@ def test_json_rejects_changed_top_level_key(stack, key, value, message):
 
 
 def test_json_rejects_non_reduced_pivot_word(stack):
-    data, geo = _json_of(stack, "a2")
-    data["pivots"][0] = "ss"
-    with pytest.raises(ValueError, match="'ss' is empty or not reduced"):
-        from_json_dict(data, geo)
+    # Refused by the descent bit, after the prefix s, or in its place.
+    for edit in ("append", "replace"):
+        data, geo = _json_of(stack, "a2")
+        if edit == "append":
+            data["pivots"].append("ss")
+        else:
+            data["pivots"][0] = "ss"
+        with pytest.raises(ValueError, match="'ss' is empty or not reduced"):
+            from_json_dict(data, geo)
 
 
 def test_json_rejects_reduced_word_that_is_not_a_pivot(stack):
-    data, geo = _json_of(stack, "d_infinity")
-    assert data["pivots"] == ["s", "t"]
-    data["pivots"][0] = "st"
-    with pytest.raises(ValueError, match="'st' is not a pivot"):
-        from_json_dict(data, geo)
+    # Refused by the pair test, after the prefix s, or in its place.
+    for edit in ("append", "replace"):
+        data, geo = _json_of(stack, "d_infinity")
+        assert data["pivots"] == ["s", "t"]
+        if edit == "append":
+            data["pivots"].append("st")
+        else:
+            data["pivots"][0] = "st"
+        with pytest.raises(ValueError, match="'st' is not a pivot"):
+            from_json_dict(data, geo)
 
 
 def test_json_rejects_pivot_word_out_of_shortlex_order(stack):

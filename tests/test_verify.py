@@ -15,7 +15,6 @@ from voracious import (
     VoraciousLanguage,
     WallGeometry,
     load_group_file,
-    pivots,
     small_roots,
 )
 
@@ -344,9 +343,9 @@ def test_projection_monotone_fails_on_a_raised_projection(stack, monkeypatch):
 
 
 def _pivots_without(geometry, word):
-    """Every pivot but the one with this shortlex word."""
-    every = pivots(geometry)
-    kept = tuple(q for q in every if geometry.shortlex_word(q) != word)
+    """The shortlex word of every pivot but this one."""
+    every = VoraciousAutomaton(geometry, small_roots(geometry)).words
+    kept = tuple(w for w in every if w != word)
     assert len(kept) < len(every)
     return kept
 
@@ -402,7 +401,7 @@ def test_agreement_fails_on_swapped_targets(stack, monkeypatch, pair, witness):
 
     def build_with_swapped_targets(geometry):
         aut = build(geometry)
-        words = aut._pivot_words()
+        words = aut.words
         i, j = (words.index(s.word(text)) for text in pair)
         targets = list(aut.targets)
         targets[i], targets[j] = targets[j], targets[i]
