@@ -440,14 +440,14 @@ class _PivotTree:
         """The pivots of the words: each word's prefix must be a word of the
         previous length, and its last letter must pass the three tests."""
         gens = self.system.cox.generators
-        length, below, layer = 0, {}, {(): self.root}
+        length, previous, layer = 0, {}, {(): self.root}
         for word in words:
             if not word:
                 raise ValueError("the identity is not a pivot")
             self._examine()
             if len(word) != length:
-                length, below, layer = len(word), layer, {}
-            parent = below.get(word[:-1])
+                length, previous, layer = len(word), layer, {}
+            parent = previous.get(word[:-1])
             if parent is None:
                 why = self._first_problem(word)
             else:

@@ -322,20 +322,25 @@ def test_build_and_load_search_no_projection_separator_or_inversion(
     assert loaded.system.stats()["elements"] == len(clone.pivots) + 1
 
 
-_X_GEOMETRIES: dict = {}
+@pytest.fixture(scope="module")
+def pivot_trees():
+    """A fresh geometry and a pass over it per group, shared by examples."""
+    return {}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(name=st.sampled_from(ALL_GROUPS), draw=st.data())
-def test_shortlex_state_allows_exactly_the_shortlex_words(stack, name, draw):
+def test_shortlex_state_allows_exactly_the_shortlex_words(
+    stack, pivot_trees, name, draw
+):
     # The pass's shortlex state X allows a word letter by letter iff the
     # word is the shortlex word of its element, by the climb
     # (WallGeometry.shortlex_word), for every prefix of a word of length up
     # to 12.  A node of the pass holds X at index 2.
-    if name not in _X_GEOMETRIES:
+    if name not in pivot_trees:
         geo = _fresh(stack, name)
-        _X_GEOMETRIES[name] = geo, _PivotTree(geo, small_roots(geo))
-    geo, tree = _X_GEOMETRIES[name]
+        pivot_trees[name] = geo, _PivotTree(geo, small_roots(geo))
+    geo, tree = pivot_trees[name]
     sys_ = geo.system
     word = draw.draw(st.lists(st.integers(0, sys_.rank - 1), max_size=12))
     node, allowed = tree.root, True
