@@ -190,7 +190,8 @@ def _cmd_verify(args) -> int:
     _check_out(args.out)
     system, geometry = _load(args)
     config = VerifierConfig(radius=args.radius, seed=args.seed)
-    report = Verifier(geometry, config).run_suite()
+    verifier = Verifier(geometry, config)
+    report = verifier.run_suite()
     for check in report.checks:
         print(f"{check.name}: {check.status}", file=sys.stderr)
     c = report.constants
@@ -204,8 +205,9 @@ def _cmd_verify(args) -> int:
     if args.stats:
         for name, seconds in report.seconds.items():
             print(f"time {name}: {seconds:.4f} s", file=sys.stderr)
-        for layer, stats in (("coxeter", system.stats()), ("walls", geometry.stats())):
-            for key, value in stats.items():
+        layers = {"coxeter": system, "walls": geometry, "separators": verifier.separators}
+        for layer, owner in layers.items():
+            for key, value in owner.stats().items():
                 print(f"{layer}.{key}: {value}", file=sys.stderr)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1

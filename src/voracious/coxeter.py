@@ -194,24 +194,14 @@ class Wall:
     identity is equality.  `bit` is 1 << (creation index in its system).
     `reflections` maps a wall W to (W', flip), r(beta_W) = -beta_W' if flip
     else beta_W', for r the reflection in this wall (CoxeterSystem.right_mul).
-    `known` masks the walls whose disjointness from this one is decided,
-    `disjoint` those found disjoint (WallGeometry.walls_disjoint).
-    `crossing` is the first chamber an inversion walk saw cross the wall
-    (WallGeometry.inversion_bits), or None.  `form` is the integer
-    functional u -> 2B(u, root) (CoxeterSystem.form_functional), built by
-    WallGeometry.form2 on a first disjointness test, or None before that.
     """
 
-    __slots__ = ("root", "bit", "reflections", "known", "disjoint", "crossing", "form")
+    __slots__ = ("root", "bit", "reflections")
 
     def __init__(self, root, bit):
         self.root = root
         self.bit = bit
         self.reflections: dict[Wall, tuple[Wall, int]] = {}
-        self.known = 0
-        self.disjoint = 0
-        self.crossing = None
-        self.form = None
 
     def __repr__(self):
         return f"Wall({self.root})"
@@ -317,23 +307,6 @@ class CoxeterSystem:
                 self.cox.field_modulus()
             )
         return tuple(map(rewrite, vec))
-
-    def form_functional(self, vec):
-        """The integer map u -> 2 B(u, vec), as d rows of k d ints.
-
-        2 B(u, vec) is the sum over s of u_s times c_s = 2 B(alpha_s, vec),
-        and u_s c_s is the sum over a of u_s[a] y^a c_s.  So coefficient r of
-        2 B(u, vec) is the dot product of row r with u flattened coordinate
-        by coordinate, sum(u, ()), where row r lists entry r of each y^a c_s
-        in that order.
-        """
-        times_powers = self.ctx.times_powers
-        columns = [
-            col
-            for s in range(self.rank)
-            for col in times_powers(self.gram2_row_dot(s, vec))
-        ]
-        return tuple(zip(*columns))
 
     def gram2_row_dot(self, s: int, vec):
         """2 B(alpha_s, vec)."""
@@ -452,10 +425,6 @@ class CoxeterSystem:
         g.products[s] = out
         out.products[s] = g
         return out
-
-    def built_right_mul(self, g: GroupElement, s: int) -> GroupElement | None:
-        """g * s if right_mul has built it already, else None; no arithmetic."""
-        return g.products[s]
 
     def descent_step(self, h: GroupElement) -> tuple[int, GroupElement]:
         """(s, h s) for a right descent s of h: the least s whose product

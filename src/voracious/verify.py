@@ -27,6 +27,7 @@ from operator import xor
 from .automaton import build_automaton
 from .coxeter import GroupElement, Wall, Word, word_to_string
 from .language import VoraciousLanguage
+from .separators import SeparatorSearch
 from .walls import WallGeometry
 
 
@@ -108,26 +109,13 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _separator_frontier(geo: WallGeometry, g: GroupElement) -> int:
-    """The frontier of g by its definition: the inversion walls of g that no
-    wall separates from chamber g (WallGeometry.has_separator), as a mask.
-    Separators of an inversion wall of g are themselves in Inv(g).  The
-    agreement check's oracle for WallGeometry.frontier_set, which steps
-    Brink-Howlett states instead."""
-    inv = geo.inversion_bits(g)
-    out = 0
-    for wall in geo.system.walls_of(inv):
-        if not geo.has_separator(g, wall, inv):
-            out |= wall.bit
-    return out
-
-
 class Verifier:
     def __init__(self, geometry: WallGeometry, config: VerifierConfig = VerifierConfig()):
         self.geometry = geometry
         self.system = geometry.system
         self.config = config
         self.language = VoraciousLanguage(geometry)
+        self.separators = SeparatorSearch(geometry)
         self.warnings: list[str] = []
         self.constants: Constants | None = None
 
@@ -187,7 +175,7 @@ class Verifier:
         if self.constants is not None:
             return self.constants
         cfg = self.config
-        sys, geo = self.system, self.geometry
+        sys, geo, search = self.system, self.geometry, self.separators
         radius = cfg.radius
         ball = sys.ball(radius)
 
@@ -218,10 +206,10 @@ class Verifier:
                 continue
             inv_g = inv(g)
             for wall, first_r in wall_min_radius.items():
-                if geo.has_separator(g, wall):
+                if search.has_separator(g, wall):
                     continue
                 if wall not in canonical:
-                    canonical[wall] = inv(geo.incident_chamber(wall))
+                    canonical[wall] = inv(search.incident_chamber(wall))
                 d = min(map(int.bit_count, map(inv_g.__xor__, incident[wall])))
                 d_canon = (inv_g ^ canonical[wall]).bit_count()
                 if d > TRIM_MARGIN:
@@ -439,7 +427,7 @@ class Verifier:
         reaches it by its pivots' targets, Brink-Howlett states stepped along
         a word by the small-root steps (WallGeometry.frontier_pairs), and the
         check computes it from the definition, the frontier of the word's
-        element g found by the separator search (_separator_frontier) and
+        element g found by the separator search (SeparatorSearch.frontier) and
         pulled back along the reversed shortlex word of g
         (WallGeometry.pull_back)."""
         sys, geo = self.system, self.geometry
@@ -451,7 +439,7 @@ class Verifier:
         mismatch = self._pivot_gap(aut)
         # the state pull_back gives, once per element
         want_of = functools.cache(
-            lambda g: aut.state_of_mask(geo.pull_back(g, _separator_frontier(geo, g)))
+            lambda g: aut.state_of_mask(geo.pull_back(g, self.separators.frontier(g)))
         )
         # each word carries its run's (state, node) pairs, which its children
         # extend by one letter (VoraciousAutomaton.run_pairs)
@@ -501,7 +489,7 @@ class Verifier:
 
     def check_separator_sampling(self) -> CheckResult:
         cfg = self.config
-        sys, geo = self.system, self.geometry
+        sys, geo, search = self.system, self.geometry, self.separators
         name = "sharp-angled-separator-sampling"
         if sys.rank < 3:
             return CheckResult(
@@ -558,7 +546,7 @@ class Verifier:
             descents = bool(wr.bit & between) + bool(wq.bit & between)
             if descents == 1:
                 continue  # g sits strictly between the two walls' sectors
-            if not (geo.has_separator(g, wr) or geo.has_separator(g, wq)):
+            if not (search.has_separator(g, wr) or search.has_separator(g, wq)):
                 continue  # hypothesis not met: nothing separates g from the pair
             n_samples += 1
             if key not in orbit_cache:
@@ -567,7 +555,7 @@ class Verifier:
                 if wall is wr or wall is wq:
                     continue
                 n_walls += 1
-                if not geo.has_separator(g, wall):
+                if not search.has_separator(g, wall):
                     return CheckResult(
                         name,
                         "fail",

@@ -3,27 +3,16 @@
 A wall is the fixed hyperplane of a reflection, represented by its positive
 root; the system owns the walls (coxeter.Wall, CoxeterSystem.wall_of_root),
 and an element is its walls, one per generator with a descent bit (see
-coxeter.py).  Sides and frontiers are read off walks along the weak order,
-and the separator search, which frontiers do not use, rests on exact sign
-evaluations:
-
-  * chamber g lies on the identity side of the wall of beta iff
-    g^{-1}(beta) is positive;
-  * two distinct walls are disjoint (do not cross) iff |B(beta, beta')| >= 1;
-  * a wall separates chamber g from a disjoint wall W iff g and the chambers
-    incident to W lie on opposite sides.
+coxeter.py).  Sides, frontiers and projections are read off walks along
+the weak order: chamber g lies on the identity side of the wall of beta
+iff g^{-1}(beta) is positive, and a sign is decided only when the system
+makes a wall.
 
 Each wall carries a bit, 1 << (its creation index), and every set of walls
 is a Python int mask: inversion sets, frontiers and pulled-back frontiers
 alike, so every side question is a mask operation, and
 CoxeterSystem.walls_of lists a mask's walls.  Inversion sets are built by
-stepping down right descents (inversion_bits), which also records each
-wall's crossing chamber.  The separator search (has_separator) serves the
-verifier alone: neither frontiers nor the automaton use it.  It reads both
-sides from memoised masks, and disjointness from 2B of two roots, through
-an integer functional that a wall builds on its first test (see form2),
-decided one wall pair at a time, only for walls whose sides already
-qualify, and memoised in both directions as per-wall bitmasks.
+stepping down right descents (inversion_bits).
 
 The frontier of g collects the inversion walls of g that no other wall
 separates from g; the voracious projection is the longest prefix of g whose
@@ -43,8 +32,6 @@ inverse.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .coxeter import CoxeterSystem, GroupElement, Wall, Word
 from .field import cos_string
 
@@ -61,8 +48,6 @@ class WallGeometry:
         self._proj: dict[GroupElement, GroupElement] = {}
         self._blocks: dict[GroupElement, GroupElement] = {}
         self._shortlex: dict[GroupElement, Word] = {system.identity: ()}
-        # Wall -> its canonical incident chamber (incident_chamber).
-        self._incident = dict.fromkeys(system.identity.walls, system.identity)
         self._output_roots: dict[Wall, tuple] = {}
 
     # -- output --------------------------------------------------------------
@@ -82,15 +67,14 @@ class WallGeometry:
 
     def stats(self) -> dict[str, int]:
         """Sizes of the geometry's memos: inversion masks, frontier pairs,
-        projections, projection blocks, shortlex words and incident
-        chambers; the walls are the system's (CoxeterSystem.stats)."""
+        projections, projection blocks and shortlex words; the walls are the
+        system's (CoxeterSystem.stats)."""
         return {
             "inversion_sets": len(self._inv_bits),
             "frontiers": len(self._frontier),
             "projections": len(self._proj),
             "blocks": len(self._blocks),
             "shortlex_words": len(self._shortlex),
-            "incident_chambers": len(self._incident),
         }
 
     def record_shortlex_word(self, g: GroupElement, word: Word) -> None:
@@ -135,9 +119,8 @@ class WallGeometry:
         Steps down right descents (CoxeterSystem.descent_step) to an
         element whose mask is known, then adds back one wall per step: for a
         descent s of h, Inv(h) is Inv(h s) plus the wall of (h s)(alpha_s) =
-        -h(alpha_s), which h s is incident to.  Each element passed keeps its
-        mask, and h s becomes the wall's crossing chamber if it has none.
-        """
+        -h(alpha_s), which h s is incident to.  Each element passed keeps
+        its mask."""
         memo = self._inv_bits
         bits = memo.get(g)
         if bits is not None:
@@ -147,117 +130,17 @@ class WallGeometry:
         cur = g
         while bits is None:
             s, down = descent_step(cur)
-            path.append((cur, down, down.walls[s]))
+            path.append((cur, down.walls[s]))
             cur = down
             bits = memo.get(cur)
-        for h, down, wall in reversed(path):
+        for h, wall in reversed(path):
             if bits & wall.bit:
                 raise ArithmeticError(
                     "inversion walls of a reduced word must be distinct"
                 )
             bits |= wall.bit
             memo[h] = bits
-            if wall.crossing is None:
-                wall.crossing = down
         return bits
-
-    # -- wall-versus-wall geometry ------------------------------------------
-
-    def form2(self, a: Wall, b: Wall):
-        """2B(alpha, beta) for the roots of walls a and b: d dot products of
-        ints, the rows of one wall's functional against the other's root
-        flattened.  The functional of a wall that has one serves, and
-        otherwise a's is built and kept."""
-        if a.form is None and b.form is not None:
-            a, b = b, a
-        rows = a.form
-        if rows is None:
-            rows = a.form = self.system.form_functional(a.root)
-        flat = sum(b.root, ())
-        return tuple([sum(map(mul, row, flat)) for row in rows])
-
-    def walls_disjoint(self, a: Wall, b: Wall) -> bool:
-        """True iff the two distinct walls do not cross: |B(alpha, beta)| >= 1.
-
-        Decided once per pair, from 2B(alpha, beta) by form2, and memoised in
-        both walls' masks.
-        """
-        if a is b:
-            raise ValueError("wall disjointness needs two distinct walls")
-        if a.known & b.bit:
-            return bool(a.disjoint & b.bit)
-        t = self.form2(a, b)
-        a.known |= b.bit
-        b.known |= a.bit
-        if not self.system.ctx.in_band(t):
-            a.disjoint |= b.bit
-            b.disjoint |= a.bit
-            return True
-        return False
-
-    def incident_chamber(self, wall: Wall) -> GroupElement:
-        """A canonical chamber having the wall among its own walls.
-
-        Descends the root's depth: while beta is not simple, applying the
-        least generator s with B(alpha_s, beta) > 0 keeps beta positive and
-        brings it closer to simplicity.  The chambers of beta and s(beta)
-        are then related by chamber(beta) = s chamber(s(beta)), so the
-        descent stops at the first wall whose chamber c is known, and fills
-        in the chamber of every wall it passed on the way back: for the
-        letters s_i ... s_{k-1} descended from it, the element of that word
-        followed by the shortlex word of c.  Each step reads the reflection
-        table of a simple wall (CoxeterSystem.simple_reflection), and each
-        wall it passes is one of the walls of its chamber.  The resulting
-        chamber lies on the identity side of the wall.
-        """
-        memo = self._incident
-        got = memo.get(wall)
-        if got is not None:
-            return got
-        sys = self.system
-        sign_of = sys.ctx.sign_of
-        path = []
-        for _ in range(len(sys._by_index) + sys.max_ball_elements):
-            for s in range(sys.rank):
-                if sign_of(sys.gram2_row_dot(s, wall.root)) > 0:
-                    break
-            else:
-                raise ArithmeticError("depth descent stalled on a non-root vector")
-            path.append((wall, s))
-            wall = sys.simple_reflection(s, wall)[0]
-            got = memo.get(wall)
-            if got is not None:
-                break
-        else:
-            raise ArithmeticError("depth descent failed to terminate")
-        word = self.shortlex_word(got)
-        for passed, s in reversed(path):
-            word = (s,) + word
-            got = memo[passed] = sys.element_of_word(word)
-        return got
-
-    def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:
-        """True iff some wall in the candidates mask separates chamber g from wall.
-
-        A separator is disjoint from wall and lies on different sides of g
-        and of a chamber incident to wall.  Every chamber incident to wall
-        sits on one side of any wall disjoint from it, so the wall's crossing
-        chamber serves when a walk has recorded one, and incident_chamber(wall)
-        otherwise.  The side condition is one mask; then disjointness is read
-        from the memo, and otherwise decided one wall at a time up to the
-        first disjoint one.  The default mask is every wall.
-        """
-        near = wall.crossing
-        if near is None:
-            near = self.incident_chamber(wall)
-        sides = self.inversion_bits(g) ^ self.inversion_bits(near)
-        mask = candidates & sides & ~wall.bit
-        if mask & wall.disjoint:
-            return True
-        for sep in self.system.walls_of(mask & ~wall.known):
-            if self.walls_disjoint(wall, sep):
-                return True
-        return False
 
     # -- frontier and projection --------------------------------------------
 

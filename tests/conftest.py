@@ -13,6 +13,7 @@ from voracious import (
     load_group_file,
 )
 from voracious.field import FieldContext, add, neg, sub
+from voracious.separators import SeparatorSearch
 
 GROUPS_DIR = pathlib.Path(__file__).resolve().parent.parent / "groups"
 
@@ -129,14 +130,15 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
     chamber from W.  Any such wall lies in Inv(D) for D the far incident
     chamber of W, so the search over Inv(D) is exhaustive.
     """
+    search = SeparatorSearch(geometry)
     walls = set()
     for g in geometry.system.ball(radius):
         walls |= inversion_walls(geometry, g)
     out = []
     for wall in sorted(walls, key=geometry.output_root):
-        inv = inversion_walls(geometry, incident_far_chamber(geometry, wall))
+        inv = inversion_walls(geometry, incident_far_chamber(search, wall))
         if not any(
-            other != wall and geometry.walls_disjoint(wall, other) for other in inv
+            other != wall and search.walls_disjoint(wall, other) for other in inv
         ):
             out.append(wall)
     return tuple(out)
@@ -144,7 +146,7 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
 
 def bilinear2(system: CoxeterSystem, u, v):
     """2B(u, v) as the sum over i of u_i times 2B(alpha_i, v), by field
-    products: the oracle of WallGeometry.form2's integer functional."""
+    products: the oracle of SeparatorSearch.form2's integer functional."""
     mul = system.ctx.mul
     acc = (0,) * system.ctx.degree
     for i, x in enumerate(u):
@@ -163,7 +165,7 @@ def descent_chamber(geometry: WallGeometry, wall):
 
     While beta is not simple, the least generator s with 2B(alpha_s, beta) > 0
     reflects beta and multiplies the chamber on the right by s, from the
-    identity: the per-wall walk that WallGeometry.incident_chamber shares
+    identity: the per-wall walk that SeparatorSearch.incident_chamber shares
     between roots.
     """
     system = geometry.system
@@ -180,12 +182,12 @@ def descent_chamber(geometry: WallGeometry, wall):
     return chamber
 
 
-def incident_far_chamber(geometry: WallGeometry, wall):
+def incident_far_chamber(search: SeparatorSearch, wall):
     """The neighbour of incident_chamber(wall) across the wall: the chamber
     near * s for the generator s with near(alpha_s) the wall's root."""
-    near = geometry.incident_chamber(wall)
+    near = search.incident_chamber(wall)
     (s,) = [s for s, w in enumerate(near.walls) if w is wall]
-    return geometry.system.right_mul(near, s)
+    return search.system.right_mul(near, s)
 
 
 def positive_definite_sylvester(system: CoxeterSystem) -> bool:
@@ -390,7 +392,7 @@ def reflection_of_wall(geometry: WallGeometry, wall):
     return out
 
 
-def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
+def reference_find_separator(search: SeparatorSearch, g, wall, candidates):
     """Least candidate wall, by output root, that separates chamber g from wall.
 
     The key-sorted search the engine used before it reported existence only.
@@ -398,8 +400,9 @@ def reference_find_separator(geometry: WallGeometry, g, wall, candidates):
     2B directly, compared as a FieldScalar, so no disjointness memo is
     consulted.
     """
+    geometry = search.geometry
     inv_g = inversion_walls(geometry, g)
-    inv_near = inversion_walls(geometry, geometry.incident_chamber(wall))
+    inv_near = inversion_walls(geometry, search.incident_chamber(wall))
     scalar = geometry.system.ctx.scalar
     for sep in sorted(candidates, key=geometry.output_root):
         if sep == wall:
@@ -512,6 +515,7 @@ class Stack:
         self.system = CoxeterSystem(self.cox)
         self.geometry = WallGeometry(self.system)
         self.language = VoraciousLanguage(self.geometry)
+        self.separators = SeparatorSearch(self.geometry)
 
     def element(self, text: str):
         from voracious import word_from_string
@@ -576,13 +580,14 @@ def separator_route(geometry: WallGeometry):
     The pivots by projection search (sorted_pivot_search), with their words
     by the left walk; each target as the mask of q's frontier pulled back
     (pull_back_target); forbid(q) as the universe walls in Inv(q) or with no
-    separator from chamber q (WallGeometry.has_separator); and children[n][s]
+    separator from chamber q (SeparatorSearch.has_separator); and children[n][s]
     the node of h s for each h s longer than the element h of node n, where
     both are nodes, found through the right descents of each pivot.
     """
     from voracious import small_roots
 
     sys_ = geometry.system
+    search = SeparatorSearch(geometry)
     universe = small_roots(geometry)
     pivot_list = sorted_pivot_search(geometry)
     node = {sys_.identity: 0, **{q: n for n, q in enumerate(pivot_list, 1)}}
@@ -596,7 +601,7 @@ def separator_route(geometry: WallGeometry):
         forbid.append(sum(
             wall.bit
             for wall in universe
-            if inv & wall.bit or not geometry.has_separator(q, wall)
+            if inv & wall.bit or not search.has_separator(q, wall)
         ))
     words = [left_shortlex_word(sys_, q) for q in pivot_list]
     return words, targets, forbid, children
@@ -631,6 +636,7 @@ def may_take_automaton_oracle(geometry: WallGeometry):
     from voracious import pivots, small_roots
 
     sys_ = geometry.system
+    search = SeparatorSearch(geometry)
     universe = small_roots(geometry)
     uindex = {w: i for i, w in enumerate(universe)}
     pivot_list = pivots(geometry)
@@ -649,7 +655,7 @@ def may_take_automaton_oracle(geometry: WallGeometry):
         memo = separated[pi]
         for v in state:
             if v not in memo:
-                memo[v] = geometry.has_separator(w, universe[v])
+                memo[v] = search.has_separator(w, universe[v])
             if not memo[v]:
                 return False
         return True

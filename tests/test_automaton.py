@@ -303,17 +303,21 @@ def test_pass_matches_separator_route(stack, name):
 def test_build_and_load_search_no_projection_separator_or_inversion(
     stack, name, monkeypatch
 ):
-    # The pass steps small-root states alone: with the projection, the
-    # separator search, the inversion walk and the climb made to fail, a
-    # build and a load still succeed, and each makes only the pivots and
-    # the identity.
+    # The pass steps small-root states alone: once the small-root steps
+    # are built, with the projection, the inversion walk, the climb and
+    # every 2B (CoxeterSystem.gram2_row_dot, behind the separator search)
+    # made to fail, a build and a load still succeed, and each makes only
+    # the pivots and the identity.
     built, loaded = _fresh(stack, name), _fresh(stack, name)
+    built.system.small_steps()
+    loaded.system.small_steps()
 
     def refuse(*args, **kwargs):
         raise AssertionError("the pass called a replaced route")
 
-    for method in ("voracious_projection", "has_separator", "inversion_bits", "_climb"):
+    for method in ("voracious_projection", "inversion_bits", "_climb"):
         monkeypatch.setattr(WallGeometry, method, refuse)
+    monkeypatch.setattr(CoxeterSystem, "gram2_row_dot", refuse)
     aut = build_automaton(built)
     text = aut.to_json()
     assert built.system.stats()["elements"] == len(aut.pivots) + 1

@@ -342,6 +342,8 @@ def test_verify_stats_go_to_stderr_only():
     ]
     assert {"coxeter.elements", "coxeter.walls", "coxeter.reflections"} <= set(names)
     assert "walls.inversion_sets" in names and "walls.walls" not in names
+    assert "separators.incident_chambers" in names
+    assert "walls.incident_chambers" not in names
     assert "time" not in plain.stderr
 
 

@@ -17,10 +17,13 @@ from voracious import (
     load_group_file,
     small_roots,
 )
+from voracious.separators import SeparatorSearch
 
 from conftest import (
     BUILT,
     GROUPS_DIR,
+    H535,
+    TRIANGLE_245,
     descent_chamber,
     fresh_geometry,
     generator_wall,
@@ -157,6 +160,7 @@ def test_q_hat_matches_element_distance(stack):
     verifier = _fresh(stack, "triangle_334", radius=radius)
     constants = verifier.estimate_constants()
     geo = WallGeometry(CoxeterSystem(stack("triangle_334").cox))
+    search = SeparatorSearch(geo)
     sys_ = geo.system
     ball = sys_.ball(radius)
     incident = {}
@@ -177,7 +181,7 @@ def test_q_hat_matches_element_distance(stack):
         if g.length > radius - margin:
             continue
         for wall, first in first_radius.items():
-            if geo.has_separator(g, wall):
+            if search.has_separator(g, wall):
                 continue
             d = min(dist(g, h) for h in incident[wall])
             d_canon = dist(g, descent_chamber(geo, wall))
@@ -190,6 +194,50 @@ def test_q_hat_matches_element_distance(stack):
         got = constants.by_radius[r]
         assert (got["Q_hat"], got["Q_hat_canonical"]) == want, r
     assert (constants.Q_hat, constants.Q_hat_canonical) == want
+
+
+@pytest.mark.parametrize(
+    "name, radius, exact_q, q_hat",
+    [
+        ("triangle_334", 8, 1, 1),
+        ("affine_a3", 8, 2, 2),
+        ("triangle_245", 8, 2, 2),
+        ("triangle_237", 12, 3, 5),
+        ("h535", 7, 6, 8),
+    ],
+)
+def test_exact_q_bounds_q_hat(stack, name, radius, exact_q, q_hat):
+    # The walls with no separator from chamber g are the walls g(gamma), for
+    # gamma small, and the distance from chamber g to g(gamma) is that from
+    # the identity chamber to gamma: the length of its canonical incident
+    # chamber.  So Q is a maximum over the small walls, with no ball.  Q_hat
+    # measures each distance to the ball's incident chambers only, so the
+    # ball's cutoff can raise it above Q, as on (2,3,7) and H(5,3,5), but
+    # never lower it.
+    if name in BUILT:
+        geo = fresh_geometry(*BUILT[name])
+    elif name == "h535":
+        geo = fresh_geometry("abcd", H535)
+    elif name == "triangle_245":
+        geo = fresh_geometry("abc", TRIANGLE_245)
+    else:
+        geo = WallGeometry(CoxeterSystem(stack(name).cox))
+    verifier = Verifier(geo, VerifierConfig(radius=radius))
+    chamber = verifier.separators.incident_chamber
+    exact = max(chamber(wall).length for wall in geo.system.small_roots())
+    constants = verifier.estimate_constants()
+    assert (exact, constants.Q_hat) == (exact_q, q_hat)
+    assert exact <= constants.Q_hat
+
+
+def test_separator_search_stats_count_memo_entries(stack):
+    # A fresh search knows the generator walls' incident chamber, the
+    # identity; each wall it descends from adds its own.
+    geo = WallGeometry(CoxeterSystem(stack("triangle_334").cox))
+    search = SeparatorSearch(geo)
+    assert search.stats() == {"incident_chambers": 3}
+    search.frontier(geo.system.element_of_word((0, 1, 2, 1)))
+    assert search.stats()["incident_chambers"] == len(search._incident) > 3
 
 
 def test_constants_by_radius_monotone(stack):
@@ -287,11 +335,11 @@ def test_separator_free_pairs_agree_between_search_domains(stack):
     # agrees with the frontier membership computed from inversion-set
     # candidates.
     s = stack("triangle_334")
-    geo = s.geometry
+    geo, search = s.geometry, s.separators
     for g in s.system.ball(4):
         front = geo.frontier_set(g)
         for wall in geo.system.walls_of(geo.inversion_bits(g)):
-            assert (not geo.has_separator(g, wall)) == bool(wall.bit & front)
+            assert (not search.has_separator(g, wall)) == bool(wall.bit & front)
 
 
 def test_projection_monotone_matches_all_pairs_scan(stack):

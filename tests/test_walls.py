@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voracious import WallGeometry, small_roots
+from voracious import CoxeterSystem, WallGeometry, small_roots
 from voracious.field import neg
-from voracious.verify import _separator_frontier
+from voracious.separators import SeparatorSearch
 
 from conftest import (
     BUILT,
@@ -38,7 +38,6 @@ from conftest import (
 
 GOLD_BALL_RADIUS = 4
 SHIPPED = sorted(p.stem for p in GROUPS_DIR.glob("*.json"))
-FRONTIER_BILINEAR_CALLS = 0
 # Built only where a test names them: H(5,3,5) has the longest pivots, and
 # (2,4,5) the largest field degree (8) of any group the tests build.
 LARGE = {"h535": ("abcd", H535), "triangle_245": ("abc", TRIANGLE_245)}
@@ -149,19 +148,18 @@ def test_is_prefix(stack):
 
 def test_walls_disjoint_frozen(stack):
     a2 = stack("a2")
-    assert not a2.geometry.walls_disjoint(
+    assert not a2.separators.walls_disjoint(
         generator_wall(a2.geometry, 0), generator_wall(a2.geometry, 1)
     )
     dinf = stack("d_infinity")
-    geo = dinf.geometry
-    assert geo.walls_disjoint(generator_wall(geo, 0), generator_wall(geo, 1))
-    assert geo.walls_disjoint(_wall_at(dinf, (2, 1)), _wall_at(dinf, (3, 2)))
-    a2 = stack("a2")
-    assert not a2.geometry.walls_disjoint(
+    geo, search = dinf.geometry, dinf.separators
+    assert search.walls_disjoint(generator_wall(geo, 0), generator_wall(geo, 1))
+    assert search.walls_disjoint(_wall_at(dinf, (2, 1)), _wall_at(dinf, (3, 2)))
+    assert not a2.separators.walls_disjoint(
         generator_wall(a2.geometry, 0), _wall_at(a2, (1, 1))
     )
     with pytest.raises(ValueError):
-        geo.walls_disjoint(generator_wall(geo, 0), generator_wall(geo, 0))
+        search.walls_disjoint(generator_wall(geo, 0), generator_wall(geo, 0))
 
 
 @pytest.mark.parametrize("name", ["triangle_334", "affine_a3"])
@@ -169,6 +167,7 @@ def test_disjoint_bits_symmetric(stack, name):
     # Decide each pair of ball(4) walls once, in one direction, on a fresh
     # geometry; both walls' masks must then record the |2B| >= 2 answer.
     geo = _fresh_geometry(stack, name)
+    search = SeparatorSearch(geo)
     walls = set()
     for g in geo.system.ball(4):
         walls |= inversion_walls(geo, g)
@@ -176,29 +175,31 @@ def test_disjoint_bits_symmetric(stack, name):
     scalar = geo.system.ctx.scalar
     for a, b in itertools.combinations(walls, 2):
         t = scalar(bilinear2(geo.system, a.root, b.root))
-        assert geo.walls_disjoint(a, b) == (t >= 2 or t <= -2)
+        assert search.walls_disjoint(a, b) == (t >= 2 or t <= -2)
+    known, disjoint = search._known, search._disjoint
     for a, b in itertools.permutations(walls, 2):
-        assert a.known & b.bit
-        assert bool(a.disjoint & b.bit) == bool(b.disjoint & a.bit)
-        assert geo.walls_disjoint(b, a) == bool(a.disjoint & b.bit)
+        assert known[a] & b.bit
+        assert bool(disjoint[a] & b.bit) == bool(disjoint[b] & a.bit)
+        assert search.walls_disjoint(b, a) == bool(disjoint[a] & b.bit)
 
 
 def test_frontier_bilinear_calls_frozen(stack, monkeypatch):
     # Frontiers step Brink-Howlett states through the small-root steps, so
-    # on every group the frontiers of ball(8) in a fresh geometry search no
-    # separator, decide no wall disjointness and evaluate no 2B of two
-    # walls (WallGeometry.form2).
-    calls = []
+    # on every group, once the steps are built, the frontiers of ball(8) in
+    # a fresh geometry evaluate no 2B: with CoxeterSystem.gram2_row_dot,
+    # behind every 2B and every sign of one, made to fail, they still
+    # succeed.
+    def refuse(*args):
+        raise AssertionError("a frontier evaluated 2B")
+
     for name in CONFTEST_GROUPS:
         geo = _fresh_geometry(stack, name)
         ball = geo.system.ball(8)
-        for method in ("form2", "walls_disjoint", "has_separator"):
-            monkeypatch.setattr(
-                geo, method, lambda *args, method=method: calls.append(method)
-            )
+        geo.system.small_steps()
+        monkeypatch.setattr(CoxeterSystem, "gram2_row_dot", refuse)
         for g in ball:
             geo.frontier_set(g)
-    assert len(calls) == FRONTIER_BILINEAR_CALLS
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize(
@@ -210,11 +211,12 @@ def test_form2_matches_field_products(stack, name):
     # with itself included.  (2,3,7) and (2,4,5) have fields of degree 3 and
     # 8, so the functional's reduction of y^d is exercised.
     geo = _fresh_geometry(stack, name)
+    search = SeparatorSearch(geo)
     walls = set()
     for g in geo.system.ball(6):
         walls |= inversion_walls(geo, g)
     for a, b in itertools.product(walls, repeat=2):
-        assert geo.form2(a, b) == bilinear2(geo.system, a.root, b.root)
+        assert search.form2(a, b) == bilinear2(geo.system, a.root, b.root)
 
 
 @pytest.mark.parametrize("name", ["triangle_334", "affine_a3", "triangle_237", "h535"])
@@ -229,7 +231,8 @@ def test_incident_chamber_matches_per_wall_descent(stack, name):
         walls |= inversion_walls(geo, g)
     made = len(geo.system._by_index)
     order = sorted(walls, key=lambda w: descent_chamber(geo, w).length, reverse=True)
-    got = {wall: geo.incident_chamber(wall) for wall in order}
+    search = SeparatorSearch(geo)
+    got = {wall: search.incident_chamber(wall) for wall in order}
     assert len(geo.system._by_index) == made
     for wall in order:
         assert got[wall] is descent_chamber(geo, wall)
@@ -237,31 +240,31 @@ def test_incident_chamber_matches_per_wall_descent(stack, name):
 
 def test_incident_chamber_frozen(stack):
     a2 = stack("a2")
-    geo = a2.geometry
+    geo, search = a2.geometry, a2.separators
     # The wall of a simple generator touches the identity chamber.
-    assert geo.incident_chamber(generator_wall(geo, 0)) == a2.system.identity
-    assert incident_far_chamber(geo, generator_wall(geo, 0)) == a2.element("s")
+    assert search.incident_chamber(generator_wall(geo, 0)) == a2.system.identity
+    assert incident_far_chamber(search, generator_wall(geo, 0)) == a2.element("s")
     # The long root's wall in the triangle tiling touches chamber s.
     mid = _wall_at(a2, (1, 1))
-    assert geo.incident_chamber(mid) == a2.element("s")
-    assert incident_far_chamber(geo, mid) == a2.element("st")
+    assert search.incident_chamber(mid) == a2.element("s")
+    assert incident_far_chamber(search, mid) == a2.element("st")
     dinf = stack("d_infinity")
-    geo = dinf.geometry
-    assert geo.incident_chamber(_wall_at(dinf, (2, 1))) == dinf.element("s")
-    assert geo.incident_chamber(_wall_at(dinf, (3, 2))) == dinf.element("st")
+    search = dinf.separators
+    assert search.incident_chamber(_wall_at(dinf, (2, 1))) == dinf.element("s")
+    assert search.incident_chamber(_wall_at(dinf, (3, 2))) == dinf.element("st")
 
 
 def test_incident_chamber_is_adjacent_to_wall(stack):
     # The chamber pair returned for a wall is swapped by its reflection.
     for name in ("d_infinity", "triangle_334"):
         s = stack(name)
-        geo = s.geometry
+        geo, search = s.geometry, s.separators
         walls = set()
         for g in s.system.ball(GOLD_BALL_RADIUS):
             walls |= inversion_walls(geo, g)
         for wall in walls:
-            near = geo.incident_chamber(wall)
-            far = incident_far_chamber(geo, wall)
+            near = search.incident_chamber(wall)
+            far = incident_far_chamber(search, wall)
             refl = reflection_of_wall(geo, wall)
             assert multiply(s.system, refl, near) == far
             assert walls_between(geo, near, far) == {wall}
@@ -281,7 +284,7 @@ def test_incident_chambers_share_side_of_disjoint_walls(stack):
             touching.setdefault(wall, set()).add(g)
     walls = list(touching)
     for a, b in itertools.combinations(walls, 2):
-        if not geo.walls_disjoint(a, b):
+        if not s.separators.walls_disjoint(a, b):
             continue
         sides = {not geo.inversion_bits(g) & b.bit for g in touching[a]}
         assert len(sides) == 1
@@ -292,20 +295,14 @@ CROSSING_GROUPS = ("triangle_334", "affine_a3", "triangle_237")
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
 def test_crossing_chambers_and_prefix_masks(stack, name):
-    # Each wall crossed by a walk over ball(6) records a chamber p with
-    # p(alpha_s) on the wall, whose step to p s crosses that wall alone, on
-    # the identity side; every mask the walks stored, for each element they
+    # From each chamber p of ball(6), the step to p s crosses the wall
+    # p.walls[s] alone; every mask the walks stored, for each element they
     # passed, is the inversion set a fresh geometry derives for it.
     geo = _fresh_geometry(stack, name)
     sys = geo.system
-    walls = set()
-    for g in sys.ball(6):
-        walls |= inversion_walls(geo, g)
-    for wall in walls:
-        p = wall.crossing
-        (s,) = [s for s, w in enumerate(p.walls) if w is wall]
-        assert walls_between(geo, p, sys.right_mul(p, s)) == {wall}
-        assert not geo.inversion_bits(p) & wall.bit
+    for p in sys.ball(6):
+        for s, wall in enumerate(p.walls):
+            assert walls_between(geo, p, sys.right_mul(p, s)) == {wall}
     assert len(geo._inv_bits) >= len(sys.ball(6))
     for p, mask in geo._inv_bits.items():
         fresh = WallGeometry(sys)
@@ -330,34 +327,6 @@ def test_one_wall_per_root(stack, name):
         assert generator_wall(other, s) is generator_wall(geo, s)
     g = sys.ball(6)[-1]
     assert other.inversion_bits(g) == geo.inversion_bits(g)
-
-
-@pytest.mark.parametrize("name", CROSSING_GROUPS)
-def test_has_separator_independent_of_walk_order(stack, name):
-    # Two geometries walk ball(6) in opposite orders, so walls record
-    # different crossing chambers; every separator answer agrees.  Each
-    # geometry has its own system, so elements are compared by matrix.
-    answers = []
-    crossing = []
-    for reverse in (False, True):
-        geo = _fresh_geometry(stack, name)
-        ball = geo.system.ball(6)
-        got = {}
-        for g in reversed(ball) if reverse else ball:
-            inv_bits = geo.inversion_bits(g)
-            for wall in inversion_walls(geo, g):
-                got[matrix_of(g), wall.root] = (
-                    geo.has_separator(g, wall),
-                    geo.has_separator(g, wall, inv_bits),
-                )
-        answers.append(got)
-        crossing.append({
-            w.root: matrix_of(w.crossing)
-            for w in geo.system._by_index
-            if w.crossing is not None
-        })
-    assert answers[0] == answers[1]
-    assert crossing[0] != crossing[1]
 
 
 @pytest.mark.parametrize("name", CROSSING_GROUPS)
@@ -429,7 +398,7 @@ def test_inversion_bits_step_down_from_scratch(stack, name):
         cols = inverse_matrix(source, g)
         descents = sum(1 << s for s, col in enumerate(cols) if sys.root_sign(col) < 0)
         h = sys._element(tuple(map(sys.wall_of_root, cols)), descents, g.length)
-        assert all(sys.built_right_mul(h, t) is None for t in range(sys.rank))
+        assert h.products == [None] * sys.rank
         assert geo.inversion_bits(h).bit_count() == h.length
         assert h in geo._inv_bits
         for e, mask in geo._inv_bits.items():
@@ -438,21 +407,21 @@ def test_inversion_bits_step_down_from_scratch(stack, name):
 
 def test_separates_from_wall_frozen(stack):
     dinf = stack("d_infinity")
-    geo = dinf.geometry
+    geo, search = dinf.geometry, dinf.separators
     g = dinf.element("sts")
     w_s = generator_wall(geo, 0)
     sep = _wall_at(dinf, (2, 1))
-    assert geo.has_separator(g, w_s, sep.bit)
+    assert search.has_separator(g, w_s, sep.bit)
     # Chambers touching the wall (2,1) are s and st, both across W_s from id,
     # so W_s separates id from that wall; from s it does not.
-    assert geo.has_separator(dinf.system.identity, sep, w_s.bit)
-    assert not geo.has_separator(dinf.element("s"), sep, w_s.bit)
+    assert search.has_separator(dinf.system.identity, sep, w_s.bit)
+    assert not search.has_separator(dinf.element("s"), sep, w_s.bit)
     a2 = stack("a2")
     geo2 = a2.geometry
     walls = {w for g in a2.system.ball(3) for w in inversion_walls(geo2, g)}
     for g in a2.system.ball(3):
         for sep, wall in itertools.permutations(walls, 2):
-            assert not geo2.has_separator(g, wall, sep.bit)
+            assert not a2.separators.has_separator(g, wall, sep.bit)
 
 
 def test_frontier_frozen(stack):
@@ -484,15 +453,16 @@ def test_frontier_matches_separator_search(stack):
     # chamber.
     for name in CONFTEST_GROUPS:
         geo = _fresh_geometry(stack, name)
+        search = SeparatorSearch(geo)
         for g in geo.system.ball(GOLD_BALL_RADIUS):
             inv = inversion_walls(geo, g)
             front = frontier_walls(geo, g)
             for wall in inv:
-                domain = walls_between(geo, g, geo.incident_chamber(wall))
-                sep = reference_find_separator(geo, g, wall, domain)
+                domain = walls_between(geo, g, search.incident_chamber(wall))
+                sep = reference_find_separator(search, g, wall, domain)
                 assert (sep is None) == (wall in front), name
                 if sep is not None:
-                    assert geo.has_separator(g, wall, sep.bit)
+                    assert search.has_separator(g, wall, sep.bit)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -508,7 +478,7 @@ def test_frontier_of_long_geodesics(stack, name, draw):
         ascents = [s for s in range(sys.rank) if not g.descents >> s & 1]
         g = sys.right_mul(g, draw.draw(st.sampled_from(ascents)))
     front = geo.frontier_set(g)
-    assert front == _separator_frontier(geo, g)
+    assert front == SeparatorSearch(geo).frontier(g)
     betas = sum(beta.bit for beta in geo.frontier_pairs(g)[::2])
     assert geo.pull_back(g, front) == betas
 
@@ -518,17 +488,18 @@ def test_has_separator_matches_reference(stack, name):
     # Over ball(6): every inversion wall of g, with Inv(g) and with every wall
     # as candidates, and every small-root wall, with every wall as candidates.
     geo = _fresh_geometry(stack, name)
+    search = SeparatorSearch(geo)
     universe = small_roots(geo)
     for g in geo.system.ball(6):
         inv = inversion_walls(geo, g)
         inv_bits = geo.inversion_bits(g)
         for wall in inv:
-            want = reference_find_separator(geo, g, wall, inv - {wall})
-            assert geo.has_separator(g, wall, inv_bits) == (want is not None)
+            want = reference_find_separator(search, g, wall, inv - {wall})
+            assert search.has_separator(g, wall, inv_bits) == (want is not None)
         for wall in inv | set(universe):
-            domain = walls_between(geo, g, geo.incident_chamber(wall))
-            want = reference_find_separator(geo, g, wall, domain)
-            assert geo.has_separator(g, wall) == (want is not None)
+            domain = walls_between(geo, g, search.incident_chamber(wall))
+            want = reference_find_separator(search, g, wall, domain)
+            assert search.has_separator(g, wall) == (want is not None)
 
 
 def test_projection_frozen(stack):
@@ -645,9 +616,8 @@ def test_translate_wall(stack):
 
 
 def test_stats_count_memo_entries(stack):
-    # A fresh geometry holds the generator walls, the identity's empty mask
-    # and empty frontier, and the generator walls' incident chamber; each
-    # request adds its own.
+    # A fresh geometry holds the identity's empty mask, empty frontier and
+    # empty word; each request adds its own.
     geo = _fresh_geometry(stack, "triangle_334")
     sys = geo.system
     assert geo.stats() == {
@@ -656,7 +626,6 @@ def test_stats_count_memo_entries(stack):
         "projections": 0,
         "blocks": 0,
         "shortlex_words": 1,
-        "incident_chambers": 3,
     }
     g = sys.element_of_word((0, 1, 2, 1))
     geo.projection_block(g)
