@@ -6,7 +6,6 @@ from .automaton import (
     VoraciousAutomaton,
     build_automaton,
     from_json_dict,
-    pivots,
     small_roots,
 )
 from .coxeter import (
@@ -50,7 +49,6 @@ __all__ = [
     "from_json_dict",
     "load_group_file",
     "parse_group_config",
-    "pivots",
     "small_roots",
     "word_from_string",
     "word_to_string",

@@ -11,17 +11,17 @@ and it enters target(q).  So the empty start state takes every pivot, and
 the states are it and the pivots' targets.  q^{-1} W(q) is the
 Brink-Howlett state of q, the small walls of Inv(q^{-1}), which the
 geometry keeps beside q's frontier walls (WallGeometry.frontier_pairs).
-The pivots fix the automaton: VoraciousAutomaton is built over them, which
-must be prefix-closed, as every pivot set is (see pivots), and one pass
-over their shortlex tree gives their words, their masks and the prefix
-graph (see _PivotTree); the states and the edges follow.  `states` holds
-each state as the sorted universe indices of its walls.
+The pivots fix the automaton, and so the group does: one pass over their
+shortlex tree, which is prefix-closed, gives every pivot, its word, its
+masks and the prefix graph (see _PivotTree); the states and the edges
+follow.  `states` holds each state as the sorted universe indices of its
+walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
 DOT.  The universe is the group's small roots.  A JSON file holds the group,
 the universe as a checked header and the pivots' shortlex words, and nothing
-else: the loader builds the automaton over the words and requires every
-top-level key of the file to equal what that automaton writes.
+else: the loader builds the group's automaton and requires every top-level
+key of the file to equal what that automaton writes.
 
 Words are run over the pivot prefix graph rather than over the labels: its
 nodes are the identity and the pivots, reading a letter s at the node of h
@@ -33,14 +33,12 @@ simple walls; a wall fails to be small exactly when some other wall lies
 fully between the identity chamber and it, which yields an independent
 brute-force oracle over any ball.  The pass that finds the pivots steps
 small-root states along each pivot's word, so it projects nothing and
-searches no separator, and the loader checks a file's words by the same
-pass.
+searches no separator.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import zip_longest
@@ -50,7 +48,6 @@ from .coxeter import (
     ResourceLimitError,
     Wall,
     Word,
-    word_from_string,
     word_to_string,
 )
 from .walls import WallGeometry
@@ -71,25 +68,6 @@ def small_roots(geometry: WallGeometry) -> tuple[Wall, ...]:
     return tuple(sorted(geometry.system.small_roots(), key=geometry.output_root))
 
 
-def pivots(geometry: WallGeometry) -> tuple[GroupElement, ...]:
-    """All elements of positive length with identity projection.
-
-    In (length, shortlex word) order, with each pivot's shortlex word
-    recorded (_PivotTree).  Pivots are closed under prefixes: if
-    p(g) = id and g' <= g in the prefix order, then p(g) <= g' <= g and
-    projection monotonicity (suite check 3) give p(g') <= p(g) = id.  So
-    the shortlex parent of a pivot is a pivot, and a breadth-first pass
-    over the shortlex tree that extends only pivots finds all of them.  It
-    ends at the first length with no pivot: a pivot is its own projection
-    block, and block lengths are bounded by the constant C, so no pivot is
-    longer than C.  The letters the pass tries count against the system's
-    max_ball_elements.
-    """
-    tree = _PivotTree(geometry, small_roots(geometry))
-    tree.explore()
-    return tuple(tree.pivots)
-
-
 @dataclass(frozen=True)
 class Edge:
     source: int
@@ -100,30 +78,20 @@ class Edge:
 class VoraciousAutomaton:
     """Automaton over small-wall states; accepts exactly the language words.
 
-    Built over a universe of walls, the small roots, and the pivots: every
-    pivot for words None, and otherwise the pivots of the given shortlex
-    words, distinct, prefix-closed and in (length, shortlex) order;
-    ValueError is raised for words that are not.  One pass over the
-    pivots' shortlex tree (_PivotTree) gives each pivot, its word, its
-    target state index and forbid mask, and `children`, the pivot prefix
-    graph; the state masks, sorted by (size, universe indices), and the
-    edges follow.  `states` holds each state's universe indices."""
+    Built over the group's universe of walls, its small roots, and every
+    pivot.  One pass over the pivots' shortlex tree (_PivotTree) gives each
+    pivot, its word, its target state index and forbid mask, and
+    `children`, the pivot prefix graph; the state masks, sorted by (size,
+    universe indices), and the edges follow.  `states` holds each state's
+    universe indices."""
 
-    def __init__(
-        self,
-        geometry: WallGeometry,
-        universe: tuple[Wall, ...],
-        words: Iterable[Word] | None = None,
-    ):
+    def __init__(self, geometry: WallGeometry):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
-        self.universe = universe
+        self.universe = universe = small_roots(geometry)
         self.start = 0
         tree = _PivotTree(geometry, universe)
-        if words is None:
-            tree.explore()
-        else:
-            tree.walk(words)
+        tree.explore()
         self.pivots = tuple(tree.pivots)
         self.words = tuple(tree.words)
         self.children = tree.children
@@ -265,15 +233,15 @@ def _universe_json(geometry: WallGeometry, universe) -> list:
 
 
 def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
-    """The automaton of a file's pivot words, over an existing geometry.
+    """The group's automaton, over an existing geometry, if the file is
+    what it writes.
 
-    The group must match.  The automaton is built over the distinct words
-    in (length, shortlex) order, by the pass that builds every automaton
-    (_PivotTree): each word's prefix must be an earlier word, its last
-    letter must lengthen the prefix and keep the word shortlex, and its
-    element must be a pivot.  The file must hold exactly the keys that
-    automaton writes, with the values it writes (see _require_written), so
-    nothing else in the file is read."""
+    A JSON object of another format or group is refused before any group
+    work.  Then the group's automaton is built (build_automaton), and the
+    file must hold exactly the keys it writes, with the values it writes
+    (see _require_written): a file with a pivot word missing, added or
+    changed is refused, naming the first differing entry.  So nothing in
+    the file but its format and group is read."""
     if not isinstance(data, dict):
         raise ValueError("automaton file must hold a JSON object")
     if data.get("format") != FORMAT:
@@ -282,20 +250,11 @@ def from_json_dict(data: dict, geometry: WallGeometry) -> VoraciousAutomaton:
             "rebuild it"
         )
     sys = geometry.system
-    gens = sys.cox.generators
-    if data.get("generators") != list(gens) or data.get("m") != [
+    if data.get("generators") != list(sys.cox.generators) or data.get("m") != [
         list(r) for r in sys.cox.orders
     ]:
         raise ValueError("automaton file belongs to a different group")
-    texts = data.get("pivots")
-    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-        raise ValueError("automaton file needs a list of strings under 'pivots'")
-    # A file written by to_json is sorted already, which sorted() finds in
-    # one scan.
-    words = dict.fromkeys(word_from_string(t, gens) for t in texts)
-    aut = VoraciousAutomaton(
-        geometry, small_roots(geometry), sorted(words, key=lambda w: (len(w), w))
-    )
+    aut = build_automaton(geometry)
     _require_written(data, aut.to_json_dict())
     return aut
 
@@ -324,8 +283,8 @@ def _require_written(data: dict, written: dict) -> None:
             )
             key = f"{key} entry {i}"
         raise ValueError(
-            f"{key} is {_shown(text(got))}, but the automaton of the file's "
-            f"pivots writes {_shown(text(want))}"
+            f"{key} is {_shown(text(got))}, but the group's automaton writes "
+            f"{_shown(text(want))}"
         )
 
 
@@ -340,13 +299,10 @@ def _shown(text: str) -> str:
 class _PivotTree:
     """One breadth-first pass over the shortlex tree of the pivots.
 
-    explore() finds every pivot, and walk(words) the pivots of the given
-    distinct words, in (length, shortlex) order, refusing with ValueError,
-    and naming it, a word that is empty, is not reduced, is not the
-    shortlex word of its element or is not a pivot's.  Either leaves the
-    pivots in (length, shortlex) order with their shortlex words, the two
-    wall masks of each pivot as plain ints, targets and forbid, and the
-    pivot prefix graph, children.
+    explore() finds every pivot.  It leaves the pivots in (length,
+    shortlex) order with their shortlex words, the two wall masks of each
+    pivot as plain ints, targets and forbid, and the pivot prefix graph,
+    children.
 
     A node of the tree is a pivot h with its word, stepped from its parent
     by the small-root steps (CoxeterSystem.small_steps), with no separator
@@ -384,11 +340,11 @@ class _PivotTree:
     right descent s of q, children[node of q s][s] is the node of q, and
     every other entry is 0.  A prefix of a reduced word is reduced, so the
     paths from node 0 to the node of q spell the reduced words of q, the
-    labels of its edges.  q s must be the identity or an earlier pivot, or
-    ValueError is raised, naming both: the pivots are not prefix-closed.
-    Each pivot's word and frontier pairs go into the geometry's memos.  The
-    letters the pass tries, and the identity, count against
-    max_ball_elements.
+    labels of its edges.  q s is the identity or an earlier pivot, as the
+    pivots are prefix-closed (see explore), and ArithmeticError is raised
+    if it is not.  Each pivot's word and frontier pairs go into the
+    geometry's memos.  The letters the pass tries, and the identity, count
+    against max_ball_elements.
     """
 
     def __init__(self, geometry: WallGeometry, universe):
@@ -422,7 +378,16 @@ class _PivotTree:
 
     def explore(self) -> None:
         """Every pivot: layer by layer, each node extended by each letter
-        that X allows, in order, so the layers stay in shortlex order."""
+        that X allows, in order, so the layers stay in shortlex order.
+
+        Pivots are closed under prefixes: if p(g) = id and g' <= g in the
+        prefix order, then p(g) <= g' <= g and projection monotonicity
+        (suite check 3) give p(g') <= p(g) = id.  So the shortlex parent of
+        a pivot is a pivot, and extending only pivots finds all of them.
+        The pass ends at the first length with no pivot: a pivot is its own
+        projection block, and block lengths are bounded by the constant C,
+        so no pivot is longer than C.
+        """
         simple = self.simple
         layer = [self.root]
         while layer:
@@ -432,43 +397,8 @@ class _PivotTree:
                     if simple[s] not in node[2]:
                         self._examine()
                         if self._is_pivot(node[0], s):
-                            child = self._child(node, node[1] + (s,))
-                            grown.append(self._add(child))
+                            grown.append(self._add(self._child(node, s)))
             layer = grown
-
-    def walk(self, words) -> None:
-        """The pivots of the words: each word's prefix must be a word of the
-        previous length, and its last letter must pass the three tests."""
-        gens = self.system.cox.generators
-        length, previous, layer = 0, {}, {(): self.root}
-        for word in words:
-            if not word:
-                raise ValueError("the identity is not a pivot")
-            self._examine()
-            if len(word) != length:
-                length, previous, layer = len(word), layer, {}
-            parent = previous.get(word[:-1])
-            if parent is None:
-                why = self._first_problem(word)
-            else:
-                why = self._problem(parent, word[-1])
-            if why is not None:
-                raise ValueError(f"pivot word {word_to_string(word, gens)!r} {why}")
-            if parent is None:
-                _refuse_unclosed(word, word[:-1], gens)
-            layer[word] = self._add(self._child(parent, word))
-
-    def _first_problem(self, word) -> str | None:
-        """The problem of the first letter of the word that the pass
-        refuses, walked from the identity, or None: for a word whose prefix
-        is no earlier word, only to name its refusal."""
-        node = self.root
-        for n, s in enumerate(word, 1):
-            why = self._problem(node, s)
-            if why is not None:
-                return why
-            node = self._child(node, word[:n])
-        return None
 
     def _examine(self) -> None:
         self.examined += 1
@@ -487,20 +417,9 @@ class _PivotTree:
             if wall.bit >> rank == 0
         )
 
-    def _problem(self, node, s: int) -> str | None:
-        h, _, x, *_ = node
-        if h.descents >> s & 1:
-            return "is empty or not reduced"
-        if self.simple[s] in x:
-            return "is not the shortlex word of its element"
-        if not self._is_pivot(h, s):
-            return "is not a pivot: its projection is not the identity"
-        return None
-
-    def _child(self, node, word: Word):
-        """The node of the word, which is the node's word and one letter."""
-        h, _, x, inv, gammas, vbits = node
-        s = word[-1]
+    def _child(self, node, s: int):
+        """The node of the node's word followed by the letter s."""
+        h, word, x, inv, gammas, vbits = node
         step = self.steps[s]
         x = self.fresh[s].union(filter(None, map(step.get, x)))
         kept, kept_bits = [], []
@@ -510,7 +429,7 @@ class _PivotTree:
                 kept.append(image)
                 kept_bits.append(vbit)
         inv |= h.walls[s].bit & self.in_universe
-        return self.system.right_mul(h, s), word, x, inv, kept, kept_bits
+        return self.system.right_mul(h, s), word + (s,), x, inv, kept, kept_bits
 
     def _add(self, node):
         """The node, recorded as the next pivot: its entries in the prefix
@@ -525,8 +444,12 @@ class _PivotTree:
                 below = right_mul(g, s)
                 m = node_of.get(below)
                 if m is None:
-                    prefix = self.geometry.shortlex_word(below)
-                    _refuse_unclosed(word, prefix, self.system.cox.generators)
+                    gens = self.system.cox.generators
+                    raise ArithmeticError(
+                        f"pivots are not prefix-closed: pivot "
+                        f"{word_to_string(word, gens)!r} steps down its right "
+                        f"descent {gens[s]!r} to no pivot"
+                    )
                 children[m][s] = n
         self.geometry.record_shortlex_word(g, word)
         self.pivots.append(g)
@@ -539,15 +462,7 @@ class _PivotTree:
         return node
 
 
-def _refuse_unclosed(word, prefix, gens):
-    word, prefix = (word_to_string(w, gens) for w in (word, prefix))
-    raise ValueError(
-        f"pivots are not prefix-closed: pivot {word!r} has the prefix "
-        f"{prefix!r}, which is neither the identity nor an earlier pivot"
-    )
-
-
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:
     """Construct the automaton from scratch for one group: over its small
     roots and every pivot."""
-    return VoraciousAutomaton(geometry, small_roots(geometry))
+    return VoraciousAutomaton(geometry)

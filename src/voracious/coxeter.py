@@ -524,12 +524,6 @@ class CoxeterSystem:
             layers.append(list(self.next_layer(layers[-1], examined)))
             examined += len(layers[-1])
 
-    def sphere(self, radius: int) -> list[GroupElement]:
-        self._extend_layers(radius)
-        if 0 <= radius < len(self._layers):
-            return list(self._layers[radius])
-        return []
-
     def ball(self, radius: int) -> list[GroupElement]:
         """All elements of length <= radius, in (length, shortlex) order
         (see next_layer)."""

@@ -29,7 +29,8 @@ class SeparatorSearch:
         self._known: dict[Wall, int] = defaultdict(int)
         self._disjoint: dict[Wall, int] = defaultdict(int)
         self._functional: dict[Wall, tuple] = {}
-        # Its canonical incident chamber, and that chamber's inversion mask.
+        # Its canonical incident chamber, and that chamber's inversion mask
+        # (incident_bits).
         self._incident = dict.fromkeys(sys.identity.walls, sys.identity)
         self._near: dict[Wall, int] = {}
 
@@ -124,6 +125,16 @@ class SeparatorSearch:
             got = memo[passed] = sys.element_of_word(word)
         return got
 
+    def incident_bits(self, wall: Wall) -> int:
+        """The inversion mask of the wall's canonical incident chamber,
+        memoised."""
+        near = self._near.get(wall)
+        if near is None:
+            near = self._near[wall] = self.geometry.inversion_bits(
+                self.incident_chamber(wall)
+            )
+        return near
+
     def has_separator(self, g: GroupElement, wall: Wall, candidates: int = -1) -> bool:
         """True iff some wall in the candidates mask separates chamber g from wall.
 
@@ -134,10 +145,7 @@ class SeparatorSearch:
         The default mask is every wall.
         """
         inv = self.geometry.inversion_bits
-        near = self._near.get(wall)
-        if near is None:
-            near = self._near[wall] = inv(self.incident_chamber(wall))
-        mask = candidates & (inv(g) ^ near) & ~wall.bit
+        mask = candidates & (inv(g) ^ self.incident_bits(wall)) & ~wall.bit
         if mask & self._disjoint[wall]:
             return True
         for sep in self.system.walls_of(mask & ~self._known[wall]):

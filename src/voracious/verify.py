@@ -198,7 +198,6 @@ class Verifier:
         # rows of the by-radius table just filter which pairs are visible.
         # A chamber distance is the popcount of two inversion masks' XOR.
         g_cap = radius - TRIM_MARGIN
-        canonical: dict[Wall, int] = {}  # incident_chamber masks, on first use
         pair_rows: list[tuple[int, int, int, int]] = []
         boundary_suspect = False
         for g in ball:
@@ -208,10 +207,8 @@ class Verifier:
             for wall, first_r in wall_min_radius.items():
                 if search.has_separator(g, wall):
                     continue
-                if wall not in canonical:
-                    canonical[wall] = inv(search.incident_chamber(wall))
                 d = min(map(int.bit_count, map(inv_g.__xor__, incident[wall])))
-                d_canon = (inv_g ^ canonical[wall]).bit_count()
+                d_canon = (inv_g ^ search.incident_bits(wall)).bit_count()
                 if d > TRIM_MARGIN:
                     boundary_suspect = True
                 pair_rows.append((g.length, first_r, d, d_canon))
@@ -402,9 +399,9 @@ class Verifier:
         """A pivot the automaton lacks, or None: an element of the ball with
         identity projection that is not a pivot.
 
-        The automaton's constructor refuses pivots that are not prefix-closed,
-        so none of its pivots lies above a pivot it lacks in the weak order,
-        and only the ball finds one.
+        The pass that finds the pivots raises ArithmeticError on a pivot
+        that steps down to no pivot (_PivotTree), so none of its pivots lies
+        above a pivot it lacks in the weak order, and only the ball finds one.
         """
         sys, geo = self.system, self.geometry
         pivots = set(aut.pivots)

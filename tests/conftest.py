@@ -607,22 +607,6 @@ def separator_route(geometry: WallGeometry):
     return words, targets, forbid, children
 
 
-def climb_word_problem(geometry: WallGeometry, word) -> str | None:
-    """Why a pivot word is refused, by the checks that the automaton's pass
-    replaced in the loader, or None for a pivot's shortlex word: the
-    element's length, the shortlex word that the climb spells
-    (WallGeometry.shortlex_word) and the voracious projection."""
-    sys_ = geometry.system
-    g = sys_.element_of_word(word)
-    if not word or g.length != len(word):
-        return "is empty or not reduced"
-    if geometry.shortlex_word(g) != word:
-        return "is not the shortlex word of its element"
-    if geometry.voracious_projection(g) is not sys_.identity:
-        return "is not a pivot: its projection is not the identity"
-    return None
-
-
 def may_take_automaton_oracle(geometry: WallGeometry):
     """(states, edges) of the automaton by the rule the masks replace.
 
@@ -633,13 +617,13 @@ def may_take_automaton_oracle(geometry: WallGeometry):
     the empty one.  States are sorted by (size, walls), and the edges, as
     (source, target, pivot word), by source and then by pivot.
     """
-    from voracious import pivots, small_roots
+    from voracious import build_automaton, small_roots
 
     sys_ = geometry.system
     search = SeparatorSearch(geometry)
     universe = small_roots(geometry)
     uindex = {w: i for i, w in enumerate(universe)}
-    pivot_list = pivots(geometry)
+    pivot_list = build_automaton(geometry).pivots
     targets = [
         tuple(sorted(
             uindex[v] for v in wall_set(geometry, pull_back_target(geometry, w))

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from voracious import (
     CoxeterSystem,
     ResourceLimitError,
-    VoraciousAutomaton,
     WallGeometry,
     build_automaton,
     from_json_dict,
     load_group_file,
-    pivots,
     small_roots,
     word_to_string,
 )
@@ -27,7 +25,6 @@ from conftest import (
     H535,
     TRIANGLE_237,
     TRIANGLE_245,
-    climb_word_problem,
     fresh_geometry,
     frontier_walls,
     generator_wall,
@@ -87,16 +84,17 @@ def test_finite_group_small_roots_are_all_walls(stack):
 
 def test_pivots_frozen(stack):
     a2 = stack("a2")
-    pivs = pivots(a2.geometry)
+    pivs = build_automaton(a2.geometry).pivots
     assert len(pivs) == 5  # every nontrivial element of the finite group
     dinf = stack("d_infinity")
-    assert set(pivots(dinf.geometry)) == {dinf.element("s"), dinf.element("t")}
+    want = {dinf.element("s"), dinf.element("t")}
+    assert set(build_automaton(dinf.geometry).pivots) == want
     t333 = stack("triangle_333")
-    pivs = pivots(t333.geometry)
+    pivs = build_automaton(t333.geometry).pivots
     assert len(pivs) == 15
     assert max(g.length for g in pivs) == 4
     t334 = stack("triangle_334")
-    pivs = pivots(t334.geometry)
+    pivs = build_automaton(t334.geometry).pivots
     assert len(pivs) == 17
     assert max(g.length for g in pivs) == 5
     order = sorted(pivs, key=lambda g: (g.length, t334.geometry.shortlex_word(g)))
@@ -108,7 +106,7 @@ def test_pivots_are_identity_projections(stack):
     for name in sorted(SMALL_ROOT_COUNTS):
         s = stack(name)
         geo = s.geometry
-        pivs = pivots(geo)
+        pivs = build_automaton(geo).pivots
         radius = max(g.length for g in pivs) + 1
         expected = {
             g
@@ -130,20 +128,20 @@ def test_long_pivot_groups_frozen(long_pivot_geometries):
     geo = long_pivot_geometries["affine_a3"]
     aut = build_automaton(geo)
     assert (len(aut.universe), len(aut.states), len(aut.edges)) == (12, 125, 872)
-    pivs = pivots(geo)
+    pivs = aut.pivots
     assert len(pivs) == 124
     assert max(g.length for g in pivs) == 10
-    pivs = pivots(long_pivot_geometries["triangle_237"])
+    pivs = build_automaton(long_pivot_geometries["triangle_237"]).pivots
     assert len(pivs) == 39
     assert max(g.length for g in pivs) == 12
 
 
 def test_h535_automaton_frozen():
     geo = fresh_geometry("abcd", H535)
-    pivs = pivots(geo)
+    aut = build_automaton(geo)
+    pivs = aut.pivots
     assert len(pivs) == 515
     assert max(g.length for g in pivs) == 21
-    aut = build_automaton(geo)
     assert (len(aut.states), len(aut.edges)) == (516, 16_753)
     assert len(_prefix_graph_nodes(aut)) == 516
     # Loaded into a fresh geometry, so every pivot check runs from cold.
@@ -207,7 +205,7 @@ def test_pivot_search_matches_sorted_oracle(stack, name):
     # on a second fresh system, and each word is the least reduced word.
     geo = _fresh(stack, name)
     sys_ = geo.system
-    pivs = pivots(geo)
+    pivs = build_automaton(geo).pivots
     recorded = geo.stats()["shortlex_words"]
     assert recorded == len(pivs) + 1
     words = [geo.shortlex_word(q) for q in pivs]
@@ -352,38 +350,13 @@ def test_shortlex_state_allows_exactly_the_shortlex_words(
         allowed = allowed and tree.simple[s] not in node[2]
         prefix = tuple(word[:n])
         if allowed:
-            node = tree._child(node, prefix)
+            node = tree._child(node, s)
         assert allowed == (geo.shortlex_word(sys_.element_of_word(prefix)) == prefix)
-
-
-@pytest.mark.parametrize("name", sorted(SMALL_ROOT_COUNTS) + ["triangle_237"])
-def test_loader_refusals_match_the_climb(stack, name):
-    # A file with one word more, a pivot's word or the empty word followed
-    # by a letter, is refused with the reason that the loader's former
-    # checks give that word (climb_word_problem); a word they accept is
-    # already in the file.
-    full = build_automaton(_fresh(stack, name))
-    data = full.to_json_dict()
-    geo, oracle = _fresh(stack, name), _fresh(stack, name)
-    refused = 0
-    for prefix in ((),) + full.words:
-        for s in range(len(full.generators)):
-            word = prefix + (s,)
-            want = climb_word_problem(oracle, word)
-            if want is None:
-                assert word in full.words
-                continue
-            text = word_to_string(word, full.generators)
-            with pytest.raises(ValueError) as refusal:
-                from_json_dict({**data, "pivots": data["pivots"] + [text]}, geo)
-            assert str(refusal.value) == f"pivot word {text!r} {want}"
-            refused += 1
-    assert refused == (len(full.words) + 1) * len(full.generators) - len(full.words)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_json_load_makes_no_inverse(stack, name):
-    # The loader checks each file word by the pass that builds, so the only
+    # The loader builds the group's automaton by the pass, so the only
     # elements a load into a fresh geometry makes are the pivots,
     # prefix-closed, and the identity.
     text = build_automaton(_fresh(stack, name)).to_json()
@@ -392,58 +365,10 @@ def test_json_load_makes_no_inverse(stack, name):
     assert geo.system.stats()["elements"] == len(aut.pivots) + 1
 
 
-@pytest.mark.parametrize("name", ["affine_a3", "triangle_237", "h535"])
-def test_pivots_not_prefix_closed_are_refused(stack, name):
-    # Every pivot of lengths 2 to 4 is dropped, so every longer pivot has a
-    # missing prefix: the constructor refuses the set, and so does the
-    # loader, for a file of the kept words.
-    full = build_automaton(_fresh(stack, name))
-    kept = tuple(w for w in full.words if not 2 <= len(w) <= 4)
-    refusal = "pivots are not prefix-closed: pivot '.{5}' has the prefix '.{4}'"
-    with pytest.raises(ValueError, match=refusal):
-        VoraciousAutomaton(full.geometry, full.universe, kept)
-    data = full.to_json_dict()
-    data["pivots"] = [w for w in data["pivots"] if not 2 <= len(w) <= 4]
-    with pytest.raises(ValueError, match=refusal):
-        from_json_dict(data, _fresh(stack, name))
-
-
-def test_identity_is_refused_as_a_pivot(stack):
-    # It is node 0 of the prefix graph, below every pivot.
-    geo = stack("a2").geometry
-    words = build_automaton(geo).words
-    with pytest.raises(ValueError, match="the identity is not a pivot"):
-        VoraciousAutomaton(geo, small_roots(geo), ((), *words))
-
-
-def _truncated(full, max_length):
-    """The pivots of an automaton up to a length, which are prefix-closed,
-    and its file written for them."""
-    kept = tuple(w for w in full.words if len(w) <= max_length)
-    data = full.to_json_dict()
-    data["pivots"] = [w for w in data["pivots"] if len(w) <= max_length]
-    return kept, data
-
-
-@pytest.mark.parametrize("name", ["affine_a3", "triangle_237", "h535"])
-def test_subset_targets_match_full_automaton(stack, name):
-    # A truncation by length is prefix-closed: built and loaded, it gives
-    # each pivot the full automaton's target.
-    full = build_automaton(_fresh(stack, name))
-    kept, data = _truncated(full, max(q.length for q in full.pivots) // 2)
-    subset = VoraciousAutomaton(full.geometry, full.universe, kept)
-    loaded = from_json_dict(data, _fresh(stack, name))
-    assert len(loaded.pivots) == len(kept) < len(full.pivots)
-    want = dict(zip(full.words, full.targets))
-    for aut in (subset, loaded):
-        for word, target in zip(aut.words, aut.targets):
-            assert aut.states[target] == full.states[want[word]]
-
-
 def test_334_automaton_bytes_frozen():
     # `automaton --format json` and `--format dot` on (3,3,4), from a fresh
-    # system as the command line builds it.  Saved files are read back only
-    # if their universe matches these bytes.
+    # system as the command line builds it.  A saved file is read back only
+    # if it holds exactly these JSON values.
     system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
     aut = build_automaton(WallGeometry(system))
     digests = [
@@ -460,11 +385,31 @@ def test_pivots_are_prefix_closed(stack, long_pivot_geometries):
     geometries = [stack(name).geometry for name in sorted(SMALL_ROOT_COUNTS)]
     for geo in geometries + list(long_pivot_geometries.values()):
         sys_ = geo.system
-        pivs = set(pivots(geo))
+        pivs = set(build_automaton(geo).pivots)
         for g in pivs:
             for s in sys_.right_descents(g):
                 prefix = sys_.right_mul(g, s)
                 assert prefix.length == 0 or prefix in pivs
+
+
+def test_pivot_stepping_down_to_no_pivot_is_an_internal_error(stack, monkeypatch):
+    # Were the pass to refuse ts in A2, the pivot sts = tst, reached through
+    # st, would step down its right descent t to ts, which is no pivot: the
+    # pivots' prefix-closure would have failed, which is no input error.
+    geo = _fresh(stack, "a2")
+    t = geo.system.element_of_word(stack("a2").word("t"))
+    is_pivot = _PivotTree._is_pivot
+    monkeypatch.setattr(
+        _PivotTree,
+        "_is_pivot",
+        lambda self, h, s: not (h is t and s == 0) and is_pivot(self, h, s),
+    )
+    with pytest.raises(ArithmeticError) as failed:
+        build_automaton(geo)
+    assert str(failed.value) == (
+        "pivots are not prefix-closed: pivot 'sts' steps down its right "
+        "descent 't' to no pivot"
+    )
 
 
 def test_pivot_search_is_bounded(stack):
@@ -476,10 +421,10 @@ def test_pivot_search_is_bounded(stack):
     # cap of 31 admits it and a cap of 30 does not.  It builds 18 elements,
     # the pivots and the identity.
     geo = WallGeometry(CoxeterSystem(cox, max_ball_elements=31))
-    assert len(pivots(geo)) == 17
+    assert len(build_automaton(geo).pivots) == 17
     assert geo.system.stats()["elements"] == 18
     with pytest.raises(ResourceLimitError, match="exceeded max_ball_elements = 30"):
-        pivots(WallGeometry(CoxeterSystem(cox, max_ball_elements=30)))
+        build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=30)))
 
 
 def test_gold_automaton_of_line(stack):
@@ -647,7 +592,7 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
     geo = long_pivot_geometries["affine_a3"]
     aut = build_automaton(geo)
     elements = _prefix_graph_nodes(aut)
-    assert elements == [geo.system.identity, *pivots(geo)]
+    assert elements == [geo.system.identity, *aut.pivots]
     ends = [{}] + [
         {
             state: aut.targets[q]
@@ -661,22 +606,6 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
     for e in aut.edges:
         want[index[geo.system.element_of_word(e.pivot_word)]][e.source] = e.target
     assert ends == want
-
-
-def test_run_states_with_edges_missing_from_file(long_pivot_geometries):
-    # A file may be written for the pivots up to a length: the longer
-    # pivots' edges are missing, and words run over the graph of the kept
-    # pivots agree with a scan of the kept edges' labels.
-    geo = long_pivot_geometries["affine_a3"]
-    full = build_automaton(geo)
-    kept, data = _truncated(full, 5)
-    aut = from_json_dict(data, geo)
-    assert aut.words == kept
-    assert aut.pivots == full.pivots[: len(kept)]
-    assert aut.to_json_dict() == data
-    assert len(aut.edges) < 872
-    assert _prefix_graph_nodes(aut) == [geo.system.identity, *aut.pivots]
-    _assert_run_states_match_label_scan(aut, geo.system.rank, 6)
 
 
 def _json_of(stack, name):
@@ -708,36 +637,45 @@ def test_json_rejects_changed_top_level_key(stack, key, value, message):
 
 
 def test_json_rejects_non_reduced_pivot_word(stack):
-    # Refused by the descent bit, after the prefix s, or in its place.
+    # Refused at its entry, after the last pivot or in place of the first.
     for edit in ("append", "replace"):
         data, geo = _json_of(stack, "a2")
         if edit == "append":
             data["pivots"].append("ss")
+            want = 'pivots entry 5 is "ss", but the group\'s automaton writes null'
         else:
             data["pivots"][0] = "ss"
-        with pytest.raises(ValueError, match="'ss' is empty or not reduced"):
+            want = 'pivots entry 0 is "ss", but the group\'s automaton writes "s"'
+        with pytest.raises(ValueError) as refused:
             from_json_dict(data, geo)
+        assert str(refused.value) == want
 
 
 def test_json_rejects_reduced_word_that_is_not_a_pivot(stack):
-    # Refused by the pair test, after the prefix s, or in its place.
+    # Refused at its entry, after the last pivot or in place of the first.
     for edit in ("append", "replace"):
         data, geo = _json_of(stack, "d_infinity")
         assert data["pivots"] == ["s", "t"]
         if edit == "append":
             data["pivots"].append("st")
+            want = 'pivots entry 2 is "st", but the group\'s automaton writes null'
         else:
             data["pivots"][0] = "st"
-        with pytest.raises(ValueError, match="'st' is not a pivot"):
+            want = 'pivots entry 0 is "st", but the group\'s automaton writes "s"'
+        with pytest.raises(ValueError) as refused:
             from_json_dict(data, geo)
+        assert str(refused.value) == want
 
 
 def test_json_rejects_pivot_word_out_of_shortlex_order(stack):
     data, geo = _json_of(stack, "a2")
     assert data["pivots"][-1] == "sts"
     data["pivots"][-1] = "tst"
-    with pytest.raises(ValueError, match="'tst' is not the shortlex word"):
+    with pytest.raises(ValueError) as refused:
         from_json_dict(data, geo)
+    assert str(refused.value) == (
+        'pivots entry 4 is "tst", but the group\'s automaton writes "sts"'
+    )
 
 
 def test_json_rejects_pivots_out_of_order_or_repeated(stack):
@@ -755,8 +693,12 @@ def test_json_rejects_pivots_out_of_order_or_repeated(stack):
 def test_json_rejects_missing_key(stack):
     data, geo = _json_of(stack, "a2")
     del data["pivots"]
-    with pytest.raises(ValueError, match="'pivots'"):
+    with pytest.raises(ValueError) as refused:
         from_json_dict(data, geo)
+    assert str(refused.value) == (
+        'pivots is null, but the group\'s automaton writes '
+        '["s", "t", "st", "ts", "sts"]'
+    )
 
 
 def test_json_rejects_top_level_list(stack):
@@ -768,11 +710,13 @@ def test_json_rejects_top_level_list(stack):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["d_infinity", "a2", "triangle_334"]), draw=st.data())
 def test_json_mutation_is_refused_or_written_back(stack, name, draw):
-    # One mutation of a saved file either is refused, or loads to the
-    # automaton that writes exactly the mutated file: nothing but the pivot
-    # words reaches the program.
+    # One mutation of a saved file is refused if it changes the file, a
+    # pivot word missing, repeated, changed or moved among them; a
+    # mutation that changes nothing, such as a pivot swapped with itself,
+    # loads to the automaton that writes the file back.
     geo = stack(name).geometry
     data = build_automaton(geo).to_json_dict()
+    written = json.dumps(data, sort_keys=True)
     pivot_words = data["pivots"]
     gens = "".join(data["generators"])
 
@@ -810,13 +754,12 @@ def test_json_mutation_is_refused_or_written_back(stack, name, draw):
         data[draw.draw(st.text(max_size=5).filter(lambda k: k not in data))] = (
             draw.draw(values)
         )
-    try:
+    if json.dumps(data, sort_keys=True) != written:
+        with pytest.raises(ValueError):
+            from_json_dict(data, geo)
+    else:
         aut = from_json_dict(data, geo)
-    except ValueError:
-        return
-    assert json.dumps(aut.to_json_dict(), sort_keys=True) == json.dumps(
-        data, sort_keys=True
-    )
+        assert json.dumps(aut.to_json_dict(), sort_keys=True) == written
 
 
 def test_json_rejects_root_with_wrong_coordinate_count(stack):
@@ -885,8 +828,8 @@ def test_json_refusal_cuts_long_values(stack):
     message = str(refused.value)
     shown = json.dumps(["1"] * 500)[:SHOWN_CHARS] + "…"
     assert message == (
-        f"universe entry 0 is {shown}, but the automaton of the file's pivots "
-        'writes ["0", "1"]'
+        f"universe entry 0 is {shown}, but the group's automaton writes "
+        '["0", "1"]'
     )
 
 

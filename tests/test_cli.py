@@ -219,8 +219,9 @@ def test_generator_name_of_another_type_exits_2(tmp_path):
 
 
 def test_accept_rejects_pivots_not_prefix_closed(tmp_path):
-    # bcbca steps down its right descent a to bcbc: a file without bcbc is
-    # refused, and one without bcbca too, which no pivot extends, loads.
+    # bcbca steps down its right descent a to bcbc.  A file without bcbc is
+    # refused, and so is one without bcbca, which no pivot extends: a file
+    # loads only if it holds every pivot of the group.
     aut_file = tmp_path / "t334.json"
     r = run_cli(
         "automaton", "--group", group("triangle_334"),
@@ -228,21 +229,21 @@ def test_accept_rejects_pivots_not_prefix_closed(tmp_path):
     )
     assert r.returncode == 0
     data = json.loads(aut_file.read_text())
-    runs = {}
     for dropped in ("bcbc", "bcbca"):
-        pivots = [w for w in data["pivots"] if w != dropped]
-        assert len(pivots) == len(data["pivots"]) - 1
+        i = data["pivots"].index(dropped)
+        pivots = data["pivots"][:i] + data["pivots"][i + 1:]
         aut_file.write_text(json.dumps({**data, "pivots": pivots}))
-        runs[dropped] = run_cli(
+        r = run_cli(
             "accept", "--group", group("triangle_334"),
-            "--automaton", str(aut_file), "abc",
+            "--automaton", str(aut_file), "bcbca",
         )
-    assert runs["bcbc"].returncode == 2
-    assert runs["bcbc"].stderr == (
-        "error: pivots are not prefix-closed: pivot 'bcbca' has the prefix "
-        "'bcbc', which is neither the identity nor an earlier pivot\n"
-    )
-    assert (runs["bcbca"].returncode, runs["bcbca"].stdout) == (0, "accept\n")
+        got = json.dumps(pivots[i]) if i < len(pivots) else "null"
+        assert r.returncode == 2
+        assert r.stderr == (
+            f"error: pivots entry {i} is {got}, but the group's automaton "
+            f'writes "{dropped}"\n'
+        )
+        assert r.stdout == ""
 
 
 def test_accept_rejects_deeply_nested_automaton_file(tmp_path):
@@ -272,7 +273,7 @@ def test_accept_refusal_of_a_deep_universe_entry_is_short(tmp_path):
     assert r.returncode == 2
     assert r.stderr == (
         "error: universe entry 0 is " + "[" * SHOWN_CHARS + "…, but the "
-        'automaton of the file\'s pivots writes ["0", "1"]\n'
+        'group\'s automaton writes ["0", "1"]\n'
     )
 
 

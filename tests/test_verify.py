@@ -11,12 +11,11 @@ from voracious import (
     CoxeterSystem,
     Verifier,
     VerifierConfig,
-    VoraciousAutomaton,
     VoraciousLanguage,
     WallGeometry,
     load_group_file,
-    small_roots,
 )
+from voracious.automaton import _PivotTree
 from voracious.separators import SeparatorSearch
 
 from conftest import (
@@ -390,39 +389,20 @@ def test_projection_monotone_fails_on_a_raised_projection(stack, monkeypatch):
     assert not projection_monotone_bruteforce(geo, 3)[1]
 
 
-def _pivots_without(geometry, word):
-    """The shortlex word of every pivot but this one."""
-    every = VoraciousAutomaton(geometry, small_roots(geometry)).words
-    kept = tuple(w for w in every if w != word)
-    assert len(kept) < len(every)
-    return kept
-
-
-def test_automaton_refuses_a_dropped_prefix(stack):
-    # bcbca steps down its right descent a to bcbc, so the pivots without
-    # bcbc are not prefix-closed, and no automaton is built over them.
-    s = stack("triangle_334")
-    geo = WallGeometry(CoxeterSystem(s.cox))
-    kept = _pivots_without(geo, s.word("bcbc"))
-    with pytest.raises(
-        ValueError,
-        match="^pivots are not prefix-closed: pivot 'bcbca' has the prefix "
-        "'bcbc', which is neither the identity nor an earlier pivot$",
-    ):
-        VoraciousAutomaton(geo, small_roots(geo), kept)
-
-
 def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch):
-    # No pivot extends bcbca, so the pivots without it are prefix-closed,
-    # and only the ball finds it.
+    # No pivot extends bcbca, so a pass that refuses it alone still finds
+    # prefix-closed pivots, and only the ball finds the missing one.
     s = stack("triangle_334")
     geo = WallGeometry(CoxeterSystem(s.cox))
-
-    def build_without_pivot(geometry):
-        kept = _pivots_without(geometry, s.word("bcbca"))
-        return VoraciousAutomaton(geometry, small_roots(geometry), kept)
-
-    monkeypatch.setattr(voracious.verify, "build_automaton", build_without_pivot)
+    bcbc = geo.system.element_of_word(s.word("bcbc"))
+    (a,) = s.word("a")
+    is_pivot = _PivotTree._is_pivot
+    monkeypatch.setattr(
+        _PivotTree,
+        "_is_pivot",
+        lambda self, h, letter: not (h is bcbc and letter == a)
+        and is_pivot(self, h, letter),
+    )
     check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
     assert check.status == "fail"
     assert check.witness == {
