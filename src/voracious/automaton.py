@@ -88,10 +88,10 @@ class VoraciousAutomaton:
     def __init__(self, geometry: WallGeometry):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
-        self.universe = universe = small_roots(geometry)
         self.start = 0
-        tree = _PivotTree(geometry, universe)
+        tree = _PivotTree(geometry)
         tree.explore()
+        self.universe = tree.universe
         self.pivots = tuple(tree.pivots)
         self.words = tuple(tree.words)
         self.children = tree.children
@@ -166,18 +166,6 @@ class VoraciousAutomaton:
     def state_of_mask(self, mask: int) -> int | None:
         """Index of the state with this wall mask, or None."""
         return self._state_of.get(mask)
-
-    def __eq__(self, other):
-        """Equal iff built over the same universe roots and the same pivot
-        words, which fix the states and edges."""
-        if not isinstance(other, VoraciousAutomaton):
-            return NotImplemented
-        return (
-            [w.root for w in self.universe] == [w.root for w in other.universe]
-            and self.words == other.words
-        )
-
-    __hash__ = None
 
     # -- serialization -------------------------------------------------------
 
@@ -332,7 +320,7 @@ class _PivotTree:
     only pivots are multiplied out.
 
     targets[i] is the mask of q^{-1} W(q), the betas of the frontier pairs of
-    q = pivots[i]: the Brink-Howlett state D(q), so the universe must be the
+    q = pivots[i]: the Brink-Howlett state D(q), so the universe is the
     small roots.  forbid[i] is the universe part of Inv(q) ORed with the Vs
     of q's open pairs, so S & forbid[i] == 0 iff no wall of state S is an
     inversion wall of q and every wall of S admits a separator from chamber
@@ -347,8 +335,9 @@ class _PivotTree:
     against max_ball_elements.
     """
 
-    def __init__(self, geometry: WallGeometry, universe):
+    def __init__(self, geometry: WallGeometry):
         sys = geometry.system
+        self.universe = universe = small_roots(geometry)
         self.geometry = geometry
         self.system = sys
         self.steps = steps = sys.small_steps()

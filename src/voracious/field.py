@@ -25,36 +25,23 @@ FieldContext.in_band is the one test -2 < t < 2 behind small roots, wall
 disjointness and finiteness.  Equality is tuple equality and the zero test is
 syntactic.  cos_string renders a tuple over powers of c = cos(pi/M).
 
-FieldScalar wraps the same tuples with ring operators and exact comparison,
-rationals included.  The engine does not use it: the tests use it as the
-oracle of the kernel.
+FieldScalar wraps the same integer tuples with ring operators and exact
+comparison.  The engine does not use it: the tests use it as the oracle of
+the kernel.
 
 Signs are memoised per context by coefficient tuple.  A sign not yet in the
 memo is decided by interval Horner evaluation over an exact enclosure of y,
 bisected until zero is excluded.  The enclosure's two endpoints are ints over
 one power-of-two denominator 2^e, and the evaluation runs in ints: the
 interval it returns is the rational one scaled by 2^(e(d-1)), so it decides
-the same signs after the same bisections.  Rational coefficients are first
-cleared by their positive lcm.
+the same signs after the same bisections.  Every coefficient is an int.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import partial
-
-Coeff = int | Fraction
-
-
-def _as_coeff(x: Coeff) -> Coeff:
-    """Collapse Fractions with denominator 1 to int; same hash, faster arithmetic."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
 
 
 def add(a, b):
@@ -83,7 +70,7 @@ def _linear_map(columns):
 
 
 def add_rational(a, c):
-    """a + c for a rational constant c: only the constant term moves."""
+    """a + c for an int c: only the constant term moves."""
     return (a[0] + c,) + a[1:]
 
 
@@ -181,14 +168,6 @@ def two_cos_minimal_polynomial(modulus: int) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def _cleared(coeffs) -> tuple[int, ...]:
-    """The coefficients times the positive lcm of their denominators."""
-    if all(type(c) is int for c in coeffs):
-        return coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs)
-
-
 def _scaled_horner(coeffs, lo: int, hi: int, e: int) -> tuple[int, int]:
     """Interval Horner evaluation of int coefficients over [lo, hi] / 2^e.
 
@@ -225,15 +204,15 @@ class FieldContext:
         self.modulus = modulus
         self.minpoly = two_cos_minimal_polynomial(modulus)
         self.degree = len(self.minpoly) - 1
-        self._pows: list[tuple[Coeff, ...]] = []
+        self._pows: list[tuple[int, ...]] = []
         self._enclosure: tuple[int, int, int] | None = None
-        self._signs: dict[tuple[Coeff, ...], int] = {}
+        self._signs: dict[tuple[int, ...], int] = {}
         if self.degree >= 2:
             self._seed_enclosure()
         d = self.degree
         self.zero = FieldScalar(self, (0,) * d)
         self.one = FieldScalar(self, (1,) + (0,) * (d - 1))
-        self._two_cos: dict[int, tuple[Coeff, ...]] = {}
+        self._two_cos: dict[int, tuple[int, ...]] = {}
         # (y^j reduced) for j = d .. 2d-2, the powers a product can reach.
         self._red = tuple(self._pow(j) for j in range(d, 2 * d - 1))
 
@@ -317,21 +296,18 @@ class FieldContext:
     # -- construction -----------------------------------------------------
 
     def scalar(self, coeffs) -> FieldScalar:
-        """Scalar from y-power coefficients (any length; reduced on entry)."""
-        cs: list[Coeff] = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                cs.append(_as_coeff(c))
-            elif isinstance(c, int):
-                cs.append(c)
-            else:
-                raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
+        """Scalar from integer y-power coefficients (any length; reduced on
+        entry).  Any other coefficient type is a TypeError."""
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         return FieldScalar(self, self._reduce(cs))
 
     def rational(self, value) -> FieldScalar:
         return self.scalar([value])
 
-    def two_cos_pi_over(self, m: int) -> tuple[Coeff, ...]:
+    def two_cos_pi_over(self, m: int) -> tuple[int, ...]:
         """The coefficient tuple of 2 cos(pi/m), for m = 2, m = 3 or finite m
         dividing M.  The first two are the rationals 0 and 1, in any context."""
         got = self._two_cos.get(m)
@@ -354,7 +330,7 @@ class FieldContext:
 
     # -- reduction --------------------------------------------------------
 
-    def _pow(self, j: int) -> tuple[Coeff, ...]:
+    def _pow(self, j: int) -> tuple[int, ...]:
         """y^j reduced to degree < d, for j >= d; table grows on demand."""
         d = self.degree
         base = tuple(-c for c in self.minpoly[:d])
@@ -369,7 +345,7 @@ class FieldContext:
             self._pows.append(tuple(nxt))
         return self._pows[j - d]
 
-    def _reduce(self, cs) -> tuple[Coeff, ...]:
+    def _reduce(self, cs) -> tuple[int, ...]:
         d = self.degree
         out = list(cs[:d]) + [0] * max(0, d - len(cs))
         for j in range(d, len(cs)):
@@ -378,7 +354,7 @@ class FieldContext:
                 pw = self._pow(j)
                 for i in range(d):
                     out[i] += c * pw[i]
-        return tuple(_as_coeff(c) for c in out)
+        return tuple(out)
 
     # -- signs ------------------------------------------------------------
 
@@ -425,7 +401,6 @@ class FieldContext:
             return 0
         if not any(coeffs[1:]):
             return 1 if coeffs[0] > 0 else -1
-        coeffs = _cleared(coeffs)
         while True:
             lo, hi, e = self._enclosure
             a, b = _scaled_horner(coeffs, lo, hi, e)
@@ -446,7 +421,7 @@ def cos_string(coeffs) -> str:
 
     The coefficient of c^j is b_j = a_j * 2^j.
     """
-    bs = tuple(_as_coeff(Fraction(a) * (1 << j)) for j, a in enumerate(coeffs))
+    bs = [a << j for j, a in enumerate(coeffs)]
     if not any(bs):
         return "0"
     parts: list[str] = []
@@ -454,17 +429,12 @@ def cos_string(coeffs) -> str:
         b = bs[j]
         if not b:
             continue
-        mag = abs(Fraction(b))
+        mag = abs(b)
         if j == 0:
-            core = str(_as_coeff(mag))
+            core = str(mag)
         else:
             var = "c" if j == 1 else f"c^{j}"
-            if mag == 1:
-                core = var
-            elif mag.denominator == 1:
-                core = f"{mag.numerator}{var}"
-            else:
-                core = f"({mag}){var}"
+            core = var if mag == 1 else f"{mag}{var}"
         parts.append(("-" if b < 0 else "+", core))
     sign0, core0 = parts[0]
     text = (sign0 if sign0 == "-" else "") + core0
@@ -482,7 +452,7 @@ class FieldScalar:
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: FieldContext, coeffs: tuple[Coeff, ...]):
+    def __init__(self, ctx: FieldContext, coeffs: tuple[int, ...]):
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -493,9 +463,9 @@ class FieldScalar:
             if other.ctx is not self.ctx:
                 raise ValueError("mixing scalars from different field contexts")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             d = self.ctx.degree
-            return FieldScalar(self.ctx, (_as_coeff(other),) + (0,) * (d - 1))
+            return FieldScalar(self.ctx, (other,) + (0,) * (d - 1))
         return None
 
     # -- ring operations --------------------------------------------------
@@ -505,7 +475,7 @@ class FieldScalar:
         if o is None:
             return NotImplemented
         return FieldScalar(
-            self.ctx, tuple(_as_coeff(a + b) for a, b in zip(self.coeffs, o.coeffs))
+            self.ctx, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)])
         )
 
     __radd__ = __add__
@@ -515,7 +485,7 @@ class FieldScalar:
         if o is None:
             return NotImplemented
         return FieldScalar(
-            self.ctx, tuple(_as_coeff(a - b) for a, b in zip(self.coeffs, o.coeffs))
+            self.ctx, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)])
         )
 
     def __rsub__(self, other):
@@ -525,7 +495,7 @@ class FieldScalar:
         return o - self
 
     def __neg__(self):
-        return FieldScalar(self.ctx, tuple(_as_coeff(-a) for a in self.coeffs))
+        return FieldScalar(self.ctx, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -538,14 +508,14 @@ class FieldScalar:
                 return self.ctx.zero
             if c == 1:
                 return o
-            return FieldScalar(self.ctx, tuple(_as_coeff(c * x) for x in b))
+            return FieldScalar(self.ctx, tuple([c * x for x in b]))
         if not any(b[1:]):
             c = b[0]
             if c == 0:
                 return self.ctx.zero
             if c == 1:
                 return self
-            return FieldScalar(self.ctx, tuple(_as_coeff(c * x) for x in a))
+            return FieldScalar(self.ctx, tuple([c * x for x in a]))
         d = self.ctx.degree
         prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -573,7 +543,7 @@ class FieldScalar:
             if other.ctx is not self.ctx:
                 return NotImplemented
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return not any(self.coeffs[1:]) and self.coeffs[0] == other
         return NotImplemented
 

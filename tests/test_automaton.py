@@ -147,7 +147,6 @@ def test_h535_automaton_frozen():
     # Loaded into a fresh geometry, so every pivot check runs from cold.
     text = aut.to_json()
     clone = from_json_dict(json.loads(text), fresh_geometry("abcd", H535))
-    assert clone == aut
     assert clone.to_json() == text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b751bf2b44b376a187c7f36df35dccc2c2dc03a6395bf4e3a9424a1566dc07ee"
@@ -341,7 +340,7 @@ def test_shortlex_state_allows_exactly_the_shortlex_words(
     # to 12.  A node of the pass holds X at index 2.
     if name not in pivot_trees:
         geo = _fresh(stack, name)
-        pivot_trees[name] = geo, _PivotTree(geo, small_roots(geo))
+        pivot_trees[name] = geo, _PivotTree(geo)
     geo, tree = pivot_trees[name]
     sys_ = geo.system
     word = draw.draw(st.lists(st.integers(0, sys_.rank - 1), max_size=12))
@@ -881,7 +880,6 @@ def test_json_round_trip(stack, long_pivot_geometries):
         aut = build_automaton(geo)
         text = aut.to_json()
         clone = from_json_dict(json.loads(text), geo)
-        assert clone == aut
         assert clone.to_json() == text
 
 
@@ -902,7 +900,7 @@ def test_json_load_into_fresh_geometry_rebuilds_the_automaton(stack, name):
     assert clone.edges == aut.edges
     assert clone.targets == aut.targets
     assert forbid_roots(clone) == forbid_roots(aut)
-    assert clone == aut
+    assert clone.to_json() == aut.to_json()
 
 
 def test_json_rejects_other_group(stack):
@@ -975,7 +973,6 @@ def test_build_is_deterministic(stack):
     s = stack("triangle_334")
     a = build_automaton(s.geometry)
     b = build_automaton(s.geometry)
-    assert a == b
     assert a.to_json() == b.to_json()
     assert a.to_dot() == b.to_dot()
 
