@@ -11,13 +11,18 @@ estimated constants are ball-restricted maxima:
 
 Q_hat uses d(g, W) = min over incident chambers h of d(g, h); the variant
 measuring against the canonical incident chamber only is reported alongside.
-The fellow-traveller checks assert the derived bounds 2C and 2C(C+2Q)+2Q
-with these estimates substituted.
+The walls with no separator from chamber g are g(Small), so the pairs are
+read off the small roots with no separator search.  One pass over the ball
+buckets every value at the least radius that sees it, and the by-radius
+rows are running maxima over those buckets.  The fellow-traveller checks
+assert the derived bounds 2C and 2C(C+2Q)+2Q with these estimates
+substituted.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 import time
@@ -179,6 +184,12 @@ class Verifier:
         radius = cfg.radius
         ball = sys.ball(radius)
 
+        # Each value of the by-radius table is bucketed at the least radius
+        # whose row sees it: C and N of g at l(g), and a separator-free pair
+        # (g, W) at the first radius that keeps g the trim margin inside the
+        # ball and holds W.  The rows are running maxima over the buckets.
+        c_at, n_at, q_at, qc_at = buckets = [[0] * (radius + 1) for _ in range(4)]
+
         # walls of the ball, tagged with the first radius they appear at (the
         # ball is in length order, so a wall's first sighting is its least),
         # and the inversion masks of the ball's chambers incident to each wall
@@ -187,48 +198,55 @@ class Verifier:
         incident: dict[Wall, list[int]] = {}
         seen = 0
         for g in ball:
+            r = g.length
+            c_at[r] = max(c_at[r], r - geo.voracious_projection(g).length)
+            n_at[r] = max(n_at[r], geo.frontier_set(g).bit_count())
             bits = inv(g)
             for w in sys.walls_of(bits & ~seen):
-                wall_min_radius[w] = g.length
+                wall_min_radius[w] = r
             seen |= bits
             for wall in g.walls:
                 incident.setdefault(wall, []).append(bits)
 
-        # per-pair data for separator-free (g, W) pairs; values are exact,
-        # rows of the by-radius table just filter which pairs are visible.
-        # A chamber distance is the popcount of two inversion masks' XOR.
+        # The walls with no separator from chamber g are g(Small) (Brink and
+        # Howlett, Math. Ann. 296, 1993), kept by shortlex word: for g = s h,
+        # s the first letter of the word of g, h's word is the rest of it
+        # and g(Small) = s(h(Small)), one reflection-table read per wall.
+        # Only the walls of the ball's inversion sets make pairs.  A chamber
+        # distance is the popcount of two inversion masks' XOR.
         g_cap = radius - TRIM_MARGIN
-        pair_rows: list[tuple[int, int, int, int]] = []
+        free: dict[Word, tuple[Wall, ...]] = {(): sys.small_roots()}
         boundary_suspect = False
         for g in ball:
             if g.length > g_cap:
-                continue
+                break
+            word = geo.shortlex_word(g)
+            if word:
+                s = word[0]
+                free[word] = tuple(
+                    sys.simple_reflection(s, w)[0] for w in free[word[1:]]
+                )
             inv_g = inv(g)
-            for wall, first_r in wall_min_radius.items():
-                if search.has_separator(g, wall):
+            for wall in free[word]:
+                first_r = wall_min_radius.get(wall)
+                if first_r is None:
                     continue
                 d = min(map(int.bit_count, map(inv_g.__xor__, incident[wall])))
                 d_canon = (inv_g ^ search.incident_bits(wall)).bit_count()
                 if d > TRIM_MARGIN:
                     boundary_suspect = True
-                pair_rows.append((g.length, first_r, d, d_canon))
+                r = max(g.length + TRIM_MARGIN, first_r)
+                q_at[r] = max(q_at[r], d)
+                qc_at[r] = max(qc_at[r], d_canon)
         if boundary_suspect:
             self.warnings.append(
                 "a separator-free wall sits further than the trim margin; "
                 "its distance may be overestimated by the ball cutoff"
             )
 
-        by_radius: dict[int, dict[str, int]] = {}
-        for r in range(radius + 1):
-            row_ball = self.system.ball(r)
-            c = max((g.length - geo.voracious_projection(g).length for g in row_ball),
-                    default=0)
-            n = max((geo.frontier_set(g).bit_count() for g in row_ball), default=0)
-            q = max((d for gl, fr, d, _ in pair_rows if gl <= r - TRIM_MARGIN and fr <= r),
-                    default=0)
-            qc = max((dc for gl, fr, _, dc in pair_rows if gl <= r - TRIM_MARGIN and fr <= r),
-                     default=0)
-            by_radius[r] = {"C_hat": c, "N_hat": n, "Q_hat": q, "Q_hat_canonical": qc}
+        keys = ("C_hat", "N_hat", "Q_hat", "Q_hat_canonical")
+        rows = zip(*(itertools.accumulate(at, max) for at in buckets))
+        by_radius = {r: dict(zip(keys, row)) for r, row in enumerate(rows)}
 
         self.constants = Constants(**by_radius[radius], by_radius=by_radius)
         return self.constants

@@ -7,6 +7,7 @@ import pytest
 
 import voracious.verify
 from voracious import (
+    INF,
     CoxeterMatrix,
     CoxeterSystem,
     Verifier,
@@ -32,6 +33,7 @@ from conftest import (
     matrix_of,
     multiply,
     projection_monotone_bruteforce,
+    translate_wall,
 )
 
 CHECK_NAMES = [
@@ -44,8 +46,23 @@ CHECK_NAMES = [
 ]
 
 
+# Groups a test builds on a fresh system by name, beside the shipped ones.
+NAMED = {
+    **BUILT,
+    "h535": ("abcd", H535),
+    "triangle_245": ("abc", TRIANGLE_245),
+    "inf_2_3": ("abc", ((1, INF, 2), (INF, 1, 3), (2, 3, 1))),
+}
+
+
 def _fresh(stack, name, **overrides):
     return Verifier(stack(name).geometry, VerifierConfig(**overrides))
+
+
+def _fresh_geometry(stack, name) -> WallGeometry:
+    if name in NAMED:
+        return fresh_geometry(*NAMED[name])
+    return WallGeometry(CoxeterSystem(stack(name).cox))
 
 
 def test_a2_constants_frozen(stack):
@@ -148,17 +165,19 @@ def test_fellow_traveller_matches_direct_recomputation(stack, name, radius):
     )
 
 
-def test_q_hat_matches_element_distance(stack):
-    # Q_hat and Q_hat_canonical from their definitions, on a second system:
-    # for each chamber g at least the trim margin inside the ball and each
-    # wall of the ball with no separator from g, the least length of g^{-1} h
-    # over the ball's chambers h incident to the wall, and that length for
-    # the wall's canonical incident chamber.  The length is that of the
-    # element of the word of g reversed, then the word of h.
-    radius, margin = 6, voracious.verify.TRIM_MARGIN
-    verifier = _fresh(stack, "triangle_334", radius=radius)
+def _q_hat_by_element_distance(stack, name, radius):
+    """Q_hat and Q_hat_canonical from their definitions, on a second system:
+    for each chamber g at least the trim margin inside the ball and each
+    wall of the ball with no separator from g, the least length of g^{-1} h
+    over the ball's chambers h incident to the wall, and that length for
+    the wall's canonical incident chamber.  The length is that of the
+    element of the word of g reversed, then the word of h.  Checks every
+    row of the table, and that the boundary warning appears exactly when a
+    distance exceeds the margin, which it returns."""
+    margin = voracious.verify.TRIM_MARGIN
+    verifier = Verifier(_fresh_geometry(stack, name), VerifierConfig(radius=radius))
     constants = verifier.estimate_constants()
-    geo = WallGeometry(CoxeterSystem(stack("triangle_334").cox))
+    geo = _fresh_geometry(stack, name)
     search = SeparatorSearch(geo)
     sys_ = geo.system
     ball = sys_.ball(radius)
@@ -193,6 +212,82 @@ def test_q_hat_matches_element_distance(stack):
         got = constants.by_radius[r]
         assert (got["Q_hat"], got["Q_hat_canonical"]) == want, r
     assert (constants.Q_hat, constants.Q_hat_canonical) == want
+    beyond = max(row[2] for row in rows) > margin
+    assert any("further than the trim margin" in w for w in verifier.warnings) == beyond
+    return beyond
+
+
+def test_q_hat_matches_element_distance(stack):
+    assert not _q_hat_by_element_distance(stack, "triangle_334", 6)
+
+
+def test_q_hat_matches_element_distance_past_the_margin(stack):
+    # On (2,3,7) at radius 12 a separator-free wall sits further than the
+    # margin, so Q_hat is 5 where Q is 3, and the report says so.
+    assert _q_hat_by_element_distance(stack, "triangle_237", 12)
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("triangle_334", 6), ("affine_a3", 5), ("triangle_237", 8), ("triangle_245", 6),
+     ("inf_2_3", 6)],
+)
+def test_separator_free_walls_are_g_small(stack, name, radius):
+    # estimate_constants takes the walls with no separator from chamber g to
+    # be g(Small), which it reads off reflection tables along the shortlex
+    # word of g.  Here the separator search decides them over every wall of
+    # the ball's chambers and inversion sets, against g(gamma) for gamma
+    # small by the full matrix product; and no wall of g(Small) has a
+    # separator, in the ball or not.
+    geo = _fresh_geometry(stack, name)
+    sys_ = geo.system
+    search = SeparatorSearch(geo)
+    ball = sys_.ball(radius)
+    walls = set()
+    for h in ball:
+        walls.update(h.walls)
+        walls |= inversion_walls(geo, h)
+    small = sys_.small_roots()
+    for g in ball:
+        image = {translate_wall(geo, g, gamma) for gamma in small}
+        assert len(image) == len(small)
+        assert not any(search.has_separator(g, wall) for wall in image)
+        free = {wall for wall in walls if not search.has_separator(g, wall)}
+        assert free == image & walls
+
+
+def test_constants_search_no_separator(stack, monkeypatch):
+    # The separator-free pairs come from g(Small), so with the separator
+    # search made to fail the constants keep their values.
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_constants searched for a separator")
+
+    cases = [("triangle_334", 8, (5, 4, 1, 7)), ("affine_a3", 6, (6, 6, 2, 7))]
+    for name, radius, frozen in cases:
+        verifier = Verifier(_fresh_geometry(stack, name), VerifierConfig(radius=radius))
+        monkeypatch.setattr(SeparatorSearch, "has_separator", refuse)
+        monkeypatch.setattr(SeparatorSearch, "walls_disjoint", refuse)
+        c = verifier.estimate_constants()
+        monkeypatch.undo()
+        assert (c.C_hat, c.N_hat, c.Q_hat, c.Q_hat_canonical) == frozen, name
+
+
+@pytest.mark.parametrize(
+    "name, radius", [("a2", 6), ("triangle_334", 8), ("affine_a3", 6), ("triangle_237", 12)]
+)
+def test_by_radius_c_and_n_match_per_radius_scan(stack, name, radius):
+    # The rows are running maxima of values bucketed by length.  The oracle
+    # takes each row's maxima over ball(r) afresh, on a second system; on
+    # A2 the ball stops growing at radius 3.
+    geo = _fresh_geometry(stack, name)
+    rows = Verifier(geo, VerifierConfig(radius=radius)).estimate_constants().by_radius
+    assert sorted(rows) == list(range(radius + 1))
+    oracle = _fresh_geometry(stack, name)
+    for r in range(radius + 1):
+        row_ball = oracle.system.ball(r)
+        c = max(g.length - oracle.voracious_projection(g).length for g in row_ball)
+        n = max(oracle.frontier_set(g).bit_count() for g in row_ball)
+        assert (rows[r]["C_hat"], rows[r]["N_hat"]) == (c, n), r
 
 
 @pytest.mark.parametrize(
@@ -213,14 +308,7 @@ def test_exact_q_bounds_q_hat(stack, name, radius, exact_q, q_hat):
     # measures each distance to the ball's incident chambers only, so the
     # ball's cutoff can raise it above Q, as on (2,3,7) and H(5,3,5), but
     # never lower it.
-    if name in BUILT:
-        geo = fresh_geometry(*BUILT[name])
-    elif name == "h535":
-        geo = fresh_geometry("abcd", H535)
-    elif name == "triangle_245":
-        geo = fresh_geometry("abc", TRIANGLE_245)
-    else:
-        geo = WallGeometry(CoxeterSystem(stack(name).cox))
+    geo = _fresh_geometry(stack, name)
     verifier = Verifier(geo, VerifierConfig(radius=radius))
     chamber = verifier.separators.incident_chamber
     exact = max(chamber(wall).length for wall in geo.system.small_roots())
