@@ -2,20 +2,18 @@
 
 States are finite sets of small-root walls, held as wall masks (see
 walls.py): the state reached after reading a language word of g is
-g^{-1} W(g), the frontier of g pulled back to the base chamber.  Transitions
-append one projection block, a pivot: an element whose voracious projection
-is the identity.  Each pivot q has two wall masks: target(q), of
-q^{-1} W(q), and forbid(q), of the universe walls in Inv(q) or with no
-separator from chamber q.  An edge (S, q) exists iff S & forbid(q) == 0,
-and it enters target(q).  So the empty start state takes every pivot, and
-the states are it and the pivots' targets.  q^{-1} W(q) is the
-Brink-Howlett state of q, the small walls of Inv(q^{-1}), which the
-geometry keeps beside q's frontier walls (WallGeometry.frontier_pairs).
-The pivots fix the automaton, and so the group does: one pass over their
-shortlex tree, which is prefix-closed, gives every pivot, its word, its
-masks and the prefix graph (see _PivotTree); the states and the edges
-follow.  `states` holds each state as the sorted universe indices of its
-walls.
+g^{-1} W(g), the frontier of g pulled back to the base chamber, which is
+the Brink-Howlett state of g.  Transitions append one projection block, a
+pivot: an element whose voracious projection is the identity.  Each pivot q
+has two wall masks: target(q), of q^{-1} W(q), and forbid(q), of the
+universe walls in Inv(q) or with no separator from chamber q.  An edge
+(S, q) exists iff S & forbid(q) == 0, and it enters target(q).  So the
+empty start state takes every pivot, and the states are it and the pivots'
+targets.  The pivots fix the automaton, and so the group does: one pass
+over their shortlex tree, which is prefix-closed, steps sets of small roots
+on index tables and gives each pivot's word, its masks and the prefix graph
+with no group element (see _IndexPass).  `states` holds each state as the
+sorted universe indices of its walls.
 
 An edge's labels are the reduced words of its pivot, derived only to write
 DOT.  The universe is the group's small roots.  A JSON file holds the group,
@@ -27,13 +25,6 @@ Words are run over the pivot prefix graph rather than over the labels: its
 nodes are the identity and the pivots, reading a letter s at the node of h
 moves to the node of h s, and a block ends at the node of pivot q for each
 state that may take q.
-
-Small walls are closed under the moves that keep |B| < 1, starting from the
-simple walls; a wall fails to be small exactly when some other wall lies
-fully between the identity chamber and it, which yields an independent
-brute-force oracle over any ball.  The pass that finds the pivots steps
-small-root states along each pivot's word, so it projects nothing and
-searches no separator.
 """
 
 from __future__ import annotations
@@ -41,15 +32,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
-from .coxeter import (
-    GroupElement,
-    ResourceLimitError,
-    Wall,
-    Word,
-    word_to_string,
-)
+from .coxeter import CoxeterSystem, ResourceLimitError, Wall, Word, word_to_string
 from .walls import WallGeometry
 
 # Only this format is read back: format-1 files may hold a truncated pivot set,
@@ -79,20 +64,18 @@ class VoraciousAutomaton:
     """Automaton over small-wall states; accepts exactly the language words.
 
     Built over the group's universe of walls, its small roots, and every
-    pivot.  One pass over the pivots' shortlex tree (_PivotTree) gives each
-    pivot, its word, its target state index and forbid mask, and
-    `children`, the pivot prefix graph; the state masks, sorted by (size,
-    universe indices), and the edges follow.  `states` holds each state's
-    universe indices."""
+    pivot.  One pass over the pivots' shortlex tree (_IndexPass) gives each
+    pivot's word, its target and forbid masks, and `children`, the pivot
+    prefix graph; the states, sorted by (size, universe indices), and the
+    edges follow."""
 
     def __init__(self, geometry: WallGeometry):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
         self.start = 0
-        tree = _PivotTree(geometry)
-        tree.explore()
-        self.universe = tree.universe
-        self.pivots = tuple(tree.pivots)
+        self.universe = small_roots(geometry)
+        tree = _IndexPass(geometry.system, self.universe)
+        tree.run()
         self.words = tuple(tree.words)
         self.children = tree.children
         target_masks = tree.targets
@@ -284,171 +267,165 @@ def _shown(text: str) -> str:
     return text[:SHOWN_CHARS] + "…"
 
 
-class _PivotTree:
-    """One breadth-first pass over the shortlex tree of the pivots.
+class _IndexPass:
+    """One breadth-first pass over the shortlex tree of the pivots, on
+    small-root index tables, with no group element and no field number.
 
-    explore() finds every pivot.  It leaves the pivots in (length,
-    shortlex) order with their shortlex words, the two wall masks of each
-    pivot as plain ints, targets and forbid, and the pivot prefix graph,
-    children.
+    The small roots are numbered in the order of their closure, so the
+    simple roots are 0..k-1, and a set of them is the str of the characters
+    of their numbers.  tables[s][i] is the number of s(beta_i) if that root
+    is small, else None, so str.translate(tables[s]) steps a set by s and
+    drops the roots that leave Small.  A node is a pivot h, or the identity:
+    (its number in the prefix graph, its shortlex word, D, SF, X, I, gam).
+      * D is the Brink-Howlett state of h, the pull-backs beta = h^{-1} W of
+        its frontier walls W (WallGeometry.frontier_pairs): target(h).
+        D(h s) = {alpha_s} + s(D(h)), cut to Small (Brink and Howlett,
+        Math. Ann. 296, 1993).  SF holds the betas of D whose W is simple.
+      * X is the shortlex state (Brink-Howlett; Casselman, "Computation in
+        Coxeter groups I", 2002): the word of h followed by s is the
+        shortlex word of h s iff alpha_s is not in X, and X(h s) =
+        {alpha_s} + s(X(h)) + {s(alpha_t) : t < s}, cut to Small.  X holds
+        D, so it refuses every descent.
+      * I is the wall mask of Inv(h) & Small.
+      * gam holds the open pairs (gamma, V): V a small wall outside Inv(h)
+        that no wall separates from chamber h, and gamma = h^{-1} V, small
+        too.  gam[V] is the character of gamma, or of n if V is not open.
+        A step by s maps gamma to s(gamma), or to n once s(gamma) leaves
+        Small: a separator from h still separates V from h s unless it is
+        the wall H the step crosses, and H, outside Inv(h), would then
+        separate V from the identity chamber, so V would not be small.
+    H = h(alpha_s) is incident to chamber h, so it is small iff it is an
+    open V with gamma = alpha_s; I then gains it, and it is simple iff
+    V < k.  p(g) is the identity iff every simple wall of Inv(g) is a
+    frontier wall of g.  For g = h s, H is a frontier wall of g, and the
+    other simple walls of Inv(g) are those of Inv(h), for a pivot h
+    frontier walls of h.  So h s is a pivot iff the step keeps all of SF.
 
-    A node of the tree is a pivot h with its word, stepped from its parent
-    by the small-root steps (CoxeterSystem.small_steps), with no separator
-    search, no inversion walk and no projection:
-      * its frontier pairs (beta, W) (WallGeometry.frontier_pairs);
-      * its open pairs (gamma, V): V a universe wall outside Inv(h) that no
-        wall separates from chamber h, and gamma = h^{-1} V.  A wall
-        separating V from chamber h separates h^{-1} V from the identity
-        chamber, so these V are the universe walls outside Inv(h) whose
-        pull-back is small.  The identity has (alpha, alpha) for every
-        universe wall.  The step by s keeps (s(gamma), V) when s(gamma) is
-        small and drops the pair otherwise: a separator from h still
-        separates V from h s unless it is the wall H the step crosses, and
-        H, outside Inv(h), would then separate V from the identity chamber,
-        so V would not be small;
-      * the universe part of Inv(h), which gains H if H is small;
-      * the shortlex state X(h) (Brink and Howlett, Math. Ann. 296, 1993;
-        Casselman, "Computation in Coxeter groups I", 2002): the word of h
-        followed by s is the shortlex word of h s iff alpha_s is not in
-        X(h), and X(h s) = {alpha_s} + s(X(h)) + {s(alpha_t) : t < s}, cut
-        to the small walls.  X(h) holds D(h), so it refuses every descent.
-    p(g) is the identity iff every simple wall of Inv(g) is a frontier wall
-    of g: the first step of the projection's climb.  For g = h s, H is a
-    frontier wall of g, and the other simple walls of Inv(g) are those of
-    Inv(h), which for a pivot h are frontier walls of h.  So h s is a pivot
-    iff every pair (beta, W) of h with W simple survives the step by s, and
-    only pivots are multiplied out.
-
-    targets[i] is the mask of q^{-1} W(q), the betas of the frontier pairs of
-    q = pivots[i]: the Brink-Howlett state D(q), so the universe is the
-    small roots.  forbid[i] is the universe part of Inv(q) ORed with the Vs
-    of q's open pairs, so S & forbid[i] == 0 iff no wall of state S is an
-    inversion wall of q and every wall of S admits a separator from chamber
-    q.  Node 0 of the graph is the identity and node i + 1 is q; for each
-    right descent s of q, children[node of q s][s] is the node of q, and
-    every other entry is 0.  A prefix of a reduced word is reduced, so the
-    paths from node 0 to the node of q spell the reduced words of q, the
-    labels of its edges.  q s is the identity or an earlier pivot, as the
-    pivots are prefix-closed (see explore), and ArithmeticError is raised
-    if it is not.  Each pivot's word and frontier pairs go into the
-    geometry's memos.  The letters the pass tries, and the identity, count
-    against max_ball_elements.
+    targets[i] is the wall mask of D(q), q the pivot of words[i].  forbid[i]
+    is I ORed with the walls V of q's open pairs, so S & forbid[i] == 0 iff
+    no wall of state S is in Inv(q) and each admits a separator from
+    chamber q.  Node 0 of the graph is the identity and node i + 1 is q;
+    children[node of q s][s] is the node of q for each right descent s of
+    q, and every other entry is 0, so the paths from node 0 to the node of
+    q spell the reduced words of q, the labels of its edges.  The letters
+    the pass tries, and the identity, count against max_ball_elements.
     """
 
-    def __init__(self, geometry: WallGeometry):
-        sys = geometry.system
-        self.universe = universe = small_roots(geometry)
-        self.geometry = geometry
-        self.system = sys
-        self.steps = steps = sys.small_steps()
-        self.simple = simple = sys.identity.walls
-        self.in_universe = sum(wall.bit for wall in universe)
-        # The part of X(h s) that X(h) does not give: alpha_s and the small
-        # s(alpha_t) for t < s.
-        self.fresh = tuple(
-            frozenset([simple[s], *filter(None, map(steps[s].get, simple[:s]))])
-            for s in range(sys.rank)
-        )
-        self.examined = 1
-        self.node_of = {sys.identity: 0}
-        self.children = [[0] * sys.rank]
-        self.pivots: list[GroupElement] = []
-        self.words: list[Word] = []
-        self.targets: list[int] = []
-        # The universe indices of each target's walls, ascending.
-        self.target_indices: list[tuple[int, ...]] = []
-        self.universe_index = {wall: i for i, wall in enumerate(universe)}
-        self.forbid: list[int] = []
-        # A node: (element, word, X, the universe part of Inv, the gammas of
-        # the open pairs, the bits of their Vs).
-        self.root = (
-            sys.identity, (), frozenset(), 0, universe, tuple(w.bit for w in universe)
-        )
+    def __init__(self, system: CoxeterSystem, universe: tuple[Wall, ...]):
+        self.system = system
+        self.rank = k = system.rank
+        roots = system.small_roots()
+        n = len(roots)
+        number = dict(zip(roots, range(n)))
+        # The steps of a set and of gam, where n stands for a closed pair.
+        self.tables, self.gam_tables = [], []
+        for step in system.small_steps():
+            table = [None] * n
+            for beta, image in step.items():
+                table[number[beta]] = number[image]
+            self.tables.append(table)
+            self.gam_tables.append([n if i is None else i for i in table] + [n])
+        self.bits = [wall.bit for wall in roots]
+        # Translation tables: to universe indices, to 1 for an open pair and
+        # 0 for n, and to the simple roots alone.
+        self.position = list(map(dict(zip(universe, range(n))).get, roots))
+        self.open = [1] * n + [0]
+        self.simple = [*range(k)] + [None] * (n - k)
+        # target_indices[i]: the universe indices of target i's walls, sorted.
+        self.words, self.targets, self.target_indices, self.forbid = [], [], [], []
+        self.children = [[0] * k]
+        # moves[k * (node of q) + s]: the node of q s, else None; children
+        # holds the entries for the ascents.
+        self.moves = [None] * k
+        self.root = (0, (), "", "", "", 0, "".join(map(chr, range(n))))
 
-    def explore(self) -> None:
+    def run(self) -> None:
         """Every pivot: layer by layer, each node extended by each letter
         that X allows, in order, so the layers stay in shortlex order.
 
         Pivots are closed under prefixes: if p(g) = id and g' <= g in the
         prefix order, then p(g) <= g' <= g and projection monotonicity
-        (suite check 3) give p(g') <= p(g) = id.  So the shortlex parent of
-        a pivot is a pivot, and extending only pivots finds all of them.
-        The pass ends at the first length with no pivot: a pivot is its own
-        projection block, and block lengths are bounded by the constant C,
-        so no pivot is longer than C.
+        (suite check 3) give p(g') <= p(g) = id, so extending only pivots
+        finds all of them.  No pivot is longer than the constant C, which
+        bounds the projection blocks.
         """
-        simple = self.simple
+        cap = self.system.max_ball_elements
+        examined = 1
         layer = [self.root]
         while layer:
             grown = []
             for node in layer:
-                for s in range(self.system.rank):
-                    if simple[s] not in node[2]:
-                        self._examine()
-                        if self._is_pivot(node[0], s):
-                            grown.append(self._add(self._child(node, s)))
+                allowed = [s for s in range(self.rank) if chr(s) not in node[4]]
+                examined += len(allowed)
+                if examined > cap:
+                    raise ResourceLimitError(
+                        f"pivot search exceeded max_ball_elements = {cap}"
+                    )
+                grown += filter(None, [self._child(node, s) for s in allowed])
             layer = grown
 
-    def _examine(self) -> None:
-        self.examined += 1
-        cap = self.system.max_ball_elements
-        if self.examined > cap:
-            raise ResourceLimitError(f"pivot search exceeded max_ball_elements = {cap}")
-
-    def _is_pivot(self, h: GroupElement, s: int) -> bool:
-        """For a pivot h and a letter s that X(h) allows: h s is a pivot."""
-        step = self.steps[s]
-        pairs = self.geometry.frontier_pairs(h)
-        rank = self.system.rank
-        return all(
-            beta in step
-            for beta, wall in zip(pairs[::2], pairs[1::2])
-            if wall.bit >> rank == 0
-        )
+    def shortlex_step(self, x: str, s: int) -> str:
+        """X(h s) from X(h), for a letter s that X(h) allows: alpha_s and
+        s(X + {alpha_t : t < s}), cut to Small."""
+        lower = [chr(t) for t in range(s) if chr(t) not in x]
+        return chr(s) + "".join([x, *lower]).translate(self.tables[s])
 
     def _child(self, node, s: int):
-        """The node of the node's word followed by the letter s."""
-        h, word, x, inv, gammas, vbits = node
-        step = self.steps[s]
-        x = self.fresh[s].union(filter(None, map(step.get, x)))
-        kept, kept_bits = [], []
-        for gamma, vbit in zip(gammas, vbits):
-            image = step.get(gamma)
-            if image is not None:
-                kept.append(image)
-                kept_bits.append(vbit)
-        inv |= h.walls[s].bit & self.in_universe
-        return self.system.right_mul(h, s), word + (s,), x, inv, kept, kept_bits
+        """The node of h s, recorded as the next pivot, for the node of h
+        and a letter s that its X allows; None if h s is not a pivot."""
+        number, word, d, sf, x, inv, gam = node
+        table = self.tables[s]
+        kept = sf.translate(table)
+        if len(kept) < len(sf):
+            return None
+        c = chr(s)
+        v = gam.find(c)
+        if v >= 0:
+            inv |= self.bits[v]
+            if v < self.rank:
+                kept += c
+        d = c + d.translate(table)
+        gam = gam.translate(self.gam_tables[s])
+        word += (s,)
+        child = (len(self.children), word, d, kept, self.shortlex_step(x, s), inv, gam)
+        self._link(number, s, child)
+        self.words.append(word)
+        self.targets.append(sum(map(self.bits.__getitem__, map(ord, d))))
+        self.target_indices.append(tuple(map(ord, sorted(d.translate(self.position)))))
+        opened = compress(self.bits, gam.translate(self.open).encode())
+        self.forbid.append(inv | sum(opened))
+        return child
 
-    def _add(self, node):
-        """The node, recorded as the next pivot: its entries in the prefix
-        graph, its masks and the geometry's memos."""
-        g, word, _, inv, _, vbits = node
-        right_mul = self.system.right_mul
-        node_of, children = self.node_of, self.children
-        n = node_of[g] = len(children)
-        children.append([0] * self.system.rank)
-        for s in range(self.system.rank):
-            if g.descents >> s & 1:
-                below = right_mul(g, s)
-                m = node_of.get(below)
-                if m is None:
+    def _link(self, parent: int, s: int, child) -> None:
+        """The prefix graph's entries of the new node q = h s, with no product.
+
+        Its right descents are s, from h, and each u with alpha_u in D(q).
+        For u != s, q = q' w, w the longest element on s and u, of length
+        m = m_su: q' is h walked down by u, s, u, ... for m - 1 steps, and
+        q u is q' walked up by the alternating word of length m - 1 that
+        ends in s.  By prefix closure every element passed is an earlier
+        node; ArithmeticError is raised if one is not."""
+        n, moves, k = child[0], self.moves, self.rank
+        self.children.append([0] * k)
+        moves += [None] * k
+        # D(q) starts with alpha_s, the image of no other root of D(h).
+        for u in map(ord, child[2].translate(self.simple)[1:]):
+            m = self.system.cox.orders[s][u]
+            walk = (u, s) * m
+            below = parent
+            for letter in walk[: m - 1] + walk[m + 1 :]:
+                below = moves[below * k + letter]
+                if below is None:
                     gens = self.system.cox.generators
                     raise ArithmeticError(
                         f"pivots are not prefix-closed: pivot "
-                        f"{word_to_string(word, gens)!r} steps down its right "
-                        f"descent {gens[s]!r} to no pivot"
+                        f"{word_to_string(child[1], gens)!r} steps down its "
+                        f"right descent {gens[u]!r} to no pivot"
                     )
-                children[m][s] = n
-        self.geometry.record_shortlex_word(g, word)
-        self.pivots.append(g)
-        self.words.append(word)
-        betas = self.geometry.frontier_pairs(g)[::2]
-        self.targets.append(sum(beta.bit for beta in betas))
-        index = self.universe_index
-        self.target_indices.append(tuple(sorted(index[beta] for beta in betas)))
-        self.forbid.append(inv | sum(vbits))
-        return node
+            self.children[below][u] = moves[below * k + u] = n
+            moves[n * k + u] = below
+        self.children[parent][s] = moves[parent * k + s] = n
+        moves[n * k + s] = parent
 
 
 def build_automaton(geometry: WallGeometry) -> VoraciousAutomaton:

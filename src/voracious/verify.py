@@ -415,17 +415,18 @@ class Verifier:
 
     def _pivot_gap(self, aut) -> dict | None:
         """A pivot the automaton lacks, or None: an element of the ball with
-        identity projection that is not a pivot.
+        identity projection whose shortlex word is not a pivot word.
 
         The pass that finds the pivots raises ArithmeticError on a pivot
-        that steps down to no pivot (_PivotTree), so none of its pivots lies
-        above a pivot it lacks in the weak order, and only the ball finds one.
+        that steps down to no pivot (automaton._IndexPass), so none of its
+        pivots lies above a pivot it lacks in the weak order, and only the
+        ball finds one.
         """
         sys, geo = self.system, self.geometry
-        pivots = set(aut.pivots)
+        words = set(aut.words)
         for g in sys.ball(self.config.radius):
-            if g.length and g not in pivots and (
-                geo.voracious_projection(g) is sys.identity
+            if g.length and geo.voracious_projection(g) is sys.identity and (
+                geo.shortlex_word(g) not in words
             ):
                 return {
                     "issue": "identity projection but not a pivot",
@@ -440,7 +441,7 @@ class Verifier:
 
         The accept state is checked by two independent routes: the automaton
         reaches it by its pivots' targets, Brink-Howlett states stepped along
-        a word by the small-root steps (WallGeometry.frontier_pairs), and the
+        a word by the small-root index tables (automaton._IndexPass), and the
         check computes it from the definition, the frontier of the word's
         element g found by the separator search (SeparatorSearch.frontier) and
         pulled back along the reversed shortlex word of g
@@ -491,8 +492,8 @@ class Verifier:
             "words_checked": n_words,
             "accepted": n_accepted,
             "max_word_length": AGREEMENT_WORD_LENGTH,
-            "pivots": len(aut.pivots),
-            "max_pivot_length": max((g.length for g in aut.pivots), default=0),
+            "pivots": len(aut.words),
+            "max_pivot_length": max(map(len, aut.words), default=0),
             "states": len(aut.states),
             "edges": len(aut.edges),
         }

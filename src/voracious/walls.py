@@ -77,12 +77,6 @@ class WallGeometry:
             "shortlex_words": len(self._shortlex),
         }
 
-    def record_shortlex_word(self, g: GroupElement, word: Word) -> None:
-        """Memoise the shortlex word of g, which a caller has spelled by
-        walking shortlex words letter by letter (the automaton's pass over
-        the pivots), so that shortlex_word need not climb to it."""
-        self._shortlex[g] = word
-
     def pull_back(self, g: GroupElement, mask: int) -> int:
         """The mask of the walls g^{-1}(W), for W the inversion walls of g in
         mask: the definition of an accept state, which the verifier reads.
@@ -91,8 +85,8 @@ class WallGeometry:
         p(alpha_s), p = s_1 ... s_{i-1} and s = s_i, and g^{-1} p =
         s_n ... s_i maps it to the wall of q(alpha_s), q = s_n ... s_{i+1}:
         the wall the reversed word crosses at its step n - i + 1.  So both
-        words are climbed by right products.  The automaton build reads the
-        same masks off the frontier pairs of its pivots (frontier_pairs).
+        words are climbed by right products.  The automaton build steps the
+        same states on small-root index tables (automaton._IndexPass).
         """
         if mask & ~self.inversion_bits(g):
             raise ValueError("only inversion walls of g are pulled back")

@@ -607,6 +607,60 @@ def separator_route(geometry: WallGeometry):
     return words, targets, forbid, children
 
 
+def pivots_of(aut):
+    """The automaton's pivots as elements of its geometry's system, made
+    from their words; the build itself makes no element."""
+    return [aut.geometry.system.element_of_word(w) for w in aut.words]
+
+
+def element_route(geometry: WallGeometry):
+    """(words, targets, forbid, children) of the automaton by the element
+    pass that the index tables replaced: the same breadth-first pass over
+    the shortlex tree, stepping the open pairs and the shortlex state as
+    frozensets of Walls, making each pivot by right_mul, reading its target
+    off WallGeometry.frontier_pairs and its prefix graph entries off the
+    right descents of the element."""
+    from voracious import small_roots
+
+    sys_ = geometry.system
+    rank, steps, simple = sys_.rank, sys_.small_steps(), sys_.identity.walls
+    universe = small_roots(geometry)
+    in_universe = sum(wall.bit for wall in universe)
+    fresh = [
+        frozenset([simple[s], *filter(None, map(steps[s].get, simple[:s]))])
+        for s in range(rank)
+    ]
+    node_of, children = {sys_.identity: 0}, [[0] * rank]
+    words, targets, forbid = [], [], []
+    # A node: (element, word, X, the universe part of Inv, open pairs (gamma, V bit)).
+    layer = [(sys_.identity, (), frozenset(), 0, [(w, w.bit) for w in universe])]
+    while layer:
+        grown = []
+        for h, word, x, inv, open_pairs in layer:
+            pairs = geometry.frontier_pairs(h)
+            for s, step in enumerate(steps):
+                if simple[s] in x or not all(
+                    beta in step
+                    for beta, wall in zip(pairs[::2], pairs[1::2])
+                    if wall.bit >> rank == 0
+                ):
+                    continue
+                g = sys_.right_mul(h, s)
+                node_of[g] = len(children)
+                children.append([0] * rank)
+                for t in sys_.right_descents(g):
+                    children[node_of[sys_.right_mul(g, t)]][t] = node_of[g]
+                kept = [(step[gm], bit) for gm, bit in open_pairs if gm in step]
+                g_inv = inv | h.walls[s].bit & in_universe
+                words.append(word + (s,))
+                targets.append(sum(b.bit for b in geometry.frontier_pairs(g)[::2]))
+                forbid.append(g_inv | sum(bit for _, bit in kept))
+                g_x = fresh[s].union(filter(None, map(step.get, x)))
+                grown.append((g, word + (s,), g_x, g_inv, kept))
+        layer = grown
+    return words, targets, forbid, children
+
+
 def may_take_automaton_oracle(geometry: WallGeometry):
     """(states, edges) of the automaton by the rule the masks replace.
 
@@ -623,7 +677,7 @@ def may_take_automaton_oracle(geometry: WallGeometry):
     search = SeparatorSearch(geometry)
     universe = small_roots(geometry)
     uindex = {w: i for i, w in enumerate(universe)}
-    pivot_list = build_automaton(geometry).pivots
+    pivot_list = pivots_of(build_automaton(geometry))
     targets = [
         tuple(sorted(
             uindex[v] for v in wall_set(geometry, pull_back_target(geometry, w))

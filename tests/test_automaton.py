@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voracious import (
+    CoxeterMatrix,
     CoxeterSystem,
     ResourceLimitError,
     WallGeometry,
@@ -16,7 +17,7 @@ from voracious import (
     small_roots,
     word_to_string,
 )
-from voracious.automaton import SHOWN_CHARS, _PivotTree
+from voracious.automaton import SHOWN_CHARS, _IndexPass
 
 from conftest import (
     AFFINE_A3,
@@ -31,7 +32,9 @@ from conftest import (
     inverse_of,
     inversion_walls,
     left_shortlex_word,
+    element_route,
     may_take_automaton_oracle,
+    pivots_of,
     pull_back_target,
     run_states,
     separator_route,
@@ -84,17 +87,17 @@ def test_finite_group_small_roots_are_all_walls(stack):
 
 def test_pivots_frozen(stack):
     a2 = stack("a2")
-    pivs = build_automaton(a2.geometry).pivots
+    pivs = pivots_of(build_automaton(a2.geometry))
     assert len(pivs) == 5  # every nontrivial element of the finite group
     dinf = stack("d_infinity")
     want = {dinf.element("s"), dinf.element("t")}
-    assert set(build_automaton(dinf.geometry).pivots) == want
+    assert set(pivots_of(build_automaton(dinf.geometry))) == want
     t333 = stack("triangle_333")
-    pivs = build_automaton(t333.geometry).pivots
+    pivs = pivots_of(build_automaton(t333.geometry))
     assert len(pivs) == 15
     assert max(g.length for g in pivs) == 4
     t334 = stack("triangle_334")
-    pivs = build_automaton(t334.geometry).pivots
+    pivs = pivots_of(build_automaton(t334.geometry))
     assert len(pivs) == 17
     assert max(g.length for g in pivs) == 5
     order = sorted(pivs, key=lambda g: (g.length, t334.geometry.shortlex_word(g)))
@@ -106,7 +109,7 @@ def test_pivots_are_identity_projections(stack):
     for name in sorted(SMALL_ROOT_COUNTS):
         s = stack(name)
         geo = s.geometry
-        pivs = build_automaton(geo).pivots
+        pivs = pivots_of(build_automaton(geo))
         radius = max(g.length for g in pivs) + 1
         expected = {
             g
@@ -128,20 +131,18 @@ def test_long_pivot_groups_frozen(long_pivot_geometries):
     geo = long_pivot_geometries["affine_a3"]
     aut = build_automaton(geo)
     assert (len(aut.universe), len(aut.states), len(aut.edges)) == (12, 125, 872)
-    pivs = aut.pivots
-    assert len(pivs) == 124
-    assert max(g.length for g in pivs) == 10
-    pivs = build_automaton(long_pivot_geometries["triangle_237"]).pivots
-    assert len(pivs) == 39
-    assert max(g.length for g in pivs) == 12
+    assert len(aut.words) == 124
+    assert max(map(len, aut.words)) == 10
+    words = build_automaton(long_pivot_geometries["triangle_237"]).words
+    assert len(words) == 39
+    assert max(map(len, words)) == 12
 
 
 def test_h535_automaton_frozen():
     geo = fresh_geometry("abcd", H535)
     aut = build_automaton(geo)
-    pivs = aut.pivots
-    assert len(pivs) == 515
-    assert max(g.length for g in pivs) == 21
+    assert len(aut.words) == 515
+    assert max(map(len, aut.words)) == 21
     assert (len(aut.states), len(aut.edges)) == (516, 16_753)
     assert len(_prefix_graph_nodes(aut)) == 516
     # Loaded into a fresh geometry, so every pivot check runs from cold.
@@ -165,9 +166,9 @@ def test_masks_match_may_take_oracle(stack, name):
     assert [(e.source, e.target, e.pivot_word) for e in aut.edges] == edges
     # Measured, not proved: the pivots' targets are distinct and none is the
     # empty start state, so there is one state per pivot besides the start.
-    assert len(set(aut.targets)) == len(aut.pivots)
+    assert len(set(aut.targets)) == len(aut.words)
     assert aut.start not in aut.targets
-    assert len(aut.states) == len(aut.pivots) + 1
+    assert len(aut.states) == len(aut.words) + 1
 
 
 # Every shipped group and every group the conftest builds.
@@ -194,27 +195,25 @@ def test_targets_match_pull_back_oracle(stack, name):
     # transition, is the state of q's frontier pulled back through q^{-1}.
     geo = _fresh(stack, name)
     aut = build_automaton(geo)
-    for q, target in zip(aut.pivots, aut.targets):
+    for q, target in zip(pivots_of(aut), aut.targets):
         assert aut.state_of_mask(pull_back_target(geo, q)) == target
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_pivot_search_matches_sorted_oracle(stack, name):
-    # The search's order and recorded words equal the old sort's, computed
-    # on a second fresh system, and each word is the least reduced word.
+    # The search's order and words equal the old sort's, computed on a
+    # second fresh system, and each word is the least reduced word of its
+    # element, as the climb (WallGeometry.shortlex_word) spells it too.
     geo = _fresh(stack, name)
     sys_ = geo.system
-    pivs = build_automaton(geo).pivots
-    recorded = geo.stats()["shortlex_words"]
-    assert recorded == len(pivs) + 1
-    words = [geo.shortlex_word(q) for q in pivs]
-    assert geo.stats()["shortlex_words"] == recorded
+    words = list(build_automaton(geo).words)
     oracle = _fresh(stack, name)
     assert words == [
         left_shortlex_word(oracle.system, q) for q in sorted_pivot_search(oracle)
     ]
-    for q, word in zip(pivs, words):
-        assert word == min(sys_.reduced_words(q))
+    for word in words:
+        q = sys_.element_of_word(word)
+        assert word == geo.shortlex_word(q) == min(sys_.reduced_words(q))
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -239,17 +238,17 @@ def test_run_pairs_extend_one_letter_at_a_time(stack, name):
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_build_makes_no_inverse(stack, name):
-    # The build and its JSON export apply no matrix to a root and climb no
-    # word again: the only shortlex words are the identity's and those the
-    # pivot search records.
+    # The build and its JSON export make no element but the identity, so
+    # they apply no matrix to a root, multiply nothing and climb no word.
     geo = _fresh(stack, name)
     aut = build_automaton(geo)
     aut.to_json()
-    assert geo.stats()["shortlex_words"] == len(aut.pivots) + 1
+    stats = geo.system.stats()
+    assert (stats["elements"], stats["right_products"]) == (1, 0)
+    assert geo.stats()["shortlex_words"] == 1
 
 
-# Affine C~4, linear 4-3-3-4: the one tier-1 build long enough for products
-# to meet a wall pair again, so the reflection tables get reused.
+# Affine C~4, linear 4-3-3-4: the tier-1 build with the most pivots.
 AFFINE_C4 = (
     (1, 4, 2, 2, 2),
     (4, 1, 3, 2, 2),
@@ -260,20 +259,20 @@ AFFINE_C4 = (
 
 
 def test_affine_c4_build_frozen():
-    # 6,560 pivots, the longest of length 50, from 6,561 elements: the
-    # pivots and the identity.  The build makes 14,580 products (two
-    # right_products entries each), one per right descent of a pivot, and
-    # its wall reflections fill 2,195 table entries, each made once: the
-    # small-root closure reflects a small wall only into a small one.
+    # 6,560 pivots, the longest of length 50, with 14,580 right descents in
+    # all, one prefix-graph entry each.  Once the small-root closure has
+    # run, the build adds nothing to the system: no element but the
+    # identity, no product, no wall and no wall reflection.
     geo = fresh_geometry("abcde", AFFINE_C4)
+    geo.system.small_steps()
+    closure = geo.system.stats()
     aut = build_automaton(geo)
-    assert len(aut.pivots) == 6560
-    assert max(q.length for q in aut.pivots) == aut.pivots[-1].length == 50
-    stats = geo.system.stats()
-    assert stats["elements"] == 6561
-    assert stats["right_products"] == 2 * 14580
-    assert sum(q.descents.bit_count() for q in aut.pivots) == 14580
-    assert stats["reflections"] == 2195 < 14580
+    assert len(aut.words) == 6560
+    assert max(map(len, aut.words)) == len(aut.words[-1]) == 50
+    assert sum(map(bool, itertools.chain.from_iterable(aut.children))) == 14580
+    assert geo.system.stats() == closure
+    stats = (closure["elements"], closure["right_products"], closure["walls"])
+    assert stats == (1, 0, 32)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS + ["affine_c4"])
@@ -296,15 +295,118 @@ def test_pass_matches_separator_route(stack, name):
     assert aut.children == children
 
 
+@pytest.mark.parametrize("name", ALL_GROUPS + ["affine_c4"])
+def test_pass_matches_element_route(stack, name):
+    # The pass on index tables against the element pass it replaced, on a
+    # second fresh system: the same shortlex tree, with each pivot made by
+    # right_mul, its sets stepped as Walls and its prefix graph entries
+    # read off its right descents.  Masks are compared as sets of roots.
+    geo = _fresh(stack, name)
+    aut = build_automaton(geo)
+    oracle = _fresh(stack, name)
+    words, targets, forbid, children = element_route(oracle)
+
+    def roots(g, masks):
+        return [{w.root for w in g.system.walls_of(m)} for m in masks]
+
+    assert list(aut.words) == words
+    assert roots(geo, [aut._masks[t] for t in aut.targets]) == roots(oracle, targets)
+    assert roots(geo, aut.forbid) == roots(oracle, forbid)
+    assert aut.children == children
+
+
+def test_pass_past_255_small_roots():
+    # Affine A~16 (the 17-cycle, every label 3) has 272 small roots, more
+    # than a byte numbers: the pass's str tables take any count up to
+    # MAX_SMALL_ROOTS.  Its 18^16 - 1 pivots are cut by a cap, and those
+    # found before it are checked by the projection, the pull-back, the
+    # inversion set and right products.
+    k = 17
+    orders = tuple(
+        tuple(1 if i == j else 3 if (i - j) % k in (1, k - 1) else 2 for j in range(k))
+        for i in range(k)
+    )
+    sys_ = CoxeterSystem(
+        CoxeterMatrix(tuple("abcdefghijklmnopq"), orders), max_ball_elements=400
+    )
+    geo = WallGeometry(sys_)
+    universe = small_roots(geo)
+    assert len(universe) == 272
+    tree = _IndexPass(sys_, universe)
+    with pytest.raises(ResourceLimitError, match="max_ball_elements = 400"):
+        tree.run()
+    small = sum(wall.bit for wall in universe)
+    nodes = {sys_.identity: 0}
+    for n, (word, target, forbid) in enumerate(
+        zip(tree.words, tree.targets, tree.forbid), 1
+    ):
+        q = sys_.element_of_word(word)
+        nodes[q] = n
+        assert geo.shortlex_word(q) == word
+        assert geo.voracious_projection(q) is sys_.identity
+        assert target == pull_back_target(geo, q)
+        assert forbid & geo.inversion_bits(q) == geo.inversion_bits(q) & small
+        for s in sys_.right_descents(q):
+            assert tree.children[nodes[sys_.right_mul(q, s)]][s] == n
+    assert len(tree.words) > 300
+
+
+# Affine groups by (finite type, rank n of the finite type, Coxeter number
+# h, edges (i, j, m_ij) of the diagram with m_ij > 2); every other pair of
+# the n + 1 generators commutes.
+AFFINE_FAMILIES = {
+    "A~2": ("A", 2, 3, [(0, 1, 3), (1, 2, 3), (2, 0, 3)]),
+    "C~2": ("C", 2, 4, [(0, 1, 4), (1, 2, 4)]),
+    "G~2": ("G", 2, 6, [(0, 1, 3), (1, 2, 6)]),
+    "A~3": ("A", 3, 4, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3)]),
+    "B~3": ("B", 3, 6, [(0, 2, 3), (1, 2, 3), (2, 3, 4)]),
+    "C~3": ("C", 3, 6, [(0, 1, 4), (1, 2, 3), (2, 3, 4)]),
+    "A~4": ("A", 4, 5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 0, 3)]),
+    "B~4": ("B", 4, 8, [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 4)]),
+    "C~4": ("C", 4, 8, [(0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 4)]),
+    "D~4": ("D", 4, 6, [(0, 4, 3), (1, 4, 3), (2, 4, 3), (3, 4, 3)]),
+}
+# The Coxeter number of each finite type of rank n.
+COXETER_NUMBER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n,
+    "C": lambda n: 2 * n,
+    "D": lambda n: 2 * n - 2,
+    "G": lambda n: 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_FAMILIES))
+def test_affine_closed_form_counts(name):
+    # Closed forms that share no code with the engine.  In an affine Weyl
+    # group whose finite type has rank n and Coxeter number h, the small
+    # roots are the n h roots alpha and delta - alpha, for alpha a positive
+    # root of the finite type, and the pivots and the identity number
+    # (h + 1)^n, the number of regions of the finite type's Shi arrangement
+    # (Shi, 1987).  Each pivot has its own target, so there is one state
+    # per pivot besides the start.
+    kind, n, h, edges = AFFINE_FAMILIES[name]
+    assert COXETER_NUMBER[kind](n) == h
+    orders = [[1 if i == j else 2 for j in range(n + 1)] for i in range(n + 1)]
+    for i, j, m in edges:
+        orders[i][j] = orders[j][i] = m
+    aut = build_automaton(fresh_geometry("abcde"[: n + 1], tuple(map(tuple, orders))))
+    assert len(aut.words) + 1 == (h + 1) ** n
+    assert len(aut.universe) == n * h
+    assert len(set(aut.targets)) == len(aut.words)
+    assert len(aut.states) == len(aut.words) + 1
+
+
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_build_and_load_search_no_projection_separator_or_inversion(
     stack, name, monkeypatch
 ):
-    # The pass steps small-root states alone: once the small-root steps
-    # are built, with the projection, the inversion walk, the climb and
-    # every 2B (CoxeterSystem.gram2_row_dot, behind the separator search)
-    # made to fail, a build and a load still succeed, and each makes only
-    # the pivots and the identity.
+    # The pass steps small-root index tables alone: once the small-root
+    # steps are built, with the projection, the inversion walk, the climb,
+    # every product (CoxeterSystem.right_mul) and every 2B
+    # (CoxeterSystem.gram2_row_dot, behind the separator search) made to
+    # fail, a build and a load still succeed, and each makes no element
+    # but the identity.
     built, loaded = _fresh(stack, name), _fresh(stack, name)
     built.system.small_steps()
     loaded.system.small_steps()
@@ -314,13 +416,14 @@ def test_build_and_load_search_no_projection_separator_or_inversion(
 
     for method in ("voracious_projection", "inversion_bits", "_climb"):
         monkeypatch.setattr(WallGeometry, method, refuse)
-    monkeypatch.setattr(CoxeterSystem, "gram2_row_dot", refuse)
+    for method in ("gram2_row_dot", "right_mul"):
+        monkeypatch.setattr(CoxeterSystem, method, refuse)
     aut = build_automaton(built)
     text = aut.to_json()
-    assert built.system.stats()["elements"] == len(aut.pivots) + 1
+    assert built.system.stats()["elements"] == 1
     clone = from_json_dict(json.loads(text), loaded)
     assert clone.to_json() == text
-    assert loaded.system.stats()["elements"] == len(clone.pivots) + 1
+    assert loaded.system.stats()["elements"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -337,31 +440,32 @@ def test_shortlex_state_allows_exactly_the_shortlex_words(
     # The pass's shortlex state X allows a word letter by letter iff the
     # word is the shortlex word of its element, by the climb
     # (WallGeometry.shortlex_word), for every prefix of a word of length up
-    # to 12.  A node of the pass holds X at index 2.
+    # to 12.  A node of the pass holds X at index 4, as the str of the
+    # numbers of its small roots, and alpha_s is number s.
     if name not in pivot_trees:
         geo = _fresh(stack, name)
-        pivot_trees[name] = geo, _PivotTree(geo)
+        pivot_trees[name] = geo, _IndexPass(geo.system, small_roots(geo))
     geo, tree = pivot_trees[name]
     sys_ = geo.system
     word = draw.draw(st.lists(st.integers(0, sys_.rank - 1), max_size=12))
-    node, allowed = tree.root, True
+    x, allowed = tree.root[4], True
     for n, s in enumerate(word, 1):
-        allowed = allowed and tree.simple[s] not in node[2]
+        allowed = allowed and chr(s) not in x
         prefix = tuple(word[:n])
         if allowed:
-            node = tree._child(node, s)
+            x = tree.shortlex_step(x, s)
         assert allowed == (geo.shortlex_word(sys_.element_of_word(prefix)) == prefix)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_json_load_makes_no_inverse(stack, name):
-    # The loader builds the group's automaton by the pass, so the only
-    # elements a load into a fresh geometry makes are the pivots,
-    # prefix-closed, and the identity.
+    # The loader builds the group's automaton by the pass, so a load into a
+    # fresh geometry makes no element but the identity.
     text = build_automaton(_fresh(stack, name)).to_json()
     geo = _fresh(stack, name)
-    aut = from_json_dict(json.loads(text), geo)
-    assert geo.system.stats()["elements"] == len(aut.pivots) + 1
+    from_json_dict(json.loads(text), geo)
+    stats = geo.system.stats()
+    assert (stats["elements"], stats["right_products"]) == (1, 0)
 
 
 def test_334_automaton_bytes_frozen():
@@ -384,7 +488,7 @@ def test_pivots_are_prefix_closed(stack, long_pivot_geometries):
     geometries = [stack(name).geometry for name in sorted(SMALL_ROOT_COUNTS)]
     for geo in geometries + list(long_pivot_geometries.values()):
         sys_ = geo.system
-        pivs = set(build_automaton(geo).pivots)
+        pivs = set(pivots_of(build_automaton(geo)))
         for g in pivs:
             for s in sys_.right_descents(g):
                 prefix = sys_.right_mul(g, s)
@@ -396,12 +500,12 @@ def test_pivot_stepping_down_to_no_pivot_is_an_internal_error(stack, monkeypatch
     # st, would step down its right descent t to ts, which is no pivot: the
     # pivots' prefix-closure would have failed, which is no input error.
     geo = _fresh(stack, "a2")
-    t = geo.system.element_of_word(stack("a2").word("t"))
-    is_pivot = _PivotTree._is_pivot
+    t = stack("a2").word("t")
+    child = _IndexPass._child
     monkeypatch.setattr(
-        _PivotTree,
-        "_is_pivot",
-        lambda self, h, s: not (h is t and s == 0) and is_pivot(self, h, s),
+        _IndexPass,
+        "_child",
+        lambda self, node, s: None if node[1] == t and s == 0 else child(self, node, s),
     )
     with pytest.raises(ArithmeticError) as failed:
         build_automaton(geo)
@@ -417,11 +521,11 @@ def test_pivot_search_is_bounded(stack):
         build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=5)))
     # The pass examines 31 elements of (3,3,4): the identity and the 30
     # letters that the shortlex states allow, 17 of them giving pivots.  A
-    # cap of 31 admits it and a cap of 30 does not.  It builds 18 elements,
-    # the pivots and the identity.
+    # cap of 31 admits it and a cap of 30 does not.  It makes no element
+    # but the identity.
     geo = WallGeometry(CoxeterSystem(cox, max_ball_elements=31))
-    assert len(build_automaton(geo).pivots) == 17
-    assert geo.system.stats()["elements"] == 18
+    assert len(build_automaton(geo).words) == 17
+    assert geo.system.stats()["elements"] == 1
     with pytest.raises(ResourceLimitError, match="exceeded max_ball_elements = 30"):
         build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=30)))
 
@@ -591,14 +695,14 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
     geo = long_pivot_geometries["affine_a3"]
     aut = build_automaton(geo)
     elements = _prefix_graph_nodes(aut)
-    assert elements == [geo.system.identity, *aut.pivots]
+    assert elements == [geo.system.identity, *pivots_of(aut)]
     ends = [{}] + [
         {
             state: aut.targets[q]
             for state, st in enumerate(aut.states)
             if not sum(aut.universe[v].bit for v in st) & aut.forbid[q]
         }
-        for q in range(len(aut.pivots))
+        for q in range(len(aut.words))
     ]
     want = [{} for _ in elements]
     index = {h: n for n, h in enumerate(elements)}

@@ -16,7 +16,7 @@ from voracious import (
     WallGeometry,
     load_group_file,
 )
-from voracious.automaton import _PivotTree
+from voracious.automaton import _IndexPass
 from voracious.separators import SeparatorSearch
 
 from conftest import (
@@ -482,14 +482,15 @@ def test_agreement_fails_on_a_dropped_pivot(stack, monkeypatch):
     # prefix-closed pivots, and only the ball finds the missing one.
     s = stack("triangle_334")
     geo = WallGeometry(CoxeterSystem(s.cox))
-    bcbc = geo.system.element_of_word(s.word("bcbc"))
+    bcbc = s.word("bcbc")
     (a,) = s.word("a")
-    is_pivot = _PivotTree._is_pivot
+    child = _IndexPass._child
     monkeypatch.setattr(
-        _PivotTree,
-        "_is_pivot",
-        lambda self, h, letter: not (h is bcbc and letter == a)
-        and is_pivot(self, h, letter),
+        _IndexPass,
+        "_child",
+        lambda self, node, letter: None
+        if node[1] == bcbc and letter == a
+        else child(self, node, letter),
     )
     check = Verifier(geo, VerifierConfig(radius=5)).check_automaton_agreement()
     assert check.status == "fail"
