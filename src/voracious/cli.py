@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run the verification suite", word_arg=False)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds only the fellow-traveller sample past MAX_WORD_PAIRS")
     p.add_argument("--out", help="report JSON file (default: stdout)")
     p.add_argument("--stats", action="store_true",
                    help="also print check times and memo sizes to stderr")

@@ -2,11 +2,13 @@
 
 The frontier of g is the set of inversion walls of g that no other wall
 separates from chamber g.  The engine searches no separator: it steps
-Brink-Howlett states (WallGeometry.frontier_pairs).  The verifier and the
-tests hold it to the definition through SeparatorSearch, which decides
-exactly that two distinct walls are disjoint iff |B(beta, beta')| >= 1, and
-that a wall separates chamber g from a disjoint wall W iff g and the
-chambers incident to W lie on opposite sides.
+Brink-Howlett states (WallGeometry.frontier_pairs), and the verifier reads
+the walls with no separator from chamber g off g(Small).  The verifier's
+automaton agreement check and the tests hold them to the definition
+through SeparatorSearch, which decides exactly that two distinct walls are
+disjoint iff |B(beta, beta')| >= 1, and that a wall separates chamber g
+from a disjoint wall W iff g and the chambers incident to W lie on
+opposite sides.
 """
 
 from __future__ import annotations

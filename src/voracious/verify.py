@@ -16,7 +16,10 @@ read off the small roots with no separator search.  One pass over the ball
 buckets every value at the least radius that sees it, and the by-radius
 rows are running maxima over those buckets.  The fellow-traveller checks
 assert the derived bounds 2C and 2C(C+2Q)+2Q with these estimates
-substituted.
+substituted; past MAX_WORD_PAIRS word pairs they draw the suite's only
+sample, seeded by VerifierConfig.seed.  The separator check reads the same
+g(Small) on every chamber of the ball, so has_separator serves only the
+agreement check's frontier oracle.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ TRIM_MARGIN = 2
 AGREEMENT_WORD_LENGTH = 6
 # The fellow-traveller check samples this many word pairs when it has more.
 MAX_WORD_PAIRS = 50_000
-# The sharp-angled separator check samples this many qualifying configurations.
-SEPARATOR_SAMPLES = 120
 # The methods run_suite runs, in order; estimate_constants is the one
 # returning no check.
 SUITE = (
@@ -129,6 +130,21 @@ class Verifier:
     def _word(self, g: GroupElement) -> str:
         return word_to_string(self.geometry.shortlex_word(g), self.system.cox.generators)
 
+    @functools.cached_property
+    def _g_small(self) -> dict[Word, tuple[Wall, ...]]:
+        """g(Small), the walls with no separator from chamber g (Brink and
+        Howlett, Math. Ann. 296, 1993), for each g of the ball, keyed by its
+        shortlex word.  For g = s h, s the first letter of the word of g,
+        g(Small) = s(h(Small)), one reflection-table read per wall.
+        """
+        sys, geo = self.system, self.geometry
+        free = {(): sys.small_roots()}
+        for g in sys.ball(self.config.radius)[1:]:
+            word = geo.shortlex_word(g)
+            s = word[0]
+            free[word] = tuple(sys.simple_reflection(s, w)[0] for w in free[word[1:]])
+        return free
+
     # -- checks -------------------------------------------------------------
 
     def check_unique_max(self) -> CheckResult:
@@ -208,26 +224,17 @@ class Verifier:
             for wall in g.walls:
                 incident.setdefault(wall, []).append(bits)
 
-        # The walls with no separator from chamber g are g(Small) (Brink and
-        # Howlett, Math. Ann. 296, 1993), kept by shortlex word: for g = s h,
-        # s the first letter of the word of g, h's word is the rest of it
-        # and g(Small) = s(h(Small)), one reflection-table read per wall.
-        # Only the walls of the ball's inversion sets make pairs.  A chamber
-        # distance is the popcount of two inversion masks' XOR.
+        # The separator-free walls of g are g(Small) (_g_small); only the walls
+        # of the ball's inversion sets make pairs.  A chamber distance is the
+        # popcount of two inversion masks' XOR.
         g_cap = radius - TRIM_MARGIN
-        free: dict[Word, tuple[Wall, ...]] = {(): sys.small_roots()}
+        free = self._g_small
         boundary_suspect = False
         for g in ball:
             if g.length > g_cap:
                 break
-            word = geo.shortlex_word(g)
-            if word:
-                s = word[0]
-                free[word] = tuple(
-                    sys.simple_reflection(s, w)[0] for w in free[word[1:]]
-                )
             inv_g = inv(g)
-            for wall in free[word]:
+            for wall in free[geo.shortlex_word(g)]:
                 first_r = wall_min_radius.get(wall)
                 if first_r is None:
                     continue
@@ -501,108 +508,95 @@ class Verifier:
             return CheckResult("automaton-language-agreement", "pass", details)
         return CheckResult("automaton-language-agreement", "fail", details, mismatch)
 
-    # sharp-angled sampling -------------------------------------------------
+    # sharp-angled separators ---------------------------------------------
+
+    def _residue_index(self) -> tuple[int, dict[Wall, list[tuple]]]:
+        """(pair count, index): each wall of a sharp-angled pair's residue,
+        other than the pair's two, mapped to (pair mask, the pair's walls in
+        Inv(u), u, a, b) for each pair.
+
+        The pairs are the walls u(alpha_a), u(alpha_b) of a chamber u of the
+        ball, for a < b of finite order m_ab >= 3, each kept with the first
+        u that has it.  The residue u W_ab has the walls u(beta) for the
+        positive roots beta of the finite W_ab, all small, so they are read
+        off u(Small); the word a b a ... crosses alpha_a first and alpha_b
+        last.
+        """
+        sys, geo = self.system, self.geometry
+        at = {wall: i for i, wall in enumerate(sys.small_roots())}
+        residues = [
+            (a, b, [at[w] for w in geo.residue_walls(sys.identity, a, b)[1:-1]])
+            for a in range(sys.rank)
+            for b in range(a + 1, sys.rank)
+            if sys.cox.orders[a][b] >= 3
+        ]
+        free, inv = self._g_small, geo.inversion_bits
+        seen = set()
+        index: dict[Wall, list[tuple]] = {}
+        for u in sys.ball(self.config.radius):
+            walls = free[geo.shortlex_word(u)]
+            for a, b, others in residues:
+                key = u.walls[a].bit | u.walls[b].bit
+                if key not in seen:
+                    seen.add(key)
+                    pair = (key, inv(u) & key, u, a, b)
+                    for i in others:
+                        index.setdefault(walls[i], []).append(pair)
+        return len(seen), index
 
     def check_separator_sampling(self) -> CheckResult:
-        cfg = self.config
-        sys, geo, search = self.system, self.geometry, self.separators
+        """The separator lemma on rank-2 residues, on every chamber g of the
+        ball: if some wall separates g from one wall of a sharp-angled pair,
+        and g is not strictly between the two walls' sectors, then every
+        other wall of the pair's residue has a separator from g.
+
+        The walls with no separator from g are g(Small), so the check visits
+        every (g, pair, residue wall with no separator) by the index of
+        _residue_index, and each must miss the hypothesis.  In a finite
+        group every root is small, so no wall has a separator.
+        """
+        sys, geo = self.system, self.geometry
         name = "sharp-angled-separator-sampling"
         if sys.rank < 3:
             return CheckResult(
                 name, "skipped", {"reason": "needs rank >= 3 for separators to exist"}
             )
-
-        ball = sys.ball(cfg.radius)
-        # sharp-angled wall pairs arise exactly as ball conjugates of simple
-        # pairs with a finite order >= 3
-        simple_pairs = [
-            (a, b)
-            for a in range(sys.rank)
-            for b in range(a + 1, sys.rank)
-            if sys.cox.orders[a][b] >= 3
-        ]
-        # keyed by the mask of the pair's two walls
-        pair_data: dict[int, tuple[GroupElement, int, int, Wall, Wall]] = {}
-        for u in ball:
-            for a, b in simple_pairs:
-                wr, wq = u.walls[a], u.walls[b]
-                key = wr.bit | wq.bit
-                if key not in pair_data:
-                    pair_data[key] = (u, a, b, wr, wq)
-        if not pair_data:
+        if sys.is_finite():
+            return CheckResult(
+                name, "skipped", {"reason": "finite group: no wall has a separator"}
+            )
+        n_pairs, index = self._residue_index()
+        if not n_pairs:
             return CheckResult(
                 name, "skipped", {"reason": "no noncommuting finite-order pair"}
             )
 
-        orbit_cache: dict[int, tuple[Wall, ...]] = {}  # residue walls per pair
-        # (pair, ball element) combinations are drawn without replacement by a
-        # lazy Fisher-Yates shuffle of their indices: `moved` holds only the
-        # positions a draw has swapped, so drawing n of them costs O(n).
-        keys = sorted(
-            pair_data, key=lambda k: sorted(map(geo.output_root, sys.walls_of(k)))
-        )
-        n_combos = len(keys) * len(ball)
-        rng = random.Random(cfg.seed)
-        moved: dict[int, int] = {}
-
-        n_samples = 0
+        ball = sys.ball(self.config.radius)
+        free, inv = self._g_small, geo.inversion_bits
+        details = {"candidate_pairs": n_pairs, "chambers": len(ball)}
         n_walls = 0
-        for i in range(n_combos):
-            if n_samples >= SEPARATOR_SAMPLES:
-                break
-            j = rng.randrange(i, n_combos)
-            pick = moved.get(j, j)
-            moved[j] = moved.get(i, i)
-            key = keys[pick // len(ball)]
-            u, a, b, wr, wq = pair_data[key]
-            g = ball[pick % len(ball)]
-            # t is a left descent of u^{-1} g iff the wall of u(alpha_t), one
-            # of wr and wq, lies between chambers u and g
-            between = geo.inversion_bits(u) ^ geo.inversion_bits(g)
-            descents = bool(wr.bit & between) + bool(wq.bit & between)
-            if descents == 1:
-                continue  # g sits strictly between the two walls' sectors
-            if not (search.has_separator(g, wr) or search.has_separator(g, wq)):
-                continue  # hypothesis not met: nothing separates g from the pair
-            n_samples += 1
-            if key not in orbit_cache:
-                orbit_cache[key] = geo.residue_walls(u, a, b)
-            for wall in orbit_cache[key]:
-                if wall is wr or wall is wq:
-                    continue
-                n_walls += 1
-                if not search.has_separator(g, wall):
-                    return CheckResult(
-                        name,
-                        "fail",
-                        {"samples": n_samples, "orbit_walls_checked": n_walls},
-                        {
-                            "g": self._word(g),
-                            "conjugator": self._word(u),
-                            "pair": [sys.cox.generators[a], sys.cox.generators[b]],
-                            "unseparated_wall": geo.root_strings(wall),
-                        },
-                    )
-        if n_samples == 0:
-            return CheckResult(
-                name,
-                "skipped",
-                {"reason": "no sampled configuration met the separator hypothesis"},
-            )
-        if n_samples < SEPARATOR_SAMPLES:
-            self.warnings.append(
-                f"sharp-angled sampling found only {n_samples} qualifying "
-                f"configurations (target {SEPARATOR_SAMPLES})"
-            )
-        return CheckResult(
-            name,
-            "pass",
-            {
-                "samples": n_samples,
-                "orbit_walls_checked": n_walls,
-                "candidate_pairs": len(pair_data),
-            },
-        )
+        for g in ball:
+            small = free[geo.shortlex_word(g)]
+            unseparated = sum(wall.bit for wall in small)
+            inv_g = inv(g)
+            for wall in small:
+                for key, key_u, u, a, b in index.get(wall, ()):
+                    n_walls += 1
+                    if key & unseparated == key:
+                        continue  # hypothesis not met: no separator from the pair
+                    # t is a left descent of u^{-1} g iff the wall of u(alpha_t),
+                    # a wall of the pair, lies between chambers u and g
+                    if ((inv_g & key) ^ key_u).bit_count() == 1:
+                        continue  # g sits strictly between the two walls' sectors
+                    details["residue_walls_checked"] = n_walls
+                    return CheckResult(name, "fail", details, {
+                        "g": self._word(g),
+                        "conjugator": self._word(u),
+                        "pair": [sys.cox.generators[a], sys.cox.generators[b]],
+                        "unseparated_wall": geo.root_strings(wall),
+                    })
+        details["residue_walls_checked"] = n_walls
+        return CheckResult(name, "pass", details)
 
     # -- suite --------------------------------------------------------------
 

@@ -368,11 +368,23 @@ def test_334_report_bytes_frozen():
     config = VerifierConfig(radius=8, seed=1)
     text = Verifier(WallGeometry(system), config).run_suite().to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "99ed70edfd47b1c7c475bd4557fbb729804020808edeb075dcc22cd2d1db7f99"
+        "96b1c8136f0cd40e1a0b3fc05344ad7a1f8eee31bb6c248ee11af63cc43d1833"
     )
     # The distance to the canonical incident chambers, which the depth
     # descents find.
     assert json.loads(text)["constants"]["Q_hat_canonical"] == 7
+
+
+def test_334_report_is_seed_free():
+    # At radius 8 on (3,3,4) no check samples: the fellow-traveller word
+    # pairs are under MAX_WORD_PAIRS, and the separator check visits every
+    # chamber.  So the seed leaves the report's bytes alone.
+    def report(seed):
+        system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
+        config = VerifierConfig(radius=8, seed=seed)
+        return Verifier(WallGeometry(system), config).run_suite().to_json()
+
+    assert report(0) == report(1) == report(7)
 
 
 def test_zero_radius_is_vacuous_but_clean(stack):
@@ -400,21 +412,98 @@ def test_rank2_separator_sampling_skipped(stack):
 
 
 def test_finite_group_separator_sampling_skipped(stack):
-    # Finite groups have no disjoint walls at all, so the separator
-    # hypothesis is never met.
+    # In a finite group every root is small, so no wall has a separator and
+    # the separator hypothesis is never met.
     report = _fresh(stack, "a3", radius=4).run_suite()
     by_name = {c.name: c for c in report.checks}
-    assert by_name["sharp-angled-separator-sampling"].status == "skipped"
+    check = by_name["sharp-angled-separator-sampling"]
+    assert check.status == "skipped"
+    assert check.details == {"reason": "finite group: no wall has a separator"}
     assert report.passed
 
 
-def test_separator_sampling_runs_on_triangles(stack, monkeypatch):
-    monkeypatch.setattr(voracious.verify, "SEPARATOR_SAMPLES", 25)
-    v = _fresh(stack, "triangle_334", radius=5)
+def test_separator_sampling_runs_on_triangles(stack):
+    # Every (chamber, pair, residue wall with no separator) of the ball.
+    check = _fresh(stack, "triangle_334", radius=5).check_separator_sampling()
+    assert check.status == "pass"
+    assert check.details == {
+        "candidate_pairs": 119,
+        "chambers": 57,
+        "residue_walls_checked": 1862,
+    }
+
+
+@pytest.mark.parametrize("name", ["triangle_333", "triangle_334"])
+def test_separator_check_visits_every_unseparated_residue_wall(stack, name):
+    # The check reads the walls with no separator off g(Small) through its
+    # index of residue walls.  The oracle finds the sharp-angled pairs with
+    # their first chamber, walks each pair's residue from that chamber, and
+    # asks the separator search about every residue wall from every chamber
+    # of the ball.  The (chamber, pair, wall) triples must be the same.
+    radius = 5
+    v = Verifier(_fresh_geometry(stack, name), VerifierConfig(radius=radius))
+    sys_, geo = v.system, v.geometry
+    ball = sys_.ball(radius)
+    pairs = {}
+    for u in ball:
+        for a, b in itertools.combinations(range(sys_.rank), 2):
+            if sys_.cox.orders[a][b] >= 3:
+                pairs.setdefault(u.walls[a].bit | u.walls[b].bit, (u, a, b))
+    search = SeparatorSearch(geo)
+    want = {
+        (g, key, wall)
+        for key, (u, a, b) in pairs.items()
+        for wall in geo.residue_walls(u, a, b)
+        if wall not in (u.walls[a], u.walls[b])
+        for g in ball
+        if not search.has_separator(g, wall)
+    }
+
+    n_pairs, index = v._residue_index()
+    assert n_pairs == len(pairs)
+    got = {
+        (g, key, wall)
+        for g in ball
+        for wall in v._g_small[geo.shortlex_word(g)]
+        for key, _, _, _, _ in index.get(wall, ())
+    }
+    assert got == want
     check = v.check_separator_sampling()
     assert check.status == "pass"
-    assert check.details["samples"] == 25
-    assert check.details["orbit_walls_checked"] > 0
+    assert check.details["residue_walls_checked"] == len(want)
+    assert len(want) == {"triangle_333": 1302, "triangle_334": 1862}[name]
+
+
+@pytest.mark.parametrize("crossed", [0, 2])
+def test_separator_check_reports_an_unseparated_residue_wall(stack, crossed):
+    # Put a wall of the identity's residue W_ab, other than alpha_a and
+    # alpha_b, into g(Small) for a chamber g that meets the hypothesis: a
+    # wall separates g from alpha_a or alpha_b, and g is on the same side
+    # of both, crossing neither or both.  The check must fail there, on that
+    # pair, the first the wall's index entry holds.
+    v = _fresh(stack, "triangle_334", radius=5)
+    sys_, geo = v.system, v.geometry
+    alpha_a, alpha_b = sys_.identity.walls[:2]
+    wall = geo.residue_walls(sys_.identity, 0, 1)[1]
+    free = v._g_small
+    for g in sys_.ball(5):
+        inv_g = geo.inversion_bits(g)
+        small = free[geo.shortlex_word(g)]
+        if (
+            bool(inv_g & alpha_a.bit) + bool(inv_g & alpha_b.bit) == crossed
+            and not (alpha_a in small and alpha_b in small)
+        ):
+            break
+    assert wall not in small
+    free[geo.shortlex_word(g)] = small + (wall,)
+    check = v.check_separator_sampling()
+    assert check.status == "fail"
+    assert check.witness == {
+        "g": v._word(g),
+        "conjugator": v._word(sys_.identity),
+        "pair": ["a", "b"],
+        "unseparated_wall": geo.root_strings(wall),
+    }
 
 
 def test_separator_free_pairs_agree_between_search_domains(stack):
