@@ -15,11 +15,13 @@ word s followed by a reduced word of g, and g^{-1} that of the reversed
 word, so the system has one product direction and no inverse link.
 
 Roots and the form 2B are coefficient tuples of ints over y' = 2 cos(pi/M'),
-for M' the lcm of the finite orders other than 2 and 3 (see field.py), so a
-root is a tuple of tuples.  Those two orders give the rational entries 0 and
--1 of 2B, so one context over M' does all arithmetic; output_vector writes a
-vector over y = 2 cos(pi/M), for M the lcm of every finite order, the one
-basis every output uses.
+for M' the lcm of the finite orders other than 2 and 3 (see field.py).  A
+root is one flat tuple of k d ints, for k the rank and d the degree of y':
+coordinate j is root[j d : (j + 1) d].  So a new reflection-table entry is
+one elementwise sum of two flat tuples.  Those two orders give the rational
+entries 0 and -1 of 2B, so one context over M' does all arithmetic;
+output_vector writes a root's coordinates over y = 2 cos(pi/M), for M the
+lcm of every finite order, the one basis every output uses.
 
 The representation is faithful, so a system builds each element once, from
 one table keyed by its walls and descent bits: two elements of one system
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,9 +191,9 @@ def word_from_string(text: str, generators) -> Word:
 class Wall:
     """Wall of a reflection, with its sign-normalized positive root.
 
-    The root is a tuple of coefficient tuples over y' (outputs use
-    WallGeometry.output_root).  Walls are made only by
-    CoxeterSystem.wall_of_root, one per positive root and system, so
+    The root is one flat tuple of coefficients over y', coordinate by
+    coordinate (outputs use WallGeometry.output_root).  Walls are made only
+    by CoxeterSystem.wall_of_root, one per positive root and system, so
     identity is equality.  `bit` is 1 << (creation index in its system).
     `reflections` maps a wall W to (W', flip), r(beta_W) = -beta_W' if flip
     else beta_W', for r the reflection in this wall (CoxeterSystem.right_mul).
@@ -255,7 +258,6 @@ class CoxeterSystem:
 
         # 2B has integer polynomial entries; it is the only form kept.
         zero = (0,) * ctx.degree
-        one = (1,) + zero[1:]
         gram2 = []
         for i in range(k):
             row = []
@@ -269,7 +271,8 @@ class CoxeterSystem:
             gram2.append(tuple(row))
         self.gram2 = tuple(gram2)
         # Row s of 2B off the diagonal, negated, as (j, x -> -(2B)_sj x) over
-        # its nonzero entries; every diagonal entry is 2.
+        # its nonzero entries; every diagonal entry is 2.  Each map acts on
+        # one coordinate or on a whole flat root (FieldContext.multiplier).
         self._reflect_times = tuple(
             tuple(
                 (j, ctx.multiplier(neg(x)))
@@ -279,13 +282,14 @@ class CoxeterSystem:
             for s, row in enumerate(self.gram2)
         )
 
-        # Positive root -> its wall.
-        self._walls: dict[tuple, Wall] = {}
+        # Root of either sign -> (its wall, 1 if it is the negated root).
+        self._walls: dict[tuple, tuple[Wall, int]] = {}
         self._by_index: list[Wall] = []
-        # Column s of the identity is the simple root alpha_s, so the wall
-        # of generator s has bit s.
+        # Column s of the identity is the simple root alpha_s, 1 at the
+        # constant term of coordinate s, so the wall of generator s has bit s.
+        size = k * ctx.degree
         simple = tuple(
-            self.wall_of_root(tuple(one if i == j else zero for i in range(k)))
+            self.wall_of_root(tuple(int(i == j * ctx.degree) for i in range(size)))
             for j in range(k)
         )
         self._elements: dict[tuple, GroupElement] = {}
@@ -298,21 +302,24 @@ class CoxeterSystem:
     # -- linear algebra ----------------------------------------------------
 
     def output_vector(self, vec):
-        """vec with each coordinate written over y = 2 cos(pi/M), for M the
-        field modulus, through one integer map built on first use: the basis
-        of every output."""
+        """The coordinates of the flat vector vec, each written over
+        y = 2 cos(pi/M), for M the field modulus, through one integer map
+        built on first use: the basis of every output."""
         rewrite = self._output_map
         if rewrite is None:
             rewrite = self._output_map = self.ctx.basis_change(
                 self.cox.field_modulus()
             )
-        return tuple(map(rewrite, vec))
+        d = self.ctx.degree
+        return tuple(rewrite(vec[i : i + d]) for i in range(0, len(vec), d))
 
     def gram2_row_dot(self, s: int, vec):
-        """2 B(alpha_s, vec)."""
-        acc = add(vec[s], vec[s])
+        """2 B(alpha_s, vec), for a flat vector vec."""
+        d = self.ctx.degree
+        x = vec[s * d : s * d + d]
+        acc = add(x, x)
         for j, t in self._reflect_times[s]:
-            x = vec[j]
+            x = vec[j * d : j * d + d]
             if any(x):
                 acc = sub(acc, t(x))
         return acc
@@ -321,7 +328,8 @@ class CoxeterSystem:
         """+1 for a positive root, -1 for a negative one.  The coordinates of
         a root are of one sign, and not all 0; anything else signals an
         arithmetic bug, so it raises."""
-        signs = set(map(self.ctx.sign_of, vec))
+        d, sign_of = self.ctx.degree, self.ctx.sign_of
+        signs = {sign_of(vec[i : i + d]) for i in range(0, len(vec), d)}
         signs.discard(0)
         if len(signs) != 1:
             raise ArithmeticError(f"not a root: coordinate signs {sorted(signs)}")
@@ -330,25 +338,24 @@ class CoxeterSystem:
     # -- walls ---------------------------------------------------------------
 
     def wall_of_root(self, root) -> Wall:
-        """The wall of a root of either sign."""
+        """The wall of a flat root of either sign."""
         return self._signed_wall(root)[0]
 
     def _signed_wall(self, root) -> tuple[Wall, int]:
-        """(wall, flip): root is the wall's root, negated iff flip.  A root
-        whose negation is a wall's is negative, so a root's sign is decided
-        only when its wall is made."""
+        """(wall, flip): root is the wall's root, negated iff flip.  The
+        registry holds both signs of each wall's root, so a known root is
+        one lookup; a root's sign is decided, and the root negated, only
+        when its wall is made."""
         got = self._walls.get(root)
-        if got is not None:
-            return got, 0
-        other = tuple(map(neg, root))
-        got = self._walls.get(other)
-        if got is not None:
-            return got, 1
-        flip = int(self.root_sign(root) < 0)
-        got = Wall(other if flip else root, 1 << len(self._by_index))
-        self._by_index.append(got)
-        self._walls[got.root] = got
-        return got, flip
+        if got is None:
+            other = neg(root)
+            flip = int(self.root_sign(root) < 0)
+            wall = Wall(other if flip else root, 1 << len(self._by_index))
+            self._by_index.append(wall)
+            self._walls[wall.root] = (wall, 0)
+            self._walls[root if flip else other] = (wall, 1)
+            got = wall, flip
+        return got
 
     def walls_of(self, mask: int):
         """The walls whose bits are set in mask, lowest bit first."""
@@ -365,9 +372,10 @@ class CoxeterSystem:
         table = self.identity.walls[s].reflections
         got = table.get(wall)
         if got is None:
-            beta = wall.root
-            moved = sub(beta[s], self.gram2_row_dot(s, beta))
-            got = table[wall] = self._signed_wall(beta[:s] + (moved,) + beta[s + 1 :])
+            beta, d = wall.root, self.ctx.degree
+            lo, hi = s * d, s * d + d
+            moved = sub(beta[lo:hi], self.gram2_row_dot(s, beta))
+            got = table[wall] = self._signed_wall(beta[:lo] + moved + beta[hi:])
         return got
 
     # -- group operations --------------------------------------------------
@@ -392,8 +400,9 @@ class CoxeterSystem:
         (2B)_st g(alpha_s) is r_H(g(alpha_t)), as B is W-invariant: for each
         neighbour t of s in 2B, the wall W of column t becomes W', and bit t
         flips if r_H(beta_W) = -beta_W'.  H's table holds that reflection;
-        a new entry costs one column of arithmetic, since 2B(beta_H, beta_W)
-        is (2B)_st, negated when bits s and t differ.
+        a new entry is beta_W plus or minus -(2B)_st beta_H, one elementwise
+        map over the flat roots, since 2B(beta_H, beta_W) is (2B)_st, negated
+        when bits s and t differ.
 
         Memoised both ways in the elements' product slots, as right
         multiplication by s is an involution: (g s) s = g is known from the
@@ -412,11 +421,10 @@ class CoxeterSystem:
             w = walls[t]
             got = table.get(w)
             if got is None:
-                combine = sub if (signs >> s ^ signs >> t) & 1 else add
-                root = tuple(
-                    combine(y, times(x)) if any(x) else y
-                    for x, y in zip(h.root, w.root)
+                combine = (
+                    operator.sub if (signs >> s ^ signs >> t) & 1 else operator.add
                 )
+                root = tuple(map(combine, w.root, times(h.root)))
                 got = table[w] = self._signed_wall(root)
             walls[t], flip = got
             descents ^= flip << t

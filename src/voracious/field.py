@@ -6,9 +6,9 @@ modulus M, y = 2 cos(pi/M) is an algebraic integer and 2 cos(pi/m) is an
 integer polynomial in y for every m dividing M (a Chebyshev-style
 identity), while 2 cos(pi/2) = 0 and 2 cos(pi/3) = 1 are rational in any
 context.  A Coxeter system computes with M the lcm of its finite orders
-other than 2 and 3 (see coxeter.py).  Group-element matrices and root
-coordinates therefore keep integer coefficients throughout, over the
-doubled form 2B, and the engine never divides.
+other than 2 and 3 (see coxeter.py).  Root coordinates therefore keep
+integer coefficients throughout, over the doubled form 2B, and the engine
+never divides.
 
 Outputs are written over the larger field of every finite order.  For a
 multiple N of M, Q(y) is a subfield of Q(2 cos(pi/N)), and
@@ -16,11 +16,13 @@ FieldContext.basis_change(N) is the integer matrix that rewrites a tuple
 over y as the tuple of the same number over 2 cos(pi/N).
 
 A field element is its canonical coefficient tuple: the reduced polynomial in
-y, low degree first, d = [Q(y):Q] entries.  The engine's tuples (group-element
-matrices, roots, the form 2B) hold plain ints, and the integer kernel below
-works on them directly: add, sub and neg are elementwise, FieldContext.mul
-reduces a product with precomputed rows for y^d .. y^(2d-2),
-FieldContext.multiplier turns a fixed constant into a precomputed map, and
+y, low degree first, d = [Q(y):Q] entries.  A root of a rank-k system is one
+flat tuple of k d ints, coordinate j at [j d, (j + 1) d).  The engine's tuples
+(roots, the entries of the form 2B) hold plain ints, and the integer kernel
+below works on them directly: add, sub and neg are elementwise, so they act
+on a coordinate or a whole root, FieldContext.mul reduces a product with
+precomputed rows for y^d .. y^(2d-2), FieldContext.multiplier turns a fixed
+constant into a precomputed map on a coordinate or a flat root, and
 FieldContext.in_band is the one test -2 < t < 2 behind small roots, wall
 disjointness and finiteness.  Equality is tuple equality and the zero test is
 syntactic.  cos_string renders a tuple over powers of c = cos(pi/M).
@@ -64,9 +66,16 @@ def _same(a):
 
 
 def _linear_map(columns):
-    """The map x -> sum of x_i columns[i], by precomputed integer rows."""
+    """The map x -> sum of x_i columns[i], by precomputed integer rows, on
+    each block of len(columns) consecutive entries of x: one coordinate, or
+    every coordinate of a flat root at once, block-diagonally."""
     rows = tuple(zip(*columns))
-    return lambda x: tuple([sum(map(operator.mul, row, x)) for row in rows])
+    d = len(columns)
+    return lambda x: tuple([
+        sum(map(operator.mul, row, block))
+        for block in [x[i : i + d] for i in range(0, len(x), d)]
+        for row in rows
+    ])
 
 
 def add_rational(a, c):
@@ -236,10 +245,11 @@ class FieldContext:
         return tuple(out)
 
     def multiplier(self, c):
-        """The map x -> c x for a fixed coefficient tuple c, precomputed.
+        """The map x -> c x for a fixed coefficient tuple c, precomputed,
+        on one coordinate or on each coordinate of a flat root.
 
         A rational c is a plain scale; otherwise the map is the d x d integer
-        matrix whose column j is c y^j.
+        matrix whose column j is c y^j, applied block by block.
         """
         if not any(c[1:]):
             c0 = c[0]

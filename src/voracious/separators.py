@@ -46,7 +46,7 @@ class SeparatorSearch:
         2 B(u, vec) is the sum over s of u_s times c_s = 2 B(alpha_s, vec),
         and u_s c_s the sum over a of u_s[a] y^a c_s.  So coefficient r of
         2 B(u, vec) is the dot product of row r, entry r of each y^a c_s in
-        that order, with u flattened coordinate by coordinate, sum(u, ()).
+        that order, with the flat root u.
         """
         sys = self.system
         times_powers = sys.ctx.times_powers
@@ -59,7 +59,7 @@ class SeparatorSearch:
 
     def form2(self, a: Wall, b: Wall):
         """2B(alpha, beta) for the roots of walls a and b: the rows of one
-        wall's functional dotted with the other's root flattened.  A wall's
+        wall's functional dotted with the other's flat root.  A wall's
         functional serves if it has one, and otherwise a's is built and kept."""
         functional = self._functional
         rows = functional.get(a)
@@ -69,8 +69,7 @@ class SeparatorSearch:
                 rows = functional[a] = self.form_functional(a.root)
             else:
                 a, b = b, a
-        flat = sum(b.root, ())
-        return tuple([sum(map(mul, row, flat)) for row in rows])
+        return tuple([sum(map(mul, row, b.root)) for row in rows])
 
     def walls_disjoint(self, a: Wall, b: Wall) -> bool:
         """True iff the two distinct walls do not cross: |B(alpha, beta)| >= 1,

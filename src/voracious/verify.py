@@ -553,14 +553,11 @@ class Verifier:
         The walls with no separator from g are g(Small), so the check visits
         every (g, pair, residue wall with no separator) by the index of
         _residue_index, and each must miss the hypothesis.  In a finite
-        group every root is small, so no wall has a separator.
+        group every root is small, so no wall has a separator.  A group of
+        rank below 3 is finite or D-infinity, which has no pair.
         """
         sys, geo = self.system, self.geometry
         name = "sharp-angled-separator-sampling"
-        if sys.rank < 3:
-            return CheckResult(
-                name, "skipped", {"reason": "needs rank >= 3 for separators to exist"}
-            )
         if sys.is_finite():
             return CheckResult(
                 name, "skipped", {"reason": "finite group: no wall has a separator"}

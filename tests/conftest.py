@@ -88,19 +88,34 @@ def run_states(aut, word) -> frozenset[int]:
     return frozenset(state for state, node in aut.run_pairs(word) if not node)
 
 
+def split_root(root, k: int):
+    """The k coordinates of a flat root: coordinate j is root[j d : (j + 1) d].
+    The full-product oracles below compute on coordinates, and join_root
+    gives the engine its flat form back."""
+    d = len(root) // k
+    return tuple(root[j * d : (j + 1) * d] for j in range(k))
+
+
+def join_root(vec):
+    """The flat root of a tuple of coordinates: split_root's inverse."""
+    return sum(vec, ())
+
+
 def matrix_of(g):
     """The matrix of g by columns: column s is g(alpha_s), the root of
-    g.walls[s], negated when s is a right descent.  The full-product
-    oracles below compare elements by it."""
+    g.walls[s], negated when s is a right descent, split into coordinates.
+    The full-product oracles below compare elements by it."""
+    k = len(g.walls)
     return tuple(
-        tuple(map(neg, wall.root)) if g.descents >> s & 1 else wall.root
+        split_root(neg(wall.root) if g.descents >> s & 1 else wall.root, k)
         for s, wall in enumerate(g.walls)
     )
 
 
 def generator_wall(geometry: WallGeometry, s: int):
     """The wall of the simple root alpha_s."""
-    return geometry.system.wall_of_root(matrix_of(geometry.system.identity)[s])
+    column = matrix_of(geometry.system.identity)[s]
+    return geometry.system.wall_of_root(join_root(column))
 
 
 def wall_set(geometry: WallGeometry, mask: int) -> frozenset:
@@ -145,19 +160,22 @@ def small_roots_bruteforce(geometry: WallGeometry, radius: int):
 
 
 def bilinear2(system: CoxeterSystem, u, v):
-    """2B(u, v) as the sum over i of u_i times 2B(alpha_i, v), by field
-    products: the oracle of SeparatorSearch.form2's integer functional."""
+    """2B(u, v) for flat roots u and v, as the sum over i of u_i times
+    2B(alpha_i, v), by field products: the oracle of SeparatorSearch.form2's
+    integer functional."""
     mul = system.ctx.mul
     acc = (0,) * system.ctx.degree
-    for i, x in enumerate(u):
+    for i, x in enumerate(split_root(u, system.rank)):
         if any(x):
             acc = add(acc, mul(x, system.gram2_row_dot(i, v)))
     return acc
 
 
 def reflect(system: CoxeterSystem, s: int, vec):
-    """s(vec) = vec - 2B(alpha_s, vec) alpha_s, which moves coordinate s only."""
-    return vec[:s] + (sub(vec[s], system.gram2_row_dot(s, vec)),) + vec[s + 1 :]
+    """s(vec) = vec - 2B(alpha_s, vec) alpha_s, which moves coordinate s only,
+    for vec given by its coordinates."""
+    moved = sub(vec[s], system.gram2_row_dot(s, join_root(vec)))
+    return vec[:s] + (moved,) + vec[s + 1 :]
 
 
 def descent_chamber(geometry: WallGeometry, wall):
@@ -169,13 +187,13 @@ def descent_chamber(geometry: WallGeometry, wall):
     between roots.
     """
     system = geometry.system
-    beta = wall.root
+    beta = split_root(wall.root, system.rank)
     chamber = system.identity
     while beta not in matrix_of(system.identity):
         s = next(
             s
             for s in range(system.rank)
-            if system.ctx.sign_of(system.gram2_row_dot(s, beta)) > 0
+            if system.ctx.sign_of(system.gram2_row_dot(s, join_root(beta))) > 0
         )
         beta = reflect(system, s, beta)
         chamber = system.right_mul(chamber, s)
@@ -257,8 +275,9 @@ def _matmul(mul, a, b):
 
 def translate_wall(geometry: WallGeometry, g, wall):
     """The wall g(W), by the full product of g's matrix with W's root."""
-    (image,) = matmul(geometry.system, matrix_of(g), (wall.root,))
-    return geometry.system.wall_of_root(image)
+    system = geometry.system
+    (image,) = matmul(system, matrix_of(g), (split_root(wall.root, system.rank),))
+    return system.wall_of_root(join_root(image))
 
 
 def generator_matrix(system: CoxeterSystem, s: int):
@@ -336,7 +355,7 @@ def check_full_field_products(system: CoxeterSystem, radius: int) -> int:
             )
         inv = matrix_of(inverse_of(system, g))
         for narrow, full in zip((matrix_of(g), inv), products[word]):
-            assert tuple(map(system.output_vector, narrow)) == full
+            assert tuple(system.output_vector(join_root(c)) for c in narrow) == full
             for col, full_col in zip(narrow, full):
                 for x, z in zip(col, full_col):
                     assert system.ctx.sign_of(x) == wide.sign_of(z)
@@ -358,7 +377,9 @@ def element_of_matrix(system: CoxeterSystem, matrix):
     stripped = []
     cur, inv = matrix, ident
     while cur != ident:
-        s = next(s for s in range(system.rank) if system.root_sign(cur[s]) < 0)
+        s = next(
+            s for s in range(system.rank) if system.root_sign(join_root(cur[s])) < 0
+        )
         gen = generator_matrix(system, s)
         cur = matmul(system, cur, gen)
         inv = matmul(system, inv, gen)
@@ -380,8 +401,8 @@ def reflection_of_wall(geometry: WallGeometry, wall):
     system's checked element; its column j is alpha_j - 2B(alpha_j, beta) beta."""
     system = geometry.system
     k = system.rank
-    beta = wall.root
-    coefs = [system.gram2_row_dot(j, beta) for j in range(k)]
+    beta = split_root(wall.root, k)
+    coefs = [system.gram2_row_dot(j, wall.root) for j in range(k)]
     ident = matrix_of(system.identity)
     matrix = tuple(
         tuple(sub(ident[j][i], system.ctx.mul(beta[i], coefs[j])) for i in range(k))
@@ -426,7 +447,7 @@ def shortlex_inversion_bits(geometry: WallGeometry, g) -> int:
     bits = 0
     prefix = system.identity
     for s in left_shortlex_word(system, g):
-        bits |= system.wall_of_root(matrix_of(prefix)[s]).bit
+        bits |= system.wall_of_root(join_root(matrix_of(prefix)[s])).bit
         prefix = system.right_mul(prefix, s)
     assert bits.bit_count() == g.length
     return bits
@@ -451,8 +472,8 @@ def reference_pull_back(geometry: WallGeometry, g, mask: int) -> int:
     inv = inverse_matrix(system, g)
     out = 0
     for wall in system.walls_of(mask):
-        (image,) = matmul(system, inv, (wall.root,))
-        out |= system.wall_of_root(image).bit
+        (image,) = matmul(system, inv, (split_root(wall.root, system.rank),))
+        out |= system.wall_of_root(join_root(image)).bit
     return out
 
 
@@ -470,8 +491,8 @@ def greedy_projection_pair(geometry: WallGeometry, g):
     p, xi = system.identity, inverse_of(system, g)
     while True:
         for s in range(system.rank):
-            if system.root_sign(matrix_of(xi)[s]) < 0 and not (
-                system.wall_of_root(matrix_of(p)[s]).bit & frontier
+            if system.root_sign(join_root(matrix_of(xi)[s])) < 0 and not (
+                system.wall_of_root(join_root(matrix_of(p)[s])).bit & frontier
             ):
                 p = system.right_mul(p, s)
                 xi = system.right_mul(xi, s)

@@ -21,7 +21,7 @@ from voracious import (
     word_from_string,
     word_to_string,
 )
-from voracious.field import two_cos_degree
+from voracious.field import neg, two_cos_degree
 
 from conftest import (
     AFFINE_A3,
@@ -36,6 +36,7 @@ from conftest import (
     element_of_matrix,
     fresh_geometry,
     inverse_of,
+    join_root,
     left_descents,
     left_shortlex_word,
     matrix_of,
@@ -433,20 +434,23 @@ def test_left_mul_matches_multiply(stack, name):
 
 @pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
 def test_entries_are_int_coefficient_tuples(stack, name):
-    # Matrices, inverses and roots hold canonical coefficient tuples of ints,
-    # one entry per power of y below the field degree.
+    # Each root, a column of an element or its inverse or an inversion
+    # wall's, is one flat tuple of k d ints: coordinate by coordinate, one
+    # entry per power of y below the field degree.
     geo = fresh_geometry(*BUILT[name]) if name in BUILT else stack(name).geometry
     sys_ = geo.system
-    d = sys_.ctx.degree
+    size = sys_.rank * sys_.ctx.degree
 
-    def is_coeff_tuple(x):
-        return type(x) is tuple and len(x) == d and all(type(c) is int for c in x)
+    def is_flat_root(root):
+        return type(root) is tuple and len(root) == size and all(
+            type(c) is int for c in root
+        )
 
     for g in sys_.ball(5):
-        for mat in (matrix_of(g), matrix_of(inverse_of(sys_, g))):
-            assert all(is_coeff_tuple(x) for row in mat for x in row)
+        for h in (g, inverse_of(sys_, g)):
+            assert all(is_flat_root(w.root) for w in h.walls)
         for wall in sys_.walls_of(geo.inversion_bits(g)):
-            assert all(is_coeff_tuple(x) for x in wall.root)
+            assert is_flat_root(wall.root)
 
 
 @pytest.mark.parametrize("name", SHIPPED + sorted(BUILT))
@@ -473,7 +477,8 @@ def test_columns_are_root_images(stack, name):
             assert [reflect(sys_, t, v) for v in image] == list(cols)
             for u, u2 in zip(cols, image):
                 for v, v2 in zip(cols, image):
-                    assert bilinear2(sys_, u2, v2) == bilinear2(sys_, u, v)
+                    want = bilinear2(sys_, join_root(u), join_root(v))
+                    assert bilinear2(sys_, join_root(u2), join_root(v2)) == want
 
 
 def test_form_is_invariant(stack):
@@ -483,9 +488,10 @@ def test_form_is_invariant(stack):
         sys_ = s.system
         k = s.cox.rank
         for g in sys_.ball(4):
+            cols = tuple(map(join_root, matrix_of(g)))
             for i in range(k):
                 for j in range(k):
-                    got = bilinear2(sys_, matrix_of(g)[i], matrix_of(g)[j])
+                    got = bilinear2(sys_, cols[i], cols[j])
                     assert got == sys_.gram2[i][j]
 
 
@@ -743,6 +749,45 @@ def test_arithmetic_degree_frozen(name):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_elements_match_products_over_the_full_field(name):
     assert check_full_field_products(_system(FIELDS[name][0]), 5) > 20
+
+
+# A reflection-table entry adds -(2B)_st times a flat root: scaled by 2 for
+# m = infinity, as it is for m = 3, and through an integer matrix for m = 4,
+# so this group takes every kind in one product.  (2,4,5) has the largest
+# field, of degree 8.
+MULTIPLIER_KINDS = {
+    "inf_3_4": ((1, INF, 3), (INF, 1, 4), (3, 4, 1)),
+    "triangle_245": TRIANGLE_245,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLIER_KINDS))
+def test_every_multiplier_kind_matches_full_products(name):
+    sys_ = _system(MULTIPLIER_KINDS[name])
+    assert check_full_field_products(sys_, 6) > 50
+    geo = WallGeometry(sys_)
+    for g in sys_.ball(6):
+        word = geo.shortlex_word(g)
+        for s in range(sys_.rank):
+            want = multiply(sys_, sys_.element_of_word((s,)), g)
+            assert sys_.element_of_word((s,) + word) is want
+
+
+@pytest.mark.parametrize("name", ["triangle_334", "inf_3_4"])
+def test_registry_holds_both_signs_of_each_root(name):
+    # A root of either sign is one registry entry: its negation maps to the
+    # same wall with the flip set, and looking it up makes no wall and
+    # decides no sign.
+    sys_ = _system(FIELDS[name][0] if name in FIELDS else MULTIPLIER_KINDS[name])
+    ball = sys_.ball(4)
+    walls = {w for g in ball for w in g.walls}
+    before = sys_.stats()
+    assert len(sys_._walls) == 2 * before["walls"] == 2 * len(walls)
+    for wall in walls:
+        assert sys_._signed_wall(wall.root) == (wall, 0)
+        assert sys_._signed_wall(neg(wall.root)) == (wall, 1)
+        assert sys_.wall_of_root(neg(wall.root)) is wall
+    assert sys_.stats() == before
 
 
 def test_field_degree_guard_admits_shipped_groups(stack):

@@ -29,6 +29,7 @@ from conftest import (
     generator_wall,
     inverse_of,
     inversion_walls,
+    join_root,
     left_shortlex_word,
     matrix_of,
     multiply,
@@ -184,8 +185,8 @@ def _q_hat_by_element_distance(stack, name, radius):
     incident = {}
     first_radius = {}
     for h in ball:
-        for root in matrix_of(h):
-            incident.setdefault(sys_.wall_of_root(root), []).append(h)
+        for column in matrix_of(h):
+            incident.setdefault(sys_.wall_of_root(join_root(column)), []).append(h)
         for wall in inversion_walls(geo, h):
             first_radius.setdefault(wall, h.length)
 
@@ -407,8 +408,18 @@ def test_agreement_builds_every_pivot():
 
 
 def test_rank2_separator_sampling_skipped(stack):
+    # D-infinity, the one infinite group of rank 2, has no finite-order pair.
     check = _fresh(stack, "d_infinity", radius=4).check_separator_sampling()
     assert check.status == "skipped"
+    assert check.details == {"reason": "no noncommuting finite-order pair"}
+
+
+@pytest.mark.parametrize("name", ["rank1", "a2", "b2", "i2_5"])
+def test_finite_low_rank_separator_sampling_skipped(stack, name):
+    # Every other group of rank below 3 is finite, and skipped as such.
+    check = _fresh(stack, name, radius=4).check_separator_sampling()
+    assert check.status == "skipped"
+    assert check.details == {"reason": "finite group: no wall has a separator"}
 
 
 def test_finite_group_separator_sampling_skipped(stack):

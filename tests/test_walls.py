@@ -24,6 +24,7 @@ from conftest import (
     inverse_of,
     inversion_walls,
     is_prefix,
+    join_root,
     matrix_of,
     reference_find_separator,
     multiply,
@@ -31,6 +32,7 @@ from conftest import (
     left_shortlex_word,
     reference_pull_back,
     shortlex_inversion_bits,
+    split_root,
     translate_wall,
     wall_set,
     walls_between,
@@ -55,13 +57,15 @@ def _fresh_geometry(stack, name):
 
 def _wall_at(s, coords):
     ctx = s.system.ctx
-    return s.system.wall_of_root(tuple(ctx.rational(c).coeffs for c in coords))
+    return s.system.wall_of_root(join_root(ctx.rational(c).coeffs for c in coords))
 
 
 def _coords(wall):
-    # Exact root coordinates; only usable in groups whose field is rational.
-    assert all(not any(x[1:]) for x in wall.root)
-    return tuple(x[0] for x in wall.root)
+    # Exact root coordinates; only usable in rank-2 groups whose field is
+    # rational.
+    coords = split_root(wall.root, 2)
+    assert all(not any(x[1:]) for x in coords)
+    return tuple(x[0] for x in coords)
 
 
 def test_generator_walls(stack):
@@ -73,8 +77,8 @@ def test_generator_walls(stack):
 def test_wall_normalization(stack):
     a2 = stack("a2")
     ctx = a2.system.ctx
-    pos = a2.system.wall_of_root((ctx.rational(1).coeffs, ctx.rational(1).coeffs))
-    neg = a2.system.wall_of_root((ctx.rational(-1).coeffs, ctx.rational(-1).coeffs))
+    pos = a2.system.wall_of_root(join_root((ctx.rational(1).coeffs,) * 2))
+    neg = a2.system.wall_of_root(join_root((ctx.rational(-1).coeffs,) * 2))
     assert pos is neg  # interned and sign-normalized
 
 
@@ -112,8 +116,9 @@ def test_roots_are_positive(stack):
     sign_of = s.system.ctx.sign_of
     for g in s.system.ball(GOLD_BALL_RADIUS):
         for wall in inversion_walls(s.geometry, g):
-            assert all(sign_of(x) >= 0 for x in wall.root)
-            assert any(sign_of(x) > 0 for x in wall.root)
+            coords = split_root(wall.root, s.system.rank)
+            assert all(sign_of(x) >= 0 for x in coords)
+            assert any(sign_of(x) > 0 for x in coords)
 
 
 def test_on_identity_side(stack):
@@ -318,9 +323,10 @@ def test_one_wall_per_root(stack, name):
     geo = _fresh_geometry(stack, name)
     sys = geo.system
     for g in sys.ball(6):
-        for wall, root in zip(g.walls, matrix_of(g)):
+        for wall, column in zip(g.walls, matrix_of(g)):
+            root = join_root(column)
             assert sys.wall_of_root(root) is wall
-            assert sys.wall_of_root(tuple(map(neg, root))) is wall
+            assert sys.wall_of_root(neg(root)) is wall
             assert sys.wall_of_root(wall.root) is wall
     other = WallGeometry(sys)
     for s in range(sys.rank):
@@ -396,8 +402,9 @@ def test_inversion_bits_step_down_from_scratch(stack, name):
         geo = _fresh_geometry(stack, name)
         sys = geo.system
         cols = inverse_matrix(source, g)
-        descents = sum(1 << s for s, col in enumerate(cols) if sys.root_sign(col) < 0)
-        h = sys._element(tuple(map(sys.wall_of_root, cols)), descents, g.length)
+        roots = tuple(map(join_root, cols))
+        descents = sum(1 << s for s, r in enumerate(roots) if sys.root_sign(r) < 0)
+        h = sys._element(tuple(map(sys.wall_of_root, roots)), descents, g.length)
         assert h.products == [None] * sys.rank
         assert geo.inversion_bits(h).bit_count() == h.length
         assert h in geo._inv_bits
