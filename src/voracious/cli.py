@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success / accept / all checks passing, 1 for reject or a
 failed check, 2 for usage and input errors.  All output is deterministic
-for fixed inputs and seed.
+for fixed inputs: no command samples.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run the verification suite", word_arg=False)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seeds only the fellow-traveller sample past MAX_WORD_PAIRS")
     p.add_argument("--out", help="report JSON file (default: stdout)")
     p.add_argument("--stats", action="store_true",
                    help="also print check times and memo sizes to stderr")
@@ -190,7 +188,7 @@ def _cmd_member(args) -> int:
 def _cmd_verify(args) -> int:
     _check_out(args.out)
     system, geometry = _load(args)
-    config = VerifierConfig(radius=args.radius, seed=args.seed)
+    config = VerifierConfig(radius=args.radius)
     verifier = Verifier(geometry, config)
     report = verifier.run_suite()
     for check in report.checks:

@@ -16,10 +16,10 @@ read off the small roots with no separator search.  One pass over the ball
 buckets every value at the least radius that sees it, and the by-radius
 rows are running maxima over those buckets.  The fellow-traveller checks
 assert the derived bounds 2C and 2C(C+2Q)+2Q with these estimates
-substituted; past MAX_WORD_PAIRS word pairs they draw the suite's only
-sample, seeded by VerifierConfig.seed.  The separator check reads the same
-g(Small) on every chamber of the ball, so has_separator serves only the
-agreement check's frontier oracle.
+substituted, on every word pair of the ball, by their prefix elements: no
+check lists words or samples.  The separator check reads the same g(Small)
+on every chamber of the ball, so has_separator serves only the agreement
+check's frontier oracle.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
 import time
 from dataclasses import dataclass, field
-from operator import xor
 
 from .automaton import build_automaton
 from .coxeter import GroupElement, Wall, Word, word_to_string
@@ -44,8 +42,6 @@ from .walls import WallGeometry
 TRIM_MARGIN = 2
 # The automaton agreement check runs every word up to this length.
 AGREEMENT_WORD_LENGTH = 6
-# The fellow-traveller check samples this many word pairs when it has more.
-MAX_WORD_PAIRS = 50_000
 # The methods run_suite runs, in order; estimate_constants is the one
 # returning no check.
 SUITE = (
@@ -57,10 +53,15 @@ SUITE = (
 
 @dataclass(frozen=True)
 class VerifierConfig:
+    """The ball radius of every check.  No check samples, so nothing reads
+    seed; it stays so that callers passing it (perfbench/workloads.py) work."""
+
     radius: int = 6
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.radius, int) or isinstance(self.radius, bool):
+            raise ValueError(f"radius must be an int, not {self.radius!r}")
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, not {self.radius}")
 
@@ -124,6 +125,7 @@ class Verifier:
         self.separators = SeparatorSearch(geometry)
         self.warnings: list[str] = []
         self.constants: Constants | None = None
+        self._prefixes: dict[tuple, tuple[dict, ...]] = {}  # _prefix_layers
 
     # -- shared plumbing ----------------------------------------------------
 
@@ -317,106 +319,101 @@ class Verifier:
 
     # fellow traveller ------------------------------------------------------
 
-    def _prefix_walk(self, word: Word, head: GroupElement) -> tuple[int, ...]:
-        """Inversion masks of the chambers head w_1 ... w_i, for i = 0 .. |w|."""
-        sys = self.system
-        out = [head]
-        for s in word:
-            out.append(sys.right_mul(out[-1], s))
-        return tuple(map(self.geometry.inversion_bits, out))
+    def _prefix_layers(self, g: GroupElement, s: int | None = None) -> tuple[dict, ...]:
+        """Entry t maps the inversion mask of each length-t prefix a of a
+        language word of g to a, for t = 0 .. l(g), or to s a given s, not a
+        left descent of g.  Memoised per (g, s), and built up g's projection
+        chain, one interval per block (check_fellow_traveller)."""
+        sys, geo = self.system, self.geometry
+        inv, memo = geo.inversion_bits, self._prefixes
+        path = []
+        cur = g
+        got = memo.get((cur, s))
+        while got is None and cur.length:
+            path.append(cur)
+            cur = geo.voracious_projection(cur)
+            got = memo.get((cur, s))
+        if got is None:  # cur is the identity
+            top = cur if s is None else sys.right_mul(cur, s)
+            got = memo[cur, s] = ({inv(top): top},)
+        for h in reversed(path):
+            start = next(iter(got[-1].values()))  # p(h), or s p(h)
+            top = h if s is None else sys.element_of_word((s,) + geo.shortlex_word(h))
+            layers = [{} for _ in range(top.length - start.length)]
+            for x in geo.walk_up(start, inv(top))[0][1:]:
+                layers[x.length - start.length - 1][inv(x)] = x
+            got = memo[h, s] = got + tuple(layers)
+        return got
 
     def check_fellow_traveller(self) -> CheckResult:
-        cfg = self.config
-        sys, geo = self.system, self.geometry
-        constants = self.estimate_constants()
-        bound_ii = 2 * constants.C_hat
-        c, q = constants.C_hat, constants.Q_hat
-        bound_iii = 2 * c * (c + 2 * q) + 2 * q
-        radius = cfg.radius
-        ball = sys.ball(radius)
+        """Language words of g and g' stay within 2C of each other for g' =
+        g s, and within 2C(C + 2Q) + 2Q for g' = s g, the word of g then
+        read after s: every pair of words, for every such pair of the ball
+        with l(g') = l(g) + 1, as the bounds are symmetric.
 
-        tasks = []  # (kind, g, g2, s); ascending pairs only, the bound is symmetric
-        for g in ball:
+        No word is listed.  The language words of g are those of p(g), each
+        followed by a reduced word of the block p(g)^{-1} g, so the length-t
+        prefixes of g's words are the elements of length t of the weak
+        interval [g_{i+1}, g_i] of g's chain that holds t; a word waits at g
+        after its end.  walk_up lists [p, g] from p.  As s is not a left
+        descent of g, left multiplication by s maps [p, g] onto [s p, s g],
+        so walk_up(s p, Inv(s g)) lists the prefixes of s followed by a word
+        of g, and only the chain elements take a left product.  The two
+        words of a pair are chosen independently, so at each time t their
+        prefixes run over the full product of the two prefix sets.  The
+        largest gap over every word pair is thus the largest, over t, of
+        popcount(Inv a ^ Inv b) over the element pairs (a, b) at t.
+        """
+        sys, geo = self.system, self.geometry
+        name = "fellow-traveller-bounds"
+        constants = self.estimate_constants()
+        c, q = constants.C_hat, constants.Q_hat
+        bounds = {"ii": 2 * c, "iii": 2 * c * (c + 2 * q) + 2 * q}
+        maxima = {"ii": 0, "iii": 0}
+        layers, radius = self._prefix_layers, self.config.radius
+        n_pairs = 0
+        for g in sys.ball(radius):
+            if g.length == radius:
+                break
             for s in range(sys.rank):
-                gs = sys.right_mul(g, s)
-                if gs.length == g.length + 1 and gs.length <= radius:
-                    tasks.append(("ii", g, gs, s))
+                tasks = []
+                if not g.descents >> s & 1:
+                    tasks.append(("ii", layers(g), sys.right_mul(g, s)))
                 # s g is longer than g iff the wall of alpha_s, bit s, is
                 # not an inversion wall of g
-                if g.length < radius and not geo.inversion_bits(g) >> s & 1:
-                    sg = sys.element_of_word((s,) + geo.shortlex_word(g))
-                    tasks.append(("iii", g, sg, s))
-
-        # The pairs stream in task order, unless there are more than the cap:
-        # only then are they listed, for the seeded sample.
-        words = functools.cache(lambda g: sorted(self.language.all_words_of(g)))
-        word_pairs = (
-            (kind, s, v, v2)
-            for kind, g, g2, s in tasks
-            for v in words(g)
-            for v2 in words(g2)
-        )
-        n_pairs = sum(len(words(g)) * len(words(g2)) for _, g, g2, _ in tasks)
-        sampled = n_pairs > MAX_WORD_PAIRS
-        if sampled:
-            rng = random.Random(cfg.seed)
-            word_pairs = rng.sample(list(word_pairs), MAX_WORD_PAIRS)
-            self.warnings.append(
-                f"fellow-traveller word pairs capped at {MAX_WORD_PAIRS} "
-                "(seeded sample)"
-            )
-
-        walk = functools.cache(self._prefix_walk)
-        max_ii = 0
-        max_iii = 0
-        n_checked = 0
-        gen_elements = [sys.element_of_word((s,)) for s in range(sys.rank)]
-        for kind, s, v, v2 in word_pairs:
-            n_checked += 1
-            if kind == "ii":
-                left = walk(v, sys.identity)
-                bound = bound_ii
-            else:
-                left = walk(v, gen_elements[s])  # prefixes of s * v
-                bound = bound_iii
-            right = walk(v2, sys.identity)
-            # the shorter walk waits at its end: pad it with its last mask
-            n = max(len(left), len(right))
-            left += left[-1:] * (n - len(left))
-            right += right[-1:] * (n - len(right))
-            worst = max(map(int.bit_count, map(xor, left, right)))
-            if kind == "ii":
-                max_ii = max(max_ii, worst)
-            else:
-                max_iii = max(max_iii, worst)
-            if worst > bound:
-                return CheckResult(
-                    "fellow-traveller-bounds",
-                    "fail",
-                    {"pairs_checked": n_checked, "sampled": sampled},
-                    {
-                        "kind": kind,
-                        "generator": sys.cox.generators[s],
-                        "v": word_to_string(v, sys.cox.generators),
-                        "v2": word_to_string(v2, sys.cox.generators),
-                        "observed": worst,
-                        "bound": bound,
-                    },
-                )
-        constants.ft_ii_max = max_ii
-        constants.ft_iii_max = max_iii
-        return CheckResult(
-            "fellow-traveller-bounds",
-            "pass",
-            {
-                "pairs_checked": n_checked,
-                "sampled": sampled,
-                "ii_max": max_ii,
-                "ii_bound": bound_ii,
-                "iii_max": max_iii,
-                "iii_bound": bound_iii,
-            },
-        )
+                if not geo.inversion_bits(g) >> s & 1:
+                    left = layers(g, s)
+                    tasks.append(("iii", left, next(iter(left[-1].values()))))
+                for kind, left, g2 in tasks:
+                    n_pairs += 1
+                    # the left word, one letter shorter, waits at its end
+                    times = list(zip(left + left[-1:], layers(g2)))
+                    worst = max([(a ^ b).bit_count() for x, y in times
+                                 for a in x for b in y])
+                    maxima[kind] = max(maxima[kind], worst)
+                    if worst > bounds[kind]:
+                        t, a, b = next(
+                            (t, a, b) for t, (x, y) in enumerate(times)
+                            for a in x for b in y if (a ^ b).bit_count() == worst
+                        )
+                        x, y = times[t]
+                        return CheckResult(name, "fail", {"pairs_checked": n_pairs}, {
+                            "kind": kind,
+                            "generator": sys.cox.generators[s],
+                            "g": self._word(g),
+                            "g2": self._word(g2),
+                            "time": t,
+                            "left": self._word(x[a]),
+                            "right": self._word(y[b]),
+                            "observed": worst,
+                            "bound": bounds[kind],
+                        })
+        constants.ft_ii_max, constants.ft_iii_max = maxima["ii"], maxima["iii"]
+        return CheckResult(name, "pass", {
+            "pairs_checked": n_pairs,
+            "ii_max": maxima["ii"], "ii_bound": bounds["ii"],
+            "iii_max": maxima["iii"], "iii_bound": bounds["iii"],
+        })
 
     # automaton agreement ---------------------------------------------------
 

@@ -387,6 +387,8 @@ def test_usage_errors():
     assert run_cli("bogus-command").returncode == 2
     assert run_cli("reduce").returncode == 2  # --group is required
     assert run_cli("verify", "--group", group("a2"), "--radius", "-1").returncode == 2
+    # no check samples, so verify takes no seed
+    assert run_cli("verify", "--group", group("a2"), "--seed", "1").returncode == 2
     assert (
         run_cli("accept", "--group", group("a2"), "--automaton", "missing.json", "s")
         .returncode

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ from voracious import (
     VoraciousLanguage,
     WallGeometry,
     load_group_file,
+    word_from_string,
 )
 from voracious.automaton import _IndexPass
 from voracious.separators import SeparatorSearch
@@ -93,6 +95,14 @@ def test_negative_radius_is_refused():
     assert VerifierConfig(radius=0).radius == 0
 
 
+@pytest.mark.parametrize("radius", [True, 2.5, "3"])
+def test_radius_that_is_not_an_int_is_refused(radius):
+    # True would run as radius 1 and print as true; 2.5 and "3" would fail
+    # deep in the ball.
+    with pytest.raises(ValueError, match="radius must be an int"):
+        VerifierConfig(radius=radius)
+
+
 def test_triangle_suite_smoke(stack):
     v = _fresh(stack, "triangle_333", radius=4)
     report = v.run_suite()
@@ -148,15 +158,15 @@ def _direct_fellow_traveller_maxima(system, language, radius):
 
 
 @pytest.mark.parametrize(
-    "name,radius", [("a2", 3), ("triangle_334", 5), ("affine_a3", 4)]
+    "name,radius",
+    [("a2", 3), ("triangle_334", 5), ("affine_a3", 4), ("triangle_245", 5)],
 )
 def test_fellow_traveller_matches_direct_recomputation(stack, name, radius):
-    # The check measures gaps as popcounts of inversion-mask XORs; the
-    # recomputation multiplies elements, on a second system.
-    if name in BUILT:
-        geo = fresh_geometry(*BUILT[name])
-    else:
-        geo = WallGeometry(CoxeterSystem(stack(name).cox))
+    # The check compares prefix elements by popcounts of inversion-mask
+    # XORs; the recomputation lists every word pair and multiplies elements,
+    # on a second system.  (2,4,5) has an order 5 and reaches the maxima
+    # of its radius-8 report, 4 and 5, at radius 5.
+    geo = _fresh_geometry(stack, name)
     verifier = Verifier(geo, VerifierConfig(radius=radius))
     assert verifier.check_fellow_traveller().status == "pass"
     c = verifier.constants
@@ -164,6 +174,68 @@ def test_fellow_traveller_matches_direct_recomputation(stack, name, radius):
     assert (c.ft_ii_max, c.ft_iii_max) == _direct_fellow_traveller_maxima(
         oracle.system, VoraciousLanguage(oracle), radius
     )
+
+
+@pytest.mark.parametrize("name,radius", [("triangle_334", 6), ("affine_a3", 5)])
+def test_prefix_layers_are_the_prefixes_of_every_language_word(stack, name, radius):
+    # Entry t holds the length-t prefix of every language word of g, keyed
+    # by its inversion mask; given s, that of s followed by the word.
+    geo = _fresh_geometry(stack, name)
+    verifier = Verifier(geo, VerifierConfig(radius=radius))
+    system, inv = geo.system, geo.inversion_bits
+    language = VoraciousLanguage(_fresh_geometry(stack, name))
+    oracle = language.system
+    for g in system.ball(radius):
+        words = language.all_words_of(oracle.element_of_word(geo.shortlex_word(g)))
+        heads = [(None, ())] + [
+            (s, (s,)) for s in range(system.rank) if not inv(g) >> s & 1
+        ]
+        for s, head in heads:
+            layers = verifier._prefix_layers(g, s)
+            assert len(layers) == g.length + 1
+            for t, layer in enumerate(layers):
+                want = {system.element_of_word(head + w[:t]) for w in words}
+                assert set(layer.values()) == want
+                assert all(inv(x) == mask for mask, x in layer.items())
+
+
+def test_fellow_traveller_fails_with_a_witness(stack, monkeypatch):
+    # C_hat forced to 1 makes the ii bound 2, which the (3,3,4) ball passes.
+    # The witness names both prefix elements at the failing time, and the
+    # gap it reports is the length of left^{-1} right.
+    verifier = Verifier(_fresh_geometry(stack, "triangle_334"), VerifierConfig(radius=5))
+    shrunk = dataclasses.replace(verifier.estimate_constants(), C_hat=1)
+    monkeypatch.setattr(verifier, "estimate_constants", lambda: shrunk)
+    check = verifier.check_fellow_traveller()
+    assert check.status == "fail"
+    w = check.witness
+    assert set(w) == {
+        "kind", "generator", "g", "g2", "time", "left", "right", "observed", "bound"
+    }
+    assert (w["kind"], w["bound"]) == ("ii", 2)
+    assert w["observed"] > w["bound"]
+    oracle = fresh_geometry("abc", stack("triangle_334").cox.orders).system
+    g, g2, left, right = (
+        oracle.element_of_word(word_from_string(w[key], "abc"))
+        for key in ("g", "g2", "left", "right")
+    )
+    assert g2 is oracle.right_mul(g, "abc".index(w["generator"]))
+    assert left.length == min(w["time"], g.length)
+    assert right.length == w["time"]
+    assert multiply(oracle, inverse_of(oracle, left), right).length == w["observed"]
+    assert set(check.details) == {"pairs_checked"}
+
+
+def test_suite_lists_no_word(stack, monkeypatch):
+    # Every check runs on elements: no language word set and no reduced
+    # word set is built.
+    def refuse(*args):
+        raise AssertionError("a word set was listed")
+
+    monkeypatch.setattr(VoraciousLanguage, "all_words_of", refuse)
+    monkeypatch.setattr(CoxeterSystem, "reduced_words", refuse)
+    geo = _fresh_geometry(stack, "triangle_334")
+    assert Verifier(geo, VerifierConfig(radius=6)).run_suite().passed
 
 
 def _q_hat_by_element_distance(stack, name, radius):
@@ -362,14 +434,14 @@ def test_report_json_schema_and_determinism(stack):
 
 
 def test_334_report_bytes_frozen():
-    # The report of `verify --radius 8 --seed 1` on (3,3,4), from a fresh
-    # system as the command line builds it.  A reordered universe, wall sort
-    # or seeded sample changes these bytes.
+    # The report of `verify --radius 8` on (3,3,4), from a fresh system as
+    # the command line builds it.  A reordered universe or wall sort changes
+    # these bytes.
     system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
-    config = VerifierConfig(radius=8, seed=1)
+    config = VerifierConfig(radius=8)
     text = Verifier(WallGeometry(system), config).run_suite().to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "96b1c8136f0cd40e1a0b3fc05344ad7a1f8eee31bb6c248ee11af63cc43d1833"
+        "953132976e3f633976ecc6a79c6c2f26902d24eb1eef116a3aef26dd05927202"
     )
     # The distance to the canonical incident chambers, which the depth
     # descents find.
@@ -377,9 +449,9 @@ def test_334_report_bytes_frozen():
 
 
 def test_334_report_is_seed_free():
-    # At radius 8 on (3,3,4) no check samples: the fellow-traveller word
-    # pairs are under MAX_WORD_PAIRS, and the separator check visits every
-    # chamber.  So the seed leaves the report's bytes alone.
+    # No check samples: the fellow-traveller check compares every prefix
+    # element pair, and the separator check visits every chamber.  So the
+    # seed, which nothing reads, leaves the report's bytes alone.
     def report(seed):
         system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
         config = VerifierConfig(radius=8, seed=seed)
