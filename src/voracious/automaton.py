@@ -12,19 +12,25 @@ empty start state takes every pivot, and the states are it and the pivots'
 targets.  The pivots fix the automaton, and so the group does: one pass
 over their shortlex tree, which is prefix-closed, steps sets of small roots
 on index tables and gives each pivot's word, its masks and the prefix graph
-with no group element (see _IndexPass).  `states` holds each state as the
-sorted universe indices of its walls.
+with no group element (see _IndexPass).
 
-An edge's labels are the reduced words of its pivot, derived only to write
-DOT.  The universe is the group's small roots.  A JSON file holds the group,
-the universe as a checked header and the pivots' shortlex words, and nothing
+The targets are distinct, so state n is node n of the prefix graph: the
+start state at the identity for n = 0, else the target of pivot n - 1.  For
+a pivot q every descent wall of q^{-1} is small, so q^{-1} is low, and a
+low element is fixed by its small inversions (Dyer and Hohlweg, "Small
+roots, low elements, and the weak order in Coxeter groups", Adv. Math.
+2016), which target(q) holds: the Brink-Howlett state Phi(q^{-1}) & Small.
+The build checks it.
+
+The universe is the group's small roots.  A JSON file holds the group, the
+universe as a checked header and the pivots' shortlex words, and nothing
 else: the loader builds the group's automaton and requires every top-level
 key of the file to equal what that automaton writes.
 
-Words are run over the pivot prefix graph rather than over the labels: its
-nodes are the identity and the pivots, reading a letter s at the node of h
-moves to the node of h s, and a block ends at the node of pivot q for each
-state that may take q.
+Words are run over the prefix graph: reading s at the node of h moves to
+the node of h s, and a block ends at the node of pivot q for each state
+that may take q.  An edge's labels, the reduced words of its pivot, are the
+paths from node 0 to its node, read off the graph only to write DOT.
 """
 
 from __future__ import annotations
@@ -66,48 +72,60 @@ class VoraciousAutomaton:
     Built over the group's universe of walls, its small roots, and every
     pivot.  One pass over the pivots' shortlex tree (_IndexPass) gives each
     pivot's word, its target and forbid masks, and `children`, the pivot
-    prefix graph; the states, sorted by (size, universe indices), and the
-    edges follow."""
+    prefix graph; state n is node n of that graph, and the edges follow."""
 
     def __init__(self, geometry: WallGeometry):
         self.geometry = geometry
         self.generators = geometry.system.cox.generators
         self.start = 0
         self.universe = small_roots(geometry)
-        tree = _IndexPass(geometry.system, self.universe)
+        tree = _IndexPass(geometry.system)
         tree.run()
         self.words = tuple(tree.words)
         self.children = tree.children
-        target_masks = tree.targets
-        indices = {0: (), **dict(zip(target_masks, tree.target_indices))}
-        self._masks = sorted(indices, key=lambda m: (m.bit_count(), indices[m]))
-        self._state_of = {m: i for i, m in enumerate(self._masks)}
-        self.states = tuple(indices[m] for m in self._masks)
-        self.targets = tuple(self._state_of[m] for m in target_masks)
         self.forbid = tuple(tree.forbid)
-        self._labels: dict[Word, tuple[Word, ...]] = {}
+        self._masks = (0, *tree.targets)
+        self._state_of = {m: i for i, m in enumerate(self._masks)}
+        if len(self._state_of) != len(self._masks):
+            raise ArithmeticError("two pivots share a target")
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """Each state's walls as their sorted indices in the universe."""
+        index = {wall: i for i, wall in enumerate(self.universe)}.__getitem__
+        walls_of = self.geometry.system.walls_of
+        return tuple(tuple(sorted(map(index, walls_of(m)))) for m in self._masks)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """An edge for each state and each pivot it may take, by source, then
-        by pivot in (length, shortlex) order."""
+        by pivot in (length, shortlex) order; it enters the pivot's node."""
         return tuple(
             Edge(source, target, word)
             for source, mask in enumerate(self._masks)
-            for target, word, forbid in zip(self.targets, self.words, self.forbid)
+            for target, (word, forbid) in enumerate(zip(self.words, self.forbid), 1)
             if not mask & forbid
         )
 
-    # -- running the machine -------------------------------------------------
+    @cached_property
+    def labels(self) -> tuple[tuple[Word, ...], ...]:
+        """labels[n]: the sorted paths from node 0 to node n, the reduced
+        words of its element, which label every edge into state n.  A node's
+        parents are shorter, so numbered before it.  The words made count
+        against max_ball_elements."""
+        cap = self.geometry.system.max_ball_elements
+        paths = [[()]] + [[] for _ in self.words]
+        made = 1
+        for node, row in enumerate(self.children):
+            for s, child in enumerate(row):
+                if child:
+                    made += len(paths[node])
+                    if made > cap:
+                        raise ResourceLimitError(f"reduced words exceeded {cap} words")
+                    paths[child] += [w + (s,) for w in paths[node]]
+        return tuple(tuple(sorted(words)) for words in paths)
 
-    def labels(self, pivot_word: Word) -> tuple[Word, ...]:
-        """The labels of every edge carrying a pivot: its sorted reduced words."""
-        got = self._labels.get(pivot_word)
-        if got is None:
-            sys = self.geometry.system
-            g = sys.element_of_word(pivot_word)
-            got = self._labels[pivot_word] = tuple(sorted(sys.reduced_words(g)))
-        return got
+    # -- running the machine -------------------------------------------------
 
     def run_pairs(
         self, word: Word, pairs: set[tuple[int, int]] | None = None
@@ -117,12 +135,11 @@ class VoraciousAutomaton:
 
         A pair at node 0 has read whole labels up to a state, and a pair
         elsewhere is partway through the label of a further edge, and closes
-        it at node n of pivot n - 1 if its state may take that pivot.  So
+        it at node n, entering state n, if its state may take pivot n - 1.  So
         reading a word one letter at a time, each from the pairs of the
         last, gives its pairs.
         """
-        children, masks = self.children, self._masks
-        targets, forbid = self.targets, self.forbid
+        children, masks, forbid = self.children, self._masks, self.forbid
         rank = len(self.generators)
         current = {(self.start, 0)} if pairs is None else pairs
         for letter in word:
@@ -135,7 +152,7 @@ class VoraciousAutomaton:
                     continue
                 nxt.add((state, child))
                 if not masks[state] & forbid[child - 1]:
-                    nxt.add((targets[child - 1], 0))
+                    nxt.add((child, 0))
             if not nxt:
                 return nxt
             current = nxt
@@ -170,6 +187,11 @@ class VoraciousAutomaton:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_dot(self) -> str:
+        """States and edges in DOT, each edge labelled by its pivot's reduced
+        words.  The labels, bounded by max_ball_elements, are made first, so
+        a group past that bound fails before any line is written."""
+        gens = self.generators
+        labels = [", ".join(word_to_string(w, gens) for w in ws) for ws in self.labels]
         lines = [
             "digraph voracious {",
             "  rankdir=LR;",
@@ -178,13 +200,9 @@ class VoraciousAutomaton:
         ]
         for i, st in enumerate(self.states):
             walls = ", ".join(self._wall_str(self.universe[j]) for j in st)
-            label = "{" + walls + "}"
-            lines.append(f'  q{i} [label="{label}"];')
+            lines.append(f'  q{i} [label="{{{walls}}}"];')
         for e in self.edges:
-            label = ", ".join(
-                word_to_string(w, self.generators) for w in self.labels(e.pivot_word)
-            )
-            lines.append(f'  q{e.source} -> q{e.target} [label="{label}"];')
+            lines.append(f'  q{e.source} -> q{e.target} [label="{labels[e.target]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -311,7 +329,7 @@ class _IndexPass:
     the pass tries, and the identity, count against max_ball_elements.
     """
 
-    def __init__(self, system: CoxeterSystem, universe: tuple[Wall, ...]):
+    def __init__(self, system: CoxeterSystem):
         self.system = system
         self.rank = k = system.rank
         roots = system.small_roots()
@@ -326,13 +344,11 @@ class _IndexPass:
             self.tables.append(table)
             self.gam_tables.append([n if i is None else i for i in table] + [n])
         self.bits = [wall.bit for wall in roots]
-        # Translation tables: to universe indices, to 1 for an open pair and
-        # 0 for n, and to the simple roots alone.
-        self.position = list(map(dict(zip(universe, range(n))).get, roots))
+        # Translation tables: to 1 for an open pair and 0 for n, and to the
+        # simple roots alone.
         self.open = [1] * n + [0]
         self.simple = [*range(k)] + [None] * (n - k)
-        # target_indices[i]: the universe indices of target i's walls, sorted.
-        self.words, self.targets, self.target_indices, self.forbid = [], [], [], []
+        self.words, self.targets, self.forbid = [], [], []
         self.children = [[0] * k]
         # moves[k * (node of q) + s]: the node of q s, else None; children
         # holds the entries for the ascents.
@@ -391,7 +407,6 @@ class _IndexPass:
         self._link(number, s, child)
         self.words.append(word)
         self.targets.append(sum(map(self.bits.__getitem__, map(ord, d))))
-        self.target_indices.append(tuple(map(ord, sorted(d.translate(self.position)))))
         opened = compress(self.bits, gam.translate(self.open).encode())
         self.forbid.append(inv | sum(opened))
         return child

@@ -7,8 +7,8 @@ and right descent test reads one bit.  The system owns the walls, one per
 positive root, each with a bit 1 << (creation index), so a set of walls is
 an int mask (walls.py).  A product g s reflects the walls of the neighbours
 of s in the wall of g(alpha_s), through one memoised table per wall (see
-right_mul).  Words are built from the right: reduced_words steps down right
-descents, and shortlex words climb the weak order (walls.py).  One
+right_mul).  Words are built from the right: descent_step steps down a
+right descent, and shortlex words climb the weak order (walls.py).  One
 breadth-first step, next_layer, grows the ball by a layer, in (length,
 shortlex) order with no sort.  A left product s g is the element of the
 word s followed by a reduced word of g, and g^{-1} that of the reversed
@@ -296,8 +296,6 @@ class CoxeterSystem:
         self.identity = self._element(simple, 0, 0)
 
         self._layers: list[list[GroupElement]] = [[self.identity]]
-        self._reduced_cache = {self.identity: frozenset({()})}
-        self._reduced_held = 1
 
     # -- linear algebra ----------------------------------------------------
 
@@ -459,37 +457,6 @@ class CoxeterSystem:
     def right_descents(self, g: GroupElement) -> tuple[int, ...]:
         return tuple(s for s in range(self.rank) if g.descents >> s & 1)
 
-    def reduced_words(self, g: GroupElement) -> frozenset[Word]:
-        """All reduced words of g: each reduced word of g*s followed by s,
-        over the right descents s.  A post-order walk on an explicit stack,
-        so the depth is not bounded by the recursion limit.  The words the
-        memo holds count against max_ball_elements."""
-        cache = self._reduced_cache
-        # Frames are [element, (descent, element*s) pairs or None until expanded].
-        stack = [[g, None]]
-        while stack:
-            frame = stack[-1]
-            h, children = frame
-            if children is None:
-                if h in cache:
-                    stack.pop()
-                    continue
-                children = frame[1] = tuple(
-                    (s, self.right_mul(h, s)) for s in self.right_descents(h)
-                )
-                stack.extend([c, None] for _, c in children if c not in cache)
-                continue
-            # The words of h end with distinct descents, so none repeats.
-            held = self._reduced_held + sum(len(cache[c]) for _, c in children)
-            if held > self.max_ball_elements:
-                raise ResourceLimitError(
-                    f"reduced words exceeded {self.max_ball_elements} words"
-                )
-            self._reduced_held = held
-            cache[h] = frozenset(w + (s,) for s, c in children for w in cache[c])
-            stack.pop()
-        return cache[g]
-
     # -- metric balls -------------------------------------------------------
 
     def next_layer(self, layer, examined: int) -> dict:
@@ -608,7 +575,7 @@ class CoxeterSystem:
 
     def stats(self) -> dict[str, int]:
         """Sizes of the system's memos: elements built, right products,
-        walls, wall reflections, reduced-word sets and decided signs."""
+        walls, wall reflections and decided signs."""
         return {
             "elements": len(self._elements),
             "right_products": sum(
@@ -617,7 +584,6 @@ class CoxeterSystem:
             ),
             "walls": len(self._by_index),
             "reflections": sum(len(w.reflections) for w in self._by_index),
-            "reduced_word_sets": len(self._reduced_cache),
             "signs": len(self.ctx._signs),
         }
 

@@ -12,7 +12,6 @@ the climb that WallGeometry.projection_block takes to find the block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .coxeter import GroupElement, Word
 from .walls import WallGeometry
@@ -32,13 +31,12 @@ class FactorizationChain:
 
 
 class VoraciousLanguage:
-    """Membership, canonical words, and full word sets of the language."""
+    """Membership and canonical words of the language."""
 
     def __init__(self, geometry: WallGeometry):
         self.geometry = geometry
         self.system = geometry.system
         self._chains: dict[GroupElement, FactorizationChain] = {}
-        self._words: dict[GroupElement, frozenset[Word]] = {}
 
     def chain(self, g: GroupElement) -> FactorizationChain:
         got = self._chains.get(g)
@@ -81,16 +79,3 @@ class VoraciousLanguage:
                 return False
             pos -= block.length
         return pos == 0
-
-    def all_words_of(self, g: GroupElement) -> frozenset[Word]:
-        """Every language word evaluating to g."""
-        got = self._words.get(g)
-        if got is not None:
-            return got
-        sys = self.system
-        parts = [sys.reduced_words(b) for b in reversed(self.chain(g).blocks)]
-        out = frozenset(
-            tuple(x for piece in combo for x in piece) for combo in product(*parts)
-        )
-        self._words[g] = out
-        return out

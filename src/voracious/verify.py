@@ -286,9 +286,9 @@ class Verifier:
     def check_projection_monotone(self) -> CheckResult:
         """p(g) <= g' <= g (prefix order) implies p(g') <= p(g).
 
-        The g' of each g are the weak-order interval [p(g), g], reached from
-        p(g) by WallGeometry.walk_up crossing walls of Inv(g) only: the
-        walk that lists the projection's candidates, two bit tests per move.
+        The g' of each g are the weak-order interval [p(g), g]: the layers
+        of g's prefix elements from length l(p(g)) on (_prefix_layers),
+        which the fellow-traveller check reads too, or g alone if p(g) = g.
         Every g' lies in the ball, whose products and inversion sets are
         memoised already.
         """
@@ -298,7 +298,8 @@ class Verifier:
         for g in sys.ball(self.config.radius):
             pg = geo.voracious_projection(g)
             inv_pg = inv(pg)
-            for g2 in geo.walk_up(pg, inv(g))[0]:
+            layers = self._prefix_layers(g)[pg.length :] if pg is not g else [{0: g}]
+            for g2 in [x for layer in layers for x in layer.values()]:
                 n_pairs += 1
                 # inversion sets as masks: a | b == b says a is a subset of b
                 if inv(geo.voracious_projection(g2)) | inv_pg != inv_pg:
@@ -332,6 +333,8 @@ class Verifier:
         while got is None and cur.length:
             path.append(cur)
             cur = geo.voracious_projection(cur)
+            if cur.length >= path[-1].length:
+                raise ArithmeticError("voracious projection made no progress")
             got = memo.get((cur, s))
         if got is None:  # cur is the identity
             top = cur if s is None else sys.right_mul(cur, s)

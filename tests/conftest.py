@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,50 @@ def left_shortlex_word(system: CoxeterSystem, g):
         word.append(s)
         h = system.right_mul(h, s)
     return tuple(word)
+
+
+# Per-system and per-language memos of the word-set oracles below.
+_REDUCED_WORDS = weakref.WeakKeyDictionary()
+_LANGUAGE_WORDS = weakref.WeakKeyDictionary()
+
+
+def reduced_words(system: CoxeterSystem, g) -> frozenset:
+    """All reduced words of g: each reduced word of g s followed by s, over
+    the right descents s of g.  A post-order walk on an explicit stack, so
+    its depth is not bounded by the recursion limit, memoised per system.
+
+    The oracle for the automaton's labels, which read the reduced words of
+    each pivot off the prefix graph (VoraciousAutomaton.labels)."""
+    cache = _REDUCED_WORDS.setdefault(system, {system.identity: frozenset({()})})
+    stack = [g]
+    while stack:
+        h = stack[-1]
+        if h in cache:
+            stack.pop()
+            continue
+        below = [(s, system.right_mul(h, s)) for s in system.right_descents(h)]
+        missing = [c for _, c in below if c not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        cache[h] = frozenset(w + (s,) for s, c in below for w in cache[c])
+        stack.pop()
+    return cache[g]
+
+
+def all_words_of(language: VoraciousLanguage, g) -> frozenset:
+    """Every language word evaluating to g: a reduced word of each block of
+    g's projection chain, innermost block first.  Memoised per language."""
+    cache = _LANGUAGE_WORDS.setdefault(language, {})
+    got = cache.get(g)
+    if got is None:
+        blocks = reversed(language.chain(g).blocks)
+        parts = [reduced_words(language.system, b) for b in blocks]
+        got = cache[g] = frozenset(
+            tuple(x for piece in combo for x in piece)
+            for combo in itertools.product(*parts)
+        )
+    return got
 
 
 def run_states(aut, word) -> frozenset[int]:
@@ -689,8 +734,9 @@ def may_take_automaton_oracle(geometry: WallGeometry):
     and each of its walls admits a separator from chamber w; the edge enters
     w^{-1} W(w).  The separator test is memoised per (pivot, wall) and run
     state by state, and the states are found by a breadth-first search from
-    the empty one.  States are sorted by (size, walls), and the edges, as
-    (source, target, pivot word), by source and then by pivot.
+    the empty one.  States are ordered as the empty one, then each by the
+    first pivot that enters it, and the edges, as (source, target, pivot
+    word), by source and then by pivot.
     """
     from voracious import build_automaton, small_roots
 
@@ -729,7 +775,10 @@ def may_take_automaton_oracle(geometry: WallGeometry):
                     known.add(t)
                     order.append(t)
                 raw.append((a, pi, t))
-    states = tuple(sorted(order, key=lambda st: (len(st), st)))
+    first = {(): 0}
+    for pi, t in enumerate(targets, 1):
+        first.setdefault(t, pi)
+    states = tuple(sorted(order, key=first.__getitem__))
     sindex = {st: i for i, st in enumerate(states)}
     words = [left_shortlex_word(sys_, w) for w in pivot_list]
     edges = [(sindex[a], sindex[t], words[pi]) for a, pi, t in raw]

@@ -21,8 +21,10 @@ from voracious import (
 
 from conftest import (
     GROUPS_DIR,
+    all_words_of,
     automorphisms,
     generator_wall,
+    reduced_words,
     small_roots_bruteforce,
 )
 
@@ -69,7 +71,7 @@ def test_criterion_1_finite_collapse():
         ball = system.ball(top)
         assert len(system.ball(top + 1)) == len(ball)  # the whole group
         for g in ball:
-            assert language.all_words_of(g) == system.reduced_words(g)
+            assert all_words_of(language, g) == reduced_words(system, g)
         aut = build_automaton(geometry)
         for n in range(top + 1):
             for w in itertools.product(range(system.rank), repeat=n):
@@ -78,7 +80,7 @@ def test_criterion_1_finite_collapse():
                 assert aut.accepts(w) == reduced
         if name == "a2":
             assert len(ball) == 6
-            assert sum(len(language.all_words_of(g)) for g in ball) == 7
+            assert sum(len(all_words_of(language, g)) for g in ball) == 7
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     return f"A2/B2/I2(5)/A3 exhaustive, {elapsed:.2f}s"
@@ -91,12 +93,14 @@ def test_criterion_2_dihedral_gold():
     aut = build_automaton(geometry)
     w_t, w_s = generator_wall(geometry, 1), generator_wall(geometry, 0)
     assert aut.universe == (w_t, w_s)
-    assert aut.states == ((), (0,), (1,))
+    # State n is the target of pivot n - 1: state 1 that of s, {alpha_s},
+    # universe wall 1, and state 2 that of t.
+    assert aut.states == ((), (1,), (0,))
     assert {(e.source, e.target, e.pivot_word) for e in aut.edges} == {
-        (0, 2, (0,)),
-        (0, 1, (1,)),
-        (1, 2, (0,)),
-        (2, 1, (1,)),
+        (0, 1, (0,)),
+        (0, 2, (1,)),
+        (2, 1, (0,)),
+        (1, 2, (1,)),
     }
     for n in range(11):
         for w in itertools.product(range(2), repeat=n):
@@ -104,7 +108,7 @@ def test_criterion_2_dihedral_gold():
             assert aut.accepts(w) == alternating
             assert language.contains(w) == alternating
     for g in system.ball(10):
-        assert language.all_words_of(g) == system.reduced_words(g)
+        assert all_words_of(language, g) == reduced_words(system, g)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     return f"3 states, 4 edges, words to length 10, {elapsed:.2f}s"
@@ -180,7 +184,7 @@ def test_criterion_7_equivariance(stack):
         s = stack(name)
         words = set()
         for g in s.system.ball(6):
-            words |= s.language.all_words_of(g)
+            words |= all_words_of(s.language, g)
         perms = automorphisms(s.cox)
         assert len(perms) > 1  # a nontrivial symmetry exists in each case
         for perm in perms:

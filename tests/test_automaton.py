@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from conftest import (
     H535,
     TRIANGLE_237,
     TRIANGLE_245,
+    all_words_of,
     fresh_geometry,
     frontier_walls,
     generator_wall,
@@ -36,6 +39,7 @@ from conftest import (
     may_take_automaton_oracle,
     pivots_of,
     pull_back_target,
+    reduced_words,
     run_states,
     separator_route,
     small_roots_bruteforce,
@@ -164,11 +168,9 @@ def test_masks_match_may_take_oracle(stack, name):
     states, edges = may_take_automaton_oracle(geo)
     assert aut.states == states
     assert [(e.source, e.target, e.pivot_word) for e in aut.edges] == edges
-    # Measured, not proved: the pivots' targets are distinct and none is the
-    # empty start state, so there is one state per pivot besides the start.
-    assert len(set(aut.targets)) == len(aut.words)
-    assert aut.start not in aut.targets
-    assert len(aut.states) == len(aut.words) + 1
+    # The pivots' targets are distinct and none is the empty start state, so
+    # there is one state per pivot besides the start.
+    assert len(set(aut.states)) == len(aut.states) == len(aut.words) + 1
 
 
 # Every shipped group and every group the conftest builds.
@@ -195,8 +197,8 @@ def test_targets_match_pull_back_oracle(stack, name):
     # transition, is the state of q's frontier pulled back through q^{-1}.
     geo = _fresh(stack, name)
     aut = build_automaton(geo)
-    for q, target in zip(pivots_of(aut), aut.targets):
-        assert aut.state_of_mask(pull_back_target(geo, q)) == target
+    for node, q in enumerate(pivots_of(aut), 1):
+        assert aut.state_of_mask(pull_back_target(geo, q)) == node
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -213,7 +215,7 @@ def test_pivot_search_matches_sorted_oracle(stack, name):
     ]
     for word in words:
         q = sys_.element_of_word(word)
-        assert word == geo.shortlex_word(q) == min(sys_.reduced_words(q))
+        assert word == geo.shortlex_word(q) == min(reduced_words(sys_, q))
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -290,7 +292,7 @@ def test_pass_matches_separator_route(stack, name):
         return [{w.root for w in g.system.walls_of(m)} for m in masks]
 
     assert list(aut.words) == words
-    assert roots(geo, [aut._masks[t] for t in aut.targets]) == roots(oracle, targets)
+    assert roots(geo, aut._masks[1:]) == roots(oracle, targets)
     assert roots(geo, aut.forbid) == roots(oracle, forbid)
     assert aut.children == children
 
@@ -310,7 +312,7 @@ def test_pass_matches_element_route(stack, name):
         return [{w.root for w in g.system.walls_of(m)} for m in masks]
 
     assert list(aut.words) == words
-    assert roots(geo, [aut._masks[t] for t in aut.targets]) == roots(oracle, targets)
+    assert roots(geo, aut._masks[1:]) == roots(oracle, targets)
     assert roots(geo, aut.forbid) == roots(oracle, forbid)
     assert aut.children == children
 
@@ -332,7 +334,7 @@ def test_pass_past_255_small_roots():
     geo = WallGeometry(sys_)
     universe = small_roots(geo)
     assert len(universe) == 272
-    tree = _IndexPass(sys_, universe)
+    tree = _IndexPass(sys_)
     with pytest.raises(ResourceLimitError, match="max_ball_elements = 400"):
         tree.run()
     small = sum(wall.bit for wall in universe)
@@ -393,8 +395,7 @@ def test_affine_closed_form_counts(name):
     aut = build_automaton(fresh_geometry("abcde"[: n + 1], tuple(map(tuple, orders))))
     assert len(aut.words) + 1 == (h + 1) ** n
     assert len(aut.universe) == n * h
-    assert len(set(aut.targets)) == len(aut.words)
-    assert len(aut.states) == len(aut.words) + 1
+    assert len(set(aut.states)) == len(aut.states)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -444,7 +445,7 @@ def test_shortlex_state_allows_exactly_the_shortlex_words(
     # numbers of its small roots, and alpha_s is number s.
     if name not in pivot_trees:
         geo = _fresh(stack, name)
-        pivot_trees[name] = geo, _IndexPass(geo.system, small_roots(geo))
+        pivot_trees[name] = geo, _IndexPass(geo.system)
     geo, tree = pivot_trees[name]
     sys_ = geo.system
     word = draw.draw(st.lists(st.integers(0, sys_.rank - 1), max_size=12))
@@ -471,7 +472,8 @@ def test_json_load_makes_no_inverse(stack, name):
 def test_334_automaton_bytes_frozen():
     # `automaton --format json` and `--format dot` on (3,3,4), from a fresh
     # system as the command line builds it.  A saved file is read back only
-    # if it holds exactly these JSON values.
+    # if it holds exactly these JSON values.  DOT numbers state n as node n
+    # of the pivot prefix graph.
     system = CoxeterSystem(load_group_file(str(GROUPS_DIR / "triangle_334.json")))
     aut = build_automaton(WallGeometry(system))
     digests = [
@@ -480,7 +482,7 @@ def test_334_automaton_bytes_frozen():
     ]
     assert digests == [
         "d6933539b88740386e61e6b2d4e0c1954181b89ecbf3bd0be0d05535d89d02fa",
-        "2887d85cf1fd6aee013c1ca81ee5e6426d7feb8db8bd7cefea0054cec269a6c3",
+        "81a99468312eddf1528cfb4229f774e7965aa546d509c773c3875c788aa80a9a",
     ]
 
 
@@ -536,16 +538,14 @@ def test_gold_automaton_of_line(stack):
     aut = build_automaton(geo)
     w_t, w_s = generator_wall(geo, 1), generator_wall(geo, 0)
     assert aut.universe == (w_t, w_s)
-    assert aut.states == ((), (0,), (1,))
-    got = {
-        (e.source, e.target, e.pivot_word, aut.labels(e.pivot_word))
-        for e in aut.edges
-    }
+    # State n is the target of pivot n - 1, s then t.
+    assert aut.states == ((), (1,), (0,))
+    got = {(e.source, e.target, e.pivot_word, aut.labels[e.target]) for e in aut.edges}
     assert got == {
-        (0, 2, (0,), ((0,),)),
-        (0, 1, (1,), ((1,),)),
-        (1, 2, (0,), ((0,),)),
-        (2, 1, (1,), ((1,),)),
+        (0, 1, (0,), ((0,),)),
+        (0, 2, (1,), ((1,),)),
+        (2, 1, (0,), ((0,),)),
+        (1, 2, (1,), ((1,),)),
     }
 
 
@@ -557,7 +557,7 @@ def test_gold_automaton_of_a2(stack):
     assert all(e.source == 0 for e in aut.edges)
     longest = [e for e in aut.edges if len(e.pivot_word) == 3]
     assert len(longest) == 1
-    assert aut.labels(longest[0].pivot_word) == ((0, 1, 0), (1, 0, 1))
+    assert aut.labels[longest[0].target] == ((0, 1, 0), (1, 0, 1))
 
 
 def test_gold_automaton_of_rank1(stack):
@@ -596,12 +596,14 @@ def test_accepts_frozen(stack):
 def test_run_states_frozen(stack):
     dinf = stack("d_infinity")
     aut = build_automaton(dinf.geometry)
+    # A run ends in the state of its last pivot: t is pivot 1, s pivot 0.
     assert run_states(aut, ()) == {0}
-    assert run_states(aut, dinf.word("st")) == {1}
-    assert run_states(aut, dinf.word("ts")) == {2}
+    assert run_states(aut, dinf.word("st")) == {2}
+    assert run_states(aut, dinf.word("ts")) == {1}
     assert run_states(aut, dinf.word("tt")) == frozenset()
     a2 = stack("a2")
     aut2 = build_automaton(a2.geometry)
+    # st is pivot 2 of A2, after s and t.
     assert run_states(aut2, a2.word("st")) == {3}
 
 
@@ -633,7 +635,7 @@ def _label_scan_states(targets_by_label, start, rank, max_length):
 def _assert_run_states_match_label_scan(aut, rank, max_length):
     targets_by_label = [{} for _ in aut.states]
     for e in aut.edges:
-        for lab in aut.labels(e.pivot_word):
+        for lab in aut.labels[e.target]:
             targets_by_label[e.source].setdefault(lab, set()).add(e.target)
     words = 0
     for w, want in _label_scan_states(targets_by_label, aut.start, rank, max_length):
@@ -698,7 +700,7 @@ def test_prefix_graph_has_one_node_per_pivot(long_pivot_geometries):
     assert elements == [geo.system.identity, *pivots_of(aut)]
     ends = [{}] + [
         {
-            state: aut.targets[q]
+            state: q + 1
             for state, st in enumerate(aut.states)
             if not sum(aut.universe[v].bit for v in st) & aut.forbid[q]
         }
@@ -952,7 +954,7 @@ def test_edges_are_frontier_pullbacks(stack):
                 for u in itertools.product(range(s.cox.rank), repeat=w.length)
                 if s.system.element_of_word(u) == w
             )
-            assert aut.labels(e.pivot_word) == spelled
+            assert aut.labels[e.target] == spelled
             back = {
                 uindex[translate_wall(geo, inverse_of(s.system, w), f)]
                 for f in frontier_walls(geo, w)
@@ -974,7 +976,7 @@ def test_run_state_matches_element_frontier(stack):
             }
             want = aut.state_of_mask(sum(w.bit for w in back))
             assert want is not None
-            for w in s.language.all_words_of(g):
+            for w in all_words_of(s.language, g):
                 assert run_states(aut, w) == {want}
 
 
@@ -992,18 +994,18 @@ def test_json_round_trip(stack, long_pivot_geometries):
 )
 def test_json_load_into_fresh_geometry_rebuilds_the_automaton(stack, name):
     # A file holds only pivot words: loaded into a fresh geometry, they give
-    # the build's states, edges, targets and forbid masks.  Wall bits are
+    # the build's states, edges, target and forbid masks.  Wall bits are
     # numbered per geometry, so the masks are compared as sets of roots.
     aut = build_automaton(_fresh(stack, name))
     clone = from_json_dict(json.loads(aut.to_json()), _fresh(stack, name))
 
-    def forbid_roots(a):
-        return [{w.root for w in a.geometry.system.walls_of(m)} for m in a.forbid]
+    def roots(a, masks):
+        return [{w.root for w in a.geometry.system.walls_of(m)} for m in masks]
 
     assert clone.states == aut.states
     assert clone.edges == aut.edges
-    assert clone.targets == aut.targets
-    assert forbid_roots(clone) == forbid_roots(aut)
+    assert roots(clone, clone._masks) == roots(aut, aut._masks)
+    assert roots(clone, clone.forbid) == roots(aut, aut.forbid)
     assert clone.to_json() == aut.to_json()
 
 
@@ -1079,6 +1081,71 @@ def test_build_is_deterministic(stack):
     b = build_automaton(s.geometry)
     assert a.to_json() == b.to_json()
     assert a.to_dot() == b.to_dot()
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_labels_match_reduced_words_oracle(stack, name):
+    # The labels read off the prefix graph are the reduced words of each
+    # pivot, as the oracle lists them by stepping down right descents on a
+    # second fresh system.
+    aut = build_automaton(_fresh(stack, name))
+    oracle = _fresh(stack, name).system
+    assert aut.labels[0] == ((),)
+    for word, labels in zip(aut.words, aut.labels[1:]):
+        assert labels == tuple(sorted(reduced_words(oracle, oracle.element_of_word(word))))
+
+
+@pytest.mark.parametrize("name", ["triangle_334", "affine_a3"])
+def test_dot_makes_no_element(stack, name):
+    # The labels come from the prefix graph, so a DOT export, like the
+    # build, makes no element but the identity.
+    geo = _fresh(stack, name)
+    build_automaton(geo).to_dot()
+    assert geo.system.stats()["elements"] == 1
+
+
+def test_repeated_target_is_an_internal_error(stack, monkeypatch):
+    # Each pivot has its own target, so state n can be node n; a pass that
+    # gave two pivots one target would have broken that lemma.
+    run = _IndexPass.run
+
+    def run_repeating_a_target(self):
+        run(self)
+        self.targets[1] = self.targets[0]
+
+    monkeypatch.setattr(_IndexPass, "run", run_repeating_a_target)
+    with pytest.raises(ArithmeticError, match="two pivots share a target"):
+        build_automaton(_fresh(stack, "a2"))
+
+
+def test_labels_are_bounded(stack):
+    # The labels of A3 are 66 words: one for each reduced word of each of
+    # its 24 elements, all of them pivots, with the 16 of the longest.  The
+    # build tries 24 elements, so a cap of 65 admits it and refuses the
+    # labels, before DOT lists any state or edge.
+    cox = stack("a3").cox
+    aut = build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=66)))
+    assert sum(map(len, aut.labels)) == 66
+    assert len(aut.labels[-1]) == 16
+    aut = build_automaton(WallGeometry(CoxeterSystem(cox, max_ball_elements=65)))
+    with pytest.raises(ResourceLimitError, match="reduced words exceeded 65 words"):
+        aut.to_dot()
+    assert "states" not in vars(aut) and "edges" not in vars(aut)
+
+
+def test_labels_past_recursion_limit():
+    # H(5,3,5) has pivots of length 21.  Its labels and DOT walk no pivot
+    # letter by letter on the call stack: both run with fewer frames to
+    # spare than that.
+    aut = build_automaton(fresh_geometry("abcd", H535))
+    assert max(map(len, aut.words)) == 21
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 15)
+    try:
+        dot = aut.to_dot()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dot.count("->") == len(aut.edges) + 1
 
 
 def test_dot_output_shape(stack):
